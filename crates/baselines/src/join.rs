@@ -157,7 +157,7 @@ pub fn build_join_job(
 mod tests {
     use super::*;
     use gumbo_common::{Database, Fact, Relation};
-    use gumbo_mr::{Engine, EngineConfig, Executor, MrProgram};
+    use gumbo_mr::{EngineConfig, Executor, MrProgram};
     use gumbo_sgf::parse_query;
     use gumbo_storage::SimDfs;
 
@@ -187,7 +187,7 @@ mod tests {
         let job = build_join_job(&ctx, &[0], "HJOIN", JobConfig::baseline(), 0);
         let mut program = MrProgram::new();
         program.push_job(job);
-        Engine::new(EngineConfig::unscaled())
+        Executor::new(EngineConfig::unscaled())
             .execute(&dfs, &program)
             .unwrap();
         let x = dfs.peek(&"Z#X0".into()).unwrap();
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn join_shuffles_more_bytes_than_msj() {
         let (ctx, db) = setup();
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
 
         let dfs1 = SimDfs::from_database(&db);
         let join = build_join_job(&ctx, &[0], "HJOIN", JobConfig::baseline(), 0);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn extra_guard_reads_increase_input() {
         let (ctx, db) = setup();
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let d1 = SimDfs::from_database(&db);
         let d2 = SimDfs::from_database(&db);
         let j0 = build_join_job(&ctx, &[0], "J", JobConfig::baseline(), 0);

@@ -62,7 +62,7 @@ impl SeqStrategy {
     /// Execute SEQ for a set of BSGF queries.
     pub fn evaluate(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
@@ -245,7 +245,7 @@ impl Reducer for UnionReducer {
 mod tests {
     use super::*;
     use gumbo_common::{Database, Fact, Relation};
-    use gumbo_mr::{Engine, EngineConfig};
+    use gumbo_mr::EngineConfig;
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;
 
@@ -265,7 +265,7 @@ mod tests {
         let q = parse_query(query_text).unwrap();
         let expected = NaiveEvaluator::new().evaluate_bsgf(&q, d).unwrap();
         let dfs = SimDfs::from_database(d);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = SeqStrategy::default()
             .evaluate(&engine, &dfs, std::slice::from_ref(&q))
             .unwrap();
@@ -314,7 +314,7 @@ mod tests {
         }
         let q = parse_query("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(y);").unwrap();
         let dfs = SimDfs::from_database(&d);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = SeqStrategy::default()
             .evaluate(&engine, &dfs, &[q])
             .unwrap();
@@ -415,7 +415,7 @@ mod tests {
         let q1 = parse_query("Z1 := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(y);").unwrap();
         let q2 = parse_query("Z2 := SELECT (x, y) FROM G(x, y) WHERE U(x) AND V(y);").unwrap();
         let dfs = SimDfs::from_database(&d);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = SeqStrategy::default()
             .evaluate(&engine, &dfs, &[q1, q2])
             .unwrap();

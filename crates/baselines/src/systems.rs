@@ -86,7 +86,7 @@ impl HiveSim {
     /// Execute the strategy.
     pub fn evaluate(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
@@ -136,7 +136,7 @@ impl PigSim {
     /// Execute the strategy.
     pub fn evaluate(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
@@ -149,7 +149,7 @@ impl PigSim {
 mod tests {
     use super::*;
     use gumbo_common::{Database, Relation, Tuple};
-    use gumbo_mr::{Engine, EngineConfig};
+    use gumbo_mr::EngineConfig;
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;
 
@@ -191,7 +191,7 @@ mod tests {
         let (q, db) = a1_small();
         let expected = NaiveEvaluator::new().evaluate_bsgf(&q, &db).unwrap();
         let dfs = SimDfs::from_database(&db);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = HiveSim::hpar().evaluate(&engine, &dfs, &[q]).unwrap();
         // 4 distinct keys -> 4 sequential join rounds + EVAL.
         assert_eq!(stats.num_rounds(), 5);
@@ -202,7 +202,7 @@ mod tests {
     fn hpar_groups_same_key_joins_for_a3() {
         let (q, db) = a3_small();
         let dfs = SimDfs::from_database(&db);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = HiveSim::hpar().evaluate(&engine, &dfs, &[q]).unwrap();
         // All four joins share key x -> 1 join job + EVAL = 2 jobs.
         assert_eq!(stats.num_jobs(), 2);
@@ -213,7 +213,7 @@ mod tests {
         let (q, db) = a1_small();
         let expected = NaiveEvaluator::new().evaluate_bsgf(&q, &db).unwrap();
         let dfs = SimDfs::from_database(&db);
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let stats = HiveSim::hpars().evaluate(&engine, &dfs, &[q]).unwrap();
         // One parallel round of 4 semi-join jobs + EVAL.
         assert_eq!(stats.num_rounds(), 2);
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn hpars_reads_more_input_than_hpar() {
         let (q, db) = a1_small();
-        let engine = Engine::new(EngineConfig::unscaled());
+        let engine = Executor::new(EngineConfig::unscaled());
         let d1 = SimDfs::from_database(&db);
         let s1 = HiveSim::hpar()
             .evaluate(&engine, &d1, std::slice::from_ref(&q))
@@ -240,7 +240,7 @@ mod tests {
         let expected = NaiveEvaluator::new().evaluate_bsgf(&q, &db).unwrap();
         let dfs = SimDfs::from_database(&db);
         // Paper-scale factor so the 1 GB/reducer policy is meaningful.
-        let engine = Engine::new(EngineConfig {
+        let engine = Executor::new(EngineConfig {
             scale: 1,
             ..EngineConfig::default()
         });

@@ -2,14 +2,13 @@
 //! 1-ROUND fusion and the end-to-end A3 pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gumbo_mr::Executor as _;
 
 use gumbo_core::eval::build_eval_job;
 use gumbo_core::msj::build_msj_job;
 use gumbo_core::oneround::build_same_key_job;
 use gumbo_core::{PayloadMode, QueryContext};
 use gumbo_datagen::queries;
-use gumbo_mr::{Engine, EngineConfig, JobConfig, MrProgram};
+use gumbo_mr::{EngineConfig, Executor, JobConfig, MrProgram};
 use gumbo_storage::SimDfs;
 
 const TUPLES: usize = 5_000;
@@ -18,7 +17,7 @@ fn msj_group_sizes(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
 
     let mut group = c.benchmark_group("msj_group_size");
     for k in [1usize, 2, 4] {
@@ -38,7 +37,7 @@ fn payload_modes(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
 
     let mut group = c.benchmark_group("msj_payload_mode");
     for (label, mode) in [
@@ -60,7 +59,7 @@ fn eval_job(c: &mut Criterion) {
     let w = queries::a1().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
     // Materialize the X relations once.
     let base = SimDfs::from_database(&db);
     let msj = build_msj_job(
@@ -85,7 +84,7 @@ fn one_round_vs_two_round(c: &mut Criterion) {
     let w = queries::a3().with_tuples(TUPLES);
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
 
     let mut group = c.benchmark_group("a3_pipeline");
     group.bench_function("one_round", |b| {

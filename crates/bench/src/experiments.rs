@@ -481,13 +481,13 @@ pub fn structures() -> Result<()> {
     Ok(())
 }
 
-/// Executor speedup: real wall-clock of the multi-threaded runtime vs the
-/// sequential path, sweeping the worker count. Run with
+/// Executor speedup: real wall-clock of the worker pool vs the one-worker
+/// `sim` configuration, sweeping the worker count. Run with
 /// `--tuples 100000` for the reference 100k-tuple workload.
 ///
 /// This is the one experiment about *our* wall-clock rather than the
 /// paper's simulated metrics: answers and metered stats are identical
-/// across runtimes by construction (see `tests/executor_equivalence.rs`),
+/// across worker counts by construction (see `tests/executor_equivalence.rs`),
 /// so the only thing that changes is how fast the hardware delivers them.
 /// On a 4+-core machine the pooled runtime clears 2× over one thread.
 pub fn speedup(cfg: &RunConfig) -> Result<()> {
@@ -496,14 +496,14 @@ pub fn speedup(cfg: &RunConfig) -> Result<()> {
     use gumbo_mr::{ExecutorKind, ReducerPolicy};
     use std::time::Instant;
 
-    print_header("Executor speedup — wall-clock, parallel runtime vs sequential");
+    print_header("Executor speedup — wall-clock, worker pool vs one worker");
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let tuples = cfg.tuples;
     println!("available hardware parallelism: {hw} core(s); {tuples} guard tuples");
 
-    // Paper-scale byte accounting; fixed reducers keep both runtimes on
+    // Paper-scale byte accounting; fixed reducers keep every pool size on
     // plenty of independent reduce tasks.
     let w = queries::a3_family(8).with_tuples(tuples);
     let db = w.spec.database(cfg.seed);
@@ -542,27 +542,24 @@ pub fn speedup(cfg: &RunConfig) -> Result<()> {
         ]));
     };
 
-    let (base_secs, base_out) = time_with(ExecutorKind::Parallel { threads: 1 })?;
+    // `sim` is the executor at one worker: the sequential baseline.
+    let (base_secs, base_out) = time_with(ExecutorKind::Simulated)?;
     println!(
         "{:<26} {:>10} {:>12} {:>10}",
         "runtime", "wall (s)", "speedup", "out tuples"
     );
-    record("parallel:1 (sequential)", base_secs, 1.0, base_out);
-
-    let (sim_secs, sim_out) = time_with(ExecutorKind::Simulated)?;
-    record("simulated", sim_secs, base_secs / sim_secs, sim_out);
-    assert_eq!(base_out, sim_out, "runtimes must agree on results");
+    record("sim (1 worker)", base_secs, 1.0, base_out);
 
     let mut sweep: Vec<usize> = vec![2, 4, 8, 16];
     sweep.retain(|&t| t <= 2 * hw.max(1));
     sweep.push(0); // auto
     for threads in sweep {
         let (secs, out) = time_with(ExecutorKind::Parallel { threads })?;
-        assert_eq!(base_out, out, "runtimes must agree on results");
+        assert_eq!(base_out, out, "worker counts must agree on results");
         let label = if threads == 0 {
             format!(
                 "parallel (auto = {})",
-                gumbo_mr::ParallelExecutor::new(engine_cfg).effective_threads()
+                gumbo_mr::Executor::with_threads(engine_cfg, 0).effective_threads()
             )
         } else {
             format!("parallel:{threads}")
@@ -654,7 +651,7 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
         let runtime = engine.runtime();
         let dfs = SimDfs::from_database(&db);
         let start = Instant::now();
-        let stats = engine.eval().on(&*runtime).run(&dfs, &w.query)?;
+        let stats = engine.eval().on(&runtime).run(&dfs, &w.query)?;
         let wall = start.elapsed().as_secs_f64();
 
         let peak = runtime.budget().peak();
@@ -999,215 +996,6 @@ pub fn dfs(cfg: &RunConfig) -> Result<()> {
     Ok(())
 }
 
-/// Columnar vs pair data plane: shuffle microbenchmark.
-///
-/// Both planes shuffle the same A3-derived pair stream — every guard
-/// tuple keyed by its guard attribute as a short string, three
-/// fixed-width request messages each, the traffic pattern of a
-/// multi-conditional semi-join round — through one partition: ingest,
-/// sort/group, and drain every reducer group. Tuples/sec, heap
-/// allocations, shuffle bytes, tracked peak and spill frame bytes per
-/// plane and budget go to `BENCH_tuple.json`.
-///
-/// What the committed figures show (1-CPU container, recorded in
-/// `hardware_threads` as in `BENCH_speedup.json`): the legacy plane
-/// buffers `Arc`-shared pairs with a pointer push and keeps its raw
-/// single-threaded ingest edge (columnar wall is 0.75–0.8× of pairs),
-/// while the columnar plane's frame-at-a-time spill encode cuts heap
-/// allocations 2.7–7.6× on every budget that forces spilling (the
-/// per-pair stream in `tests/alloc_smoke.rs` shows ≥10× on a tighter
-/// budget-to-data ratio). The in-code floors are regression guards kept
-/// loose for noisy CI: columnar wall ≥ 0.4× pairs on every budget,
-/// columnar allocations ≤ half of pairs on every spilling budget, and
-/// byte-identical shuffle accounting plus identical group counts
-/// between the planes.
-pub fn tuplebench(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_mr::{
-        BatchPartition, MemBudget, MemoryBudget, Message, Payload, ShuffleSpill, SpillingPartition,
-    };
-    use std::time::Instant;
-
-    print_header("Columnar vs pair data plane — shuffle microbenchmark");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let tuples = cfg.tuples;
-    let w = queries::a3();
-    let db = w.spec.clone().with_tuples(tuples).database(cfg.seed);
-
-    // Emit the stream the way a mapper does: a fresh key tuple and message
-    // constructed per pair, handed to the plane's sink. Construction is
-    // part of the timed region on both planes — the legacy plane retains
-    // each tuple in its `BTreeMap`, the columnar plane copies the values
-    // into its arenas and drops the originals immediately.
-    fn emit_pairs(db: &gumbo_common::Database, sink: &mut dyn FnMut(gumbo_common::Tuple, Message)) {
-        use gumbo_common::{Tuple, Value};
-        let mut seq = 0u32;
-        for relation in db.relations() {
-            for tuple in relation.iter() {
-                // String guard keys: the regime the dictionary-encoded
-                // columns exist for (the paper's fixed 10 B/value layout
-                // maps real keys to short strings, not machine ints).
-                let key = Tuple::new(vec![Value::str(format!("guard-{}", tuple.values()[0]))]);
-                for _ in 0..3 {
-                    let msg = match seq % 3 {
-                        0 => Message::Assert { cond: seq },
-                        1 => Message::Req {
-                            cond: seq,
-                            payload: Payload::Ref {
-                                guard: 0,
-                                id: u64::from(seq),
-                            },
-                        },
-                        _ => Message::GuardTuple {
-                            guard: seq,
-                            tuple: tuple.clone(),
-                        },
-                    };
-                    sink(key.clone(), msg);
-                    seq += 1;
-                }
-            }
-        }
-    }
-    let pair_count: usize = db
-        .relations()
-        .map(gumbo_common::Relation::len)
-        .sum::<usize>()
-        * 3;
-    let iters = 5u32;
-    println!("{pair_count} pairs per iteration, {iters} iterations per cell");
-    println!(
-        "{:<10} {:<10} {:>14} {:>14} {:>12} {:>14} {:>8} {:>12}",
-        "plane", "budget", "tuples/sec", "shuffle (B)", "peak (B)", "disk (B)", "groups", "allocs"
-    );
-
-    let budgets = [
-        ("unlimited", MemBudget::UNLIMITED),
-        ("1m", MemBudget::bytes(1 << 20)),
-        ("64k", MemBudget::bytes(64 << 10)),
-    ];
-    let mut rows: Vec<Json> = Vec::new();
-    for (budget_label, budget) in budgets {
-        let mut pair_rate = 0.0f64;
-        let mut pair_allocs = 0u64;
-        let mut pair_shuffle = 0u64;
-        let mut pair_groups = 0u64;
-        for plane in ["pairs", "columnar"] {
-            let mut shuffle_bytes = 0u64;
-            let mut disk_bytes = 0u64;
-            let mut groups = 0u64;
-            let tracker = MemoryBudget::new(budget);
-            let allocs_before = crate::alloc_stats::allocations();
-            let start = Instant::now();
-            for _ in 0..iters {
-                let spill = ShuffleSpill::new("tuplebench");
-                if plane == "pairs" {
-                    let mut part = SpillingPartition::new(0, &tracker, &spill, 1);
-                    emit_pairs(&db, &mut |k, v| {
-                        part.push(k, v).expect("pair-plane push");
-                    });
-                    shuffle_bytes = part.total_bytes();
-                    let (mut stream, stats) = part.into_groups()?;
-                    disk_bytes = stats.spilled_disk_bytes;
-                    groups = 0;
-                    while stream.next_group()?.is_some() {
-                        groups += 1;
-                    }
-                } else {
-                    let mut part = BatchPartition::new(0, &tracker, &spill, 1);
-                    let mut failed = None;
-                    emit_pairs(&db, &mut |k, v| {
-                        if let Err(e) = part.push_pair(&k, &v) {
-                            failed.get_or_insert(e);
-                        }
-                    });
-                    if let Some(e) = failed {
-                        return Err(e);
-                    }
-                    shuffle_bytes = part.total_bytes();
-                    let (mut stream, stats) = part.into_groups()?;
-                    disk_bytes = stats.spilled_disk_bytes;
-                    groups = 0;
-                    let mut values = Vec::new();
-                    while stream.next_group_into(&mut values)?.is_some() {
-                        groups += 1;
-                    }
-                }
-            }
-            let wall = start.elapsed().as_secs_f64();
-            let allocs = (crate::alloc_stats::allocations() - allocs_before) / u64::from(iters);
-            let rate = (pair_count as f64 * f64::from(iters)) / wall;
-            let peak = tracker.peak();
-            if let Some(limit) = budget.limit() {
-                assert!(
-                    peak <= limit,
-                    "{plane}/{budget_label}: tracked peak {peak} exceeded the limit"
-                );
-                assert!(
-                    disk_bytes > 0,
-                    "{plane}/{budget_label}: the budget must force spilling"
-                );
-            }
-            println!(
-                "{plane:<10} {budget_label:<10} {rate:>14.0} {shuffle_bytes:>14} {peak:>12} \
-                 {disk_bytes:>14} {groups:>8} {allocs:>12}"
-            );
-            rows.push(Json::obj([
-                ("plane", Json::Str(plane.into())),
-                ("budget", Json::Str(budget_label.into())),
-                ("budget_bytes", Json::Int(budget.limit().unwrap_or(0))),
-                ("tuples_per_sec", Json::Num(rate)),
-                ("shuffle_bytes", Json::Int(shuffle_bytes)),
-                ("peak_tracked_bytes", Json::Int(peak)),
-                ("spilled_disk_bytes", Json::Int(disk_bytes)),
-                ("groups", Json::Int(groups)),
-                ("allocations", Json::Int(allocs)),
-            ]));
-            if plane == "pairs" {
-                pair_rate = rate;
-                pair_allocs = allocs;
-                pair_shuffle = shuffle_bytes;
-                pair_groups = groups;
-            } else {
-                assert_eq!(
-                    shuffle_bytes, pair_shuffle,
-                    "{budget_label}: the planes must account identical shuffle bytes"
-                );
-                assert_eq!(
-                    groups, pair_groups,
-                    "{budget_label}: the planes must drain identical group counts"
-                );
-                assert!(
-                    rate >= 0.4 * pair_rate,
-                    "{budget_label}: columnar throughput {rate:.0} regressed below \
-                     0.4x of the pair plane's {pair_rate:.0}"
-                );
-                if budget.limit().is_some() {
-                    assert!(
-                        allocs * 2 <= pair_allocs,
-                        "{budget_label}: columnar spilling must allocate at most half \
-                         as often as the pair plane ({allocs} vs {pair_allocs})"
-                    );
-                }
-            }
-        }
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("tuplebench".into())),
-        ("tuples", Json::Int(tuples as u64)),
-        ("pairs", Json::Int(pair_count as u64 * u64::from(iters))),
-        ("seed", Json::Int(cfg.seed)),
-        ("hardware_threads", Json::Int(hw as u64)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("tuple", &report)
-        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_tuple.json: {e}")))?;
-    Ok(())
-}
-
 /// DAG scheduler vs round barrier: real wall-clock on multi-tenant
 /// workloads of independent SGF queries.
 ///
@@ -1334,7 +1122,7 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             .map(|(i, p)| Submission::new(format!("client{i}"), p))
             .collect();
         let start = Instant::now();
-        let reports = scheduler.execute_many(&*dag_executor, &dfs_dag, &submissions)?;
+        let reports = scheduler.execute_many(&dag_executor, &dfs_dag, &submissions)?;
         let dag_wall = start.elapsed().as_secs_f64();
 
         // Equivalence: byte-identical DFS contents, identical per-job and

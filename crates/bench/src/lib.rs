@@ -15,7 +15,6 @@
 //! metrics: net time, total time, input bytes and communication bytes —
 //! in simulated cost-units and GB at the configured scale.
 
-pub mod alloc_stats;
 pub mod experiments;
 pub mod report;
 pub mod runner;

@@ -226,10 +226,10 @@ pub fn run_strategy(strategy: Strategy, workload: &Workload, cfg: &RunConfig) ->
         engine
     };
     let stats = match strategy {
-        Strategy::Seq => SeqStrategy::default().evaluate(&*executor, &dfs, &queries)?,
-        Strategy::Hpar => HiveSim::hpar().evaluate(&*executor, &dfs, &queries)?,
-        Strategy::Hpars => HiveSim::hpars().evaluate(&*executor, &dfs, &queries)?,
-        Strategy::Ppar => PigSim::ppar().evaluate(&*executor, &dfs, &queries)?,
+        Strategy::Seq => SeqStrategy::default().evaluate(&executor, &dfs, &queries)?,
+        Strategy::Hpar => HiveSim::hpar().evaluate(&executor, &dfs, &queries)?,
+        Strategy::Hpars => HiveSim::hpars().evaluate(&executor, &dfs, &queries)?,
+        Strategy::Ppar => PigSim::ppar().evaluate(&executor, &dfs, &queries)?,
         Strategy::Par => on(par_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
         Strategy::ParUnit => on(parunit_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
         Strategy::Greedy => on(greedy_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,

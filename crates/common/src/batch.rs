@@ -475,7 +475,10 @@ impl TupleBatch {
             // writer emitted strings in code order and they are distinct.
             dict.intern(&arc);
         }
-        let mut cols = Vec::with_capacity(arity);
+        // Lengths come from the frame: reserve no more than the bytes left
+        // could possibly describe, so a corrupt count errors out below
+        // instead of aborting on an absurd allocation.
+        let mut cols = Vec::with_capacity(arity.min(buf.len() - *pos));
         let mut bytes_total = 0u64;
         for _ in 0..arity {
             let has_tags = match read_u8(buf, pos)? {
@@ -487,7 +490,7 @@ impl TupleBatch {
                     )))
                 }
             };
-            let mut cells = Vec::with_capacity(rows);
+            let mut cells = Vec::with_capacity(rows.min((buf.len() - *pos) / 8));
             for _ in 0..rows {
                 cells.push(read_i64(buf, pos)?);
             }

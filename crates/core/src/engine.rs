@@ -154,10 +154,10 @@ impl EvalOptions {
 
 /// The Gumbo query engine.
 ///
-/// Planning is independent of the runtime; execution is routed through
-/// the [`Executor`] trait, so the same engine can run its plans on the
-/// deterministic simulator (the default) or on the multi-threaded
-/// [`gumbo_mr::ParallelExecutor`] — see [`GumboEngine::with_executor`].
+/// Planning is independent of the runtime; execution goes through the
+/// one [`Executor`], sized by [`ExecutorKind`]: the single-worker
+/// reference configuration `sim` (the default) or a `parallel` worker
+/// pool — see [`GumboEngine::with_executor`].
 #[derive(Debug, Clone, Copy)]
 pub struct GumboEngine {
     /// The MapReduce substrate configuration (scale, cluster, cost model).
@@ -169,7 +169,7 @@ pub struct GumboEngine {
 }
 
 impl GumboEngine {
-    /// Create an engine on the default (simulated) runtime.
+    /// Create an engine on the default (`sim`, one worker) runtime.
     pub fn new(config: EngineConfig, options: EvalOptions) -> Self {
         GumboEngine::with_executor(config, ExecutorKind::Simulated, options)
     }
@@ -192,14 +192,18 @@ impl GumboEngine {
         GumboEngine::new(EngineConfig::default(), EvalOptions::default())
     }
 
-    /// The runtime this engine executes on. Under a scheduler, the
-    /// parallel runtime is resized to the configured threads-per-job (the
+    /// The runtime this engine executes on. Under a scheduler, a
+    /// parallel pool is resized to the configured threads-per-job (the
     /// scheduler supplies inter-job parallelism, so per-job pools shrink).
     ///
     /// The shuffle memory budget resolves outermost-wins: a limited
     /// [`SchedulerConfig::mem_budget`] beats a limited
     /// [`EvalOptions::mem_budget`] beats the engine configuration's.
-    pub fn runtime(&self) -> Box<dyn Executor> {
+    ///
+    /// Boxed so that `&*engine.runtime()` — how `benchmark/`, which is
+    /// frozen between benchmark PRs, hands the runtime to
+    /// [`EvalRequest::on`] — keeps compiling.
+    pub fn runtime(&self) -> Box<Executor> {
         let mut config = self.config;
         if self.options.mem_budget.is_limited() {
             config.mem_budget = self.options.mem_budget;
@@ -214,7 +218,7 @@ impl GumboEngine {
             }
             None => self.executor,
         };
-        kind.build(config)
+        Box::new(kind.build(config))
     }
 
     /// Execute one planned program on the configured path: the
@@ -222,7 +226,7 @@ impl GumboEngine {
     /// set, the round barrier otherwise.
     fn execute_program(
         &self,
-        runtime: &dyn Executor,
+        runtime: &Executor,
         dfs: &dyn Dfs,
         program: MrProgram,
     ) -> Result<ProgramStats> {
@@ -231,7 +235,8 @@ impl GumboEngine {
             f.bool("dag", self.options.scheduler.is_some());
         });
         let result = match self.options.scheduler {
-            Some(config) => DagScheduler::new(config).execute_program(runtime, dfs, program),
+            Some(config) => DagScheduler::new(config.for_kind(self.executor))
+                .execute_program(runtime, dfs, program),
             None => runtime.execute(dfs, &program),
         };
         drop(span);
@@ -350,7 +355,7 @@ impl GumboEngine {
     ///
     /// ```ignore
     /// let stats = engine.eval().run(&dfs, &query)?;                  // was evaluate
-    /// let stats = engine.eval().on(&*rt).run(&dfs, &query)?;         // was evaluate_on
+    /// let stats = engine.eval().on(&rt).run(&dfs, &query)?;          // was evaluate_on
     /// let stats = engine.eval().with_sort(&sort).run(&dfs, &query)?; // was evaluate_with_sort
     /// ```
     pub fn eval(&self) -> EvalRequest<'_> {
@@ -377,7 +382,7 @@ impl GumboEngine {
     /// and execute the new first group.
     fn evaluate_dynamic_on(
         &self,
-        runtime: &dyn Executor,
+        runtime: &Executor,
         dfs: &dyn Dfs,
         query: &SgfQuery,
     ) -> Result<ProgramStats> {
@@ -413,7 +418,7 @@ impl GumboEngine {
     /// Evaluate under an explicit (validated) multiway topological sort.
     fn evaluate_with_sort_on(
         &self,
-        runtime: &dyn Executor,
+        runtime: &Executor,
         dfs: &dyn Dfs,
         query: &SgfQuery,
         sort: &MultiwayTopoSort,
@@ -451,7 +456,7 @@ impl GumboEngine {
 #[derive(Clone, Copy)]
 pub struct EvalRequest<'a> {
     engine: &'a GumboEngine,
-    runtime: Option<&'a dyn Executor>,
+    runtime: Option<&'a Executor>,
     sort: Option<&'a MultiwayTopoSort>,
     dynamic: bool,
 }
@@ -459,7 +464,7 @@ pub struct EvalRequest<'a> {
 impl<'a> EvalRequest<'a> {
     /// Run on a caller-supplied runtime instead of building one from the
     /// engine's configuration.
-    pub fn on(mut self, runtime: &'a dyn Executor) -> Self {
+    pub fn on(mut self, runtime: &'a Executor) -> Self {
         self.runtime = Some(runtime);
         self
     }
@@ -483,7 +488,7 @@ impl<'a> EvalRequest<'a> {
     pub fn run(&self, dfs: &dyn Dfs, query: &SgfQuery) -> Result<ProgramStats> {
         match self.runtime {
             Some(rt) => self.run_on(rt, dfs, query),
-            None => self.run_on(&*self.engine.runtime(), dfs, query),
+            None => self.run_on(&self.engine.runtime(), dfs, query),
         }
     }
 
@@ -510,12 +515,7 @@ impl<'a> EvalRequest<'a> {
         Ok((stats, out.as_ref().clone()))
     }
 
-    fn run_on(
-        &self,
-        runtime: &dyn Executor,
-        dfs: &dyn Dfs,
-        query: &SgfQuery,
-    ) -> Result<ProgramStats> {
+    fn run_on(&self, runtime: &Executor, dfs: &dyn Dfs, query: &SgfQuery) -> Result<ProgramStats> {
         if let Some(sort) = self.sort {
             return self.engine.evaluate_with_sort_on(runtime, dfs, query, sort);
         }

@@ -214,7 +214,8 @@ mod tests {
     use gumbo_storage::SimDfs;
 
     /// Execute the canonical 2-round plan (one MSJ with all semi-joins,
-    /// then EVAL) on both runtimes and compare against the naive evaluator.
+    /// then EVAL) on `sim` and on a worker pool and compare against the
+    /// naive evaluator.
     fn check_two_round(query_text: &str, facts: &[(&str, &[i64])], arities: &[(&str, usize)]) {
         let kinds = [
             ExecutorKind::Simulated,

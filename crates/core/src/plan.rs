@@ -233,7 +233,7 @@ impl fmt::Display for BsgfSetPlan {
 mod tests {
     use super::*;
     use gumbo_common::{Database, Fact, Relation, Tuple};
-    use gumbo_mr::{Engine, EngineConfig, Executor};
+    use gumbo_mr::{EngineConfig, Executor};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;
 
@@ -283,7 +283,7 @@ mod tests {
                 let plan = BsgfSetPlan::two_round(groups.clone(), mode, JobConfig::default());
                 let program = plan.build_program(&ctx).unwrap();
                 let dfs = SimDfs::from_database(&db);
-                Engine::new(EngineConfig::unscaled())
+                Executor::new(EngineConfig::unscaled())
                     .execute(&dfs, &program)
                     .unwrap();
                 let got = dfs.peek(&"Z".into()).unwrap();
@@ -339,7 +339,7 @@ mod tests {
         db.insert_fact(Fact::new("R", Tuple::from_ints(&[1, 2])))
             .unwrap();
         let dfs = SimDfs::from_database(&db);
-        Engine::new(EngineConfig::unscaled())
+        Executor::new(EngineConfig::unscaled())
             .execute(&dfs, &program)
             .unwrap();
         assert_eq!(dfs.peek(&"Z".into()).unwrap().len(), 1);

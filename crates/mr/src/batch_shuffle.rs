@@ -1,35 +1,36 @@
-//! The columnar (batch-at-a-time) data plane of the shuffle.
-//!
-//! [`crate::shuffle::SpillingPartition`] moves owned `(Tuple, Message)`
-//! pairs — one heap allocation per tuple, one budget interaction and one
-//! codec call per pair. This module is the same machinery re-expressed
-//! over [`gumbo_common::TupleBatch`] columns:
+//! The shuffle's data path: columnar batches from the mappers through
+//! budget-charged, spilling partition buffers to the grouped stream the
+//! reducers consume.
 //!
 //! * [`PairBatch`] — a columnar batch of `(key, message)` pairs: keys and
 //!   payload tuples live in per-arity [`TupleBatch`] arenas (contiguous
 //!   `i64` cells plus a string dictionary), message metadata in parallel
 //!   flat vectors. Pushing a pair appends plain integers — no per-pair
 //!   heap blocks;
-//! * [`BatchPartition`] — the reducer-partition buffer. It sorts by key
-//!   *by index* (a `u32` permutation; tuples never move), charges the
-//!   shared [`MemoryBudget`] once per frame-sized chunk instead of once
-//!   per pair, and spills length-prefixed **columnar frames**
+//! * [`BatchPartition`] — one reducer partition's buffer. It charges the
+//!   shared [`MemoryBudget`] once per frame-sized chunk; when the buffer
+//!   crosses its share of the budget (`limit / reducers`) or the global
+//!   budget is exhausted, it sorts by key *by index* (a `u32`
+//!   permutation; tuples never move) and flushes a run of
+//!   length-prefixed **columnar frames**
 //!   ([`gumbo_storage::FrameFormat::Columnar`]) of up to
-//!   [`ROWS_PER_FRAME`] rows;
-//! * [`BatchGroupStream`] — the k-way merge the reducer consumes,
-//!   iterating zero-copy [`TupleView`]s over decoded frame buffers and
-//!   materializing one owned key per *group* (not per pair).
+//!   [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
+//! * [`BatchGroupStream`] — the k-way merge of the spill runs plus the
+//!   in-memory tail, iterating zero-copy [`TupleView`]s over decoded
+//!   frame buffers and materializing one owned key per *group* (not per
+//!   pair).
 //!
-//! **Equivalence.** Grouping order is identical to the pair plane: runs
-//! are stable-sorted contiguous slices of the emission-order sequence,
-//! keys ascend under `Tuple`'s order (which [`TupleView`]'s order
-//! replicates exactly), and ties drain earlier sources first. Byte
-//! accounting is identical too — a row's bytes are
-//! `key.estimated_bytes() + message.estimated_bytes()` computed from the
-//! columnar form — so `reducer_bytes`, spill volumes and every
-//! `JobStats` counter match the pair plane number for number. Spill
-//! *statistics* remain excluded from cross-runtime equivalence, as
-//! before.
+//! **The contract.** Reducers see keys in ascending `Tuple` order
+//! ([`TupleView`]'s order replicates it exactly) and, within a key,
+//! values in global emission order — the grouping a
+//! `BTreeMap<Tuple, Vec<Message>>` fold of the pair sequence produces,
+//! which is the oracle the tests compare against. It holds whatever the
+//! budget and whenever the flushes happen: each run is a contiguous,
+//! stable-sorted slice of the partition's emission-order sequence, and
+//! the merge drains earlier runs before later ones on equal keys. A row's
+//! bytes are `key.estimated_bytes() + message.estimated_bytes()` computed
+//! from the columnar form, so `reducer_bytes` and spill volumes use the
+//! paper's accounting.
 
 use std::cmp::Ordering;
 
@@ -212,13 +213,17 @@ impl TupleStore {
     }
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TupleStore> {
+        // Counts come from the frame: reserve no more than the bytes left
+        // could describe (a batch header is 12 bytes, a locator 8), so a
+        // corrupt count runs into "truncated" instead of an absurd
+        // allocation.
         let n_batches = read_u32(buf, pos)? as usize;
-        let mut by_arity = Vec::with_capacity(n_batches);
+        let mut by_arity = Vec::with_capacity(n_batches.min((buf.len() - *pos) / 12));
         for _ in 0..n_batches {
             by_arity.push(TupleBatch::decode_from(buf, pos)?);
         }
         let n_locs = read_u32(buf, pos)? as usize;
-        let mut locs = Vec::with_capacity(n_locs);
+        let mut locs = Vec::with_capacity(n_locs.min((buf.len() - *pos) / 8));
         for _ in 0..n_locs {
             let arity = read_u32(buf, pos)?;
             let row = read_u32(buf, pos)?;
@@ -575,9 +580,8 @@ impl PairBatch {
 // Spilling batch partition
 // ---------------------------------------------------------------------------
 
-/// The columnar twin of [`crate::shuffle::SpillingPartition`]: one
-/// reducer partition's buffer, charging the shared budget *per appended
-/// batch* and spilling index-sorted columnar frames.
+/// One reducer partition's shuffle buffer, charging the shared budget
+/// *per appended chunk* and spilling index-sorted columnar frames.
 pub struct BatchPartition<'a> {
     partition: usize,
     share: u64,
@@ -633,16 +637,6 @@ impl<'a> BatchPartition<'a> {
         self.total_bytes
     }
 
-    /// Accept one pair (edge entry point; the executors append whole
-    /// batches via [`push_rows`](Self::push_rows) /
-    /// [`push_batch`](Self::push_batch) instead).
-    pub fn push_pair(&mut self, key: &Tuple, msg: &Message) -> Result<()> {
-        let before = self.batch.estimated_bytes();
-        self.batch.push_pair(key, msg);
-        self.total_bytes += self.batch.estimated_bytes() - before;
-        self.settle()
-    }
-
     /// Append the selected rows of `src` (in `rows` order), settling the
     /// budget once per frame-sized chunk so the buffer never runs more
     /// than one frame past what the budget has granted.
@@ -651,23 +645,6 @@ impl<'a> BatchPartition<'a> {
             let before = self.batch.estimated_bytes();
             for &row in chunk {
                 self.batch.push_row(src, row as usize);
-            }
-            self.total_bytes += self.batch.estimated_bytes() - before;
-            self.settle()?;
-        }
-        Ok(())
-    }
-
-    /// Append every row of `src`; one budget interaction per frame-sized
-    /// chunk, as in [`push_rows`](Self::push_rows).
-    pub fn push_batch(&mut self, src: &PairBatch) -> Result<()> {
-        let mut row = 0;
-        while row < src.len() {
-            let end = (row + ROWS_PER_FRAME).min(src.len());
-            let before = self.batch.estimated_bytes();
-            while row < end {
-                self.batch.push_row(src, row);
-                row += 1;
             }
             self.total_bytes += self.batch.estimated_bytes() - before;
             self.settle()?;
@@ -763,10 +740,9 @@ impl<'a> BatchPartition<'a> {
     /// index-sort the in-memory tail, and hand back the grouped stream
     /// plus this partition's spill statistics.
     pub fn into_groups(mut self) -> Result<(BatchGroupStream<'a>, SpillStats)> {
-        // Intermediate passes, identical in shape to the pair plane:
-        // merge the *oldest* runs into one (ties drain earlier runs
-        // first) until runs + tail fit the fan-in; the merged run holds
-        // the oldest data and stays first.
+        // Intermediate passes: merge the *oldest* runs into one (ties
+        // drain earlier runs first) until runs + tail fit the fan-in; the
+        // merged run holds the oldest data and stays first.
         while self.runs.len() + 1 > MERGE_FANIN {
             let take = MERGE_FANIN.min(self.runs.len());
             let _span = gumbo_obs::span_with("spill:merge", |f| {
@@ -924,9 +900,8 @@ impl BatchMerge {
     }
 }
 
-/// The grouped stream the reducer consumes on the columnar plane — the
-/// same contract as [`crate::shuffle::GroupStream`]: keys ascend, values
-/// stay in global emission order, and exactly one owned key `Tuple` is
+/// The grouped stream the reducer consumes: keys ascend, values stay in
+/// global emission order, and exactly one owned key `Tuple` is
 /// materialized per group.
 pub struct BatchGroupStream<'a> {
     merge: BatchMerge,
@@ -936,14 +911,8 @@ pub struct BatchGroupStream<'a> {
 }
 
 impl BatchGroupStream<'_> {
-    /// The next key group, or `None` when the partition is exhausted.
-    pub fn next_group(&mut self) -> Result<Option<(Tuple, Vec<Message>)>> {
-        let mut values = Vec::new();
-        Ok(self.next_group_into(&mut values)?.map(|key| (key, values)))
-    }
-
-    /// The next key group with its values appended into a caller-owned
-    /// scratch vector (cleared first).
+    /// The next key group (`None` when the partition is exhausted), its
+    /// values appended into a caller-owned scratch vector (cleared first).
     pub fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
         values.clear();
         let Some(i) = self.merge.min_source() else {
@@ -973,23 +942,33 @@ impl Drop for BatchGroupStream<'_> {
     }
 }
 
-/// Deterministic FNV-1a partition hash of a key view — byte-for-byte the
-/// same mixing as [`crate::hash::hash_tuple`], so a key lands on the same
-/// reducer whichever data plane carried it.
-pub fn hash_view(view: TupleView<'_>) -> u64 {
-    crate::hash::hash_view(view)
+/// The shuffle's contract as a test oracle: keys ascend in `Tuple` order,
+/// values keep emission order.
+#[cfg(test)]
+pub(crate) fn group_reference(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Message>)> {
+    let mut groups: std::collections::BTreeMap<Tuple, Vec<Message>> = Default::default();
+    for (k, v) in pairs {
+        groups.entry(k.clone()).or_default().push(v.clone());
+    }
+    groups.into_iter().collect()
 }
 
-/// Reducer index for a key view under `reducers` reducers — agrees with
-/// [`crate::hash::partition`] on the materialized key.
-pub fn partition_view(view: TupleView<'_>, reducers: usize) -> usize {
-    crate::hash::partition_view(view, reducers)
+/// Collect every group of a stream (dropping it, which releases its
+/// budget charge).
+#[cfg(test)]
+pub(crate) fn drain(mut stream: BatchGroupStream<'_>) -> Vec<(Tuple, Vec<Message>)> {
+    let mut groups = Vec::new();
+    let mut values = Vec::new();
+    while let Some(key) = stream.next_group_into(&mut values).unwrap() {
+        groups.push((key, values.clone()));
+    }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::{MemBudget, SpillingPartition};
+    use crate::shuffle::MemBudget;
     use gumbo_common::Value;
 
     fn msg_shapes() -> Vec<Message> {
@@ -1072,7 +1051,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_codec_rejects_truncation() {
+    fn frame_codec_rejects_truncation_and_garbage() {
         let mut batch = PairBatch::new();
         for (k, m) in mixed_pairs() {
             batch.push_pair(&k, &m);
@@ -1085,6 +1064,9 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
+        // Arbitrary bytes are an error too, never a misparse or a panic.
+        assert!(PairBatch::decode(&[9, 9, 9, 9, 9]).is_err());
+        assert!(PairBatch::decode(&[0xff; 64]).is_err());
     }
 
     #[test]
@@ -1116,7 +1098,8 @@ mod tests {
         assert_eq!(order, vec![1, 4, 3, 0, 2]);
     }
 
-    /// Group a pair sequence through a `BatchPartition` under `spec`.
+    /// Group a pair sequence through a `BatchPartition` under `spec`,
+    /// settling the budget after every pair.
     fn group_batched(
         spec: MemBudget,
         pairs: &[(Tuple, Message)],
@@ -1124,33 +1107,17 @@ mod tests {
         let budget = MemoryBudget::new(spec);
         let spill = ShuffleSpill::new("batch-test");
         let mut part = BatchPartition::new(0, &budget, &spill, 1);
+        let mut batch = PairBatch::new();
         for (k, v) in pairs {
-            part.push_pair(k, v).unwrap();
+            batch.push_pair(k, v);
         }
-        let (mut stream, stats) = part.into_groups().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
+        for row in 0..batch.len() as u32 {
+            part.push_rows(&batch, &[row]).unwrap();
         }
-        drop(stream);
+        let (stream, stats) = part.into_groups().unwrap();
+        let groups = drain(stream);
         assert_eq!(budget.used(), 0, "all charges released");
         (groups, stats, budget.peak())
-    }
-
-    /// The pair-plane reference grouping of the same sequence.
-    fn group_legacy(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Message>)> {
-        let budget = MemoryBudget::unlimited();
-        let spill = ShuffleSpill::new("legacy-test");
-        let mut part = SpillingPartition::new(0, &budget, &spill, 1);
-        for (k, v) in pairs {
-            part.push(k.clone(), v.clone()).unwrap();
-        }
-        let (mut stream, _) = part.into_groups().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
-        }
-        groups
     }
 
     fn seq_pairs(keys: &[i64]) -> Vec<(Tuple, Message)> {
@@ -1172,10 +1139,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_grouping_matches_pair_grouping_across_budgets() {
+    fn grouping_matches_the_oracle_across_budgets() {
         let keys = [3i64, 1, 3, 2, 1, 3, 1, 2, 2, 3, 1, 1];
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_reference(&pairs);
         let (unlimited, stats, _) = group_batched(MemBudget::UNLIMITED, &pairs);
         assert_eq!(unlimited, reference);
         assert_eq!(stats, SpillStats::default());
@@ -1188,9 +1155,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_type_pairs_group_identically() {
+    fn mixed_type_pairs_group_like_the_oracle() {
         let pairs = mixed_pairs();
-        let reference = group_legacy(&pairs);
+        let reference = group_reference(&pairs);
         for spec in [
             MemBudget::UNLIMITED,
             MemBudget::bytes(1),
@@ -1206,7 +1173,7 @@ mod tests {
     fn many_runs_trigger_intermediate_merge_passes() {
         let keys: Vec<i64> = (0..100).map(|i| i % 5).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_reference(&pairs);
         let (groups, stats, _) = group_batched(MemBudget::bytes(1), &pairs);
         assert_eq!(groups, reference);
         assert_eq!(
@@ -1223,7 +1190,7 @@ mod tests {
     fn compressed_columnar_runs_group_identically_and_shrink_on_disk() {
         let keys: Vec<i64> = (0..200).map(|i| i % 7).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_reference(&pairs);
         let (plain_groups, plain_stats, _) = group_batched(MemBudget::bytes(64), &pairs);
         let (packed_groups, packed_stats, peak) =
             group_batched(MemBudget::bytes(64).compressed(true), &pairs);
@@ -1245,7 +1212,7 @@ mod tests {
         // several frames and still merge correctly.
         let keys: Vec<i64> = (0..(ROWS_PER_FRAME as i64 * 3)).map(|i| i % 11).collect();
         let pairs = seq_pairs(&keys);
-        let reference = group_legacy(&pairs);
+        let reference = group_reference(&pairs);
         // A share large enough to hold everything, then force one flush by
         // exhausting the budget exactly once via a tiny limit.
         let (groups, stats, _) = group_batched(MemBudget::bytes(40_000), &pairs);
@@ -1263,31 +1230,5 @@ mod tests {
         assert!(groups.is_empty());
         assert_eq!(stats, SpillStats::default());
         assert_eq!(peak, 0);
-    }
-
-    #[test]
-    fn partition_view_agrees_with_partition() {
-        let mut batch = PairBatch::new();
-        let keys: Vec<Tuple> = (0..50)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Tuple::new(vec![Value::str(format!("k{i}")), Value::Int(i)])
-                } else {
-                    Tuple::from_ints(&[i, i * i])
-                }
-            })
-            .collect();
-        for k in &keys {
-            batch.push_pair(k, &Message::Assert { cond: 0 });
-        }
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(hash_view(batch.key_view(i)), crate::hash::hash_tuple(k));
-            for reducers in [1usize, 7, 16] {
-                assert_eq!(
-                    partition_view(batch.key_view(i), reducers),
-                    crate::hash::partition(k, reducers)
-                );
-            }
-        }
     }
 }

@@ -1,79 +1,58 @@
-//! The [`Executor`] trait: one job/program execution contract, two
-//! swappable runtimes.
+//! The [`Executor`]: one job/program execution contract, one
+//! map→shuffle→reduce pipeline, parameterised only by a worker count.
 //!
 //! The paper's algorithms are defined against an abstract MapReduce
-//! substrate; this module pins down that substrate as a trait so the
-//! query layers (`gumbo-core`, `gumbo-baselines`, `gumbo-bench`) never
-//! depend on *how* a job runs:
+//! substrate (§3.2); this module pins that substrate down so the query
+//! layers (`gumbo-core`, `gumbo-baselines`, `gumbo-bench`) never depend
+//! on *how* a job runs. Map tasks, the partitioned shuffle and reduce
+//! tasks fan out over a small fixed worker pool (scoped threads, no
+//! work-stealing dependency) while every stage is metered by the paper's
+//! cost model (§3.3) and scheduled onto the simulated cluster (§5.1):
 //!
-//! * [`crate::simulated::SimulatedExecutor`] — the deterministic metered
-//!   simulator: single-threaded, every stage priced by the paper's cost
-//!   model (§3.3) and scheduled onto the simulated cluster (§5.1);
-//! * [`crate::parallel::ParallelExecutor`] — a real multi-threaded
-//!   runtime: map tasks, the partitioned shuffle and reduce tasks run on
-//!   a worker pool, while the *same* metering is collected, so the
-//!   paper's four metrics are identical across runtimes.
+//! 1. **map** — the job's map tasks (splits fixed at plan time) are
+//!    pulled off a shared counter by the workers, each filling one
+//!    columnar [`PairBatch`];
+//! 2. **shuffle** — workers hash every emitted key exactly once
+//!    ([`crate::hash::partition_view`]) into per-(task, reducer) row
+//!    lists;
+//! 3. **reduce** — fused with the per-reducer drain: each reducer appends
+//!    its rows in task order to a budget-charged spilling buffer
+//!    ([`crate::batch_shuffle`]), then streams the merge of its spill
+//!    runs plus the in-memory tail straight into the reduce function;
+//!    outputs are collected in partition order on the caller's thread.
 //!
-//! Both runtimes share the split planning, per-task map execution,
-//! packing byte-accounting, reduce semantics and cost metering defined
-//! here — which is what makes the "byte-identical answers, identical
-//! stats" guarantee structural rather than aspirational (see
-//! `tests/executor_equivalence.rs` at the workspace root).
+//! Determinism: map results are re-assembled **in task order**, each
+//! reducer's stream is grouped with keys in sorted order and values in
+//! global emission order, and per-partition reduce outputs are
+//! sorted-set relations merged in partition order — so answer relations
+//! and [`JobStats`] are byte-identical whatever the worker count, OS
+//! scheduling or memory budget. At one worker every phase runs inline on
+//! the calling thread: that configuration is the *reference* runtime
+//! ([`ExecutorKind::Simulated`]) the §5 experiments use.
+//! `tests/executor_equivalence.rs` and the 1/4/16-thread smoke test at
+//! the workspace root enforce the guarantee.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread;
 
-use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result, Tuple};
+use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result};
 use gumbo_storage::{Dfs, RelationScan};
 
-use crate::batch_shuffle::{BatchGroupStream, PairBatch};
+use crate::batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
+use crate::hash::partition_view;
 use crate::job::Job;
 use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
-use crate::shuffle::{GroupStream, MemBudget, MemoryBudget, SpillStats};
+use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
 use crate::shuffle_filter::{
     FilterCollector, FilterStats, JobFilters, ProbeTally, ShuffleFilterMode,
 };
-
-/// Which in-memory representation carries pairs from the mappers through
-/// the shuffle to the reducers. Purely representational: both planes
-/// produce byte-identical answers and identical [`JobStats`]
-/// (`tests/data_plane_equivalence.rs` enforces this across runtimes,
-/// schedulers and memory budgets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlane {
-    /// Owned `(Tuple, Message)` pairs — one heap allocation per tuple,
-    /// one budget interaction per pair ([`crate::shuffle`]). The
-    /// historical representation, kept as the reference plane.
-    Pairs,
-    /// Columnar batches ([`crate::batch_shuffle`]): contiguous `i64`
-    /// cells plus per-batch string dictionaries, index sorts, batched
-    /// budget charges and columnar spill frames.
-    #[default]
-    Columnar,
-}
-
-impl DataPlane {
-    /// Parse a CLI spelling: `pairs` or `columnar`.
-    pub fn parse(s: &str) -> Option<DataPlane> {
-        match s {
-            "pairs" => Some(DataPlane::Pairs),
-            "columnar" => Some(DataPlane::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this plane.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DataPlane::Pairs => "pairs",
-            DataPlane::Columnar => "columnar",
-        }
-    }
-}
 
 /// Engine configuration, shared by every executor.
 #[derive(Debug, Clone, Copy)]
@@ -93,13 +72,10 @@ pub struct EngineConfig {
     pub model: CostModelKind,
     /// Shuffle memory budget. When limited, each executor's jobs charge a
     /// shared [`MemoryBudget`] as map output lands in the per-reducer
-    /// buffers, spilling sorted runs to disk (see [`crate::shuffle`])
-    /// instead of exceeding it. Answers are byte-identical either way.
+    /// buffers, spilling sorted runs to disk (see
+    /// [`crate::batch_shuffle`]) instead of exceeding it. Answers are
+    /// byte-identical either way.
     pub mem_budget: MemBudget,
-    /// Which representation carries the shuffle (see [`DataPlane`]).
-    /// Representation only — answers and statistics are identical on
-    /// either plane.
-    pub data_plane: DataPlane,
     /// Bloom-filtered semijoin shuffle ([`crate::shuffle_filter`]): when
     /// enabled, jobs carrying a [`crate::shuffle_filter::FilterSpec`]
     /// build per-side key filters before the map phase and suppress
@@ -117,7 +93,6 @@ impl Default for EngineConfig {
             constants: CostConstants::default(),
             model: CostModelKind::Gumbo,
             mem_budget: MemBudget::UNLIMITED,
-            data_plane: DataPlane::default(),
             shuffle_filter: ShuffleFilterMode::Off,
         }
     }
@@ -138,12 +113,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: set the shuffle data plane.
-    pub fn with_data_plane(mut self, plane: DataPlane) -> Self {
-        self.data_plane = plane;
-        self
-    }
-
     /// Builder-style: set the Bloom-filtered shuffle mode.
     pub fn with_shuffle_filter(mut self, mode: ShuffleFilterMode) -> Self {
         self.shuffle_filter = mode;
@@ -151,70 +120,283 @@ impl EngineConfig {
     }
 }
 
-/// A MapReduce runtime: executes jobs and programs against a DFS while
+/// Run `n` independent tasks on up to `threads` scoped worker threads,
+/// returning results **in task order**. Tasks are claimed from a shared
+/// atomic counter, so long tasks don't stall short ones behind a static
+/// partition. With one worker (or one task) everything runs inline on the
+/// calling thread. Worker panics propagate to the caller.
+fn parallel_for<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let result = f(i);
+                *slots[i].lock().expect("unpoisoned result slot") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("unpoisoned result slot")
+                .expect("task completed")
+        })
+        .collect()
+}
+
+/// One map task's rows grouped by target reducer — a counting sort on the
+/// partition hash, so each key is hashed exactly once (via a zero-copy
+/// view) and a task costs four allocations however many reducers there
+/// are. Reducer `p` owns `rows[starts[p]..starts[p + 1]]`, in ascending
+/// row (= emission) order.
+struct TaskRoutes {
+    rows: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl TaskRoutes {
+    fn of(batch: &PairBatch, reducers: usize) -> TaskRoutes {
+        let targets: Vec<u32> = (0..batch.len())
+            .map(|row| partition_view(batch.key_view(row), reducers) as u32)
+            .collect();
+        let mut starts = vec![0u32; reducers + 1];
+        for &p in &targets {
+            starts[p as usize + 1] += 1;
+        }
+        for p in 0..reducers {
+            starts[p + 1] += starts[p];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; targets.len()];
+        for (row, &p) in targets.iter().enumerate() {
+            rows[next[p as usize] as usize] = row as u32;
+            next[p as usize] += 1;
+        }
+        TaskRoutes { rows, starts }
+    }
+
+    fn rows_for(&self, reducer: usize) -> &[u32] {
+        &self.rows[self.starts[reducer] as usize..self.starts[reducer + 1] as usize]
+    }
+}
+
+/// Run one job's plan → compute → commit chain, turning a panic inside it
+/// (a mapper or reducer bug) into a typed error naming the job. Unwinding
+/// still drops everything the chain held — spans close flagged aborted,
+/// budget charges are released, the spill directory is removed — so the
+/// caller gets an `Err` and nothing leaks.
+pub fn catch_job_panic<T>(job: &Job, chain: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(chain)).unwrap_or_else(|payload| {
+        let reason = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(GumboError::Plan(format!(
+            "job {} panicked: {reason}",
+            job.name
+        )))
+    })
+}
+
+/// The MapReduce runtime: executes jobs and programs against a DFS while
 /// collecting the paper's metrics.
 ///
-/// Implementations must be *observationally identical*: the same program
-/// over the same DFS yields the same answer relations and the same
-/// [`JobStats`], whatever the runtime's internal scheduling. The shared
-/// pipeline in this module provides that by construction; implementors
-/// only decide **where** each map/shuffle/reduce task runs.
+/// Execution is *observationally identical* at every worker count: the
+/// same program over the same DFS yields the same answer relations and
+/// the same [`JobStats`], whatever the internal scheduling. The worker
+/// count only decides **where** each map/shuffle/reduce task runs.
 ///
 /// Job execution is split into three phases so that concurrent schedulers
 /// (the DAG scheduler in `gumbo-sched`) can interleave jobs on a shared
 /// DFS: [`plan_job`] reads the inputs (shared access suffices — planning
 /// owns its fact snapshots), [`Executor::run_phases`] does the
 /// map/shuffle/reduce compute without touching the DFS at all, and
-/// [`commit_job`] stores the outputs (exclusive access). The provided
-/// [`Executor::execute_job`] chains the three, which is exactly the old
-/// monolithic behavior.
+/// [`commit_job`] stores the outputs (exclusive access).
+/// [`Executor::execute_job`] chains the three.
 ///
 /// Executors are `Send + Sync`: the scheduler shares one executor across
-/// its worker threads.
-pub trait Executor: Send + Sync {
-    /// The configuration this executor runs under.
-    fn config(&self) -> &EngineConfig;
+/// its worker threads. Clones share the memory-budget tracker, so a
+/// cloned executor draws from the same budget.
+#[derive(Debug, Clone)]
+pub struct Executor {
+    /// The memory-budget tracker is bound to `config.mem_budget` at
+    /// construction, which is why the configuration is read-only here.
+    config: EngineConfig,
+    /// Requested worker count; `0` = auto-size from the machine and the
+    /// configured cluster.
+    threads: usize,
+    budget: Arc<MemoryBudget>,
+}
 
-    /// A short human-readable runtime name (for logs and reports).
-    fn name(&self) -> &'static str;
+impl Executor {
+    /// The reference configuration: one worker, every phase inline on the
+    /// calling thread (what [`ExecutorKind::Simulated`] builds).
+    pub fn new(config: EngineConfig) -> Self {
+        Executor::with_threads(config, 1)
+    }
+
+    /// A fixed-size pool of `threads` workers (`0` = auto:
+    /// min(available parallelism, cluster map slots)).
+    pub fn with_threads(config: EngineConfig, threads: usize) -> Self {
+        Executor {
+            config,
+            threads,
+            budget: Arc::new(MemoryBudget::new(config.mem_budget)),
+        }
+    }
+
+    /// The configuration this executor runs under.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
 
     /// The shuffle memory tracker every job of this executor charges.
     /// One tracker per executor instance: jobs scheduled concurrently on
     /// the same executor (the DAG scheduler's mode of operation) share —
     /// and are collectively bounded by — a single budget.
-    fn budget(&self) -> &MemoryBudget;
+    pub fn budget(&self) -> &MemoryBudget {
+        &self.budget
+    }
 
-    /// Run the map, shuffle and reduce phases of a planned job. This is
-    /// the pure compute part — no DFS access — and the only phase the two
-    /// runtimes implement differently (serial vs worker pool).
-    fn run_phases(&self, job: &Job, plan: MapPlan) -> Result<ComputedJob>;
+    /// The worker count this executor will actually use.
+    pub fn effective_threads(&self) -> usize {
+        if self.threads > 0 {
+            return self.threads;
+        }
+        let hw = thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        hw.min(self.config.cluster.map_slots()).max(1)
+    }
 
-    /// [`Executor::run_phases`] with an explicit per-job worker count
-    /// (`0` = keep this executor's own sizing). The DAG scheduler uses
-    /// this to size each job's pool from its cost estimate under a
-    /// total-core budget; runtimes without internal parallelism (the
-    /// simulator) ignore the hint. Observational identity is preserved
-    /// for any thread count, so per-job sizing can never change answers
-    /// or metered statistics.
-    fn run_phases_with(&self, job: &Job, plan: MapPlan, threads: usize) -> Result<ComputedJob> {
-        let _ = threads;
-        self.run_phases(job, plan)
+    /// Run the map, shuffle and reduce phases of a planned job on
+    /// `threads` workers (`0` = this executor's own sizing; the DAG
+    /// scheduler passes a per-job count derived from the job's cost
+    /// estimate under its total-core budget). This is the pure compute
+    /// part — no DFS access. Observational identity holds for any thread
+    /// count, so per-job sizing can never change answers or metered
+    /// statistics.
+    pub fn run_phases(&self, job: &Job, mut plan: MapPlan, threads: usize) -> Result<ComputedJob> {
+        let workers = if threads > 0 {
+            threads
+        } else {
+            self.effective_threads()
+        };
+        // ---- filter build (optional): serial, before map fan-out --------
+        let filters = build_job_filters(&self.config, job, &plan)?;
+        // ---- map phase: tasks fan out over the pool ---------------------
+        // Planning (and its DFS read metering) happened on the caller's
+        // thread; tasks fetch their facts from snapshot scans, so workers
+        // never touch the DFS. The sealed filters are immutable and
+        // probed from every worker.
+        let map_span = gumbo_obs::span_with("map", |f| {
+            f.str("job", &job.name);
+            f.u64("tasks", plan.tasks.len() as u64);
+            f.u64("workers", workers as u64);
+        });
+        let mapped: Vec<MapTaskOutput> = parallel_for(plan.tasks.len(), workers, |i| {
+            plan.task_facts(&plan.tasks[i])
+                .map(|facts| run_map_task(job, &facts, filters.as_ref()))
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
+        let counts: Vec<(u64, u64)> = mapped
+            .iter()
+            .map(|m| (m.output_bytes, m.records_out))
+            .collect();
+        plan.apply_counts(self.config.scale.max(1), &counts);
+        drop(map_span);
+
+        // ---- shuffle: route every row to its reducer ---------------------
+        let reducers = plan.resolve_reducers(job);
+        let shuffle_span = gumbo_obs::span_with("shuffle:flush", |f| {
+            f.str("job", &job.name);
+            f.u64("reducers", reducers as u64);
+        });
+        let routes: Vec<TaskRoutes> = parallel_for(mapped.len(), workers, |t| {
+            TaskRoutes::of(&mapped[t].batch, reducers)
+        });
+        drop(shuffle_span);
+
+        // ---- drain + reduce, fused per reducer ---------------------------
+        // Each reducer appends its rows in task order (so values within a
+        // key group end up in global emission order) to a budget-charged
+        // spilling buffer, then streams the merged groups straight into
+        // the reduce function. Reducer workers run concurrently and all
+        // charge the executor's shared memory budget; per-reducer byte
+        // loads feed the simulated reduce-task durations, so data skew
+        // shows up in net time.
+        let reduce_span = gumbo_obs::span_with("reduce", |f| {
+            f.str("job", &job.name);
+            f.u64("reducers", reducers as u64);
+        });
+        let spill = ShuffleSpill::new(&job.name);
+        let budget = &*self.budget;
+        type ReducedPartition = Result<(BTreeMap<RelationName, Relation>, u64, SpillStats)>;
+        let reduced: Vec<ReducedPartition> = parallel_for(reducers, workers, |p| {
+            let mut part = BatchPartition::new(p, budget, &spill, reducers);
+            for (task, task_routes) in mapped.iter().zip(&routes) {
+                part.push_rows(&task.batch, task_routes.rows_for(p))?;
+            }
+            let bytes = part.total_bytes();
+            let (groups, stats) = part.into_groups()?;
+            Ok((run_reduce_stream(job, groups)?, bytes, stats))
+        });
+        // First error in partition order, whatever the worker count.
+        let mut partition_outputs = Vec::with_capacity(reducers);
+        let mut reducer_bytes: Vec<u64> = Vec::with_capacity(reducers);
+        let mut spill_stats = SpillStats::default();
+        for outcome in reduced {
+            let (outputs, bytes, stats) = outcome?;
+            partition_outputs.push(outputs);
+            reducer_bytes.push(bytes);
+            spill_stats.absorb(stats);
+        }
+        drop(reduce_span);
+
+        Ok(ComputedJob {
+            partitions: plan.partitions,
+            reducers,
+            reducer_bytes,
+            partition_outputs,
+            spill: spill_stats,
+            filter: filters.map(|f| f.stats()).unwrap_or_default(),
+        })
     }
 
     /// Execute a single job: map → shuffle → reduce, with full metering.
-    fn execute_job(&self, dfs: &dyn Dfs, job: &Job, round: usize) -> Result<JobStats> {
-        let _span = gumbo_obs::span_with("job", |f| {
-            f.str("job", &job.name);
-            f.u64("round", round as u64);
-        });
-        let plan = plan_job(self.config(), dfs, job)?;
-        let computed = self.run_phases(job, plan)?;
-        commit_job(self.config(), dfs, job, round, computed)
+    /// A panicking mapper or reducer surfaces as an error, not an unwind
+    /// into the caller.
+    pub fn execute_job(&self, dfs: &dyn Dfs, job: &Job, round: usize) -> Result<JobStats> {
+        catch_job_panic(job, || {
+            let _span = gumbo_obs::span_with("job", |f| {
+                f.str("job", &job.name);
+                f.u64("round", round as u64);
+            });
+            let plan = plan_job(&self.config, dfs, job)?;
+            let computed = self.run_phases(job, plan, 0)?;
+            commit_job(&self.config, dfs, job, round, computed)
+        })
     }
 
     /// Execute a program round by round against the DFS, returning the
     /// paper's four metrics plus per-job detail.
-    fn execute(&self, dfs: &dyn Dfs, program: &MrProgram) -> Result<ProgramStats> {
+    pub fn execute(&self, dfs: &dyn Dfs, program: &MrProgram) -> Result<ProgramStats> {
         let mut stats = ProgramStats::default();
         for (round_idx, round) in program.rounds().iter().enumerate() {
             let mut round_jobs = Vec::with_capacity(round.len());
@@ -223,8 +405,8 @@ pub trait Executor: Send + Sync {
             }
             stats.round_stats.push(RoundStats::pooled(
                 round_jobs.iter(),
-                self.config().cluster,
-                self.config().constants.job_overhead,
+                self.config.cluster,
+                self.config.constants.job_overhead,
             ));
             stats.jobs.extend(round_jobs);
         }
@@ -232,15 +414,17 @@ pub trait Executor: Send + Sync {
     }
 }
 
-/// Which runtime to execute on — a small `Copy` token the upper layers
+/// How to size the runtime — a small `Copy` token the upper layers
 /// (engine options, CLI flags, bench configs) carry around and resolve
-/// into a boxed [`Executor`] on demand.
+/// into an [`Executor`] on demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// The deterministic metered simulator.
+    /// The reference configuration: the executor pinned to one worker,
+    /// every phase inline on the calling thread. The §5 reproduction
+    /// commands and `BENCH_*` headers name it `sim`.
     #[default]
     Simulated,
-    /// The multi-threaded runtime with this many worker threads
+    /// A worker pool with this many threads
     /// (`0` = auto: min(available parallelism, cluster map slots)).
     Parallel {
         /// Worker thread count; `0` sizes the pool automatically.
@@ -250,12 +434,10 @@ pub enum ExecutorKind {
 
 impl ExecutorKind {
     /// Build the runtime for a configuration.
-    pub fn build(self, config: EngineConfig) -> Box<dyn Executor> {
+    pub fn build(self, config: EngineConfig) -> Executor {
         match self {
-            ExecutorKind::Simulated => Box::new(crate::simulated::SimulatedExecutor::new(config)),
-            ExecutorKind::Parallel { threads } => Box::new(
-                crate::parallel::ParallelExecutor::with_threads(config, threads),
-            ),
+            ExecutorKind::Simulated => Executor::new(config),
+            ExecutorKind::Parallel { threads } => Executor::with_threads(config, threads),
         }
     }
 
@@ -296,16 +478,6 @@ pub(crate) struct MapTaskSpec {
     pub split: std::ops::Range<usize>,
 }
 
-/// What one map task produced.
-pub(crate) struct MapTaskResult {
-    /// Emitted key-value pairs, in emission order.
-    pub emitted: Vec<(Tuple, Message)>,
-    /// Charged map-output bytes (packing-aware), unscaled.
-    pub output_bytes: u64,
-    /// Charged map-output records (packing-aware).
-    pub records_out: u64,
-}
-
 /// The planned map phase of one job: per-input partitions (with mapper
 /// counts fixed by the split-size rule) plus the concrete task list.
 ///
@@ -319,7 +491,7 @@ pub(crate) struct MapTaskResult {
 /// lock. All read metering already happened at [`plan_job`] time.
 pub struct MapPlan {
     /// Per-input metering skeletons; `map_output`/`records_out` are filled
-    /// in by [`MapPlan::apply`].
+    /// in by `MapPlan::apply_counts`.
     pub(crate) partitions: Vec<InputPartition>,
     /// One open scan per input relation, in `job.inputs` order.
     pub(crate) input_scans: Vec<RelationScan>,
@@ -348,9 +520,7 @@ impl MapPlan {
     }
 
     /// Resolve the job's reduce-task count from the measured input and
-    /// intermediate sizes (call after [`MapPlan::apply`]). Shared so both
-    /// runtimes derive reducer counts from one definition — a divergence
-    /// here would silently break cross-runtime equivalence.
+    /// intermediate sizes (call after `MapPlan::apply_counts`).
     pub(crate) fn resolve_reducers(&self, job: &Job) -> usize {
         let total_input = self.partitions.iter().map(|p| p.input).sum();
         let total_map_output = self.partitions.iter().map(|p| p.map_output).sum();
@@ -478,73 +648,9 @@ fn record_probe_span(job: &Job, tally: &ProbeTally) {
     });
 }
 
-/// Run one map task: apply the mapper to every fact of the split and
-/// account bytes/records, charging key bytes once per distinct key within
-/// the task when packing is enabled (§5.1 (1)). With `filters` present,
-/// each emitted pair is probed first (the **probe** stage of the filtered
-/// shuffle) and suppressed pairs never reach the packing accounting — so
-/// map-output bytes/records are post-suppression on both data planes.
-pub(crate) fn run_map_task(
-    job: &Job,
-    facts: &[(u64, Fact)],
-    filters: Option<&JobFilters>,
-) -> MapTaskResult {
-    let mut span = gumbo_obs::span_with("map:task", |f| {
-        f.str("job", &job.name);
-        f.u64("facts", facts.len() as u64);
-    });
-    let mut emitted: Vec<(Tuple, Message)> = Vec::new();
-    let mut tally = ProbeTally::default();
-    match filters {
-        Some(f) => {
-            for (index, fact) in facts {
-                job.mapper.map(fact, *index, &mut |k, v| {
-                    if f.keep(&k, &v, &mut tally) {
-                        emitted.push((k, v));
-                    }
-                });
-            }
-        }
-        None => {
-            for (index, fact) in facts {
-                job.mapper
-                    .map(fact, *index, &mut |k, v| emitted.push((k, v)));
-            }
-        }
-    }
-    if let Some(f) = filters {
-        record_probe_span(job, &tally);
-        f.absorb(tally);
-    }
-    let mut output_bytes: u64 = 0;
-    let mut records_out: u64 = 0;
-    if job.config.packing {
-        let mut by_key: BTreeMap<&Tuple, u64> = BTreeMap::new();
-        for (k, v) in &emitted {
-            *by_key.entry(k).or_insert(0) += v.estimated_bytes();
-        }
-        for (k, value_bytes) in &by_key {
-            output_bytes += k.estimated_bytes() + value_bytes;
-        }
-        records_out += by_key.len() as u64;
-    } else {
-        for (k, v) in &emitted {
-            output_bytes += k.estimated_bytes() + v.estimated_bytes();
-        }
-        records_out += emitted.len() as u64;
-    }
-    span.record(|f| f.u64("records_out", records_out));
-    MapTaskResult {
-        emitted,
-        output_bytes,
-        records_out,
-    }
-}
-
-/// What one map task produced on the columnar plane: the same pairs as
-/// [`MapTaskResult`] in the same emission order, held as one
-/// [`PairBatch`] instead of a vector of owned pairs.
-pub(crate) struct BatchMapResult {
+/// What one map task produced: the emitted pairs in emission order, held
+/// as one columnar [`PairBatch`].
+pub(crate) struct MapTaskOutput {
     /// Emitted pairs in emission order, columnar.
     pub batch: PairBatch,
     /// Charged map-output bytes (packing-aware), unscaled.
@@ -553,18 +659,18 @@ pub(crate) struct BatchMapResult {
     pub records_out: u64,
 }
 
-/// The columnar twin of [`run_map_task`]: mapper output lands directly in
-/// a [`PairBatch`], and the packing byte-accounting (§5.1 (1)) runs as an
-/// index sort plus one linear scan instead of a `BTreeMap` build. Per-key
-/// byte sums are order-independent, so `output_bytes` / `records_out`
-/// equal the pair plane's exactly. Probing hashes the same owned key
-/// tuples as the pair plane ([`crate::hash::hash_tuple`]), so filter
-/// decisions are plane-identical by construction.
-pub(crate) fn run_map_task_batch(
+/// Run one map task: apply the mapper to every fact of the split, landing
+/// its output directly in a [`PairBatch`], and account bytes/records,
+/// charging key bytes once per distinct key within the task when packing
+/// is enabled (§5.1 (1)) — an index sort plus one linear scan. With
+/// `filters` present, each emitted pair is probed first (the **probe**
+/// stage of the filtered shuffle) and suppressed pairs never reach the
+/// packing accounting — so map-output bytes/records are post-suppression.
+pub(crate) fn run_map_task(
     job: &Job,
     facts: &[(u64, Fact)],
     filters: Option<&JobFilters>,
-) -> BatchMapResult {
+) -> MapTaskOutput {
     let mut span = gumbo_obs::span_with("map:task", |f| {
         f.str("job", &job.name);
         f.u64("facts", facts.len() as u64);
@@ -618,7 +724,7 @@ pub(crate) fn run_map_task_batch(
         (batch.estimated_bytes(), batch.len() as u64)
     };
     span.record(|f| f.u64("records_out", records_out));
-    BatchMapResult {
+    MapTaskOutput {
         batch,
         output_bytes,
         records_out,
@@ -626,18 +732,9 @@ pub(crate) fn run_map_task_batch(
 }
 
 impl MapPlan {
-    /// Fold per-task results (in task order) into the per-input partition
-    /// metering, applying the byte scale once per partition.
-    pub(crate) fn apply(&mut self, scale: u64, results: &[MapTaskResult]) {
-        let counts: Vec<(u64, u64)> = results
-            .iter()
-            .map(|r| (r.output_bytes, r.records_out))
-            .collect();
-        self.apply_counts(scale, &counts);
-    }
-
-    /// [`MapPlan::apply`] over bare `(output_bytes, records_out)` pairs —
-    /// the shape both data planes produce.
+    /// Fold per-task `(output_bytes, records_out)` counts (in task order)
+    /// into the per-input partition metering, applying the byte scale
+    /// once per partition.
     pub(crate) fn apply_counts(&mut self, scale: u64, counts: &[(u64, u64)]) {
         debug_assert_eq!(counts.len(), self.tasks.len());
         let mut raw_bytes = vec![0u64; self.partitions.len()];
@@ -653,28 +750,6 @@ impl MapPlan {
     }
 }
 
-/// One reducer partition's grouped stream, from either data plane. Both
-/// variants observe the same contract — keys ascend in `Tuple` order,
-/// values stay in global emission order — so [`run_reduce_stream`] is
-/// plane-agnostic.
-pub(crate) enum Groups<'a> {
-    /// The pair plane's merge ([`crate::shuffle`]).
-    Pairs(GroupStream<'a>),
-    /// The columnar plane's merge ([`crate::batch_shuffle`]).
-    Columnar(BatchGroupStream<'a>),
-}
-
-impl Groups<'_> {
-    /// The next key group, its values appended into a caller-owned
-    /// scratch vector (cleared first).
-    fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
-        match self {
-            Groups::Pairs(stream) => stream.next_group_into(values),
-            Groups::Columnar(stream) => stream.next_group_into(values),
-        }
-    }
-}
-
 /// Reduce one shuffle partition by streaming its key groups (keys in
 /// canonical order, values in emission order — the order the bounded and
 /// unlimited shuffles both guarantee) and collect the reducer's output
@@ -683,7 +758,7 @@ impl Groups<'_> {
 /// is reused across groups.
 pub(crate) fn run_reduce_stream(
     job: &Job,
-    mut groups: Groups<'_>,
+    mut groups: BatchGroupStream<'_>,
 ) -> Result<BTreeMap<RelationName, Relation>> {
     let mut span = gumbo_obs::span_with("reduce:task", |f| f.str("job", &job.name));
     let mut outputs: BTreeMap<RelationName, Relation> = job
@@ -886,6 +961,139 @@ pub fn commit_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobConfig, Mapper, Reducer, ReducerPolicy};
+    use crate::message::Payload;
+    use gumbo_common::Tuple;
+    use gumbo_storage::SimDfs;
+
+    /// Worker counts every pipeline test runs at: the inline reference
+    /// configuration and a real pool.
+    const WORKERS: [usize; 2] = [1, 4];
+
+    /// A miniature single-semi-join job (§4.1's repartition join): guard
+    /// `guard(x, z)` requests on key z; any other input asserts on its
+    /// first attribute.
+    struct SemiJoinMapper {
+        guard: &'static str,
+    }
+    impl Mapper for SemiJoinMapper {
+        fn map(&self, fact: &Fact, _index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
+            let is_guard = fact.relation.as_str() == self.guard;
+            let key = Tuple::new(vec![fact
+                .tuple
+                .get(if is_guard { 1 } else { 0 })
+                .unwrap()
+                .clone()]);
+            if is_guard {
+                let out = Tuple::new(vec![fact.tuple.get(0).unwrap().clone()]);
+                emit(
+                    key,
+                    Message::Req {
+                        cond: 0,
+                        payload: Payload::Tuple(out),
+                    },
+                );
+            } else {
+                emit(key, Message::Assert { cond: 0 });
+            }
+        }
+    }
+
+    struct SemiJoinReducer {
+        output: &'static str,
+    }
+    impl Reducer for SemiJoinReducer {
+        fn reduce(
+            &self,
+            _key: &Tuple,
+            values: &[Message],
+            emit: &mut dyn FnMut(&RelationName, Tuple),
+        ) {
+            let asserted = values
+                .iter()
+                .any(|m| matches!(m, Message::Assert { cond: 0 }));
+            if asserted {
+                for m in values {
+                    if let Message::Req {
+                        cond: 0,
+                        payload: Payload::Tuple(t),
+                    } = m
+                    {
+                        emit(&self.output.into(), t.clone());
+                    }
+                }
+            }
+        }
+    }
+
+    fn semi_join(guard: &'static str, cond: &'static str, output: &'static str) -> Job {
+        Job {
+            name: format!("MSJ({output})"),
+            inputs: vec![guard.into(), cond.into()],
+            outputs: vec![(output.into(), 1)],
+            mapper: Box::new(SemiJoinMapper { guard }),
+            reducer: Box::new(SemiJoinReducer { output }),
+            config: JobConfig::default(),
+            estimate: None,
+            filter: None,
+        }
+    }
+
+    fn semi_join_job() -> Job {
+        semi_join("R", "S", "Z")
+    }
+
+    /// A reducer that emits to a relation its job never declared.
+    struct BadReducer;
+    impl Reducer for BadReducer {
+        fn reduce(&self, _: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
+            emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
+        }
+    }
+
+    fn bad_job() -> Job {
+        Job {
+            name: "bad".into(),
+            inputs: vec!["R".into()],
+            outputs: vec![],
+            mapper: Box::new(SemiJoinMapper { guard: "R" }),
+            reducer: Box::new(BadReducer),
+            config: JobConfig::default(),
+            estimate: None,
+            filter: None,
+        }
+    }
+
+    fn example3_dfs() -> SimDfs {
+        // Example 3: I = {R(1,2), R(4,5), S(2,3)}.
+        let dfs = SimDfs::new();
+        dfs.store(
+            Relation::from_tuples(
+                "R",
+                2,
+                vec![Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[4, 5])],
+            )
+            .unwrap(),
+        );
+        dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap());
+        dfs
+    }
+
+    /// `n` guard tuples over 97 join keys, half as many conditional ones.
+    fn wide_dfs(n: i64) -> SimDfs {
+        let dfs = SimDfs::new();
+        dfs.store(
+            Relation::from_tuples("R", 2, (0..n).map(|i| Tuple::from_ints(&[i, i % 97]))).unwrap(),
+        );
+        dfs.store(
+            Relation::from_tuples("S", 1, (0..n / 2).map(|i| Tuple::from_ints(&[i % 97]))).unwrap(),
+        );
+        dfs
+    }
+
+    fn unscaled(workers: usize) -> Executor {
+        Executor::with_threads(EngineConfig::unscaled(), workers)
+    }
 
     #[test]
     fn executor_kind_parses_cli_spellings() {
@@ -918,13 +1126,246 @@ mod tests {
     }
 
     #[test]
-    fn built_executors_report_config_and_name() {
+    fn kinds_build_the_one_executor_at_their_worker_count() {
         let config = EngineConfig::unscaled();
         let sim = ExecutorKind::Simulated.build(config);
-        assert_eq!(sim.name(), "simulated");
+        assert_eq!(sim.effective_threads(), 1, "sim is pinned to one worker");
         assert_eq!(sim.config().scale, 1);
-        let par = ExecutorKind::Parallel { threads: 2 }.build(config);
-        assert_eq!(par.name(), "parallel");
-        assert_eq!(par.config().scale, 1);
+        let par = ExecutorKind::Parallel { threads: 5 }.build(config);
+        assert_eq!(par.effective_threads(), 5);
+        let auto = ExecutorKind::Parallel { threads: 0 }
+            .build(config)
+            .effective_threads();
+        assert!((1..=config.cluster.map_slots()).contains(&auto));
+    }
+
+    #[test]
+    fn parallel_for_preserves_task_order() {
+        for threads in [1usize, 2, 7] {
+            let out = parallel_for(100, threads, |i| i * i);
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn example3_semijoin_executes_correctly() {
+        for workers in WORKERS {
+            let dfs = example3_dfs();
+            let mut program = MrProgram::new();
+            program.push_job(semi_join_job());
+            let stats = unscaled(workers).execute(&dfs, &program).unwrap();
+            let z = dfs.peek(&"Z".into()).unwrap();
+            assert_eq!(z.len(), 1);
+            assert!(z.contains(&Tuple::from_ints(&[1])));
+            assert_eq!(stats.jobs[0].output_tuples, 1);
+            assert!(stats.net_time() > 0.0);
+        }
+    }
+
+    #[test]
+    fn per_input_partitions_are_metered_separately() {
+        for workers in WORKERS {
+            let dfs = example3_dfs();
+            let stats = unscaled(workers)
+                .execute_job(&dfs, &semi_join_job(), 0)
+                .unwrap();
+            assert_eq!(stats.profile.partitions.len(), 2);
+            assert_eq!(stats.profile.partitions[0].label, "R");
+            // R has 2 tuples of 20 B; S has 1.
+            assert_eq!(stats.profile.partitions[0].input, ByteSize::bytes(40));
+            assert_eq!(stats.profile.partitions[1].input, ByteSize::bytes(20));
+        }
+    }
+
+    #[test]
+    fn scale_multiplies_metrics_but_not_results() {
+        for workers in WORKERS {
+            let run = |scale| {
+                let dfs = example3_dfs();
+                let config = EngineConfig {
+                    scale,
+                    ..EngineConfig::default()
+                };
+                let stats = Executor::with_threads(config, workers)
+                    .execute_job(&dfs, &semi_join_job(), 0)
+                    .unwrap();
+                (dfs.peek(&"Z".into()).unwrap(), stats)
+            };
+            let (z1, s1) = run(1);
+            let (z2, s2) = run(1_000_000);
+            assert_eq!(z1, z2, "same logical result");
+            assert_eq!(s2.input_bytes(), s1.input_bytes().scaled(1_000_000));
+            assert!(s2.total_cost > s1.total_cost);
+        }
+    }
+
+    #[test]
+    fn undeclared_output_is_an_error() {
+        for workers in WORKERS {
+            let dfs = example3_dfs();
+            assert!(unscaled(workers).execute_job(&dfs, &bad_job(), 0).is_err());
+        }
+    }
+
+    #[test]
+    fn reduce_errors_surface_deterministically() {
+        // The first error in partition order wins, whatever the pool size.
+        let errors: Vec<String> = WORKERS
+            .iter()
+            .map(|&workers| {
+                unscaled(workers)
+                    .execute_job(&wide_dfs(50), &bad_job(), 0)
+                    .unwrap_err()
+                    .to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("Undeclared"), "{}", errors[0]);
+        assert_eq!(errors[0], errors[1]);
+    }
+
+    #[test]
+    fn declared_outputs_exist_even_when_empty() {
+        // Empty inputs plan zero map tasks; the job still commits.
+        for workers in WORKERS {
+            let dfs = SimDfs::new();
+            dfs.store(Relation::new("R", 2));
+            dfs.store(Relation::new("S", 2));
+            let stats = unscaled(workers)
+                .execute_job(&dfs, &semi_join_job(), 0)
+                .unwrap();
+            assert_eq!(stats.output_tuples, 0);
+            assert!(dfs.exists(&"Z".into()));
+            assert_eq!(dfs.peek(&"Z".into()).unwrap().len(), 0);
+        }
+    }
+
+    #[test]
+    fn packing_reduces_shuffle_bytes() {
+        // Many R tuples sharing one join key: packed key bytes counted once.
+        for workers in WORKERS {
+            let run = |packing| {
+                let dfs = SimDfs::new();
+                dfs.store(
+                    Relation::from_tuples("R", 2, (0..100).map(|i| Tuple::from_ints(&[i, 7])))
+                        .unwrap(),
+                );
+                dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[7, 0])]).unwrap());
+                let mut job = semi_join_job();
+                job.config.packing = packing;
+                let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
+                (dfs.peek(&"Z".into()).unwrap(), stats)
+            };
+            let (z_packed, packed) = run(true);
+            let (z_plain, plain) = run(false);
+            assert!(packed.communication_bytes() < plain.communication_bytes());
+            assert_eq!(z_packed, z_plain);
+        }
+    }
+
+    #[test]
+    fn fixed_reducer_policy_is_respected() {
+        for workers in WORKERS {
+            let dfs = example3_dfs();
+            let mut job = semi_join_job();
+            job.config.reducer_policy = ReducerPolicy::Fixed(7);
+            let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
+            assert_eq!(stats.profile.reducers, 7);
+            assert_eq!(stats.reduce_task_durations.len(), 7);
+        }
+    }
+
+    #[test]
+    fn missing_input_errors() {
+        for workers in WORKERS {
+            let dfs = SimDfs::new();
+            assert!(unscaled(workers)
+                .execute_job(&dfs, &semi_join_job(), 0)
+                .is_err());
+        }
+    }
+
+    #[test]
+    fn worker_count_never_changes_answers_or_stats() {
+        let config = EngineConfig {
+            scale: 100_000,
+            ..EngineConfig::default()
+        };
+        let job = || {
+            let mut job = semi_join_job();
+            job.config.reducer_policy = ReducerPolicy::Fixed(13);
+            job
+        };
+        let reference_dfs = wide_dfs(500);
+        let reference = Executor::new(config)
+            .execute_job(&reference_dfs, &job(), 0)
+            .unwrap();
+        assert!(reference.output_tuples > 0);
+        for threads in [1usize, 3, 8] {
+            let dfs = wide_dfs(500);
+            let stats = Executor::with_threads(config, threads)
+                .execute_job(&dfs, &job(), 0)
+                .unwrap();
+            assert_eq!(
+                reference_dfs.peek(&"Z".into()).unwrap(),
+                dfs.peek(&"Z".into()).unwrap(),
+                "answers differ at {threads} threads"
+            );
+            assert_eq!(reference.output_tuples, stats.output_tuples);
+            assert_eq!(reference.profile, stats.profile);
+            assert_eq!(reference.map_task_durations, stats.map_task_durations);
+            assert_eq!(reference.reduce_task_durations, stats.reduce_task_durations);
+            assert!((reference.total_cost - stats.total_cost).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn round_concurrency_lowers_net_time() {
+        // Two identical independent jobs: one round of two jobs must have a
+        // lower net time than two rounds of one (same total time).
+        let make_dfs = || {
+            let dfs = example3_dfs();
+            dfs.store(
+                Relation::from_tuples(
+                    "R2",
+                    2,
+                    vec![Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[4, 5])],
+                )
+                .unwrap(),
+            );
+            dfs.store(Relation::from_tuples("S2", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap());
+            dfs
+        };
+        let job2 = || semi_join("R2", "S2", "Z2");
+
+        let engine = Executor::new(EngineConfig::default());
+        let mut parallel = MrProgram::new();
+        parallel.push_round(vec![semi_join_job(), job2()]);
+        let mut sequential = MrProgram::new();
+        sequential.push_job(semi_join_job());
+        sequential.push_job(job2());
+
+        let p_stats = engine.execute(&make_dfs(), &parallel).unwrap();
+        let s_stats = engine.execute(&make_dfs(), &sequential).unwrap();
+
+        assert!(p_stats.net_time() < s_stats.net_time());
+        assert!((p_stats.total_time() - s_stats.total_time()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_panicking_reducer_is_an_error_naming_the_job() {
+        struct Bomb;
+        impl Reducer for Bomb {
+            fn reduce(&self, _: &Tuple, _: &[Message], _: &mut dyn FnMut(&RelationName, Tuple)) {
+                panic!("reducer bomb");
+            }
+        }
+        for workers in WORKERS {
+            let mut job = semi_join_job();
+            job.reducer = Box::new(Bomb);
+            let exec = unscaled(workers);
+            let err = exec.execute_job(&wide_dfs(50), &job, 0).unwrap_err();
+            assert!(err.to_string().contains("MSJ(Z)"), "{err}");
+            assert_eq!(exec.budget().used(), 0, "the unwind released every charge");
+        }
     }
 }

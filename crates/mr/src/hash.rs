@@ -46,8 +46,7 @@ pub fn hash_tuple(tuple: &Tuple) -> u64 {
 
 /// Deterministic hash of a columnar key view — byte-for-byte the same
 /// mixing as [`hash_tuple`], so `hash_view(batch.view(r))` always equals
-/// `hash_tuple(&batch.tuple(r))` and both data planes route every key to
-/// the same reducer.
+/// `hash_tuple(&batch.tuple(r))`.
 pub fn hash_view(view: TupleView<'_>) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |bytes: &[u8]| {
@@ -139,6 +138,27 @@ mod tests {
             batch.push_tuple(t);
             assert_eq!(hash_view(batch.view(0)), hash_tuple(t), "{t}");
             assert_eq!(partition_view(batch.view(0), 7), partition(t, 7), "{t}");
+        }
+        // Many rows sharing one dictionary: strings hash by content,
+        // whatever their codes.
+        let keys: Vec<Tuple> = (0..50)
+            .map(|i| match i % 3 {
+                0 => Tuple::new(vec![Value::str(format!("k{i}")), Value::Int(i)]),
+                _ => Tuple::from_ints(&[i, i * i]),
+            })
+            .collect();
+        let mut batch = TupleBatch::new(2);
+        for k in &keys {
+            batch.push_tuple(k);
+        }
+        for (row, k) in keys.iter().enumerate() {
+            assert_eq!(hash_view(batch.view(row)), hash_tuple(k), "{k}");
+            for reducers in [1usize, 7, 16] {
+                assert_eq!(
+                    partition_view(batch.view(row), reducers),
+                    partition(k, reducers)
+                );
+            }
         }
     }
 

@@ -18,22 +18,20 @@
 //! * the cluster simulator (`cluster`), yielding **net time** (wall-clock:
 //!   the makespan of scheduling task waves onto `nodes × slots`).
 //!
-//! ## The two runtimes
+//! ## The runtime
 //!
-//! Execution is abstracted behind the [`Executor`] trait
-//! ([`executor`]), with two interchangeable implementations:
+//! One [`Executor`] ([`executor`]) runs every job through one
+//! map→shuffle→reduce pipeline that fans map tasks, the partitioned
+//! shuffle and reduce tasks out over a fixed worker pool while collecting
+//! the metering above. Answer relations and [`JobStats`] are
+//! byte-identical at every worker count, so the count is a sizing choice,
+//! made with [`ExecutorKind`]:
 //!
-//! * [`SimulatedExecutor`] (alias [`Engine`], the default) — the
-//!   single-threaded deterministic simulator described above;
-//! * [`ParallelExecutor`] — a real multi-threaded runtime that fans map
-//!   tasks, the partitioned shuffle and reduce tasks out over a fixed
-//!   worker pool while collecting the *same* metering.
-//!
-//! Both produce byte-identical answer relations and identical
-//! [`JobStats`] (the shared pipeline in [`executor`] makes this
-//! structural); pick one with [`ExecutorKind`]. Use the simulator for
-//! reproducible §5 experiments and the parallel runtime when you want the
-//! answer as fast as the hardware allows.
+//! * `sim` — the executor pinned to **one worker**: every phase runs
+//!   inline on the calling thread. This is the reference configuration
+//!   the reproducible §5 experiments use (and the default);
+//! * `parallel` / `parallel:N` — an auto-sized or `N`-thread pool, for
+//!   the answer as fast as the hardware allows.
 //!
 //! A configurable *scale factor* maps laptop-sized relations onto the
 //! paper's 100M-tuple regime: all byte quantities are multiplied by it
@@ -42,8 +40,8 @@
 //!
 //! ## Bounded-memory shuffle
 //!
-//! Both runtimes shuffle through the budget-charged buffers of
-//! [`shuffle`]: with [`EngineConfig::mem_budget`] set, per-reducer
+//! The shuffle runs through the budget-charged buffers of
+//! [`batch_shuffle`]: with [`EngineConfig::mem_budget`] set, per-reducer
 //! buffers spill sorted runs to job-scoped disk directories instead of
 //! growing past the limit, and the reduce phase streams a merge of the
 //! runs plus the in-memory tail. Answers and metered statistics are
@@ -72,12 +70,10 @@ pub mod hash;
 pub mod job;
 pub mod message;
 pub mod metrics;
-pub mod parallel;
 pub mod profile;
 pub mod program;
 pub mod shuffle;
 pub mod shuffle_filter;
-pub mod simulated;
 
 pub use batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch, TupleStore};
 pub use cluster::Cluster;
@@ -87,22 +83,19 @@ pub use estimate::{
     critical_path_lengths, list_schedule_makespan, list_schedule_makespan_by, JobEstimate,
 };
 pub use executor::{
-    commit_job, plan_job, ComputedJob, DataPlane, EngineConfig, Executor, ExecutorKind, MapPlan,
+    catch_job_panic, commit_job, plan_job, ComputedJob, EngineConfig, Executor, ExecutorKind,
+    MapPlan,
 };
 pub use job::{Job, JobConfig, Mapper, Reducer, ReducerPolicy};
 pub use message::{Message, Payload};
 pub use metrics::{JobStats, ProgramStats};
-pub use parallel::ParallelExecutor;
 pub use profile::{InputPartition, JobProfile};
 pub use program::MrProgram;
-pub use shuffle::{
-    GroupStream, MemBudget, MemoryBudget, ShuffleSpill, SpillStats, SpillingPartition,
-};
+pub use shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
 pub use shuffle_filter::{
     filter_bytes_for, predicted_fp_rate_for, FilterSpec, FilterStats, ShuffleFilterMode,
     SplitBlockBloom,
 };
-pub use simulated::{Engine, SimulatedExecutor};
 
 #[cfg(test)]
 mod proptests;

@@ -64,8 +64,7 @@ pub struct JobStats {
     pub filter_bytes: u64,
     /// Candidate `Assert`/`Req` messages the filtered shuffle dropped
     /// because their keys cannot match. Deterministic: a pure function of
-    /// the data and the filter, identical across runtimes, planes and
-    /// thread counts.
+    /// the data and the filter, identical at every thread count.
     pub suppressed_messages: u64,
     /// Candidate messages tested against a filter.
     pub filter_probes: u64,

@@ -3,13 +3,11 @@
 
 #![cfg(test)]
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 
 use gumbo_common::{ByteSize, Tuple};
 
-use crate::batch_shuffle::{BatchPartition, PairBatch};
+use crate::batch_shuffle::{drain, group_reference, BatchPartition, PairBatch};
 use crate::cluster::lpt_makespan;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::dag::jobs_conflict;
@@ -19,7 +17,7 @@ use crate::job::Job;
 use crate::message::{Message, Payload};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
-use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillingPartition};
+use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill};
 use crate::shuffle_filter::{FilterCollector, FilterSpec, ProbeTally, SplitBlockBloom};
 
 /// A no-op job touching relations `Rk` for the given name codes.
@@ -143,69 +141,19 @@ proptest! {
     }
 
     /// Merge-of-runs preserves the grouping order reducers observe: for
-    /// any pair sequence and any budget (however many spill runs and
-    /// intermediate merge passes it forces), the grouped stream equals
-    /// the unlimited in-memory `BTreeMap` grouping — keys in sorted
-    /// order, values in global emission order.
+    /// any pair sequence (mixed message shapes, string keys and payloads
+    /// included) and any budget — however many columnar spill frames and
+    /// intermediate merge passes it forces — the grouped stream equals
+    /// the `BTreeMap` grouping oracle (keys in sorted order, values in
+    /// global emission order), with the paper's total byte accounting.
     #[test]
     fn spill_merge_preserves_reducer_grouping_order(
         keys in proptest::collection::vec(0i64..12, 0usize..120),
         budget in 0u64..400,
     ) {
-        // Tag every pair with its emission index so order is observable.
-        let pairs: Vec<(Tuple, Message)> = keys
-            .iter()
-            .enumerate()
-            .map(|(seq, &k)| {
-                (
-                    Tuple::from_ints(&[k]),
-                    Message::Req {
-                        cond: seq as u32,
-                        payload: Payload::Ref { guard: 0, id: seq as u64 },
-                    },
-                )
-            })
-            .collect();
-
-        let mut expected: BTreeMap<Tuple, Vec<Message>> = BTreeMap::new();
-        for (k, v) in &pairs {
-            expected.entry(k.clone()).or_default().push(v.clone());
-        }
-
-        let tracker = MemoryBudget::new(MemBudget::bytes(budget));
-        let spill = ShuffleSpill::new("proptest");
-        let mut part = SpillingPartition::new(0, &tracker, &spill, 1);
-        for (k, v) in pairs {
-            part.push(k, v).unwrap();
-        }
-        let (mut stream, stats) = part.into_groups().unwrap();
-        let mut got: Vec<(Tuple, Vec<Message>)> = Vec::new();
-        while let Some(group) = stream.next_group().unwrap() {
-            got.push(group);
-        }
-        drop(stream);
-
-        let expected: Vec<(Tuple, Vec<Message>)> = expected.into_iter().collect();
-        prop_assert_eq!(got, expected, "budget {} (stats {:?})", budget, stats);
-        if let Some(limit) = tracker.limit() {
-            prop_assert!(tracker.peak() <= limit);
-        }
-        prop_assert_eq!(tracker.used(), 0, "all charges released");
-    }
-
-    /// The columnar plane reproduces the pair plane's reducer groupings
-    /// byte for byte: for any pair sequence (mixed message shapes, string
-    /// keys and payloads included) and any budget — however many columnar
-    /// spill frames and intermediate merge passes it forces — the batch
-    /// partition's grouped stream equals the pair partition's, with
-    /// identical total byte accounting.
-    #[test]
-    fn columnar_spill_merge_matches_pair_plane_grouping(
-        keys in proptest::collection::vec(0i64..12, 0usize..120),
-        budget in 0u64..400,
-    ) {
         // Vary message shape with the emission index so frames carry
-        // every kind, including dictionary-encoded payload tuples.
+        // every kind, including dictionary-encoded payload tuples, and
+        // order within a key is observable.
         let pairs: Vec<(Tuple, Message)> = keys
             .iter()
             .enumerate()
@@ -236,38 +184,26 @@ proptest! {
                 (key, msg)
             })
             .collect();
+        let expected = group_reference(&pairs);
+        let expected_bytes: u64 = pairs
+            .iter()
+            .map(|(k, v)| k.estimated_bytes() + v.estimated_bytes())
+            .sum();
 
-        // Pair plane under the same budget: the reference grouping.
-        let pair_tracker = MemoryBudget::new(MemBudget::bytes(budget));
-        let pair_spill = ShuffleSpill::new("proptest-pairs");
-        let mut pair_part = SpillingPartition::new(0, &pair_tracker, &pair_spill, 1);
-        for (k, v) in pairs.clone() {
-            pair_part.push(k, v).unwrap();
-        }
-        let pair_bytes = pair_part.total_bytes();
-        let (mut pair_stream, _) = pair_part.into_groups().unwrap();
-        let mut expected: Vec<(Tuple, Vec<Message>)> = Vec::new();
-        while let Some(group) = pair_stream.next_group().unwrap() {
-            expected.push(group);
-        }
-        drop(pair_stream);
-
-        // Columnar plane: one batch through a budget-charged partition.
+        // One batch through a budget-charged partition, as the executor
+        // routes it.
         let tracker = MemoryBudget::new(MemBudget::bytes(budget));
-        let spill = ShuffleSpill::new("proptest-columnar");
+        let spill = ShuffleSpill::new("proptest");
         let mut part = BatchPartition::new(0, &tracker, &spill, 1);
         let mut batch = PairBatch::new();
         for (k, v) in &pairs {
             batch.push_pair(k, v);
         }
-        part.push_batch(&batch).unwrap();
-        prop_assert_eq!(part.total_bytes(), pair_bytes, "total byte accounting");
-        let (mut stream, stats) = part.into_groups().unwrap();
-        let mut got: Vec<(Tuple, Vec<Message>)> = Vec::new();
-        while let Some(group) = stream.next_group().unwrap() {
-            got.push(group);
-        }
-        drop(stream);
+        let rows: Vec<u32> = (0..batch.len() as u32).collect();
+        part.push_rows(&batch, &rows).unwrap();
+        prop_assert_eq!(part.total_bytes(), expected_bytes, "total byte accounting");
+        let (stream, stats) = part.into_groups().unwrap();
+        let got = drain(stream);
 
         prop_assert_eq!(got, expected, "budget {} (stats {:?})", budget, stats);
         if let Some(limit) = tracker.limit() {

@@ -1,5 +1,6 @@
-//! The bounded-memory shuffle: a shared memory budget, spill-to-disk
-//! partition buffers, and the streaming merge the reduce phase consumes.
+//! The bounded-memory shuffle's shared parts: the memory budget, spill
+//! accounting and the job-scoped spill directory. The partition buffers
+//! and the streaming merge that use them live in [`crate::batch_shuffle`].
 //!
 //! The in-memory shuffle of the original engine buffered every key-value
 //! pair, so the largest evaluable input was bounded by RAM. This module
@@ -11,35 +12,22 @@
 //! * [`MemoryBudget`] — the runtime tracker: one instance per executor,
 //!   shared by every job that executor runs (including jobs running
 //!   *concurrently* under the DAG scheduler, which hands one executor to
-//!   all its workers). Map output is charged as it is emitted into the
+//!   all its workers). Map output is charged as it lands in the
 //!   per-reducer buffers; charging is compare-and-swap guarded, so the
 //!   tracked shuffle memory can never exceed the limit — a partition
 //!   that cannot charge flushes itself to disk instead;
-//! * `SpillingPartition` — one reducer partition's buffer. When the
-//!   buffer crosses its share of the budget (`limit / reducers`) or the
-//!   global budget is exhausted, the buffer is stable-sorted by key and
-//!   flushed as a run file under the job-scoped
-//!   [`gumbo_storage::SpillDir`]; the reduce phase then streams a merge
-//!   of the spill runs plus the in-memory tail.
-//!
-//! **Determinism.** Answers are byte-identical with spilling on or off,
-//! whatever the budget and whenever the flushes happen. Each run is a
-//! contiguous, stable-sorted slice of the partition's pair sequence in
-//! global emission order; the k-way merge yields keys in ascending order
-//! and, within a key, drains earlier runs before later ones — which
-//! reconstructs exactly the `BTreeMap` grouping of the unlimited path
-//! (keys sorted, values in emission order). Spill *statistics* (bytes,
-//! run counts, merge passes) may legitimately differ across runs when
-//! concurrent jobs share the budget; they are reported in
-//! [`crate::JobStats`] but excluded from cross-runtime equivalence.
+//! * [`ShuffleSpill`] — the job-scoped [`gumbo_storage::SpillDir`] the
+//!   partitions of one job write their sorted runs under;
+//! * [`SpillStats`] — per-job spill counters, reported in
+//!   [`crate::JobStats`]. They may legitimately differ across runs when
+//!   concurrent partitions or jobs share the budget, so they are excluded
+//!   from cross-runtime equivalence.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gumbo_common::{GumboError, Result, Tuple, Value};
-use gumbo_storage::{Compression, RunReader, RunWriter, SpillDir};
-
-use crate::message::{Message, Payload};
+use gumbo_common::Result;
+use gumbo_storage::{Compression, SpillDir};
 
 /// How many sources (runs + the in-memory tail) a single streaming merge
 /// may read at once. With more runs than this, intermediate merge passes
@@ -53,8 +41,8 @@ pub const MERGE_FANIN: usize = 16;
 /// one granule per live partition).
 pub(crate) const UNLIMITED_GRANULE: u64 = 64 * 1024;
 
-/// Workspace-wide shuffle metrics, shared by both data planes. Inert (one
-/// relaxed load) unless tracing or `--metrics-dump` is on.
+/// Workspace-wide shuffle metrics. Inert (one relaxed load) unless
+/// tracing or `--metrics-dump` is on.
 pub(crate) static SPILL_RUNS: gumbo_obs::Counter = gumbo_obs::Counter::new("shuffle.spill_runs");
 pub(crate) static SPILL_BYTES: gumbo_obs::Counter =
     gumbo_obs::Counter::new("shuffle.spilled_bytes");
@@ -184,11 +172,6 @@ impl MemoryBudget {
         }
     }
 
-    /// An unlimited tracker.
-    pub fn unlimited() -> MemoryBudget {
-        MemoryBudget::new(MemBudget::UNLIMITED)
-    }
-
     /// The spec this tracker enforces.
     pub fn spec(&self) -> MemBudget {
         self.spec
@@ -299,157 +282,6 @@ impl SpillStats {
 }
 
 // ---------------------------------------------------------------------------
-// Pair codec
-// ---------------------------------------------------------------------------
-
-fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            buf.push(0);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(1);
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn encode_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    buf.extend_from_slice(&(t.arity() as u32).to_le_bytes());
-    for v in t.values() {
-        encode_value(buf, v);
-    }
-}
-
-/// Serialize one `(key, message)` pair into `buf` (cleared first).
-pub(crate) fn encode_pair(buf: &mut Vec<u8>, key: &Tuple, value: &Message) {
-    buf.clear();
-    encode_tuple(buf, key);
-    match value {
-        Message::Assert { cond } => {
-            buf.push(0);
-            buf.extend_from_slice(&cond.to_le_bytes());
-        }
-        Message::Req { cond, payload } => {
-            buf.push(1);
-            buf.extend_from_slice(&cond.to_le_bytes());
-            match payload {
-                Payload::Tuple(t) => {
-                    buf.push(0);
-                    encode_tuple(buf, t);
-                }
-                Payload::Ref { guard, id } => {
-                    buf.push(1);
-                    buf.extend_from_slice(&guard.to_le_bytes());
-                    buf.extend_from_slice(&id.to_le_bytes());
-                }
-            }
-        }
-        Message::Tag { rel } => {
-            buf.push(2);
-            buf.extend_from_slice(&rel.to_le_bytes());
-        }
-        Message::GuardTuple { guard, tuple } => {
-            buf.push(3);
-            buf.extend_from_slice(&guard.to_le_bytes());
-            encode_tuple(buf, tuple);
-        }
-    }
-}
-
-struct FrameCursor<'a> {
-    frame: &'a [u8],
-    at: usize,
-}
-
-impl<'a> FrameCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.frame.len());
-        let end = end.ok_or_else(|| GumboError::Storage("truncated spill frame".into()))?;
-        let slice = &self.frame[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn tuple(&mut self) -> Result<Tuple> {
-        let arity = self.u32()? as usize;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(match self.u8()? {
-                0 => Value::Int(self.i64()?),
-                1 => {
-                    let len = self.u32()? as usize;
-                    let bytes = self.take(len)?;
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|_| GumboError::Storage("non-UTF-8 spill string".into()))?;
-                    Value::str(s)
-                }
-                tag => {
-                    return Err(GumboError::Storage(format!(
-                        "unknown spill value tag {tag}"
-                    )))
-                }
-            });
-        }
-        Ok(Tuple::new(values))
-    }
-}
-
-/// Deserialize one `(key, message)` pair from a frame.
-pub(crate) fn decode_pair(frame: &[u8]) -> Result<(Tuple, Message)> {
-    let mut c = FrameCursor { frame, at: 0 };
-    let key = c.tuple()?;
-    let message = match c.u8()? {
-        0 => Message::Assert { cond: c.u32()? },
-        1 => {
-            let cond = c.u32()?;
-            let payload = match c.u8()? {
-                0 => Payload::Tuple(c.tuple()?),
-                1 => Payload::Ref {
-                    guard: c.u32()?,
-                    id: c.u64()?,
-                },
-                tag => {
-                    return Err(GumboError::Storage(format!(
-                        "unknown spill payload tag {tag}"
-                    )))
-                }
-            };
-            Message::Req { cond, payload }
-        }
-        2 => Message::Tag { rel: c.u32()? },
-        3 => Message::GuardTuple {
-            guard: c.u32()?,
-            tuple: c.tuple()?,
-        },
-        tag => {
-            return Err(GumboError::Storage(format!(
-                "unknown spill message tag {tag}"
-            )))
-        }
-    };
-    Ok((key, message))
-}
-
-// ---------------------------------------------------------------------------
 // Job-scoped spill directory (lazily created, shared across partitions)
 // ---------------------------------------------------------------------------
 
@@ -458,9 +290,9 @@ pub(crate) fn decode_pair(frame: &[u8]) -> Result<(Tuple, Message)> {
 /// the first actual flush and is removed when this handle drops (success
 /// and error paths alike).
 ///
-/// Public (like [`SpillingPartition`] and [`GroupStream`]) so the bench
-/// crate and the workspace-level allocation smoke test can drive the
-/// shuffle layer directly; not a stability surface.
+/// Public (like [`crate::BatchPartition`]) so the workspace-level
+/// allocation smoke test can drive the shuffle layer directly; not a
+/// stability surface.
 pub struct ShuffleSpill {
     label: String,
     dir: Mutex<Option<SpillDir>>,
@@ -494,10 +326,6 @@ impl ShuffleSpill {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Spilling partition buffer
-// ---------------------------------------------------------------------------
-
 /// One run on disk: pairs stable-sorted by key, a contiguous slice of the
 /// partition's emission-order pair sequence.
 pub(crate) struct Run {
@@ -512,401 +340,9 @@ impl Drop for Run {
     }
 }
 
-/// The shuffle buffer of one reducer partition, charging the shared
-/// [`MemoryBudget`] as pairs arrive and spilling sorted runs when its
-/// share of the budget is exceeded (or the global budget is exhausted).
-///
-/// This is the *pair* (row-at-a-time) data plane; the columnar
-/// equivalent is [`crate::batch_shuffle::BatchPartition`].
-pub struct SpillingPartition<'a> {
-    partition: usize,
-    share: u64,
-    budget: &'a MemoryBudget,
-    spill: &'a ShuffleSpill,
-    compression: Compression,
-    pairs: Vec<(Tuple, Message)>,
-    /// Bytes currently reserved in the budget for `pairs`.
-    charged: u64,
-    /// Estimated bytes held in `pairs` (may exceed `charged` by at most
-    /// one overflow pair that could not be reserved).
-    buffered: u64,
-    /// Total estimated bytes ever pushed (the job's `reducer_bytes`).
-    total_bytes: u64,
-    runs: Vec<Run>,
-    next_seq: u64,
-    stats: SpillStats,
-}
-
-impl<'a> SpillingPartition<'a> {
-    /// An empty buffer for reducer `partition` of `partitions`.
-    pub fn new(
-        partition: usize,
-        budget: &'a MemoryBudget,
-        spill: &'a ShuffleSpill,
-        partitions: usize,
-    ) -> SpillingPartition<'a> {
-        SpillingPartition {
-            partition,
-            share: budget.partition_share(partitions),
-            budget,
-            spill,
-            compression: budget.spec().run_compression(),
-            pairs: Vec::new(),
-            charged: 0,
-            buffered: 0,
-            total_bytes: 0,
-            runs: Vec::new(),
-            next_seq: 0,
-            stats: SpillStats::default(),
-        }
-    }
-
-    /// Total estimated bytes pushed into this partition so far.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Accept one pair (in global emission order), charging the budget
-    /// and flushing a sorted run when over the share or out of budget.
-    pub fn push(&mut self, key: Tuple, value: Message) -> Result<()> {
-        let bytes = key.estimated_bytes() + value.estimated_bytes();
-        self.total_bytes += bytes;
-        if self.budget.limit().is_none() {
-            // Unlimited (the default): nothing can fail and nothing will
-            // ever flush, so charge the shared tracker in coarse granules
-            // — usage/peak stay observable (rounded up to the granule)
-            // without two shared-cacheline atomics per pair on the
-            // parallel drain's hot path.
-            self.buffered += bytes;
-            self.pairs.push((key, value));
-            if self.buffered > self.charged {
-                let grant =
-                    (self.buffered - self.charged).div_ceil(UNLIMITED_GRANULE) * UNLIMITED_GRANULE;
-                let granted = self.budget.try_charge(grant);
-                debug_assert!(granted, "an unlimited budget always grants");
-                self.charged += grant;
-            }
-            return Ok(());
-        }
-        if self.budget.try_charge(bytes) {
-            self.charged += bytes;
-            self.buffered += bytes;
-            self.pairs.push((key, value));
-            if self.buffered > self.share {
-                self.flush()?;
-            }
-        } else {
-            // Global budget exhausted: flush what we hold — including
-            // this (briefly unreserved) pair — straight to disk.
-            BUDGET_DENIALS.incr();
-            gumbo_obs::event("budget:exhausted", |f| {
-                f.str("job", self.spill.label());
-                f.u64("partition", self.partition as u64);
-                f.u64("denied_bytes", bytes);
-                f.u64("buffered_bytes", self.buffered);
-            });
-            self.buffered += bytes;
-            self.pairs.push((key, value));
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Stable-sort the buffer by key and write it out as one run.
-    fn flush(&mut self) -> Result<()> {
-        if self.pairs.is_empty() {
-            return Ok(());
-        }
-        // The span's `bytes` field is exactly this flush's increment of
-        // `JobStats.spilled_bytes` — traces and stats stay reconcilable.
-        let mut span = gumbo_obs::span_with("spill:run", |f| {
-            f.str("job", self.spill.label());
-            f.u64("partition", self.partition as u64);
-            f.u64("bytes", self.buffered);
-            f.u64("pairs", self.pairs.len() as u64);
-        });
-        self.pairs.sort_by(|a, b| a.0.cmp(&b.0)); // stable: emission order kept per key
-        let path = self.spill.run_path(self.partition, self.next_seq)?;
-        self.next_seq += 1;
-        let mut writer = RunWriter::create_with(&path, self.compression)?;
-        let mut frame = Vec::new();
-        for (k, v) in self.pairs.drain(..) {
-            encode_pair(&mut frame, &k, &v);
-            writer.push(&frame)?;
-        }
-        let (_, disk_bytes) = writer.finish()?;
-        span.record(|f| f.u64("disk_bytes", disk_bytes));
-        SPILL_RUNS.incr();
-        SPILL_BYTES.add(self.buffered);
-        self.runs.push(Run { path });
-        self.stats.spill_files += 1;
-        self.stats.spilled_bytes += self.buffered;
-        self.stats.spilled_disk_bytes += disk_bytes;
-        self.budget.release(self.charged);
-        self.charged = 0;
-        self.buffered = 0;
-        Ok(())
-    }
-
-    /// Finish the partition: collapse runs under the merge fan-in, sort
-    /// the in-memory tail, and hand back the grouped stream the reducer
-    /// consumes plus this partition's spill statistics.
-    pub fn into_groups(mut self) -> Result<(GroupStream<'a>, SpillStats)> {
-        // Intermediate passes: merge the *oldest* runs into one (stable:
-        // ties drain earlier runs first) until runs + tail fit the fan-in.
-        while self.runs.len() + 1 > MERGE_FANIN {
-            let take = MERGE_FANIN.min(self.runs.len());
-            let _span = gumbo_obs::span_with("spill:merge", |f| {
-                f.str("job", self.spill.label());
-                f.u64("partition", self.partition as u64);
-                f.u64("fan_in", take as u64);
-            });
-            let oldest: Vec<Run> = self.runs.drain(..take).collect();
-            let mut sources = Vec::with_capacity(oldest.len());
-            for run in &oldest {
-                sources.push(PairSource::open_run(&run.path)?);
-            }
-            let path = self.spill.run_path(self.partition, self.next_seq)?;
-            self.next_seq += 1;
-            let mut writer = RunWriter::create_with(&path, self.compression)?;
-            let mut merge = MergePairs::new(sources);
-            let mut frame = Vec::new();
-            while let Some(i) = merge.min_source() {
-                let (k, v) = merge.pop(i)?;
-                encode_pair(&mut frame, &k, &v);
-                writer.push(&frame)?;
-            }
-            writer.finish()?;
-            // The merged run holds the oldest data: it must stay first.
-            self.runs.insert(0, Run { path });
-            MERGE_PASSES.incr();
-            self.stats.spill_files += 1;
-            self.stats.merge_passes += 1;
-        }
-
-        self.pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut sources = Vec::with_capacity(self.runs.len() + 1);
-        for run in &self.runs {
-            sources.push(PairSource::open_run(&run.path)?);
-        }
-        sources.push(PairSource::from_memory(std::mem::take(&mut self.pairs)));
-        let stats = self.stats;
-        Ok((
-            GroupStream {
-                merge: MergePairs::new(sources),
-                budget: self.budget,
-                charged: std::mem::take(&mut self.charged),
-                // Keep the run files alive (and the tail's budget charge
-                // held) until the stream is fully consumed.
-                _runs: std::mem::take(&mut self.runs),
-            },
-            stats,
-        ))
-    }
-}
-
-impl Drop for SpillingPartition<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.charged);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming merge
-// ---------------------------------------------------------------------------
-
-/// One merge input: a run on disk or the sorted in-memory tail.
-enum PairSource {
-    Run(RunReader),
-    Mem(std::vec::IntoIter<(Tuple, Message)>),
-}
-
-impl PairSource {
-    fn open_run(path: &std::path::Path) -> Result<Peeked> {
-        let mut source = PairSource::Run(RunReader::open(path)?);
-        let head = source.pull()?;
-        Ok(Peeked { source, head })
-    }
-
-    fn from_memory(pairs: Vec<(Tuple, Message)>) -> Peeked {
-        let mut source = PairSource::Mem(pairs.into_iter());
-        let head = source.pull().expect("in-memory source cannot fail");
-        Peeked { source, head }
-    }
-
-    fn pull(&mut self) -> Result<Option<(Tuple, Message)>> {
-        match self {
-            PairSource::Run(reader) => match reader.next_frame()? {
-                Some(frame) => Ok(Some(decode_pair(&frame)?)),
-                None => Ok(None),
-            },
-            PairSource::Mem(iter) => Ok(iter.next()),
-        }
-    }
-}
-
-/// A merge input with its next pair pre-read.
-struct Peeked {
-    source: PairSource,
-    head: Option<(Tuple, Message)>,
-}
-
-/// K-way stable merge over sorted pair sources: keys ascend; for equal
-/// keys, earlier sources drain first — reconstructing global emission
-/// order within each key because source order *is* emission order.
-struct MergePairs {
-    sources: Vec<Peeked>,
-}
-
-impl MergePairs {
-    fn new(sources: Vec<Peeked>) -> MergePairs {
-        MergePairs { sources }
-    }
-
-    /// Index of the source holding the smallest head key (earliest source
-    /// wins ties), or `None` when everything is drained.
-    fn min_source(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, s) in self.sources.iter().enumerate() {
-            let Some((key, _)) = &s.head else { continue };
-            match best {
-                Some(b) if self.sources[b].head.as_ref().expect("has head").0 <= *key => {}
-                _ => best = Some(i),
-            }
-        }
-        best
-    }
-
-    /// Pop the head of source `i` (which the caller selected via
-    /// [`MergePairs::min_source`]) and refill its peek slot.
-    fn pop(&mut self, i: usize) -> Result<(Tuple, Message)> {
-        let source = &mut self.sources[i];
-        let pair = source.head.take().expect("selected source has a head");
-        source.head = source.source.pull()?;
-        Ok(pair)
-    }
-}
-
-/// The grouped stream a reducer consumes: `(key, values)` with keys in
-/// ascending order and values in global emission order — exactly the
-/// iteration order of the unlimited path's `BTreeMap` grouping.
-pub struct GroupStream<'a> {
-    merge: MergePairs,
-    budget: &'a MemoryBudget,
-    charged: u64,
-    _runs: Vec<Run>,
-}
-
-impl GroupStream<'_> {
-    /// The next key group, or `None` when the partition is exhausted.
-    pub fn next_group(&mut self) -> Result<Option<(Tuple, Vec<Message>)>> {
-        let mut values = Vec::new();
-        Ok(self.next_group_into(&mut values)?.map(|key| (key, values)))
-    }
-
-    /// The next key group with its values appended into a caller-owned
-    /// scratch vector (cleared first), so one allocation serves every
-    /// group of a reduce. One `min_source` scan per pair: the selected
-    /// index is popped directly rather than recomputed.
-    pub fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
-        values.clear();
-        let Some(i) = self.merge.min_source() else {
-            return Ok(None);
-        };
-        let (key, first) = self.merge.pop(i)?;
-        values.push(first);
-        while let Some(i) = self.merge.min_source() {
-            match &self.merge.sources[i].head {
-                Some((k, _)) if *k == key => values.push(self.merge.pop(i)?.1),
-                _ => break,
-            }
-        }
-        Ok(Some(key))
-    }
-}
-
-impl Drop for GroupStream<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.charged);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pair(key: i64, seq: u64) -> (Tuple, Message) {
-        (
-            Tuple::from_ints(&[key]),
-            Message::Req {
-                cond: seq as u32,
-                payload: Payload::Ref { guard: 0, id: seq },
-            },
-        )
-    }
-
-    /// Group a pair sequence through a `SpillingPartition` under `spec`.
-    fn group_with(
-        spec: MemBudget,
-        pairs: &[(Tuple, Message)],
-    ) -> (Vec<(Tuple, Vec<Message>)>, SpillStats, u64) {
-        let budget = MemoryBudget::new(spec);
-        let spill = ShuffleSpill::new("test");
-        let mut part = SpillingPartition::new(0, &budget, &spill, 1);
-        for (k, v) in pairs {
-            part.push(k.clone(), v.clone()).unwrap();
-        }
-        let (mut stream, stats) = part.into_groups().unwrap();
-        let mut groups = Vec::new();
-        while let Some(g) = stream.next_group().unwrap() {
-            groups.push(g);
-        }
-        drop(stream);
-        assert_eq!(budget.used(), 0, "all charges released");
-        (groups, stats, budget.peak())
-    }
-
-    #[test]
-    fn codec_round_trips_every_message_shape() {
-        let tuples = [
-            Tuple::from_ints(&[]),
-            Tuple::from_ints(&[1, -7, i64::MAX]),
-            Tuple::new(vec![Value::str("hello"), Value::Int(0), Value::str("")]),
-        ];
-        let messages = [
-            Message::Assert { cond: 3 },
-            Message::Tag { rel: u32::MAX },
-            Message::Req {
-                cond: 1,
-                payload: Payload::Tuple(Tuple::from_ints(&[5, 6])),
-            },
-            Message::Req {
-                cond: 2,
-                payload: Payload::Ref {
-                    guard: 9,
-                    id: 1 << 40,
-                },
-            },
-            Message::GuardTuple {
-                guard: 0,
-                tuple: Tuple::new(vec![Value::str("g")]),
-            },
-        ];
-        let mut frame = Vec::new();
-        for k in &tuples {
-            for v in &messages {
-                encode_pair(&mut frame, k, v);
-                let (k2, v2) = decode_pair(&frame).unwrap();
-                assert_eq!((&k2, &v2), (k, v));
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_pair(&[]).is_err());
-        assert!(decode_pair(&[9, 9, 9, 9, 9]).is_err());
-    }
 
     #[test]
     fn mem_budget_parses_cli_spellings() {
@@ -950,79 +386,5 @@ mod tests {
         });
         assert!(b.peak() <= 1000);
         assert_eq!(b.used(), 0);
-    }
-
-    #[test]
-    fn spilled_grouping_matches_in_memory_grouping() {
-        // Interleaved keys with per-pair sequence markers: grouping must
-        // keep values in emission order however many runs are forced.
-        let keys = [3i64, 1, 3, 2, 1, 3, 1, 2, 2, 3, 1, 1];
-        let pairs: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| pair(k, i as u64))
-            .collect();
-        let (reference, ref_stats, _) = group_with(MemBudget::UNLIMITED, &pairs);
-        assert_eq!(ref_stats, SpillStats::default());
-        for budget in [1u64, 16, 64, 200] {
-            let (groups, stats, peak) = group_with(MemBudget::bytes(budget), &pairs);
-            assert_eq!(groups, reference, "budget {budget}");
-            assert!(stats.spilled_bytes > 0, "budget {budget} never spilled");
-            assert!(peak <= budget, "budget {budget}: peak {peak}");
-        }
-    }
-
-    #[test]
-    fn many_runs_trigger_intermediate_merge_passes() {
-        // Budget of 1 byte: every pair becomes its own run, far beyond
-        // the merge fan-in.
-        let pairs: Vec<_> = (0..100).map(|i| pair(i % 5, i as u64)).collect();
-        let (reference, _, _) = group_with(MemBudget::UNLIMITED, &pairs);
-        let (groups, stats, _) = group_with(MemBudget::bytes(1), &pairs);
-        assert_eq!(groups, reference);
-        assert_eq!(
-            stats.spill_files as usize,
-            100 + stats.merge_passes as usize
-        );
-        assert!(
-            stats.merge_passes > 0,
-            "100 single-pair runs need intermediate merges"
-        );
-    }
-
-    #[test]
-    fn compressed_runs_group_identically_and_shrink_on_disk() {
-        // Repetitive integer pairs (8-byte LE words full of zero bytes):
-        // RLE must cut the on-disk size while grouping stays identical.
-        let pairs: Vec<_> = (0..200).map(|i| pair(i % 7, i as u64)).collect();
-        let (reference, _, _) = group_with(MemBudget::UNLIMITED, &pairs);
-        let plain_spec = MemBudget::bytes(64);
-        let packed_spec = MemBudget::bytes(64).compressed(true);
-        assert!(packed_spec.compress() && !plain_spec.compress());
-        let (plain_groups, plain_stats, _) = group_with(plain_spec, &pairs);
-        let (packed_groups, packed_stats, peak) = group_with(packed_spec, &pairs);
-        assert_eq!(plain_groups, reference);
-        assert_eq!(
-            packed_groups, reference,
-            "compression must not change grouping"
-        );
-        // Same raw spill volume either way; compression only shrinks disk.
-        assert_eq!(packed_stats.spilled_bytes, plain_stats.spilled_bytes);
-        assert!(packed_stats.spilled_disk_bytes > 0);
-        assert!(
-            packed_stats.spilled_disk_bytes < plain_stats.spilled_disk_bytes,
-            "rle {} should beat raw {}",
-            packed_stats.spilled_disk_bytes,
-            plain_stats.spilled_disk_bytes
-        );
-        assert!(peak <= 64);
-    }
-
-    #[test]
-    fn empty_partition_yields_no_groups() {
-        let (groups, stats, peak) = group_with(MemBudget::bytes(10), &[]);
-        assert!(groups.is_empty());
-        assert_eq!(stats, SpillStats::default());
-        assert_eq!(peak, 0);
     }
 }

@@ -40,7 +40,7 @@ use crate::hash::hash_tuple;
 use crate::message::Message;
 
 /// Deterministic seed mixed into every filter hash, so filter contents
-/// are reproducible across runs and runtimes.
+/// are reproducible across runs and thread counts.
 const FILTER_SEED: u64 = 0x6f5b_b100_0f11_7e25;
 
 /// Default filter density when the mode spelling omits `:BITS_PER_KEY`.
@@ -265,8 +265,7 @@ pub fn predicted_fp_rate_for(keys: u64, bits_per_key: u32) -> f64 {
 
 /// Deterministic observations of one filtered job, folded into
 /// [`crate::JobStats`] at commit time. All counts are sums over the
-/// job's emitted messages, so they are identical across runtimes, data
-/// planes and thread counts.
+/// job's emitted messages, so they are identical at every thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Unscaled bytes of the broadcast filter artifacts (both

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 
 use gumbo_common::{ByteSize, Fact, Relation, RelationName, Result as GumboResult, Tuple};
 use gumbo_mr::{
-    list_schedule_makespan_by, CostConstants, CostModelKind, EngineConfig, InputPartition, Job,
-    JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer, SimulatedExecutor,
+    list_schedule_makespan_by, CostConstants, CostModelKind, EngineConfig, Executor,
+    InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
 };
 use gumbo_storage::SimDfs;
 
@@ -132,7 +132,7 @@ fn run_policy(
     spec: &[(u8, u8, u8)],
     policy: PlacementPolicy,
 ) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
-    let executor = SimulatedExecutor::new(EngineConfig::unscaled());
+    let executor = Executor::new(EngineConfig::unscaled());
     let scheduler = DagScheduler::new(SchedulerConfig {
         max_concurrent_jobs: 2,
         placement: policy,

@@ -10,8 +10,8 @@ use gumbo_common::{GumboError, Result};
 use gumbo_mr::dag::JobFootprint;
 use gumbo_mr::metrics::RoundStats;
 use gumbo_mr::{
-    commit_job, plan_job, Executor, ExecutorKind, JobDag, JobEstimate, JobStats, MrProgram,
-    ProgramStats,
+    catch_job_panic, commit_job, plan_job, Executor, ExecutorKind, JobDag, JobEstimate, JobStats,
+    MrProgram, ProgramStats,
 };
 use gumbo_storage::Dfs;
 
@@ -24,9 +24,9 @@ pub struct SchedulerConfig {
     /// How many jobs may run concurrently (the worker-pool size).
     /// `0` = auto: the machine's available parallelism.
     pub max_concurrent_jobs: usize,
-    /// Worker threads *inside* each job when the underlying runtime is
-    /// the parallel executor (`0` = keep the executor's own sizing). The
-    /// simulated runtime computes each job on one thread regardless.
+    /// Worker threads *inside* each job when the executor is a
+    /// `parallel` pool (`0` = keep the executor's own sizing). The `sim`
+    /// configuration computes each job on one thread regardless.
     ///
     /// The scheduler runs jobs on whatever executor it is handed; this
     /// knob takes effect where the executor is *built* — resolve it with
@@ -52,8 +52,8 @@ pub struct SchedulerConfig {
     /// its estimate's suggested parallelism clamped to an equal share of
     /// this budget (`core_budget / worker-pool size`, at least 1) — so a
     /// full pool of jobs collectively stays within the core budget.
-    /// Only the parallel runtime has per-job pools to size; the
-    /// simulator ignores the hint.
+    /// Only `parallel` pools are sized; [`SchedulerConfig::for_kind`]
+    /// switches the budget off for `sim`.
     pub core_budget: usize,
 }
 
@@ -95,12 +95,27 @@ impl SchedulerConfig {
     }
 
     /// The executor kind jobs should run on under this scheduler: a
-    /// parallel runtime is resized to [`SchedulerConfig::threads_per_job`]
+    /// parallel pool is resized to [`SchedulerConfig::threads_per_job`]
     /// threads (when set), anything else passes through.
     pub fn executor_kind(&self, base: ExecutorKind) -> ExecutorKind {
         match (base, self.threads_per_job) {
             (ExecutorKind::Parallel { .. }, t) if t > 0 => ExecutorKind::Parallel { threads: t },
             (kind, _) => kind,
+        }
+    }
+
+    /// This configuration as it applies to jobs of a `kind` executor:
+    /// `sim` is the one-worker configuration by definition, so the
+    /// per-job thread hint of [`SchedulerConfig::threads_for`] is switched
+    /// off for it — the scheduler itself only ever sees a built executor,
+    /// which cannot tell `sim` from a pool to be resized.
+    pub fn for_kind(self, kind: ExecutorKind) -> SchedulerConfig {
+        match kind {
+            ExecutorKind::Simulated => SchedulerConfig {
+                core_budget: 0,
+                ..self
+            },
+            ExecutorKind::Parallel { .. } => self,
         }
     }
 
@@ -243,7 +258,7 @@ impl DagScheduler {
     /// what the round-barrier path would produce for the source program.
     pub fn execute(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         dag: &JobDag,
     ) -> Result<ProgramStats> {
@@ -255,7 +270,7 @@ impl DagScheduler {
     /// Lower a program and execute it as a DAG.
     pub fn execute_program(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         program: MrProgram,
     ) -> Result<ProgramStats> {
@@ -267,7 +282,7 @@ impl DagScheduler {
     /// admission order.
     pub fn execute_many(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         submissions: &[Submission],
     ) -> Result<Vec<SubmissionReport>> {
@@ -298,7 +313,7 @@ impl DagScheduler {
     /// admission order. Returns per-DAG statistics and completion times.
     fn run(
         &self,
-        executor: &dyn Executor,
+        executor: &Executor,
         dfs: &dyn Dfs,
         dags: &[&JobDag],
         tenants: &[&str],
@@ -455,7 +470,12 @@ impl DagScheduler {
                             f.str("job", &node.job.name);
                             f.u64("threads", threads as u64);
                         });
-                        let outcome = (|| {
+                        // A panic in the chain (a mapper or reducer bug)
+                        // must come back as an error: unwinding this
+                        // worker past the bookkeeping below would leave
+                        // `running`/`remaining` stale and the other
+                        // workers waiting forever.
+                        let outcome = catch_job_panic(&node.job, || {
                             // The whole claimed execution runs under one
                             // "job" span on this worker's lane, so the
                             // plan/phase/commit spans nest beneath the
@@ -469,9 +489,9 @@ impl DagScheduler {
                                 }
                             });
                             let plan = plan_job(executor.config(), dfs, &node.job)?;
-                            let computed = executor.run_phases_with(&node.job, plan, threads)?;
+                            let computed = executor.run_phases(&node.job, plan, threads)?;
                             commit_job(executor.config(), dfs, &node.job, node.round, computed)
-                        })();
+                        });
 
                         let mut st = state.lock().expect("unpoisoned scheduler state");
                         st.running[j.sub] -= 1;
@@ -588,7 +608,7 @@ impl DagScheduler {
 mod tests {
     use super::*;
     use gumbo_common::{Fact, Relation, RelationName, Tuple};
-    use gumbo_mr::{EngineConfig, Job, JobConfig, Mapper, Message, Reducer, SimulatedExecutor};
+    use gumbo_mr::{EngineConfig, Job, JobConfig, Mapper, Message, Reducer};
     use gumbo_storage::SimDfs;
 
     /// Copies every input tuple to the job's single output relation.
@@ -630,8 +650,8 @@ mod tests {
         dfs
     }
 
-    fn executor() -> SimulatedExecutor {
-        SimulatedExecutor::new(EngineConfig::unscaled())
+    fn executor() -> Executor {
+        Executor::new(EngineConfig::unscaled())
     }
 
     /// R → X → Z and R → Y → Z: the diamond must end with Z built from
@@ -691,6 +711,73 @@ mod tests {
         // The DFS is shared in place, so even though the run failed the
         // completed job's output is visible.
         assert!(dfs.exists(&"X".into()));
+    }
+
+    /// A reducer panic must fail the run — with the job's name, bounded in
+    /// time, leaving no spill directory behind — on both execution paths.
+    /// Before the scheduler caught the unwind, the panicking worker died
+    /// without its completion bookkeeping and the rest of the pool waited
+    /// forever.
+    #[test]
+    fn panicking_reducer_fails_the_run_instead_of_hanging_it() {
+        struct Bomb;
+        impl Reducer for Bomb {
+            fn reduce(&self, _: &Tuple, _: &[Message], _: &mut dyn FnMut(&RelationName, Tuple)) {
+                panic!("reducer bomb");
+            }
+        }
+        const BOMB: &str = "bomb-under-the-scheduler";
+        let program = || {
+            let mut p = MrProgram::new();
+            p.push_round(vec![
+                Job {
+                    reducer: Box::new(Bomb),
+                    ..copy_job(BOMB, "R", "X")
+                },
+                copy_job("bystander", "S", "Y"),
+            ]);
+            p.push_job(copy_job("dependent", "X", "Z"));
+            p
+        };
+        // 256 B against a ~1.2 KB shuffle: the bomb's partition has spilled
+        // runs on disk when its reducer goes off.
+        let exec = Executor::new(EngineConfig {
+            mem_budget: gumbo_mr::MemBudget::bytes(256),
+            ..EngineConfig::unscaled()
+        });
+
+        let (done, outcome) = std::sync::mpsc::channel();
+        let scheduled = exec.clone();
+        thread::spawn(move || {
+            let sched = DagScheduler::new(SchedulerConfig {
+                max_concurrent_jobs: 2,
+                ..SchedulerConfig::default()
+            });
+            let result = sched.execute_program(&scheduled, &dfs_with(&["R", "S"]), program());
+            let _ = done.send(result.map(|_| ()));
+        });
+        let err = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scheduler hung after a reducer panic")
+            .unwrap_err();
+        assert!(err.to_string().contains(BOMB), "{err}");
+
+        let err = exec
+            .execute(&dfs_with(&["R", "S"]), &program())
+            .expect_err("the round barrier reports the panic as an error");
+        assert!(err.to_string().contains(BOMB), "{err}");
+
+        assert_eq!(exec.budget().used(), 0, "the unwinds released every charge");
+        let spill_root = std::env::var_os("GUMBO_SPILL_DIR")
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(std::env::temp_dir);
+        let ours = format!("gumbo-spill-{}-", std::process::id());
+        let leaked: Vec<_> = std::fs::read_dir(spill_root)
+            .unwrap()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&ours) && name.ends_with(BOMB))
+            .collect();
+        assert!(leaked.is_empty(), "leaked spill directories: {leaked:?}");
     }
 
     #[test]
@@ -762,7 +849,7 @@ mod tests {
         let dfs_barrier = dfs_with(&name_refs);
         let barrier = unlimited.execute(&dfs_barrier, &program()).unwrap();
         assert_eq!(barrier.spilled_bytes(), 0, "unlimited run never spills");
-        let budgeted = SimulatedExecutor::new(gumbo_mr::EngineConfig {
+        let budgeted = Executor::new(gumbo_mr::EngineConfig {
             mem_budget: MemBudget::bytes(512),
             ..gumbo_mr::EngineConfig::unscaled()
         });
@@ -878,8 +965,8 @@ mod tests {
             .map(|js| {
                 RoundStats::pooled(
                     std::iter::once(js),
-                    executor().config.cluster,
-                    executor().config.constants.job_overhead,
+                    executor().config().cluster,
+                    executor().config().constants.job_overhead,
                 )
                 .net_time()
             })
@@ -976,6 +1063,19 @@ mod tests {
         assert_eq!(
             SchedulerConfig::default().executor_kind(ExecutorKind::Simulated),
             ExecutorKind::Simulated
+        );
+        // `sim` stays single-threaded under the per-job thread hint.
+        let budgeted = SchedulerConfig {
+            core_budget: 16,
+            ..SchedulerConfig::default()
+        };
+        assert_eq!(
+            budgeted.for_kind(ExecutorKind::Simulated).threads_for(None),
+            0
+        );
+        assert_eq!(
+            budgeted.for_kind(ExecutorKind::Parallel { threads: 0 }),
+            budgeted
         );
         assert_eq!(
             SchedulerConfig {

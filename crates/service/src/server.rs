@@ -95,7 +95,7 @@ struct Outcome {
 /// State shared by the supervisor, handlers, and dispatchers.
 struct Shared {
     engine: GumboEngine,
-    runtime: Box<dyn Executor>,
+    runtime: Executor,
     dfs: Arc<dyn Dfs>,
     queue: AdmissionQueue<Work>,
     /// Set once a drain begins (shutdown request, handle, or signal).
@@ -160,7 +160,7 @@ impl Shared {
 }
 
 /// Start serving on `listener`. The engine's options decide the
-/// evaluation path (scheduler config, data plane, budget) exactly as
+/// evaluation path (scheduler config, budget) exactly as
 /// they do for one-shot evaluation; `dfs` holds the base relations and
 /// receives every committed output.
 pub fn serve(
@@ -172,7 +172,7 @@ pub fn serve(
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
-        runtime: engine.runtime(),
+        runtime: *engine.runtime(),
         engine,
         dfs,
         queue: AdmissionQueue::new(AdmissionConfig {
@@ -275,7 +275,7 @@ fn dispatch_loop(shared: &Shared) {
         let result = shared
             .engine
             .eval()
-            .on(&*shared.runtime)
+            .on(&shared.runtime)
             .run(&*shared.dfs, &entry.payload.query);
         let completed_ns = gumbo_obs::now_ns();
         let outcome = match result {

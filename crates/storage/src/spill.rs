@@ -11,8 +11,9 @@
 //!   alike — `cargo test` leaves no spill litter behind.
 //! * [`RunWriter`] / [`RunReader`] — length-prefixed binary frames,
 //!   buffered in both directions. Frames are opaque bytes here; the
-//!   encodings (the `(key, message)` pair codec and the columnar batch
-//!   frames) live next to those types in `gumbo-mr` and `gumbo-common`.
+//!   encodings (the shuffle's columnar batch frames, the durable DFS's
+//!   tuple segments) live next to those types in `gumbo-mr`,
+//!   `gumbo-common` and [`crate::file_dfs`].
 //! * [`FrameFormat`] — every frame is stored as
 //!   `[len u32][format u8][block]`, the format byte naming both the
 //!   payload kind (pair-encoded vs columnar batch) and whether the block
@@ -292,8 +293,8 @@ impl RunReader {
     }
 
     /// Read the next pair-encoded frame, or `None` at a clean end of
-    /// file. A columnar frame here means the file was written by the
-    /// other data plane — an error, never a misparse.
+    /// file. A columnar frame here means the file is a shuffle run, not
+    /// a pair-encoded segment — an error, never a misparse.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
         match self.next_tagged()? {
             None => Ok(None),

@@ -53,7 +53,7 @@ fn main() -> Result<()> {
     // SEQ: a chain of four semi-join jobs, pruning as it goes.
     let dfs = SimDfs::from_database(&db);
     let stats =
-        SeqStrategy::default().evaluate(&Engine::new(config), &dfs, workload.query.queries())?;
+        SeqStrategy::default().evaluate(&Executor::new(config), &dfs, workload.query.queries())?;
     report("SEQ", stats, &dfs)?;
 
     // PAR: four ungrouped MSJ jobs + EVAL.

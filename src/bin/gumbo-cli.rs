@@ -7,7 +7,7 @@
 //! gumbo-cli serve    [--listen ADDR] (--preset NAME [--tuples N] | --data DIR)
 //!                    [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!                    [--executor sim|parallel|parallel:N] [--max-jobs N]
-//!                    [--mem-budget BYTES|unlimited] [--data-plane pairs|columnar]
+//!                    [--mem-budget BYTES|unlimited]
 //!                    [--queue-cap N] [--inflight N] [--default-weight W]
 //!                    [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
 //! gumbo-cli query    [--addr ADDR] [--tenant NAME] [--weight W]
@@ -36,7 +36,6 @@
 //!           [--scheduler rounds|dag] [--max-jobs N]
 //!           [--placement fifo|sjf|cp] [--cores N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
-//!           [--data-plane pairs|columnar]
 //!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!           [--trace PATH] [--trace-format chrome|jsonl]
@@ -57,8 +56,8 @@
 //! `--placement` picks the ready-queue order (`fifo` arrival order,
 //! `sjf` shortest-estimated-job-first, `cp` critical-path) over the
 //! estimation layer's per-job cost annotations; `--cores N` sizes each
-//! job's worker pool from its estimate under a total-core budget (the
-//! parallel runtime only). All policies produce byte-identical results —
+//! job's worker pool from its estimate under a total-core budget
+//! (`parallel` executors only). All policies produce byte-identical results —
 //! scheduled runs additionally report the predicted DAG net time.
 //!
 //! `--mem-budget` bounds tracked shuffle memory (bytes, with optional
@@ -67,10 +66,6 @@
 //! `shuffle memory:` summary line (spilled bytes — raw and on-disk —
 //! run files, merge passes, peak) is printed after the run.
 //! `--spill-compress` RLE-block-compresses the run files on disk.
-//! `--data-plane` selects the shuffle representation: `columnar` (the
-//! default — batch arenas, dictionary-encoded strings, columnar spill
-//! frames) or `pairs` (the historical owned-pair plane). Answers and
-//! statistics are byte-identical either way.
 //! `--shuffle-filter` engages the Bloom-filtered semijoin shuffle:
 //! `bloom[:BITS]` filters every MSJ job (BITS bits per key, default 10),
 //! `auto[:BITS]` filters only jobs the planner predicts save more bytes
@@ -130,7 +125,6 @@ struct Args {
     cores: usize,
     mem_budget: gumbo::mr::MemBudget,
     spill_compress: bool,
-    data_plane: gumbo::mr::DataPlane,
     shuffle_filter: gumbo::mr::ShuffleFilterMode,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
@@ -151,7 +145,6 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      [--scheduler rounds|dag] [--max-jobs N] \
                      [--placement fifo|sjf|cp] [--cores N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
-                     [--data-plane pairs|columnar] \
                      [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                      [--trace PATH] [--trace-format chrome|jsonl] \
@@ -172,7 +165,6 @@ fn parse_args() -> Result<Args, String> {
         cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
         spill_compress: false,
-        data_plane: gumbo::mr::DataPlane::default(),
         shuffle_filter: gumbo::mr::ShuffleFilterMode::Off,
         dfs: DfsSpec::Sim,
         dfs_cache: None,
@@ -234,11 +226,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--cores: {e}"))?
             }
             "--spill-compress" => args.spill_compress = true,
-            "--data-plane" => {
-                let spec = need(&mut i, &argv)?;
-                args.data_plane = gumbo::mr::DataPlane::parse(&spec)
-                    .ok_or_else(|| format!("--data-plane: pairs|columnar, got {spec}"))?;
-            }
             "--shuffle-filter" => {
                 let spec = need(&mut i, &argv)?;
                 args.shuffle_filter =
@@ -496,7 +483,6 @@ fn run(args: Args) -> Result<(), String> {
         EngineConfig {
             scale: args.scale,
             cluster: Cluster::with_nodes(args.nodes),
-            data_plane: args.data_plane,
             ..EngineConfig::default()
         },
         args.executor,
@@ -532,7 +518,7 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     let runtime = engine.runtime();
-    let result = engine.eval().on(&*runtime).run(dfs, &query);
+    let result = engine.eval().on(&runtime).run(dfs, &query);
     // Uninstall *before* propagating errors so the trace file is always
     // finalized (the Chrome array closed) — a failed run's trace is
     // exactly the one worth loading into Perfetto.
@@ -716,7 +702,7 @@ const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
                            (--preset NAME [--tuples N] | --data DIR) \
                            [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                            [--executor sim|parallel|parallel:N] [--max-jobs N] \
-                           [--mem-budget BYTES|unlimited] [--data-plane pairs|columnar] \
+                           [--mem-budget BYTES|unlimited] \
                            [--queue-cap N] [--inflight N] [--default-weight W] \
                            [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
 
@@ -730,7 +716,6 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
     let mut executor = gumbo::mr::ExecutorKind::Simulated;
     let mut max_jobs = 4usize;
     let mut mem_budget = gumbo::mr::MemBudget::UNLIMITED;
-    let mut data_plane = gumbo::mr::DataPlane::default();
     let mut queue_cap = 64usize;
     let mut inflight = 2usize;
     let mut default_weight = 1.0f64;
@@ -786,11 +771,6 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
                     format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
                 })?;
             }
-            "--data-plane" => {
-                let spec = need(&mut i, argv)?;
-                data_plane = gumbo::mr::DataPlane::parse(&spec)
-                    .ok_or_else(|| format!("--data-plane: pairs|columnar, got {spec}"))?;
-            }
             "--queue-cap" => {
                 queue_cap = need(&mut i, argv)?
                     .parse()
@@ -844,14 +824,7 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
         }),
         ..EvalOptions::default()
     };
-    let engine = GumboEngine::with_executor(
-        EngineConfig {
-            data_plane,
-            ..EngineConfig::default()
-        },
-        executor,
-        options,
-    );
+    let engine = GumboEngine::with_executor(EngineConfig::default(), executor, options);
     gumbo::service::install_signal_drain();
     if let Some(path) = &trace {
         install_trace_sink(path, trace_format)?;

@@ -49,21 +49,22 @@
 //! | [`gumbo_sgf`] | SGF/BSGF ASTs, parser, dependency graphs, naive evaluator |
 //! | [`gumbo_storage`] | `Dfs` trait with simulated and durable file-segment backends, byte accounting, LRU block cache, sampling |
 //! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/JSONL/Chrome-trace sinks |
-//! | [`gumbo_mr`] | `Executor` trait with simulated + multi-threaded runtimes, job DAGs, cluster model, cost models |
+//! | [`gumbo_mr`] | the `Executor` (one metered map→shuffle→reduce pipeline on a worker pool), job DAGs, cluster model, cost models |
 //! | [`gumbo_sched`] | dependency-driven DAG scheduler, multi-tenant submissions |
 //! | [`gumbo_core`] | MSJ, EVAL, 1-ROUND fusion, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
 //! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
 //! | [`gumbo_datagen`] | the paper's workloads (A1–A5, B1/B2, C1–C4, sweeps) |
 //!
-//! ## Two runtimes
+//! ## One runtime, sized by a worker count
 //!
-//! Execution is routed through the [`mr::Executor`] trait. The default
-//! runtime is the deterministic metered **simulator** ([`mr::Engine`]);
-//! the **multi-threaded** runtime ([`mr::ParallelExecutor`]) runs map,
-//! shuffle and reduce tasks on a real worker pool and produces
-//! byte-identical answers and identical metered statistics. Select one
-//! with [`mr::ExecutorKind`]:
+//! Every job runs on the one [`mr::Executor`]: a metered
+//! map→shuffle→reduce pipeline on a worker pool whose answers and
+//! statistics are byte-identical at every worker count. The default
+//! sizing is `sim` — one worker, every phase inline on the calling
+//! thread, the reference configuration of the §5 experiments;
+//! `parallel[:N]` runs the same pipeline on a real pool. Select one with
+//! [`mr::ExecutorKind`]:
 //!
 //! ```
 //! use gumbo::prelude::*;
@@ -73,7 +74,7 @@
 //!     ExecutorKind::Parallel { threads: 4 },
 //!     EvalOptions::default(),
 //! );
-//! assert_eq!(engine.runtime().name(), "parallel");
+//! assert_eq!(engine.runtime().effective_threads(), 4);
 //! ```
 
 pub use gumbo_baselines as baselines;
@@ -100,9 +101,8 @@ pub mod prelude {
     };
     pub use gumbo_datagen::{DataSpec, Workload};
     pub use gumbo_mr::{
-        Cluster, CostConstants, CostModelKind, DataPlane, Engine, EngineConfig, Executor,
-        ExecutorKind, JobConfig, JobDag, JobEstimate, MrProgram, ParallelExecutor, ProgramStats,
-        SimulatedExecutor,
+        Cluster, CostConstants, CostModelKind, EngineConfig, Executor, ExecutorKind, JobConfig,
+        JobDag, JobEstimate, MrProgram, ProgramStats,
     };
     pub use gumbo_obs::{
         ChromeTraceSink, Counter, Gauge, JsonlSink, RingSink, TraceFormat, TraceSink,

@@ -11,13 +11,13 @@
 //!   round counts). Byte meters legitimately differ — that is the whole
 //!   point of the filter — so full stats equality is *not* asserted
 //!   across modes;
-//! - within the filtered mode, the full execution matrix `{pairs,
-//!   columnar} × {simulated, parallel} × {round barrier, DAG scheduler}
-//!   × {unlimited, 4 KiB budget}` must agree **exactly** with the
-//!   filtered reference: byte-identical DFS and identical statistics
-//!   including filter bytes, suppressed-message, probe, and
-//!   false-positive counts — the filter is deterministic across
-//!   runtimes, data planes, schedulers and memory budgets.
+//! - within the filtered mode, the full execution matrix `{sim,
+//!   parallel:4} × {round barrier, DAG scheduler} × {unlimited, 4 KiB
+//!   budget}` must agree **exactly** with the filtered reference:
+//!   byte-identical DFS and identical statistics including filter
+//!   bytes, suppressed-message, probe, and false-positive counts — the
+//!   filter is deterministic across worker counts, schedulers and
+//!   memory budgets.
 //!
 //! Separate tests pin down `auto` mode: it must match `bloom` exactly
 //! where the planner predicts a net win, skip filtering entirely where
@@ -50,7 +50,6 @@ fn presets() -> Vec<Workload> {
 
 fn engine(
     mode: ShuffleFilterMode,
-    plane: DataPlane,
     kind: ExecutorKind,
     dag: bool,
     budget: Option<u64>,
@@ -74,7 +73,6 @@ fn engine(
     GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
-            data_plane: plane,
             ..EngineConfig::default()
         },
         kind,
@@ -94,26 +92,14 @@ fn check_matrix(dag: bool) {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_plain = SimDfs::from_database(&db);
-        let stats_plain = engine(
-            ShuffleFilterMode::Off,
-            DataPlane::Pairs,
-            ExecutorKind::Simulated,
-            false,
-            None,
-        )
-        .evaluate(&dfs_plain, &workload.query)
-        .unwrap_or_else(|e| panic!("{} (unfiltered): {e}", workload.name));
+        let stats_plain = engine(ShuffleFilterMode::Off, ExecutorKind::Simulated, false, None)
+            .evaluate(&dfs_plain, &workload.query)
+            .unwrap_or_else(|e| panic!("{} (unfiltered): {e}", workload.name));
 
         let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = engine(
-            BLOOM,
-            DataPlane::Pairs,
-            ExecutorKind::Simulated,
-            false,
-            None,
-        )
-        .evaluate(&dfs_ref, &workload.query)
-        .unwrap_or_else(|e| panic!("{} (filtered reference): {e}", workload.name));
+        let stats_ref = engine(BLOOM, ExecutorKind::Simulated, false, None)
+            .evaluate(&dfs_ref, &workload.query)
+            .unwrap_or_else(|e| panic!("{} (filtered reference): {e}", workload.name));
 
         // Filtering may only remove messages that cannot contribute: the
         // answers (and the answer-shape statistics) never change.
@@ -142,42 +128,39 @@ fn check_matrix(dag: bool) {
         );
         total_suppressed += stats_ref.suppressed_messages();
 
-        for plane in [DataPlane::Pairs, DataPlane::Columnar] {
-            for kind in [
-                ExecutorKind::Simulated,
-                ExecutorKind::Parallel { threads: 4 },
-            ] {
-                for budget in [None, Some(BUDGET)] {
-                    let subject = engine(BLOOM, plane, kind, dag, budget);
-                    let runtime = subject.runtime();
-                    let dfs = SimDfs::from_database(&db);
-                    let label = format!(
-                        "{} (bloom, {}, {}, {}, budget {:?})",
-                        workload.name,
-                        plane.label(),
-                        kind.label(),
-                        if dag { "dag" } else { "rounds" },
-                        budget
-                    );
-                    let stats = subject
-                        .eval()
-                        .on(&*runtime)
-                        .run(&dfs, &workload.query)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        for kind in [
+            ExecutorKind::Simulated,
+            ExecutorKind::Parallel { threads: 4 },
+        ] {
+            for budget in [None, Some(BUDGET)] {
+                let subject = engine(BLOOM, kind, dag, budget);
+                let runtime = subject.runtime();
+                let dfs = SimDfs::from_database(&db);
+                let label = format!(
+                    "{} (bloom, {}, {}, budget {:?})",
+                    workload.name,
+                    kind.label(),
+                    if dag { "dag" } else { "rounds" },
+                    budget
+                );
+                let stats = subject
+                    .eval()
+                    .on(&runtime)
+                    .run(&dfs, &workload.query)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-                    gumbo::sched::assert_identical_dfs(&label, &dfs_ref, &dfs);
-                    gumbo::sched::assert_identical_stats(&label, &stats_ref, &stats);
-                    if let Some(limit) = budget {
-                        assert!(
-                            stats.spilled_bytes() > 0,
-                            "{label}: a {limit}-byte budget must force spilling"
-                        );
-                        assert!(
-                            runtime.budget().peak() <= limit,
-                            "{label}: tracked peak {} exceeded the budget",
-                            runtime.budget().peak()
-                        );
-                    }
+                gumbo::sched::assert_identical_dfs(&label, &dfs_ref, &dfs);
+                gumbo::sched::assert_identical_stats(&label, &stats_ref, &stats);
+                if let Some(limit) = budget {
+                    assert!(
+                        stats.spilled_bytes() > 0,
+                        "{label}: a {limit}-byte budget must force spilling"
+                    );
+                    assert!(
+                        runtime.budget().peak() <= limit,
+                        "{label}: tracked peak {} exceeded the budget",
+                        runtime.budget().peak()
+                    );
                 }
             }
         }
@@ -207,22 +190,16 @@ fn auto_matches_bloom_when_profitable() {
     let db = workload.spec.clone().with_tuples(300).database(7);
 
     let dfs_bloom = SimDfs::from_database(&db);
-    let stats_bloom = engine(
-        BLOOM,
-        DataPlane::Pairs,
-        ExecutorKind::Simulated,
-        false,
-        None,
-    )
-    .evaluate(&dfs_bloom, &workload.query)
-    .expect("bloom run");
+    let stats_bloom = engine(BLOOM, ExecutorKind::Simulated, false, None)
+        .evaluate(&dfs_bloom, &workload.query)
+        .expect("bloom run");
     assert!(
         stats_bloom.suppressed_messages() > 0,
         "A1 at default selectivity must suppress messages"
     );
 
     let dfs_auto = SimDfs::from_database(&db);
-    let stats_auto = engine(AUTO, DataPlane::Pairs, ExecutorKind::Simulated, false, None)
+    let stats_auto = engine(AUTO, ExecutorKind::Simulated, false, None)
         .evaluate(&dfs_auto, &workload.query)
         .expect("auto run");
 

@@ -1,23 +1,26 @@
-//! Concurrency smoke test: the parallel runtime's output must not depend
-//! on its worker count or on OS scheduling.
+//! Concurrency smoke test: the executor's output must not depend on its
+//! worker count or on OS scheduling.
 //!
-//! The same program runs with 1, 4 and 16 worker threads (and repeatedly
-//! at the highest contention level); any nondeterminism in the shuffle
-//! ordering or the reduce merge would show up as diverging relations or
-//! statistics.
+//! The same program runs on the one-worker `sim` reference and on pools
+//! of 1, 4 and 16 worker threads (and repeatedly at the highest
+//! contention level); any nondeterminism in the shuffle ordering or the
+//! reduce merge would show up as diverging relations or statistics.
 
 use gumbo::datagen::queries;
 use gumbo::mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo::prelude::*;
 
-fn run_with(threads: usize, workload: &gumbo::datagen::Workload) -> (Vec<String>, ProgramStats) {
+fn run_with(
+    kind: ExecutorKind,
+    workload: &gumbo::datagen::Workload,
+) -> (Vec<String>, ProgramStats) {
     let db = workload.spec.database(11);
     let engine = GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
             ..EngineConfig::default()
         },
-        ExecutorKind::Parallel { threads },
+        kind,
         EvalOptions::default(),
     );
     let dfs = SimDfs::from_database(&db);
@@ -40,9 +43,9 @@ fn run_with(threads: usize, workload: &gumbo::datagen::Workload) -> (Vec<String>
 fn thread_count_does_not_change_results() {
     // An 8-conditional fan-out keeps many map and reduce tasks in flight.
     let workload = queries::a3_family(8).with_tuples(500);
-    let (baseline, base_stats) = run_with(1, &workload);
-    for threads in [4usize, 16] {
-        let (rendered, stats) = run_with(threads, &workload);
+    let (baseline, base_stats) = run_with(ExecutorKind::Simulated, &workload);
+    for threads in [1usize, 4, 16] {
+        let (rendered, stats) = run_with(ExecutorKind::Parallel { threads }, &workload);
         assert_eq!(baseline, rendered, "outputs diverged at {threads} threads");
         assert_eq!(base_stats.num_jobs(), stats.num_jobs());
         assert!((base_stats.net_time() - stats.net_time()).abs() < 1e-9);
@@ -55,9 +58,10 @@ fn repeated_high_contention_runs_are_stable() {
     // Rerun the 16-thread configuration several times: scheduling noise
     // across runs must never leak into results.
     let workload = queries::b1().with_tuples(300);
-    let (first, _) = run_with(16, &workload);
+    let crowded = ExecutorKind::Parallel { threads: 16 };
+    let (first, _) = run_with(crowded, &workload);
     for _ in 0..3 {
-        let (again, _) = run_with(16, &workload);
+        let (again, _) = run_with(crowded, &workload);
         assert_eq!(first, again);
     }
 }

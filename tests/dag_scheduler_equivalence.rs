@@ -116,7 +116,7 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
         let dfs_dag = SimDfs::from_database(&db);
         let stats_dag = budgeted
             .eval()
-            .on(&*runtime)
+            .on(&runtime)
             .run(&dfs_dag, &workload.query)
             .unwrap_or_else(|e| panic!("{} (dag, budgeted): {e}", workload.name));
 

@@ -2,10 +2,10 @@
 //! observationally identical to the in-memory simulated DFS.
 //!
 //! For every `datagen` query preset (A1–A5, B1/B2 and the nested C1–C4
-//! programs of Figure 6), a single reference run — sim backend, pair
-//! plane, round barrier — is compared against **both** backends across
+//! programs of Figure 6), a single reference run — sim backend, round
+//! barrier — is compared against **both** backends across
 //!
-//! `{sim, file} × {round barrier, DAG scheduler} × {pairs, columnar}`
+//! `{sim, file} × {round barrier, DAG scheduler}`
 //!
 //! requiring byte-identical answer relations (every file left in the
 //! DFS), identical logical I/O meters (`bytes_read` / `bytes_written`
@@ -46,7 +46,7 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-fn engine(plane: DataPlane, dag: bool) -> GumboEngine {
+fn engine(dag: bool) -> GumboEngine {
     let mut options = EvalOptions::default();
     if dag {
         options.scheduler = Some(SchedulerConfig {
@@ -57,7 +57,6 @@ fn engine(plane: DataPlane, dag: bool) -> GumboEngine {
     GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
-            data_plane: plane,
             ..EngineConfig::default()
         },
         ExecutorKind::Simulated,
@@ -65,46 +64,39 @@ fn engine(plane: DataPlane, dag: bool) -> GumboEngine {
     )
 }
 
-/// Run every (backend, plane) combination on one scheduling path and
-/// compare each against the sim-backend reference run.
+/// Run both backends on one scheduling path and compare each against the
+/// sim-backend reference run.
 fn check_matrix(dag: bool) {
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
 
         let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = engine(DataPlane::Pairs, false)
+        let stats_ref = engine(false)
             .evaluate(&dfs_ref, &workload.query)
             .unwrap_or_else(|e| panic!("{} (reference): {e}", workload.name));
 
         for backend in ["sim", "file"] {
-            for plane in [DataPlane::Pairs, DataPlane::Columnar] {
-                let label = format!(
-                    "{} ({backend}, {}, {})",
-                    workload.name,
-                    plane.label(),
-                    if dag { "dag" } else { "rounds" },
-                );
-                let root = temp_root(&format!(
-                    "{}-{backend}-{}-{dag}",
-                    workload.name,
-                    plane.label()
-                ));
-                let dfs: Box<dyn Dfs> = match backend {
-                    "sim" => Box::new(SimDfs::from_database(&db)),
-                    _ => Box::new(
-                        FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db)
-                            .unwrap_or_else(|e| panic!("{label}: {e}")),
-                    ),
-                };
-                let stats = engine(plane, dag)
-                    .evaluate(&*dfs, &workload.query)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let label = format!(
+                "{} ({backend}, {})",
+                workload.name,
+                if dag { "dag" } else { "rounds" },
+            );
+            let root = temp_root(&format!("{}-{backend}-{dag}", workload.name));
+            let dfs: Box<dyn Dfs> = match backend {
+                "sim" => Box::new(SimDfs::from_database(&db)),
+                _ => Box::new(
+                    FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db)
+                        .unwrap_or_else(|e| panic!("{label}: {e}")),
+                ),
+            };
+            let stats = engine(dag)
+                .evaluate(&*dfs, &workload.query)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-                gumbo::sched::assert_identical_dfs(&label, &dfs_ref, &*dfs);
-                gumbo::sched::assert_identical_stats(&label, &stats_ref, &stats);
-                drop(dfs);
-                let _ = std::fs::remove_dir_all(&root);
-            }
+            gumbo::sched::assert_identical_dfs(&label, &dfs_ref, &*dfs);
+            gumbo::sched::assert_identical_stats(&label, &stats_ref, &stats);
+            drop(dfs);
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }
@@ -130,9 +122,7 @@ fn file_dfs_restarts_from_durable_state() {
 
     let snapshot: Vec<(gumbo::common::RelationName, std::sync::Arc<Relation>)> = {
         let dfs = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap();
-        engine(DataPlane::default(), false)
-            .evaluate(&dfs, &workload.query)
-            .unwrap();
+        engine(false).evaluate(&dfs, &workload.query).unwrap();
         dfs.flush().unwrap();
         dfs.file_names()
             .into_iter()
@@ -172,16 +162,12 @@ fn tiny_block_cache_evicts_without_changing_answers() {
     let db = workload.spec.clone().with_tuples(400).database(SEED);
 
     let dfs_sim = SimDfs::from_database(&db);
-    let stats_sim = engine(DataPlane::default(), false)
-        .evaluate(&dfs_sim, &workload.query)
-        .unwrap();
+    let stats_sim = engine(false).evaluate(&dfs_sim, &workload.query).unwrap();
 
     let root = temp_root("evict");
     // 2 KiB holds less than one decoded frame of most relations here.
     let dfs_file = FileDfs::from_database(&root, 2048, &db).unwrap();
-    let stats_file = engine(DataPlane::default(), false)
-        .evaluate(&dfs_file, &workload.query)
-        .unwrap();
+    let stats_file = engine(false).evaluate(&dfs_file, &workload.query).unwrap();
 
     let cache = dfs_file.cache_stats();
     assert!(

@@ -1,9 +1,9 @@
-//! Cross-runtime equivalence: the multi-threaded [`ParallelExecutor`] and
-//! the deterministic simulator must be observationally identical.
+//! Worker-count equivalence: a `parallel` worker pool and the one-worker
+//! `sim` reference configuration must be observationally identical.
 //!
 //! For every `datagen` query preset (the paper's full suite: A1–A5, the
 //! large B1/B2 queries and the nested C1–C4 programs of Figure 6), both
-//! runtimes evaluate the same database and must produce
+//! configurations evaluate the same database and must produce
 //!
 //! * byte-identical answer relations — every file left in the DFS, final
 //!   outputs and intermediates alike;
@@ -129,7 +129,7 @@ fn tiny_budget_spilling_is_observationally_identical_on_every_preset() {
     // A 4 KiB budget is far below every preset's shuffle footprint at 300
     // tuples: every job spills, many with multiple runs. Answer relations
     // must stay byte-identical to the unlimited simulated run and every
-    // non-spill statistic must match, on both runtimes — and the tracked
+    // non-spill statistic must match, at either worker count — and the tracked
     // shuffle memory must never exceed the budget.
     const BUDGET: u64 = 4096;
     for workload in presets() {
@@ -151,7 +151,7 @@ fn tiny_budget_spilling_is_observationally_identical_on_every_preset() {
             let dfs = SimDfs::from_database(&db);
             let stats = budgeted
                 .eval()
-                .on(&*runtime)
+                .on(&runtime)
                 .run(&dfs, &workload.query)
                 .unwrap_or_else(|e| panic!("{} ({}, budgeted): {e}", workload.name, kind.label()));
 
@@ -173,8 +173,8 @@ fn tiny_budget_spilling_is_observationally_identical_on_every_preset() {
 
 #[test]
 fn parallel_runtime_matches_naive_reference_on_a3() {
-    // Independent ground truth: the parallel runtime agrees not just with
-    // the simulator but with the direct semantics.
+    // Independent ground truth: the worker pool agrees not just with
+    // `sim` but with the direct semantics.
     let workload = queries::a3().with_tuples(400);
     let db = workload.spec.database(3);
     let expected = NaiveEvaluator::new()

@@ -161,7 +161,7 @@ fn example4_all_figure2_plans() {
     ]);
     let expected = NaiveEvaluator::new().evaluate_bsgf(&q, &d).unwrap();
     let ctx = QueryContext::new(vec![q]).unwrap();
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
     for groups in [
         vec![vec![0], vec![1], vec![2]],
         vec![vec![0, 2], vec![1]],

@@ -29,7 +29,7 @@ fn estimates_track_measured_costs() {
         64,
         3,
     );
-    let engine = Engine::new(EngineConfig {
+    let engine = Executor::new(EngineConfig {
         scale,
         ..EngineConfig::default()
     });
@@ -105,7 +105,7 @@ fn estimator_preserves_cost_orderings() {
 #[test]
 fn pairwise_ranking_accuracy_is_high() {
     let scale = 25_000;
-    let engine = Engine::new(EngineConfig {
+    let engine = Executor::new(EngineConfig {
         scale,
         ..EngineConfig::default()
     });

@@ -1,7 +1,7 @@
 //! Service-level equivalence: answers streamed by the resident query
 //! service (`gumbo::service`) must be **byte-identical** to direct
 //! engine evaluation, for every query preset, both storage backends,
-//! both data planes, and under concurrent multi-tenant load.
+//! and under concurrent multi-tenant load.
 //!
 //! Also covered here: the drain invariant (a shutdown mid-workload
 //! loses zero accepted submissions), restart durability for a
@@ -39,13 +39,10 @@ fn temp_root(tag: &str) -> PathBuf {
 }
 
 /// The engine both sides of every comparison use: DAG scheduler (the
-/// service's production path), selectable data plane.
-fn engine(plane: DataPlane) -> GumboEngine {
+/// service's production path).
+fn engine() -> GumboEngine {
     GumboEngine::with_executor(
-        EngineConfig {
-            data_plane: plane,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         ExecutorKind::Simulated,
         EvalOptions {
             scheduler: Some(SchedulerConfig {
@@ -59,9 +56,9 @@ fn engine(plane: DataPlane) -> GumboEngine {
 
 /// Direct evaluation: every output relation (intermediates included),
 /// in the query's output order.
-fn direct_answers(db: &Database, query: &SgfQuery, plane: DataPlane) -> Vec<Relation> {
+fn direct_answers(db: &Database, query: &SgfQuery) -> Vec<Relation> {
     let dfs = SimDfs::from_database(db);
-    engine(plane).evaluate(&dfs, query).unwrap();
+    engine().evaluate(&dfs, query).unwrap();
     query
         .output_names()
         .iter()
@@ -69,9 +66,9 @@ fn direct_answers(db: &Database, query: &SgfQuery, plane: DataPlane) -> Vec<Rela
         .collect()
 }
 
-fn start_server(dfs: Arc<dyn Dfs>, plane: DataPlane, config: ServeConfig) -> ServerHandle {
+fn start_server(dfs: Arc<dyn Dfs>, config: ServeConfig) -> ServerHandle {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    serve(listener, dfs, engine(plane), config).unwrap()
+    serve(listener, dfs, engine(), config).unwrap()
 }
 
 fn assert_same_relations(label: &str, got: &[Relation], want: &[Relation]) {
@@ -99,10 +96,10 @@ fn assert_same_relations(label: &str, got: &[Relation], want: &[Relation]) {
 fn streamed_answers_match_direct_evaluation_for_every_preset() {
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
-        let want = direct_answers(&db, &workload.query, DataPlane::default());
+        let want = direct_answers(&db, &workload.query);
 
         let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::from_database(&db));
-        let handle = start_server(dfs, DataPlane::default(), ServeConfig::default());
+        let handle = start_server(dfs, ServeConfig::default());
         let addr = handle.addr();
         let sgf = workload.query.to_string();
 
@@ -137,36 +134,34 @@ fn streamed_answers_match_direct_evaluation_for_every_preset() {
     }
 }
 
-/// Backend × data-plane matrix on representative presets (one flat, one
-/// nested): the service serves byte-identical answers from the durable
-/// file store and from both shuffle planes.
+/// Both backends on representative presets (one flat, one nested): the
+/// service serves byte-identical answers from the in-memory and the
+/// durable file store.
 #[test]
-fn both_backends_and_planes_serve_identical_answers() {
+fn both_backends_serve_identical_answers() {
     for workload in [queries::a1(), queries::c1()] {
         let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
-        // One reference: answers are backend- and plane-invariant.
-        let want = direct_answers(&db, &workload.query, DataPlane::Pairs);
+        // One reference: answers are backend-invariant.
+        let want = direct_answers(&db, &workload.query);
         let sgf = workload.query.to_string();
 
         for backend in ["sim", "file"] {
-            for plane in [DataPlane::Pairs, DataPlane::Columnar] {
-                let label = format!("{} ({backend}, {})", workload.name, plane.label());
-                let root = temp_root(&format!("{}-{backend}-{}", workload.name, plane.label()));
-                let dfs: Arc<dyn Dfs> = match backend {
-                    "sim" => Arc::new(SimDfs::from_database(&db)),
-                    _ => Arc::new(FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap()),
-                };
-                let handle = start_server(dfs, plane, ServeConfig::default());
-                let mut client = ServiceClient::connect(handle.addr()).unwrap();
-                let reply = client
-                    .query("matrix", None, &sgf)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_same_relations(&label, &reply.relations, &want);
-                let (accepted, completed) = client.shutdown().unwrap();
-                assert_eq!((accepted, completed), (1, 1), "{label}");
-                handle.join();
-                let _ = std::fs::remove_dir_all(&root);
-            }
+            let label = format!("{} ({backend})", workload.name);
+            let root = temp_root(&format!("{}-{backend}", workload.name));
+            let dfs: Arc<dyn Dfs> = match backend {
+                "sim" => Arc::new(SimDfs::from_database(&db)),
+                _ => Arc::new(FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap()),
+            };
+            let handle = start_server(dfs, ServeConfig::default());
+            let mut client = ServiceClient::connect(handle.addr()).unwrap();
+            let reply = client
+                .query("matrix", None, &sgf)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_same_relations(&label, &reply.relations, &want);
+            let (accepted, completed) = client.shutdown().unwrap();
+            assert_eq!((accepted, completed), (1, 1), "{label}");
+            handle.join();
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }
@@ -179,14 +174,13 @@ fn drain_mid_workload_completes_every_accepted_submission() {
     const CLIENTS: usize = 6;
     let workload = queries::a2();
     let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
-    let want = direct_answers(&db, &workload.query, DataPlane::default());
+    let want = direct_answers(&db, &workload.query);
 
     let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::from_database(&db));
     // One dispatcher: submissions queue up behind each other, so the
     // shutdown below genuinely races a non-empty backlog.
     let handle = start_server(
         dfs,
-        DataPlane::default(),
         ServeConfig {
             max_in_flight: 1,
             ..ServeConfig::default()
@@ -245,7 +239,7 @@ fn file_backed_service_survives_restart() {
     let first = {
         let dfs: Arc<dyn Dfs> =
             Arc::new(FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap());
-        let handle = start_server(dfs, DataPlane::default(), ServeConfig::default());
+        let handle = start_server(dfs, ServeConfig::default());
         let mut client = ServiceClient::connect(handle.addr()).unwrap();
         let reply = client.query("durable", None, &sgf).unwrap();
         client.shutdown().unwrap();
@@ -269,7 +263,7 @@ fn file_backed_service_survives_restart() {
             rel.name(),
         );
     }
-    let handle = start_server(reopened, DataPlane::default(), ServeConfig::default());
+    let handle = start_server(reopened, ServeConfig::default());
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
     let reply = client.query("durable", None, &sgf).unwrap();
     assert_same_relations("after restart", &reply.relations, &first);
@@ -285,7 +279,7 @@ fn protocol_errors_and_liveness() {
     let workload = queries::a1();
     let db = workload.spec.clone().with_tuples(50).database(SEED);
     let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::from_database(&db));
-    let handle = start_server(dfs, DataPlane::default(), ServeConfig::default());
+    let handle = start_server(dfs, ServeConfig::default());
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
 
     client.ping().unwrap();

@@ -35,7 +35,7 @@ fn run(salts: u32, reducers: usize) -> (SimDfs, gumbo::mr::JobStats) {
         ..JobConfig::default()
     };
     let job = build_msj_job_salted(&ctx(), &[0], PayloadMode::Full, config, salts);
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
     let stats = engine.execute_job(&dfs, &job, 0).unwrap();
     (dfs, stats)
 }
@@ -106,7 +106,7 @@ fn default_builder_is_unsalted() {
     let db = skewed_db(50);
     let d1 = SimDfs::from_database(&db);
     let d2 = SimDfs::from_database(&db);
-    let engine = Engine::new(EngineConfig::unscaled());
+    let engine = Executor::new(EngineConfig::unscaled());
     let j1 = build_msj_job(&ctx(), &[0], PayloadMode::Full, JobConfig::default());
     let j2 = build_msj_job_salted(&ctx(), &[0], PayloadMode::Full, JobConfig::default(), 1);
     let s1 = engine.execute_job(&d1, &j1, 0).unwrap();

@@ -209,7 +209,7 @@ proptest! {
         let queries = query.queries().to_vec();
         for name in ["hpar", "hpars", "ppar"] {
             let dfs = SimDfs::from_database(&db);
-            let engine = Engine::new(cfg);
+            let engine = Executor::new(cfg);
             match name {
                 "hpar" => HiveSim::hpar().evaluate(&engine, &dfs, &queries).map(|_| ()),
                 "hpars" => HiveSim::hpars().evaluate(&engine, &dfs, &queries).map(|_| ()),
@@ -223,7 +223,7 @@ proptest! {
         // SEQ where the condition is in DNF (skip otherwise).
         let dfs = SimDfs::from_database(&db);
         if SeqStrategy::default()
-            .evaluate(&Engine::new(cfg), &dfs, &queries)
+            .evaluate(&Executor::new(cfg), &dfs, &queries)
             .is_ok()
         {
             let got = dfs.peek(&"Zout".into()).unwrap();

@@ -1,8 +1,8 @@
 //! Tracing smoke tests: the observability plane must tell the truth.
 //!
 //! Three properties are pinned down across the whole execution matrix
-//! (every datagen preset × both executors × both scheduling paths ×
-//! both data planes):
+//! (every datagen preset × `sim` and a worker pool × both scheduling
+//! paths):
 //!
 //! * **balance** — on every worker lane, span Begin/End events bracket
 //!   like parentheses with matching names, and nothing is left open;
@@ -10,9 +10,9 @@
 //!   exactly each job's `JobStats::spilled_bytes`, and every estimated
 //!   job's `commit` span carries the same estimated/observed cost pair
 //!   as the stats it committed (the calibration ledger);
-//! * **crash-consistency** — a panic inside an instrumented phase still
-//!   closes every span (marked `aborted`) and the Chrome exporter
-//!   still produces a well-formed JSON document.
+//! * **crash-consistency** — a panic inside an instrumented phase fails
+//!   the job, still closes every span (marked `aborted`) and the Chrome
+//!   exporter still produces a well-formed JSON document.
 //!
 //! The tracer is process-global, so every test here serializes on one
 //! mutex and uninstalls before asserting.
@@ -110,14 +110,12 @@ fn traced_run(
     workload: &gumbo::datagen::Workload,
     executor: ExecutorKind,
     scheduler: Option<SchedulerConfig>,
-    plane: gumbo::mr::DataPlane,
     budget: gumbo::mr::MemBudget,
 ) -> (Vec<Event>, ProgramStats) {
     let db = workload.spec.clone().with_tuples(120).database(11);
     let engine = GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
-            data_plane: plane,
             ..EngineConfig::default()
         },
         executor,
@@ -137,8 +135,7 @@ fn traced_run(
     (ring.events(), stats)
 }
 
-/// Every preset × executor × scheduler × data plane leaves a balanced
-/// trace with one `job` span and one full phase set per executed job.
+/// Every preset × executor × scheduler leaves a balanced trace with one `job` span and one full phase set per executed job.
 #[test]
 fn spans_balance_across_the_execution_matrix() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
@@ -154,70 +151,67 @@ fn spans_balance_across_the_execution_matrix() {
                     ..SchedulerConfig::default()
                 }),
             ] {
-                for plane in [gumbo::mr::DataPlane::Pairs, gumbo::mr::DataPlane::Columnar] {
-                    let scheduled = scheduler.is_some();
-                    let label = format!(
-                        "{} ({}, {}, {plane:?})",
-                        workload.name,
-                        executor.label(),
-                        if scheduled { "dag" } else { "rounds" },
-                    );
-                    let (events, stats) = traced_run(
-                        &workload,
-                        executor,
-                        scheduler,
-                        plane,
-                        gumbo::mr::MemBudget::UNLIMITED,
-                    );
-                    assert_balanced(&label, &events);
-                    let begins = |name: &str| {
-                        events
-                            .iter()
-                            .filter(|e| e.kind == EventKind::Begin && e.name == name)
-                            .count()
-                    };
-                    let jobs = stats.num_jobs();
-                    for phase in ["job", "plan", "map", "shuffle:flush", "reduce", "commit"] {
-                        assert_eq!(
-                            begins(phase),
-                            jobs,
-                            "{label}: expected one {phase:?} span per job"
-                        );
-                    }
-                    let claims = events
+                let scheduled = scheduler.is_some();
+                let label = format!(
+                    "{} ({}, {})",
+                    workload.name,
+                    executor.label(),
+                    if scheduled { "dag" } else { "rounds" },
+                );
+                let (events, stats) = traced_run(
+                    &workload,
+                    executor,
+                    scheduler,
+                    gumbo::mr::MemBudget::UNLIMITED,
+                );
+                assert_balanced(&label, &events);
+                let begins = |name: &str| {
+                    events
                         .iter()
-                        .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
-                        .count();
-                    if scheduled {
-                        assert_eq!(claims, jobs, "{label}: one claim per scheduled job");
-                        // Nesting: each job span opens on the lane that
-                        // just emitted its claim, so the most recent
-                        // claim on that lane names the same job.
-                        for begin in events
+                        .filter(|e| e.kind == EventKind::Begin && e.name == name)
+                        .count()
+                };
+                let jobs = stats.num_jobs();
+                for phase in ["job", "plan", "map", "shuffle:flush", "reduce", "commit"] {
+                    assert_eq!(
+                        begins(phase),
+                        jobs,
+                        "{label}: expected one {phase:?} span per job"
+                    );
+                }
+                let claims = events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
+                    .count();
+                if scheduled {
+                    assert_eq!(claims, jobs, "{label}: one claim per scheduled job");
+                    // Nesting: each job span opens on the lane that
+                    // just emitted its claim, so the most recent
+                    // claim on that lane names the same job.
+                    for begin in events
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
+                    {
+                        let (idx, job_span) = begin;
+                        let claim = events[..idx]
                             .iter()
-                            .enumerate()
-                            .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
-                        {
-                            let (idx, job_span) = begin;
-                            let claim = events[..idx]
-                                .iter()
-                                .rev()
-                                .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
-                                .unwrap_or_else(|| {
-                                    panic!("{label}: job span without a prior claim on its lane")
-                                });
-                            assert_eq!(
-                                field_str(claim, "job"),
-                                field_str(job_span, "job"),
-                                "{label}: job span nests under a different job's claim"
-                            );
-                        }
-                    } else {
+                            .rev()
+                            .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
+                            .unwrap_or_else(|| {
+                                panic!("{label}: job span without a prior claim on its lane")
+                            });
                         assert_eq!(
-                            claims, 0,
-                            "{label}: no scheduler events on the barrier path"
+                            field_str(claim, "job"),
+                            field_str(job_span, "job"),
+                            "{label}: job span nests under a different job's claim"
                         );
                     }
+                } else {
+                    assert_eq!(
+                        claims, 0,
+                        "{label}: no scheduler events on the barrier path"
+                    );
                 }
             }
         }
@@ -226,86 +220,84 @@ fn spans_balance_across_the_execution_matrix() {
 
 /// Under a spill-forcing budget, the `spill:run` spans' byte fields sum
 /// to exactly each job's `spilled_bytes`, and the `commit` ledger
-/// matches the stats' estimated/observed costs — on both data planes.
+/// matches the stats' estimated/observed costs.
 #[test]
 fn spill_spans_and_commit_ledger_reconcile_with_job_stats() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let workload = queries::a3();
-    for plane in [gumbo::mr::DataPlane::Pairs, gumbo::mr::DataPlane::Columnar] {
-        let (events, stats) = traced_run(
-            &workload,
-            ExecutorKind::Simulated,
-            Some(SchedulerConfig::default()),
-            plane,
-            gumbo::mr::MemBudget::bytes(4096),
-        );
-        assert!(
-            stats.spilled_bytes() > 0,
-            "{plane:?}: the 4 KiB budget must force spilling"
-        );
+    let (events, stats) = traced_run(
+        &workload,
+        ExecutorKind::Simulated,
+        Some(SchedulerConfig::default()),
+        gumbo::mr::MemBudget::bytes(4096),
+    );
+    assert!(
+        stats.spilled_bytes() > 0,
+        "the 4 KiB budget must force spilling"
+    );
 
-        // Per-job reconciliation: spill:run Begin events carry the exact
-        // increment each flush applied to the job's spilled_bytes.
-        let mut traced_bytes: HashMap<&str, u64> = HashMap::new();
-        for event in events
-            .iter()
-            .filter(|e| e.kind == EventKind::Begin && e.name == "spill:run")
-        {
-            let job = field_str(event, "job").expect("spill:run spans carry the job label");
-            let bytes = field_u64(event, "bytes").expect("spill:run spans carry a byte count");
-            *traced_bytes.entry(job).or_default() += bytes;
-        }
-        for job in &stats.jobs {
-            assert_eq!(
-                traced_bytes.get(job.name.as_str()).copied().unwrap_or(0),
-                job.spilled_bytes,
-                "{plane:?}: spill:run bytes disagree with stats for job {}",
-                job.name
-            );
-        }
-
-        // The calibration ledger: every estimated job's commit span ends
-        // with the same estimated/observed pair as its JobStats.
-        for job in &stats.jobs {
-            let commit = events
-                .iter()
-                .find(|e| {
-                    e.kind == EventKind::End
-                        && e.name == "commit"
-                        && field_str(e, "job") == Some(job.name.as_str())
-                })
-                .unwrap_or_else(|| panic!("{plane:?}: no commit span for job {}", job.name));
-            assert_eq!(
-                field_f64(commit, "observed_cost"),
-                Some(job.total_cost),
-                "{plane:?}: observed cost mismatch for {}",
-                job.name
-            );
-            assert_eq!(
-                field_f64(commit, "estimated_cost"),
-                job.estimated_cost,
-                "{plane:?}: estimated cost mismatch for {}",
-                job.name
-            );
-            if let Some(expected) = job.estimate_error() {
-                let traced = field_f64(commit, "estimate_error")
-                    .unwrap_or_else(|| panic!("{plane:?}: {} has no ledger ratio", job.name));
-                assert!(
-                    (traced - expected).abs() < 1e-12,
-                    "{plane:?}: estimate_error {traced} vs {expected} for {}",
-                    job.name
-                );
-            }
-        }
-        assert!(
-            stats.jobs.iter().any(|j| j.estimated_cost.is_some()),
-            "{plane:?}: planner-built jobs must carry estimates"
+    // Per-job reconciliation: spill:run Begin events carry the exact
+    // increment each flush applied to the job's spilled_bytes.
+    let mut traced_bytes: HashMap<&str, u64> = HashMap::new();
+    for event in events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name == "spill:run")
+    {
+        let job = field_str(event, "job").expect("spill:run spans carry the job label");
+        let bytes = field_u64(event, "bytes").expect("spill:run spans carry a byte count");
+        *traced_bytes.entry(job).or_default() += bytes;
+    }
+    for job in &stats.jobs {
+        assert_eq!(
+            traced_bytes.get(job.name.as_str()).copied().unwrap_or(0),
+            job.spilled_bytes,
+            "spill:run bytes disagree with stats for job {}",
+            job.name
         );
     }
+
+    // The calibration ledger: every estimated job's commit span ends
+    // with the same estimated/observed pair as its JobStats.
+    for job in &stats.jobs {
+        let commit = events
+            .iter()
+            .find(|e| {
+                e.kind == EventKind::End
+                    && e.name == "commit"
+                    && field_str(e, "job") == Some(job.name.as_str())
+            })
+            .unwrap_or_else(|| panic!("no commit span for job {}", job.name));
+        assert_eq!(
+            field_f64(commit, "observed_cost"),
+            Some(job.total_cost),
+            "observed cost mismatch for {}",
+            job.name
+        );
+        assert_eq!(
+            field_f64(commit, "estimated_cost"),
+            job.estimated_cost,
+            "estimated cost mismatch for {}",
+            job.name
+        );
+        if let Some(expected) = job.estimate_error() {
+            let traced = field_f64(commit, "estimate_error")
+                .unwrap_or_else(|| panic!("{} has no ledger ratio", job.name));
+            assert!(
+                (traced - expected).abs() < 1e-12,
+                "estimate_error {traced} vs {expected} for {}",
+                job.name
+            );
+        }
+    }
+    assert!(
+        stats.jobs.iter().any(|j| j.estimated_cost.is_some()),
+        "planner-built jobs must carry estimates"
+    );
 }
 
-/// A reducer that panics mid-phase: spans still close (marked aborted)
-/// and the Chrome trace file remains one well-formed JSON array.
+/// A reducer that panics mid-phase: the job fails with an error, spans
+/// still close (marked aborted) and the Chrome trace file remains one
+/// well-formed JSON array.
 #[test]
 fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
@@ -352,12 +344,10 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     let chrome = gumbo::obs::ChromeTraceSink::create(&path).unwrap();
     gumbo::obs::install(Arc::new(chrome));
     let executor = ExecutorKind::Simulated.build(EngineConfig::default());
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let dfs = SimDfs::from_database(&db);
-        executor.execute(&dfs, &program)
-    }));
+    let outcome = executor.execute(&SimDfs::from_database(&db), &program);
     gumbo::obs::uninstall();
-    assert!(outcome.is_err(), "the bomb must actually go off");
+    let err = outcome.expect_err("the bomb must actually go off");
+    assert!(err.to_string().contains("bomb"), "{err}");
 
     let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
