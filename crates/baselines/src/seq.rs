@@ -18,6 +18,7 @@ use gumbo_core::oneround::build_same_key_job;
 use gumbo_core::semijoin::{identity_vars, QueryContext};
 use gumbo_core::{BsgfSetPlan, PayloadMode};
 use gumbo_mr::{Executor, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer};
+use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_sgf::{Atom, BsgfQuery, Condition, Term, Var};
 use gumbo_storage::Dfs;
 
@@ -67,7 +68,7 @@ impl SeqStrategy {
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
         let program = self.build_program(queries)?;
-        executor.execute(dfs, &program)
+        DagScheduler::new(SchedulerConfig::ONE_SLOT).execute_program(executor, dfs, program)
     }
 
     /// Decompose a condition into disjunctive branches of literal

@@ -22,6 +22,7 @@ use gumbo_core::eval::build_eval_job;
 use gumbo_core::semijoin::QueryContext;
 use gumbo_core::PayloadMode;
 use gumbo_mr::{Executor, JobConfig, MrProgram, ProgramStats, ReducerPolicy};
+use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_sgf::BsgfQuery;
 use gumbo_storage::Dfs;
 
@@ -91,7 +92,8 @@ impl HiveSim {
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
         let ctx = QueryContext::new(queries.to_vec())?;
-        executor.execute(dfs, &self.build_program(&ctx)?)
+        let program = self.build_program(&ctx)?;
+        DagScheduler::new(SchedulerConfig::ONE_SLOT).execute_program(executor, dfs, program)
     }
 }
 
@@ -141,7 +143,8 @@ impl PigSim {
         queries: &[BsgfQuery],
     ) -> Result<ProgramStats> {
         let ctx = QueryContext::new(queries.to_vec())?;
-        executor.execute(dfs, &self.build_program(&ctx)?)
+        let program = self.build_program(&ctx)?;
+        DagScheduler::new(SchedulerConfig::ONE_SLOT).execute_program(executor, dfs, program)
     }
 }
 

@@ -9,6 +9,7 @@ use gumbo_core::oneround::build_same_key_job;
 use gumbo_core::{PayloadMode, QueryContext};
 use gumbo_datagen::queries;
 use gumbo_mr::{EngineConfig, Executor, JobConfig, MrProgram};
+use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_storage::SimDfs;
 
 const TUPLES: usize = 5_000;
@@ -26,7 +27,7 @@ fn msj_group_sizes(c: &mut Criterion) {
             b.iter(|| {
                 let dfs = SimDfs::from_database(&db);
                 let job = build_msj_job(&ctx, &ids, PayloadMode::Reference, JobConfig::default());
-                engine.execute_job(&dfs, &job, 0).unwrap()
+                engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
             });
         });
     }
@@ -48,7 +49,7 @@ fn payload_modes(c: &mut Criterion) {
             b.iter(|| {
                 let dfs = SimDfs::from_database(&db);
                 let job = build_msj_job(&ctx, &[0, 1, 2, 3], mode, JobConfig::default());
-                engine.execute_job(&dfs, &job, 0).unwrap()
+                engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
             });
         });
     }
@@ -68,14 +69,14 @@ fn eval_job(c: &mut Criterion) {
         PayloadMode::Reference,
         JobConfig::default(),
     );
-    engine.execute_job(&base, &msj, 0).unwrap();
+    engine.execute_job(&base, &msj, 0, 0, None).unwrap();
     let prepared = base.to_database();
 
     c.bench_function("eval_job", |b| {
         b.iter(|| {
             let dfs = SimDfs::from_database(&prepared);
             let job = build_eval_job(&ctx, PayloadMode::Reference, JobConfig::default());
-            engine.execute_job(&dfs, &job, 0).unwrap()
+            engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
         });
     });
 }
@@ -85,6 +86,7 @@ fn one_round_vs_two_round(c: &mut Criterion) {
     let db = w.spec.database(1);
     let ctx = QueryContext::new(w.query.queries().to_vec()).unwrap();
     let engine = Executor::new(EngineConfig::unscaled());
+    let scheduler = DagScheduler::new(SchedulerConfig::ONE_SLOT);
 
     let mut group = c.benchmark_group("a3_pipeline");
     group.bench_function("one_round", |b| {
@@ -92,7 +94,7 @@ fn one_round_vs_two_round(c: &mut Criterion) {
             let dfs = SimDfs::from_database(&db);
             let mut program = MrProgram::new();
             program.push_job(build_same_key_job(&ctx, JobConfig::default()).unwrap());
-            engine.execute(&dfs, &program).unwrap()
+            scheduler.execute_program(&engine, &dfs, program).unwrap()
         });
     });
     group.bench_function("two_round", |b| {
@@ -110,7 +112,7 @@ fn one_round_vs_two_round(c: &mut Criterion) {
                 PayloadMode::Reference,
                 JobConfig::default(),
             ));
-            engine.execute(&dfs, &program).unwrap()
+            scheduler.execute_program(&engine, &dfs, program).unwrap()
         });
     });
     group.finish();

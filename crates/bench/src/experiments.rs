@@ -235,7 +235,7 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
                 PayloadMode::Reference,
                 JobConfig::default(),
             );
-            let measured = executor.execute_job(&dfs, &job, 0)?.total_cost;
+            let measured = executor.execute_job(&dfs, &job, 0, 0, None)?.total_cost;
             jobs.push((cg, cw, measured));
         }
     }
@@ -996,17 +996,17 @@ pub fn dfs(cfg: &RunConfig) -> Result<()> {
     Ok(())
 }
 
-/// DAG scheduler vs round barrier: real wall-clock on multi-tenant
-/// workloads of independent SGF queries.
+/// Job-slot sweep: real wall-clock of a multi-tenant workload of
+/// independent SGF queries at 1, 2, 4 and 8 job slots.
 ///
 /// Every client submits an A3-shaped query over its own renamed copy of
-/// the relations, so the workload is embarrassingly schedulable — yet the
-/// round-barrier path runs the clients' jobs strictly one after another,
-/// while the DAG scheduler overlaps up to `max_concurrent_jobs` of them.
-/// Both paths produce byte-identical DFS contents and identical per-job
-/// statistics (asserted on every run); only the wall clock differs. Two
-/// sweeps are reported and written to `BENCH_dagsched.json`: pool size at
-/// a fixed client count, and client count at a fixed pool.
+/// the relations, so the workload is embarrassingly schedulable: at one
+/// slot the clients' jobs run strictly one after another on the calling
+/// thread, at more slots the scheduler overlaps up to that many of them.
+/// Every run must leave the DFS contents and per-job statistics of the
+/// serial reference loop ([`gumbo_sched::serial_reference`], asserted);
+/// only the wall clock differs. Rows — wall and speed-up relative to the
+/// one-slot row — are written to `BENCH_dagsched.json`.
 pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     use crate::report::{write_bench_json, Json};
     use gumbo_core::{EvalOptions, Grouping, GumboEngine};
@@ -1015,12 +1015,14 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     use gumbo_sgf::SgfQuery;
     use std::time::Instant;
 
-    print_header("DAG scheduler — wall-clock, dependency-driven vs round barrier");
+    const CLIENTS: usize = 8;
+
+    print_header("Job slots — wall-clock of independent queries at 1/2/4/8 slots");
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "available hardware parallelism: {hw} core(s); {} guard tuples per client",
+        "available hardware parallelism: {hw} core(s); {CLIENTS} clients, {} guard tuples each",
         cfg.tuples
     );
 
@@ -1041,14 +1043,17 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     );
 
     // One independent query per client over per-client relation names.
-    let client_query = |i: usize| -> SgfQuery {
-        gumbo_sgf::parse_program(&format!(
-            "Out{i} := SELECT (x, y, z, w) FROM R{i}(x, y, z, w) \
-             WHERE S{i}(x) AND T{i}(x) AND U{i}(x) AND V{i}(x);"
-        ))
-        .expect("client query parses")
-    };
-    let client_database = |i: usize| -> gumbo_common::Database {
+    let queries: Vec<SgfQuery> = (0..CLIENTS)
+        .map(|i| {
+            gumbo_sgf::parse_program(&format!(
+                "Out{i} := SELECT (x, y, z, w) FROM R{i}(x, y, z, w) \
+                 WHERE S{i}(x) AND T{i}(x) AND U{i}(x) AND V{i}(x);"
+            ))
+            .expect("client query parses")
+        })
+        .collect();
+    let mut combined = gumbo_common::Database::new();
+    for i in 0..CLIENTS {
         let guard = format!("R{i}");
         let conds = [
             format!("S{i}"),
@@ -1057,12 +1062,15 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             format!("V{i}"),
         ];
         let cond_refs: Vec<(&str, usize)> = conds.iter().map(|c| (c.as_str(), 1)).collect();
-        DataSpec::new(&[(guard.as_str(), 4)], &cond_refs)
+        let db = DataSpec::new(&[(guard.as_str(), 4)], &cond_refs)
             .with_tuples(cfg.tuples)
             .with_selectivity(cfg.selectivity)
-            .database(cfg.seed + i as u64)
-    };
-    let build_programs = |queries: &[SgfQuery], dfs: &SimDfs| -> Result<Vec<gumbo_mr::MrProgram>> {
+            .database(cfg.seed + i as u64);
+        for rel in db.relations() {
+            combined.add_relation(rel.clone());
+        }
+    }
+    let build_programs = |dfs: &SimDfs| -> Result<Vec<gumbo_mr::MrProgram>> {
         queries
             .iter()
             .map(|q| {
@@ -1080,93 +1088,59 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             .collect()
     };
 
-    // One measured comparison: `clients` independent queries, round
-    // barrier vs DAG pool of `max_jobs`. Returns (rounds s, dag s, jobs).
-    let run_pair = |clients: usize, max_jobs: usize| -> Result<(f64, f64, usize)> {
-        let queries: Vec<SgfQuery> = (0..clients).map(client_query).collect();
-        let mut combined = gumbo_common::Database::new();
-        for i in 0..clients {
-            for rel in client_database(i).relations() {
-                combined.add_relation(rel.clone());
-            }
-        }
-        // Round-barrier path: client programs run back to back, each with
-        // a barrier after every round.
-        let executor = cfg.executor.build(engine_cfg);
-        let dfs_rounds = SimDfs::from_database(&combined);
-        let programs = build_programs(&queries, &dfs_rounds)?;
-        let start = Instant::now();
-        let mut rounds_stats = Vec::with_capacity(clients);
-        for program in &programs {
-            rounds_stats.push(executor.execute(&dfs_rounds, program)?);
-        }
-        let rounds_wall = start.elapsed().as_secs_f64();
+    // The oracle: client programs back to back on the serial round loop.
+    let executor = cfg.executor.build(engine_cfg);
+    let dfs_serial = SimDfs::from_database(&combined);
+    let serial_stats = build_programs(&dfs_serial)?
+        .iter()
+        .map(|program| gumbo_sched::serial_reference(&executor, &dfs_serial, program))
+        .collect::<Result<Vec<_>>>()?;
 
-        // DAG path: all clients admitted at once, jobs start the moment
-        // their inputs are materialized. The per-job executor is resized
-        // through the scheduler config (parallelism comes from running
-        // jobs concurrently, not from per-job worker pools).
+    println!(
+        "{:>6} {:>6} {:>10} {:>9}",
+        "slots", "jobs", "wall (s)", "speedup"
+    );
+    let mut rows: Vec<Json> = Vec::new();
+    let mut one_slot_wall = None;
+    for slots in [1usize, 2, 4, 8] {
+        // All clients admitted at once; jobs start the moment their
+        // inputs are materialized and a slot is free.
         let scheduler = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: max_jobs,
-            ..SchedulerConfig::default()
+            max_concurrent_jobs: slots,
+            ..SchedulerConfig::ONE_SLOT
         });
-        let dag_executor = scheduler
-            .config
-            .executor_kind(cfg.executor)
-            .build(engine_cfg);
-        let dfs_dag = SimDfs::from_database(&combined);
-        let programs = build_programs(&queries, &dfs_dag)?;
-        let submissions: Vec<Submission> = programs
+        let dfs = SimDfs::from_database(&combined);
+        let submissions: Vec<Submission> = build_programs(&dfs)?
             .into_iter()
             .enumerate()
             .map(|(i, p)| Submission::new(format!("client{i}"), p))
             .collect();
         let start = Instant::now();
-        let reports = scheduler.execute_many(&dag_executor, &dfs_dag, &submissions)?;
-        let dag_wall = start.elapsed().as_secs_f64();
+        let reports = scheduler.execute_many(&executor, &dfs, &submissions)?;
+        let wall = start.elapsed().as_secs_f64();
 
         // Equivalence: byte-identical DFS contents, identical per-job and
-        // per-round statistics — the scheduler may only move wall clock.
-        gumbo_sched::assert_identical_dfs("dagsched", &dfs_rounds, &dfs_dag);
+        // per-round statistics — slots may only move wall clock.
+        let label = format!("dagsched x{slots}");
+        gumbo_sched::assert_identical_dfs(&label, &dfs_serial, &dfs);
         let mut jobs = 0;
-        for (barrier, report) in rounds_stats.iter().zip(&reports) {
-            gumbo_sched::assert_identical_stats(&report.tenant, barrier, &report.stats);
+        for (serial, report) in serial_stats.iter().zip(&reports) {
+            gumbo_sched::assert_identical_stats(&report.tenant, serial, &report.stats);
             jobs += report.stats.num_jobs();
         }
-        Ok((rounds_wall, dag_wall, jobs))
-    };
-
-    println!(
-        "{:<22} {:>8} {:>9} {:>6} {:>11} {:>11} {:>9}",
-        "sweep", "clients", "max-jobs", "jobs", "rounds(s)", "dag(s)", "speedup"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    let mut measure = |sweep: &str, clients: usize, max_jobs: usize| -> Result<()> {
-        let (rounds_wall, dag_wall, jobs) = run_pair(clients, max_jobs)?;
-        let speedup = rounds_wall / dag_wall.max(1e-12);
-        println!(
-            "{sweep:<22} {clients:>8} {max_jobs:>9} {jobs:>6} {rounds_wall:>11.3} {dag_wall:>11.3} {speedup:>8.2}x"
-        );
+        let speedup = *one_slot_wall.get_or_insert(wall) / wall.max(1e-12);
+        println!("{slots:>6} {jobs:>6} {wall:>10.3} {speedup:>8.2}x");
         rows.push(Json::obj([
-            ("sweep", Json::Str(sweep.into())),
-            ("clients", Json::Int(clients as u64)),
-            ("max_jobs", Json::Int(max_jobs as u64)),
+            ("slots", Json::Int(slots as u64)),
             ("jobs", Json::Int(jobs as u64)),
-            ("rounds_wall_s", Json::Num(rounds_wall)),
-            ("dag_wall_s", Json::Num(dag_wall)),
-            ("speedup", Json::Num(speedup)),
+            ("wall_s", Json::Num(wall)),
+            ("speedup_vs_one_slot", Json::Num(speedup)),
         ]));
-        Ok(())
-    };
-    for max_jobs in [1usize, 2, 4, 8] {
-        measure("pool @ 8 clients", 8, max_jobs)?;
-    }
-    for clients in [2usize, 4, 16] {
-        measure("clients @ 4-job pool", clients, 4)?;
     }
 
     let report = Json::obj([
         ("experiment", Json::Str("dagsched".into())),
+        ("clients", Json::Int(CLIENTS as u64)),
         ("tuples_per_client", Json::Int(cfg.tuples as u64)),
         ("scale", Json::Int(cfg.scale)),
         ("nodes", Json::Int(cfg.nodes as u64)),
@@ -1183,12 +1157,12 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
 /// Placement policies × pool sizes over the datagen presets.
 ///
 /// For every preset (A1–A5, B1/B2, C1–C4) the same database is evaluated
-/// once on the round-barrier path (the reference) and then under the DAG
-/// scheduler for each placement policy (`fifo`, `sjf`, `cp`) at each
-/// pool size. Every scheduled run is asserted byte-identical to the
-/// reference — placement may only move the wall clock. The recorded rows
-/// (real wall, per-round net time, and the estimation layer's predicted
-/// DAG net time) go to `BENCH_placement.json`.
+/// under each placement policy (`fifo`, `sjf`, `cp`) at each pool size.
+/// The first run — `fifo` at one slot, jobs in round order on the calling
+/// thread — is the reference every other run is asserted byte-identical
+/// to: placement may only move the wall clock. The recorded rows (real
+/// wall, per-round net time, and the estimation layer's predicted DAG net
+/// time) go to `BENCH_placement.json`.
 pub fn placement(cfg: &RunConfig) -> Result<()> {
     use crate::report::{write_bench_json, Json};
     use gumbo_core::{EvalOptions, GumboEngine};
@@ -1230,12 +1204,8 @@ pub fn placement(cfg: &RunConfig) -> Result<()> {
     let mut rows: Vec<Json> = Vec::new();
     for w in &presets {
         let db = w.spec.clone().with_tuples(cfg.tuples).database(cfg.seed);
-
-        // Round-barrier reference: the answers every policy must match.
-        let reference =
-            GumboEngine::with_executor(engine_cfg, cfg.executor, EvalOptions::default());
-        let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = reference.evaluate(&dfs_ref, &w.query)?;
+        // The first run (fifo, one slot): the answers every run must match.
+        let mut reference: Option<(SimDfs, gumbo_mr::ProgramStats)> = None;
 
         for policy in PlacementPolicy::ALL {
             for pool in pools {
@@ -1258,11 +1228,13 @@ pub fn placement(cfg: &RunConfig) -> Result<()> {
                 let wall = start.elapsed().as_secs_f64();
 
                 let label = format!("{} {} x{pool}", w.name, policy.label());
-                gumbo_sched::assert_identical_dfs(&label, &dfs_ref, &dfs);
-                gumbo_sched::assert_identical_stats(&label, &stats_ref, &stats);
+                if let Some((dfs_ref, stats_ref)) = &reference {
+                    gumbo_sched::assert_identical_dfs(&label, dfs_ref, &dfs);
+                    gumbo_sched::assert_identical_stats(&label, stats_ref, &stats);
+                }
                 let predicted = stats
                     .predicted_net_time
-                    .expect("scheduled runs report a predicted DAG net time");
+                    .expect("every run reports a predicted DAG net time");
 
                 println!(
                     "{:<8} {:<6} {:>5} {wall:>10.3} {:>12.1} {predicted:>14.1} {:>6}",
@@ -1282,6 +1254,7 @@ pub fn placement(cfg: &RunConfig) -> Result<()> {
                     ("jobs", Json::Int(stats.num_jobs() as u64)),
                     ("rounds", Json::Int(stats.num_rounds() as u64)),
                 ]));
+                reference.get_or_insert((dfs, stats));
             }
         }
     }

@@ -76,11 +76,16 @@ pub struct EvalOptions {
     pub sample_size: usize,
     /// Sampling seed.
     pub seed: u64,
-    /// When set, planned programs execute on the dependency-driven DAG
-    /// scheduler (jobs start the moment their inputs are materialized,
-    /// bounded by `max_concurrent_jobs`) instead of the round barrier.
-    /// Answer relations and per-job statistics are identical either way;
-    /// only real wall-clock changes.
+    /// How the scheduler that runs every planned program is sized: job
+    /// slots, placement policy, per-job core budget. `None` means
+    /// [`SchedulerConfig::ONE_SLOT`] — jobs run inline on the calling
+    /// thread, one after another in round order. Answer relations and
+    /// per-job statistics are identical at every setting; only real
+    /// wall-clock changes.
+    ///
+    /// An `Option` (and `SchedulerConfig` keeps `threads_per_job` and
+    /// `mem_budget`) only because `benchmark/`, which is frozen between
+    /// benchmark PRs, writes `scheduler: Some(SchedulerConfig { .. })`.
     pub scheduler: Option<SchedulerConfig>,
     /// Shuffle memory budget (`--mem-budget` on the CLI). When limited,
     /// it overrides [`gumbo_mr::EngineConfig::mem_budget`] for the
@@ -88,8 +93,7 @@ pub struct EvalOptions {
     /// shared tracker and per-reducer buffers spill sorted runs to disk
     /// rather than exceed it. Answer relations and all non-spill
     /// statistics are identical to unlimited execution. A limited
-    /// [`SchedulerConfig::mem_budget`] takes precedence on the scheduled
-    /// path.
+    /// [`SchedulerConfig::mem_budget`] takes precedence.
     pub mem_budget: gumbo_mr::MemBudget,
     /// Block-cache budget, in bytes, for durable DFS backends
     /// (`--dfs-cache` on the CLI). The engine itself never constructs a
@@ -130,12 +134,6 @@ impl EvalOptions {
     /// Builder-style: set the shuffle memory budget.
     pub fn with_mem_budget(mut self, budget: gumbo_mr::MemBudget) -> Self {
         self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: route execution through the DAG scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = Some(scheduler);
         self
     }
 
@@ -192,9 +190,14 @@ impl GumboEngine {
         GumboEngine::new(EngineConfig::default(), EvalOptions::default())
     }
 
-    /// The runtime this engine executes on. Under a scheduler, a
-    /// parallel pool is resized to the configured threads-per-job (the
-    /// scheduler supplies inter-job parallelism, so per-job pools shrink).
+    /// The scheduler configuration every planned program runs under.
+    fn scheduler(&self) -> SchedulerConfig {
+        self.options.scheduler.unwrap_or(SchedulerConfig::ONE_SLOT)
+    }
+
+    /// The runtime this engine executes on. A parallel pool is resized
+    /// to the scheduler's threads-per-job when that is set (the scheduler
+    /// supplies inter-job parallelism, so per-job pools shrink).
     ///
     /// The shuffle memory budget resolves outermost-wins: a limited
     /// [`SchedulerConfig::mem_budget`] beats a limited
@@ -211,36 +214,24 @@ impl GumboEngine {
         if self.options.shuffle_filter != gumbo_mr::ShuffleFilterMode::Off {
             config.shuffle_filter = self.options.shuffle_filter;
         }
-        let kind = match self.options.scheduler {
-            Some(sched) => {
-                config = sched.engine_config(config);
-                sched.executor_kind(self.executor)
-            }
-            None => self.executor,
-        };
-        Box::new(kind.build(config))
+        let sched = self.scheduler();
+        let config = sched.engine_config(config);
+        Box::new(sched.executor_kind(self.executor).build(config))
     }
 
-    /// Execute one planned program on the configured path: the
-    /// dependency-driven DAG scheduler when [`EvalOptions::scheduler`] is
-    /// set, the round barrier otherwise.
+    /// Execute one planned program on the dependency-driven scheduler.
     fn execute_program(
         &self,
         runtime: &Executor,
         dfs: &dyn Dfs,
         program: MrProgram,
     ) -> Result<ProgramStats> {
-        let span = gumbo_obs::span_with("execute", |f| {
+        let sched = self.scheduler().for_kind(self.executor);
+        let _span = gumbo_obs::span_with("execute", |f| {
             f.u64("jobs", program.num_jobs() as u64);
-            f.bool("dag", self.options.scheduler.is_some());
+            f.u64("slots", sched.effective_workers() as u64);
         });
-        let result = match self.options.scheduler {
-            Some(config) => DagScheduler::new(config.for_kind(self.executor))
-                .execute_program(runtime, dfs, program),
-            None => runtime.execute(dfs, &program),
-        };
-        drop(span);
-        result
+        DagScheduler::new(sched).execute_program(runtime, dfs, program)
     }
 
     fn estimator<'a>(&self, dfs: &'a dyn Dfs) -> Estimator<'a> {
@@ -432,7 +423,7 @@ impl GumboEngine {
             // Plan against live statistics: earlier groups are
             // materialized. The chosen plan's jobs are annotated with
             // their estimates (the shared estimation layer) before
-            // execution, so the scheduled path can place by cost.
+            // execution, so the scheduler can place by cost.
             let program = {
                 let est = self.estimator(dfs);
                 let plan = self.plan_group(&est, &ctx)?;
@@ -638,7 +629,7 @@ mod tests {
                 ),
             ),
             ("greedy+parallel-runtime", parallel),
-            ("greedy+dag-scheduler", scheduled),
+            ("greedy+four-job-slots", scheduled),
         ]
     }
 
@@ -722,6 +713,24 @@ mod tests {
             .evaluate_bsgf(&ctx.queries()[0], &db)
             .unwrap();
         assert_eq!(dfs.peek(&"Z".into()).unwrap().as_ref(), &expected);
+    }
+
+    /// Options that name no scheduler run on one job slot, on the executor
+    /// the engine's kind and budget describe — the scheduler's own sizing
+    /// knobs stay out of it.
+    #[test]
+    fn no_scheduler_option_means_one_slot_on_the_engines_own_runtime() {
+        let budget = gumbo_mr::MemBudget::bytes(4096);
+        let engine = GumboEngine::with_executor(
+            EngineConfig::unscaled(),
+            ExecutorKind::Parallel { threads: 3 },
+            EvalOptions::default().with_mem_budget(budget),
+        );
+        assert_eq!(engine.scheduler(), SchedulerConfig::ONE_SLOT);
+        assert_eq!(engine.scheduler().effective_workers(), 1);
+        let runtime = engine.runtime();
+        assert_eq!(runtime.effective_threads(), 3);
+        assert_eq!(runtime.config().mem_budget, budget);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! round-order flattening of the program is always a valid topological
 //! order of the resulting DAG, and any other topological order produces
 //! byte-identical DFS contents — which is what lets the dependency-driven
-//! scheduler in `gumbo-sched` overlap jobs from different rounds without
-//! changing a single answer byte.
+//! scheduler in `gumbo-sched`, the one way programs execute, run jobs in
+//! round order at one job slot and overlap jobs from different rounds at
+//! several, without changing a single answer byte.
 //!
 //! Edges are *conflict* edges over the flattened job sequence: an earlier
 //! job is a dependency of a later one iff they touch a common relation
@@ -22,11 +23,11 @@
 //! * **write → write** (output dependency): the last writer's file must
 //!   survive.
 //!
-//! Jobs of one round never conflict in practice (the round-barrier
-//! executor runs them against the same DFS snapshot), but if they do, the
-//! in-round execution order is preserved by the same rule — sequential
-//! consistency with the barrier runtime is never lost, only relaxed where
-//! provably safe.
+//! Jobs of one round never conflict in practice (the paper's plans read
+//! one DFS snapshot per round), but if they do, the in-round execution
+//! order is preserved by the same rule — sequential consistency with the
+//! serial reference loop ([`crate::Executor::execute`]) is never lost,
+//! only relaxed where provably safe.
 
 use std::collections::BTreeSet;
 
@@ -38,7 +39,7 @@ use crate::program::MrProgram;
 
 /// One node of a [`JobDag`]: a job plus its dependency wiring and the
 /// round it occupied in the source program (kept so per-job statistics and
-/// per-round wall-clock accounting stay identical to barrier execution).
+/// per-round wall-clock accounting stay identical to serial execution).
 #[derive(Debug)]
 pub struct DagNode {
     /// The job to execute.

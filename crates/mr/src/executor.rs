@@ -1,5 +1,10 @@
-//! The [`Executor`]: one job/program execution contract, one
-//! map→shuffle→reduce pipeline, parameterised only by a worker count.
+//! The [`Executor`]: one job execution contract
+//! ([`Executor::execute_job`]), one map→shuffle→reduce pipeline,
+//! parameterised only by a worker count. *Programs* are run by the
+//! scheduler in `gumbo-sched`, which calls `execute_job` for each job the
+//! moment its inputs exist; the round-by-round loop kept here
+//! ([`Executor::execute`]) is the serial reference that scheduler is
+//! tested against, not a second way to run.
 //!
 //! The paper's algorithms are defined against an abstract MapReduce
 //! substrate (§3.2); this module pins that substrate down so the query
@@ -199,7 +204,7 @@ impl TaskRoutes {
 /// still drops everything the chain held — spans close flagged aborted,
 /// budget charges are released, the spill directory is removed — so the
 /// caller gets an `Err` and nothing leaks.
-pub fn catch_job_panic<T>(job: &Job, chain: impl FnOnce() -> Result<T>) -> Result<T> {
+fn catch_job_panic<T>(job: &Job, chain: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(chain)).unwrap_or_else(|payload| {
         let reason = payload
             .downcast_ref::<&str>()
@@ -221,13 +226,11 @@ pub fn catch_job_panic<T>(job: &Job, chain: impl FnOnce() -> Result<T>) -> Resul
 /// the same [`JobStats`], whatever the internal scheduling. The worker
 /// count only decides **where** each map/shuffle/reduce task runs.
 ///
-/// Job execution is split into three phases so that concurrent schedulers
-/// (the DAG scheduler in `gumbo-sched`) can interleave jobs on a shared
-/// DFS: [`plan_job`] reads the inputs (shared access suffices — planning
-/// owns its fact snapshots), [`Executor::run_phases`] does the
-/// map/shuffle/reduce compute without touching the DFS at all, and
-/// [`commit_job`] stores the outputs (exclusive access).
-/// [`Executor::execute_job`] chains the three.
+/// [`Executor::execute_job`] is the one way a job runs. It chains three
+/// phases so that the scheduler in `gumbo-sched` can run jobs
+/// concurrently on a shared DFS: planning reads the inputs (it owns its
+/// fact snapshots), the map/shuffle/reduce compute never touches the DFS,
+/// and the commit stores the outputs.
 ///
 /// Executors are `Send + Sync`: the scheduler shares one executor across
 /// its worker threads. Clones share the memory-budget tracker, so a
@@ -285,13 +288,11 @@ impl Executor {
     }
 
     /// Run the map, shuffle and reduce phases of a planned job on
-    /// `threads` workers (`0` = this executor's own sizing; the DAG
-    /// scheduler passes a per-job count derived from the job's cost
-    /// estimate under its total-core budget). This is the pure compute
-    /// part — no DFS access. Observational identity holds for any thread
-    /// count, so per-job sizing can never change answers or metered
-    /// statistics.
-    pub fn run_phases(&self, job: &Job, mut plan: MapPlan, threads: usize) -> Result<ComputedJob> {
+    /// `threads` workers (`0` = this executor's own sizing). This is the
+    /// pure compute part — no DFS access. Observational identity holds for
+    /// any thread count, so per-job sizing can never change answers or
+    /// metered statistics.
+    fn run_phases(&self, job: &Job, mut plan: MapPlan, threads: usize) -> Result<ComputedJob> {
         let workers = if threads > 0 {
             threads
         } else {
@@ -379,29 +380,55 @@ impl Executor {
         })
     }
 
-    /// Execute a single job: map → shuffle → reduce, with full metering.
-    /// A panicking mapper or reducer surfaces as an error, not an unwind
+    /// Execute a single job: plan → map → shuffle → reduce → commit, with
+    /// full metering, on `threads` workers (`0` = this executor's own
+    /// sizing; the scheduler passes a per-job count derived from the job's
+    /// cost estimate under its total-core budget). `tenant` labels the
+    /// `job` span with the submission the scheduler ran the job for. A
+    /// panicking mapper or reducer surfaces as an error, not an unwind
     /// into the caller.
-    pub fn execute_job(&self, dfs: &dyn Dfs, job: &Job, round: usize) -> Result<JobStats> {
+    pub fn execute_job(
+        &self,
+        dfs: &dyn Dfs,
+        job: &Job,
+        round: usize,
+        threads: usize,
+        tenant: Option<&str>,
+    ) -> Result<JobStats> {
         catch_job_panic(job, || {
+            // The whole execution runs under one "job" span on the calling
+            // lane, so the plan/phase/commit spans nest beneath it.
             let _span = gumbo_obs::span_with("job", |f| {
+                if let Some(tenant) = tenant {
+                    f.str("tenant", tenant);
+                }
                 f.str("job", &job.name);
                 f.u64("round", round as u64);
+                if let Some(e) = &job.estimate {
+                    f.f64("estimated_cost", e.total_cost);
+                }
             });
             let plan = plan_job(&self.config, dfs, job)?;
-            let computed = self.run_phases(job, plan, 0)?;
+            let computed = self.run_phases(job, plan, threads)?;
             commit_job(&self.config, dfs, job, round, computed)
         })
     }
 
-    /// Execute a program round by round against the DFS, returning the
-    /// paper's four metrics plus per-job detail.
+    /// The serial reference semantics the scheduler must reproduce: every
+    /// job of round *r*, one after another in program order, before any
+    /// job of round *r + 1*, with per-round statistics pooled as the paper
+    /// prices them (§3.3).
+    ///
+    /// This is the oracle, not a way to run programs: production code
+    /// executes through `gumbo_sched::DagScheduler` (one job slot gives
+    /// this order), and only tests and `gumbo_sched::equivalence` call
+    /// this loop to check the scheduler against it.
     pub fn execute(&self, dfs: &dyn Dfs, program: &MrProgram) -> Result<ProgramStats> {
         let mut stats = ProgramStats::default();
         for (round_idx, round) in program.rounds().iter().enumerate() {
             let mut round_jobs = Vec::with_capacity(round.len());
             for job in round {
-                round_jobs.push(self.execute_job(dfs, job, round_idx)?);
+                round_jobs.push(self.execute_job(dfs, job, round_idx, 0, None)?);
             }
             stats.round_stats.push(RoundStats::pooled(
                 round_jobs.iter(),
@@ -489,7 +516,7 @@ pub(crate) struct MapTaskSpec {
 /// borrow of the DFS instance, which is what lets a concurrent
 /// scheduler run [`Executor::run_phases`] without holding any storage
 /// lock. All read metering already happened at [`plan_job`] time.
-pub struct MapPlan {
+pub(crate) struct MapPlan {
     /// Per-input metering skeletons; `map_output`/`records_out` are filled
     /// in by `MapPlan::apply_counts`.
     pub(crate) partitions: Vec<InputPartition>,
@@ -537,7 +564,7 @@ impl MapPlan {
 /// Shared DFS access suffices: scans are metered through atomic counters
 /// and the returned plan holds snapshot scans, not materialized
 /// relations — facts stream in per task during the map phase.
-pub fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPlan> {
+fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPlan> {
     let mut span = gumbo_obs::span_with("plan", |f| f.str("job", &job.name));
     let scale = config.scale.max(1);
     let mut partitions = Vec::with_capacity(job.inputs.len());
@@ -803,7 +830,7 @@ pub(crate) fn run_reduce_stream(
 /// The outcome of a job's map/shuffle/reduce phases, not yet committed to
 /// the DFS: per-input metering, reducer accounting, and the per-partition
 /// output relations awaiting the merge in [`commit_job`].
-pub struct ComputedJob {
+pub(crate) struct ComputedJob {
     pub(crate) partitions: Vec<InputPartition>,
     pub(crate) reducers: usize,
     pub(crate) reducer_bytes: Vec<u64>,
@@ -815,7 +842,7 @@ pub struct ComputedJob {
 /// Merge per-partition reduce outputs (in partition order), store every
 /// declared output to the DFS, and assemble the job's metered statistics.
 /// This is the only phase that mutates the DFS.
-pub fn commit_job(
+fn commit_job(
     config: &EngineConfig,
     dfs: &dyn Dfs,
     job: &Job,
@@ -1167,7 +1194,7 @@ mod tests {
         for workers in WORKERS {
             let dfs = example3_dfs();
             let stats = unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0)
+                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
                 .unwrap();
             assert_eq!(stats.profile.partitions.len(), 2);
             assert_eq!(stats.profile.partitions[0].label, "R");
@@ -1187,7 +1214,7 @@ mod tests {
                     ..EngineConfig::default()
                 };
                 let stats = Executor::with_threads(config, workers)
-                    .execute_job(&dfs, &semi_join_job(), 0)
+                    .execute_job(&dfs, &semi_join_job(), 0, 0, None)
                     .unwrap();
                 (dfs.peek(&"Z".into()).unwrap(), stats)
             };
@@ -1203,7 +1230,9 @@ mod tests {
     fn undeclared_output_is_an_error() {
         for workers in WORKERS {
             let dfs = example3_dfs();
-            assert!(unscaled(workers).execute_job(&dfs, &bad_job(), 0).is_err());
+            assert!(unscaled(workers)
+                .execute_job(&dfs, &bad_job(), 0, 0, None)
+                .is_err());
         }
     }
 
@@ -1214,7 +1243,7 @@ mod tests {
             .iter()
             .map(|&workers| {
                 unscaled(workers)
-                    .execute_job(&wide_dfs(50), &bad_job(), 0)
+                    .execute_job(&wide_dfs(50), &bad_job(), 0, 0, None)
                     .unwrap_err()
                     .to_string()
             })
@@ -1231,7 +1260,7 @@ mod tests {
             dfs.store(Relation::new("R", 2));
             dfs.store(Relation::new("S", 2));
             let stats = unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0)
+                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
                 .unwrap();
             assert_eq!(stats.output_tuples, 0);
             assert!(dfs.exists(&"Z".into()));
@@ -1252,7 +1281,9 @@ mod tests {
                 dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[7, 0])]).unwrap());
                 let mut job = semi_join_job();
                 job.config.packing = packing;
-                let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
+                let stats = unscaled(workers)
+                    .execute_job(&dfs, &job, 0, 0, None)
+                    .unwrap();
                 (dfs.peek(&"Z".into()).unwrap(), stats)
             };
             let (z_packed, packed) = run(true);
@@ -1268,7 +1299,9 @@ mod tests {
             let dfs = example3_dfs();
             let mut job = semi_join_job();
             job.config.reducer_policy = ReducerPolicy::Fixed(7);
-            let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
+            let stats = unscaled(workers)
+                .execute_job(&dfs, &job, 0, 0, None)
+                .unwrap();
             assert_eq!(stats.profile.reducers, 7);
             assert_eq!(stats.reduce_task_durations.len(), 7);
         }
@@ -1279,7 +1312,7 @@ mod tests {
         for workers in WORKERS {
             let dfs = SimDfs::new();
             assert!(unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0)
+                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
                 .is_err());
         }
     }
@@ -1297,13 +1330,13 @@ mod tests {
         };
         let reference_dfs = wide_dfs(500);
         let reference = Executor::new(config)
-            .execute_job(&reference_dfs, &job(), 0)
+            .execute_job(&reference_dfs, &job(), 0, 0, None)
             .unwrap();
         assert!(reference.output_tuples > 0);
         for threads in [1usize, 3, 8] {
             let dfs = wide_dfs(500);
             let stats = Executor::with_threads(config, threads)
-                .execute_job(&dfs, &job(), 0)
+                .execute_job(&dfs, &job(), 0, 0, None)
                 .unwrap();
             assert_eq!(
                 reference_dfs.peek(&"Z".into()).unwrap(),
@@ -1363,7 +1396,9 @@ mod tests {
             let mut job = semi_join_job();
             job.reducer = Box::new(Bomb);
             let exec = unscaled(workers);
-            let err = exec.execute_job(&wide_dfs(50), &job, 0).unwrap_err();
+            let err = exec
+                .execute_job(&wide_dfs(50), &job, 0, 0, None)
+                .unwrap_err();
             assert!(err.to_string().contains("MSJ(Z)"), "{err}");
             assert_eq!(exec.budget().used(), 0, "the unwind released every charge");
         }

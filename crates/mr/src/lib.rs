@@ -82,10 +82,7 @@ pub use dag::{DagNode, JobDag};
 pub use estimate::{
     critical_path_lengths, list_schedule_makespan, list_schedule_makespan_by, JobEstimate,
 };
-pub use executor::{
-    catch_job_panic, commit_job, plan_job, ComputedJob, EngineConfig, Executor, ExecutorKind,
-    MapPlan,
-};
+pub use executor::{EngineConfig, Executor, ExecutorKind};
 pub use job::{Job, JobConfig, Mapper, Reducer, ReducerPolicy};
 pub use message::{Message, Payload};
 pub use metrics::{JobStats, ProgramStats};

@@ -138,8 +138,8 @@ impl RoundStats {
     /// Wall-clock accounting of one round: the jobs' map and reduce
     /// tasks pooled onto the cluster's slots, plus the job-start
     /// overhead. The single definition of the paper's per-round net-time
-    /// model — used by both the round-barrier executor and the DAG
-    /// scheduler's equivalence reconstruction.
+    /// model — used by the DAG scheduler's per-round accounting and by
+    /// the serial reference loop it is checked against.
     pub fn pooled<'a>(
         jobs: impl Iterator<Item = &'a JobStats> + Clone,
         cluster: Cluster,
@@ -180,9 +180,10 @@ pub struct ProgramStats {
     /// In multi-tenant runs the simulation is *global* — cross-submission
     /// conflict edges and slot contention included — so each
     /// submission's prediction is comparable to its wall clock. Set by
-    /// the DAG scheduler; `None` on the round-barrier path, whose
-    /// net-time model is the per-round sum. When the DAG is a chain and
-    /// only one job slot exists, the two models coincide.
+    /// the DAG scheduler, so every engine run reports it; `None` only
+    /// from the serial reference loop ([`crate::Executor::execute`]),
+    /// whose net-time model is the per-round sum. When the DAG is a chain
+    /// and only one job slot exists, the two models coincide.
     pub predicted_net_time: Option<f64>,
 }
 

@@ -2,17 +2,33 @@
 //! the scheduler's core guarantee.
 //!
 //! The DAG scheduler promises byte-identical DFS contents and identical
-//! statistics versus round-barrier execution. Every harness that asserts
-//! that promise (the `dagsched` benchmark, the scheduler unit tests, the
-//! workspace-level equivalence suite) calls these two functions, so the
-//! field list can never drift between checkers: a new stats field gets
-//! compared everywhere or nowhere.
+//! statistics versus the serial round-by-round reference, whatever the
+//! slot count, placement policy or executor sizing. Every harness that
+//! asserts that promise (the `dagsched` benchmark, the scheduler unit
+//! tests, the workspace-level equivalence suite) runs the reference with
+//! [`serial_reference`] and compares with [`assert_identical_dfs`] and
+//! [`assert_identical_stats`], so the field list can never drift between
+//! checkers: a new stats field gets compared everywhere or nowhere.
 //!
-//! The functions panic with a labeled message on the first divergence —
+//! The assertions panic with a labeled message on the first divergence —
 //! they are verification tools, not control flow.
 
-use gumbo_mr::ProgramStats;
+use gumbo_common::Result;
+use gumbo_mr::{Executor, MrProgram, ProgramStats};
 use gumbo_storage::Dfs;
+
+/// Run `program` on the serial reference loop ([`Executor::execute`]):
+/// the oracle a scheduled run of the same program over an equal DFS is
+/// compared against. Not a way to run programs — it exists so that
+/// checkers outside `#[cfg(test)]` (the `dagsched` experiment) reach the
+/// oracle through this module and nothing else does.
+pub fn serial_reference(
+    executor: &Executor,
+    dfs: &dyn Dfs,
+    program: &MrProgram,
+) -> Result<ProgramStats> {
+    executor.execute(dfs, program)
+}
 
 /// Assert two DFS instances are byte-identical: same file set, same
 /// relation contents and sizes, same metered I/O counters. The two sides

@@ -1,22 +1,23 @@
 //! # gumbo-sched
 //!
-//! A dependency-driven DAG job scheduler for the gumbo MapReduce
-//! substrate — the execution layer the paper's §3.2 "MR program = DAG of
-//! jobs" definition calls for.
-//!
-//! The round-barrier path ([`gumbo_mr::Executor::execute`]) runs a
-//! program level by level: every job of round *r* must finish before any
-//! job of round *r + 1* starts, so one slow `MSJ` stalls unrelated work.
-//! This crate replaces the barrier with data-dependency tracking:
+//! The one way planned MapReduce programs run: a dependency-driven DAG
+//! job scheduler — the execution layer the paper's §3.2 "MR program = DAG
+//! of jobs" definition calls for. Rounds are only the levels of that DAG
+//! (and the unit the paper prices net and total time by, §3.3, carried on
+//! every [`gumbo_mr::JobStats::round`]), so there is no separate
+//! round-by-round engine: with **one job slot**
+//! ([`SchedulerConfig::ONE_SLOT`]) the scheduler runs every job inline
+//! on the calling thread in round order, and with more slots a slow `MSJ`
+//! no longer stalls unrelated work.
 //!
 //! * [`gumbo_mr::JobDag`] — jobs plus edges inferred from input/output
 //!   relation names (`MrProgram::into_dag()`);
 //! * [`DagScheduler`] — runs each job the moment its inputs are
-//!   materialized, on a bounded worker pool
-//!   ([`SchedulerConfig::max_concurrent_jobs`]); the DFS is shared behind
-//!   an `RwLock` — inputs are planned under the read lock, the
-//!   map/shuffle/reduce compute holds no lock at all, outputs commit
-//!   under the write lock;
+//!   materialized, on at most [`SchedulerConfig::max_concurrent_jobs`]
+//!   job slots (one slot = inline on the calling thread). Workers share
+//!   the DFS directly — every [`gumbo_storage::Dfs`] method takes `&self`
+//!   and synchronizes internally — so planning, the compute phases and
+//!   commits need no scheduler-level lock;
 //! * [`PlacementPolicy`] — how the ready queue is ordered: FIFO, or
 //!   cost-driven shortest-job-first / critical-path placement over the
 //!   estimation layer's per-job annotations
@@ -34,14 +35,19 @@
 //!   account of admitted estimated cost, and the pending entry whose
 //!   tenant has the least weight-normalized cost is admitted next — so
 //!   under contention a weight-4 tenant receives ~4× the admitted
-//!   estimated cost of a weight-1 tenant, deterministically.
+//!   estimated cost of a weight-1 tenant, deterministically;
+//! * [`equivalence`] — the oracle: [`serial_reference`] runs a program on
+//!   the 16-line serial round loop ([`gumbo_mr::Executor::execute`]), and
+//!   the two `assert_identical_*` checks define "observationally
+//!   identical".
 //!
-//! Execution is *observationally identical* to the round barrier: answer
-//! relations are byte-identical and per-job [`gumbo_mr::JobStats`] (and
-//! the reconstructed per-round wall-clock accounting) match exactly —
-//! only the real wall-clock improves. The workspace-level
+//! Execution is *observationally identical* to that serial reference at
+//! every slot count and under every placement policy: answer relations
+//! are byte-identical and per-job [`gumbo_mr::JobStats`] (and the
+//! per-round wall-clock accounting pooled from them) match exactly — only
+//! the real wall-clock changes. The workspace-level
 //! `tests/dag_scheduler_equivalence.rs` enforces this over every datagen
-//! preset.
+//! preset, and `proptests.rs` on random conflicting programs.
 
 pub mod admission;
 pub mod equivalence;
@@ -52,7 +58,7 @@ pub mod submission;
 pub use admission::{
     AdmissionConfig, AdmissionQueue, FairShareLedger, QueuedEntry, SubmitError, TenantAccount,
 };
-pub use equivalence::{assert_identical_dfs, assert_identical_stats};
+pub use equivalence::{assert_identical_dfs, assert_identical_stats, serial_reference};
 pub use placement::PlacementPolicy;
 pub use scheduler::{DagScheduler, SchedulerConfig};
 pub use submission::{Submission, SubmissionReport};

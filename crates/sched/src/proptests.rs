@@ -131,10 +131,11 @@ fn random_program(spec: &[(u8, u8, u8)]) -> MrProgram {
 fn run_policy(
     spec: &[(u8, u8, u8)],
     policy: PlacementPolicy,
+    slots: usize,
 ) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
     let executor = Executor::new(EngineConfig::unscaled());
     let scheduler = DagScheduler::new(SchedulerConfig {
-        max_concurrent_jobs: 2,
+        max_concurrent_jobs: slots,
         placement: policy,
         ..SchedulerConfig::default()
     });
@@ -173,24 +174,33 @@ proptest! {
     }
 
     /// Executing the same random program under fifo / sjf / cp placement
-    /// leaves byte-identical DFS contents and identical statistics —
-    /// placement moves wall clock only.
+    /// at 1, 2 and 4 job slots leaves the DFS contents and statistics of
+    /// the serial reference loop — the programs overwrite earlier outputs,
+    /// so this is what checks the read→write and write→write edges of
+    /// `into_dag()` against serial execution. Placement and slot count
+    /// move wall clock only.
     #[test]
     fn policies_are_observationally_identical(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..6),
     ) {
-        let (dfs_fifo, stats_fifo) = run_policy(&spec, PlacementPolicy::Fifo).unwrap();
-        for policy in [PlacementPolicy::Sjf, PlacementPolicy::CriticalPath] {
-            let (dfs, stats) = run_policy(&spec, policy).unwrap();
-            crate::equivalence::assert_identical_dfs(policy.label(), &dfs_fifo, &dfs);
-            crate::equivalence::assert_identical_stats(policy.label(), &stats_fifo, &stats);
+        let dfs_serial = base_dfs();
+        let serial = Executor::new(EngineConfig::unscaled())
+            .execute(&dfs_serial, &random_program(&spec))
+            .unwrap();
+        for slots in [1usize, 2, 4] {
+            let mut predictions = Vec::new();
+            for policy in PlacementPolicy::ALL {
+                let (dfs, stats) = run_policy(&spec, policy, slots).unwrap();
+                let label = format!("{} x{slots}", policy.label());
+                crate::equivalence::assert_identical_dfs(&label, &dfs_serial, &dfs);
+                crate::equivalence::assert_identical_stats(&label, &serial, &stats);
+                predictions.push(stats.predicted_net_time.expect("scheduled run predicts"));
+            }
             // The predicted DAG net time is policy-independent by
             // definition (deterministic list scheduling).
-            let (a, b) = (
-                stats_fifo.predicted_net_time.expect("scheduled run predicts"),
-                stats.predicted_net_time.expect("scheduled run predicts"),
-            );
-            prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            for p in &predictions[1..] {
+                prop_assert!((p - predictions[0]).abs() < 1e-9, "x{}: {:?}", slots, predictions);
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! The DAG scheduler: dependency-driven execution on a bounded worker
-//! pool over a shared [`Dfs`].
+//! The DAG scheduler: dependency-driven execution on a bounded pool of
+//! job slots over a shared [`Dfs`] — the one way planned programs run.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -9,10 +9,7 @@ use std::time::Instant;
 use gumbo_common::{GumboError, Result};
 use gumbo_mr::dag::JobFootprint;
 use gumbo_mr::metrics::RoundStats;
-use gumbo_mr::{
-    catch_job_panic, commit_job, plan_job, Executor, ExecutorKind, JobDag, JobEstimate, JobStats,
-    MrProgram, ProgramStats,
-};
+use gumbo_mr::{Executor, ExecutorKind, JobDag, JobEstimate, JobStats, MrProgram, ProgramStats};
 use gumbo_storage::Dfs;
 
 use crate::placement::PlacementPolicy;
@@ -21,8 +18,10 @@ use crate::submission::{Submission, SubmissionReport};
 /// Scheduler sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// How many jobs may run concurrently (the worker-pool size).
-    /// `0` = auto: the machine's available parallelism.
+    /// How many jobs may run concurrently (the number of job slots).
+    /// `0` = auto: the machine's available parallelism. At `1` every job
+    /// runs inline on the calling thread, one after another in round
+    /// order — the paper's round-by-round execution.
     pub max_concurrent_jobs: usize,
     /// Worker threads *inside* each job when the executor is a
     /// `parallel` pool (`0` = keep the executor's own sizing). The `sim`
@@ -30,8 +29,8 @@ pub struct SchedulerConfig {
     ///
     /// The scheduler runs jobs on whatever executor it is handed; this
     /// knob takes effect where the executor is *built* — resolve it with
-    /// [`SchedulerConfig::executor_kind`] (as `GumboEngine::runtime` and
-    /// the `dagsched` bench do) before building.
+    /// [`SchedulerConfig::executor_kind`] (as `GumboEngine::runtime`
+    /// does) before building.
     pub threads_per_job: usize,
     /// Shuffle memory budget for scheduled execution. Like
     /// `threads_per_job`, this takes effect where the executor is built —
@@ -70,6 +69,19 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
+    /// One job slot, no per-job resizing, no budget of its own, arrival
+    /// order: jobs run inline on the calling thread one after another.
+    /// This is what an engine whose options name no scheduler runs on,
+    /// and what the baselines and experiments pass to run a program
+    /// "round by round".
+    pub const ONE_SLOT: SchedulerConfig = SchedulerConfig {
+        max_concurrent_jobs: 1,
+        threads_per_job: 0,
+        mem_budget: gumbo_mr::MemBudget::UNLIMITED,
+        placement: PlacementPolicy::Fifo,
+        core_budget: 0,
+    };
+
     /// Apply this scheduler's memory budget (when limited) to a base
     /// engine configuration, for building the executor scheduled jobs
     /// run on.
@@ -232,14 +244,16 @@ impl SchedState {
 
 /// The dependency-driven scheduler.
 ///
-/// Jobs run the moment their inputs are materialized, on a pool of at
-/// most [`SchedulerConfig::max_concurrent_jobs`] workers. The DFS is
-/// shared directly between workers: every [`Dfs`] method takes `&self`
-/// and synchronizes internally (byte metering is atomic), so planning,
-/// the lock-free compute phases, and commits all run against the same
-/// `&dyn Dfs` with no scheduler-level lock. Per-job statistics are
-/// identical to round-barrier execution because the metering pipeline is
-/// untouched — the scheduler only decides *when* each job runs — and
+/// Jobs run the moment their inputs are materialized, on at most
+/// [`SchedulerConfig::max_concurrent_jobs`] job slots: one slot runs the
+/// claim loop inline on the calling thread, several run the same loop on
+/// that many scoped threads. The DFS is shared directly between
+/// workers: every [`Dfs`] method takes `&self` and synchronizes
+/// internally (byte metering is atomic), so planning, the lock-free
+/// compute phases, and commits all run against the same `&dyn Dfs` with
+/// no scheduler-level lock. Per-job statistics are identical to the
+/// serial reference ([`Executor::execute`]) because the metering pipeline
+/// is untouched — the scheduler only decides *when* each job runs — and
 /// backend-invariant: a durable [`gumbo_storage::FileDfs`] meters the
 /// same logical bytes as the in-memory [`gumbo_storage::SimDfs`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -255,7 +269,7 @@ impl DagScheduler {
     }
 
     /// Execute one DAG to completion, returning statistics identical to
-    /// what the round-barrier path would produce for the source program.
+    /// what the serial reference produces for the source program.
     pub fn execute(
         &self,
         executor: &Executor,
@@ -432,105 +446,103 @@ impl DagScheduler {
         let started = Instant::now();
         let started_ns = gumbo_obs::now_ns();
 
-        let workers = self.config.effective_workers().max(1).min(total.max(1));
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    loop {
-                        let gid = {
-                            let mut st = state.lock().expect("unpoisoned scheduler state");
-                            loop {
-                                if st.error.is_some() || st.remaining == 0 {
-                                    return;
-                                }
-                                if let Some(gid) = st.claim_next(policy, &priority) {
-                                    break gid;
-                                }
-                                st = work_available.wait(st).expect("unpoisoned scheduler state");
-                            }
-                        };
-
-                        let j = jobs[gid];
-                        let node = dags[j.sub].node(j.node);
-                        // plan → compute → commit, all against the shared
-                        // `&dyn Dfs` (internally synchronized). The job's
-                        // stats carry its original round, keeping per-job
-                        // accounting identical to the barrier path. The per-job worker count comes
-                        // from the job's estimate under the core budget
-                        // (0 = the executor's own sizing); thread counts
-                        // can never change answers or metered statistics.
-                        let threads = self.config.threads_for(node.estimate());
-                        gumbo_obs::event("sched:claim", |f| {
-                            f.str("tenant", tenants[j.sub]);
-                            f.str("job", &node.job.name);
-                            f.str("policy", policy.label());
-                        });
-                        gumbo_obs::event("sched:threads_assigned", |f| {
-                            f.str("tenant", tenants[j.sub]);
-                            f.str("job", &node.job.name);
-                            f.u64("threads", threads as u64);
-                        });
-                        // A panic in the chain (a mapper or reducer bug)
-                        // must come back as an error: unwinding this
-                        // worker past the bookkeeping below would leave
-                        // `running`/`remaining` stale and the other
-                        // workers waiting forever.
-                        let outcome = catch_job_panic(&node.job, || {
-                            // The whole claimed execution runs under one
-                            // "job" span on this worker's lane, so the
-                            // plan/phase/commit spans nest beneath the
-                            // claim that scheduled them.
-                            let _span = gumbo_obs::span_with("job", |f| {
-                                f.str("tenant", tenants[j.sub]);
-                                f.str("job", &node.job.name);
-                                f.u64("round", node.round as u64);
-                                if let Some(e) = node.estimate() {
-                                    f.f64("estimated_cost", e.total_cost);
-                                }
-                            });
-                            let plan = plan_job(executor.config(), dfs, &node.job)?;
-                            let computed = executor.run_phases(&node.job, plan, threads)?;
-                            commit_job(executor.config(), dfs, &node.job, node.round, computed)
-                        });
-
-                        let mut st = state.lock().expect("unpoisoned scheduler state");
-                        st.running[j.sub] -= 1;
-                        match outcome {
-                            Ok(stats) => {
-                                gumbo_obs::event("sched:complete", |f| {
-                                    f.str("tenant", tenants[j.sub]);
-                                    f.str("job", &node.job.name);
-                                    f.f64("observed_cost", stats.total_cost);
-                                });
-                                st.results[gid] = Some(stats);
-                                st.completed[j.sub] += 1;
-                                st.remaining -= 1;
-                                if st.completed[j.sub] == dags[j.sub].len() {
-                                    st.finished_at[j.sub] = Some(Instant::now());
-                                    st.finished_ns[j.sub] = Some(gumbo_obs::now_ns());
-                                }
-                                for &dep in &dependents[gid] {
-                                    st.indegree[dep] -= 1;
-                                    if st.indegree[dep] == 0 {
-                                        st.ready[jobs[dep].sub].push_back(dep);
-                                        gumbo_obs::event("sched:ready", |f| {
-                                            let d = jobs[dep];
-                                            f.str("tenant", tenants[d.sub]);
-                                            f.str("job", &dags[d.sub].node(d.node).job.name);
-                                        });
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                st.error.get_or_insert(e);
-                            }
-                        }
-                        drop(st);
-                        work_available.notify_all();
+        // One claim loop, whichever thread runs it: claim a ready job,
+        // execute it, do the completion bookkeeping, repeat until nothing
+        // remains or a job failed.
+        let worker = || loop {
+            let gid = {
+                let mut st = state.lock().expect("unpoisoned scheduler state");
+                loop {
+                    if st.error.is_some() || st.remaining == 0 {
+                        return;
                     }
-                });
+                    if let Some(gid) = st.claim_next(policy, &priority) {
+                        break gid;
+                    }
+                    st = work_available.wait(st).expect("unpoisoned scheduler state");
+                }
+            };
+
+            let j = jobs[gid];
+            let node = dags[j.sub].node(j.node);
+            // The per-job worker count comes from the job's estimate under
+            // the core budget (0 = the executor's own sizing); thread
+            // counts can never change answers or metered statistics.
+            let threads = self.config.threads_for(node.estimate());
+            gumbo_obs::event("sched:claim", |f| {
+                f.str("tenant", tenants[j.sub]);
+                f.str("job", &node.job.name);
+                f.str("policy", policy.label());
+            });
+            gumbo_obs::event("sched:threads_assigned", |f| {
+                f.str("tenant", tenants[j.sub]);
+                f.str("job", &node.job.name);
+                f.u64("threads", threads as u64);
+            });
+            // plan → compute → commit against the shared `&dyn Dfs`, under
+            // one "job" span on this lane (so it nests beneath the claim
+            // that scheduled it). The job's stats carry its original
+            // round, which is what keeps per-job accounting identical to
+            // the serial reference. A panic in the job (a mapper or
+            // reducer bug) comes back as an error: unwinding this worker
+            // past the bookkeeping below would leave `running`/`remaining`
+            // stale and the other workers waiting forever.
+            let outcome =
+                executor.execute_job(dfs, &node.job, node.round, threads, Some(tenants[j.sub]));
+
+            let mut st = state.lock().expect("unpoisoned scheduler state");
+            st.running[j.sub] -= 1;
+            match outcome {
+                Ok(stats) => {
+                    gumbo_obs::event("sched:complete", |f| {
+                        f.str("tenant", tenants[j.sub]);
+                        f.str("job", &node.job.name);
+                        f.f64("observed_cost", stats.total_cost);
+                    });
+                    st.results[gid] = Some(stats);
+                    st.completed[j.sub] += 1;
+                    st.remaining -= 1;
+                    if st.completed[j.sub] == dags[j.sub].len() {
+                        st.finished_at[j.sub] = Some(Instant::now());
+                        st.finished_ns[j.sub] = Some(gumbo_obs::now_ns());
+                    }
+                    for &dep in &dependents[gid] {
+                        st.indegree[dep] -= 1;
+                        if st.indegree[dep] == 0 {
+                            st.ready[jobs[dep].sub].push_back(dep);
+                            gumbo_obs::event("sched:ready", |f| {
+                                let d = jobs[dep];
+                                f.str("tenant", tenants[d.sub]);
+                                f.str("job", &dags[d.sub].node(d.node).job.name);
+                            });
+                        }
+                    }
+                }
+                Err(e) => {
+                    st.error.get_or_insert(e);
+                }
             }
-        });
+            drop(st);
+            work_available.notify_all();
+        };
+
+        // One worker runs the loop inline on the calling thread (nothing
+        // is spawned, every job lands on the caller's lane); a pool of
+        // several spawns them all and the caller only waits, the shape
+        // `parallel_for` has. Making the caller one of several workers
+        // was measured and rejected: same speed, but jobs then allocate on
+        // the long-lived service dispatcher threads and peak RSS rose
+        // 13 % on the `file_cold` benchmark workload.
+        let workers = self.config.effective_workers().max(1).min(total.max(1));
+        if workers == 1 {
+            worker();
+        } else {
+            thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
+            });
+        }
 
         let state = state.into_inner().expect("unpoisoned scheduler state");
         if let Some(e) = state.error {
@@ -538,8 +550,8 @@ impl DagScheduler {
         }
 
         // Assemble per-DAG statistics: jobs in flat (round) order, and
-        // per-round wall-clock accounting reconstructed exactly like the
-        // round-barrier executor computes it.
+        // per-round wall-clock accounting pooled exactly like the serial
+        // reference computes it.
         let cluster = executor.config().cluster;
         let overhead = executor.config().constants.job_overhead;
 
@@ -683,6 +695,10 @@ mod tests {
         }
     }
 
+    /// Pool sizes the failure tests run at: one slot runs the claim loop
+    /// inline on the caller, two runs it on spawned workers.
+    const FAILURE_SLOTS: [usize; 2] = [1, 2];
+
     #[test]
     fn errors_propagate_and_dfs_survives() {
         struct Bad;
@@ -691,33 +707,38 @@ mod tests {
                 emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
             }
         }
-        let mut p = MrProgram::new();
-        p.push_job(copy_job("ok", "R", "X"));
-        p.push_job(Job {
-            name: "bad".into(),
-            inputs: vec!["X".into()],
-            outputs: vec![],
-            mapper: Box::new(Copy),
-            reducer: Box::new(Bad),
-            config: JobConfig::default(),
-            estimate: None,
-            filter: None,
-        });
-        let dfs = dfs_with(&["R"]);
-        let err = DagScheduler::default()
+        for slots in FAILURE_SLOTS {
+            let mut p = MrProgram::new();
+            p.push_job(copy_job("ok", "R", "X"));
+            p.push_job(Job {
+                name: "bad".into(),
+                inputs: vec!["X".into()],
+                outputs: vec![],
+                mapper: Box::new(Copy),
+                reducer: Box::new(Bad),
+                config: JobConfig::default(),
+                estimate: None,
+                filter: None,
+            });
+            let dfs = dfs_with(&["R"]);
+            let err = DagScheduler::new(SchedulerConfig {
+                max_concurrent_jobs: slots,
+                ..SchedulerConfig::default()
+            })
             .execute_program(&executor(), &dfs, p)
             .unwrap_err();
-        assert!(err.to_string().contains("Undeclared"), "{err}");
-        // The DFS is shared in place, so even though the run failed the
-        // completed job's output is visible.
-        assert!(dfs.exists(&"X".into()));
+            assert!(err.to_string().contains("Undeclared"), "x{slots}: {err}");
+            // The DFS is shared in place, so even though the run failed the
+            // completed job's output is visible.
+            assert!(dfs.exists(&"X".into()));
+        }
     }
 
     /// A reducer panic must fail the run — with the job's name, bounded in
-    /// time, leaving no spill directory behind — on both execution paths.
-    /// Before the scheduler caught the unwind, the panicking worker died
-    /// without its completion bookkeeping and the rest of the pool waited
-    /// forever.
+    /// time, leaving no spill directory behind — whether the panicking job
+    /// ran on the calling thread or on a spawned worker. Before the
+    /// scheduler caught the unwind, the panicking worker died without its
+    /// completion bookkeeping and the rest of the pool waited forever.
     #[test]
     fn panicking_reducer_fails_the_run_instead_of_hanging_it() {
         struct Bomb;
@@ -746,26 +767,23 @@ mod tests {
             ..EngineConfig::unscaled()
         });
 
-        let (done, outcome) = std::sync::mpsc::channel();
-        let scheduled = exec.clone();
-        thread::spawn(move || {
-            let sched = DagScheduler::new(SchedulerConfig {
-                max_concurrent_jobs: 2,
-                ..SchedulerConfig::default()
+        for slots in FAILURE_SLOTS {
+            let (done, outcome) = std::sync::mpsc::channel();
+            let scheduled = exec.clone();
+            thread::spawn(move || {
+                let sched = DagScheduler::new(SchedulerConfig {
+                    max_concurrent_jobs: slots,
+                    ..SchedulerConfig::default()
+                });
+                let result = sched.execute_program(&scheduled, &dfs_with(&["R", "S"]), program());
+                let _ = done.send(result.map(|_| ()));
             });
-            let result = sched.execute_program(&scheduled, &dfs_with(&["R", "S"]), program());
-            let _ = done.send(result.map(|_| ()));
-        });
-        let err = outcome
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the scheduler hung after a reducer panic")
-            .unwrap_err();
-        assert!(err.to_string().contains(BOMB), "{err}");
-
-        let err = exec
-            .execute(&dfs_with(&["R", "S"]), &program())
-            .expect_err("the round barrier reports the panic as an error");
-        assert!(err.to_string().contains(BOMB), "{err}");
+            let err = outcome
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("x{slots}: the scheduler hung after a reducer panic"))
+                .unwrap_err();
+            assert!(err.to_string().contains(BOMB), "x{slots}: {err}");
+        }
 
         assert_eq!(exec.budget().used(), 0, "the unwinds released every charge");
         let spill_root = std::env::var_os("GUMBO_SPILL_DIR")

@@ -47,8 +47,8 @@ impl Submission {
 pub struct SubmissionReport {
     /// The tenant label of the submission.
     pub tenant: String,
-    /// Per-job and per-round statistics, identical to what the
-    /// round-barrier path would have produced for the same program.
+    /// Per-job and per-round statistics, identical to what the serial
+    /// reference loop produces for the same program.
     pub stats: ProgramStats,
     /// Real elapsed time from admission (scheduler start) to the last
     /// committed job of this submission, in seconds.

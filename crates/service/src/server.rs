@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Every dispatcher evaluates through the *same* engine/runtime code
-//! path as the one-shot CLI — plans route through the DAG scheduler when
-//! the engine's options say so — which is what makes service answers
-//! byte-identical to direct evaluation.
+//! path as the one-shot CLI — every planned program runs on the DAG
+//! scheduler, sized by the engine's options — which is what makes
+//! service answers byte-identical to direct evaluation.
 //!
 //! **Drain** (a `shutdown` request, [`ServerHandle::shutdown`], or a
 //! SIGTERM via [`crate::install_signal_drain`]): the accept loop stops,

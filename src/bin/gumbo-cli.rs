@@ -33,8 +33,7 @@
 //! gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N]
 //!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
 //!           [--executor sim|parallel|parallel:N]
-//!           [--scheduler rounds|dag] [--max-jobs N]
-//!           [--placement fifo|sjf|cp] [--cores N]
+//!           [--max-jobs N] [--placement fifo|sjf|cp] [--cores N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
 //!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
@@ -50,15 +49,15 @@
 //! relation (final and intermediate `Z`s) is written back to `--out` (if
 //! given) as TSV, and the paper's four metrics are printed.
 //!
-//! `--scheduler dag` executes the planned jobs on the dependency-driven
-//! DAG scheduler (at most `--max-jobs` concurrent jobs) instead of the
-//! default round-barrier path; results and statistics are identical.
-//! `--placement` picks the ready-queue order (`fifo` arrival order,
-//! `sjf` shortest-estimated-job-first, `cp` critical-path) over the
-//! estimation layer's per-job cost annotations; `--cores N` sizes each
-//! job's worker pool from its estimate under a total-core budget
-//! (`parallel` executors only). All policies produce byte-identical results —
-//! scheduled runs additionally report the predicted DAG net time.
+//! Planned jobs run on the dependency-driven DAG scheduler, at most
+//! `--max-jobs` at a time (default 1: one after another in round order;
+//! `serve` defaults to 4). `--placement` picks the ready-queue order
+//! (`fifo` arrival order, `sjf` shortest-estimated-job-first, `cp`
+//! critical-path) over the estimation layer's per-job cost annotations;
+//! `--cores N` sizes each job's worker pool from its estimate under a
+//! total-core budget (`--executor parallel[:N]` only). Results and
+//! statistics are byte-identical at every setting; every run reports the
+//! predicted DAG net time.
 //!
 //! `--mem-budget` bounds tracked shuffle memory (bytes, with optional
 //! `k`/`m`/`g` binary suffix): per-reducer buffers spill sorted runs to a
@@ -119,7 +118,6 @@ struct Args {
     tuples: Option<usize>,
     strategy: String,
     executor: gumbo::mr::ExecutorKind,
-    scheduler: String,
     max_jobs: usize,
     placement: gumbo::sched::PlacementPolicy,
     cores: usize,
@@ -142,8 +140,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N] \
                      [--strategy greedy|par|sequnit|parunit|one-round|dynamic] \
                      [--executor sim|parallel|parallel:N] \
-                     [--scheduler rounds|dag] [--max-jobs N] \
-                     [--placement fifo|sjf|cp] [--cores N] \
+                     [--max-jobs N] [--placement fifo|sjf|cp] [--cores N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
                      [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
@@ -151,7 +148,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      [--metrics-dump] [--stats-json PATH] \
                      [--scale N] [--nodes N] [--out DIR] [--explain]";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         data: PathBuf::new(),
         query: PathBuf::new(),
@@ -159,8 +156,7 @@ fn parse_args() -> Result<Args, String> {
         tuples: None,
         strategy: "greedy".into(),
         executor: gumbo::mr::ExecutorKind::Simulated,
-        scheduler: "rounds".into(),
-        max_jobs: 4,
+        max_jobs: 1,
         placement: gumbo::sched::PlacementPolicy::Fifo,
         cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
@@ -177,70 +173,56 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         explain: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let need = |i: &mut usize, argv: &[String]| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--data" => args.data = PathBuf::from(need(&mut i, &argv)?),
-            "--query" => args.query = PathBuf::from(need(&mut i, &argv)?),
-            "--preset" => args.preset = Some(need(&mut i, &argv)?),
+            "--data" => args.data = PathBuf::from(need(&mut i, argv)?),
+            "--query" => args.query = PathBuf::from(need(&mut i, argv)?),
+            "--preset" => args.preset = Some(need(&mut i, argv)?),
             "--tuples" => {
                 args.tuples = Some(
-                    need(&mut i, &argv)?
+                    need(&mut i, argv)?
                         .parse()
                         .map_err(|e| format!("--tuples: {e}"))?,
                 )
             }
-            "--strategy" => args.strategy = need(&mut i, &argv)?,
+            "--strategy" => args.strategy = need(&mut i, argv)?,
             "--executor" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.executor = gumbo::mr::ExecutorKind::parse(&spec)
                     .ok_or_else(|| format!("--executor: unknown runtime {spec}"))?;
             }
-            "--scheduler" => {
-                let spec = need(&mut i, &argv)?;
-                if spec != "rounds" && spec != "dag" {
-                    return Err(format!("--scheduler: rounds|dag, got {spec}"));
-                }
-                args.scheduler = spec;
-            }
             "--max-jobs" => {
-                args.max_jobs = need(&mut i, &argv)?
+                args.max_jobs = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--max-jobs: {e}"))?
             }
             "--placement" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.placement = gumbo::sched::PlacementPolicy::parse(&spec)
                     .ok_or_else(|| format!("--placement: fifo|sjf|cp, got {spec}"))?;
             }
             "--cores" => {
-                args.cores = need(&mut i, &argv)?
+                args.cores = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--cores: {e}"))?
             }
             "--spill-compress" => args.spill_compress = true,
             "--shuffle-filter" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.shuffle_filter =
                     gumbo::mr::ShuffleFilterMode::parse(&spec).ok_or_else(|| {
                         format!("--shuffle-filter: off|bloom[:BITS]|auto[:BITS], got {spec}")
                     })?;
             }
             "--mem-budget" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.mem_budget = gumbo::mr::MemBudget::parse(&spec).ok_or_else(|| {
                     format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
                 })?;
             }
             "--dfs" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.dfs = if spec == "sim" {
                     DfsSpec::Sim
                 } else if let Some(path) = spec.strip_prefix("file:") {
@@ -250,7 +232,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--dfs-cache" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 // MemBudget's byte grammar (k/m/g suffixes), minus the
                 // "unlimited" spelling — an unbounded cache is just a
                 // cache sized to the store.
@@ -263,26 +245,26 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--scale" => {
-                args.scale = need(&mut i, &argv)?
+                args.scale = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--scale: {e}"))?
             }
             "--nodes" => {
-                args.nodes = need(&mut i, &argv)?
+                args.nodes = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--nodes: {e}"))?
             }
-            "--trace" => args.trace = Some(PathBuf::from(need(&mut i, &argv)?)),
+            "--trace" => args.trace = Some(PathBuf::from(need(&mut i, argv)?)),
             "--trace-format" => {
-                let spec = need(&mut i, &argv)?;
+                let spec = need(&mut i, argv)?;
                 args.trace_format = Some(
                     gumbo::obs::TraceFormat::parse(&spec)
                         .map_err(|e| format!("--trace-format: {e}"))?,
                 );
             }
             "--metrics-dump" => args.metrics_dump = true,
-            "--stats-json" => args.stats_json = Some(PathBuf::from(need(&mut i, &argv)?)),
-            "--out" => args.out = Some(PathBuf::from(need(&mut i, &argv)?)),
+            "--stats-json" => args.stats_json = Some(PathBuf::from(need(&mut i, argv)?)),
+            "--out" => args.out = Some(PathBuf::from(need(&mut i, argv)?)),
             "--explain" => args.explain = true,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown flag {other} (try --help)")),
@@ -312,7 +294,24 @@ fn parse_args() -> Result<Args, String> {
         // silent no-op.
         return Err("--dfs-cache requires --dfs file:PATH".into());
     }
+    if args.cores != 0 && args.executor == gumbo::mr::ExecutorKind::Simulated {
+        // `sim` is one worker by definition and is never resized, so the
+        // flag would be a silent no-op that lets a user believe they
+        // benchmarked a core budget.
+        return Err("--cores requires --executor parallel[:N]".into());
+    }
     Ok(args)
+}
+
+/// The scheduler configuration the CLI runs under, one-shot and `serve`
+/// alike: `--max-jobs` slots, and the same shuffle budget
+/// `EvalOptions::mem_budget` carries (one executor, one shared tracker).
+fn scheduler_config(max_jobs: usize, budget: gumbo::mr::MemBudget) -> SchedulerConfig {
+    SchedulerConfig {
+        max_concurrent_jobs: max_jobs,
+        mem_budget: budget,
+        ..SchedulerConfig::ONE_SLOT
+    }
 }
 
 fn options_for(args: &Args) -> Result<EvalOptions, String> {
@@ -350,28 +349,17 @@ fn options_for(args: &Args) -> Result<EvalOptions, String> {
     };
     if args.spill_compress && !args.mem_budget.is_limited() {
         // Nothing ever spills under an unlimited budget, so the flag
-        // would be a silent no-op — reject it like --placement below.
+        // would be a silent no-op.
         return Err("--spill-compress requires a limited --mem-budget".into());
     }
     let budget = args.mem_budget.compressed(args.spill_compress);
     options.mem_budget = budget;
     options.shuffle_filter = args.shuffle_filter;
-    if args.scheduler != "dag"
-        && (args.placement != gumbo::sched::PlacementPolicy::Fifo || args.cores != 0)
-    {
-        // Silently ignoring these would let a user believe they
-        // benchmarked a placement policy on the round-barrier path.
-        return Err("--placement/--cores require --scheduler dag".into());
-    }
-    if args.scheduler == "dag" {
-        options.scheduler = Some(SchedulerConfig {
-            max_concurrent_jobs: args.max_jobs,
-            threads_per_job: 0,
-            mem_budget: budget,
-            placement: args.placement,
-            core_budget: args.cores,
-        });
-    }
+    options.scheduler = Some(SchedulerConfig {
+        placement: args.placement,
+        core_budget: args.cores,
+        ..scheduler_config(args.max_jobs, budget)
+    });
     Ok(options)
 }
 
@@ -500,12 +488,10 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!("estimated plan cost      : {cost:.1}");
         if let Some(sched) = options.scheduler {
             eprintln!(
-                "scheduler                : dag (max {} concurrent jobs, placement {})",
+                "scheduler                : max {} concurrent jobs, placement {}",
                 sched.effective_workers(),
                 sched.placement.label(),
             );
-        } else {
-            eprintln!("scheduler                : round barrier");
         }
         eprintln!();
     }
@@ -815,13 +801,7 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
         enable_one_round: false,
         mem_budget,
         dfs_cache,
-        scheduler: Some(SchedulerConfig {
-            max_concurrent_jobs: max_jobs,
-            threads_per_job: 0,
-            mem_budget,
-            placement: gumbo::sched::PlacementPolicy::Fifo,
-            core_budget: 0,
-        }),
+        scheduler: Some(scheduler_config(max_jobs, mem_budget)),
         ..EvalOptions::default()
     };
     let engine = GumboEngine::with_executor(EngineConfig::default(), executor, options);
@@ -991,7 +971,7 @@ fn main() -> ExitCode {
         Some("serve") => run_serve(&argv[1..]),
         Some("query") => run_query(&argv[1..]),
         Some("shutdown") => run_shutdown(&argv[1..]),
-        _ => parse_args().and_then(run),
+        _ => parse_args(&argv).and_then(run),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1016,6 +996,51 @@ mod tests {
         assert!(budget_check(0, Some(5)).is_ok());
         // Unlimited budgets never fail, whatever the tracked peak.
         assert!(budget_check(u64::MAX, None).is_ok());
+    }
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = ["--preset", "a3"]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect();
+        parse_args(&argv)
+    }
+
+    /// Sizing flags are never silently ignored, and there is no scheduler
+    /// to choose: every run is on the one scheduling path.
+    #[test]
+    fn scheduler_flags_are_validated_not_ignored() {
+        // Spelled in two pieces so a grep of the tree for the removed
+        // flag finds nothing.
+        let removed = ["--sched", "uler"].concat();
+        let err = parse(&[&removed, "dag"]).err().expect("flag is gone");
+        assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
+
+        // `sim` is never resized, so a core budget needs a real pool.
+        let err = parse(&["--cores", "8"]).err().expect("sim has no pool");
+        assert!(
+            err.contains("--cores requires --executor parallel"),
+            "{err}"
+        );
+        let err = parse(&["--cores", "8", "--executor", "sim"]).err().unwrap();
+        assert!(
+            err.contains("--cores requires --executor parallel"),
+            "{err}"
+        );
+        let sized = parse(&["--cores", "8", "--executor", "parallel:4"]).unwrap();
+        let sched = options_for(&sized).unwrap().scheduler.unwrap();
+        assert_eq!(sched.core_budget, 8);
+
+        // Placement needs no companion flag; the default is one job slot
+        // sharing the run's shuffle budget.
+        let placed = parse(&["--placement", "sjf", "--mem-budget", "64k"]).unwrap();
+        let options = options_for(&placed).unwrap();
+        let sched = options.scheduler.unwrap();
+        assert_eq!(sched.placement, gumbo::sched::PlacementPolicy::Sjf);
+        assert_eq!(sched.max_concurrent_jobs, 1);
+        assert_eq!(sched.mem_budget, options.mem_budget);
+        assert_eq!(sched.threads_per_job, 0);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //!   point of the filter — so full stats equality is *not* asserted
 //!   across modes;
 //! - within the filtered mode, the full execution matrix `{sim,
-//!   parallel:4} × {round barrier, DAG scheduler} × {unlimited, 4 KiB
-//!   budget}` must agree **exactly** with the filtered reference:
-//!   byte-identical DFS and identical statistics including filter
-//!   bytes, suppressed-message, probe, and false-positive counts — the
-//!   filter is deterministic across worker counts, schedulers and
-//!   memory budgets.
+//!   parallel:4} × {1, 3 job slots} × {unlimited, 4 KiB budget}` must
+//!   agree **exactly** with the filtered reference: byte-identical DFS
+//!   and identical statistics including filter bytes,
+//!   suppressed-message, probe, and false-positive counts — the filter
+//!   is deterministic across worker counts, slot counts and memory
+//!   budgets.
 //!
 //! Separate tests pin down `auto` mode: it must match `bloom` exactly
 //! where the planner predicts a net win, skip filtering entirely where
@@ -51,25 +51,23 @@ fn presets() -> Vec<Workload> {
 fn engine(
     mode: ShuffleFilterMode,
     kind: ExecutorKind,
-    dag: bool,
+    slots: usize,
     budget: Option<u64>,
 ) -> GumboEngine {
     let mem_budget = match budget {
         Some(bytes) => gumbo::mr::MemBudget::bytes(bytes),
         None => gumbo::mr::MemBudget::UNLIMITED,
     };
-    let mut options = EvalOptions {
+    let options = EvalOptions {
         mem_budget,
         shuffle_filter: mode,
+        scheduler: Some(SchedulerConfig {
+            max_concurrent_jobs: slots,
+            mem_budget,
+            ..SchedulerConfig::ONE_SLOT
+        }),
         ..EvalOptions::default()
     };
-    if dag {
-        options.scheduler = Some(SchedulerConfig {
-            max_concurrent_jobs: 3,
-            mem_budget,
-            ..SchedulerConfig::default()
-        });
-    }
     GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
@@ -84,20 +82,20 @@ fn output_tuples(stats: &ProgramStats) -> u64 {
     stats.jobs.iter().map(|j| j.output_tuples).sum()
 }
 
-/// Filtered runs across one scheduling path: answers identical to the
-/// unfiltered reference, statistics identical to the filtered reference.
-fn check_matrix(dag: bool) {
+/// Filtered runs at one slot count: answers identical to the unfiltered
+/// reference, statistics identical to the filtered reference.
+fn check_matrix(slots: usize) {
     let mut total_suppressed = 0u64;
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_plain = SimDfs::from_database(&db);
-        let stats_plain = engine(ShuffleFilterMode::Off, ExecutorKind::Simulated, false, None)
+        let stats_plain = engine(ShuffleFilterMode::Off, ExecutorKind::Simulated, 1, None)
             .evaluate(&dfs_plain, &workload.query)
             .unwrap_or_else(|e| panic!("{} (unfiltered): {e}", workload.name));
 
         let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = engine(BLOOM, ExecutorKind::Simulated, false, None)
+        let stats_ref = engine(BLOOM, ExecutorKind::Simulated, 1, None)
             .evaluate(&dfs_ref, &workload.query)
             .unwrap_or_else(|e| panic!("{} (filtered reference): {e}", workload.name));
 
@@ -133,14 +131,13 @@ fn check_matrix(dag: bool) {
             ExecutorKind::Parallel { threads: 4 },
         ] {
             for budget in [None, Some(BUDGET)] {
-                let subject = engine(BLOOM, kind, dag, budget);
+                let subject = engine(BLOOM, kind, slots, budget);
                 let runtime = subject.runtime();
                 let dfs = SimDfs::from_database(&db);
                 let label = format!(
-                    "{} (bloom, {}, {}, budget {:?})",
+                    "{} (bloom, {}, {slots} slots, budget {:?})",
                     workload.name,
                     kind.label(),
-                    if dag { "dag" } else { "rounds" },
                     budget
                 );
                 let stats = subject
@@ -172,13 +169,13 @@ fn check_matrix(dag: bool) {
 }
 
 #[test]
-fn filtered_shuffle_is_equivalent_under_the_round_barrier() {
-    check_matrix(false);
+fn filtered_shuffle_is_equivalent_at_one_job_slot() {
+    check_matrix(1);
 }
 
 #[test]
-fn filtered_shuffle_is_equivalent_under_the_dag_scheduler() {
-    check_matrix(true);
+fn filtered_shuffle_is_equivalent_at_three_job_slots() {
+    check_matrix(3);
 }
 
 /// Where the planner predicts a net byte win, `auto` engages the filter
@@ -190,7 +187,7 @@ fn auto_matches_bloom_when_profitable() {
     let db = workload.spec.clone().with_tuples(300).database(7);
 
     let dfs_bloom = SimDfs::from_database(&db);
-    let stats_bloom = engine(BLOOM, ExecutorKind::Simulated, false, None)
+    let stats_bloom = engine(BLOOM, ExecutorKind::Simulated, 1, None)
         .evaluate(&dfs_bloom, &workload.query)
         .expect("bloom run");
     assert!(
@@ -199,7 +196,7 @@ fn auto_matches_bloom_when_profitable() {
     );
 
     let dfs_auto = SimDfs::from_database(&db);
-    let stats_auto = engine(AUTO, ExecutorKind::Simulated, false, None)
+    let stats_auto = engine(AUTO, ExecutorKind::Simulated, 1, None)
         .evaluate(&dfs_auto, &workload.query)
         .expect("auto run");
 

@@ -1,11 +1,14 @@
-//! Scheduler equivalence: the dependency-driven DAG scheduler must be
-//! observationally identical to round-barrier execution.
+//! Scheduler equivalence: the dependency-driven DAG scheduler — the one
+//! path every planned program runs on — must be observationally identical
+//! to the serial round-barrier loop it replaced.
 //!
 //! This extends the PR-1 executor-equivalence harness one layer up: for
 //! every `datagen` query preset (A1–A5, B1/B2, and the nested C1–C4
-//! programs of Figure 6), the same engine evaluates the same database
-//! twice — once on the round-barrier path, once with
-//! `EvalOptions::scheduler` set — and must produce
+//! programs of Figure 6), the same database is evaluated by the engine
+//! (at 1 and several job slots, under every placement policy, executor
+//! and budget) and by the oracle below — the engine's own plans executed
+//! on `Executor::execute`, the serial reference loop — and both must
+//! produce
 //!
 //! * byte-identical answer relations (every file left in the DFS,
 //!   intermediates included) and identical DFS byte counters;
@@ -15,6 +18,7 @@
 //! The scheduler may only change *when* jobs run, never what they
 //! compute or how they are metered.
 
+use gumbo::core::Estimator;
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
@@ -46,6 +50,35 @@ fn presets() -> Vec<gumbo::datagen::Workload> {
     all
 }
 
+/// The oracle: evaluate `query` group by group exactly as the engine does
+/// — same sort, same plans against live statistics, same estimates — but
+/// execute every planned program on the serial reference loop
+/// (`Executor::execute`: one `sim` worker, jobs one after another, a
+/// barrier after every round) instead of the scheduler.
+fn round_barrier_oracle(dfs: &SimDfs, query: &SgfQuery) -> ProgramStats {
+    let engine = engine(None, ExecutorKind::Simulated);
+    let runtime = engine.runtime();
+    let mut stats = ProgramStats::default();
+    for group in &engine.sort_for(dfs, query).unwrap() {
+        let queries = group.iter().map(|&i| query.queries()[i].clone()).collect();
+        let ctx = QueryContext::new(queries).unwrap();
+        let est = Estimator::new(
+            dfs,
+            engine.config.scale,
+            engine.config.constants,
+            engine.options.planner_model,
+            engine.options.sample_size,
+            engine.options.seed,
+        );
+        let program = engine
+            .plan_group(&est, &ctx)
+            .and_then(|plan| plan.build_annotated_program(&ctx, &est))
+            .unwrap();
+        stats.extend(runtime.execute(dfs, &program).unwrap());
+    }
+    stats
+}
+
 /// One definition of "observationally identical", shared with the
 /// `dagsched` benchmark and the scheduler's own unit tests —
 /// byte-identical DFS contents (metered I/O included), identical per-job
@@ -67,9 +100,20 @@ fn dag_scheduler_matches_round_barrier_on_every_datagen_preset() {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
-            .evaluate(&dfs_rounds, &workload.query)
-            .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
+        let stats_rounds = round_barrier_oracle(&dfs_rounds, &workload.query);
+
+        // Options that name no scheduler run on one slot too.
+        let dfs_default = SimDfs::from_database(&db);
+        let stats_default = engine(None, ExecutorKind::Simulated)
+            .evaluate(&dfs_default, &workload.query)
+            .unwrap_or_else(|e| panic!("{} (default options): {e}", workload.name));
+        assert_equivalent(
+            &format!("{} (default options)", workload.name),
+            &dfs_rounds,
+            &stats_rounds,
+            &dfs_default,
+            &stats_default,
+        );
 
         for max_jobs in [1usize, 4] {
             let scheduler = Some(SchedulerConfig {
@@ -93,18 +137,16 @@ fn dag_scheduler_matches_round_barrier_on_every_datagen_preset() {
 
 #[test]
 fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
-    // The scheduled path under a 4 KiB shuffle budget: concurrent jobs
-    // share one tracker, spill to disk, and must still leave the same
-    // bytes in the DFS with the same non-spill statistics as unlimited
-    // round-barrier execution — for every preset.
+    // Under a 4 KiB shuffle budget concurrent jobs share one tracker,
+    // spill to disk, and must still leave the same bytes in the DFS with
+    // the same non-spill statistics as unlimited round-barrier execution
+    // — for every preset.
     const BUDGET: u64 = 4096;
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(300).database(7);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
-            .evaluate(&dfs_rounds, &workload.query)
-            .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
+        let stats_rounds = round_barrier_oracle(&dfs_rounds, &workload.query);
 
         let scheduler = Some(SchedulerConfig {
             max_concurrent_jobs: 4,
@@ -136,55 +178,53 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
 
 #[test]
 fn placement_policies_match_round_barrier_on_every_preset() {
-    // The ISSUE-4 acceptance matrix: all three placement policies ×
-    // both executors × {unlimited, tiny budget}, on every datagen
-    // preset — byte-identical relations and identical non-timing
-    // statistics versus the round barrier. Placement reorders only
-    // ready jobs, so nothing observable may change.
+    // The ISSUE-4 acceptance matrix: job slots {1, 4} × all three
+    // placement policies × both executors × {unlimited, tiny budget},
+    // on every datagen preset — byte-identical relations and identical
+    // non-timing statistics versus the round barrier. Placement
+    // reorders only ready jobs, so nothing observable may change.
     const BUDGET: u64 = 4096;
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(120).database(11);
 
         let dfs_rounds = SimDfs::from_database(&db);
-        let stats_rounds = engine(None, ExecutorKind::Simulated)
-            .evaluate(&dfs_rounds, &workload.query)
-            .unwrap_or_else(|e| panic!("{} (rounds): {e}", workload.name));
+        let stats_rounds = round_barrier_oracle(&dfs_rounds, &workload.query);
         assert!(
             stats_rounds.predicted_net_time.is_none(),
-            "the barrier path has no DAG to predict over"
+            "the serial loop has no DAG to predict over"
         );
 
-        for policy in PlacementPolicy::ALL {
-            for executor in [
-                ExecutorKind::Simulated,
-                ExecutorKind::Parallel { threads: 2 },
-            ] {
-                for budget in [None, Some(BUDGET)] {
-                    let scheduler = Some(SchedulerConfig {
-                        max_concurrent_jobs: 3,
-                        placement: policy,
-                        mem_budget: budget
-                            .map(gumbo::mr::MemBudget::bytes)
-                            .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
-                        ..SchedulerConfig::default()
-                    });
-                    let dfs_dag = SimDfs::from_database(&db);
-                    let stats_dag = engine(scheduler, executor)
-                        .evaluate(&dfs_dag, &workload.query)
-                        .unwrap_or_else(|e| {
-                            panic!("{} ({} {:?}): {e}", workload.name, policy.label(), executor)
+        for slots in [1usize, 4] {
+            for policy in PlacementPolicy::ALL {
+                for executor in [
+                    ExecutorKind::Simulated,
+                    ExecutorKind::Parallel { threads: 2 },
+                ] {
+                    for budget in [None, Some(BUDGET)] {
+                        let scheduler = Some(SchedulerConfig {
+                            max_concurrent_jobs: slots,
+                            placement: policy,
+                            mem_budget: budget
+                                .map(gumbo::mr::MemBudget::bytes)
+                                .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
+                            ..SchedulerConfig::ONE_SLOT
                         });
-                    let label = format!(
-                        "{} (policy {}, executor {}, budget {budget:?})",
-                        workload.name,
-                        policy.label(),
-                        executor.label(),
-                    );
-                    assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
-                    assert!(
-                        stats_dag.predicted_net_time.is_some(),
-                        "{label}: scheduled runs report a predicted DAG net time"
-                    );
+                        let label = format!(
+                            "{} ({slots} slots, policy {}, executor {}, budget {budget:?})",
+                            workload.name,
+                            policy.label(),
+                            executor.label(),
+                        );
+                        let dfs_dag = SimDfs::from_database(&db);
+                        let stats_dag = engine(scheduler, executor)
+                            .evaluate(&dfs_dag, &workload.query)
+                            .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
+                        assert!(
+                            stats_dag.predicted_net_time.is_some(),
+                            "{label}: every engine run reports a predicted DAG net time"
+                        );
+                    }
                 }
             }
         }
@@ -222,14 +262,12 @@ fn predicted_net_time_is_policy_invariant_and_positive() {
 fn dag_scheduler_composes_with_parallel_runtime() {
     // The scheduler supplies inter-job concurrency while each job's own
     // map/shuffle/reduce fans out on the parallel runtime — stats must
-    // still be identical to plain round-barrier simulated execution.
+    // still be identical to the serial one-worker reference loop.
     let workload = queries::a3().with_tuples(300);
     let db = workload.spec.database(7);
 
     let dfs_rounds = SimDfs::from_database(&db);
-    let stats_rounds = engine(None, ExecutorKind::Simulated)
-        .evaluate(&dfs_rounds, &workload.query)
-        .unwrap();
+    let stats_rounds = round_barrier_oracle(&dfs_rounds, &workload.query);
 
     let dfs_dag = SimDfs::from_database(&db);
     let stats_dag = engine(

@@ -2,10 +2,10 @@
 //! observationally identical to the in-memory simulated DFS.
 //!
 //! For every `datagen` query preset (A1–A5, B1/B2 and the nested C1–C4
-//! programs of Figure 6), a single reference run — sim backend, round
-//! barrier — is compared against **both** backends across
+//! programs of Figure 6), a single reference run — sim backend, one job
+//! slot — is compared against **both** backends across
 //!
-//! `{sim, file} × {round barrier, DAG scheduler}`
+//! `{sim, file} × {1, 3 job slots}`
 //!
 //! requiring byte-identical answer relations (every file left in the
 //! DFS), identical logical I/O meters (`bytes_read` / `bytes_written`
@@ -46,14 +46,14 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-fn engine(dag: bool) -> GumboEngine {
-    let mut options = EvalOptions::default();
-    if dag {
-        options.scheduler = Some(SchedulerConfig {
-            max_concurrent_jobs: 3,
-            ..SchedulerConfig::default()
-        });
-    }
+fn engine(slots: usize) -> GumboEngine {
+    let options = EvalOptions {
+        scheduler: Some(SchedulerConfig {
+            max_concurrent_jobs: slots,
+            ..SchedulerConfig::ONE_SLOT
+        }),
+        ..EvalOptions::default()
+    };
     GumboEngine::with_executor(
         EngineConfig {
             scale: 5_000,
@@ -64,24 +64,20 @@ fn engine(dag: bool) -> GumboEngine {
     )
 }
 
-/// Run both backends on one scheduling path and compare each against the
-/// sim-backend reference run.
-fn check_matrix(dag: bool) {
+/// Run both backends at one slot count and compare each against the
+/// sim-backend, one-slot reference run.
+fn check_matrix(slots: usize) {
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
 
         let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = engine(false)
+        let stats_ref = engine(1)
             .evaluate(&dfs_ref, &workload.query)
             .unwrap_or_else(|e| panic!("{} (reference): {e}", workload.name));
 
         for backend in ["sim", "file"] {
-            let label = format!(
-                "{} ({backend}, {})",
-                workload.name,
-                if dag { "dag" } else { "rounds" },
-            );
-            let root = temp_root(&format!("{}-{backend}-{dag}", workload.name));
+            let label = format!("{} ({backend}, {slots} slots)", workload.name);
+            let root = temp_root(&format!("{}-{backend}-{slots}", workload.name));
             let dfs: Box<dyn Dfs> = match backend {
                 "sim" => Box::new(SimDfs::from_database(&db)),
                 _ => Box::new(
@@ -89,7 +85,7 @@ fn check_matrix(dag: bool) {
                         .unwrap_or_else(|e| panic!("{label}: {e}")),
                 ),
             };
-            let stats = engine(dag)
+            let stats = engine(slots)
                 .evaluate(&*dfs, &workload.query)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
 
@@ -102,13 +98,13 @@ fn check_matrix(dag: bool) {
 }
 
 #[test]
-fn both_backends_agree_on_every_preset_under_the_round_barrier() {
-    check_matrix(false);
+fn both_backends_agree_on_every_preset_at_one_job_slot() {
+    check_matrix(1);
 }
 
 #[test]
-fn both_backends_agree_on_every_preset_under_the_dag_scheduler() {
-    check_matrix(true);
+fn both_backends_agree_on_every_preset_at_three_job_slots() {
+    check_matrix(3);
 }
 
 /// Durability: evaluate into a file store, drop the handle, reopen the
@@ -122,7 +118,7 @@ fn file_dfs_restarts_from_durable_state() {
 
     let snapshot: Vec<(gumbo::common::RelationName, std::sync::Arc<Relation>)> = {
         let dfs = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap();
-        engine(false).evaluate(&dfs, &workload.query).unwrap();
+        engine(1).evaluate(&dfs, &workload.query).unwrap();
         dfs.flush().unwrap();
         dfs.file_names()
             .into_iter()
@@ -162,12 +158,12 @@ fn tiny_block_cache_evicts_without_changing_answers() {
     let db = workload.spec.clone().with_tuples(400).database(SEED);
 
     let dfs_sim = SimDfs::from_database(&db);
-    let stats_sim = engine(false).evaluate(&dfs_sim, &workload.query).unwrap();
+    let stats_sim = engine(1).evaluate(&dfs_sim, &workload.query).unwrap();
 
     let root = temp_root("evict");
     // 2 KiB holds less than one decoded frame of most relations here.
     let dfs_file = FileDfs::from_database(&root, 2048, &db).unwrap();
-    let stats_file = engine(false).evaluate(&dfs_file, &workload.query).unwrap();
+    let stats_file = engine(1).evaluate(&dfs_file, &workload.query).unwrap();
 
     let cache = dfs_file.cache_stats();
     assert!(

@@ -38,16 +38,17 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-/// The engine both sides of every comparison use: DAG scheduler (the
-/// service's production path).
-fn engine() -> GumboEngine {
+/// The engine both sides of every comparison use, at `slots` job slots:
+/// the server runs three, the direct evaluation it is compared against
+/// runs one.
+fn engine(slots: usize) -> GumboEngine {
     GumboEngine::with_executor(
         EngineConfig::default(),
         ExecutorKind::Simulated,
         EvalOptions {
             scheduler: Some(SchedulerConfig {
-                max_concurrent_jobs: 3,
-                ..SchedulerConfig::default()
+                max_concurrent_jobs: slots,
+                ..SchedulerConfig::ONE_SLOT
             }),
             ..EvalOptions::default()
         },
@@ -58,7 +59,7 @@ fn engine() -> GumboEngine {
 /// in the query's output order.
 fn direct_answers(db: &Database, query: &SgfQuery) -> Vec<Relation> {
     let dfs = SimDfs::from_database(db);
-    engine().evaluate(&dfs, query).unwrap();
+    engine(1).evaluate(&dfs, query).unwrap();
     query
         .output_names()
         .iter()
@@ -68,7 +69,7 @@ fn direct_answers(db: &Database, query: &SgfQuery) -> Vec<Relation> {
 
 fn start_server(dfs: Arc<dyn Dfs>, config: ServeConfig) -> ServerHandle {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    serve(listener, dfs, engine(), config).unwrap()
+    serve(listener, dfs, engine(3), config).unwrap()
 }
 
 fn assert_same_relations(label: &str, got: &[Relation], want: &[Relation]) {

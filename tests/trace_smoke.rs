@@ -1,8 +1,8 @@
 //! Tracing smoke tests: the observability plane must tell the truth.
 //!
 //! Three properties are pinned down across the whole execution matrix
-//! (every datagen preset × `sim` and a worker pool × both scheduling
-//! paths):
+//! (every datagen preset × `sim` and a worker pool × one and three job
+//! slots):
 //!
 //! * **balance** — on every worker lane, span Begin/End events bracket
 //!   like parentheses with matching names, and nothing is left open;
@@ -109,7 +109,7 @@ fn assert_balanced(label: &str, events: &[Event]) {
 fn traced_run(
     workload: &gumbo::datagen::Workload,
     executor: ExecutorKind,
-    scheduler: Option<SchedulerConfig>,
+    slots: usize,
     budget: gumbo::mr::MemBudget,
 ) -> (Vec<Event>, ProgramStats) {
     let db = workload.spec.clone().with_tuples(120).database(11);
@@ -120,7 +120,10 @@ fn traced_run(
         },
         executor,
         EvalOptions {
-            scheduler,
+            scheduler: Some(SchedulerConfig {
+                max_concurrent_jobs: slots,
+                ..SchedulerConfig::ONE_SLOT
+            }),
             mem_budget: budget,
             ..EvalOptions::default()
         },
@@ -135,7 +138,10 @@ fn traced_run(
     (ring.events(), stats)
 }
 
-/// Every preset × executor × scheduler leaves a balanced trace with one `job` span and one full phase set per executed job.
+/// Every preset × executor × slot count leaves a balanced trace with one
+/// `job` span and one full phase set per executed job, each job nested
+/// under its claim — and `sim` at one slot is a single-threaded process:
+/// one lane, every job inline under the `execute` span that ran it.
 #[test]
 fn spans_balance_across_the_execution_matrix() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
@@ -144,26 +150,10 @@ fn spans_balance_across_the_execution_matrix() {
             ExecutorKind::Simulated,
             ExecutorKind::Parallel { threads: 2 },
         ] {
-            for scheduler in [
-                None,
-                Some(SchedulerConfig {
-                    max_concurrent_jobs: 3,
-                    ..SchedulerConfig::default()
-                }),
-            ] {
-                let scheduled = scheduler.is_some();
-                let label = format!(
-                    "{} ({}, {})",
-                    workload.name,
-                    executor.label(),
-                    if scheduled { "dag" } else { "rounds" },
-                );
-                let (events, stats) = traced_run(
-                    &workload,
-                    executor,
-                    scheduler,
-                    gumbo::mr::MemBudget::UNLIMITED,
-                );
+            for slots in [1usize, 3] {
+                let label = format!("{} ({}, {slots} slots)", workload.name, executor.label());
+                let (events, stats) =
+                    traced_run(&workload, executor, slots, gumbo::mr::MemBudget::UNLIMITED);
                 assert_balanced(&label, &events);
                 let begins = |name: &str| {
                     events
@@ -183,35 +173,49 @@ fn spans_balance_across_the_execution_matrix() {
                     .iter()
                     .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
                     .count();
-                if scheduled {
-                    assert_eq!(claims, jobs, "{label}: one claim per scheduled job");
-                    // Nesting: each job span opens on the lane that
-                    // just emitted its claim, so the most recent
-                    // claim on that lane names the same job.
-                    for begin in events
+                assert_eq!(claims, jobs, "{label}: one claim per job");
+                let inline = slots == 1 && executor == ExecutorKind::Simulated;
+                for (idx, job_span) in events
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
+                {
+                    // Nesting: each job span opens on the lane that just
+                    // emitted its claim, so the most recent claim on that
+                    // lane names the same job.
+                    let claim = events[..idx]
                         .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
-                    {
-                        let (idx, job_span) = begin;
-                        let claim = events[..idx]
-                            .iter()
-                            .rev()
-                            .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
-                            .unwrap_or_else(|| {
-                                panic!("{label}: job span without a prior claim on its lane")
-                            });
+                        .rev()
+                        .find(|e| e.lane == job_span.lane && e.name == "sched:claim")
+                        .unwrap_or_else(|| {
+                            panic!("{label}: job span without a prior claim on its lane")
+                        });
+                    assert_eq!(
+                        field_str(claim, "job"),
+                        field_str(job_span, "job"),
+                        "{label}: job span nests under a different job's claim"
+                    );
+                    let execute = events[..idx]
+                        .iter()
+                        .rev()
+                        .find(|e| e.kind == EventKind::Begin && e.name == "execute")
+                        .unwrap_or_else(|| panic!("{label}: job span outside any execute span"));
+                    assert_eq!(
+                        field_u64(execute, "slots"),
+                        Some(slots as u64),
+                        "{label}: the execute span names its slot count"
+                    );
+                    if inline {
                         assert_eq!(
-                            field_str(claim, "job"),
-                            field_str(job_span, "job"),
-                            "{label}: job span nests under a different job's claim"
+                            job_span.lane, execute.lane,
+                            "{label}: one slot runs jobs on the caller's lane"
                         );
                     }
-                } else {
-                    assert_eq!(
-                        claims, 0,
-                        "{label}: no scheduler events on the barrier path"
-                    );
+                }
+                if inline {
+                    let lanes: std::collections::BTreeSet<u64> =
+                        events.iter().map(|e| e.lane).collect();
+                    assert_eq!(lanes.len(), 1, "{label}: one slot on sim spawns no thread");
                 }
             }
         }
@@ -228,7 +232,7 @@ fn spill_spans_and_commit_ledger_reconcile_with_job_stats() {
     let (events, stats) = traced_run(
         &workload,
         ExecutorKind::Simulated,
-        Some(SchedulerConfig::default()),
+        4,
         gumbo::mr::MemBudget::bytes(4096),
     );
     assert!(
@@ -344,7 +348,11 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     let chrome = gumbo::obs::ChromeTraceSink::create(&path).unwrap();
     gumbo::obs::install(Arc::new(chrome));
     let executor = ExecutorKind::Simulated.build(EngineConfig::default());
-    let outcome = executor.execute(&SimDfs::from_database(&db), &program);
+    let outcome = DagScheduler::new(SchedulerConfig::ONE_SLOT).execute_program(
+        &executor,
+        &SimDfs::from_database(&db),
+        program,
+    );
     gumbo::obs::uninstall();
     let err = outcome.expect_err("the bomb must actually go off");
     assert!(err.to_string().contains("bomb"), "{err}");
