@@ -1075,15 +1075,9 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             .iter()
             .map(|q| {
                 let ctx = QueryContext::new(q.queries().to_vec())?;
-                let est = Estimator::new(
-                    dfs,
-                    cfg.scale,
-                    gumbo_mr::CostConstants::default(),
-                    CostModelKind::Gumbo,
-                    64,
-                    cfg.seed,
-                );
-                engine.plan_group(&est, &ctx)?.build_program(&ctx)
+                engine
+                    .plan_group(&engine.estimator(dfs), &ctx)?
+                    .build_program(&ctx)
             })
             .collect()
     };

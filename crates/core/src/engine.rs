@@ -234,7 +234,10 @@ impl GumboEngine {
         DagScheduler::new(sched).execute_program(runtime, dfs, program)
     }
 
-    fn estimator<'a>(&self, dfs: &'a dyn Dfs) -> Estimator<'a> {
+    /// The estimator this engine plans with: its scale, cost constants,
+    /// planner model, sample size and seed over the live statistics of
+    /// `dfs`. O(1) — statistics are looked up as plans ask for them.
+    pub fn estimator<'a>(&self, dfs: &'a dyn Dfs) -> Estimator<'a> {
         Estimator::new(
             dfs,
             self.config.scale,
@@ -367,6 +370,26 @@ impl GumboEngine {
         self.eval().run(dfs, query)
     }
 
+    /// Plan one group against live statistics — earlier groups are
+    /// materialized by now — and execute it. The chosen plan's jobs are
+    /// annotated with their estimates (the shared estimation layer), so
+    /// the scheduler places and sizes from the same numbers the planner
+    /// just optimized.
+    fn run_group(
+        &self,
+        runtime: &Executor,
+        dfs: &dyn Dfs,
+        queries: Vec<BsgfQuery>,
+    ) -> Result<ProgramStats> {
+        let ctx = QueryContext::new(queries)?;
+        let program = {
+            let est = self.estimator(dfs);
+            let plan = self.plan_group(&est, &ctx)?;
+            plan.build_annotated_program(&ctx, &est)?
+        };
+        self.execute_program(runtime, dfs, program)
+    }
+
     /// Dynamic `Greedy-SGF` (§4.6, closing remark): after each group is
     /// executed, re-run the greedy sort on the *remaining* subqueries —
     /// whose already-computed inputs are now materialized base relations —
@@ -383,18 +406,8 @@ impl GumboEngine {
             let rest = SgfQuery::new(remaining.clone())?;
             let sort = greedy_sgf_sort(&rest);
             let first: Vec<usize> = sort.into_iter().next().expect("non-empty query");
-            let queries: Vec<BsgfQuery> =
-                first.iter().map(|&i| rest.queries()[i].clone()).collect();
-            let ctx = QueryContext::new(queries)?;
-            let program = {
-                let est = self.estimator(dfs);
-                let plan = self.plan_group(&est, &ctx)?;
-                // Annotate each job with the estimation layer's numbers,
-                // so the scheduler places/sizes from the same estimates
-                // the planner just optimized.
-                plan.build_annotated_program(&ctx, &est)?
-            };
-            stats.extend(self.execute_program(runtime, dfs, program)?);
+            let queries = first.iter().map(|&i| rest.queries()[i].clone()).collect();
+            stats.extend(self.run_group(runtime, dfs, queries)?);
             let mut keep = Vec::with_capacity(remaining.len() - first.len());
             for (i, q) in remaining.into_iter().enumerate() {
                 if !first.contains(&i) {
@@ -417,19 +430,8 @@ impl GumboEngine {
         DependencyGraph::new(query).validate_sort(sort)?;
         let mut stats = ProgramStats::default();
         for group in sort {
-            let queries: Vec<BsgfQuery> =
-                group.iter().map(|&i| query.queries()[i].clone()).collect();
-            let ctx = QueryContext::new(queries)?;
-            // Plan against live statistics: earlier groups are
-            // materialized. The chosen plan's jobs are annotated with
-            // their estimates (the shared estimation layer) before
-            // execution, so the scheduler can place by cost.
-            let program = {
-                let est = self.estimator(dfs);
-                let plan = self.plan_group(&est, &ctx)?;
-                plan.build_annotated_program(&ctx, &est)?
-            };
-            stats.extend(self.execute_program(runtime, dfs, program)?);
+            let queries = group.iter().map(|&i| query.queries()[i].clone()).collect();
+            stats.extend(self.run_group(runtime, dfs, queries)?);
         }
         Ok(stats)
     }

@@ -7,13 +7,29 @@
 //! * a **catalog** of relation statistics (sizes from the DFS, upper bounds
 //!   for not-yet-computed intermediate relations — the paper's `K ≤ N₁`
 //!   approximation from §4.1), and
-//! * **sampled conformance rates**: the fraction of a relation's tuples
-//!   conforming to an atom, measured on a reservoir sample,
+//! * **conformance rates**: the fraction of a relation's tuples
+//!   conforming to an atom,
 //!
 //! to produce the same [`JobProfile`]s the engine measures, priced by the
 //! same cost model. Estimated and measured costs therefore differ only
 //! through sampling error and upper-bound slack — which is exactly the
 //! planner-accuracy story of §5.2.
+//!
+//! # When the planner looks at tuples
+//!
+//! Almost never. Sizes come from [`Dfs::stat`] — O(1) metadata, looked up
+//! lazily and only for the relations a query names — so building an
+//! [`Estimator`] and pricing a plan costs the same on every backend and
+//! does not grow with the store. An atom of distinct variables
+//! ([`Atom::is_unconstrained`] — every atom of the paper's Table 2 /
+//! Figure 6 workloads) conforms to every tuple of its arity, so its rate
+//! is exactly 1.0, again from metadata. Two corners read values, through
+//! the unmetered [`Dfs::peek`]:
+//!
+//! * [`Estimator::conform_rate`] of an atom with a constant or a repeated
+//!   variable reservoir-samples the relation (§5.1 (3));
+//! * [`Estimator::msj_filter_prediction`] (only under
+//!   `--shuffle-filter bloom|auto`) computes exact key overlaps.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -24,6 +40,7 @@ use gumbo_mr::{
     InputPartition, JobConfig, JobEstimate, JobProfile,
 };
 use gumbo_sgf::Atom;
+pub use gumbo_storage::RelStats;
 use gumbo_storage::{reservoir_sample, Dfs};
 
 use crate::plan::{BsgfSetPlan, OneRoundKind, PayloadMode};
@@ -34,56 +51,60 @@ const VALUE_BYTES: f64 = 10.0;
 /// Per-message header weight (see `gumbo_mr::message`).
 const HEADER_BYTES: f64 = 4.0;
 
-/// Statistics for one relation, at cost-model scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RelStats {
-    /// Total size in (scaled) bytes.
-    pub bytes: ByteSize,
-    /// Number of (scaled) tuples.
-    pub tuples: u64,
-    /// Arity.
-    pub arity: usize,
-}
-
-/// The planner's view of relation sizes.
+/// The planner's view of relation sizes, at cost-model scale: explicit
+/// entries (upper bounds for not-yet-computed intermediates, analytic
+/// sizes) over a lazy view of [`Dfs::stat`].
 #[derive(Debug, Clone, Default)]
-pub struct Catalog {
-    stats: BTreeMap<RelationName, RelStats>,
+pub struct Catalog<'a> {
+    explicit: BTreeMap<RelationName, RelStats>,
+    /// The store behind every relation without an explicit entry, and the
+    /// scale its statistics are priced at. `None` = analytic.
+    source: Option<(&'a dyn Dfs, u64)>,
+    /// What the store answered (unscaled; `None` = not materialised),
+    /// memoised on first use so one estimator sees one snapshot.
+    stored: RefCell<BTreeMap<RelationName, Option<RelStats>>>,
 }
 
-impl Catalog {
-    /// Build a catalog from every file currently in the DFS, scaled.
-    ///
-    /// Uses [`Dfs::peek`], so building plan-time statistics never charges
-    /// the byte meters — on any backend.
-    pub fn from_dfs(dfs: &dyn Dfs, scale: u64) -> Self {
-        let mut stats = BTreeMap::new();
-        for name in dfs.file_names() {
-            let rel = dfs.peek(&name).expect("listed file exists");
-            stats.insert(
-                name,
-                RelStats {
-                    bytes: ByteSize::bytes(rel.estimated_bytes()).scaled(scale),
-                    tuples: rel.len() as u64 * scale,
-                    arity: rel.arity(),
-                },
-            );
+impl<'a> Catalog<'a> {
+    /// A catalog over the relations of `dfs`, scaled. Touches nothing
+    /// until a relation is asked for.
+    pub fn over(dfs: &'a dyn Dfs, scale: u64) -> Self {
+        Catalog {
+            source: Some((dfs, scale)),
+            ..Catalog::default()
         }
-        Catalog { stats }
     }
 
     /// Insert (or overwrite) statistics, e.g. an upper bound for a future
-    /// intermediate relation.
+    /// intermediate relation. Takes precedence over the store.
     pub fn insert(&mut self, name: RelationName, stats: RelStats) {
-        self.stats.insert(name, stats);
+        self.explicit.insert(name, stats);
     }
 
     /// Look up statistics.
     pub fn get(&self, name: &RelationName) -> Result<RelStats> {
-        self.stats
-            .get(name)
-            .copied()
+        let scaled = || {
+            let (_, scale) = self.source?;
+            self.stored(name).map(|s| RelStats {
+                bytes: s.bytes.scaled(scale),
+                tuples: s.tuples * scale,
+                arity: s.arity,
+            })
+        };
+        (self.explicit.get(name).copied())
+            .or_else(scaled)
             .ok_or_else(|| GumboError::Plan(format!("no statistics for relation {name}")))
+    }
+
+    /// The store's own (unscaled) metadata for `name`; `None` when there
+    /// is no store or the relation is not materialised.
+    fn stored(&self, name: &RelationName) -> Option<RelStats> {
+        let (dfs, _) = self.source?;
+        *self
+            .stored
+            .borrow_mut()
+            .entry(name.clone())
+            .or_insert_with(|| dfs.stat(name).ok())
     }
 }
 
@@ -121,21 +142,20 @@ impl FilterPrediction {
 
 /// The plan cost estimator.
 pub struct Estimator<'a> {
-    catalog: Catalog,
+    /// Sizes — and, through its store, the sampling source for conformance
+    /// rates (no store = assume full conformance, the simplification the
+    /// paper's own Eq. 5/6 analysis makes).
+    catalog: Catalog<'a>,
     constants: CostConstants,
     model: CostModelKind,
-    /// Cost-model scale the catalog was built at (1 for analytic).
-    scale: u64,
-    /// Sampling source for conformance rates (None = assume full conformance,
-    /// the simplification the paper's own Eq. 5/6 analysis makes).
-    dfs: Option<&'a dyn Dfs>,
     sample_size: usize,
     seed: u64,
     conform_cache: RefCell<HashMap<Atom, f64>>,
 }
 
 impl<'a> Estimator<'a> {
-    /// Estimator over a DFS with sampling.
+    /// Estimator over a DFS with sampling. O(1): no relation is touched
+    /// until a plan that names it is priced.
     pub fn new(
         dfs: &'a dyn Dfs,
         scale: u64,
@@ -145,11 +165,9 @@ impl<'a> Estimator<'a> {
         seed: u64,
     ) -> Self {
         Estimator {
-            catalog: Catalog::from_dfs(dfs, scale),
+            catalog: Catalog::over(dfs, scale),
             constants,
             model,
-            scale,
-            dfs: Some(dfs),
             sample_size,
             seed,
             conform_cache: RefCell::new(HashMap::new()),
@@ -158,13 +176,11 @@ impl<'a> Estimator<'a> {
 
     /// Analytic estimator over an explicit catalog (no sampling) — used for
     /// planning over not-yet-materialized relations and in unit tests.
-    pub fn analytic(catalog: Catalog, constants: CostConstants, model: CostModelKind) -> Self {
+    pub fn analytic(catalog: Catalog<'a>, constants: CostConstants, model: CostModelKind) -> Self {
         Estimator {
             catalog,
             constants,
             model,
-            scale: 1,
-            dfs: None,
             sample_size: 0,
             seed: 0,
             conform_cache: RefCell::new(HashMap::new()),
@@ -184,35 +200,45 @@ impl<'a> Estimator<'a> {
     }
 
     /// Mutable access to the catalog (to register upper bounds).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
+    pub fn catalog_mut(&mut self) -> &mut Catalog<'a> {
         &mut self.catalog
     }
 
-    /// Read access to the catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Fraction of `atom`'s relation conforming to `atom`, from a sample.
+    /// Fraction of `atom`'s relation conforming to `atom`: exact from
+    /// metadata when no value can matter, from a sample otherwise.
     pub fn conform_rate(&self, atom: &Atom) -> f64 {
         if let Some(rate) = self.conform_cache.borrow().get(atom) {
             return *rate;
         }
-        let rate = match self.dfs {
-            Some(dfs) => match dfs.peek(atom.relation()) {
-                Ok(rel) if !rel.is_empty() && rel.arity() == atom.arity() => {
-                    let sample = reservoir_sample(&rel, self.sample_size.max(1), self.seed);
-                    let hits = sample.iter().filter(|t| atom.conforms_tuple(t)).count();
-                    hits as f64 / sample.len() as f64
-                }
-                Ok(_) => 0.0,
-                // Relation not materialized yet: assume full conformance.
-                Err(_) => 1.0,
-            },
+        // No store: assume full conformance, as for a relation that is
+        // not materialized yet.
+        let Some((dfs, _)) = self.catalog.source else {
+            return 1.0;
+        };
+        let rate = match self.catalog.stored(atom.relation()) {
             None => 1.0,
+            Some(stats) if stats.tuples == 0 || stats.arity != atom.arity() => 0.0,
+            // Every tuple of the right arity conforms — 1.0 is exact.
+            Some(_) if atom.is_unconstrained() => 1.0,
+            Some(_) => self.sampled_conform_rate(dfs, atom),
         };
         self.conform_cache.borrow_mut().insert(atom.clone(), rate);
         rate
+    }
+
+    /// [`Estimator::conform_rate`] measured on a reservoir sample of the
+    /// materialized relation (§5.1 (3)) — the general rule the metadata
+    /// arms are exact shortcuts of.
+    fn sampled_conform_rate(&self, dfs: &dyn Dfs, atom: &Atom) -> f64 {
+        match dfs.peek(atom.relation()) {
+            Ok(rel) if !rel.is_empty() && rel.arity() == atom.arity() => {
+                let sample = reservoir_sample(&rel, self.sample_size.max(1), self.seed);
+                let hits = sample.iter().filter(|t| atom.conforms_tuple(t)).count();
+                hits as f64 / sample.len() as f64
+            }
+            Ok(_) => 0.0,
+            Err(_) => 1.0,
+        }
     }
 
     // ----------------------------------------------------------- sizes --
@@ -362,7 +388,7 @@ impl<'a> Estimator<'a> {
         mode: PayloadMode,
         bits_per_key: u32,
     ) -> Option<FilterPrediction> {
-        let dfs = self.dfs?;
+        let (dfs, scale) = self.catalog.source?;
         let sjs: Vec<&SemiJoin> = group.iter().map(|&i| ctx.semijoin(i)).collect();
         let (assert_groups, assignment) = cond_groups(&sjs);
         if assert_groups.is_empty() {
@@ -426,11 +452,11 @@ impl<'a> Estimator<'a> {
         let mut saved_per_input: HashMap<String, (f64, f64)> = HashMap::new();
         let mut fp_weighted = 0.0f64;
         let mut fp_weight = 0u64;
-        let scale = self.scale as f64;
+        let scale_f = scale as f64;
         for (local, sj) in sjs.iter().enumerate() {
             let g = assignment[&sj.id];
             let fp = predicted_fp_rate_for(assert_keys[g].len() as u64, bits_per_key);
-            let saved = req_miss[local] as f64 * (1.0 - fp) * scale;
+            let saved = req_miss[local] as f64 * (1.0 - fp) * scale_f;
             let per_msg = VALUE_BYTES * sj.join_key.len() as f64
                 + HEADER_BYTES
                 + Self::payload_bytes(sj, mode);
@@ -444,7 +470,7 @@ impl<'a> Estimator<'a> {
         }
         for (g, (atom, key_vars)) in assert_groups.iter().enumerate() {
             let fp = predicted_fp_rate_for(req_keys[g].len() as u64, bits_per_key);
-            let saved = assert_miss[g] as f64 * (1.0 - fp) * scale;
+            let saved = assert_miss[g] as f64 * (1.0 - fp) * scale_f;
             let per_msg = VALUE_BYTES * key_vars.len() as f64 + HEADER_BYTES;
             let slot = saved_per_input
                 .entry(atom.relation().to_string())
@@ -475,7 +501,7 @@ impl<'a> Estimator<'a> {
             .sum::<f64>()
             .round() as u64;
         Some(FilterPrediction {
-            filter_bytes: ByteSize::bytes(raw_filter_bytes).scaled(self.scale),
+            filter_bytes: ByteSize::bytes(raw_filter_bytes).scaled(scale),
             saved_bytes,
             saved_records,
             predicted_fp_rate,
@@ -932,5 +958,62 @@ mod tests {
             .msj_cost(&ctx, &[0, 1, 2, 3], PayloadMode::Full, &cfg)
             .unwrap();
         assert!(cg.is_finite() && cw.is_finite());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use gumbo_common::Relation;
+    use gumbo_sgf::Term;
+    use gumbo_storage::SimDfs;
+    use proptest::prelude::*;
+
+    /// A term over three variables and three constants: small enough that
+    /// repeated variables, matching constants and all-distinct-variable
+    /// (unconstrained) atoms all come up.
+    fn arb_term() -> impl Strategy<Value = Term> {
+        prop_oneof![
+            (0usize..3).prop_map(|v| Term::var(["x", "y", "z"][v])),
+            (0i64..3).prop_map(Term::int),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The metadata arms of `conform_rate` are shortcuts, not
+        /// approximations: over random small relations (empty and
+        /// wrong-arity included) and random atoms, the rate equals — bit
+        /// for bit — what sampling the materialized relation computes.
+        #[test]
+        fn conform_rate_shortcuts_are_exact(
+            arity in 1usize..4,
+            rows in proptest::collection::vec(proptest::collection::vec(0i64..3, 3), 0..12),
+            terms in proptest::collection::vec(arb_term(), 1..4),
+            materialized in any::<bool>(),
+            sample_size in 1usize..8,
+            seed in any::<u64>(),
+        ) {
+            let dfs = SimDfs::new();
+            if materialized {
+                let tuples = rows.iter().map(|r| Tuple::from_ints(&r[..arity]));
+                dfs.store(Relation::from_tuples("R", arity, tuples).unwrap());
+            }
+            let est = Estimator::new(
+                &dfs,
+                1,
+                CostConstants::default(),
+                CostModelKind::Gumbo,
+                sample_size,
+                seed,
+            );
+            let atom = Atom::new("R", terms);
+            let rate = est.conform_rate(&atom);
+            prop_assert_eq!(rate.to_bits(), est.sampled_conform_rate(&dfs, &atom).to_bits());
+            if materialized && atom.is_unconstrained() && atom.arity() == arity && !rows.is_empty() {
+                prop_assert_eq!(rate, 1.0);
+            }
+        }
     }
 }

@@ -78,11 +78,14 @@ impl Json {
 
     /// Parse a JSON document. Strict enough for round-tripping our own
     /// output: supports all value kinds, string escapes (including
-    /// `\uXXXX`), and rejects trailing garbage.
+    /// `\uXXXX`), and rejects trailing garbage — and arrays/objects nested
+    /// deeper than [`MAX_JSON_DEPTH`], so text from outside the process
+    /// cannot overflow the stack of this (recursive) parser.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -149,9 +152,16 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. What this
+/// workspace writes nests 3 (`--stats-json`, traces) to 5 (wire frames)
+/// deep.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,8 +203,20 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
@@ -374,6 +396,22 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(-2.5));
         assert_eq!(arr[2].as_str(), Some("A\n"));
+    }
+
+    /// Found by `gumbo_service`'s `request_parse_never_panics`: half a
+    /// million unclosed brackets overflowed the stack.
+    #[test]
+    fn runaway_nesting_is_an_error() {
+        for opener in ["[", "{\"a\":", "[{\"a\":"] {
+            let err = Json::parse(&opener.repeat(300_000)).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{opener:?}: {err}");
+        }
+        let at_limit = format!(
+            "{}1{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        Json::parse(&at_limit).unwrap();
     }
 
     #[test]

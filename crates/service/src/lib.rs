@@ -40,7 +40,7 @@ use gumbo_obs::{Counter, Gauge};
 
 pub use client::{QueryReply, ServiceClient, ServiceError};
 pub use protocol::{Frame, Request, FRAME_ROWS};
-pub use server::{serve, ServeConfig, ServeSummary, ServerHandle};
+pub use server::{serve, ServeConfig, ServeSummary, ServerHandle, MAX_REQUEST_BYTES};
 
 /// Connections accepted by the server.
 pub static SVC_CONNECTIONS: Counter = Counter::new("svc.connections");

@@ -12,6 +12,9 @@
 //! {"type":"shutdown"}                              drain and stop the server
 //! ```
 //!
+//! A request line is at most [`crate::MAX_REQUEST_BYTES`] long; the
+//! server answers a longer one with an `error` frame and hangs up.
+//!
 //! ## Responses (server → client)
 //!
 //! A `query` is answered by a stream of frames, ending with `stats` (on
@@ -545,5 +548,46 @@ mod tests {
         // and the rebuild is the identical relation.
         assert!(streamed.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(rebuilt, rel);
+    }
+
+    /// Request lines from four angles: printable noise, arbitrary bytes,
+    /// JSON tokens in random order, and arrays/objects nested arbitrarily
+    /// deep (a 1 MiB line has room for half a million `[`).
+    fn arb_line() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const TOKENS: [&str; 14] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            "\"type\"",
+            "\"query\"",
+            "\"sgf\"",
+            "\"weight\"",
+            "-1e9",
+            "null",
+            "\"\\u12\"",
+            "\"\\",
+        ];
+        const NESTERS: [&str; 3] = ["[", "{\"type\":", "[{\"a\":"];
+        prop_oneof![
+            "[ -~]{0,80}".prop_map(|s| s),
+            proptest::collection::vec(any::<u8>(), 0..80)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+            proptest::collection::vec(0..TOKENS.len(), 0..30)
+                .prop_map(|ix| ix.into_iter().map(|i| TOKENS[i]).collect()),
+            (0..NESTERS.len(), 0usize..300_000).prop_map(|(n, depth)| NESTERS[n].repeat(depth)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Whatever a client sends, the answer is a request or an error
+        /// message — never a panic or a stack overflow.
+        #[test]
+        fn request_parse_never_panics(line in arb_line()) {
+            let _ = Request::parse(&line);
+        }
     }
 }

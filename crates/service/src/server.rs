@@ -26,8 +26,8 @@
 //! every reply, the DFS flushes, and the server exits with
 //! `accepted == completed` — zero lost work.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -45,6 +45,12 @@ use crate::{
     drain_requested, SVC_ADMITTED, SVC_COMPLETED, SVC_CONNECTIONS, SVC_FRAMES, SVC_QUEUE_DEPTH,
     SVC_SUBMITTED,
 };
+
+/// Longest request line accepted, newline included. A line that reaches
+/// it unterminated is answered with one `error` frame and the connection
+/// is closed — a client that never sends `\n` costs at most this much
+/// memory.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Server sizing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -347,15 +353,19 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // read_line may time out mid-line; partial bytes stay in `line`
+        // A read may time out mid-line; partial bytes stay in `line`
         // across retries, so requests are never torn.
-        let complete = loop {
-            match reader.read_line(&mut line) {
+        loop {
+            let room = (MAX_REQUEST_BYTES - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => return,
-                Ok(_) => break true,
+                Ok(_) if line.len() == MAX_REQUEST_BYTES && !line.ends_with(b"\n") => {
+                    return refuse_oversized(&mut writer, &mut reader);
+                }
+                Ok(_) => break,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if shared.is_draining() && line.is_empty() {
                         // Idle connection during a drain: hang up so the
@@ -365,11 +375,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 Err(_) => return,
             }
-        };
-        if !complete || line.trim().is_empty() {
-            continue;
         }
-        match Request::parse(&line) {
+        let request = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => Request::parse(text),
+            Err(_) => Err("request is not valid UTF-8".to_string()),
+        };
+        match request {
             Ok(Request::Ping) => {
                 if write_frame(&mut writer, &Frame::Pong).is_err() {
                     return;
@@ -395,6 +407,20 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             }
         }
     }
+}
+
+/// Refuse a request line that reached [`MAX_REQUEST_BYTES`] unterminated:
+/// one `error` frame, then close. Closing a socket with unread input
+/// makes the kernel reset the connection, which can destroy the frame in
+/// flight — so half-close, then discard what the client already sent
+/// until it stops (EOF, a quiet read timeout, or one second).
+fn refuse_oversized(writer: &mut TcpStream, reader: &mut impl Read) {
+    let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+    let _ = write_frame(writer, &Frame::Error { message });
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline && matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 /// Answer one query request. Returns false when the connection is dead.

@@ -114,6 +114,14 @@ impl Atom {
         true
     }
 
+    /// Whether *every* tuple of the right arity conforms: the terms are
+    /// pairwise distinct variables, so neither condition of
+    /// [`Atom::conforms_tuple`] can fail. The planner uses this to know a
+    /// conformance rate exactly (1.0) without looking at a single value.
+    pub fn is_unconstrained(&self) -> bool {
+        self.var_set().len() == self.terms.len()
+    }
+
     /// Full conformance test `T(ā) ⊨ U(t̄)`.
     pub fn conforms_fact(&self, fact: &Fact) -> bool {
         fact.relation == self.relation && self.conforms_tuple(&fact.tuple)
@@ -203,6 +211,14 @@ mod tests {
             a.project(&t, &[Var::new("x"), Var::new("z")]),
             Tuple::from_ints(&[1, 3])
         );
+    }
+
+    #[test]
+    fn unconstrained_means_distinct_variables_only() {
+        assert!(Atom::vars("R", &["x", "y"]).is_unconstrained());
+        // A repeated variable or a constant constrains the tuple.
+        assert!(!atom_xyxz().is_unconstrained());
+        assert!(!Atom::new("R", vec![Term::var("x"), Term::int(2)]).is_unconstrained());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! unary     := NOT unary | "(" cond ")" | atom
 //! ```
 //!
+//! One condition holds at most [`MAX_CONDITION_OPS`] connectives.
 //! Keywords are case-insensitive; identifiers are `[A-Za-z_][A-Za-z0-9_]*`.
 //! `OR` binds weaker than `AND`, matching the paper's example queries (e.g.
 //! query (8) of Example 4 reads `S(x,z) AND (T(y) OR NOT U(x))` with
@@ -25,10 +26,24 @@ use crate::condition::Condition;
 use crate::query::{BsgfQuery, SgfQuery};
 use crate::term::{Term, Var};
 
+/// Connectives (`NOT`, `AND`, `OR`, an opening parenthesis) one condition
+/// may hold. Each one deepens the parsed tree by at most one level, so
+/// this bounds the parser's own recursion and every later recursive walk
+/// of the condition: program text from a client (`((((…`, `NOT NOT …`, a
+/// 100 000-term `AND` chain) gets a parse error, not a stack overflow.
+/// Sized for a 2 MiB thread: 256 nested parentheses need just under 1 MB
+/// of stack in an unoptimized build; the paper's largest condition (the
+/// §5.2 stress query) has 47 connectives.
+pub const MAX_CONDITION_OPS: usize = 256;
+
 /// Parse a full SGF program (one or more `Z := SELECT …;` statements).
 pub fn parse_program(input: &str) -> Result<SgfQuery> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        ops: 0,
+    };
     let mut queries = Vec::new();
     while !p.at_end() {
         queries.push(p.statement()?);
@@ -39,7 +54,11 @@ pub fn parse_program(input: &str) -> Result<SgfQuery> {
 /// Parse a single BSGF statement.
 pub fn parse_query(input: &str) -> Result<BsgfQuery> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        ops: 0,
+    };
     let q = p.statement()?;
     if !p.at_end() {
         return Err(p.error("trailing input after statement"));
@@ -201,9 +220,24 @@ fn lex(input: &str) -> Result<Vec<Spanned>> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Connectives consumed by the condition being parsed.
+    ops: usize,
 }
 
 impl Parser {
+    /// Consume the connective under the cursor, charging it to the
+    /// condition's [`MAX_CONDITION_OPS`] budget.
+    fn connective(&mut self) -> Result<()> {
+        self.ops += 1;
+        if self.ops > MAX_CONDITION_OPS {
+            return Err(self.error(format!(
+                "condition has more than {MAX_CONDITION_OPS} connectives"
+            )));
+        }
+        self.next();
+        Ok(())
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -262,6 +296,7 @@ impl Parser {
         let guard = self.atom()?;
         let condition = if self.peek() == Some(&Tok::Where) {
             self.next();
+            self.ops = 0;
             Some(self.cond()?)
         } else {
             None
@@ -313,7 +348,7 @@ impl Parser {
     fn cond(&mut self) -> Result<Condition> {
         let mut left = self.conj()?;
         while self.peek() == Some(&Tok::Or) {
-            self.next();
+            self.connective()?;
             let right = self.conj()?;
             left = Condition::Or(Box::new(left), Box::new(right));
         }
@@ -324,7 +359,7 @@ impl Parser {
     fn conj(&mut self) -> Result<Condition> {
         let mut left = self.unary()?;
         while self.peek() == Some(&Tok::And) {
-            self.next();
+            self.connective()?;
             let right = self.unary()?;
             left = Condition::And(Box::new(left), Box::new(right));
         }
@@ -335,11 +370,11 @@ impl Parser {
     fn unary(&mut self) -> Result<Condition> {
         match self.peek() {
             Some(Tok::Not) => {
-                self.next();
+                self.connective()?;
                 Ok(Condition::Not(Box::new(self.unary()?)))
             }
             Some(Tok::LParen) => {
-                self.next();
+                self.connective()?;
                 let c = self.cond()?;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(c)
@@ -430,6 +465,33 @@ mod tests {
             GumboError::Parse { offset, .. } => assert!(offset > 0),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    /// Found by `proptests::parse_program_never_panics`: each of these
+    /// overflowed the stack — in the parser's recursion, or (the chains)
+    /// when the left-deep tree was walked or dropped.
+    #[test]
+    fn runaway_conditions_are_parse_errors() {
+        for nester in ["(", "NOT ", "S(x) AND ", "S(x) OR "] {
+            let text = format!(
+                "Z := SELECT x FROM R(x) WHERE {}S(x);",
+                nester.repeat(200_000)
+            );
+            let err = parse_program(&text).unwrap_err();
+            assert!(err.to_string().contains("connectives"), "{nester:?}: {err}");
+        }
+        // Exactly at the limit still parses, nested and chained.
+        let nested = format!(
+            "Z := SELECT x FROM R(x) WHERE {}S(x){};",
+            "(".repeat(MAX_CONDITION_OPS),
+            ")".repeat(MAX_CONDITION_OPS)
+        );
+        parse_program(&nested).unwrap();
+        let chained = format!(
+            "Z := SELECT x FROM R(x) WHERE {}S(x);",
+            "S(x) AND NOT ".repeat(MAX_CONDITION_OPS / 2)
+        );
+        parse_program(&chained).unwrap();
     }
 
     #[test]

@@ -51,7 +51,39 @@ fn arb_query() -> impl Strategy<Value = BsgfQuery> {
     })
 }
 
+/// Program text from four angles: printable noise, arbitrary bytes,
+/// well-formed tokens in random order (so the parser gets past the lexer),
+/// and a valid statement whose condition nests or chains arbitrarily deep.
+fn arb_source() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 16] = [
+        "Z", "R", "x", "y", "7", "\"s\"", ":=", "(", ")", ",", ";", "SELECT", "FROM", "WHERE",
+        "AND", "NOT",
+    ];
+    const NESTERS: [&str; 4] = ["(", "NOT ", "S(x) AND ", "S(x) OR "];
+    prop_oneof![
+        "[ -~]{0,80}".prop_map(|s| s),
+        proptest::collection::vec(any::<u8>(), 0..80)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        proptest::collection::vec(0..TOKENS.len(), 0..40).prop_map(|ix| ix
+            .into_iter()
+            .map(|i| TOKENS[i])
+            .collect::<Vec<_>>()
+            .join(" ")),
+        (0..NESTERS.len(), 0usize..200_000).prop_map(|(n, depth)| format!(
+            "Z := SELECT x FROM R(x) WHERE {}S(x);",
+            NESTERS[n].repeat(depth)
+        )),
+    ]
+}
+
 proptest! {
+    /// Whatever arrives — the service hands client text straight to the
+    /// parser — the answer is `Ok` or `Err`, never a panic or an overflow.
+    #[test]
+    fn parse_program_never_panics(source in arb_source()) {
+        let _ = parse_program(&source);
+    }
+
     /// Pretty-print → parse is the identity on queries.
     #[test]
     fn query_print_parse_roundtrip(q in arb_query()) {

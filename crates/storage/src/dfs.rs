@@ -3,7 +3,18 @@
 //! GUMBO's cost model (§5.1) meters every byte read from and written to
 //! the distributed file system; the engine only ever touches storage
 //! through a narrow interface — plan-time metadata, metered relation
-//! scans, and commits. [`Dfs`] pins that interface down as a trait so the
+//! scans, and commits. There are three ways to ask about a stored
+//! relation, and each layer uses exactly one:
+//!
+//! * [`Dfs::stat`] — **metadata, free**: size, cardinality and arity in
+//!   O(1), no tuple touched. What the planner prices plans from.
+//! * [`Dfs::peek`] — **the whole relation, unmetered**: result checking,
+//!   streaming answers to a client, and the planner's two value-reading
+//!   corners (sampling a constant-bearing atom, exact Bloom-filter key
+//!   overlap).
+//! * [`Dfs::scan`] — **ranged and metered**: how jobs read their input.
+//!
+//! [`Dfs`] pins that interface down as a trait so the
 //! execution layers (`gumbo-mr`, `gumbo-sched`, `gumbo-core`,
 //! `gumbo-baselines`) never depend on *where* relations live:
 //!
@@ -24,10 +35,10 @@
 //! identical counters on every backend (the workspace's
 //! `dfs_backend_equivalence` suite enforces this). Specifically:
 //!
-//! * [`Dfs::read`] and [`Dfs::scan`] charge the stored relation's full
-//!   logical size, once per call, at call time;
+//! * [`Dfs::scan`] charges the stored relation's full logical size, once
+//!   per call, at call time;
 //! * [`Dfs::store`] charges the relation's logical size once;
-//! * [`Dfs::peek`], [`Dfs::file_bytes`], [`Dfs::exists`] and
+//! * [`Dfs::stat`], [`Dfs::peek`], [`Dfs::exists`] and
 //!   [`Dfs::file_names`] are free (namenode metadata / planner access);
 //! * loading an initial database through a constructor is not metered.
 //!
@@ -48,6 +59,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result};
+
+/// What [`Dfs::stat`] knows about one stored relation without touching a
+/// tuple — the three numbers the planner prices plans from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelStats {
+    /// Logical size (the paper's 10 B/value layout).
+    pub bytes: ByteSize,
+    /// Number of tuples.
+    pub tuples: u64,
+    /// Arity.
+    pub arity: usize,
+}
 
 /// Block-cache observability counters, as reported by [`Dfs::cache_stats`].
 ///
@@ -163,7 +186,10 @@ impl std::fmt::Debug for RelationScan {
 
 /// The distributed-file-system contract every storage backend implements.
 ///
-/// See the [module docs](self) for the metering and locking contracts.
+/// A stored relation is reached through three verbs: [`Dfs::stat`]
+/// (metadata, free), [`Dfs::peek`] (whole relation, unmetered) and
+/// [`Dfs::scan`] (ranged, metered). See the [module docs](self) for the
+/// metering and locking contracts.
 /// All methods take `&self`; implementations are `Send + Sync` and manage
 /// their own interior locking, so call sites share a `&dyn Dfs` freely
 /// across threads.
@@ -175,19 +201,17 @@ pub trait Dfs: Send + Sync + std::fmt::Debug {
     /// and counting the write (logical bytes).
     fn store(&self, relation: Relation) -> Result<ByteSize>;
 
-    /// Read a whole relation, counting the read (logical bytes).
-    fn read(&self, name: &RelationName) -> Result<Arc<Relation>>;
+    /// Size, cardinality and arity of a relation from metadata alone:
+    /// O(1), unmetered, no tuple touched (namenode access).
+    fn stat(&self, name: &RelationName) -> Result<RelStats>;
 
-    /// Inspect a relation *without* counting a read (planner/sampling and
-    /// result-checking use).
+    /// Materialise a whole relation *without* counting a read
+    /// (result checking, answer streaming, planner sampling).
     fn peek(&self, name: &RelationName) -> Result<Arc<Relation>>;
 
     /// Open a metered streaming scan: charges the full logical size at
-    /// open (same total as [`Dfs::read`]), then yields tuples lazily.
+    /// open, then yields tuples lazily.
     fn scan(&self, name: &RelationName) -> Result<RelationScan>;
-
-    /// Size of a file without reading it (namenode metadata access).
-    fn file_bytes(&self, name: &RelationName) -> Result<ByteSize>;
 
     /// Whether a file exists.
     fn exists(&self, name: &RelationName) -> bool;
@@ -228,23 +252,11 @@ pub trait Dfs: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// A file in the simulated DFS: one stored relation plus its size.
+/// A file in the simulated DFS: one stored relation plus its logical size.
 #[derive(Debug, Clone)]
-pub struct DfsFile {
+struct DfsFile {
     relation: Arc<Relation>,
     bytes: ByteSize,
-}
-
-impl DfsFile {
-    /// The stored relation.
-    pub fn relation(&self) -> &Relation {
-        &self.relation
-    }
-
-    /// Logical size of the file.
-    pub fn bytes(&self) -> ByteSize {
-        self.bytes
-    }
 }
 
 /// An in-memory simulated distributed file system.
@@ -328,35 +340,18 @@ impl SimDfs {
         bytes
     }
 
-    /// Read a relation, counting the read.
-    pub fn read(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        let files = self.files.read().expect("unpoisoned DFS file map");
-        let file = files
+    fn file(&self, name: &RelationName) -> Result<DfsFile> {
+        self.files
+            .read()
+            .expect("unpoisoned DFS file map")
             .get(name)
-            .ok_or_else(|| GumboError::UnknownRelation(name.to_string()))?;
-        self.bytes_read
-            .fetch_add(file.bytes.as_bytes(), Ordering::Relaxed);
-        Ok(Arc::clone(&file.relation))
+            .cloned()
+            .ok_or_else(|| GumboError::UnknownRelation(name.to_string()))
     }
 
     /// Inspect a relation *without* counting a read (planner/sampling use).
     pub fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        self.files
-            .read()
-            .expect("unpoisoned DFS file map")
-            .get(name)
-            .map(|f| Arc::clone(&f.relation))
-            .ok_or_else(|| GumboError::UnknownRelation(name.to_string()))
-    }
-
-    /// Size of a file without reading it (namenode metadata access).
-    pub fn file_bytes(&self, name: &RelationName) -> Result<ByteSize> {
-        self.files
-            .read()
-            .expect("unpoisoned DFS file map")
-            .get(name)
-            .map(|f| f.bytes)
-            .ok_or_else(|| GumboError::UnknownRelation(name.to_string()))
+        self.file(name).map(|f| f.relation)
     }
 
     /// Whether a file exists.
@@ -422,8 +417,12 @@ impl Dfs for SimDfs {
         Ok(SimDfs::store(self, relation))
     }
 
-    fn read(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        SimDfs::read(self, name)
+    fn stat(&self, name: &RelationName) -> Result<RelStats> {
+        self.file(name).map(|f| RelStats {
+            bytes: f.bytes,
+            tuples: f.relation.len() as u64,
+            arity: f.relation.arity(),
+        })
     }
 
     fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
@@ -431,20 +430,18 @@ impl Dfs for SimDfs {
     }
 
     fn scan(&self, name: &RelationName) -> Result<RelationScan> {
-        // A scan meters exactly like a whole-relation read; the handle
-        // then serves ranges from the Arc snapshot, lock-free.
-        let relation = SimDfs::read(self, name)?;
+        // Meter the whole file at open; the handle then serves ranges
+        // from the Arc snapshot, lock-free.
+        let DfsFile { relation, bytes } = self.file(name)?;
+        self.bytes_read
+            .fetch_add(bytes.as_bytes(), Ordering::Relaxed);
         Ok(RelationScan::new(
             name.clone(),
             relation.arity(),
             relation.len(),
-            ByteSize::bytes(relation.estimated_bytes()),
+            bytes,
             Arc::new(SimScanSource { relation }),
         ))
-    }
-
-    fn file_bytes(&self, name: &RelationName) -> Result<ByteSize> {
-        SimDfs::file_bytes(self, name)
     }
 
     fn exists(&self, name: &RelationName) -> bool {
@@ -486,32 +483,41 @@ mod tests {
     }
 
     #[test]
-    fn store_and_read_counts_bytes() {
+    fn store_and_scan_count_bytes() {
         let dfs = SimDfs::new();
         let written = dfs.store(rel("R", 5));
         assert_eq!(written, ByteSize::bytes(5 * 20));
         assert_eq!(dfs.bytes_written(), written);
-        let r = dfs.read(&"R".into()).unwrap();
-        assert_eq!(r.len(), 5);
+        let scan = dfs.scan(&"R".into()).unwrap();
+        assert_eq!(scan.len(), 5);
         assert_eq!(dfs.bytes_read(), written);
-        // A second read counts again.
-        dfs.read(&"R".into()).unwrap();
+        // A second scan counts again.
+        dfs.scan(&"R".into()).unwrap();
         assert_eq!(dfs.bytes_read(), written * 2);
     }
 
     #[test]
-    fn peek_is_free() {
+    fn stat_and_peek_are_free() {
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 3));
+        let written = dfs.store(rel("R", 3));
         dfs.peek(&"R".into()).unwrap();
+        assert_eq!(
+            dfs.stat(&"R".into()).unwrap(),
+            RelStats {
+                bytes: written,
+                tuples: 3,
+                arity: 2
+            }
+        );
         assert_eq!(dfs.bytes_read(), ByteSize::ZERO);
     }
 
     #[test]
     fn missing_file_errors() {
         let dfs = SimDfs::new();
-        assert!(dfs.read(&"Q".into()).is_err());
-        assert!(dfs.file_bytes(&"Q".into()).is_err());
+        assert!(dfs.scan(&"Q".into()).is_err());
+        assert!(dfs.peek(&"Q".into()).is_err());
+        assert!(dfs.stat(&"Q".into()).is_err());
     }
 
     #[test]
@@ -577,21 +583,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_metered_reads_hammer_counters() {
-        // 8 threads × 200 metered reads each through a shared reference:
-        // the atomic counters must account every single read, and the
+    fn concurrent_metered_scans_hammer_counters() {
+        // 8 threads × 200 metered scans each through a shared reference:
+        // the atomic counters must account every single scan, and the
         // relation contents must stay readable throughout.
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 4)); // 4 tuples × 20 B = 80 B per read
-        dfs.store(rel("S", 2)); // 2 tuples × 20 B = 40 B per read
+        dfs.store(rel("R", 4)); // 4 tuples × 20 B = 80 B per scan
+        dfs.store(rel("S", 2)); // 2 tuples × 20 B = 40 B per scan
         let dfs = &dfs;
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let name = if i % 2 == 0 { "R" } else { "S" };
-                        let r = dfs.read(&name.into()).unwrap();
-                        assert_eq!(r.len(), if i % 2 == 0 { 4 } else { 2 });
+                        let n = if i % 2 == 0 { 4 } else { 2 };
+                        let scan = dfs.scan(&name.into()).unwrap();
+                        assert_eq!(scan.fetch(0..n).unwrap().len(), n);
                     }
                 });
             }
@@ -646,7 +653,8 @@ mod tests {
         assert_eq!(dfs.backend(), "sim");
         dfs.store(rel("R", 3)).unwrap();
         assert!(dfs.exists(&"R".into()));
-        assert_eq!(dfs.read(&"R".into()).unwrap().len(), 3);
+        assert_eq!(dfs.stat(&"R".into()).unwrap().tuples, 3);
+        assert_eq!(dfs.scan(&"R".into()).unwrap().len(), 3);
         assert_eq!(dfs.file_names(), vec![RelationName::from("R")]);
         assert_eq!(dfs.cache_stats(), CacheStats::default());
         dfs.flush().unwrap();

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple, Value};
 use gumbo_obs::metrics::Counter;
 
-use crate::dfs::{CacheStats, Dfs, RelationScan, TupleSource};
+use crate::dfs::{CacheStats, Dfs, RelStats, RelationScan, TupleSource};
 use crate::spill::{rle_decode, Compression, FrameFormat, RunWriter};
 
 /// Tuples per segment frame. Fixed (except the final frame) so that
@@ -195,7 +195,7 @@ struct CacheInner {
 }
 
 /// A byte-bounded LRU cache of decoded segment frames, shared by every
-/// scan and read of one [`FileDfs`]. `capacity == 0` disables caching
+/// scan and peek of one [`FileDfs`]. `capacity == 0` disables caching
 /// (every lookup is a miss that is not retained).
 struct BlockCache {
     capacity: u64,
@@ -324,7 +324,8 @@ struct Segment {
     arity: usize,
     tuples: usize,
     logical_bytes: u64,
-    /// Byte offset of each frame's length prefix.
+    /// Byte offset of each frame's length prefix, then the file length:
+    /// frame `i` occupies `frame_offsets[i]..frame_offsets[i + 1]`.
     frame_offsets: Vec<u64>,
     /// Held open for the segment's lifetime: an overwrite unlinks the
     /// file, but scans over this handle keep their snapshot.
@@ -339,7 +340,8 @@ impl Segment {
             .metadata()
             .map_err(|e| storage_err("statting DFS segment", e))?
             .len();
-        let mut frame_offsets = Vec::with_capacity(tuples.div_ceil(TUPLES_PER_FRAME));
+        let expected = tuples.div_ceil(TUPLES_PER_FRAME);
+        let mut frame_offsets = Vec::with_capacity(expected + 1);
         let mut pos = 0u64;
         let mut len = [0u8; 4];
         while pos < total {
@@ -352,13 +354,13 @@ impl Segment {
         if pos != total {
             return Err(corrupt(format!("torn DFS segment {file_name}")));
         }
-        let expected = tuples.div_ceil(TUPLES_PER_FRAME);
         if frame_offsets.len() != expected {
             return Err(corrupt(format!(
                 "DFS segment {file_name} has {} frames, manifest implies {expected}",
                 frame_offsets.len()
             )));
         }
+        frame_offsets.push(total);
         Ok(Segment {
             id,
             file_name: file_name.to_string(),
@@ -373,20 +375,30 @@ impl Segment {
     /// Read and decode frame `idx` straight from the file (cache miss
     /// path).
     fn load_frame(&self, idx: u32) -> Result<CachedFrame> {
-        let offset = *self
-            .frame_offsets
-            .get(idx as usize)
-            .ok_or_else(|| corrupt("DFS frame index out of range"))?;
+        let idx = idx as usize;
+        let (offset, end) = match self.frame_offsets.get(idx..idx + 2) {
+            Some(&[offset, end]) => (offset, end),
+            _ => return Err(corrupt("DFS frame index out of range")),
+        };
         let mut file = self.file.lock().expect("unpoisoned segment file");
         let mut len = [0u8; 4];
         file.seek(SeekFrom::Start(offset))
             .and_then(|_| file.read_exact(&mut len))
             .map_err(|e| storage_err("reading DFS frame length", e))?;
-        let stored = u32::from_le_bytes(len) as usize;
+        let stored = u64::from(u32::from_le_bytes(len));
         if stored == 0 {
             return Err(corrupt("empty DFS frame (missing format byte)"));
         }
-        let mut frame = vec![0u8; stored];
+        // The prefix was walked when the segment was indexed; a different
+        // value now is corruption, and must not size an allocation.
+        let indexed = end - offset - 4;
+        if stored != indexed {
+            return Err(corrupt(format!(
+                "DFS frame {idx} of {} claims {stored} bytes, the index says {indexed}",
+                self.file_name
+            )));
+        }
+        let mut frame = vec![0u8; stored as usize];
         file.read_exact(&mut frame)
             .map_err(|e| storage_err("reading DFS frame", e))?;
         drop(file);
@@ -640,15 +652,6 @@ impl FileDfs {
         segment.logical_bytes = relation.estimated_bytes();
         Ok(segment)
     }
-
-    fn materialize(&self, name: &RelationName, segment: &Arc<Segment>) -> Result<Relation> {
-        let source = FileScanSource {
-            segment: Arc::clone(segment),
-            cache: Arc::clone(&self.cache),
-        };
-        let tuples = source.fetch(0..segment.tuples)?;
-        Relation::from_tuples(name.clone(), segment.arity, tuples)
-    }
 }
 
 impl Dfs for FileDfs {
@@ -687,16 +690,22 @@ impl Dfs for FileDfs {
         Ok(bytes)
     }
 
-    fn read(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        let segment = self.segment(name)?;
-        self.bytes_read
-            .fetch_add(segment.logical_bytes, Ordering::Relaxed);
-        Ok(Arc::new(self.materialize(name, &segment)?))
+    fn stat(&self, name: &RelationName) -> Result<RelStats> {
+        self.segment(name).map(|s| RelStats {
+            bytes: ByteSize::bytes(s.logical_bytes),
+            tuples: s.tuples as u64,
+            arity: s.arity,
+        })
     }
 
     fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
         let segment = self.segment(name)?;
-        Ok(Arc::new(self.materialize(name, &segment)?))
+        let (arity, len) = (segment.arity, segment.tuples);
+        let source = FileScanSource {
+            segment,
+            cache: Arc::clone(&self.cache),
+        };
+        Relation::from_tuples(name.clone(), arity, source.fetch(0..len)?).map(Arc::new)
     }
 
     fn scan(&self, name: &RelationName) -> Result<RelationScan> {
@@ -717,10 +726,6 @@ impl Dfs for FileDfs {
                 cache: Arc::clone(&self.cache),
             }),
         ))
-    }
-
-    fn file_bytes(&self, name: &RelationName) -> Result<ByteSize> {
-        Ok(ByteSize::bytes(self.segment(name)?.logical_bytes))
     }
 
     fn exists(&self, name: &RelationName) -> bool {
@@ -813,6 +818,16 @@ mod tests {
         Relation::from_tuples(name, 2, (0..n).map(|i| Tuple::from_ints(&[i, i * 7]))).unwrap()
     }
 
+    /// One metered pass over every tuple of `name` — the path jobs read on.
+    fn scan_all(dfs: &dyn Dfs, name: &str) -> Vec<Tuple> {
+        let scan = dfs.scan(&name.into()).unwrap();
+        scan.fetch(0..scan.len()).unwrap()
+    }
+
+    fn tuples_of(r: &Relation) -> Vec<Tuple> {
+        r.iter().cloned().collect()
+    }
+
     fn mixed_rel(name: &str) -> Relation {
         Relation::from_tuples(
             name,
@@ -827,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn store_read_round_trip_counts_like_sim() {
+    fn store_scan_round_trip_counts_like_sim() {
         let root = Root(temp_root("roundtrip"));
         let file = FileDfs::create(&root.0, DEFAULT_CACHE_BYTES).unwrap();
         let sim = SimDfs::new();
@@ -835,13 +850,18 @@ mod tests {
         let wf = Dfs::store(&file, r.clone()).unwrap();
         let ws = sim.store(r.clone());
         assert_eq!(wf, ws, "write metering matches sim");
-        let back = Dfs::read(&file, &"R".into()).unwrap();
-        assert_eq!(back.as_ref(), &r, "contents round-trip");
+        assert_eq!(scan_all(&file, "R"), tuples_of(&r), "contents round-trip");
         assert_eq!(
             Dfs::bytes_read(&file),
             wf,
-            "read metering is the logical size, not the encoded size"
+            "scan metering is the logical size, not the encoded size"
         );
+        assert_eq!(
+            file.stat(&"R".into()).unwrap(),
+            sim.stat(&"R".into()).unwrap(),
+            "metadata matches sim, and is free"
+        );
+        assert_eq!(Dfs::bytes_read(&file), wf);
     }
 
     #[test]
@@ -878,17 +898,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_second_read_misses_on_first() {
+    fn cache_hits_on_second_scan_misses_on_first() {
         let root = Root(temp_root("cache"));
         let file = FileDfs::create(&root.0, DEFAULT_CACHE_BYTES).unwrap();
         Dfs::store(&file, rel("R", 1024)).unwrap(); // exactly two frames
-        Dfs::read(&file, &"R".into()).unwrap();
+        scan_all(&file, "R");
         let cold = file.cache_stats();
-        assert_eq!(cold.misses, 2, "cold read misses every frame");
+        assert_eq!(cold.misses, 2, "cold scan misses every frame");
         assert_eq!(cold.hits, 0);
-        Dfs::read(&file, &"R".into()).unwrap();
+        scan_all(&file, "R");
         let warm = file.cache_stats();
-        assert_eq!(warm.hits, 2, "warm read is all hits");
+        assert_eq!(warm.hits, 2, "warm scan is all hits");
         assert_eq!(warm.misses, 2);
         assert_eq!(warm.evictions, 0);
         assert!(warm.cached_bytes > 0);
@@ -901,8 +921,8 @@ mod tests {
                                 // Budget for barely one frame: every pass re-misses.
         let file = FileDfs::create(&root.0, 11_000).unwrap();
         Dfs::store(&file, r.clone()).unwrap();
-        assert_eq!(Dfs::read(&file, &"R".into()).unwrap().as_ref(), &r);
-        assert_eq!(Dfs::read(&file, &"R".into()).unwrap().as_ref(), &r);
+        assert_eq!(scan_all(&file, "R"), tuples_of(&r));
+        assert_eq!(scan_all(&file, "R"), tuples_of(&r));
         let stats = file.cache_stats();
         assert!(
             stats.evictions > 0,
@@ -916,8 +936,8 @@ mod tests {
         let root = Root(temp_root("nocache"));
         let file = FileDfs::create(&root.0, 0).unwrap();
         Dfs::store(&file, rel("R", 10)).unwrap();
-        Dfs::read(&file, &"R".into()).unwrap();
-        Dfs::read(&file, &"R".into()).unwrap();
+        scan_all(&file, "R");
+        scan_all(&file, "R");
         let stats = file.cache_stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.cached_bytes, 0);
@@ -1041,8 +1061,24 @@ mod tests {
     }
 
     #[test]
+    fn flipped_length_prefix_after_open_is_an_error_not_an_allocation() {
+        let root = Root(temp_root("lenflip"));
+        let file = FileDfs::create(&root.0, 0).unwrap();
+        Dfs::store(&file, rel("R", 600)).unwrap(); // two frames
+        let seg = root.0.join(&file.segment(&"R".into()).unwrap().file_name);
+        // The segment is open and indexed; now its first length prefix
+        // turns into "4 GiB follow".
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&seg, bytes).unwrap();
+        let err = Dfs::peek(&file, &"R".into()).unwrap_err();
+        assert!(matches!(err, GumboError::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("claims 4294967295 bytes"), "{err}");
+    }
+
+    #[test]
     fn counters_match_sim_across_a_workload() {
-        // Drive both backends through an identical store/read/overwrite
+        // Drive both backends through an identical store/scan/overwrite
         // sequence: metered counters must agree exactly.
         let root = Root(temp_root("parity"));
         let file = FileDfs::create(&root.0, DEFAULT_CACHE_BYTES).unwrap();
@@ -1051,11 +1087,12 @@ mod tests {
         for dfs in both {
             dfs.store(rel("R", 700)).unwrap();
             dfs.store(mixed_rel("S")).unwrap();
-            dfs.read(&"R".into()).unwrap();
+            scan_all(dfs, "R");
             dfs.scan(&"S".into()).unwrap();
             dfs.store(rel("R", 100)).unwrap(); // overwrite
-            dfs.read(&"R".into()).unwrap();
+            scan_all(dfs, "R");
             dfs.peek(&"S".into()).unwrap();
+            dfs.stat(&"S".into()).unwrap();
         }
         assert_eq!(Dfs::bytes_read(&file), Dfs::bytes_read(&sim));
         assert_eq!(Dfs::bytes_written(&file), Dfs::bytes_written(&sim));

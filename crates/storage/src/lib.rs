@@ -8,8 +8,8 @@
 //! (at `hw` cost/MB), the split structure that determines mapper counts,
 //! and **sampling** input relations to estimate map-output sizes (Gumbo
 //! optimization (3), §5.1). The [`Dfs`] trait pins that interface down —
-//! metered reads/scans/stores, free metadata peeks, byte counters — and
-//! two backends implement it:
+//! free metadata ([`Dfs::stat`]), unmetered whole-relation peeks, metered
+//! scans and stores, byte counters — and two backends implement it:
 //!
 //! * [`SimDfs`] — in-memory, deterministic, the default;
 //! * [`FileDfs`] — durable file segments + manifest under a root
@@ -26,7 +26,7 @@ pub mod file_dfs;
 pub mod sample;
 pub mod spill;
 
-pub use dfs::{CacheStats, Dfs, DfsFile, RelationScan, SimDfs, TupleSource};
+pub use dfs::{CacheStats, Dfs, RelStats, RelationScan, SimDfs, TupleSource};
 pub use file_dfs::{FileDfs, DEFAULT_CACHE_BYTES};
 pub use sample::reservoir_sample;
 pub use spill::{Compression, FrameFormat, RunReader, RunWriter, SpillDir};

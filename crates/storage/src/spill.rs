@@ -280,6 +280,9 @@ impl RunWriter {
 /// Buffered reader of length-prefixed, format-tagged binary frames.
 pub struct RunReader {
     reader: BufReader<File>,
+    /// Bytes of the file not yet consumed (its length at open, minus every
+    /// frame read since): the most a length prefix can honestly claim.
+    left: u64,
 }
 
 impl RunReader {
@@ -287,8 +290,13 @@ impl RunReader {
     /// declared: each frame's format byte says how it was stored.
     pub fn open(path: &Path) -> Result<RunReader> {
         let file = File::open(path).map_err(|e| storage_err("opening spill run", e))?;
+        let left = file
+            .metadata()
+            .map_err(|e| storage_err("statting spill run", e))?
+            .len();
         Ok(RunReader {
             reader: BufReader::new(file),
+            left,
         })
     }
 
@@ -344,13 +352,23 @@ impl RunReader {
                 Err(e) => return Err(storage_err("reading spill frame length", e)),
             }
         }
-        let stored = u32::from_le_bytes(len) as usize;
+        let stored = u64::from(u32::from_le_bytes(len));
         if stored == 0 {
             return Err(GumboError::Storage(
                 "empty spill frame (missing format byte)".into(),
             ));
         }
-        let mut frame = vec![0u8; stored];
+        // Never size an allocation from an on-disk length the file cannot
+        // back: one flipped bit would ask for up to 4 GiB, zeroed.
+        self.left = self.left.saturating_sub(4);
+        if stored > self.left {
+            return Err(GumboError::Storage(format!(
+                "spill frame claims {stored} bytes, {} left (torn or corrupt run file)",
+                self.left
+            )));
+        }
+        self.left -= stored;
+        let mut frame = vec![0u8; stored as usize];
         self.reader
             .read_exact(&mut frame)
             .map_err(|e| storage_err("reading spill frame (torn run file)", e))?;
@@ -625,6 +643,30 @@ mod tests {
             .next_frame()
             .unwrap_err();
         assert!(err.to_string().contains("missing format byte"), "{err}");
+    }
+
+    #[test]
+    fn flipped_length_prefix_is_an_error_not_an_allocation() {
+        let dir = SpillDir::create("lenflip").unwrap();
+        let path = dir.run_path(0, 0);
+        let mut w = RunWriter::create(&path).unwrap();
+        w.push(b"first").unwrap();
+        w.push(b"second").unwrap();
+        w.finish().unwrap();
+        // The second frame's length prefix turns into "4 GiB follow".
+        let mut bytes = fs::read(&path).unwrap();
+        let second = 4 + 1 + b"first".len();
+        bytes[second..second + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+
+        let mut r = RunReader::open(&path).unwrap();
+        assert_eq!(
+            r.next_frame().unwrap().as_deref(),
+            Some(b"first".as_slice())
+        );
+        let err = r.next_frame().unwrap_err();
+        assert!(matches!(err, GumboError::Storage(_)), "{err:?}");
+        assert!(err.to_string().contains("claims 4294967295 bytes"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use gumbo::prelude::*;
 /// The subset-sum instance A = {3, 5, 7} (MB-sized relations).
 const A: [u64; 3] = [3, 5, 7];
 
-fn reduction_catalog() -> Catalog {
+fn reduction_catalog() -> Catalog<'static> {
     let mut catalog = Catalog::default();
     for (i, &a) in A.iter().enumerate() {
         // R_i empty; S_i holds a_i one-MB tuples (modeled as bytes).

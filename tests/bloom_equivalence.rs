@@ -24,7 +24,7 @@
 //! nothing can be saved, and fall back to unfiltered execution when no
 //! prediction is possible (analytic estimator without a DFS).
 
-use gumbo::core::estimate::Catalog;
+use gumbo::core::estimate::{Catalog, RelStats};
 use gumbo::core::Estimator;
 use gumbo::datagen::queries;
 use gumbo::mr::ShuffleFilterMode;
@@ -279,11 +279,19 @@ fn analytic_estimator_yields_no_prediction() {
     let dfs = SimDfs::from_database(&db);
     let ctx = QueryContext::new(workload.query.queries().to_vec()).expect("context");
 
-    let analytic = Estimator::analytic(
-        Catalog::from_dfs(&dfs, 1),
-        CostConstants::default(),
-        CostModelKind::Gumbo,
-    );
+    let mut catalog = Catalog::default();
+    for name in dfs.file_names() {
+        let rel = dfs.peek(&name).unwrap();
+        catalog.insert(
+            name,
+            RelStats {
+                bytes: ByteSize::bytes(rel.estimated_bytes()),
+                tuples: rel.len() as u64,
+                arity: rel.arity(),
+            },
+        );
+    }
+    let analytic = Estimator::analytic(catalog, CostConstants::default(), CostModelKind::Gumbo);
     assert!(
         analytic
             .msj_filter_prediction(&ctx, &[0], PayloadMode::Reference, 10)

@@ -18,7 +18,6 @@
 //! The scheduler may only change *when* jobs run, never what they
 //! compute or how they are metered.
 
-use gumbo::core::Estimator;
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
@@ -62,14 +61,7 @@ fn round_barrier_oracle(dfs: &SimDfs, query: &SgfQuery) -> ProgramStats {
     for group in &engine.sort_for(dfs, query).unwrap() {
         let queries = group.iter().map(|&i| query.queries()[i].clone()).collect();
         let ctx = QueryContext::new(queries).unwrap();
-        let est = Estimator::new(
-            dfs,
-            engine.config.scale,
-            engine.config.constants,
-            engine.options.planner_model,
-            engine.options.sample_size,
-            engine.options.seed,
-        );
+        let est = engine.estimator(dfs);
         let program = engine
             .plan_group(&est, &ctx)
             .and_then(|plan| plan.build_annotated_program(&ctx, &est))

@@ -1,8 +1,16 @@
 //! Planner accuracy: the sampling estimator's job profiles must track the
 //! engine's measured profiles closely enough to drive grouping decisions —
 //! the property behind §5.2's "correctly identify the highest cost job"
-//! statistic.
+//! statistic. And planning must be *lazy*: it prices plans from
+//! `Dfs::stat` metadata of the relations a query names, never from their
+//! tuples — pinned here by a counting fake.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use gumbo::common::RelationName;
+use gumbo::core::estimate::RelStats;
 use gumbo::core::msj::build_msj_job;
 use gumbo::core::{Estimator, PayloadMode, QueryContext};
 use gumbo::datagen::queries;
@@ -160,4 +168,247 @@ fn pairwise_ranking_accuracy_is_high() {
         accuracy >= 0.72,
         "ranking accuracy {accuracy:.2} below the paper's 72% bar ({correct}/{pairs})"
     );
+}
+
+/// A [`Dfs`] that forwards everything and counts the three ways of
+/// reaching a relation: `stat` (per name), `peek`, `scan`.
+#[derive(Debug)]
+struct CountingDfs<'a> {
+    inner: &'a dyn Dfs,
+    stats: Mutex<BTreeMap<RelationName, u64>>,
+    peeks: AtomicU64,
+    scans: AtomicU64,
+}
+
+impl<'a> CountingDfs<'a> {
+    fn new(inner: &'a dyn Dfs) -> Self {
+        CountingDfs {
+            inner,
+            stats: Mutex::default(),
+            peeks: AtomicU64::new(0),
+            scans: AtomicU64::new(0),
+        }
+    }
+
+    /// Assert that everything since the last call was planning over at
+    /// most `estimators` estimators: no tuple reached, and each estimator
+    /// asked for the metadata of a relation the query `mentions` at most
+    /// once. Resets the counts.
+    fn assert_planned_lazily(
+        &self,
+        label: &str,
+        mentions: &BTreeSet<RelationName>,
+        estimators: u64,
+    ) {
+        assert_eq!(self.peeks.swap(0, Ordering::Relaxed), 0, "{label}: peeks");
+        assert_eq!(self.scans.swap(0, Ordering::Relaxed), 0, "{label}: scans");
+        for (name, n) in std::mem::take(&mut *self.stats.lock().unwrap()) {
+            assert!(
+                mentions.contains(&name),
+                "{label}: stat of unmentioned {name}"
+            );
+            assert!(
+                n <= estimators,
+                "{label}: {n} stats of {name} by {estimators} estimator(s)"
+            );
+        }
+    }
+}
+
+impl Dfs for CountingDfs<'_> {
+    fn backend(&self) -> &'static str {
+        self.inner.backend()
+    }
+    fn store(&self, relation: Relation) -> Result<ByteSize> {
+        self.inner.store(relation)
+    }
+    fn stat(&self, name: &RelationName) -> Result<gumbo::storage::RelStats> {
+        *self.stats.lock().unwrap().entry(name.clone()).or_default() += 1;
+        self.inner.stat(name)
+    }
+    fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
+        self.peeks.fetch_add(1, Ordering::Relaxed);
+        self.inner.peek(name)
+    }
+    fn scan(&self, name: &RelationName) -> Result<RelationScan> {
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.inner.scan(name)
+    }
+    fn exists(&self, name: &RelationName) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &RelationName) -> Result<bool> {
+        self.inner.delete(name)
+    }
+    fn file_names(&self) -> Vec<RelationName> {
+        self.inner.file_names()
+    }
+    fn bytes_read(&self) -> ByteSize {
+        self.inner.bytes_read()
+    }
+    fn bytes_written(&self) -> ByteSize {
+        self.inner.bytes_written()
+    }
+    fn reset_counters(&self) {
+        self.inner.reset_counters()
+    }
+}
+
+/// The estimator the engine would build, but with every statistic filled
+/// in eagerly from the relations themselves — whole store, whole
+/// relations, `len`/`estimated_bytes`/`arity`. Lazy planning must price
+/// every plan exactly as this does.
+fn eager_estimator<'a>(engine: &GumboEngine, dfs: &'a dyn Dfs) -> Estimator<'a> {
+    let scale = engine.config.scale;
+    let mut est = engine.estimator(dfs);
+    for name in dfs.file_names() {
+        let rel = dfs.peek(&name).unwrap();
+        est.catalog_mut().insert(
+            name,
+            RelStats {
+                bytes: ByteSize::bytes(rel.estimated_bytes()).scaled(scale),
+                tuples: rel.len() as u64 * scale,
+                arity: rel.arity(),
+            },
+        );
+    }
+    est
+}
+
+/// `GumboEngine::sort_cost`, over the eager estimator.
+fn eager_sort_cost(
+    engine: &GumboEngine,
+    dfs: &dyn Dfs,
+    query: &SgfQuery,
+    sort: &[Vec<usize>],
+) -> f64 {
+    let mut est = eager_estimator(engine, dfs);
+    let mut total = 0.0;
+    for group in sort {
+        let ctx = group_context(query, group);
+        let plan = engine.plan_group(&est, &ctx).unwrap();
+        total += est.plan_cost(&ctx, &plan).unwrap();
+        for &i in group {
+            let q = &query.queries()[i];
+            let bound = est.output_upper_bound(q).unwrap();
+            est.catalog_mut().insert(q.output().clone(), bound);
+        }
+    }
+    total
+}
+
+fn group_context(query: &SgfQuery, group: &[usize]) -> QueryContext {
+    QueryContext::new(group.iter().map(|&i| query.queries()[i].clone()).collect()).unwrap()
+}
+
+fn annotated(engine: &GumboEngine, est: &Estimator<'_>, ctx: &QueryContext) -> MrProgram {
+    engine
+        .plan_group(est, ctx)
+        .and_then(|plan| plan.build_annotated_program(ctx, est))
+        .unwrap()
+}
+
+/// Pricing a query for admission (`sort_for` + `sort_cost`) and planning
+/// each group of an evaluation reach no tuple on either backend, ask for
+/// one `stat` per relation the query names, leave the block cache alone,
+/// and produce — bit for bit — the numbers an eagerly filled catalog
+/// gives.
+#[test]
+fn planning_reads_statistics_not_relations() {
+    let mut presets = vec![
+        queries::a1(),
+        queries::a2(),
+        queries::a3(),
+        queries::a4(),
+        queries::a5(),
+        queries::b1(),
+        queries::b2(),
+    ];
+    presets.extend(queries::figure6());
+    for w in &presets {
+        let db = w.spec.clone().with_tuples(300).database(3);
+        let mentions: BTreeSet<RelationName> = w
+            .query
+            .queries()
+            .iter()
+            .flat_map(|q| {
+                let atoms = q.conditional_atoms().into_iter().chain([q.guard()]);
+                atoms
+                    .map(|a| a.relation().clone())
+                    .chain([q.output().clone()])
+            })
+            .collect();
+        for (backend, one_round) in [
+            ("sim", true),
+            ("sim", false),
+            ("file", true),
+            ("file", false),
+        ] {
+            let label = format!("{} on {backend}, one_round={one_round}", w.name);
+            let root = std::env::temp_dir().join(format!(
+                "gumbo-lazy-plan-{}-{}-{one_round}",
+                std::process::id(),
+                w.name
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let store: Box<dyn Dfs> = match backend {
+                "sim" => Box::new(SimDfs::from_database(&db)),
+                _ => Box::new(FileDfs::from_database(&root, 64 * 1024, &db).unwrap()),
+            };
+            let dfs = CountingDfs::new(&*store);
+            let engine = GumboEngine::new(
+                EngineConfig::default(),
+                EvalOptions {
+                    enable_one_round: one_round,
+                    ..EvalOptions::default()
+                },
+            );
+
+            // Admission pricing: one estimator.
+            let cache = store.cache_stats();
+            let sort = engine.sort_for(&dfs, &w.query).unwrap();
+            let cost = engine.sort_cost(&dfs, &w.query, &sort).unwrap();
+            assert_eq!(
+                store.cache_stats(),
+                cache,
+                "{label}: pricing touched the block cache"
+            );
+            dfs.assert_planned_lazily(&label, &mentions, 1);
+            assert_eq!(
+                cost.to_bits(),
+                eager_sort_cost(&engine, &*store, &w.query, &sort).to_bits(),
+                "{label}: sort cost"
+            );
+
+            // The planning half of every group, then the group itself so
+            // the next one plans against materialized inputs.
+            let runtime = engine.runtime();
+            for group in &sort {
+                let ctx = group_context(&w.query, group);
+                let program = annotated(&engine, &engine.estimator(&dfs), &ctx);
+                dfs.assert_planned_lazily(&label, &mentions, 1);
+                let expected = annotated(&engine, &eager_estimator(&engine, &*store), &ctx);
+                let estimates = |p: &MrProgram| -> Vec<JobEstimate> {
+                    let jobs = p.rounds().iter().flatten();
+                    jobs.map(|j| j.estimate.clone().expect("annotated"))
+                        .collect()
+                };
+                let bits =
+                    |e: &JobEstimate| [e.map_cost, e.reduce_cost, e.total_cost].map(f64::to_bits);
+                for (got, want) in estimates(&program).iter().zip(&estimates(&expected)) {
+                    assert_eq!(got, want, "{label}: job estimate");
+                    assert_eq!(bits(got), bits(want), "{label}: job estimate bits");
+                }
+                assert_eq!(program.num_jobs(), expected.num_jobs(), "{label}");
+                runtime.execute(&*store, &program).unwrap();
+            }
+
+            // And `eval().run` itself: jobs scan, nothing peeks, one
+            // estimator per group.
+            engine.eval().on(&runtime).run(&dfs, &w.query).unwrap();
+            dfs.scans.store(0, Ordering::Relaxed);
+            dfs.assert_planned_lazily(&label, &mentions, sort.len() as u64);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
 }

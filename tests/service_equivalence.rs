@@ -5,15 +5,17 @@
 //!
 //! Also covered here: the drain invariant (a shutdown mid-workload
 //! loses zero accepted submissions), restart durability for a
-//! file-backed service, and the per-submission timestamp chain
-//! (`queued_ns <= admitted_ns <= completed_ns`).
+//! file-backed service, the per-submission timestamp chain
+//! (`queued_ns <= admitted_ns <= completed_ns`), and the request-size cap.
 
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
+use gumbo::service::{Frame, MAX_REQUEST_BYTES};
 
 const TUPLES: usize = 150;
 const SEED: u64 = 7;
@@ -304,4 +306,39 @@ fn protocol_errors_and_liveness() {
     let summary = handle.join();
     assert_eq!(summary.accepted, 0);
     assert_eq!(summary.completed, 0);
+}
+
+/// A client that never sends a newline costs the server one bounded
+/// buffer: past the cap it gets one `error` frame and EOF, and the server
+/// keeps serving everyone else byte-identically and drains clean.
+#[test]
+fn oversized_request_line_is_refused_and_the_server_lives_on() {
+    let workload = queries::a1();
+    let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
+    let want = direct_answers(&db, &workload.query);
+    let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::from_database(&db));
+    let handle = start_server(dfs, ServeConfig::default());
+
+    let mut rogue = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // The server may hang up before taking all of it; that is its right.
+    let _ = rogue.write_all(&vec![b'a'; 2 * MAX_REQUEST_BYTES]);
+    let mut reply = String::new();
+    rogue.read_to_string(&mut reply).unwrap(); // returns at EOF
+    let frames: Vec<&str> = reply.lines().collect();
+    assert_eq!(frames.len(), 1, "exactly one frame, got {reply:?}");
+    assert!(
+        matches!(Frame::parse(frames[0]), Ok(Frame::Error { ref message }) if message.contains("exceeds")),
+        "expected an error frame, got {reply:?}"
+    );
+
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    client.ping().unwrap();
+    let reply = client
+        .query("after", None, &workload.query.to_string())
+        .unwrap();
+    assert_same_relations("after an oversized request", &reply.relations, &want);
+    assert_eq!(client.shutdown().unwrap(), (1, 1));
+    let summary = handle.join();
+    assert_eq!(summary.accepted, summary.completed);
+    assert_eq!(summary.connections, 2);
 }
