@@ -8,30 +8,34 @@
 //! simulated baselines remain verifiable against the naive evaluator.
 
 use gumbo_common::{RelationName, Tuple};
-use gumbo_core::semijoin::{cond_groups, QueryContext, SemiJoin};
+use gumbo_core::semijoin::{
+    assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin,
+};
 use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
-use gumbo_sgf::{Atom, Var};
+use gumbo_sgf::Atom;
 
+/// Per-semi-join mapper state: the guard plus the coordinates of its join
+/// key and identity variables, resolved when the job is built.
 #[derive(Debug, Clone)]
 struct JoinSj {
     guard: Atom,
-    join_key: Vec<Var>,
-    identity_vars: Vec<Var>,
+    join_key: Vec<usize>,
+    identity: Vec<usize>,
 }
 
 struct JoinMapper {
     sjs: Vec<JoinSj>,
     /// Conditional streams: full tuples are shuffled (COGROUP behaviour).
-    asserts: Vec<(Atom, Vec<Var>)>,
+    asserts: Vec<AssertProjection>,
 }
 
 impl Mapper for JoinMapper {
     fn map(&self, fact: &gumbo_common::Fact, _i: u64, emit: &mut dyn FnMut(Tuple, Message)) {
         for (local, sj) in self.sjs.iter().enumerate() {
             if sj.guard.conforms_fact(fact) {
-                let key = sj.guard.project(&fact.tuple, &sj.join_key);
+                let key = fact.tuple.project(&sj.join_key);
                 // Full guard tuple on the wire (no reference optimization).
-                let payload = Payload::Tuple(sj.guard.project(&fact.tuple, &sj.identity_vars));
+                let payload = Payload::Tuple(fact.tuple.project(&sj.identity));
                 emit(
                     key,
                     Message::Req {
@@ -41,9 +45,9 @@ impl Mapper for JoinMapper {
                 );
             }
         }
-        for (g, (atom, key_vars)) in self.asserts.iter().enumerate() {
+        for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
             if atom.conforms_fact(fact) {
-                let key = atom.project(&fact.tuple, key_vars);
+                let key = fact.tuple.project(key_positions);
                 // Full conditional tuple on the wire (outer-join semantics
                 // keep the right side's columns until the final projection).
                 emit(
@@ -108,8 +112,8 @@ pub fn build_join_job(
         .iter()
         .map(|sj| JoinSj {
             guard: sj.guard.clone(),
-            join_key: sj.join_key.clone(),
-            identity_vars: sj.identity_vars.clone(),
+            join_key: sj.guard.projection(&sj.join_key),
+            identity: sj.guard.projection(&sj.identity_vars),
         })
         .collect();
     let routes: Vec<(RelationName, u32)> = sjs
@@ -144,7 +148,7 @@ pub fn build_join_job(
         outputs,
         mapper: Box::new(JoinMapper {
             sjs: specs,
-            asserts: assert_groups,
+            asserts: assert_projections(&assert_groups),
         }),
         reducer: Box::new(JoinReducer { routes }),
         config,

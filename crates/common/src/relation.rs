@@ -67,17 +67,28 @@ impl Relation {
         }
     }
 
-    /// Create a relation from tuples, validating arities.
+    /// Create a relation from tuples in bulk: one arity pass (the first
+    /// mismatch in iteration order is the error), then one sort, dedup and
+    /// bottom-up tree build — linear when the tuples arrive sorted.
     pub fn from_tuples(
         name: impl Into<RelationName>,
         arity: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self> {
-        let mut rel = Relation::new(name, arity);
-        for t in tuples {
-            rel.insert(t)?;
+        let name = name.into();
+        let tuples: Vec<Tuple> = tuples.into_iter().collect();
+        if let Some(bad) = tuples.iter().find(|t| t.arity() != arity) {
+            return Err(GumboError::ArityMismatch {
+                relation: name.to_string(),
+                expected: arity,
+                got: bad.arity(),
+            });
         }
-        Ok(rel)
+        Ok(Relation {
+            name,
+            arity,
+            tuples: BTreeSet::from_iter(tuples),
+        })
     }
 
     /// The relation symbol.

@@ -26,9 +26,9 @@ impl Tuple {
         }
     }
 
-    /// Create a tuple of integer values.
+    /// Create a tuple of integer values (one allocation).
     pub fn from_ints(ints: &[i64]) -> Self {
-        Tuple::new(ints.iter().copied().map(Value::Int).collect())
+        ints.iter().copied().map(Value::Int).collect()
     }
 
     /// The arity (number of fields) of the tuple.

@@ -11,61 +11,73 @@
 //! the paper calls out explicitly ("the guard relation needs to be re-read
 //! in the EVAL job").
 
-use gumbo_common::{RelationName, Tuple, Value};
+use std::collections::BTreeMap;
+
+use gumbo_common::{RelationName, Tuple};
 use gumbo_mr::{Job, JobConfig, Mapper, Message, Reducer};
-use gumbo_sgf::{Atom, BoolExpr, Var};
+use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
 use crate::semijoin::QueryContext;
 
-/// Per-query mapper/reducer state.
+/// Per-query mapper/reducer state. Variable sequences are resolved to
+/// coordinates when the job is built.
 #[derive(Debug, Clone)]
 struct EvalQuery {
     output: RelationName,
-    guard_rel: RelationName,
     guard: Atom,
-    identity_vars: Vec<Var>,
-    output_vars: Vec<Var>,
-    /// Positions of `output_vars` inside `identity_vars` (full mode).
-    out_positions: Vec<usize>,
+    /// Coordinates of the identity variables within the guard.
+    identity: Vec<usize>,
+    /// Coordinates of the output variables within the identity tuple
+    /// (full mode) and within the guard (reference mode).
+    out_of_identity: Vec<usize>,
+    out_of_guard: Vec<usize>,
     /// `ϕ_C` over global semi-join ids (`Const(true)` if no WHERE clause).
     formula: BoolExpr,
+}
+
+/// What the mapper does with the facts of one input relation.
+#[derive(Debug, Clone)]
+enum Route {
+    /// An `Xᵢ` relation: tag the identity.
+    X(u32),
+    /// A guard relation: the queries it guards.
+    Guard(Vec<u32>),
 }
 
 struct EvalMapper {
     mode: PayloadMode,
     queries: Vec<EvalQuery>,
-    /// `(x relation, tag)` per semi-join; tags start at `queries.len()`.
-    xs: Vec<(RelationName, u32)>,
+    /// One lookup per fact, however many semi-joins the job reads.
+    routes: BTreeMap<RelationName, Route>,
 }
 
 impl Mapper for EvalMapper {
     fn map(&self, fact: &gumbo_common::Fact, index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-        // X-relation side: tag the identity.
-        for (x_name, tag) in &self.xs {
-            if &fact.relation == x_name {
-                emit(fact.tuple.clone(), Message::Tag { rel: *tag });
-                return; // X names are disjoint from guard relations.
-            }
-        }
-        // Guard side: one tag (full mode) or guard-tuple message (ref mode)
-        // per query guarded by this relation.
-        for (j, q) in self.queries.iter().enumerate() {
-            if fact.relation == q.guard_rel && q.guard.conforms_fact(fact) {
-                match self.mode {
-                    PayloadMode::Full => {
-                        let key = q.guard.project(&fact.tuple, &q.identity_vars);
-                        emit(key, Message::Tag { rel: j as u32 });
+        match self.routes.get(&fact.relation) {
+            None => {}
+            Some(Route::X(tag)) => emit(fact.tuple.clone(), Message::Tag { rel: *tag }),
+            // One tag (full mode) or guard-tuple message (ref mode) per
+            // query guarded by this relation.
+            Some(Route::Guard(guarded)) => {
+                for &j in guarded {
+                    let q = &self.queries[j as usize];
+                    if !q.guard.conforms_tuple(&fact.tuple) {
+                        continue;
                     }
-                    PayloadMode::Reference => {
-                        let key = Tuple::new(vec![Value::Int(j as i64), Value::Int(index as i64)]);
-                        emit(
-                            key,
-                            Message::GuardTuple {
-                                guard: j as u32,
-                                tuple: fact.tuple.clone(),
-                            },
-                        );
+                    match self.mode {
+                        PayloadMode::Full => {
+                            emit(fact.tuple.project(&q.identity), Message::Tag { rel: j });
+                        }
+                        PayloadMode::Reference => {
+                            emit(
+                                Tuple::from_ints(&[i64::from(j), index as i64]),
+                                Message::GuardTuple {
+                                    guard: j,
+                                    tuple: fact.tuple.clone(),
+                                },
+                            );
+                        }
                     }
                 }
             }
@@ -99,11 +111,11 @@ impl Reducer for EvalReducer {
             PayloadMode::Full => {
                 for (j, q) in self.queries.iter().enumerate() {
                     // The paper's X₀ ∧ ϕ: the guard tag must be present.
-                    if key.arity() == q.identity_vars.len()
+                    if key.arity() == q.identity.len()
                         && tags.contains(&(j as u32))
                         && self.formula_holds(q, &tags)
                     {
-                        emit(&q.output, key.project(&q.out_positions));
+                        emit(&q.output, key.project(&q.out_of_identity));
                     }
                 }
             }
@@ -112,7 +124,7 @@ impl Reducer for EvalReducer {
                     if let Message::GuardTuple { guard, tuple } = m {
                         let q = &self.queries[*guard as usize];
                         if self.formula_holds(q, &tags) {
-                            emit(&q.output, q.guard.project(tuple, &q.output_vars));
+                            emit(&q.output, tuple.project(&q.out_of_guard));
                         }
                     }
                 }
@@ -130,7 +142,7 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         .enumerate()
         .map(|(j, q)| {
             let identity = crate::semijoin::identity_vars(q.guard());
-            let out_positions = q
+            let out_of_identity = q
                 .output_vars()
                 .iter()
                 .map(|v| {
@@ -142,34 +154,43 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
                 .collect();
             EvalQuery {
                 output: q.output().clone(),
-                guard_rel: q.guard().relation().clone(),
                 guard: q.guard().clone(),
-                identity_vars: identity,
-                output_vars: q.output_vars().to_vec(),
-                out_positions,
+                identity: q.guard().projection(&identity),
+                out_of_identity,
+                out_of_guard: q.guard().projection(q.output_vars()),
                 formula: ctx.formula(j).cloned().unwrap_or(BoolExpr::Const(true)),
             }
         })
         .collect();
 
-    let xs: Vec<(RelationName, u32)> = ctx
-        .semijoins()
-        .iter()
-        .map(|sj| (sj.x_name.clone(), num_queries + sj.id as u32))
-        .collect();
-
+    // Guards first, so that an X relation wins a (never expected) name
+    // clash, as it did when the mapper tried the X names first.
+    let mut routes: BTreeMap<RelationName, Route> = BTreeMap::new();
+    for (j, q) in queries.iter().enumerate() {
+        match routes
+            .entry(q.guard.relation().clone())
+            .or_insert_with(|| Route::Guard(Vec::new()))
+        {
+            Route::Guard(guarded) => guarded.push(j as u32),
+            Route::X(_) => unreachable!("guards are routed before X relations"),
+        }
+    }
     // Inputs: all X relations, then the (deduplicated) guard relations —
     // the guard re-read of optimization (2) / the X₀ read of Eq. 7.
-    let mut inputs: Vec<RelationName> = xs.iter().map(|(n, _)| n.clone()).collect();
+    let mut inputs: Vec<RelationName> = Vec::new();
+    for sj in ctx.semijoins() {
+        inputs.push(sj.x_name.clone());
+        routes.insert(sj.x_name.clone(), Route::X(num_queries + sj.id as u32));
+    }
     for q in &queries {
-        if !inputs.contains(&q.guard_rel) {
-            inputs.push(q.guard_rel.clone());
+        if !inputs.contains(q.guard.relation()) {
+            inputs.push(q.guard.relation().clone());
         }
     }
 
     let outputs: Vec<(RelationName, usize)> = queries
         .iter()
-        .map(|q| (q.output.clone(), q.output_vars.len()))
+        .map(|q| (q.output.clone(), q.out_of_guard.len()))
         .collect();
 
     let out_list: Vec<String> = queries.iter().map(|q| q.output.to_string()).collect();
@@ -180,7 +201,7 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         mapper: Box::new(EvalMapper {
             mode,
             queries: queries.clone(),
-            xs,
+            routes,
         }),
         reducer: Box::new(EvalReducer {
             mode,
@@ -190,17 +211,6 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         config,
         estimate: None,
         filter: None,
-    }
-}
-
-// EvalQuery is cloned into both mapper and reducer.
-impl Clone for EvalMapper {
-    fn clone(&self) -> Self {
-        EvalMapper {
-            mode: self.mode,
-            queries: self.queries.clone(),
-            xs: self.xs.clone(),
-        }
     }
 }
 

@@ -15,19 +15,20 @@
 //! * **payload mode**: requests carry either the full guard identity tuple
 //!   or a `(guard, id)` reference (§5.1 (2)).
 
-use gumbo_common::{RelationName, Tuple, Value};
+use gumbo_common::{RelationName, Tuple};
 use gumbo_mr::{FilterSpec, Job, JobConfig, Mapper, Message, Payload, Reducer};
-use gumbo_sgf::{Atom, Var};
+use gumbo_sgf::Atom;
 
 use crate::plan::PayloadMode;
-use crate::semijoin::{cond_groups, QueryContext, SemiJoin};
+use crate::semijoin::{assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin};
 
-/// Per-semi-join mapper state.
+/// Per-semi-join mapper state: the guard plus the coordinates of its join
+/// key and identity variables, resolved when the job is built.
 #[derive(Debug, Clone)]
 struct SjSpec {
     guard: Atom,
-    join_key: Vec<Var>,
-    identity_vars: Vec<Var>,
+    join_key: Vec<usize>,
+    identity: Vec<usize>,
     guard_idx: u32,
 }
 
@@ -40,7 +41,7 @@ struct SjSpec {
 struct MsjMapper {
     mode: PayloadMode,
     sjs: Vec<SjSpec>,
-    asserts: Vec<(Atom, Vec<Var>)>,
+    asserts: Vec<AssertProjection>,
     salts: u32,
 }
 
@@ -60,11 +61,9 @@ impl Mapper for MsjMapper {
         // Guard side: one request per semi-join this fact guards.
         for (local, sj) in self.sjs.iter().enumerate() {
             if sj.guard.conforms_fact(fact) {
-                let key = sj.guard.project(&fact.tuple, &sj.join_key);
+                let key = fact.tuple.project(&sj.join_key);
                 let payload = match self.mode {
-                    PayloadMode::Full => {
-                        Payload::Tuple(sj.guard.project(&fact.tuple, &sj.identity_vars))
-                    }
+                    PayloadMode::Full => Payload::Tuple(fact.tuple.project(&sj.identity)),
                     PayloadMode::Reference => Payload::Ref {
                         guard: sj.guard_idx,
                         id: index,
@@ -84,9 +83,9 @@ impl Mapper for MsjMapper {
         }
         // Conditional side: one assert per *assert group* (shared streams),
         // replicated to every salt so each salted request group sees it.
-        for (group_idx, (atom, key_vars)) in self.asserts.iter().enumerate() {
+        for (group_idx, (atom, key_positions)) in self.asserts.iter().enumerate() {
             if atom.conforms_fact(fact) {
-                let key = atom.project(&fact.tuple, key_vars);
+                let key = fact.tuple.project(key_positions);
                 for salt in 0..self.salts.max(1) {
                     emit(
                         self.salted(key.clone(), salt),
@@ -142,9 +141,7 @@ impl Reducer for MsjReducer {
 pub(crate) fn payload_tuple(payload: &Payload) -> Tuple {
     match payload {
         Payload::Tuple(t) => t.clone(),
-        Payload::Ref { guard, id } => {
-            Tuple::new(vec![Value::Int(i64::from(*guard)), Value::Int(*id as i64)])
-        }
+        Payload::Ref { guard, id } => Tuple::from_ints(&[i64::from(*guard), *id as i64]),
     }
 }
 
@@ -183,8 +180,8 @@ pub fn build_msj_job_salted(
         .iter()
         .map(|sj| SjSpec {
             guard: sj.guard.clone(),
-            join_key: sj.join_key.clone(),
-            identity_vars: sj.identity_vars.clone(),
+            join_key: sj.guard.projection(&sj.join_key),
+            identity: sj.guard.projection(&sj.identity_vars),
             guard_idx: sj.query_idx as u32,
         })
         .collect();
@@ -229,7 +226,7 @@ pub fn build_msj_job_salted(
         mapper: Box::new(MsjMapper {
             mode,
             sjs: specs,
-            asserts: assert_groups,
+            asserts: assert_projections(&assert_groups),
             salts,
         }),
         reducer: Box::new(MsjReducer { routes }),

@@ -14,18 +14,22 @@
 
 use gumbo_common::{GumboError, RelationName, Result, Tuple};
 use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
-use gumbo_sgf::{Atom, BoolExpr, Condition, Var};
+use gumbo_sgf::{Atom, BoolExpr, Condition};
 
-use crate::semijoin::{cond_groups, QueryContext};
+use crate::semijoin::{
+    assert_projections, cond_groups, AssertGroup, AssertProjection, QueryContext,
+};
 
 // ------------------------------------------------------------ same key --
 
+/// Per-query state; variable sequences are coordinates within the guard,
+/// resolved when the job is built.
 #[derive(Debug, Clone)]
 struct FusedQuery {
     output: RelationName,
     guard: Atom,
-    join_key: Vec<Var>,
-    output_vars: Vec<Var>,
+    join_key: Vec<usize>,
+    output_positions: Vec<usize>,
     /// `ϕ_C` over *local* indices into `assert_group_of`.
     formula: BoolExpr,
     /// Per semi-join of this query: its assert-group index.
@@ -34,7 +38,7 @@ struct FusedQuery {
 
 struct SameKeyMapper {
     queries: Vec<FusedQuery>,
-    asserts: Vec<(Atom, Vec<Var>)>,
+    asserts: Vec<AssertProjection>,
 }
 
 impl Mapper for SameKeyMapper {
@@ -43,8 +47,8 @@ impl Mapper for SameKeyMapper {
             if q.guard.conforms_fact(fact) {
                 // One request per guard tuple (not per semi-join): all the
                 // query's verdicts live at this single key.
-                let key = q.guard.project(&fact.tuple, &q.join_key);
-                let out = q.guard.project(&fact.tuple, &q.output_vars);
+                let key = fact.tuple.project(&q.join_key);
+                let out = fact.tuple.project(&q.output_positions);
                 emit(
                     key,
                     Message::Req {
@@ -54,10 +58,10 @@ impl Mapper for SameKeyMapper {
                 );
             }
         }
-        for (g, (atom, key_vars)) in self.asserts.iter().enumerate() {
+        for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
             if atom.conforms_fact(fact) {
                 emit(
-                    atom.project(&fact.tuple, key_vars),
+                    fact.tuple.project(key_positions),
                     Message::Assert { cond: g as u32 },
                 );
             }
@@ -116,8 +120,8 @@ pub fn build_same_key_job(ctx: &QueryContext, config: JobConfig) -> Result<Job> 
         queries.push(FusedQuery {
             output: q.output().clone(),
             guard: q.guard().clone(),
-            join_key: ctx.semijoin(ids[0]).join_key.clone(),
-            output_vars: q.output_vars().to_vec(),
+            join_key: q.guard().projection(&ctx.semijoin(ids[0]).join_key),
+            output_positions: q.guard().projection(q.output_vars()),
             formula,
             assert_group_of,
         });
@@ -144,8 +148,8 @@ pub fn build_same_key_job(ctx: &QueryContext, config: JobConfig) -> Result<Job> 
 
 #[derive(Debug, Clone)]
 struct Literal {
-    /// Key projection for the literal's semi-join.
-    join_key: Vec<Var>,
+    /// Key coordinates (within the guard) of the literal's semi-join.
+    join_key: Vec<usize>,
     /// Assert group the literal tests.
     assert_group: u32,
     /// `true` for `κ`, `false` for `NOT κ`.
@@ -157,7 +161,7 @@ struct Literal {
 struct DisjunctiveMapper {
     queries: Vec<FusedQuery>,
     literals: Vec<Literal>,
-    asserts: Vec<(Atom, Vec<Var>)>,
+    asserts: Vec<AssertProjection>,
 }
 
 impl Mapper for DisjunctiveMapper {
@@ -165,8 +169,8 @@ impl Mapper for DisjunctiveMapper {
         for (l, lit) in self.literals.iter().enumerate() {
             let q = &self.queries[lit.query as usize];
             if q.guard.conforms_fact(fact) {
-                let key = q.guard.project(&fact.tuple, &lit.join_key);
-                let out = q.guard.project(&fact.tuple, &q.output_vars);
+                let key = fact.tuple.project(&lit.join_key);
+                let out = fact.tuple.project(&q.output_positions);
                 emit(
                     key,
                     Message::Req {
@@ -176,10 +180,10 @@ impl Mapper for DisjunctiveMapper {
                 );
             }
         }
-        for (g, (atom, key_vars)) in self.asserts.iter().enumerate() {
+        for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
             if atom.conforms_fact(fact) {
                 emit(
-                    atom.project(&fact.tuple, key_vars),
+                    fact.tuple.project(key_positions),
                     Message::Assert { cond: g as u32 },
                 );
             }
@@ -241,7 +245,7 @@ pub fn build_disjunctive_job(ctx: &QueryContext, config: JobConfig) -> Result<Jo
                 .expect("atom of condition");
             let sj = ctx.semijoin(ids[local]);
             literals.push(Literal {
-                join_key: sj.join_key.clone(),
+                join_key: sj.guard.projection(&sj.join_key),
                 assert_group: assignment[&sj.id] as u32,
                 positive,
                 query: j as u32,
@@ -251,7 +255,7 @@ pub fn build_disjunctive_job(ctx: &QueryContext, config: JobConfig) -> Result<Jo
             output: q.output().clone(),
             guard: q.guard().clone(),
             join_key: Vec::new(), // unused in disjunctive mode
-            output_vars: q.output_vars().to_vec(),
+            output_positions: q.guard().projection(q.output_vars()),
             formula: BoolExpr::Const(true), // unused in disjunctive mode
             assert_group_of: Vec::new(),
         });
@@ -298,9 +302,9 @@ fn build_job(
     tag: &str,
     ctx: &QueryContext,
     queries: Vec<FusedQuery>,
-    asserts: Vec<(Atom, Vec<Var>)>,
+    asserts: Vec<AssertGroup>,
     config: JobConfig,
-    make: impl FnOnce(Vec<FusedQuery>, Vec<(Atom, Vec<Var>)>) -> MapRed,
+    make: impl FnOnce(Vec<FusedQuery>, Vec<AssertProjection>) -> MapRed,
 ) -> Job {
     let mut inputs: Vec<RelationName> = Vec::new();
     for q in &queries {
@@ -315,14 +319,14 @@ fn build_job(
     }
     let outputs: Vec<(RelationName, usize)> = queries
         .iter()
-        .map(|q| (q.output.clone(), q.output_vars.len()))
+        .map(|q| (q.output.clone(), q.output_positions.len()))
         .collect();
     let out_list: Vec<String> = ctx
         .queries()
         .iter()
         .map(|q| q.output().to_string())
         .collect();
-    let (mapper, reducer) = make(queries, asserts);
+    let (mapper, reducer) = make(queries, assert_projections(&asserts));
     Job {
         name: format!("{tag}({})", out_list.join(",")),
         inputs,

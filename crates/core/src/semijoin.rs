@@ -66,6 +66,18 @@ pub fn identity_vars(atom: &Atom) -> Vec<Var> {
 /// the join key its asserts are projected on.
 pub type AssertGroup = (Atom, Vec<Var>);
 
+/// An [`AssertGroup`] as a mapper holds it: the join key resolved to its
+/// coordinates within the atom, so projecting a fact resolves no variable.
+pub type AssertProjection = (Atom, Vec<usize>);
+
+/// Resolve every assert group's join key to coordinates (once per job).
+pub fn assert_projections(groups: &[AssertGroup]) -> Vec<AssertProjection> {
+    groups
+        .iter()
+        .map(|(atom, key)| (atom.clone(), atom.projection(key)))
+        .collect()
+}
+
 /// A set of BSGF queries prepared for planning: the paper's `F` (§4.5),
 /// with all semi-joins extracted and formulas rewritten over them.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@
 //! nothing. This realizes the paper's "50% of the conditional tuples match
 //! those of the guard relation" and the selectivity-rate sweeps of §5.4.
 
-use gumbo_common::{Database, Relation, Tuple};
+use gumbo_common::{Database, Relation, Tuple, Value};
 
 /// Primes used as per-column multipliers; all exceed any practical `n`,
 /// hence are coprime to it.
@@ -126,15 +126,15 @@ impl DataSpec {
         let n = self.guard_tuples;
         let mut db = Database::new();
         for (g, spec) in self.guards.iter().enumerate() {
-            let mut rel = Relation::new(spec.name.as_str(), spec.arity);
-            for i in 0..n {
-                let vals: Vec<i64> = (0..spec.arity)
-                    .map(|j| Self::guard_value(g, i, j, n))
-                    .collect();
-                rel.insert(Tuple::from_ints(&vals))
-                    .expect("generated arity is correct");
-            }
-            db.add_relation(rel);
+            let tuples = (0..n).map(|i| {
+                (0..spec.arity)
+                    .map(|j| Value::Int(Self::guard_value(g, i, j, n)))
+                    .collect::<Tuple>()
+            });
+            db.add_relation(
+                Relation::from_tuples(spec.name.as_str(), spec.arity, tuples)
+                    .expect("generated arity is correct"),
+            );
         }
         // In-domain (matching) tuples are sampled from guard rows without
         // repetition, so at most `n` of them exist; any surplus tuples are
@@ -142,29 +142,31 @@ impl DataSpec {
         // bytes — the shape the §5.2 cost-model experiment needs).
         let in_domain = (((self.cond_tuples as f64) * self.selectivity).round() as usize).min(n);
         for (c, spec) in self.conds.iter().enumerate() {
-            let mut rel = Relation::new(spec.name.as_str(), spec.arity);
             let offset = (seed as i64)
                 .wrapping_add(c as i64)
                 .wrapping_mul(STRIDE_PRIME)
                 .rem_euclid(n.max(1) as i64) as usize;
-            for k in 0..self.cond_tuples {
-                let vals: Vec<i64> = if k < in_domain {
+            let tuples = (0..self.cond_tuples).map(|k| -> Tuple {
+                if k < in_domain {
                     // Project a pseudo-random guard row of guard 0 onto the
                     // first `arity` columns (cycled) — guaranteed matches.
                     let row = ((k as i64).wrapping_mul(STRIDE_PRIME).rem_euclid(n as i64) as usize
                         + offset)
                         % n;
                     (0..spec.arity)
-                        .map(|j| Self::guard_value(0, row, j % 4, n))
+                        .map(|j| Value::Int(Self::guard_value(0, row, j % 4, n)))
                         .collect()
                 } else {
                     // Out-of-domain: values ≥ n never match any guard column.
-                    (0..spec.arity).map(|j| (n + k + j) as i64).collect()
-                };
-                rel.insert(Tuple::from_ints(&vals))
-                    .expect("generated arity is correct");
-            }
-            db.add_relation(rel);
+                    (0..spec.arity)
+                        .map(|j| Value::Int((n + k + j) as i64))
+                        .collect()
+                }
+            });
+            db.add_relation(
+                Relation::from_tuples(spec.name.as_str(), spec.arity, tuples)
+                    .expect("generated arity is correct"),
+            );
         }
         db
     }

@@ -514,6 +514,11 @@ impl PairBatch {
         self.msgs.message(row)
     }
 
+    /// Estimated bytes of row `row`'s key (paper layout).
+    pub fn key_bytes(&self, row: usize) -> u64 {
+        self.keys.bytes(row as u32)
+    }
+
     /// Estimated bytes of row `row` (key + message, paper layout).
     pub fn row_bytes(&self, row: usize) -> u64 {
         self.keys.bytes(row as u32) + self.msgs.bytes(row)

@@ -16,20 +16,24 @@
 //!
 //! 1. **map** — the job's map tasks (splits fixed at plan time) are
 //!    pulled off a shared counter by the workers, each filling one
-//!    columnar [`PairBatch`];
-//! 2. **shuffle** — workers hash every emitted key exactly once
-//!    ([`crate::hash::partition_view`]) into per-(task, reducer) row
-//!    lists;
+//!    columnar [`PairBatch`] and hashing every emitted key exactly once
+//!    ([`crate::hash::hash_view`]); the §5.1 (1) packing count is one
+//!    pass over a hash table of row ids keyed by those hashes;
+//! 2. **shuffle** — workers counting-sort each task's rows into
+//!    per-(task, reducer) row lists by the same hashes;
 //! 3. **reduce** — fused with the per-reducer drain: each reducer appends
 //!    its rows in task order to a budget-charged spilling buffer
 //!    ([`crate::batch_shuffle`]), then streams the merge of its spill
-//!    runs plus the in-memory tail straight into the reduce function;
-//!    outputs are collected in partition order on the caller's thread.
+//!    runs plus the in-memory tail straight into the reduce function,
+//!    appending what it emits to one vector per output;
+//! 4. **commit** — on the caller's thread, each output's vectors are
+//!    concatenated in partition order and sorted and deduplicated once
+//!    into the stored relation.
 //!
 //! Determinism: map results are re-assembled **in task order**, each
 //! reducer's stream is grouped with keys in sorted order and values in
-//! global emission order, and per-partition reduce outputs are
-//! sorted-set relations merged in partition order — so answer relations
+//! global emission order, and every output is a sorted set whatever
+//! order its tuples were emitted in — so answer relations
 //! and [`JobStats`] are byte-identical whatever the worker count, OS
 //! scheduling or memory budget. At one worker every phase runs inline on
 //! the calling thread: that configuration is the *reference* runtime
@@ -42,13 +46,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result};
+use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result, Tuple};
 use gumbo_storage::{Dfs, RelationScan};
 
 use crate::batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
-use crate::hash::partition_view;
+use crate::hash::{hash_view, partition_of};
 use crate::job::Job;
 use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
@@ -163,20 +167,22 @@ where
         .collect()
 }
 
-/// One map task's rows grouped by target reducer — a counting sort on the
-/// partition hash, so each key is hashed exactly once (via a zero-copy
-/// view) and a task costs four allocations however many reducers there
-/// are. Reducer `p` owns `rows[starts[p]..starts[p + 1]]`, in ascending
-/// row (= emission) order.
+/// One map task's rows grouped by target reducer — a counting sort on
+/// the key hashes the map task already computed
+/// ([`MapTaskOutput::key_hashes`]), so routing hashes nothing and a task
+/// costs four allocations however many reducers there are. Reducer `p`
+/// owns `rows[starts[p]..starts[p + 1]]`, in ascending row (= emission)
+/// order.
 struct TaskRoutes {
     rows: Vec<u32>,
     starts: Vec<u32>,
 }
 
 impl TaskRoutes {
-    fn of(batch: &PairBatch, reducers: usize) -> TaskRoutes {
-        let targets: Vec<u32> = (0..batch.len())
-            .map(|row| partition_view(batch.key_view(row), reducers) as u32)
+    fn of(key_hashes: &[u64], reducers: usize) -> TaskRoutes {
+        let targets: Vec<u32> = key_hashes
+            .iter()
+            .map(|&hash| partition_of(hash, reducers) as u32)
             .collect();
         let mut starts = vec![0u32; reducers + 1];
         for &p in &targets {
@@ -330,8 +336,10 @@ impl Executor {
             f.u64("reducers", reducers as u64);
         });
         let routes: Vec<TaskRoutes> = parallel_for(mapped.len(), workers, |t| {
-            TaskRoutes::of(&mapped[t].batch, reducers)
+            TaskRoutes::of(&mapped[t].key_hashes, reducers)
         });
+        // The hashes have done both their jobs; only the batches go on.
+        let batches: Vec<PairBatch> = mapped.into_iter().map(|task| task.batch).collect();
         drop(shuffle_span);
 
         // ---- drain + reduce, fused per reducer ---------------------------
@@ -348,11 +356,11 @@ impl Executor {
         });
         let spill = ShuffleSpill::new(&job.name);
         let budget = &*self.budget;
-        type ReducedPartition = Result<(BTreeMap<RelationName, Relation>, u64, SpillStats)>;
+        type ReducedPartition = Result<(Vec<Vec<Tuple>>, u64, SpillStats)>;
         let reduced: Vec<ReducedPartition> = parallel_for(reducers, workers, |p| {
             let mut part = BatchPartition::new(p, budget, &spill, reducers);
-            for (task, task_routes) in mapped.iter().zip(&routes) {
-                part.push_rows(&task.batch, task_routes.rows_for(p))?;
+            for (batch, task_routes) in batches.iter().zip(&routes) {
+                part.push_rows(batch, task_routes.rows_for(p))?;
             }
             let bytes = part.total_bytes();
             let (groups, stats) = part.into_groups()?;
@@ -680,6 +688,9 @@ fn record_probe_span(job: &Job, tally: &ProbeTally) {
 pub(crate) struct MapTaskOutput {
     /// Emitted pairs in emission order, columnar.
     pub batch: PairBatch,
+    /// [`hash_view`] of every row's key, in row order — computed once,
+    /// read by the packing count and by the shuffle's routing.
+    pub key_hashes: Vec<u64>,
     /// Charged map-output bytes (packing-aware), unscaled.
     pub output_bytes: u64,
     /// Charged map-output records (packing-aware).
@@ -687,12 +698,13 @@ pub(crate) struct MapTaskOutput {
 }
 
 /// Run one map task: apply the mapper to every fact of the split, landing
-/// its output directly in a [`PairBatch`], and account bytes/records,
-/// charging key bytes once per distinct key within the task when packing
-/// is enabled (§5.1 (1)) — an index sort plus one linear scan. With
-/// `filters` present, each emitted pair is probed first (the **probe**
-/// stage of the filtered shuffle) and suppressed pairs never reach the
-/// packing accounting — so map-output bytes/records are post-suppression.
+/// its output directly in a [`PairBatch`], hash every emitted key once,
+/// and account bytes/records, charging key bytes once per distinct key
+/// within the task when packing is enabled (§5.1 (1)) — one pass over a
+/// hash table of row ids ([`packed_counts`]), no sort. With `filters`
+/// present, each emitted pair is probed first (the **probe** stage of the
+/// filtered shuffle) and suppressed pairs never reach the packing
+/// accounting — so map-output bytes/records are post-suppression.
 pub(crate) fn run_map_task(
     job: &Job,
     facts: &[(u64, Fact)],
@@ -725,37 +737,56 @@ pub(crate) fn run_map_task(
         record_probe_span(job, &tally);
         f.absorb(tally);
     }
+    let key_hashes: Vec<u64> = (0..batch.len())
+        .map(|row| hash_view(batch.key_view(row)))
+        .collect();
     let (output_bytes, records_out) = if job.config.packing {
-        let order = batch.sort_indices();
-        let mut bytes = 0u64;
-        let mut records = 0u64;
-        let mut at = 0;
-        while at < order.len() {
-            let first = order[at] as usize;
-            let key = batch.key_view(first);
-            // Key bytes counted once per distinct key within the task;
-            // message bytes always.
-            bytes += key.estimated_bytes();
-            records += 1;
-            while at < order.len() {
-                let row = order[at] as usize;
-                if batch.key_view(row) != key {
-                    break;
-                }
-                bytes += batch.row_bytes(row) - key.estimated_bytes();
-                at += 1;
-            }
-        }
-        (bytes, records)
+        packed_counts(&batch, &key_hashes)
     } else {
         (batch.estimated_bytes(), batch.len() as u64)
     };
     span.record(|f| f.u64("records_out", records_out));
     MapTaskOutput {
         batch,
+        key_hashes,
         output_bytes,
         records_out,
     }
+}
+
+/// The packed `(output_bytes, records_out)` of one map task's output
+/// (§5.1 (1)): every message's bytes, plus each *distinct* key's bytes
+/// once; one record per distinct key. `key_hashes[row]` is any hash of row
+/// `row`'s key — it only steers the probe sequence of an open-addressing
+/// table of row ids; a hit is confirmed by comparing the keys themselves,
+/// so colliding hashes cost probes, never a miscount.
+pub(crate) fn packed_counts(batch: &PairBatch, key_hashes: &[u64]) -> (u64, u64) {
+    const EMPTY: u32 = u32::MAX;
+    debug_assert_eq!(key_hashes.len(), batch.len());
+    // At most half full, so every probe sequence ends at an empty slot.
+    let mask = (batch.len() * 2).next_power_of_two() - 1;
+    let mut table = vec![EMPTY; mask + 1];
+    let mut repeated_key_bytes = 0u64;
+    let mut distinct = 0u64;
+    for (row, &hash) in key_hashes.iter().enumerate() {
+        // FNV-1a multiplies upward: the high half is the better mixed one.
+        let mut slot = (hash ^ (hash >> 32)) as usize & mask;
+        loop {
+            let seen = table[slot];
+            if seen == EMPTY {
+                table[slot] = row as u32;
+                distinct += 1;
+                break;
+            }
+            let seen = seen as usize;
+            if key_hashes[seen] == hash && batch.key_view(seen) == batch.key_view(row) {
+                repeated_key_bytes += batch.key_bytes(row);
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+    (batch.estimated_bytes() - repeated_key_bytes, distinct)
 }
 
 impl MapPlan {
@@ -777,21 +808,31 @@ impl MapPlan {
     }
 }
 
+/// The job's declared outputs in name order: the order in which a
+/// partition's output vectors are returned and the commit stores relations.
+fn declared_outputs(job: &Job) -> BTreeMap<&RelationName, usize> {
+    job.outputs
+        .iter()
+        .map(|(name, arity)| (name, *arity))
+        .collect()
+}
+
 /// Reduce one shuffle partition by streaming its key groups (keys in
 /// canonical order, values in emission order — the order the bounded and
-/// unlimited shuffles both guarantee) and collect the reducer's output
-/// into fresh per-partition relations, rejecting emissions to undeclared
-/// outputs exactly like the original engine did. One scratch value vector
-/// is reused across groups.
+/// unlimited shuffles both guarantee) and append what the reducer emits to
+/// one vector per declared output ([`declared_outputs`] order), duplicates
+/// included: [`commit_job`] sorts and deduplicates once per relation. An
+/// emission of the wrong arity or to an undeclared output is rejected
+/// here, where it happens. One scratch value vector is reused across
+/// groups.
 pub(crate) fn run_reduce_stream(
     job: &Job,
     mut groups: BatchGroupStream<'_>,
-) -> Result<BTreeMap<RelationName, Relation>> {
+) -> Result<Vec<Vec<Tuple>>> {
     let mut span = gumbo_obs::span_with("reduce:task", |f| f.str("job", &job.name));
-    let mut outputs: BTreeMap<RelationName, Relation> = job
-        .outputs
-        .iter()
-        .map(|(name, arity)| (name.clone(), Relation::new(name.clone(), *arity)))
+    let mut outputs: BTreeMap<&RelationName, (usize, Vec<Tuple>)> = declared_outputs(job)
+        .into_iter()
+        .map(|(name, arity)| (name, (arity, Vec::new())))
         .collect();
     let mut values: Vec<Message> = Vec::new();
     while let Some(key) = groups.next_group_into(&mut values)? {
@@ -801,10 +842,13 @@ pub(crate) fn run_reduce_stream(
                 return;
             }
             match outputs.get_mut(rel_name) {
-                Some(rel) => {
-                    if let Err(e) = rel.insert(tuple) {
-                        err = Some(e);
-                    }
+                Some((arity, tuples)) if tuple.arity() == *arity => tuples.push(tuple),
+                Some((arity, _)) => {
+                    err = Some(GumboError::ArityMismatch {
+                        relation: rel_name.to_string(),
+                        expected: *arity,
+                        got: tuple.arity(),
+                    });
                 }
                 None => {
                     err = Some(GumboError::Plan(format!(
@@ -818,30 +862,35 @@ pub(crate) fn run_reduce_stream(
             return Err(e);
         }
     }
+    // Emitted tuples, duplicates included; the `commit` span carries the
+    // distinct count.
     span.record(|f| {
         f.u64(
             "output_tuples",
-            outputs.values().map(|r| r.len() as u64).sum(),
+            outputs.values().map(|(_, t)| t.len() as u64).sum(),
         );
     });
-    Ok(outputs)
+    Ok(outputs.into_values().map(|(_, tuples)| tuples).collect())
 }
 
 /// The outcome of a job's map/shuffle/reduce phases, not yet committed to
 /// the DFS: per-input metering, reducer accounting, and the per-partition
-/// output relations awaiting the merge in [`commit_job`].
+/// output vectors ([`run_reduce_stream`]) awaiting the merge in
+/// [`commit_job`].
 pub(crate) struct ComputedJob {
     pub(crate) partitions: Vec<InputPartition>,
     pub(crate) reducers: usize,
     pub(crate) reducer_bytes: Vec<u64>,
-    pub(crate) partition_outputs: Vec<BTreeMap<RelationName, Relation>>,
+    pub(crate) partition_outputs: Vec<Vec<Vec<Tuple>>>,
     pub(crate) spill: SpillStats,
     pub(crate) filter: FilterStats,
 }
 
-/// Merge per-partition reduce outputs (in partition order), store every
-/// declared output to the DFS, and assemble the job's metered statistics.
-/// This is the only phase that mutates the DFS.
+/// Build every declared output once from its per-partition vectors
+/// (concatenated in partition order, then one sort + dedup in
+/// [`Relation::from_tuples`]), store it to the DFS in name order, and
+/// assemble the job's metered statistics. This is the only phase that
+/// mutates the DFS.
 fn commit_job(
     config: &EngineConfig,
     dfs: &dyn Dfs,
@@ -854,30 +903,21 @@ fn commit_job(
         partitions,
         reducers,
         reducer_bytes,
-        partition_outputs,
+        mut partition_outputs,
         spill,
         filter,
     } = computed;
     let scale = config.scale.max(1);
     let consts = &config.constants;
 
-    let mut outputs: BTreeMap<RelationName, Relation> = job
-        .outputs
-        .iter()
-        .map(|(name, arity)| (name.clone(), Relation::new(name.clone(), *arity)))
-        .collect();
-    for partial in partition_outputs {
-        for (name, rel) in partial {
-            let target = outputs.get_mut(&name).expect("declared output");
-            for tuple in rel.iter() {
-                target.insert(tuple.clone())?;
-            }
-        }
-    }
-
     let mut output_tuples = 0u64;
     let mut output_bytes = ByteSize::ZERO;
-    for rel in outputs.into_values() {
+    for (i, (name, arity)) in declared_outputs(job).into_iter().enumerate() {
+        let mut emitted = Vec::with_capacity(partition_outputs.iter().map(|p| p[i].len()).sum());
+        for partition in &mut partition_outputs {
+            emitted.extend(std::mem::take(&mut partition[i]));
+        }
+        let rel = Relation::from_tuples(name, arity, emitted)?;
         output_tuples += rel.len() as u64;
         output_bytes += ByteSize::bytes(rel.estimated_bytes()).scaled(scale);
         dfs.store(rel)?;
@@ -1250,6 +1290,64 @@ mod tests {
             .collect();
         assert!(errors[0].contains("Undeclared"), "{}", errors[0]);
         assert_eq!(errors[0], errors[1]);
+    }
+
+    /// Emits the all-42 tuple of `width` fields into `Z`, twice for every
+    /// key group.
+    struct ConstantReducer {
+        width: usize,
+    }
+    impl Reducer for ConstantReducer {
+        fn reduce(&self, _: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
+            let tuple = Tuple::from_ints(&vec![42; self.width]);
+            emit(&"Z".into(), tuple.clone());
+            emit(&"Z".into(), tuple);
+        }
+    }
+
+    fn constant_job(width: usize) -> Job {
+        let mut job = semi_join_job();
+        job.config.reducer_policy = ReducerPolicy::Fixed(7);
+        job.reducer = Box::new(ConstantReducer { width });
+        job
+    }
+
+    #[test]
+    fn commit_stores_a_tuple_once_however_often_it_was_emitted() {
+        // wide_dfs(50) has the 50 join keys 0..50: the same tuple comes
+        // twice from every group, and from groups of several partitions.
+        let partitions: std::collections::BTreeSet<usize> = (0..50)
+            .map(|k| crate::hash::partition(&Tuple::from_ints(&[k]), 7))
+            .collect();
+        assert!(partitions.len() > 1, "keys must spread over partitions");
+        for workers in WORKERS {
+            let dfs = wide_dfs(50);
+            let stats = unscaled(workers)
+                .execute_job(&dfs, &constant_job(1), 0, 0, None)
+                .unwrap();
+            assert_eq!(stats.output_tuples, 1);
+            let z = dfs.peek(&"Z".into()).unwrap();
+            assert_eq!(z.len(), 1);
+            assert!(z.contains(&Tuple::from_ints(&[42])));
+        }
+    }
+
+    #[test]
+    fn wrong_arity_emit_is_an_arity_mismatch_naming_the_relation() {
+        let errors: Vec<GumboError> = WORKERS
+            .iter()
+            .map(|&workers| {
+                unscaled(workers)
+                    .execute_job(&wide_dfs(50), &constant_job(2), 0, 0, None)
+                    .unwrap_err()
+            })
+            .collect();
+        assert!(
+            matches!(&errors[0], GumboError::ArityMismatch { relation, expected: 1, got: 2 } if relation == "Z"),
+            "{}",
+            errors[0]
+        );
+        assert_eq!(errors[0].to_string(), errors[1].to_string());
     }
 
     #[test]

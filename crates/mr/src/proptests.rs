@@ -11,7 +11,8 @@ use crate::batch_shuffle::{drain, group_reference, BatchPartition, PairBatch};
 use crate::cluster::lpt_makespan;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::dag::jobs_conflict;
-use crate::hash::hash_tuple;
+use crate::executor::packed_counts;
+use crate::hash::{hash_tuple, hash_view};
 use crate::job::test_support::noop_job;
 use crate::job::Job;
 use crate::message::{Message, Payload};
@@ -39,7 +40,62 @@ fn part(n_mb: u64, m_mb: u64, records: u64, mappers: usize) -> InputPartition {
     }
 }
 
+/// The packed `(output_bytes, records_out)` of §5.1 (1) as the map task
+/// used to compute them: index-sort the batch, then charge each run of
+/// equal keys its key bytes once and every message's bytes.
+fn packed_counts_by_sorting(batch: &PairBatch) -> (u64, u64) {
+    let order = batch.sort_indices();
+    let (mut bytes, mut records) = (0u64, 0u64);
+    let mut at = 0;
+    while at < order.len() {
+        let key = batch.key_view(order[at] as usize);
+        bytes += key.estimated_bytes();
+        records += 1;
+        while at < order.len() && batch.key_view(order[at] as usize) == key {
+            bytes += batch.row_bytes(order[at] as usize) - key.estimated_bytes();
+            at += 1;
+        }
+    }
+    (bytes, records)
+}
+
 proptest! {
+    /// Hash-counted packing equals the sort-based count on any batch —
+    /// int and string keys of mixed arity drawn from a small domain (heavy
+    /// repetition), the empty batch included — with the real key hashes
+    /// and with an all-equal hash vector, where every probe collides and
+    /// only the key comparison tells keys apart.
+    #[test]
+    fn packed_counts_match_the_sort_based_reference(
+        keys in proptest::collection::vec((0i64..6, 0usize..3, any::<bool>()), 0usize..200),
+    ) {
+        let mut batch = PairBatch::new();
+        for (seq, &(k, arity, string)) in keys.iter().enumerate() {
+            let value = |i: usize| {
+                if string && i == 0 {
+                    gumbo_common::Value::str(format!("k{k}"))
+                } else {
+                    gumbo_common::Value::Int(k + i as i64)
+                }
+            };
+            let key: Tuple = (0..arity).map(value).collect();
+            let msg = if seq % 2 == 0 {
+                Message::Assert { cond: seq as u32 }
+            } else {
+                Message::Req {
+                    cond: seq as u32,
+                    payload: Payload::Tuple(Tuple::from_ints(&[seq as i64, k])),
+                }
+            };
+            batch.push_pair(&key, &msg);
+        }
+        let expected = packed_counts_by_sorting(&batch);
+        let hashes: Vec<u64> = (0..batch.len()).map(|r| hash_view(batch.key_view(r))).collect();
+        prop_assert_eq!(packed_counts(&batch, &hashes), expected);
+        prop_assert_eq!(packed_counts(&batch, &vec![7; batch.len()]), expected, "all probes collide");
+        prop_assert_eq!(packed_counts(&PairBatch::new(), &[]), (0, 0), "empty batch");
+    }
+
     /// Costs are non-negative, finite, and at least the job overhead.
     #[test]
     fn cost_is_sane(

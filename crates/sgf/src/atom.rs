@@ -17,18 +17,42 @@ use gumbo_common::{Fact, RelationName, Tuple, Value};
 use crate::term::{Term, Var};
 
 /// An atom `R(t₁, …, tₙ)`.
+///
+/// The conformance test is compiled when the atom is built: `constants`
+/// and `equalities` are a function of `terms` alone, so the derived
+/// `Eq`/`Ord`/`Hash` agree with comparing `(relation, terms)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Atom {
     relation: RelationName,
     terms: Vec<Term>,
+    /// `(position, constant)`: the tuple must carry the constant there.
+    constants: Vec<(usize, Value)>,
+    /// `(first, later)` positions of one variable: the values must agree.
+    equalities: Vec<(usize, usize)>,
 }
 
 impl Atom {
     /// Create an atom over the given relation symbol and terms.
     pub fn new(relation: impl Into<RelationName>, terms: Vec<Term>) -> Self {
+        let mut constants = Vec::new();
+        let mut equalities = Vec::new();
+        for (i, term) in terms.iter().enumerate() {
+            match term {
+                Term::Const(c) => constants.push((i, c.clone())),
+                Term::Var(_) => {
+                    // Equality is transitive: checking every repeat against
+                    // the first occurrence covers all pairs.
+                    if let Some(first) = terms[..i].iter().position(|t| t == term) {
+                        equalities.push((first, i));
+                    }
+                }
+            }
+        }
         Atom {
             relation: relation.into(),
             terms,
+            constants,
+            equalities,
         }
     }
 
@@ -71,6 +95,19 @@ impl Atom {
         vars.iter().map(|v| self.position_of(v)).collect()
     }
 
+    /// The coordinates `π_{α;x̄}` picks: [`Atom::positions_of`] for variables
+    /// known to occur. Job builders resolve these once and project every
+    /// fact with [`Tuple::project`].
+    ///
+    /// # Panics
+    /// Panics if some variable of `x̄` does not occur in the atom; callers
+    /// must have validated the query (guardedness guarantees this for all
+    /// projections the engine performs).
+    pub fn projection(&self, vars: &[Var]) -> Vec<usize> {
+        self.positions_of(vars)
+            .unwrap_or_else(|| panic!("projection variables must occur in atom {self}"))
+    }
+
     /// The *join key* with another atom: the sorted set of shared variables.
     ///
     /// For a semi-join `π_{x̄}(α ⋉ κ)` this is the vector `z̄` on which the
@@ -88,30 +125,10 @@ impl Atom {
     /// A tuple `ā` conforms to `t̄` iff (1) equal terms carry equal values and
     /// (2) constant terms carry exactly their constants (§4).
     pub fn conforms_tuple(&self, tuple: &Tuple) -> bool {
-        if tuple.arity() != self.terms.len() {
-            return false;
-        }
-        // Condition (2): constants match.
-        for (term, value) in self.terms.iter().zip(tuple.values()) {
-            if let Term::Const(c) = term {
-                if c != value {
-                    return false;
-                }
-            }
-        }
-        // Condition (1): repeated variables carry equal values. Quadratic in
-        // arity, but arities are tiny (≤ a handful) in every workload.
-        for i in 0..self.terms.len() {
-            for j in (i + 1)..self.terms.len() {
-                if self.terms[i].is_var() && self.terms[i] == self.terms[j] {
-                    let (a, b) = (tuple.get(i), tuple.get(j));
-                    if a != b {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let values = tuple.values();
+        values.len() == self.terms.len()
+            && self.constants.iter().all(|(i, c)| values[*i] == *c)
+            && self.equalities.iter().all(|&(i, j)| values[i] == values[j])
     }
 
     /// Whether *every* tuple of the right arity conforms: the terms are
@@ -119,7 +136,7 @@ impl Atom {
     /// [`Atom::conforms_tuple`] can fail. The planner uses this to know a
     /// conformance rate exactly (1.0) without looking at a single value.
     pub fn is_unconstrained(&self) -> bool {
-        self.var_set().len() == self.terms.len()
+        self.constants.is_empty() && self.equalities.is_empty()
     }
 
     /// Full conformance test `T(ā) ⊨ U(t̄)`.
@@ -128,16 +145,13 @@ impl Atom {
     }
 
     /// Projection `π_{α;x̄}(f)` of a conforming tuple onto variables `x̄`.
+    /// Resolves `x̄` on every call; per-tuple code resolves
+    /// [`Atom::projection`] once instead.
     ///
     /// # Panics
-    /// Panics if some variable of `x̄` does not occur in the atom; callers
-    /// must have validated the query (guardedness guarantees this for all
-    /// projections the engine performs).
+    /// As [`Atom::projection`].
     pub fn project(&self, tuple: &Tuple, vars: &[Var]) -> Tuple {
-        let positions = self
-            .positions_of(vars)
-            .unwrap_or_else(|| panic!("projection variables must occur in atom {self}"));
-        tuple.project(&positions)
+        tuple.project(&self.projection(vars))
     }
 
     /// The substitution `σ` induced by a conforming tuple: values of each

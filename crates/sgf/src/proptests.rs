@@ -76,7 +76,56 @@ fn arb_source() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Conformance as §4 defines it, term pair by term pair: constant terms
+/// carry exactly their constants and equal terms carry equal values.
+fn conforms_by_definition(terms: &[Term], tuple: &gumbo_common::Tuple) -> bool {
+    if tuple.arity() != terms.len() {
+        return false;
+    }
+    for i in 0..terms.len() {
+        if let Term::Const(c) = &terms[i] {
+            if tuple.get(i) != Some(c) {
+                return false;
+            }
+        }
+        for j in (i + 1)..terms.len() {
+            if terms[i].is_var() && terms[i] == terms[j] && tuple.get(i) != tuple.get(j) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 proptest! {
+    /// The checks an atom compiles at construction agree with the
+    /// definition on any term vector — constants, repeated variables —
+    /// and any tuple, wrong arities included. Values come from a domain
+    /// of three so that conforming tuples are common.
+    #[test]
+    fn compiled_conformance_matches_the_definition(
+        terms in proptest::collection::vec((any::<bool>(), 0usize..3), 0usize..6),
+        values in proptest::collection::vec(0i64..3, 0usize..6),
+        same_arity in any::<bool>(),
+    ) {
+        let terms: Vec<Term> = terms
+            .into_iter()
+            .map(|(constant, k)| if constant { Term::int(k as i64) } else { Term::var(VARS[k]) })
+            .collect();
+        let mut values = values;
+        if same_arity {
+            values.resize(terms.len(), 1);
+        }
+        let tuple = gumbo_common::Tuple::from_ints(&values);
+        let atom = Atom::new("R", terms.clone());
+        prop_assert_eq!(atom.conforms_tuple(&tuple), conforms_by_definition(&terms, &tuple));
+        prop_assert_eq!(
+            atom.is_unconstrained(),
+            atom.var_set().len() == terms.len(),
+            "unconstrained = pairwise distinct variables"
+        );
+    }
+
     /// Whatever arrives — the service hands client text straight to the
     /// parser — the answer is `Ok` or `Err`, never a panic or an overflow.
     #[test]
