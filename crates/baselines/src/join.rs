@@ -206,7 +206,7 @@ mod tests {
 
         let dfs1 = SimDfs::from_database(&db);
         let join = build_join_job(&ctx, &[0], "HJOIN", JobConfig::baseline(), 0);
-        let js = engine.execute_job(&dfs1, &join, 0, 0, None).unwrap();
+        let js = engine.execute_job(&dfs1, &join, 0).unwrap();
 
         let dfs2 = SimDfs::from_database(&db);
         let msj = gumbo_core::msj::build_msj_job(
@@ -215,7 +215,7 @@ mod tests {
             gumbo_core::PayloadMode::Reference,
             JobConfig::default(),
         );
-        let ms = engine.execute_job(&dfs2, &msj, 0, 0, None).unwrap();
+        let ms = engine.execute_job(&dfs2, &msj, 0).unwrap();
         assert!(
             js.communication_bytes() > ms.communication_bytes(),
             "join {} <= msj {}",
@@ -232,8 +232,8 @@ mod tests {
         let d2 = SimDfs::from_database(&db);
         let j0 = build_join_job(&ctx, &[0], "J", JobConfig::baseline(), 0);
         let j1 = build_join_job(&ctx, &[0], "J", JobConfig::baseline(), 1);
-        let s0 = engine.execute_job(&d1, &j0, 0, 0, None).unwrap();
-        let s1 = engine.execute_job(&d2, &j1, 0, 0, None).unwrap();
+        let s0 = engine.execute_job(&d1, &j0, 0).unwrap();
+        let s1 = engine.execute_job(&d2, &j1, 0).unwrap();
         assert!(s1.input_bytes() > s0.input_bytes());
         // Results identical regardless.
         assert_eq!(

@@ -27,7 +27,7 @@ fn msj_group_sizes(c: &mut Criterion) {
             b.iter(|| {
                 let dfs = SimDfs::from_database(&db);
                 let job = build_msj_job(&ctx, &ids, PayloadMode::Reference, JobConfig::default());
-                engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
+                engine.execute_job(&dfs, &job, 0).unwrap()
             });
         });
     }
@@ -49,7 +49,7 @@ fn payload_modes(c: &mut Criterion) {
             b.iter(|| {
                 let dfs = SimDfs::from_database(&db);
                 let job = build_msj_job(&ctx, &[0, 1, 2, 3], mode, JobConfig::default());
-                engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
+                engine.execute_job(&dfs, &job, 0).unwrap()
             });
         });
     }
@@ -69,14 +69,14 @@ fn eval_job(c: &mut Criterion) {
         PayloadMode::Reference,
         JobConfig::default(),
     );
-    engine.execute_job(&base, &msj, 0, 0, None).unwrap();
+    engine.execute_job(&base, &msj, 0).unwrap();
     let prepared = base.to_database();
 
     c.bench_function("eval_job", |b| {
         b.iter(|| {
             let dfs = SimDfs::from_database(&prepared);
             let job = build_eval_job(&ctx, PayloadMode::Reference, JobConfig::default());
-            engine.execute_job(&dfs, &job, 0, 0, None).unwrap()
+            engine.execute_job(&dfs, &job, 0).unwrap()
         });
     });
 }

@@ -235,7 +235,7 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
                 PayloadMode::Reference,
                 JobConfig::default(),
             );
-            let measured = executor.execute_job(&dfs, &job, 0, 0, None)?.total_cost;
+            let measured = executor.execute_job(&dfs, &job, 0)?.total_cost;
             jobs.push((cg, cw, measured));
         }
     }
@@ -996,22 +996,24 @@ pub fn dfs(cfg: &RunConfig) -> Result<()> {
     Ok(())
 }
 
-/// Job-slot sweep: real wall-clock of a multi-tenant workload of
-/// independent SGF queries at 1, 2, 4 and 8 job slots.
+/// Job-slot sweep: real wall-clock of one program of independent SGF
+/// queries at 1, 2, 4 and 8 job slots.
 ///
-/// Every client submits an A3-shaped query over its own renamed copy of
-/// the relations, so the workload is embarrassingly schedulable: at one
-/// slot the clients' jobs run strictly one after another on the calling
-/// thread, at more slots the scheduler overlaps up to that many of them.
-/// Every run must leave the DFS contents and per-job statistics of the
-/// serial reference loop ([`gumbo_sched::serial_reference`], asserted);
-/// only the wall clock differs. Rows — wall and speed-up relative to the
-/// one-slot row — are written to `BENCH_dagsched.json`.
+/// Every client's A3-shaped query runs over its own renamed copy of the
+/// relations, and the clients' programs are merged into one `MrProgram`
+/// ([`gumbo_mr::MrProgram::extend`]), so the DAG is embarrassingly
+/// schedulable: at one slot the jobs run strictly one after another on
+/// the calling thread, at more slots the scheduler overlaps up to that
+/// many of them. Every run must leave the DFS contents and per-job
+/// statistics of the serial reference loop on the same merged program
+/// ([`gumbo_sched::serial_reference`], asserted); only the wall clock
+/// differs. Rows — wall and speed-up relative to the one-slot row — are
+/// written to `BENCH_dagsched.json`.
 pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     use crate::report::{write_bench_json, Json};
     use gumbo_core::{EvalOptions, Grouping, GumboEngine};
     use gumbo_datagen::DataSpec;
-    use gumbo_sched::{DagScheduler, SchedulerConfig, Submission};
+    use gumbo_sched::{DagScheduler, SchedulerConfig};
     use gumbo_sgf::SgfQuery;
     use std::time::Instant;
 
@@ -1070,25 +1072,25 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             combined.add_relation(rel.clone());
         }
     }
-    let build_programs = |dfs: &SimDfs| -> Result<Vec<gumbo_mr::MrProgram>> {
-        queries
-            .iter()
-            .map(|q| {
-                let ctx = QueryContext::new(q.queries().to_vec())?;
+    // All clients' programs, back to back, as one program.
+    let build_program = |dfs: &SimDfs| -> Result<gumbo_mr::MrProgram> {
+        let mut merged = gumbo_mr::MrProgram::new();
+        for q in &queries {
+            let ctx = QueryContext::new(q.queries().to_vec())?;
+            merged.extend(
                 engine
                     .plan_group(&engine.estimator(dfs), &ctx)?
-                    .build_program(&ctx)
-            })
-            .collect()
+                    .build_program(&ctx)?,
+            );
+        }
+        Ok(merged)
     };
 
-    // The oracle: client programs back to back on the serial round loop.
+    // The oracle: the merged program on the serial round loop.
     let executor = cfg.executor.build(engine_cfg);
     let dfs_serial = SimDfs::from_database(&combined);
-    let serial_stats = build_programs(&dfs_serial)?
-        .iter()
-        .map(|program| gumbo_sched::serial_reference(&executor, &dfs_serial, program))
-        .collect::<Result<Vec<_>>>()?;
+    let serial_stats =
+        gumbo_sched::serial_reference(&executor, &dfs_serial, &build_program(&dfs_serial)?)?;
 
     println!(
         "{:>6} {:>6} {:>10} {:>9}",
@@ -1097,31 +1099,24 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     let mut rows: Vec<Json> = Vec::new();
     let mut one_slot_wall = None;
     for slots in [1usize, 2, 4, 8] {
-        // All clients admitted at once; jobs start the moment their
-        // inputs are materialized and a slot is free.
+        // Jobs start the moment their inputs are materialized and a slot
+        // is free.
         let scheduler = DagScheduler::new(SchedulerConfig {
             max_concurrent_jobs: slots,
             ..SchedulerConfig::ONE_SLOT
         });
         let dfs = SimDfs::from_database(&combined);
-        let submissions: Vec<Submission> = build_programs(&dfs)?
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| Submission::new(format!("client{i}"), p))
-            .collect();
+        let program = build_program(&dfs)?;
         let start = Instant::now();
-        let reports = scheduler.execute_many(&executor, &dfs, &submissions)?;
+        let stats = scheduler.execute_program(&executor, &dfs, program)?;
         let wall = start.elapsed().as_secs_f64();
 
         // Equivalence: byte-identical DFS contents, identical per-job and
         // per-round statistics — slots may only move wall clock.
         let label = format!("dagsched x{slots}");
         gumbo_sched::assert_identical_dfs(&label, &dfs_serial, &dfs);
-        let mut jobs = 0;
-        for (serial, report) in serial_stats.iter().zip(&reports) {
-            gumbo_sched::assert_identical_stats(&report.tenant, serial, &report.stats);
-            jobs += report.stats.num_jobs();
-        }
+        gumbo_sched::assert_identical_stats(&label, &serial_stats, &stats);
+        let jobs = stats.num_jobs();
         let speedup = *one_slot_wall.get_or_insert(wall) / wall.max(1e-12);
         println!("{slots:>6} {jobs:>6} {wall:>10.3} {speedup:>8.2}x");
         rows.push(Json::obj([
@@ -1144,126 +1139,6 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
     ]);
     write_bench_json("dagsched", &report).map_err(|e| {
         gumbo_common::GumboError::Storage(format!("writing BENCH_dagsched.json: {e}"))
-    })?;
-    Ok(())
-}
-
-/// Placement policies × pool sizes over the datagen presets.
-///
-/// For every preset (A1–A5, B1/B2, C1–C4) the same database is evaluated
-/// under each placement policy (`fifo`, `sjf`, `cp`) at each pool size.
-/// The first run — `fifo` at one slot, jobs in round order on the calling
-/// thread — is the reference every other run is asserted byte-identical
-/// to: placement may only move the wall clock. The recorded rows (real
-/// wall, per-round net time, and the estimation layer's predicted DAG net
-/// time) go to `BENCH_placement.json`.
-pub fn placement(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, GumboEngine};
-    use gumbo_sched::{PlacementPolicy, SchedulerConfig};
-    use std::time::Instant;
-
-    print_header("Placement policies — fifo vs sjf vs cp × pool sizes, all presets");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "{} guard tuples; executor {}; {hw} hardware thread(s)",
-        cfg.tuples,
-        cfg.executor.label()
-    );
-
-    let mut presets = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    presets.extend(queries::figure6());
-
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    let pools = [1usize, 2, 4];
-
-    println!(
-        "{:<8} {:<6} {:>5} {:>10} {:>12} {:>14} {:>6}",
-        "preset", "policy", "pool", "wall (s)", "net (s)", "predicted (s)", "jobs"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    for w in &presets {
-        let db = w.spec.clone().with_tuples(cfg.tuples).database(cfg.seed);
-        // The first run (fifo, one slot): the answers every run must match.
-        let mut reference: Option<(SimDfs, gumbo_mr::ProgramStats)> = None;
-
-        for policy in PlacementPolicy::ALL {
-            for pool in pools {
-                let engine = GumboEngine::with_executor(
-                    engine_cfg,
-                    cfg.executor,
-                    EvalOptions {
-                        scheduler: Some(SchedulerConfig {
-                            max_concurrent_jobs: pool,
-                            threads_per_job: 0,
-                            placement: policy,
-                            ..SchedulerConfig::default()
-                        }),
-                        ..EvalOptions::default()
-                    },
-                );
-                let dfs = SimDfs::from_database(&db);
-                let start = Instant::now();
-                let stats = engine.evaluate(&dfs, &w.query)?;
-                let wall = start.elapsed().as_secs_f64();
-
-                let label = format!("{} {} x{pool}", w.name, policy.label());
-                if let Some((dfs_ref, stats_ref)) = &reference {
-                    gumbo_sched::assert_identical_dfs(&label, dfs_ref, &dfs);
-                    gumbo_sched::assert_identical_stats(&label, stats_ref, &stats);
-                }
-                let predicted = stats
-                    .predicted_net_time
-                    .expect("every run reports a predicted DAG net time");
-
-                println!(
-                    "{:<8} {:<6} {:>5} {wall:>10.3} {:>12.1} {predicted:>14.1} {:>6}",
-                    w.name,
-                    policy.label(),
-                    pool,
-                    stats.net_time(),
-                    stats.num_jobs(),
-                );
-                rows.push(Json::obj([
-                    ("preset", Json::Str(w.name.clone())),
-                    ("policy", Json::Str(policy.label().into())),
-                    ("pool", Json::Int(pool as u64)),
-                    ("wall_s", Json::Num(wall)),
-                    ("net_s", Json::Num(stats.net_time())),
-                    ("predicted_net_s", Json::Num(predicted)),
-                    ("jobs", Json::Int(stats.num_jobs() as u64)),
-                    ("rounds", Json::Int(stats.num_rounds() as u64)),
-                ]));
-                reference.get_or_insert((dfs, stats));
-            }
-        }
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("placement".into())),
-        ("tuples", Json::Int(cfg.tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("hardware_threads", Json::Int(hw as u64)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("placement", &report).map_err(|e| {
-        gumbo_common::GumboError::Storage(format!("writing BENCH_placement.json: {e}"))
     })?;
     Ok(())
 }

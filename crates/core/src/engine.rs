@@ -77,7 +77,7 @@ pub struct EvalOptions {
     /// Sampling seed.
     pub seed: u64,
     /// How the scheduler that runs every planned program is sized: job
-    /// slots, placement policy, per-job core budget. `None` means
+    /// slots, threads per job, shuffle budget. `None` means
     /// [`SchedulerConfig::ONE_SLOT`] — jobs run inline on the calling
     /// thread, one after another in round order. Answer relations and
     /// per-job statistics are identical at every setting; only real
@@ -226,7 +226,7 @@ impl GumboEngine {
         dfs: &dyn Dfs,
         program: MrProgram,
     ) -> Result<ProgramStats> {
-        let sched = self.scheduler().for_kind(self.executor);
+        let sched = self.scheduler();
         let _span = gumbo_obs::span_with("execute", |f| {
             f.u64("jobs", program.num_jobs() as u64);
             f.u64("slots", sched.effective_workers() as u64);

@@ -51,8 +51,8 @@ pub struct BsgfSetPlan {
     /// The Bloom-filtered shuffle mode the engine will run MSJ jobs
     /// under. The planner uses it to decide whether to attach *filtered*
     /// estimates (and, in `auto` mode, to record per-job profitability
-    /// verdicts) so placement and predicted net time see the same plan
-    /// the engine executes.
+    /// verdicts) so the estimates the engine records describe the plan it
+    /// executes.
     pub shuffle_filter: ShuffleFilterMode,
 }
 

@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 
 use gumbo_common::RelationName;
 
-use crate::estimate::{critical_path_lengths, list_schedule_makespan, JobEstimate};
+use crate::estimate::{list_schedule_makespan, JobEstimate};
 use crate::job::Job;
 use crate::program::MrProgram;
 
@@ -65,17 +65,6 @@ impl DagNode {
     pub fn estimate(&self) -> Option<&JobEstimate> {
         self.job.estimate.as_ref()
     }
-
-    /// The node's estimated cost for scheduling decisions: the
-    /// estimate's total cost, or `0` when unannotated (so unannotated
-    /// DAGs degrade to pure tie-break order rather than failing).
-    pub fn estimated_cost(&self) -> f64 {
-        self.job
-            .estimate
-            .as_ref()
-            .map(|e| e.total_cost)
-            .unwrap_or(0.0)
-    }
 }
 
 /// A dependency DAG of MapReduce jobs, indexed in the source program's
@@ -89,14 +78,14 @@ pub struct JobDag {
 /// precomputed once so pairwise conflict checks are set lookups instead
 /// of repeated set construction (edge inference is O(n²) pairs).
 #[derive(Debug, Clone)]
-pub struct JobFootprint {
+pub(crate) struct JobFootprint {
     reads: BTreeSet<RelationName>,
     writes: BTreeSet<RelationName>,
 }
 
 impl JobFootprint {
     /// Capture a job's read/write sets.
-    pub fn of(job: &Job) -> JobFootprint {
+    pub(crate) fn of(job: &Job) -> JobFootprint {
         JobFootprint {
             reads: job.input_names().cloned().collect(),
             writes: job.output_names().cloned().collect(),
@@ -107,7 +96,7 @@ impl JobFootprint {
     /// a job with the `later` footprint may start: they share a relation
     /// that at least one of them writes (write→read, read→write, or
     /// write→write).
-    pub fn conflicts_with(&self, later: &JobFootprint) -> bool {
+    pub(crate) fn conflicts_with(&self, later: &JobFootprint) -> bool {
         later
             .writes
             .iter()
@@ -117,10 +106,10 @@ impl JobFootprint {
 }
 
 /// Whether an earlier job must complete before a later one may start —
-/// [`JobFootprint::conflicts_with`] for a one-off pair. Public so the
-/// multi-tenant scheduler can apply the same rule *across* submissions in
-/// admission order (it precomputes footprints for batch checks).
-pub fn jobs_conflict(earlier: &Job, later: &Job) -> bool {
+/// [`JobFootprint::conflicts_with`] for a one-off pair (the property
+/// tests' independent check of the inferred edges).
+#[cfg(test)]
+pub(crate) fn jobs_conflict(earlier: &Job, later: &Job) -> bool {
     JobFootprint::of(earlier).conflicts_with(&JobFootprint::of(later))
 }
 
@@ -202,23 +191,10 @@ impl JobDag {
         edges
     }
 
-    /// Longest estimated path from each node to a sink (own cost
-    /// included), over the nodes' attached [`JobEstimate`]s — the
-    /// priority of critical-path (`cp`) placement. Unannotated nodes
-    /// contribute zero cost, so a fully unannotated DAG degrades to
-    /// FIFO-by-tie-break. The estimates are a function of each job alone
-    /// (attached at plan time), so these lengths are invariant under any
-    /// ready-queue order the scheduler chooses.
-    pub fn critical_paths(&self) -> Vec<f64> {
-        let durations: Vec<f64> = self.nodes.iter().map(DagNode::estimated_cost).collect();
-        let deps: Vec<&[usize]> = self.nodes.iter().map(|n| n.deps.as_slice()).collect();
-        critical_path_lengths(&durations, &deps)
-    }
-
     /// Predicted net time of this DAG under `slots` concurrent job
-    /// slots: list-scheduling simulation with the given per-job
-    /// durations (estimated costs at plan time, or reconstructed per-job
-    /// wall clock after execution). See [`crate::estimate`].
+    /// slots: a FIFO list schedule with the given per-job durations (the
+    /// scheduler passes each job's observed cost priced as a single-job
+    /// round). See [`list_schedule_makespan`].
     pub fn predicted_net_time(&self, durations: &[f64], slots: usize) -> f64 {
         let deps: Vec<&[usize]> = self.nodes.iter().map(|n| n.deps.as_slice()).collect();
         list_schedule_makespan(durations, &deps, slots)
@@ -335,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn estimates_survive_the_lowering_and_drive_critical_paths() {
+    fn estimates_survive_the_lowering() {
         use crate::cost::{CostConstants, CostModelKind};
         use crate::estimate::JobEstimate;
         use crate::profile::{InputPartition, JobProfile};
@@ -369,17 +345,15 @@ mod tests {
         let dag = p.into_dag();
         for (node, want) in dag.nodes().iter().zip([2.0, 3.0, 4.0]) {
             assert_eq!(node.estimate().unwrap().total_cost, want);
-            assert_eq!(node.estimated_cost(), want);
         }
-        // Critical paths on a chain: suffix sums; prediction = total on
-        // any slot count (a chain cannot overlap).
-        assert_eq!(dag.critical_paths(), vec![9.0, 7.0, 4.0]);
+        // A chain cannot overlap: the prediction is the total on any slot
+        // count.
         assert_eq!(dag.predicted_net_time(&[2.0, 3.0, 4.0], 1), 9.0);
         assert_eq!(dag.predicted_net_time(&[2.0, 3.0, 4.0], 4), 9.0);
-        // Unannotated DAGs degrade to zero-cost critical paths.
+        // Unannotated jobs stay unannotated.
         let mut q = MrProgram::new();
         q.push_job(job("A", &["R"], &["X"]));
-        assert_eq!(q.into_dag().critical_paths(), vec![0.0]);
+        assert!(q.into_dag().node(0).estimate().is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The shared **estimation layer**: per-job cost estimates that both the
-//! planner and the scheduler consume.
+//! The shared **estimation layer**: per-job cost estimates the planner
+//! produces and the rest of the system reads back.
 //!
 //! Historically the §3.3 cost model served only the planner — grouping
 //! semi-joins (`Greedy-BSGF`) and ordering groups (`Greedy-SGF`) by
@@ -9,18 +9,13 @@
 //! prices — Eq. 2 for the per-partition `cost_gumbo` model, Eq. 3 for
 //! the aggregated `cost_wang` model of Wang & Chan), attached to each
 //! [`crate::Job`], and carried through [`crate::MrProgram::into_dag`] so
-//! every DAG node is cost-annotated. The scheduler in `gumbo-sched` then
-//! uses the annotations for
+//! every DAG node is cost-annotated and every job's statistics record it
+//! next to the observed cost.
 //!
-//! * **placement** — picking which ready job to run next
-//!   (shortest-job-first on [`JobEstimate::total_cost`], or
-//!   critical-path on [`crate::JobDag::critical_paths`]);
-//! * **thread sizing** — [`JobEstimate::suggested_parallelism`] bounds a
-//!   job's worker pool under a total-core budget;
-//! * **prediction** — [`list_schedule_makespan`] simulates list
-//!   scheduling of the annotated DAG under `max_concurrent_jobs` slots,
-//!   yielding the predicted DAG net time reported in
-//!   [`crate::ProgramStats::predicted_net_time`].
+//! [`list_schedule_makespan`] is the DAG net-time model: a FIFO list
+//! schedule of a job DAG on `max_concurrent_jobs` slots, which the
+//! scheduler evaluates over observed per-job durations to report
+//! [`crate::ProgramStats::predicted_net_time`].
 //!
 //! The estimate's cost decomposition (`map_cost` / `reduce_cost` /
 //! `total_cost = cost_h + map + reduce`) mirrors exactly the measured
@@ -41,8 +36,7 @@ pub struct JobEstimate {
     pub map_cost: f64,
     /// Estimated reduce-phase cost (`cost_red(M, K)`).
     pub reduce_cost: f64,
-    /// Estimated full job cost: `cost_h + map_cost + reduce_cost` — the
-    /// shortest-job-first placement key.
+    /// Estimated full job cost: `cost_h + map_cost + reduce_cost`.
     pub total_cost: f64,
     /// Estimated DFS input, `Σᵢ Nᵢ`.
     pub input_bytes: ByteSize,
@@ -52,10 +46,6 @@ pub struct JobEstimate {
     pub output_bytes: ByteSize,
     /// Estimated reduce-task count.
     pub reducers: usize,
-    /// Suggested intra-job parallelism: the widest phase of the job
-    /// (`max(Σᵢ mᵢ, r)`). The scheduler clamps this under its total-core
-    /// budget when sizing per-job worker pools.
-    pub suggested_parallelism: usize,
     /// Predicted (scaled) bytes of the Bloom-filter broadcast when this
     /// job runs the filtered shuffle; [`ByteSize::ZERO`] for unfiltered
     /// estimates. When set, `shuffle_bytes` is already the *filtered*
@@ -99,7 +89,6 @@ impl JobEstimate {
             shuffle_bytes: profile.total_map_output(),
             output_bytes: profile.output,
             reducers: profile.reducers,
-            suggested_parallelism: profile.total_mappers().max(profile.reducers).max(1),
             filter_bytes: ByteSize::ZERO,
             predicted_fp_rate: None,
         }
@@ -126,79 +115,23 @@ impl JobEstimate {
     }
 }
 
-/// Longest estimated path from each node to a sink, *including* the
-/// node's own duration — the critical-path priority of `cp` placement.
-///
-/// `deps[i]` lists the prerequisite indices of node `i`; every edge must
-/// point forward (`dep < i`), which is exactly the invariant
-/// [`crate::JobDag`] maintains. A node's critical path is its duration
-/// plus the maximum critical path among the nodes that depend on it; the
-/// maximum over all nodes is the DAG's critical-path length — a lower
-/// bound on the makespan of *any* schedule, however many job slots.
-pub fn critical_path_lengths<D: AsRef<[usize]>>(durations: &[f64], deps: &[D]) -> Vec<f64> {
-    assert_eq!(durations.len(), deps.len(), "one dep list per node");
-    let mut cp = durations.to_vec();
-    // Reverse order: dependents of i always have indices > i.
-    for i in (0..deps.len()).rev() {
-        let tail = cp[i];
-        for &d in deps[i].as_ref() {
-            debug_assert!(d < i, "edges point forward");
-            if cp[d] < durations[d] + tail {
-                cp[d] = durations[d] + tail;
-            }
-        }
-    }
-    cp
-}
-
 /// Makespan of list-scheduling a DAG of jobs onto `slots` identical job
 /// slots: each job starts the moment all its prerequisites have finished
-/// and a slot is free, with ready ties broken by the priority function
-/// (then by index). This is the scheduler-aware **net-time model**: with
-/// per-job durations from the estimation layer it *predicts* the wall
-/// clock of DAG-scheduled execution, complementing the paper's per-round
-/// model (sum of round makespans) which assumes a barrier between
-/// rounds.
+/// and a slot is free, ready jobs taken in index order (FIFO over the
+/// DAG's round-order flattening, as the scheduler claims them). This is
+/// the scheduler-aware **net-time model**: with per-job durations it
+/// predicts the wall clock of DAG-scheduled execution, complementing the
+/// paper's per-round model (sum of round makespans) which assumes a
+/// barrier between rounds.
 ///
-/// `priority(i)` ranks ready jobs (smaller runs first); pass a constant
-/// for plain FIFO-by-index order.
-pub fn list_schedule_makespan_by<D, F>(
+/// `deps[i]` lists the prerequisite indices of node `i`.
+pub fn list_schedule_makespan<D: AsRef<[usize]>>(
     durations: &[f64],
     deps: &[D],
     slots: usize,
-    priority: F,
-) -> f64
-where
-    D: AsRef<[usize]>,
-    F: Fn(usize) -> f64,
-{
-    list_schedule_finish_times_by(durations, deps, slots, priority)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
-/// The per-job finish times of [`list_schedule_makespan_by`]'s simulated
-/// schedule (seconds from schedule start). The multi-tenant scheduler
-/// uses these to predict each *submission's* completion inside one
-/// global simulation — cross-submission conflict edges and slot
-/// contention included — so the prediction is comparable to the
-/// per-submission wall clock it is reported next to.
-pub fn list_schedule_finish_times_by<D, F>(
-    durations: &[f64],
-    deps: &[D],
-    slots: usize,
-    priority: F,
-) -> Vec<f64>
-where
-    D: AsRef<[usize]>,
-    F: Fn(usize) -> f64,
-{
+) -> f64 {
     assert_eq!(durations.len(), deps.len(), "one dep list per node");
     let n = durations.len();
-    let mut finish_at = vec![0.0f64; n];
-    if n == 0 {
-        return finish_at;
-    }
     let slots = slots.max(1);
     let mut indegree: Vec<usize> = deps.iter().map(|d| d.as_ref().len()).collect();
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -210,22 +143,19 @@ where
     let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut running: Vec<(f64, usize)> = Vec::new(); // (finish time, node)
     let mut time = 0.0f64;
+    let mut makespan = 0.0f64;
     loop {
         while running.len() < slots && !ready.is_empty() {
-            // Claim the highest-priority ready job (ties: lowest index).
-            let best = ready
+            // Claim the lowest-index ready job.
+            let first = ready
                 .iter()
                 .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    (priority(a), a)
-                        .partial_cmp(&(priority(b), b))
-                        .expect("finite priorities")
-                })
+                .min_by_key(|(_, &node)| node)
                 .map(|(pos, _)| pos)
                 .expect("non-empty ready list");
-            let node = ready.swap_remove(best);
+            let node = ready.swap_remove(first);
             let finish = time + durations[node];
-            finish_at[node] = finish;
+            makespan = makespan.max(finish);
             running.push((finish, node));
         }
         if running.is_empty() {
@@ -247,18 +177,7 @@ where
             }
         }
     }
-    finish_at
-}
-
-/// [`list_schedule_makespan_by`] with FIFO (flat-index) tie-breaking —
-/// the deterministic, policy-independent definition the predicted DAG
-/// net-time metric uses.
-pub fn list_schedule_makespan<D: AsRef<[usize]>>(
-    durations: &[f64],
-    deps: &[D],
-    slots: usize,
-) -> f64 {
-    list_schedule_makespan_by(durations, deps, slots, |_| 0.0)
+    makespan
 }
 
 #[cfg(test)]
@@ -307,7 +226,6 @@ mod tests {
             assert_eq!(e.shuffle_bytes, ByteSize::mb(2100));
             assert_eq!(e.output_bytes, ByteSize::mb(300));
             assert_eq!(e.reducers, 6);
-            assert_eq!(e.suggested_parallelism, 12); // 12 mappers > 6 reducers
         }
     }
 
@@ -329,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_paths_on_a_diamond() {
-        // 0 → {1, 2} → 3 with durations 1, 2, 5, 1.
-        let deps: [&[usize]; 4] = [&[], &[0], &[0], &[1, 2]];
-        let cp = critical_path_lengths(&[1.0, 2.0, 5.0, 1.0], &deps);
-        assert_eq!(cp, vec![7.0, 3.0, 6.0, 1.0]);
-    }
-
-    #[test]
     fn chain_on_one_slot_is_the_sum() {
         let deps: [&[usize]; 3] = [&[], &[0], &[1]];
         let d = [2.0, 3.0, 4.0];
@@ -353,22 +263,7 @@ mod tests {
         assert!((list_schedule_makespan(&d, &deps, 1) - 9.0).abs() < 1e-12);
         // 2+ slots: the two middle jobs overlap -> critical path 1+5+1.
         assert!((list_schedule_makespan(&d, &deps, 2) - 7.0).abs() < 1e-12);
-        let cp = critical_path_lengths(&d, &deps);
-        assert!((list_schedule_makespan(&d, &deps, 4) - cp[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn priority_order_changes_the_packing() {
-        // Two independent pairs {0(3.0)}, {1(1.0)}, one slot free at a
-        // time for the second wave: with SJF ordering the short job goes
-        // first. Shapes makespan only under contention.
-        let deps: [&[usize]; 3] = [&[], &[], &[1]];
-        let d = [3.0, 1.0, 1.0];
-        // FIFO on 1 slot: 0, 1, 2 -> 5. SJF: 1, 2 ... still 5 total on
-        // one slot (work conserving), but job 2 finishes earlier; the
-        // makespan is the same here — assert both are the total.
-        assert!((list_schedule_makespan(&d, &deps, 1) - 5.0).abs() < 1e-12);
-        assert!((list_schedule_makespan_by(&d, &deps, 1, |i| d[i]) - 5.0).abs() < 1e-12);
+        assert!((list_schedule_makespan(&d, &deps, 4) - 7.0).abs() < 1e-12);
     }
 
     #[test]

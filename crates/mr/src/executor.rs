@@ -293,17 +293,11 @@ impl Executor {
         hw.min(self.config.cluster.map_slots()).max(1)
     }
 
-    /// Run the map, shuffle and reduce phases of a planned job on
-    /// `threads` workers (`0` = this executor's own sizing). This is the
-    /// pure compute part — no DFS access. Observational identity holds for
-    /// any thread count, so per-job sizing can never change answers or
-    /// metered statistics.
-    fn run_phases(&self, job: &Job, mut plan: MapPlan, threads: usize) -> Result<ComputedJob> {
-        let workers = if threads > 0 {
-            threads
-        } else {
-            self.effective_threads()
-        };
+    /// Run the map, shuffle and reduce phases of a planned job on this
+    /// executor's workers. This is the pure compute part — no DFS access.
+    /// Observational identity holds for any worker count.
+    fn run_phases(&self, job: &Job, mut plan: MapPlan) -> Result<ComputedJob> {
+        let workers = self.effective_threads();
         // ---- filter build (optional): serial, before map fan-out --------
         let filters = build_job_filters(&self.config, job, &plan)?;
         // ---- map phase: tasks fan out over the pool ---------------------
@@ -389,27 +383,15 @@ impl Executor {
     }
 
     /// Execute a single job: plan → map → shuffle → reduce → commit, with
-    /// full metering, on `threads` workers (`0` = this executor's own
-    /// sizing; the scheduler passes a per-job count derived from the job's
-    /// cost estimate under its total-core budget). `tenant` labels the
-    /// `job` span with the submission the scheduler ran the job for. A
-    /// panicking mapper or reducer surfaces as an error, not an unwind
-    /// into the caller.
-    pub fn execute_job(
-        &self,
-        dfs: &dyn Dfs,
-        job: &Job,
-        round: usize,
-        threads: usize,
-        tenant: Option<&str>,
-    ) -> Result<JobStats> {
+    /// full metering, on this executor's workers. `round` is the job's
+    /// round in its program, recorded on its [`JobStats`]. A panicking
+    /// mapper or reducer surfaces as an error, not an unwind into the
+    /// caller.
+    pub fn execute_job(&self, dfs: &dyn Dfs, job: &Job, round: usize) -> Result<JobStats> {
         catch_job_panic(job, || {
             // The whole execution runs under one "job" span on the calling
             // lane, so the plan/phase/commit spans nest beneath it.
             let _span = gumbo_obs::span_with("job", |f| {
-                if let Some(tenant) = tenant {
-                    f.str("tenant", tenant);
-                }
                 f.str("job", &job.name);
                 f.u64("round", round as u64);
                 if let Some(e) = &job.estimate {
@@ -417,7 +399,7 @@ impl Executor {
                 }
             });
             let plan = plan_job(&self.config, dfs, job)?;
-            let computed = self.run_phases(job, plan, threads)?;
+            let computed = self.run_phases(job, plan)?;
             commit_job(&self.config, dfs, job, round, computed)
         })
     }
@@ -436,7 +418,7 @@ impl Executor {
         for (round_idx, round) in program.rounds().iter().enumerate() {
             let mut round_jobs = Vec::with_capacity(round.len());
             for job in round {
-                round_jobs.push(self.execute_job(dfs, job, round_idx, 0, None)?);
+                round_jobs.push(self.execute_job(dfs, job, round_idx)?);
             }
             stats.round_stats.push(RoundStats::pooled(
                 round_jobs.iter(),
@@ -1234,7 +1216,7 @@ mod tests {
         for workers in WORKERS {
             let dfs = example3_dfs();
             let stats = unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
+                .execute_job(&dfs, &semi_join_job(), 0)
                 .unwrap();
             assert_eq!(stats.profile.partitions.len(), 2);
             assert_eq!(stats.profile.partitions[0].label, "R");
@@ -1254,7 +1236,7 @@ mod tests {
                     ..EngineConfig::default()
                 };
                 let stats = Executor::with_threads(config, workers)
-                    .execute_job(&dfs, &semi_join_job(), 0, 0, None)
+                    .execute_job(&dfs, &semi_join_job(), 0)
                     .unwrap();
                 (dfs.peek(&"Z".into()).unwrap(), stats)
             };
@@ -1270,9 +1252,7 @@ mod tests {
     fn undeclared_output_is_an_error() {
         for workers in WORKERS {
             let dfs = example3_dfs();
-            assert!(unscaled(workers)
-                .execute_job(&dfs, &bad_job(), 0, 0, None)
-                .is_err());
+            assert!(unscaled(workers).execute_job(&dfs, &bad_job(), 0).is_err());
         }
     }
 
@@ -1283,7 +1263,7 @@ mod tests {
             .iter()
             .map(|&workers| {
                 unscaled(workers)
-                    .execute_job(&wide_dfs(50), &bad_job(), 0, 0, None)
+                    .execute_job(&wide_dfs(50), &bad_job(), 0)
                     .unwrap_err()
                     .to_string()
             })
@@ -1323,7 +1303,7 @@ mod tests {
         for workers in WORKERS {
             let dfs = wide_dfs(50);
             let stats = unscaled(workers)
-                .execute_job(&dfs, &constant_job(1), 0, 0, None)
+                .execute_job(&dfs, &constant_job(1), 0)
                 .unwrap();
             assert_eq!(stats.output_tuples, 1);
             let z = dfs.peek(&"Z".into()).unwrap();
@@ -1338,7 +1318,7 @@ mod tests {
             .iter()
             .map(|&workers| {
                 unscaled(workers)
-                    .execute_job(&wide_dfs(50), &constant_job(2), 0, 0, None)
+                    .execute_job(&wide_dfs(50), &constant_job(2), 0)
                     .unwrap_err()
             })
             .collect();
@@ -1358,7 +1338,7 @@ mod tests {
             dfs.store(Relation::new("R", 2));
             dfs.store(Relation::new("S", 2));
             let stats = unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
+                .execute_job(&dfs, &semi_join_job(), 0)
                 .unwrap();
             assert_eq!(stats.output_tuples, 0);
             assert!(dfs.exists(&"Z".into()));
@@ -1379,9 +1359,7 @@ mod tests {
                 dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[7, 0])]).unwrap());
                 let mut job = semi_join_job();
                 job.config.packing = packing;
-                let stats = unscaled(workers)
-                    .execute_job(&dfs, &job, 0, 0, None)
-                    .unwrap();
+                let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
                 (dfs.peek(&"Z".into()).unwrap(), stats)
             };
             let (z_packed, packed) = run(true);
@@ -1397,9 +1375,7 @@ mod tests {
             let dfs = example3_dfs();
             let mut job = semi_join_job();
             job.config.reducer_policy = ReducerPolicy::Fixed(7);
-            let stats = unscaled(workers)
-                .execute_job(&dfs, &job, 0, 0, None)
-                .unwrap();
+            let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
             assert_eq!(stats.profile.reducers, 7);
             assert_eq!(stats.reduce_task_durations.len(), 7);
         }
@@ -1410,7 +1386,7 @@ mod tests {
         for workers in WORKERS {
             let dfs = SimDfs::new();
             assert!(unscaled(workers)
-                .execute_job(&dfs, &semi_join_job(), 0, 0, None)
+                .execute_job(&dfs, &semi_join_job(), 0)
                 .is_err());
         }
     }
@@ -1428,13 +1404,13 @@ mod tests {
         };
         let reference_dfs = wide_dfs(500);
         let reference = Executor::new(config)
-            .execute_job(&reference_dfs, &job(), 0, 0, None)
+            .execute_job(&reference_dfs, &job(), 0)
             .unwrap();
         assert!(reference.output_tuples > 0);
         for threads in [1usize, 3, 8] {
             let dfs = wide_dfs(500);
             let stats = Executor::with_threads(config, threads)
-                .execute_job(&dfs, &job(), 0, 0, None)
+                .execute_job(&dfs, &job(), 0)
                 .unwrap();
             assert_eq!(
                 reference_dfs.peek(&"Z".into()).unwrap(),
@@ -1494,9 +1470,7 @@ mod tests {
             let mut job = semi_join_job();
             job.reducer = Box::new(Bomb);
             let exec = unscaled(workers);
-            let err = exec
-                .execute_job(&wide_dfs(50), &job, 0, 0, None)
-                .unwrap_err();
+            let err = exec.execute_job(&wide_dfs(50), &job, 0).unwrap_err();
             assert!(err.to_string().contains("MSJ(Z)"), "{err}");
             assert_eq!(exec.budget().used(), 0, "the unwind released every charge");
         }

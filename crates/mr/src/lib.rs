@@ -55,10 +55,10 @@
 //! ## The estimation layer
 //!
 //! [`estimate`] packages plan-time cost estimates as [`JobEstimate`]s
-//! attached to [`Job`]s, so the same numbers the planner optimizes drive
-//! the DAG scheduler's placement (shortest-job-first / critical-path),
-//! per-job thread sizing, and the predicted DAG net-time metric
-//! ([`ProgramStats::predicted_net_time`]).
+//! attached to [`Job`]s, so the numbers the planner optimizes travel with
+//! each job into its [`JobStats`] (estimated next to observed cost);
+//! [`list_schedule_makespan`] is the DAG net-time model behind
+//! [`ProgramStats::predicted_net_time`].
 
 pub mod batch_shuffle;
 pub mod cluster;
@@ -79,9 +79,7 @@ pub use batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch, TupleStore}
 pub use cluster::Cluster;
 pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
-pub use estimate::{
-    critical_path_lengths, list_schedule_makespan, list_schedule_makespan_by, JobEstimate,
-};
+pub use estimate::{list_schedule_makespan, JobEstimate};
 pub use executor::{EngineConfig, Executor, ExecutorKind};
 pub use job::{Job, JobConfig, Mapper, Reducer, ReducerPolicy};
 pub use message::{Message, Payload};

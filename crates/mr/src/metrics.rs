@@ -176,11 +176,9 @@ pub struct ProgramStats {
     /// program's last job in a list-scheduling simulation over
     /// `max_concurrent_jobs` slots, with each job's duration
     /// reconstructed exactly as the per-round model prices a single-job
-    /// round (`cost_h` + pooled map makespan + pooled reduce makespan).
-    /// In multi-tenant runs the simulation is *global* — cross-submission
-    /// conflict edges and slot contention included — so each
-    /// submission's prediction is comparable to its wall clock. Set by
-    /// the DAG scheduler, so every engine run reports it; `None` only
+    /// round (`cost_h` + pooled map makespan + pooled reduce makespan),
+    /// ready jobs taken in arrival order as the scheduler takes them. Set
+    /// by the DAG scheduler, so every engine run reports it; `None` only
     /// from the serial reference loop ([`crate::Executor::execute`]),
     /// whose net-time model is the per-round sum. When the DAG is a chain
     /// and only one job slot exists, the two models coincide.

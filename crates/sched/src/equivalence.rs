@@ -3,9 +3,9 @@
 //!
 //! The DAG scheduler promises byte-identical DFS contents and identical
 //! statistics versus the serial round-by-round reference, whatever the
-//! slot count, placement policy or executor sizing. Every harness that
-//! asserts that promise (the `dagsched` benchmark, the scheduler unit
-//! tests, the workspace-level equivalence suite) runs the reference with
+//! slot count or executor sizing. Every harness that asserts that promise
+//! (the `dagsched` benchmark, the scheduler unit tests, the
+//! workspace-level equivalence suite) runs the reference with
 //! [`serial_reference`] and compares with [`assert_identical_dfs`] and
 //! [`assert_identical_stats`], so the field list can never drift between
 //! checkers: a new stats field gets compared everywhere or nowhere.

@@ -13,22 +13,16 @@
 //! * [`gumbo_mr::JobDag`] — jobs plus edges inferred from input/output
 //!   relation names (`MrProgram::into_dag()`);
 //! * [`DagScheduler`] — runs each job the moment its inputs are
-//!   materialized, on at most [`SchedulerConfig::max_concurrent_jobs`]
-//!   job slots (one slot = inline on the calling thread). Workers share
+//!   materialized, in the order jobs became ready (one FIFO queue), on at
+//!   most [`SchedulerConfig::max_concurrent_jobs`] job slots (one slot =
+//!   inline on the calling thread), and reports the predicted DAG net
+//!   time ([`gumbo_mr::ProgramStats::predicted_net_time`]). Workers share
 //!   the DFS directly — every [`gumbo_storage::Dfs`] method takes `&self`
 //!   and synchronizes internally — so planning, the compute phases and
 //!   commits need no scheduler-level lock;
-//! * [`PlacementPolicy`] — how the ready queue is ordered: FIFO, or
-//!   cost-driven shortest-job-first / critical-path placement over the
-//!   estimation layer's per-job annotations
-//!   ([`gumbo_mr::estimate`]); the same annotations size per-job worker
-//!   pools under [`SchedulerConfig::core_budget`] and feed the predicted
-//!   DAG net-time metric ([`gumbo_mr::ProgramStats::predicted_net_time`]);
-//! * [`Submission`] / [`SubmissionReport`] — a multi-tenant front door:
-//!   many independent `MrProgram`s admitted concurrently onto one
-//!   cluster, with fair-share admission and per-submission statistics
-//!   (including `queued_ns`/`admitted_ns`/`completed_ns` on the obs
-//!   monotonic clock);
+//! * [`SubmissionReport`] — what the resident service reports per
+//!   submission (statistics plus `queued_ns`/`admitted_ns`/`completed_ns`
+//!   on the obs monotonic clock);
 //! * [`admission`] — the resident-service layer on top: a bounded
 //!   [`AdmissionQueue`] with **estimate-weighted fair-share** admission
 //!   ([`FairShareLedger`]): each tenant carries a weight and a running
@@ -42,16 +36,15 @@
 //!   identical".
 //!
 //! Execution is *observationally identical* to that serial reference at
-//! every slot count and under every placement policy: answer relations
-//! are byte-identical and per-job [`gumbo_mr::JobStats`] (and the
-//! per-round wall-clock accounting pooled from them) match exactly — only
-//! the real wall-clock changes. The workspace-level
+//! every slot count: answer relations are byte-identical and per-job
+//! [`gumbo_mr::JobStats`] (and the per-round wall-clock accounting pooled
+//! from them) match exactly — only the real wall-clock changes. The
+//! workspace-level
 //! `tests/dag_scheduler_equivalence.rs` enforces this over every datagen
 //! preset, and `proptests.rs` on random conflicting programs.
 
 pub mod admission;
 pub mod equivalence;
-pub mod placement;
 pub mod scheduler;
 pub mod submission;
 
@@ -59,9 +52,8 @@ pub use admission::{
     AdmissionConfig, AdmissionQueue, FairShareLedger, QueuedEntry, SubmitError, TenantAccount,
 };
 pub use equivalence::{assert_identical_dfs, assert_identical_stats, serial_reference};
-pub use placement::PlacementPolicy;
 pub use scheduler::{DagScheduler, SchedulerConfig};
-pub use submission::{Submission, SubmissionReport};
+pub use submission::SubmissionReport;
 
 #[cfg(test)]
 mod proptests;

@@ -1,30 +1,27 @@
-//! Property tests for cost-driven placement.
+//! Property tests for the scheduler and its admission queue.
 //!
-//! Two properties the ISSUE-4 refactor rests on:
-//!
-//! 1. **Annotations are policy-invariant.** A job's estimate is attached
-//!    at plan time and is a function of the job alone, so lowering a
-//!    program with `into_dag()` and executing it under *any* placement
-//!    policy leaves the same estimate on the same node — and, since
-//!    placement only reorders ready jobs, the DFS contents and every
-//!    non-timing statistic are identical across policies.
-//! 2. **Critical path bounds makespans.** The critical-path priority of
-//!    `cp` placement is a true lower bound on any list schedule of the
-//!    DAG — including the shortest-job-first ordering — for every slot
-//!    count; with one slot the schedule degenerates to the total work.
+//! 1. **Slot counts are invisible.** Random programs whose jobs overwrite
+//!    earlier outputs, run at 1, 2 and 4 job slots, leave exactly the DFS
+//!    contents and statistics of the serial reference loop — this is what
+//!    checks the read→write and write→write edges of `into_dag()`.
+//! 2. **The prediction is a list schedule.** `list_schedule_makespan` on
+//!    the annotated DAG is bounded below by total work / slots and by the
+//!    longest path, equals the total work on one slot and the longest
+//!    path on as many slots as jobs.
+//! 3. **Fair-share admission** converges to the tenant weights and never
+//!    starves a tenant.
 
 #![cfg(test)]
 
 use proptest::prelude::*;
 
-use gumbo_common::{ByteSize, Fact, Relation, RelationName, Result as GumboResult, Tuple};
+use gumbo_common::{ByteSize, Fact, Relation, RelationName, Tuple};
 use gumbo_mr::{
-    list_schedule_makespan_by, CostConstants, CostModelKind, EngineConfig, Executor,
-    InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
+    list_schedule_makespan, CostConstants, CostModelKind, EngineConfig, Executor, InputPartition,
+    Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
 };
 use gumbo_storage::SimDfs;
 
-use crate::placement::PlacementPolicy;
 use crate::scheduler::{DagScheduler, SchedulerConfig};
 
 /// Copies every input tuple to the job's single output relation — cheap,
@@ -128,59 +125,28 @@ fn random_program(spec: &[(u8, u8, u8)]) -> MrProgram {
     program
 }
 
-fn run_policy(
-    spec: &[(u8, u8, u8)],
-    policy: PlacementPolicy,
-    slots: usize,
-) -> GumboResult<(SimDfs, gumbo_mr::ProgramStats)> {
-    let executor = Executor::new(EngineConfig::unscaled());
-    let scheduler = DagScheduler::new(SchedulerConfig {
-        max_concurrent_jobs: slots,
-        placement: policy,
-        ..SchedulerConfig::default()
-    });
-    let dfs = base_dfs();
-    let stats = scheduler.execute_program(&executor, &dfs, random_program(spec))?;
-    Ok((dfs, stats))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `into_dag()` annotations are policy-invariant: the same estimate
-    /// sits on the same node regardless of how the ready queue will be
-    /// ordered, and critical-path priorities derive from them alone.
+    /// `into_dag()` keeps each job's plan-time estimate on its node.
     #[test]
-    fn dag_annotations_are_policy_invariant(
+    fn dag_annotations_survive_the_lowering(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..8),
     ) {
         let dag = random_program(&spec).into_dag();
-        let expected: Vec<f64> = spec.iter().map(|&(_, _, c)| {
-            estimate(1.0 + c as f64).total_cost
-        }).collect();
-        for (node, want) in dag.nodes().iter().zip(&expected) {
+        for (node, &(_, _, c)) in dag.nodes().iter().zip(&spec) {
             let got = node.estimate().expect("planner attached an estimate");
-            prop_assert!((got.total_cost - want).abs() < 1e-12);
-            prop_assert!((node.estimated_cost() - want).abs() < 1e-12);
-        }
-        // Critical paths are a pure function of the annotated DAG:
-        // recomputing yields the same numbers (nothing scheduling-order
-        // dependent leaks in) and each ≥ the node's own cost.
-        let cp = dag.critical_paths();
-        prop_assert_eq!(&cp, &dag.critical_paths());
-        for (node, len) in dag.nodes().iter().zip(&cp) {
-            prop_assert!(*len >= node.estimated_cost() - 1e-12);
+            prop_assert!((got.total_cost - estimate(1.0 + c as f64).total_cost).abs() < 1e-12);
         }
     }
 
-    /// Executing the same random program under fifo / sjf / cp placement
-    /// at 1, 2 and 4 job slots leaves the DFS contents and statistics of
-    /// the serial reference loop — the programs overwrite earlier outputs,
-    /// so this is what checks the read→write and write→write edges of
-    /// `into_dag()` against serial execution. Placement and slot count
-    /// move wall clock only.
+    /// Executing the same random program at 1, 2 and 4 job slots leaves
+    /// the DFS contents and statistics of the serial reference loop — the
+    /// programs overwrite earlier outputs, so this is what checks the
+    /// read→write and write→write edges of `into_dag()` against serial
+    /// execution. The slot count moves wall clock only.
     #[test]
-    fn policies_are_observationally_identical(
+    fn slot_counts_are_observationally_identical(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..6),
     ) {
         let dfs_serial = base_dfs();
@@ -188,50 +154,55 @@ proptest! {
             .execute(&dfs_serial, &random_program(&spec))
             .unwrap();
         for slots in [1usize, 2, 4] {
-            let mut predictions = Vec::new();
-            for policy in PlacementPolicy::ALL {
-                let (dfs, stats) = run_policy(&spec, policy, slots).unwrap();
-                let label = format!("{} x{slots}", policy.label());
-                crate::equivalence::assert_identical_dfs(&label, &dfs_serial, &dfs);
-                crate::equivalence::assert_identical_stats(&label, &serial, &stats);
-                predictions.push(stats.predicted_net_time.expect("scheduled run predicts"));
-            }
-            // The predicted DAG net time is policy-independent by
-            // definition (deterministic list scheduling).
-            for p in &predictions[1..] {
-                prop_assert!((p - predictions[0]).abs() < 1e-9, "x{}: {:?}", slots, predictions);
-            }
+            let dfs = base_dfs();
+            let stats = DagScheduler::new(SchedulerConfig {
+                max_concurrent_jobs: slots,
+                ..SchedulerConfig::default()
+            })
+            .execute_program(&Executor::new(EngineConfig::unscaled()), &dfs, random_program(&spec))
+            .unwrap();
+            let label = format!("x{slots}");
+            crate::equivalence::assert_identical_dfs(&label, &dfs_serial, &dfs);
+            crate::equivalence::assert_identical_stats(&label, &serial, &stats);
+            prop_assert!(stats.predicted_net_time.is_some(), "x{}: no prediction", slots);
         }
     }
 
-    /// The critical-path length is a lower bound on the makespan of any
-    /// list schedule of the DAG — in particular the shortest-job-first
-    /// order — for every slot count; one slot degenerates to total work
-    /// and unlimited slots achieve the critical path exactly.
+    /// The list-scheduled makespan lies between the two lower bounds any
+    /// schedule obeys — total work spread over the slots, and the longest
+    /// dependency path — and the total work; one slot is exactly the total
+    /// work, and as many slots as jobs is exactly the longest path.
     #[test]
-    fn critical_path_bounds_sjf_makespan(
+    fn list_schedule_makespan_is_bounded_by_work_and_longest_path(
         spec in proptest::collection::vec((0u8..8, 0u8..8, 0u8..20), 1..8),
         slots in 1usize..5,
     ) {
         let dag = random_program(&spec).into_dag();
-        let durations: Vec<f64> = dag.nodes().iter().map(|n| n.estimated_cost()).collect();
+        let durations: Vec<f64> = dag
+            .nodes()
+            .iter()
+            .map(|n| n.estimate().expect("annotated").total_cost)
+            .collect();
         let deps: Vec<&[usize]> = dag.nodes().iter().map(|n| n.deps()).collect();
         let total: f64 = durations.iter().sum();
-        let cp_len = dag
-            .critical_paths()
-            .into_iter()
-            .fold(0.0f64, f64::max);
+        // Longest path: earliest finish with unbounded slots; edges point
+        // forward, so one pass in index order settles every node.
+        let mut finish = vec![0.0f64; durations.len()];
+        for i in 0..durations.len() {
+            let start = deps[i].iter().map(|&d| finish[d]).fold(0.0, f64::max);
+            finish[i] = start + durations[i];
+        }
+        let longest = finish.iter().copied().fold(0.0, f64::max);
 
-        let sjf = list_schedule_makespan_by(&durations, &deps, slots, |i| durations[i]);
-        prop_assert!(cp_len <= sjf + 1e-9, "cp {cp_len} > sjf makespan {sjf}");
-        prop_assert!(total / slots as f64 <= sjf + 1e-9);
-        prop_assert!(sjf <= total + 1e-9);
+        let makespan = list_schedule_makespan(&durations, &deps, slots);
+        prop_assert!(longest <= makespan + 1e-9, "longest path {longest} > makespan {makespan}");
+        prop_assert!(total / slots as f64 <= makespan + 1e-9);
+        prop_assert!(makespan <= total + 1e-9);
 
-        let serial = list_schedule_makespan_by(&durations, &deps, 1, |i| durations[i]);
+        let serial = list_schedule_makespan(&durations, &deps, 1);
         prop_assert!((serial - total).abs() < 1e-9);
-        let unlimited =
-            list_schedule_makespan_by(&durations, &deps, durations.len(), |i| durations[i]);
-        prop_assert!((unlimited - cp_len).abs() < 1e-9);
+        let unlimited = list_schedule_makespan(&durations, &deps, durations.len());
+        prop_assert!((unlimited - longest).abs() < 1e-9);
     }
 }
 

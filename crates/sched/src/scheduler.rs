@@ -1,19 +1,15 @@
-//! The DAG scheduler: dependency-driven execution on a bounded pool of
-//! job slots over a shared [`Dfs`] — the one way planned programs run.
+//! The DAG scheduler: one job DAG, one FIFO ready queue and a bounded
+//! pool of job slots over a shared [`Dfs`] — the one way planned
+//! programs run.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
 
 use gumbo_common::{GumboError, Result};
-use gumbo_mr::dag::JobFootprint;
 use gumbo_mr::metrics::RoundStats;
-use gumbo_mr::{Executor, ExecutorKind, JobDag, JobEstimate, JobStats, MrProgram, ProgramStats};
+use gumbo_mr::{Executor, ExecutorKind, JobDag, JobStats, MrProgram, ProgramStats};
 use gumbo_storage::Dfs;
-
-use crate::placement::PlacementPolicy;
-use crate::submission::{Submission, SubmissionReport};
 
 /// Scheduler sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,21 +35,6 @@ pub struct SchedulerConfig {
     /// shared by (and collectively bounds) every concurrently running
     /// job. Unlimited by default, deferring to the engine configuration.
     pub mem_budget: gumbo_mr::MemBudget,
-    /// How ready jobs are ordered for placement (`--placement` on the
-    /// CLI): FIFO (the cost-blind baseline), shortest-job-first, or
-    /// critical-path — the latter two driven by the estimation layer's
-    /// per-job annotations. Answers and non-timing statistics are
-    /// identical under every policy.
-    pub placement: PlacementPolicy,
-    /// Total cores the scheduler may spread over concurrently running
-    /// jobs. `0` (the default) disables cost-driven sizing and keeps the
-    /// executor's own per-job pool. When set, each job's worker pool is
-    /// its estimate's suggested parallelism clamped to an equal share of
-    /// this budget (`core_budget / worker-pool size`, at least 1) — so a
-    /// full pool of jobs collectively stays within the core budget.
-    /// Only `parallel` pools are sized; [`SchedulerConfig::for_kind`]
-    /// switches the budget off for `sim`.
-    pub core_budget: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -62,24 +43,19 @@ impl Default for SchedulerConfig {
             max_concurrent_jobs: 4,
             threads_per_job: 1,
             mem_budget: gumbo_mr::MemBudget::UNLIMITED,
-            placement: PlacementPolicy::Fifo,
-            core_budget: 0,
         }
     }
 }
 
 impl SchedulerConfig {
-    /// One job slot, no per-job resizing, no budget of its own, arrival
-    /// order: jobs run inline on the calling thread one after another.
-    /// This is what an engine whose options name no scheduler runs on,
-    /// and what the baselines and experiments pass to run a program
-    /// "round by round".
+    /// One job slot, no per-job resizing, no budget of its own: jobs run
+    /// inline on the calling thread one after another. This is what an
+    /// engine whose options name no scheduler runs on, and what the
+    /// baselines and experiments pass to run a program "round by round".
     pub const ONE_SLOT: SchedulerConfig = SchedulerConfig {
         max_concurrent_jobs: 1,
         threads_per_job: 0,
         mem_budget: gumbo_mr::MemBudget::UNLIMITED,
-        placement: PlacementPolicy::Fifo,
-        core_budget: 0,
     };
 
     /// Apply this scheduler's memory budget (when limited) to a base
@@ -115,147 +91,37 @@ impl SchedulerConfig {
             (kind, _) => kind,
         }
     }
-
-    /// This configuration as it applies to jobs of a `kind` executor:
-    /// `sim` is the one-worker configuration by definition, so the
-    /// per-job thread hint of [`SchedulerConfig::threads_for`] is switched
-    /// off for it — the scheduler itself only ever sees a built executor,
-    /// which cannot tell `sim` from a pool to be resized.
-    pub fn for_kind(self, kind: ExecutorKind) -> SchedulerConfig {
-        match kind {
-            ExecutorKind::Simulated => SchedulerConfig {
-                core_budget: 0,
-                ..self
-            },
-            ExecutorKind::Parallel { .. } => self,
-        }
-    }
-
-    /// Builder-style: set the shuffle memory budget for scheduled
-    /// execution (shared by every concurrently running job).
-    pub fn with_mem_budget(mut self, budget: gumbo_mr::MemBudget) -> Self {
-        self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: set the placement policy.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Per-job worker-pool size under the total-core budget: the job's
-    /// estimated widest phase ([`JobEstimate::suggested_parallelism`]),
-    /// clamped to an equal share of [`SchedulerConfig::core_budget`]
-    /// across the worker pool. Returns `0` ("keep the executor's own
-    /// sizing") when cost-driven sizing is disabled.
-    pub fn threads_for(&self, estimate: Option<&JobEstimate>) -> usize {
-        if self.core_budget == 0 {
-            return 0;
-        }
-        let share = (self.core_budget / self.effective_workers().max(1)).max(1);
-        match estimate {
-            Some(e) => e.suggested_parallelism.clamp(1, share),
-            None => share,
-        }
-    }
-}
-
-/// A global job id: which submission, which node within it.
-#[derive(Debug, Clone, Copy)]
-struct JobRef {
-    sub: usize,
-    node: usize,
-}
-
-/// What [`DagScheduler::run`] reports per DAG.
-struct DagRun {
-    stats: ProgramStats,
-    wall_seconds: f64,
-    /// obs-epoch timestamp of the DAG's last commit.
-    completed_ns: u64,
 }
 
 /// Shared scheduling state, guarded by one mutex + condvar.
 struct SchedState {
-    /// Unmet-dependency counts, indexed by global job id.
+    /// Unmet-dependency counts, by node.
     indegree: Vec<usize>,
-    /// Per-submission ready queues of global job ids (FIFO within a
-    /// submission; fairness decides *between* submissions).
-    ready: Vec<VecDeque<usize>>,
-    /// Per-submission currently-running job counts.
-    running: Vec<usize>,
-    /// Per-submission completed job counts.
-    completed: Vec<usize>,
-    /// Collected statistics, indexed by global job id.
+    /// Nodes whose dependencies have all committed, in arrival order.
+    ready: VecDeque<usize>,
+    /// Collected statistics, by node.
     results: Vec<Option<JobStats>>,
-    /// Per-submission completion instants (set when the last job commits).
-    finished_at: Vec<Option<Instant>>,
-    /// Per-submission completion timestamps on the obs monotonic clock
-    /// ([`gumbo_obs::now_ns`]), for [`SubmissionReport::completed_ns`].
-    finished_ns: Vec<Option<u64>>,
     /// Jobs not yet completed.
     remaining: usize,
     /// First failure; stops admission of further jobs.
     error: Option<GumboError>,
 }
 
-impl SchedState {
-    /// Fair admission, policy placement: among submissions with ready
-    /// jobs, pick the one with the fewest running jobs (ties: fewest
-    /// completed, then lowest id — round-robin-ish for symmetric
-    /// tenants); *within* it, pick the ready job the placement policy
-    /// prefers. Returns the claimed global job id.
-    fn claim_next(&mut self, policy: PlacementPolicy, priority: &[f64]) -> Option<usize> {
-        let sub = (0..self.ready.len())
-            .filter(|&s| !self.ready[s].is_empty())
-            .min_by_key(|&s| (self.running[s], self.completed[s], s))?;
-        let queue = &mut self.ready[sub];
-        // One selection rule, per-policy key: smallest key wins, ties
-        // break on the lowest gid (= admission order), so unannotated
-        // DAGs degrade to deterministic FIFO. `sjf` prefers the smallest
-        // estimated cost, `cp` the longest estimated path to a sink;
-        // `fifo` takes the front of the queue (arrival order) without
-        // consulting priorities at all.
-        let pos = match policy {
-            PlacementPolicy::Fifo => 0,
-            PlacementPolicy::Sjf | PlacementPolicy::CriticalPath => {
-                let key = |gid: usize| match policy {
-                    PlacementPolicy::Sjf => priority[gid],
-                    _ => -priority[gid],
-                };
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        (key(a), a)
-                            .partial_cmp(&(key(b), b))
-                            .expect("finite priorities")
-                    })
-                    .map(|(pos, _)| pos)
-                    .expect("non-empty queue")
-            }
-        };
-        let gid = queue.remove(pos).expect("position in bounds");
-        self.running[sub] += 1;
-        Some(gid)
-    }
-}
-
 /// The dependency-driven scheduler.
 ///
-/// Jobs run the moment their inputs are materialized, on at most
-/// [`SchedulerConfig::max_concurrent_jobs`] job slots: one slot runs the
-/// claim loop inline on the calling thread, several run the same loop on
-/// that many scoped threads. The DFS is shared directly between
-/// workers: every [`Dfs`] method takes `&self` and synchronizes
-/// internally (byte metering is atomic), so planning, the lock-free
-/// compute phases, and commits all run against the same `&dyn Dfs` with
-/// no scheduler-level lock. Per-job statistics are identical to the
-/// serial reference ([`Executor::execute`]) because the metering pipeline
-/// is untouched — the scheduler only decides *when* each job runs — and
-/// backend-invariant: a durable [`gumbo_storage::FileDfs`] meters the
-/// same logical bytes as the in-memory [`gumbo_storage::SimDfs`].
+/// Jobs run the moment their inputs are materialized, in the order they
+/// became ready, on at most [`SchedulerConfig::max_concurrent_jobs`] job
+/// slots: one slot runs the claim loop inline on the calling thread,
+/// several run the same loop on that many scoped threads. The DFS is
+/// shared directly between workers: every [`Dfs`] method takes `&self`
+/// and synchronizes internally (byte metering is atomic), so planning,
+/// the lock-free compute phases, and commits all run against the same
+/// `&dyn Dfs` with no scheduler-level lock. Per-job statistics are
+/// identical to the serial reference ([`Executor::execute`]) because the
+/// metering pipeline is untouched — the scheduler only decides *when*
+/// each job runs — and backend-invariant: a durable
+/// [`gumbo_storage::FileDfs`] meters the same logical bytes as the
+/// in-memory [`gumbo_storage::SimDfs`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DagScheduler {
     /// Sizing knobs.
@@ -268,19 +134,6 @@ impl DagScheduler {
         DagScheduler { config }
     }
 
-    /// Execute one DAG to completion, returning statistics identical to
-    /// what the serial reference produces for the source program.
-    pub fn execute(
-        &self,
-        executor: &Executor,
-        dfs: &dyn Dfs,
-        dag: &JobDag,
-    ) -> Result<ProgramStats> {
-        let dags = [dag];
-        let mut stats = self.run(executor, dfs, &dags, &["default"])?;
-        Ok(stats.pop().expect("one dag in, one stats out").stats)
-    }
-
     /// Lower a program and execute it as a DAG.
     pub fn execute_program(
         &self,
@@ -291,229 +144,85 @@ impl DagScheduler {
         self.execute(executor, dfs, &program.into_dag())
     }
 
-    /// Execute many tenants' submissions concurrently on the shared pool
-    /// with fair admission, returning per-submission statistics in
-    /// admission order.
-    pub fn execute_many(
+    /// Execute one DAG to completion, returning statistics identical to
+    /// what the serial reference produces for the source program.
+    pub fn execute(
         &self,
         executor: &Executor,
         dfs: &dyn Dfs,
-        submissions: &[Submission],
-    ) -> Result<Vec<SubmissionReport>> {
-        let dags: Vec<&JobDag> = submissions.iter().map(|s| &s.dag).collect();
-        let tenants: Vec<&str> = submissions.iter().map(|s| s.tenant.as_str()).collect();
-        // Direct execute_many calls skip any admission queue, so the
-        // whole batch queues and admits at the scheduler's start; a
-        // front-end with a real queue (gumbo-serve) builds its reports
-        // from the queue's own timestamps instead.
-        let admitted_ns = gumbo_obs::now_ns();
-        let stats = self.run(executor, dfs, &dags, &tenants)?;
-        Ok(submissions
-            .iter()
-            .zip(stats)
-            .map(|(sub, dag_run)| SubmissionReport {
-                tenant: sub.tenant.clone(),
-                stats: dag_run.stats,
-                wall_seconds: dag_run.wall_seconds,
-                queued_ns: admitted_ns,
-                admitted_ns,
-                completed_ns: dag_run.completed_ns,
-            })
-            .collect())
-    }
-
-    /// The scheduling core: run every job of every DAG, respecting
-    /// intra-DAG dependency edges and serializing cross-DAG conflicts in
-    /// admission order. Returns per-DAG statistics and completion times.
-    fn run(
-        &self,
-        executor: &Executor,
-        dfs: &dyn Dfs,
-        dags: &[&JobDag],
-        tenants: &[&str],
-    ) -> Result<Vec<DagRun>> {
-        debug_assert_eq!(dags.len(), tenants.len());
-        // Global ids: DAGs flattened in admission order.
-        let mut jobs: Vec<JobRef> = Vec::new();
-        let mut offset = vec![0usize; dags.len()];
-        for (s, dag) in dags.iter().enumerate() {
-            offset[s] = jobs.len();
-            jobs.extend((0..dag.len()).map(|node| JobRef { sub: s, node }));
-            gumbo_obs::event("sched:submit", |f| {
-                f.str("tenant", tenants[s]);
-                f.u64("jobs", dag.len() as u64);
-                f.str("policy", self.config.placement.label());
-            });
-        }
-        let total = jobs.len();
-
-        // Dependency wiring: intra-DAG edges come from the DAG itself;
-        // cross-DAG conflicts (shared relation, at least one side writing)
-        // serialize in admission order, so non-independent submissions
-        // stay correct — they just lose concurrency. Footprints are
-        // captured once per job: the cross check is O(pairs) set lookups.
-        let footprints: Vec<JobFootprint> = if dags.len() > 1 {
-            jobs.iter()
-                .map(|j| JobFootprint::of(&dags[j.sub].node(j.node).job))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut indegree = vec![0usize; total];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        // Global dependency lists (intra-DAG edges + cross-DAG conflict
-        // edges), kept for the predicted-net-time simulation below so
-        // the prediction sees exactly the constraints the scheduler
-        // enforces.
-        let mut global_deps: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (gid, j) in jobs.iter().enumerate() {
-            let node = dags[j.sub].node(j.node);
-            indegree[gid] = node.deps().len();
-            for &d in node.deps() {
-                dependents[offset[j.sub] + d].push(gid);
-                global_deps[gid].push(offset[j.sub] + d);
-            }
-            if !footprints.is_empty() {
-                for (earlier_gid, e) in jobs.iter().enumerate().take(gid) {
-                    if e.sub != j.sub && footprints[earlier_gid].conflicts_with(&footprints[gid]) {
-                        indegree[gid] += 1;
-                        dependents[earlier_gid].push(gid);
-                        global_deps[gid].push(earlier_gid);
-                    }
-                }
-            }
+        dag: &JobDag,
+    ) -> Result<ProgramStats> {
+        let total = dag.len();
+        gumbo_obs::event("sched:submit", |f| {
+            f.u64("jobs", total as u64);
+        });
+        for node in dag.nodes() {
             gumbo_obs::event("sched:admit", |f| {
-                f.str("tenant", tenants[j.sub]);
                 f.str("job", &node.job.name);
-                f.u64("deps", indegree[gid] as u64);
+                f.u64("deps", node.deps().len() as u64);
             });
         }
-
-        // Placement priorities from the estimation layer's annotations.
-        // Estimates are attached to jobs at plan time, so priorities are
-        // a pure function of the DAGs — invariant under any ready-queue
-        // order, which is what keeps every policy observationally
-        // identical.
-        let policy = self.config.placement;
-        let priority: Vec<f64> = match policy {
-            PlacementPolicy::Fifo => vec![0.0; total],
-            PlacementPolicy::Sjf => jobs
-                .iter()
-                .map(|j| {
-                    dags[j.sub]
-                        .node(j.node)
-                        .estimate()
-                        .map(|e| e.total_cost)
-                        // Unannotated jobs sort last; ties fall back to
-                        // admission order.
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect(),
-            PlacementPolicy::CriticalPath => {
-                let mut cp = vec![0.0; total];
-                for (s, dag) in dags.iter().enumerate() {
-                    for (node, len) in dag.critical_paths().into_iter().enumerate() {
-                        cp[offset[s] + node] = len;
-                    }
-                }
-                cp
-            }
-        };
-
-        let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); dags.len()];
-        for (gid, j) in jobs.iter().enumerate() {
-            if indegree[gid] == 0 {
-                ready[j.sub].push_back(gid);
-                gumbo_obs::event("sched:ready", |f| {
-                    f.str("tenant", tenants[j.sub]);
-                    f.str("job", &dags[j.sub].node(j.node).job.name);
-                });
+        let mut ready = VecDeque::new();
+        for (idx, node) in dag.nodes().iter().enumerate() {
+            if node.deps().is_empty() {
+                ready.push_back(idx);
+                gumbo_obs::event("sched:ready", |f| f.str("job", &node.job.name));
             }
         }
 
         let state = Mutex::new(SchedState {
-            indegree,
+            indegree: dag.nodes().iter().map(|n| n.deps().len()).collect(),
             ready,
-            running: vec![0; dags.len()],
-            completed: vec![0; dags.len()],
             results: (0..total).map(|_| None).collect(),
-            finished_at: vec![None; dags.len()],
-            finished_ns: vec![None; dags.len()],
             remaining: total,
             error: None,
         });
         let work_available = Condvar::new();
-        let started = Instant::now();
-        let started_ns = gumbo_obs::now_ns();
 
-        // One claim loop, whichever thread runs it: claim a ready job,
-        // execute it, do the completion bookkeeping, repeat until nothing
-        // remains or a job failed.
+        // One claim loop, whichever thread runs it: claim the oldest ready
+        // job, execute it, do the completion bookkeeping, repeat until
+        // nothing remains or a job failed.
         let worker = || loop {
-            let gid = {
+            let idx = {
                 let mut st = state.lock().expect("unpoisoned scheduler state");
                 loop {
                     if st.error.is_some() || st.remaining == 0 {
                         return;
                     }
-                    if let Some(gid) = st.claim_next(policy, &priority) {
-                        break gid;
+                    if let Some(idx) = st.ready.pop_front() {
+                        break idx;
                     }
                     st = work_available.wait(st).expect("unpoisoned scheduler state");
                 }
             };
 
-            let j = jobs[gid];
-            let node = dags[j.sub].node(j.node);
-            // The per-job worker count comes from the job's estimate under
-            // the core budget (0 = the executor's own sizing); thread
-            // counts can never change answers or metered statistics.
-            let threads = self.config.threads_for(node.estimate());
-            gumbo_obs::event("sched:claim", |f| {
-                f.str("tenant", tenants[j.sub]);
-                f.str("job", &node.job.name);
-                f.str("policy", policy.label());
-            });
-            gumbo_obs::event("sched:threads_assigned", |f| {
-                f.str("tenant", tenants[j.sub]);
-                f.str("job", &node.job.name);
-                f.u64("threads", threads as u64);
-            });
+            let node = dag.node(idx);
+            gumbo_obs::event("sched:claim", |f| f.str("job", &node.job.name));
             // plan → compute → commit against the shared `&dyn Dfs`, under
             // one "job" span on this lane (so it nests beneath the claim
             // that scheduled it). The job's stats carry its original
             // round, which is what keeps per-job accounting identical to
             // the serial reference. A panic in the job (a mapper or
             // reducer bug) comes back as an error: unwinding this worker
-            // past the bookkeeping below would leave `running`/`remaining`
-            // stale and the other workers waiting forever.
-            let outcome =
-                executor.execute_job(dfs, &node.job, node.round, threads, Some(tenants[j.sub]));
+            // past the bookkeeping below would leave `remaining` stale and
+            // the other workers waiting forever.
+            let outcome = executor.execute_job(dfs, &node.job, node.round);
 
             let mut st = state.lock().expect("unpoisoned scheduler state");
-            st.running[j.sub] -= 1;
             match outcome {
                 Ok(stats) => {
                     gumbo_obs::event("sched:complete", |f| {
-                        f.str("tenant", tenants[j.sub]);
                         f.str("job", &node.job.name);
                         f.f64("observed_cost", stats.total_cost);
                     });
-                    st.results[gid] = Some(stats);
-                    st.completed[j.sub] += 1;
+                    st.results[idx] = Some(stats);
                     st.remaining -= 1;
-                    if st.completed[j.sub] == dags[j.sub].len() {
-                        st.finished_at[j.sub] = Some(Instant::now());
-                        st.finished_ns[j.sub] = Some(gumbo_obs::now_ns());
-                    }
-                    for &dep in &dependents[gid] {
+                    for &dep in node.dependents() {
                         st.indegree[dep] -= 1;
                         if st.indegree[dep] == 0 {
-                            st.ready[jobs[dep].sub].push_back(dep);
+                            st.ready.push_back(dep);
                             gumbo_obs::event("sched:ready", |f| {
-                                let d = jobs[dep];
-                                f.str("tenant", tenants[d.sub]);
-                                f.str("job", &dags[d.sub].node(d.node).job.name);
+                                f.str("job", &dag.node(dep).job.name)
                             });
                         }
                     }
@@ -533,7 +242,8 @@ impl DagScheduler {
         // was measured and rejected: same speed, but jobs then allocate on
         // the long-lived service dispatcher threads and peak RSS rose
         // 13 % on the `file_cold` benchmark workload.
-        let workers = self.config.effective_workers().max(1).min(total.max(1));
+        let slots = self.config.effective_workers();
+        let workers = slots.max(1).min(total.max(1));
         if workers == 1 {
             worker();
         } else {
@@ -548,71 +258,39 @@ impl DagScheduler {
         if let Some(e) = state.error {
             return Err(e);
         }
+        let jobs: Vec<JobStats> = state
+            .results
+            .into_iter()
+            .map(|r| r.expect("all jobs completed"))
+            .collect();
 
-        // Assemble per-DAG statistics: jobs in flat (round) order, and
-        // per-round wall-clock accounting pooled exactly like the serial
-        // reference computes it.
+        // Per-round wall-clock accounting pooled exactly like the serial
+        // reference computes it, and the predicted DAG net time: a list
+        // schedule of the DAG on this many slots, pricing each job as the
+        // per-round model prices a single-job round (overhead + pooled
+        // map/reduce makespans). On a chain with one slot the prediction
+        // coincides with per-round net time; with slack in the DAG and
+        // slots > 1 it is what barrier-free overlap should achieve.
         let cluster = executor.config().cluster;
         let overhead = executor.config().constants.job_overhead;
-
-        // Predicted DAG net time: list-schedule *all* admitted jobs —
-        // intra-DAG edges, cross-submission conflict edges, and the
-        // shared pool of job slots, exactly the constraints the real
-        // scheduler enforced — pricing each job as the per-round model
-        // prices a single-job round (overhead + pooled map/reduce
-        // makespans). A submission's prediction is the finish time of
-        // its last job from admission, so it is directly comparable to
-        // its reported wall clock. On a chain with one slot the
-        // prediction coincides with per-round net time; with slack in
-        // the DAG and slots > 1 it is what barrier-free overlap should
-        // achieve.
-        let durations: Vec<f64> = (0..total)
-            .map(|gid| {
-                let js = state.results[gid].as_ref().expect("all jobs completed");
-                RoundStats::pooled(std::iter::once(js), cluster, overhead).net_time()
-            })
+        let durations: Vec<f64> = jobs
+            .iter()
+            .map(|js| RoundStats::pooled(std::iter::once(js), cluster, overhead).net_time())
             .collect();
-        let finish_times = gumbo_mr::estimate::list_schedule_finish_times_by(
-            &durations,
-            &global_deps,
-            self.config.effective_workers(),
-            |_| 0.0,
-        );
-
-        let mut out = Vec::with_capacity(dags.len());
-        for (s, dag) in dags.iter().enumerate() {
-            let job_stats: Vec<JobStats> = (0..dag.len())
-                .map(|node| {
-                    state.results[offset[s] + node]
-                        .clone()
-                        .expect("all jobs completed")
-                })
-                .collect();
-            let mut stats = ProgramStats::default();
-            for round in 0..dag.num_rounds() {
-                stats.round_stats.push(RoundStats::pooled(
-                    job_stats.iter().filter(|js| js.round == round),
+        let round_stats = (0..dag.num_rounds())
+            .map(|round| {
+                RoundStats::pooled(
+                    jobs.iter().filter(|js| js.round == round),
                     cluster,
                     overhead,
-                ));
-            }
-            stats.predicted_net_time = Some(
-                (0..dag.len())
-                    .map(|node| finish_times[offset[s] + node])
-                    .fold(0.0, f64::max),
-            );
-            stats.jobs = job_stats;
-            let wall = state.finished_at[s]
-                .map(|t| t.duration_since(started).as_secs_f64())
-                .unwrap_or(0.0);
-            out.push(DagRun {
-                stats,
-                wall_seconds: wall,
-                // Empty DAGs complete the moment the scheduler starts.
-                completed_ns: state.finished_ns[s].unwrap_or(started_ns),
-            });
-        }
-        Ok(out)
+                )
+            })
+            .collect();
+        Ok(ProgramStats {
+            predicted_net_time: Some(dag.predicted_net_time(&durations, slots)),
+            jobs,
+            round_stats,
+        })
     }
 }
 
@@ -666,6 +344,13 @@ mod tests {
         Executor::new(EngineConfig::unscaled())
     }
 
+    fn slots(max_concurrent_jobs: usize) -> DagScheduler {
+        DagScheduler::new(SchedulerConfig {
+            max_concurrent_jobs,
+            ..SchedulerConfig::default()
+        })
+    }
+
     /// R → X → Z and R → Y → Z: the diamond must end with Z built from
     /// both X and Y, for every pool size.
     fn diamond() -> MrProgram {
@@ -682,12 +367,10 @@ mod tests {
         let barrier = exec.execute(&barrier_dfs, &diamond()).unwrap();
 
         for workers in [1usize, 2, 8] {
-            let sched = DagScheduler::new(SchedulerConfig {
-                max_concurrent_jobs: workers,
-                ..SchedulerConfig::default()
-            });
             let dfs = dfs_with(&["R"]);
-            let stats = sched.execute_program(&exec, &dfs, diamond()).unwrap();
+            let stats = slots(workers)
+                .execute_program(&exec, &dfs, diamond())
+                .unwrap();
 
             let label = format!("diamond x{workers}");
             crate::equivalence::assert_identical_dfs(&label, &barrier_dfs, &dfs);
@@ -707,7 +390,7 @@ mod tests {
                 emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
             }
         }
-        for slots in FAILURE_SLOTS {
+        for n in FAILURE_SLOTS {
             let mut p = MrProgram::new();
             p.push_job(copy_job("ok", "R", "X"));
             p.push_job(Job {
@@ -721,13 +404,8 @@ mod tests {
                 filter: None,
             });
             let dfs = dfs_with(&["R"]);
-            let err = DagScheduler::new(SchedulerConfig {
-                max_concurrent_jobs: slots,
-                ..SchedulerConfig::default()
-            })
-            .execute_program(&executor(), &dfs, p)
-            .unwrap_err();
-            assert!(err.to_string().contains("Undeclared"), "x{slots}: {err}");
+            let err = slots(n).execute_program(&executor(), &dfs, p).unwrap_err();
+            assert!(err.to_string().contains("Undeclared"), "x{n}: {err}");
             // The DFS is shared in place, so even though the run failed the
             // completed job's output is visible.
             assert!(dfs.exists(&"X".into()));
@@ -767,22 +445,19 @@ mod tests {
             ..EngineConfig::unscaled()
         });
 
-        for slots in FAILURE_SLOTS {
+        for n in FAILURE_SLOTS {
             let (done, outcome) = std::sync::mpsc::channel();
             let scheduled = exec.clone();
             thread::spawn(move || {
-                let sched = DagScheduler::new(SchedulerConfig {
-                    max_concurrent_jobs: slots,
-                    ..SchedulerConfig::default()
-                });
-                let result = sched.execute_program(&scheduled, &dfs_with(&["R", "S"]), program());
+                let result =
+                    slots(n).execute_program(&scheduled, &dfs_with(&["R", "S"]), program());
                 let _ = done.send(result.map(|_| ()));
             });
             let err = outcome
                 .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("x{slots}: the scheduler hung after a reducer panic"))
+                .unwrap_or_else(|_| panic!("x{n}: the scheduler hung after a reducer panic"))
                 .unwrap_err();
-            assert!(err.to_string().contains(BOMB), "x{slots}: {err}");
+            assert!(err.to_string().contains(BOMB), "x{n}: {err}");
         }
 
         assert_eq!(exec.budget().used(), 0, "the unwinds released every charge");
@@ -798,49 +473,33 @@ mod tests {
         assert!(leaked.is_empty(), "leaked spill directories: {leaked:?}");
     }
 
+    /// Two programs merged with `MrProgram::extend` that both write `Out`
+    /// serialize in program order, exactly as if they had run back to
+    /// back — the write→write edge `into_dag` infers — and the prediction
+    /// prices that edge: the two jobs cannot overlap on any slot count.
     #[test]
-    fn multi_tenant_submissions_report_separately() {
-        let dfs = dfs_with(&["R", "S"]);
-        // Tenant a: R → A1 → A2 (a chain); tenant b: S → B1 (one job).
-        let mut pa = MrProgram::new();
-        pa.push_job(copy_job("a1", "R", "A1"));
-        pa.push_job(copy_job("a2", "A1", "A2"));
-        let mut pb = MrProgram::new();
-        pb.push_job(copy_job("b1", "S", "B1"));
+    fn merged_programs_serialize_conflicts_in_program_order() {
+        for n in [1usize, 2] {
+            let mut merged = MrProgram::new();
+            merged.push_job(copy_job("first", "R", "Out"));
+            let mut second = MrProgram::new();
+            second.push_job(copy_job("second", "S", "Out"));
+            merged.extend(second);
 
-        let subs = vec![Submission::new("a", pa), Submission::new("b", pb)];
-        let reports = DagScheduler::default()
-            .execute_many(&executor(), &dfs, &subs)
-            .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].tenant, "a");
-        assert_eq!(reports[0].stats.num_jobs(), 2);
-        assert_eq!(reports[0].stats.num_rounds(), 2);
-        assert_eq!(reports[1].tenant, "b");
-        assert_eq!(reports[1].stats.num_jobs(), 1);
-        assert!(reports.iter().all(|r| r.wall_seconds >= 0.0));
-        assert_eq!(dfs.peek(&"A2".into()).unwrap().len(), 50);
-        assert_eq!(dfs.peek(&"B1".into()).unwrap().len(), 50);
-    }
-
-    #[test]
-    fn cross_submission_conflicts_serialize_in_admission_order() {
-        // Both tenants write Out; admission order must win, exactly as if
-        // the two programs had run back to back.
-        let dfs = dfs_with(&["R", "S"]);
-        let mut p1 = MrProgram::new();
-        p1.push_job(copy_job("first", "R", "Out"));
-        let mut p2 = MrProgram::new();
-        p2.push_job(copy_job("second", "S", "Out"));
-        let subs = vec![Submission::new("t1", p1), Submission::new("t2", p2)];
-        DagScheduler::default()
-            .execute_many(&executor(), &dfs, &subs)
-            .unwrap();
-        // S's tuples (base 10) won: the later submission overwrote.
-        assert!(dfs
-            .peek(&"Out".into())
-            .unwrap()
-            .contains(&Tuple::from_ints(&[10, 0])));
+            let dfs = dfs_with(&["R", "S"]);
+            let stats = slots(n).execute_program(&executor(), &dfs, merged).unwrap();
+            // S's tuples (base 10) won: the later program overwrote.
+            assert!(dfs
+                .peek(&"Out".into())
+                .unwrap()
+                .contains(&Tuple::from_ints(&[10, 0])));
+            let predicted = stats.predicted_net_time.unwrap();
+            assert!(
+                (predicted - stats.net_time()).abs() < 1e-9,
+                "x{n}: predicted {predicted} vs serial {}",
+                stats.net_time()
+            );
+        }
     }
 
     #[test]
@@ -871,12 +530,10 @@ mod tests {
             mem_budget: MemBudget::bytes(512),
             ..gumbo_mr::EngineConfig::unscaled()
         });
-        let sched = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: 4,
-            ..SchedulerConfig::default()
-        });
         let dfs = dfs_with(&name_refs);
-        let stats = sched.execute_program(&budgeted, &dfs, program()).unwrap();
+        let stats = slots(4)
+            .execute_program(&budgeted, &dfs, program())
+            .unwrap();
 
         // Same answers, same non-spill statistics — and the budget held.
         crate::equivalence::assert_identical_dfs("budgeted dag", &dfs_barrier, &dfs);
@@ -908,12 +565,8 @@ mod tests {
         p.push_job(copy_job("a", "R", "X1"));
         p.push_job(copy_job("b", "X1", "X2"));
         p.push_job(copy_job("c", "X2", "X3"));
-        let sched = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: 1,
-            ..SchedulerConfig::default()
-        });
         let dfs = dfs_with(&["R"]);
-        let stats = sched.execute_program(&executor(), &dfs, p).unwrap();
+        let stats = slots(1).execute_program(&executor(), &dfs, p).unwrap();
         let predicted = stats.predicted_net_time.expect("scheduled runs predict");
         assert!(
             (predicted - stats.net_time()).abs() < 1e-9,
@@ -932,142 +585,16 @@ mod tests {
             p.push_round(vec![copy_job("x", "R", "X"), copy_job("y", "R", "Y")]);
             p
         };
-        let run = |slots| {
+        let run = |n| {
             let dfs = dfs_with(&["R"]);
-            DagScheduler::new(SchedulerConfig {
-                max_concurrent_jobs: slots,
-                ..SchedulerConfig::default()
-            })
-            .execute_program(&executor(), &dfs, wide())
-            .unwrap()
+            slots(n).execute_program(&executor(), &dfs, wide()).unwrap()
         };
-        let serial = run(1);
-        let overlapped = run(2);
-        let p1 = serial.predicted_net_time.unwrap();
-        let p2 = overlapped.predicted_net_time.unwrap();
+        let p1 = run(1).predicted_net_time.unwrap();
+        let p2 = run(2).predicted_net_time.unwrap();
         assert!(p2 < p1, "2 slots {p2} should predict under 1 slot {p1}");
         // Identical jobs either way, so p1 is exactly the serial sum.
         let per_job: f64 = p1 / 2.0;
         assert!((p2 - per_job).abs() < 1e-9, "two equal jobs overlap fully");
-    }
-
-    /// Multi-tenant predictions come from one *global* simulation: a
-    /// later submission that serializes behind an earlier one (conflict
-    /// edge + single slot) is predicted to finish later, not priced as
-    /// if it ran alone on a free pool.
-    #[test]
-    fn multi_tenant_prediction_accounts_for_contention() {
-        let dfs = dfs_with(&["R", "S"]);
-        // Both tenants write Out: cross-submission conflict serializes
-        // them in admission order, and the pool has one slot anyway.
-        let mut p1 = MrProgram::new();
-        p1.push_job(copy_job("first", "R", "Out"));
-        let mut p2 = MrProgram::new();
-        p2.push_job(copy_job("second", "S", "Out"));
-        let subs = vec![Submission::new("t1", p1), Submission::new("t2", p2)];
-        let sched = DagScheduler::new(SchedulerConfig {
-            max_concurrent_jobs: 1,
-            ..SchedulerConfig::default()
-        });
-        let reports = sched.execute_many(&executor(), &dfs, &subs).unwrap();
-        let p_first = reports[0].stats.predicted_net_time.unwrap();
-        let p_second = reports[1].stats.predicted_net_time.unwrap();
-        assert!(
-            p_second > p_first,
-            "serialized tenant must be predicted later: {p_second} vs {p_first}"
-        );
-        // The second tenant's completion is the sum of both jobs' costs.
-        let total: f64 = reports
-            .iter()
-            .flat_map(|r| r.stats.jobs.iter())
-            .map(|js| {
-                RoundStats::pooled(
-                    std::iter::once(js),
-                    executor().config().cluster,
-                    executor().config().constants.job_overhead,
-                )
-                .net_time()
-            })
-            .sum();
-        assert!((p_second - total).abs() < 1e-9, "{p_second} vs {total}");
-    }
-
-    #[test]
-    fn placement_policies_agree_on_answers_and_stats() {
-        // A program with both width (round 1) and a dependent tail.
-        let program = || {
-            let mut p = MrProgram::new();
-            p.push_round(vec![
-                copy_job("x", "R", "X"),
-                copy_job("y", "R", "Y"),
-                copy_job("z", "R", "Z"),
-            ]);
-            p.push_job(copy_job("t", "X", "T"));
-            p
-        };
-        let exec = executor();
-        let dfs_fifo = dfs_with(&["R"]);
-        let fifo = DagScheduler::new(SchedulerConfig {
-            placement: PlacementPolicy::Fifo,
-            ..SchedulerConfig::default()
-        })
-        .execute_program(&exec, &dfs_fifo, program())
-        .unwrap();
-        for policy in [PlacementPolicy::Sjf, PlacementPolicy::CriticalPath] {
-            let dfs = dfs_with(&["R"]);
-            let stats = DagScheduler::new(SchedulerConfig {
-                placement: policy,
-                ..SchedulerConfig::default()
-            })
-            .execute_program(&exec, &dfs, program())
-            .unwrap();
-            crate::equivalence::assert_identical_dfs(policy.label(), &dfs_fifo, &dfs);
-            crate::equivalence::assert_identical_stats(policy.label(), &fifo, &stats);
-        }
-    }
-
-    #[test]
-    fn core_budget_sizes_per_job_threads_from_estimates() {
-        use gumbo_mr::{CostConstants, CostModelKind, InputPartition, JobEstimate, JobProfile};
-        let config = SchedulerConfig {
-            max_concurrent_jobs: 4,
-            core_budget: 16,
-            ..SchedulerConfig::default()
-        };
-        // Share = 16 / 4 = 4 cores per concurrent job.
-        let wide = JobEstimate::from_profile(
-            CostModelKind::Gumbo,
-            &CostConstants::default(),
-            &JobProfile {
-                partitions: vec![InputPartition {
-                    label: "R".into(),
-                    input: gumbo_common::ByteSize::mb(1000),
-                    map_output: gumbo_common::ByteSize::mb(1000),
-                    records_out: 0,
-                    mappers: 32,
-                }],
-                reducers: 8,
-                output: gumbo_common::ByteSize::mb(10),
-            },
-        );
-        assert_eq!(wide.suggested_parallelism, 32);
-        assert_eq!(config.threads_for(Some(&wide)), 4, "clamped to the share");
-        let narrow = JobEstimate {
-            suggested_parallelism: 2,
-            ..wide.clone()
-        };
-        assert_eq!(
-            config.threads_for(Some(&narrow)),
-            2,
-            "narrow jobs stay narrow"
-        );
-        assert_eq!(
-            config.threads_for(None),
-            4,
-            "unannotated jobs get the share"
-        );
-        let disabled = SchedulerConfig::default();
-        assert_eq!(disabled.threads_for(Some(&wide)), 0, "0 = executor sizing");
     }
 
     #[test]
@@ -1081,19 +608,6 @@ mod tests {
         assert_eq!(
             SchedulerConfig::default().executor_kind(ExecutorKind::Simulated),
             ExecutorKind::Simulated
-        );
-        // `sim` stays single-threaded under the per-job thread hint.
-        let budgeted = SchedulerConfig {
-            core_budget: 16,
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(
-            budgeted.for_kind(ExecutorKind::Simulated).threads_for(None),
-            0
-        );
-        assert_eq!(
-            budgeted.for_kind(ExecutorKind::Parallel { threads: 0 }),
-            budgeted
         );
         assert_eq!(
             SchedulerConfig {

@@ -1,46 +1,6 @@
-//! Multi-tenant submissions: independent MR programs admitted onto one
-//! shared cluster.
+//! What the resident service reports per submission.
 
-use gumbo_mr::{JobDag, MrProgram, ProgramStats};
-
-/// One tenant's unit of admission: a named MR program, lowered to its
-/// dependency DAG.
-///
-/// Submissions are expected to be *independent* — distinct output (and
-/// intermediate) relation names, with read-only sharing of base relations
-/// allowed. If two submissions do conflict on a relation, the scheduler
-/// serializes the conflicting jobs in admission order, so correctness is
-/// never lost — only concurrency.
-#[derive(Debug)]
-pub struct Submission {
-    /// Who submitted (display label for reports; e.g. a client id).
-    pub tenant: String,
-    /// The work, in DAG form.
-    pub dag: JobDag,
-}
-
-impl Submission {
-    /// Admit a program under a tenant label.
-    pub fn new(tenant: impl Into<String>, program: MrProgram) -> Submission {
-        Submission {
-            tenant: tenant.into(),
-            dag: program.into_dag(),
-        }
-    }
-
-    /// Admit a pre-lowered DAG under a tenant label.
-    pub fn from_dag(tenant: impl Into<String>, dag: JobDag) -> Submission {
-        Submission {
-            tenant: tenant.into(),
-            dag,
-        }
-    }
-
-    /// Number of jobs in this submission.
-    pub fn num_jobs(&self) -> usize {
-        self.dag.len()
-    }
-}
+use gumbo_mr::ProgramStats;
 
 /// What one submission got out of a scheduling run.
 #[derive(Debug)]
@@ -50,13 +10,11 @@ pub struct SubmissionReport {
     /// Per-job and per-round statistics, identical to what the serial
     /// reference loop produces for the same program.
     pub stats: ProgramStats,
-    /// Real elapsed time from admission (scheduler start) to the last
-    /// committed job of this submission, in seconds.
+    /// Real elapsed time from admission to the last committed job of
+    /// this submission, in seconds.
     pub wall_seconds: f64,
     /// When the submission entered the admission queue (monotonic ns
-    /// since the obs epoch — [`gumbo_obs::now_ns`]). For direct
-    /// `execute_many` calls, which have no queue, this equals
-    /// `admitted_ns`.
+    /// since the obs epoch — [`gumbo_obs::now_ns`]).
     pub queued_ns: u64,
     /// When the submission was admitted onto the scheduler (monotonic
     /// ns since the obs epoch).

@@ -33,7 +33,7 @@
 //! gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N]
 //!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
 //!           [--executor sim|parallel|parallel:N]
-//!           [--max-jobs N] [--placement fifo|sjf|cp] [--cores N]
+//!           [--max-jobs N]
 //!           [--mem-budget BYTES|unlimited] [--spill-compress]
 //!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
@@ -49,15 +49,11 @@
 //! relation (final and intermediate `Z`s) is written back to `--out` (if
 //! given) as TSV, and the paper's four metrics are printed.
 //!
-//! Planned jobs run on the dependency-driven DAG scheduler, at most
-//! `--max-jobs` at a time (default 1: one after another in round order;
-//! `serve` defaults to 4). `--placement` picks the ready-queue order
-//! (`fifo` arrival order, `sjf` shortest-estimated-job-first, `cp`
-//! critical-path) over the estimation layer's per-job cost annotations;
-//! `--cores N` sizes each job's worker pool from its estimate under a
-//! total-core budget (`--executor parallel[:N]` only). Results and
-//! statistics are byte-identical at every setting; every run reports the
-//! predicted DAG net time.
+//! Planned jobs run on the dependency-driven DAG scheduler, in the order
+//! they become ready, at most `--max-jobs` at a time (default 1: one after
+//! another in round order; `serve` defaults to 4). Results and statistics
+//! are byte-identical at every setting; every run reports the predicted
+//! DAG net time.
 //!
 //! `--mem-budget` bounds tracked shuffle memory (bytes, with optional
 //! `k`/`m`/`g` binary suffix): per-reducer buffers spill sorted runs to a
@@ -119,8 +115,6 @@ struct Args {
     strategy: String,
     executor: gumbo::mr::ExecutorKind,
     max_jobs: usize,
-    placement: gumbo::sched::PlacementPolicy,
-    cores: usize,
     mem_budget: gumbo::mr::MemBudget,
     spill_compress: bool,
     shuffle_filter: gumbo::mr::ShuffleFilterMode,
@@ -140,7 +134,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N] \
                      [--strategy greedy|par|sequnit|parunit|one-round|dynamic] \
                      [--executor sim|parallel|parallel:N] \
-                     [--max-jobs N] [--placement fifo|sjf|cp] [--cores N] \
+                     [--max-jobs N] \
                      [--mem-budget BYTES|unlimited] [--spill-compress] \
                      [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
@@ -157,8 +151,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         strategy: "greedy".into(),
         executor: gumbo::mr::ExecutorKind::Simulated,
         max_jobs: 1,
-        placement: gumbo::sched::PlacementPolicy::Fifo,
-        cores: 0,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
         spill_compress: false,
         shuffle_filter: gumbo::mr::ShuffleFilterMode::Off,
@@ -196,16 +188,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.max_jobs = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--max-jobs: {e}"))?
-            }
-            "--placement" => {
-                let spec = need(&mut i, argv)?;
-                args.placement = gumbo::sched::PlacementPolicy::parse(&spec)
-                    .ok_or_else(|| format!("--placement: fifo|sjf|cp, got {spec}"))?;
-            }
-            "--cores" => {
-                args.cores = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--cores: {e}"))?
             }
             "--spill-compress" => args.spill_compress = true,
             "--shuffle-filter" => {
@@ -294,12 +276,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         // silent no-op.
         return Err("--dfs-cache requires --dfs file:PATH".into());
     }
-    if args.cores != 0 && args.executor == gumbo::mr::ExecutorKind::Simulated {
-        // `sim` is one worker by definition and is never resized, so the
-        // flag would be a silent no-op that lets a user believe they
-        // benchmarked a core budget.
-        return Err("--cores requires --executor parallel[:N]".into());
-    }
     Ok(args)
 }
 
@@ -355,11 +331,7 @@ fn options_for(args: &Args) -> Result<EvalOptions, String> {
     let budget = args.mem_budget.compressed(args.spill_compress);
     options.mem_budget = budget;
     options.shuffle_filter = args.shuffle_filter;
-    options.scheduler = Some(SchedulerConfig {
-        placement: args.placement,
-        core_budget: args.cores,
-        ..scheduler_config(args.max_jobs, budget)
-    });
+    options.scheduler = Some(scheduler_config(args.max_jobs, budget));
     Ok(options)
 }
 
@@ -488,9 +460,8 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!("estimated plan cost      : {cost:.1}");
         if let Some(sched) = options.scheduler {
             eprintln!(
-                "scheduler                : max {} concurrent jobs, placement {}",
+                "scheduler                : max {} concurrent jobs",
                 sched.effective_workers(),
-                sched.placement.label(),
             );
         }
         eprintln!();
@@ -1007,8 +978,9 @@ mod tests {
         parse_args(&argv)
     }
 
-    /// Sizing flags are never silently ignored, and there is no scheduler
-    /// to choose: every run is on the one scheduling path.
+    /// There is no scheduler to choose: every run is on the one
+    /// scheduling path — one slot by default, sharing the run's shuffle
+    /// budget.
     #[test]
     fn scheduler_flags_are_validated_not_ignored() {
         // Spelled in two pieces so a grep of the tree for the removed
@@ -1017,41 +989,22 @@ mod tests {
         let err = parse(&[&removed, "dag"]).err().expect("flag is gone");
         assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
 
-        // `sim` is never resized, so a core budget needs a real pool.
-        let err = parse(&["--cores", "8"]).err().expect("sim has no pool");
-        assert!(
-            err.contains("--cores requires --executor parallel"),
-            "{err}"
-        );
-        let err = parse(&["--cores", "8", "--executor", "sim"]).err().unwrap();
-        assert!(
-            err.contains("--cores requires --executor parallel"),
-            "{err}"
-        );
-        let sized = parse(&["--cores", "8", "--executor", "parallel:4"]).unwrap();
-        let sched = options_for(&sized).unwrap().scheduler.unwrap();
-        assert_eq!(sched.core_budget, 8);
-
-        // Placement needs no companion flag; the default is one job slot
-        // sharing the run's shuffle budget.
-        let placed = parse(&["--placement", "sjf", "--mem-budget", "64k"]).unwrap();
-        let options = options_for(&placed).unwrap();
+        let budgeted = parse(&["--mem-budget", "64k"]).unwrap();
+        let options = options_for(&budgeted).unwrap();
         let sched = options.scheduler.unwrap();
-        assert_eq!(sched.placement, gumbo::sched::PlacementPolicy::Sjf);
         assert_eq!(sched.max_concurrent_jobs, 1);
         assert_eq!(sched.mem_budget, options.mem_budget);
         assert_eq!(sched.threads_per_job, 0);
     }
 
+    /// The ready queue is FIFO and jobs run on the executor's own pool:
+    /// no flag picks a queue order or a per-job core budget, and naming
+    /// one is an error rather than a silent no-op.
     #[test]
-    fn placement_policies_parse_from_cli_spellings() {
-        use gumbo::sched::PlacementPolicy;
-        assert_eq!(PlacementPolicy::parse("fifo"), Some(PlacementPolicy::Fifo));
-        assert_eq!(PlacementPolicy::parse("sjf"), Some(PlacementPolicy::Sjf));
-        assert_eq!(
-            PlacementPolicy::parse("cp"),
-            Some(PlacementPolicy::CriticalPath)
-        );
-        assert_eq!(PlacementPolicy::parse("best"), None);
+    fn placement_and_cores_flags_are_unknown() {
+        for flags in [["--placement", "sjf"], ["--cores", "8"]] {
+            let err = parse(&flags).err().expect("flag is gone");
+            assert!(err.contains(&format!("unknown flag {}", flags[0])), "{err}");
+        }
     }
 }

@@ -96,7 +96,6 @@ const KNOWN_INSTANTS: &[&str] = &[
     "sched:ready",
     "sched:claim",
     "sched:complete",
-    "sched:threads_assigned",
     "budget:exhausted",
     "spill:run",
     "dfs.scan",

@@ -216,7 +216,7 @@ fn job_allocations_per_input_fact_stay_under_the_ceiling() {
     for (round, (job, ceiling_percent)) in [(&msj, 300), (&eval, 180)].into_iter().enumerate() {
         let facts: u64 = input_facts(&dfs, job);
         let (allocations, stats) =
-            count_allocations(|| executor.execute_job(&dfs, job, round, 0, None).unwrap());
+            count_allocations(|| executor.execute_job(&dfs, job, round).unwrap());
         assert!(stats.output_tuples > 0, "{} must produce output", job.name);
         assert!(
             allocations * 100 <= facts * ceiling_percent,

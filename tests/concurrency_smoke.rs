@@ -135,7 +135,7 @@ fn value_order_within_groups_is_deterministic_across_thread_counts() {
                 scale: 100_000,
                 ..EngineConfig::default()
             })
-            .execute_job(&dfs, &job(), 0, 0, None)
+            .execute_job(&dfs, &job(), 0)
             .unwrap();
         let got = dfs.peek(&"First".into()).unwrap().as_ref().clone();
         match &first {

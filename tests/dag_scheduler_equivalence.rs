@@ -5,8 +5,8 @@
 //! This extends the PR-1 executor-equivalence harness one layer up: for
 //! every `datagen` query preset (A1–A5, B1/B2, and the nested C1–C4
 //! programs of Figure 6), the same database is evaluated by the engine
-//! (at 1 and several job slots, under every placement policy, executor
-//! and budget) and by the oracle below — the engine's own plans executed
+//! (at 1 and several job slots, on both executors, with and without a
+//! shuffle budget) and by the oracle below — the engine's own plans executed
 //! on `Executor::execute`, the serial reference loop — and both must
 //! produce
 //!
@@ -169,12 +169,11 @@ fn dag_scheduler_with_tiny_budget_matches_unbudgeted_round_barrier() {
 }
 
 #[test]
-fn placement_policies_match_round_barrier_on_every_preset() {
-    // The ISSUE-4 acceptance matrix: job slots {1, 4} × all three
-    // placement policies × both executors × {unlimited, tiny budget},
-    // on every datagen preset — byte-identical relations and identical
-    // non-timing statistics versus the round barrier. Placement
-    // reorders only ready jobs, so nothing observable may change.
+fn job_slots_match_round_barrier_on_every_preset() {
+    // The acceptance matrix: job slots {1, 4} × both executors ×
+    // {unlimited, tiny budget}, on every datagen preset — byte-identical
+    // relations and identical non-timing statistics versus the round
+    // barrier, and a positive predicted DAG net time on every run.
     const BUDGET: u64 = 4096;
     for workload in presets() {
         let db = workload.spec.clone().with_tuples(120).database(11);
@@ -187,66 +186,35 @@ fn placement_policies_match_round_barrier_on_every_preset() {
         );
 
         for slots in [1usize, 4] {
-            for policy in PlacementPolicy::ALL {
-                for executor in [
-                    ExecutorKind::Simulated,
-                    ExecutorKind::Parallel { threads: 2 },
-                ] {
-                    for budget in [None, Some(BUDGET)] {
-                        let scheduler = Some(SchedulerConfig {
-                            max_concurrent_jobs: slots,
-                            placement: policy,
-                            mem_budget: budget
-                                .map(gumbo::mr::MemBudget::bytes)
-                                .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
-                            ..SchedulerConfig::ONE_SLOT
-                        });
-                        let label = format!(
-                            "{} ({slots} slots, policy {}, executor {}, budget {budget:?})",
-                            workload.name,
-                            policy.label(),
-                            executor.label(),
-                        );
-                        let dfs_dag = SimDfs::from_database(&db);
-                        let stats_dag = engine(scheduler, executor)
-                            .evaluate(&dfs_dag, &workload.query)
-                            .unwrap_or_else(|e| panic!("{label}: {e}"));
-                        assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
-                        assert!(
-                            stats_dag.predicted_net_time.is_some(),
-                            "{label}: every engine run reports a predicted DAG net time"
-                        );
-                    }
+            for executor in [
+                ExecutorKind::Simulated,
+                ExecutorKind::Parallel { threads: 2 },
+            ] {
+                for budget in [None, Some(BUDGET)] {
+                    let scheduler = Some(SchedulerConfig {
+                        max_concurrent_jobs: slots,
+                        mem_budget: budget
+                            .map(gumbo::mr::MemBudget::bytes)
+                            .unwrap_or(gumbo::mr::MemBudget::UNLIMITED),
+                        ..SchedulerConfig::ONE_SLOT
+                    });
+                    let label = format!(
+                        "{} ({slots} slots, executor {}, budget {budget:?})",
+                        workload.name,
+                        executor.label(),
+                    );
+                    let dfs_dag = SimDfs::from_database(&db);
+                    let stats_dag = engine(scheduler, executor)
+                        .evaluate(&dfs_dag, &workload.query)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_equivalent(&label, &dfs_rounds, &stats_rounds, &dfs_dag, &stats_dag);
+                    let predicted = stats_dag
+                        .predicted_net_time
+                        .unwrap_or_else(|| panic!("{label}: no predicted DAG net time"));
+                    assert!(predicted > 0.0, "{label}: predicted {predicted}");
                 }
             }
         }
-    }
-}
-
-#[test]
-fn predicted_net_time_is_policy_invariant_and_positive() {
-    // The prediction is deterministic list scheduling over the job DAG
-    // with policy-independent tie-breaking: every placement policy must
-    // report exactly the same number for the same program.
-    let workload = queries::c1().with_tuples(200);
-    let db = workload.spec.database(5);
-    let mut predictions = Vec::new();
-    for policy in PlacementPolicy::ALL {
-        let scheduler = Some(SchedulerConfig {
-            max_concurrent_jobs: 4,
-            placement: policy,
-            ..SchedulerConfig::default()
-        });
-        let dfs = SimDfs::from_database(&db);
-        let stats = engine(scheduler, ExecutorKind::Simulated)
-            .evaluate(&dfs, &workload.query)
-            .unwrap();
-        let predicted = stats.predicted_net_time.unwrap();
-        assert!(predicted > 0.0, "{}: {predicted}", policy.label());
-        predictions.push(predicted);
-    }
-    for p in &predictions[1..] {
-        assert!((p - predictions[0]).abs() < 1e-9, "{predictions:?}");
     }
 }
 

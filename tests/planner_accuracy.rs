@@ -48,10 +48,7 @@ fn estimates_track_measured_costs() {
             .unwrap();
         let run_dfs = SimDfs::from_database(&dfs.to_database());
         let job = build_msj_job(&ctx, &group, PayloadMode::Reference, JobConfig::default());
-        let measured = engine
-            .execute_job(&run_dfs, &job, 0, 0, None)
-            .unwrap()
-            .total_cost;
+        let measured = engine.execute_job(&run_dfs, &job, 0).unwrap().total_cost;
         let ratio = estimated / measured;
         assert!(
             (0.5..=2.0).contains(&ratio),
@@ -140,10 +137,7 @@ fn pairwise_ranking_accuracy_is_high() {
                 .unwrap();
             let run_dfs = SimDfs::from_database(&dfs.to_database());
             let job = build_msj_job(&ctx, &group, PayloadMode::Reference, JobConfig::default());
-            let measured = engine
-                .execute_job(&run_dfs, &job, 0, 0, None)
-                .unwrap()
-                .total_cost;
+            let measured = engine.execute_job(&run_dfs, &job, 0).unwrap().total_cost;
             observations.push((estimated, measured));
         }
     }

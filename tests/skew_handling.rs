@@ -36,7 +36,7 @@ fn run(salts: u32, reducers: usize) -> (SimDfs, gumbo::mr::JobStats) {
     };
     let job = build_msj_job_salted(&ctx(), &[0], PayloadMode::Full, config, salts);
     let engine = Executor::new(EngineConfig::unscaled());
-    let stats = engine.execute_job(&dfs, &job, 0, 0, None).unwrap();
+    let stats = engine.execute_job(&dfs, &job, 0).unwrap();
     (dfs, stats)
 }
 
@@ -109,8 +109,8 @@ fn default_builder_is_unsalted() {
     let engine = Executor::new(EngineConfig::unscaled());
     let j1 = build_msj_job(&ctx(), &[0], PayloadMode::Full, JobConfig::default());
     let j2 = build_msj_job_salted(&ctx(), &[0], PayloadMode::Full, JobConfig::default(), 1);
-    let s1 = engine.execute_job(&d1, &j1, 0, 0, None).unwrap();
-    let s2 = engine.execute_job(&d2, &j2, 0, 0, None).unwrap();
+    let s1 = engine.execute_job(&d1, &j1, 0).unwrap();
+    let s2 = engine.execute_job(&d2, &j2, 0).unwrap();
     assert_eq!(s1.communication_bytes(), s2.communication_bytes());
     assert_eq!(
         d1.peek(&"Z#X0".into()).unwrap(),
