@@ -153,7 +153,6 @@ pub fn build_join_job(
         reducer: Box::new(JoinReducer { routes }),
         config,
         estimate: None,
-        filter: None,
     }
 }
 

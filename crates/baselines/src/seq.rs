@@ -217,7 +217,6 @@ impl SeqStrategy {
             }),
             config: self.job_config,
             estimate: None,
-            filter: None,
         }))
     }
 }

@@ -1,7 +1,7 @@
 //! Experiment driver: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|speedup|dagsched|spill|bloom|dfs>
+//! experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|speedup|dagsched|spill|dfs>
 //!             [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify]
 //!             [--executor sim|parallel|parallel:N]
 //!             [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
@@ -114,7 +114,6 @@ fn main() {
         "speedup" => experiments::speedup(&cfg),
         "dagsched" => experiments::dagsched(&cfg),
         "spill" => experiments::spill(&cfg),
-        "bloom" => experiments::bloom(&cfg),
         "dfs" => experiments::dfs(&cfg),
         other => {
             eprintln!("unknown experiment {other}");

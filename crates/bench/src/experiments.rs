@@ -627,9 +627,6 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
         ("1m", MemBudget::bytes(1 << 20)),
         ("256k", MemBudget::bytes(256 << 10)),
         ("64k", MemBudget::bytes(64 << 10)),
-        // The same smallest budget with RLE-compressed runs: identical
-        // answers and raw spill volume, smaller files on disk.
-        ("64k+rle", MemBudget::bytes(64 << 10).compressed(true)),
     ];
 
     println!(
@@ -637,7 +634,6 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
         "budget", "wall (s)", "spilled (B)", "disk (B)", "runs", "merge passes", "peak (B)"
     );
     let mut reference: Option<SimDfs> = None;
-    let mut plain_64k: Option<(u64, u64)> = None; // (raw, disk) uncompressed
     let mut rows: Vec<Json> = Vec::new();
     for (label, budget) in budgets {
         let engine = GumboEngine::with_executor(
@@ -678,10 +674,6 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
         rows.push(Json::obj([
             ("budget", Json::Str(label.into())),
             ("budget_bytes", Json::Int(budget.limit().unwrap_or(0))),
-            (
-                "compress",
-                Json::Str(if budget.compress() { "rle" } else { "off" }.into()),
-            ),
             ("wall_s", Json::Num(wall)),
             ("spilled_bytes", Json::Int(stats.spilled_bytes())),
             ("spilled_disk_bytes", Json::Int(stats.spilled_disk_bytes())),
@@ -694,26 +686,10 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
             ),
         ]));
         if budget.limit() == Some(64 << 10) {
-            let spilled: u64 = stats.spilled_bytes();
             assert!(
-                spilled > 0,
+                stats.spilled_bytes() > 0,
                 "the 64 KiB budget must force spilling on this workload"
             );
-            if budget.compress() {
-                let (raw, disk) = plain_64k.expect("uncompressed 64k ran first");
-                assert_eq!(
-                    stats.spilled_bytes(),
-                    raw,
-                    "compression must not change the raw spill volume"
-                );
-                assert!(
-                    stats.spilled_disk_bytes() < disk,
-                    "RLE runs ({} B) should beat raw runs ({disk} B) on disk",
-                    stats.spilled_disk_bytes()
-                );
-            } else {
-                plain_64k = Some((stats.spilled_bytes(), stats.spilled_disk_bytes()));
-            }
         }
     }
 
@@ -727,150 +703,6 @@ pub fn spill(cfg: &RunConfig) -> Result<()> {
     ]);
     write_bench_json("spill", &report)
         .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_spill.json: {e}")))?;
-    Ok(())
-}
-
-/// Bloom-filtered semijoin shuffle: shuffled bytes with and without the
-/// filter, on the paper's own communication metric.
-///
-/// Each preset runs three times — unfiltered, `bloom:10`, and `auto:10`
-/// — over the same database. The filtered runs must leave a
-/// byte-identical DFS (false positives only cost extra exact messages;
-/// answers never change), and the reported communication bytes *include*
-/// the broadcast filter bytes, so the savings shown are net of the
-/// filter's own cost. The per-preset rows (communication, filter bytes,
-/// suppressed messages, observed false-positive rate, wall clock) go to
-/// `BENCH_bloom.json`, and the run fails if no preset nets out ahead —
-/// the whole point of the filter is that it pays for itself.
-pub fn bloom(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, GumboEngine};
-    use gumbo_mr::ShuffleFilterMode;
-    use std::time::Instant;
-
-    print_header("Bloom-filtered shuffle — net communication bytes per preset");
-    let tuples = cfg.tuples;
-    println!("{tuples} guard tuples; executor {}", cfg.executor.label());
-
-    let workloads = vec![
-        queries::a1(),
-        queries::a3(),
-        queries::a5(),
-        queries::b1(),
-        queries::c2(),
-    ];
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    let modes = [
-        ("off", ShuffleFilterMode::Off),
-        ("bloom:10", ShuffleFilterMode::Bloom { bits_per_key: 10 }),
-        ("auto:10", ShuffleFilterMode::Auto { bits_per_key: 10 }),
-    ];
-
-    println!(
-        "{:<10} {:<10} {:>14} {:>12} {:>12} {:>10} {:>9} {:>10}",
-        "workload",
-        "filter",
-        "comm (B)",
-        "filter (B)",
-        "suppressed",
-        "fp rate",
-        "saved",
-        "wall (s)"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    let mut any_net_win = false;
-    let mut any_suppressed = false;
-    for w in workloads {
-        let w = w.with_tuples(tuples);
-        let db = w.spec.database(cfg.seed);
-        let mut reference: Option<SimDfs> = None;
-        let mut unfiltered_comm = 0u64;
-        for (label, mode) in modes {
-            let engine = GumboEngine::with_executor(
-                engine_cfg,
-                cfg.executor,
-                EvalOptions::default().with_shuffle_filter(mode),
-            );
-            let dfs = SimDfs::from_database(&db);
-            let start = Instant::now();
-            let stats = engine.evaluate(&dfs, &w.query)?;
-            let wall = start.elapsed().as_secs_f64();
-
-            // The filter may only remove messages that cannot contribute
-            // to the answer: every mode leaves the same bytes on the DFS.
-            match &reference {
-                None => reference = Some(dfs),
-                Some(expected) => gumbo_sched::assert_identical_dfs(
-                    &format!("{} filter {label}", w.name),
-                    expected,
-                    &dfs,
-                ),
-            }
-
-            let comm = stats.communication_bytes().as_bytes();
-            if mode == ShuffleFilterMode::Off {
-                unfiltered_comm = comm;
-            } else {
-                any_net_win |= comm < unfiltered_comm;
-                any_suppressed |= stats.suppressed_messages() > 0;
-            }
-            let saved = unfiltered_comm.saturating_sub(comm);
-            let fp_rate = stats.observed_fp_rate();
-            println!(
-                "{:<10} {label:<10} {comm:>14} {:>12} {:>12} {:>10} {saved:>9} {wall:>10.3}",
-                w.name,
-                stats.filter_bytes(),
-                stats.suppressed_messages(),
-                fp_rate.map_or("-".into(), |r| format!("{r:.4}")),
-            );
-            rows.push(Json::obj([
-                ("workload", Json::Str(w.name.clone())),
-                ("filter", Json::Str(label.into())),
-                ("communication_bytes", Json::Int(comm)),
-                ("filter_bytes", Json::Int(stats.filter_bytes())),
-                (
-                    "suppressed_messages",
-                    Json::Int(stats.suppressed_messages()),
-                ),
-                ("filter_probes", Json::Int(stats.filter_probes())),
-                (
-                    "filter_false_positives",
-                    Json::Int(stats.filter_false_positives()),
-                ),
-                ("observed_fp_rate", Json::Num(fp_rate.unwrap_or(0.0))),
-                ("saved_bytes", Json::Int(saved)),
-                ("wall_s", Json::Num(wall)),
-                (
-                    "output_tuples",
-                    Json::Int(stats.jobs.iter().map(|j| j.output_tuples).sum()),
-                ),
-            ]));
-        }
-    }
-    assert!(
-        any_suppressed,
-        "the bloom filter must suppress messages on at least one preset"
-    );
-    assert!(
-        any_net_win,
-        "filtered communication (broadcast bytes included) must beat \
-         unfiltered on at least one preset"
-    );
-
-    let report = Json::obj([
-        ("experiment", Json::Str("bloom".into())),
-        ("tuples", Json::Int(tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("bloom", &report)
-        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_bloom.json: {e}")))?;
     Ok(())
 }
 

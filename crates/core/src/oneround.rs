@@ -335,7 +335,6 @@ fn build_job(
         reducer,
         config,
         estimate: None,
-        filter: None,
     }
 }
 

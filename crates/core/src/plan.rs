@@ -8,7 +8,7 @@
 use std::fmt;
 
 use gumbo_common::Result;
-use gumbo_mr::{JobConfig, MrProgram, ShuffleFilterMode};
+use gumbo_mr::{JobConfig, MrProgram};
 
 use crate::estimate::Estimator;
 use crate::eval::build_eval_job;
@@ -48,12 +48,6 @@ pub struct BsgfSetPlan {
     pub one_round: Option<OneRoundKind>,
     /// Per-job configuration.
     pub job_config: JobConfig,
-    /// The Bloom-filtered shuffle mode the engine will run MSJ jobs
-    /// under. The planner uses it to decide whether to attach *filtered*
-    /// estimates (and, in `auto` mode, to record per-job profitability
-    /// verdicts) so the estimates the engine records describe the plan it
-    /// executes.
-    pub shuffle_filter: ShuffleFilterMode,
 }
 
 impl BsgfSetPlan {
@@ -64,7 +58,6 @@ impl BsgfSetPlan {
             mode,
             one_round: None,
             job_config,
-            shuffle_filter: ShuffleFilterMode::Off,
         }
     }
 
@@ -89,15 +82,7 @@ impl BsgfSetPlan {
             mode: PayloadMode::Full,
             one_round: Some(kind),
             job_config,
-            shuffle_filter: ShuffleFilterMode::Off,
         }
-    }
-
-    /// Builder-style: set the shuffle-filter mode the engine will run
-    /// under (affects only estimate annotation and `auto` verdicts).
-    pub fn with_shuffle_filter(mut self, mode: ShuffleFilterMode) -> Self {
-        self.shuffle_filter = mode;
-        self
     }
 
     /// Number of MapReduce jobs the plan will run.
@@ -160,38 +145,6 @@ impl BsgfSetPlan {
                         job.estimate = est.and_then(|e| {
                             e.msj_estimate(ctx, group, self.mode, &self.job_config).ok()
                         });
-                        // Shuffle-filter annotation: predict the Bloom
-                        // filter's net effect, record the `auto` verdict on
-                        // the job, and — when the engine will actually
-                        // filter — swap in the filtered estimate so the
-                        // scheduler places by the bytes that will really
-                        // move.
-                        if let (Some(e), Some(bits)) = (est, self.shuffle_filter.bits_per_key()) {
-                            if let Some(pred) = e.msj_filter_prediction(ctx, group, self.mode, bits)
-                            {
-                                let profitable = pred.profitable();
-                                if let Some(spec) = job.filter.as_mut() {
-                                    spec.auto_profitable = Some(profitable);
-                                }
-                                let will_filter = profitable
-                                    || matches!(
-                                        self.shuffle_filter,
-                                        ShuffleFilterMode::Bloom { .. }
-                                    );
-                                if will_filter {
-                                    job.estimate = e
-                                        .msj_filtered_estimate(
-                                            ctx,
-                                            group,
-                                            self.mode,
-                                            &self.job_config,
-                                            &pred,
-                                        )
-                                        .ok()
-                                        .or(job.estimate);
-                                }
-                            }
-                        }
                         msj_jobs.push(job);
                     }
                 }

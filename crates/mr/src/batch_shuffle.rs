@@ -35,7 +35,7 @@
 use std::cmp::Ordering;
 
 use gumbo_common::{Cell, GumboError, Result, Tuple, TupleBatch, TupleView};
-use gumbo_storage::{Compression, RunReader, RunWriter};
+use gumbo_storage::{RunReader, RunWriter};
 
 use crate::message::{Message, Payload};
 use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, UNLIMITED_GRANULE};
@@ -593,7 +593,6 @@ pub struct BatchPartition<'a> {
     granule: u64,
     budget: &'a MemoryBudget,
     spill: &'a ShuffleSpill,
-    compression: Compression,
     batch: PairBatch,
     /// Bytes currently reserved in the budget for `batch` (may exceed the
     /// buffer by part of a granule, and fall short by at most one
@@ -627,7 +626,6 @@ impl<'a> BatchPartition<'a> {
             granule,
             budget,
             spill,
-            compression: budget.spec().run_compression(),
             batch: PairBatch::new(),
             charged: 0,
             total_bytes: 0,
@@ -715,7 +713,7 @@ impl<'a> BatchPartition<'a> {
         let order = self.batch.sort_indices();
         let path = self.spill.run_path(self.partition, self.next_seq)?;
         self.next_seq += 1;
-        let mut writer = RunWriter::create_with(&path, self.compression)?;
+        let mut writer = RunWriter::create(&path)?;
         let mut chunk = PairBatch::new();
         let mut frame = Vec::new();
         for rows in order.chunks(ROWS_PER_FRAME) {
@@ -762,7 +760,7 @@ impl<'a> BatchPartition<'a> {
             }
             let path = self.spill.run_path(self.partition, self.next_seq)?;
             self.next_seq += 1;
-            let mut writer = RunWriter::create_with(&path, self.compression)?;
+            let mut writer = RunWriter::create(&path)?;
             let mut merge = BatchMerge { sources };
             let mut staging = PairBatch::new();
             let mut frame = Vec::new();
@@ -1167,7 +1165,6 @@ mod tests {
             MemBudget::UNLIMITED,
             MemBudget::bytes(1),
             MemBudget::bytes(128),
-            MemBudget::bytes(128).compressed(true),
         ] {
             let (groups, _, _) = group_batched(spec, &pairs);
             assert_eq!(groups, reference, "{spec:?}");
@@ -1189,26 +1186,6 @@ mod tests {
             stats.merge_passes > 0,
             "100 single-pair runs need intermediate merges"
         );
-    }
-
-    #[test]
-    fn compressed_columnar_runs_group_identically_and_shrink_on_disk() {
-        let keys: Vec<i64> = (0..200).map(|i| i % 7).collect();
-        let pairs = seq_pairs(&keys);
-        let reference = group_reference(&pairs);
-        let (plain_groups, plain_stats, _) = group_batched(MemBudget::bytes(64), &pairs);
-        let (packed_groups, packed_stats, peak) =
-            group_batched(MemBudget::bytes(64).compressed(true), &pairs);
-        assert_eq!(plain_groups, reference);
-        assert_eq!(packed_groups, reference);
-        assert_eq!(packed_stats.spilled_bytes, plain_stats.spilled_bytes);
-        assert!(
-            packed_stats.spilled_disk_bytes < plain_stats.spilled_disk_bytes,
-            "rle {} should beat raw {}",
-            packed_stats.spilled_disk_bytes,
-            plain_stats.spilled_disk_bytes
-        );
-        assert!(peak <= 64);
     }
 
     #[test]

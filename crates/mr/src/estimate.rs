@@ -46,16 +46,6 @@ pub struct JobEstimate {
     pub output_bytes: ByteSize,
     /// Estimated reduce-task count.
     pub reducers: usize,
-    /// Predicted (scaled) bytes of the Bloom-filter broadcast when this
-    /// job runs the filtered shuffle; [`ByteSize::ZERO`] for unfiltered
-    /// estimates. When set, `shuffle_bytes` is already the *filtered*
-    /// (post-suppression) volume, so `shuffle_bytes + filter_bytes` is
-    /// the predicted communication — the quantity `auto` mode compares
-    /// against the unfiltered shuffle.
-    pub filter_bytes: ByteSize,
-    /// Predicted filter false-positive rate (`(1 − e^{−kn/m})^k`); `None`
-    /// for unfiltered estimates.
-    pub predicted_fp_rate: Option<f64>,
 }
 
 impl JobEstimate {
@@ -89,29 +79,7 @@ impl JobEstimate {
             shuffle_bytes: profile.total_map_output(),
             output_bytes: profile.output,
             reducers: profile.reducers,
-            filter_bytes: ByteSize::ZERO,
-            predicted_fp_rate: None,
         }
-    }
-
-    /// Fold a predicted filter broadcast into this estimate: records the
-    /// filter bytes and fp rate, and charges the broadcast's transfer
-    /// cost to the map phase — mirroring `commit_job`'s measured
-    /// accounting, so `total_cost = cost_h + map + reduce` still holds.
-    /// Call on an estimate built from the *filtered* (post-suppression)
-    /// profile.
-    pub fn with_filter(
-        mut self,
-        constants: &CostConstants,
-        filter_bytes: ByteSize,
-        predicted_fp_rate: f64,
-    ) -> JobEstimate {
-        let broadcast_cost = constants.transfer * filter_bytes.as_mb();
-        self.filter_bytes = filter_bytes;
-        self.predicted_fp_rate = Some(predicted_fp_rate);
-        self.map_cost += broadcast_cost;
-        self.total_cost += broadcast_cost;
-        self
     }
 }
 
@@ -227,23 +195,6 @@ mod tests {
             assert_eq!(e.output_bytes, ByteSize::mb(300));
             assert_eq!(e.reducers, 6);
         }
-    }
-
-    #[test]
-    fn filtered_estimate_keeps_the_decomposition() {
-        let c = CostConstants::default();
-        let p = profile();
-        let base = JobEstimate::from_profile(CostModelKind::Gumbo, &c, &p);
-        let filtered = base.clone().with_filter(&c, ByteSize::mb(2), 0.01);
-        assert!(filtered.total_cost > base.total_cost);
-        assert!(
-            (filtered.total_cost - (c.job_overhead + filtered.map_cost + filtered.reduce_cost))
-                .abs()
-                < 1e-9
-        );
-        assert_eq!(filtered.filter_bytes, ByteSize::mb(2));
-        assert_eq!(filtered.predicted_fp_rate, Some(0.01));
-        assert_eq!(filtered.reduce_cost, base.reduce_cost);
     }
 
     #[test]

@@ -59,9 +59,6 @@ use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
 use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
-use crate::shuffle_filter::{
-    FilterCollector, FilterStats, JobFilters, ProbeTally, ShuffleFilterMode,
-};
 
 /// Engine configuration, shared by every executor.
 #[derive(Debug, Clone, Copy)]
@@ -85,13 +82,6 @@ pub struct EngineConfig {
     /// [`crate::batch_shuffle`]) instead of exceeding it. Answers are
     /// byte-identical either way.
     pub mem_budget: MemBudget,
-    /// Bloom-filtered semijoin shuffle ([`crate::shuffle_filter`]): when
-    /// enabled, jobs carrying a [`crate::shuffle_filter::FilterSpec`]
-    /// build per-side key filters before the map phase and suppress
-    /// `Assert`/`Req` messages whose keys cannot match. Answers are
-    /// byte-identical either way; only shuffled bytes (and the filter
-    /// broadcast accounting) change.
-    pub shuffle_filter: ShuffleFilterMode,
 }
 
 impl Default for EngineConfig {
@@ -102,7 +92,6 @@ impl Default for EngineConfig {
             constants: CostConstants::default(),
             model: CostModelKind::Gumbo,
             mem_budget: MemBudget::UNLIMITED,
-            shuffle_filter: ShuffleFilterMode::Off,
         }
     }
 }
@@ -119,12 +108,6 @@ impl EngineConfig {
     /// Builder-style: set the shuffle memory budget.
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: set the Bloom-filtered shuffle mode.
-    pub fn with_shuffle_filter(mut self, mode: ShuffleFilterMode) -> Self {
-        self.shuffle_filter = mode;
         self
     }
 }
@@ -298,13 +281,10 @@ impl Executor {
     /// Observational identity holds for any worker count.
     fn run_phases(&self, job: &Job, mut plan: MapPlan) -> Result<ComputedJob> {
         let workers = self.effective_threads();
-        // ---- filter build (optional): serial, before map fan-out --------
-        let filters = build_job_filters(&self.config, job, &plan)?;
         // ---- map phase: tasks fan out over the pool ---------------------
         // Planning (and its DFS read metering) happened on the caller's
         // thread; tasks fetch their facts from snapshot scans, so workers
-        // never touch the DFS. The sealed filters are immutable and
-        // probed from every worker.
+        // never touch the DFS.
         let map_span = gumbo_obs::span_with("map", |f| {
             f.str("job", &job.name);
             f.u64("tasks", plan.tasks.len() as u64);
@@ -312,7 +292,7 @@ impl Executor {
         });
         let mapped: Vec<MapTaskOutput> = parallel_for(plan.tasks.len(), workers, |i| {
             plan.task_facts(&plan.tasks[i])
-                .map(|facts| run_map_task(job, &facts, filters.as_ref()))
+                .map(|facts| run_map_task(job, &facts))
         })
         .into_iter()
         .collect::<Result<_>>()?;
@@ -378,7 +358,6 @@ impl Executor {
             reducer_bytes,
             partition_outputs,
             spill: spill_stats,
-            filter: filters.map(|f| f.stats()).unwrap_or_default(),
         })
     }
 
@@ -605,66 +584,6 @@ fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPlan> 
     })
 }
 
-/// Build a planned job's shuffle filters (the **build** stage of the
-/// two-stage filtered shuffle), or `None` when the configured mode, the
-/// job's missing [`crate::shuffle_filter::FilterSpec`] or the planner's
-/// `auto` verdict say to run unfiltered.
-///
-/// Runs the mapper once over every task's facts in collect-only mode.
-/// Scan fetches are unmetered (read metering happened at [`plan_job`]),
-/// so the prepass never perturbs DFS byte counters — filtered and
-/// unfiltered runs stay byte-identical on every metered quantity except
-/// the shuffle itself. Must run *before* map fan-out; the sealed filters
-/// are immutable and safely probed from any number of worker threads.
-pub(crate) fn build_job_filters(
-    config: &EngineConfig,
-    job: &Job,
-    plan: &MapPlan,
-) -> Result<Option<JobFilters>> {
-    let Some(spec) = &job.filter else {
-        return Ok(None);
-    };
-    let bits_per_key = match config.shuffle_filter {
-        ShuffleFilterMode::Off => return Ok(None),
-        ShuffleFilterMode::Bloom { bits_per_key } => bits_per_key,
-        ShuffleFilterMode::Auto { bits_per_key } => {
-            if spec.auto_profitable != Some(true) {
-                return Ok(None);
-            }
-            bits_per_key
-        }
-    };
-    let mut span = gumbo_obs::span_with("filter:build", |f| {
-        f.str("job", &job.name);
-        f.u64("groups", spec.groups as u64);
-    });
-    let mut collector = FilterCollector::new(spec);
-    for task in &plan.tasks {
-        let facts = plan.task_facts(task)?;
-        for (index, fact) in &facts {
-            job.mapper
-                .map(fact, *index, &mut |k, v| collector.observe(&k, &v));
-        }
-    }
-    let filters = collector.seal(bits_per_key);
-    span.record(|f| {
-        f.u64("distinct_keys", filters.distinct_keys());
-        f.u64("filter_bytes", filters.filter_bytes());
-    });
-    Ok(Some(filters))
-}
-
-/// Emit one `filter:probe` span summarizing a finished map task's probe
-/// counters (task-local, so concurrent tasks never race on telemetry).
-fn record_probe_span(job: &Job, tally: &ProbeTally) {
-    let mut span = gumbo_obs::span_with("filter:probe", |f| f.str("job", &job.name));
-    span.record(|f| {
-        f.u64("probes", tally.probes);
-        f.u64("suppressed", tally.suppressed);
-        f.u64("false_positives", tally.false_positives);
-    });
-}
-
 /// What one map task produced: the emitted pairs in emission order, held
 /// as one columnar [`PairBatch`].
 pub(crate) struct MapTaskOutput {
@@ -683,41 +602,16 @@ pub(crate) struct MapTaskOutput {
 /// its output directly in a [`PairBatch`], hash every emitted key once,
 /// and account bytes/records, charging key bytes once per distinct key
 /// within the task when packing is enabled (§5.1 (1)) — one pass over a
-/// hash table of row ids ([`packed_counts`]), no sort. With `filters`
-/// present, each emitted pair is probed first (the **probe** stage of the
-/// filtered shuffle) and suppressed pairs never reach the packing
-/// accounting — so map-output bytes/records are post-suppression.
-pub(crate) fn run_map_task(
-    job: &Job,
-    facts: &[(u64, Fact)],
-    filters: Option<&JobFilters>,
-) -> MapTaskOutput {
+/// hash table of row ids ([`packed_counts`]), no sort.
+pub(crate) fn run_map_task(job: &Job, facts: &[(u64, Fact)]) -> MapTaskOutput {
     let mut span = gumbo_obs::span_with("map:task", |f| {
         f.str("job", &job.name);
         f.u64("facts", facts.len() as u64);
     });
     let mut batch = PairBatch::new();
-    let mut tally = ProbeTally::default();
-    match filters {
-        Some(f) => {
-            for (index, fact) in facts {
-                job.mapper.map(fact, *index, &mut |k, v| {
-                    if f.keep(&k, &v, &mut tally) {
-                        batch.push_pair(&k, &v);
-                    }
-                });
-            }
-        }
-        None => {
-            for (index, fact) in facts {
-                job.mapper
-                    .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
-            }
-        }
-    }
-    if let Some(f) = filters {
-        record_probe_span(job, &tally);
-        f.absorb(tally);
+    for (index, fact) in facts {
+        job.mapper
+            .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
     }
     let key_hashes: Vec<u64> = (0..batch.len())
         .map(|row| hash_view(batch.key_view(row)))
@@ -865,7 +759,6 @@ pub(crate) struct ComputedJob {
     pub(crate) reducer_bytes: Vec<u64>,
     pub(crate) partition_outputs: Vec<Vec<Vec<Tuple>>>,
     pub(crate) spill: SpillStats,
-    pub(crate) filter: FilterStats,
 }
 
 /// Build every declared output once from its per-partition vectors
@@ -887,7 +780,6 @@ fn commit_job(
         reducer_bytes,
         mut partition_outputs,
         spill,
-        filter,
     } = computed;
     let scale = config.scale.max(1);
     let consts = &config.constants;
@@ -910,7 +802,7 @@ fn commit_job(
         reducers,
         output: output_bytes,
     };
-    let base_map_cost: f64 = match config.model {
+    let map_cost: f64 = match config.model {
         CostModelKind::Gumbo => profile.partitions.iter().map(|p| consts.cost_map(p)).sum(),
         CostModelKind::Wang => {
             job_cost(CostModelKind::Wang, consts, &profile)
@@ -918,12 +810,6 @@ fn commit_job(
                 - consts.cost_red(profile.total_map_output(), reducers, output_bytes)
         }
     };
-    // The filter broadcast is communication like any other relation: its
-    // (scaled) bytes are priced with the transfer constant and charged to
-    // the map phase, preserving total = overhead + map + reduce.
-    let filter_bytes = ByteSize::bytes(filter.filter_bytes).scaled(scale);
-    let filter_cost = consts.transfer * filter_bytes.as_mb();
-    let map_cost = base_map_cost + filter_cost;
     let reduce_cost = consts.cost_red(profile.total_map_output(), reducers, output_bytes);
     let total_cost = consts.job_overhead + map_cost + reduce_cost;
 
@@ -931,15 +817,6 @@ fn commit_job(
     for p in &profile.partitions {
         let per_task = consts.cost_map(p) / p.mappers.max(1) as f64;
         map_task_durations.extend(std::iter::repeat_n(per_task, p.mappers));
-    }
-    // Every mapper downloads the broadcast filters, so the filter cost is
-    // spread uniformly over map tasks and durations keep summing (for the
-    // paper's model) to map_cost.
-    if filter_cost > 0.0 && !map_task_durations.is_empty() {
-        let per_task = filter_cost / map_task_durations.len() as f64;
-        for d in &mut map_task_durations {
-            *d += per_task;
-        }
     }
     // Distribute the (cost-model) reduce cost over tasks proportionally to
     // their actual byte loads — uniform when there is no data (or no
@@ -957,8 +834,6 @@ fn commit_job(
 
     static JOBS_COMMITTED: gumbo_obs::Counter = gumbo_obs::Counter::new("executor.jobs_committed");
     JOBS_COMMITTED.incr();
-    static FILTERED_OUT: gumbo_obs::Counter = gumbo_obs::Counter::new("shuffle.filtered_out");
-    FILTERED_OUT.add(filter.suppressed_messages);
 
     let estimated_cost = job.estimate.as_ref().map(|e| e.total_cost);
     // The calibration ledger: every estimated job's span ends with the
@@ -978,11 +853,6 @@ fn commit_job(
         if spill.spilled_bytes > 0 {
             f.u64("spilled_bytes", spill.spilled_bytes);
         }
-        if filter.filter_probes > 0 || filter.filter_bytes > 0 {
-            f.u64("filter_bytes", filter_bytes.as_bytes());
-            f.u64("suppressed_messages", filter.suppressed_messages);
-            f.u64("filter_false_positives", filter.filter_false_positives);
-        }
     });
 
     Ok(JobStats {
@@ -999,10 +869,6 @@ fn commit_job(
         spilled_disk_bytes: spill.spilled_disk_bytes,
         spill_files: spill.spill_files,
         spill_merge_passes: spill.merge_passes,
-        filter_bytes: filter_bytes.as_bytes(),
-        suppressed_messages: filter.suppressed_messages,
-        filter_probes: filter.filter_probes,
-        filter_false_positives: filter.filter_false_positives,
         estimated_cost,
     })
 }
@@ -1084,7 +950,6 @@ mod tests {
             reducer: Box::new(SemiJoinReducer { output }),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 
@@ -1109,7 +974,6 @@ mod tests {
             reducer: Box::new(BadReducer),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 

@@ -6,7 +6,6 @@ use gumbo_common::{ByteSize, Fact, RelationName, Tuple};
 
 use crate::estimate::JobEstimate;
 use crate::message::Message;
-use crate::shuffle_filter::FilterSpec;
 
 /// A map function `µ`.
 ///
@@ -139,11 +138,6 @@ pub struct Job {
     /// scheduler can place, size and predict from the same numbers the
     /// planner optimized.
     pub estimate: Option<JobEstimate>,
-    /// How this job's messages map onto filterable semijoin sides
-    /// ([`crate::shuffle_filter`]). `None` (the default for jobs built
-    /// outside the MSJ planner) means the job never runs the filtered
-    /// shuffle, whatever [`crate::EngineConfig::shuffle_filter`] says.
-    pub filter: Option<FilterSpec>,
 }
 
 impl Job {
@@ -175,7 +169,6 @@ impl fmt::Debug for Job {
             .field("outputs", &self.outputs)
             .field("config", &self.config)
             .field("estimate", &self.estimate)
-            .field("filter", &self.filter)
             .finish_non_exhaustive()
     }
 }
@@ -216,7 +209,6 @@ pub(crate) mod test_support {
             reducer: Box::new(Noop),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 }

@@ -12,14 +12,13 @@ use crate::cluster::lpt_makespan;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::dag::jobs_conflict;
 use crate::executor::packed_counts;
-use crate::hash::{hash_tuple, hash_view};
+use crate::hash::hash_view;
 use crate::job::test_support::noop_job;
 use crate::job::Job;
 use crate::message::{Message, Payload};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
 use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill};
-use crate::shuffle_filter::{FilterCollector, FilterSpec, ProbeTally, SplitBlockBloom};
 
 /// A no-op job touching relations `Rk` for the given name codes.
 fn rel_job(inputs: &[u8], outputs: &[u8]) -> Job {
@@ -266,77 +265,6 @@ proptest! {
             prop_assert!(tracker.peak() <= limit);
         }
         prop_assert_eq!(tracker.used(), 0, "all charges released");
-    }
-
-    /// The filtered shuffle never drops a message whose key the other
-    /// side holds: for any random key sets (mixed arities) inserted on
-    /// both sides of their assert group, every `Req` and `Assert` must
-    /// survive `keep` — Bloom filters have no false negatives, and with
-    /// every key mutually present there are no false positives either.
-    #[test]
-    fn shuffle_filter_has_no_false_negatives(
-        keys in proptest::collection::vec(
-            proptest::collection::vec(-100i64..100, 1usize..4),
-            1usize..150,
-        ),
-        bits in 6u32..17,
-    ) {
-        // One semijoin per assert group: cond 0 -> group 0, cond 1 -> 1.
-        let spec = FilterSpec::new(vec![0, 1], 2);
-        let mut collector = FilterCollector::new(&spec);
-        for (idx, k) in keys.iter().enumerate() {
-            let key = Tuple::from_ints(k);
-            let g = (idx % 2) as u32;
-            collector.observe(&key, &Message::Assert { cond: g });
-            collector.observe(&key, &Message::Req {
-                cond: g,
-                payload: Payload::Ref { guard: 0, id: 0 },
-            });
-        }
-        let filters = collector.seal(bits);
-        let mut tally = ProbeTally::default();
-        for (idx, k) in keys.iter().enumerate() {
-            let key = Tuple::from_ints(k);
-            let g = (idx % 2) as u32;
-            prop_assert!(filters.keep(&key, &Message::Req {
-                cond: g,
-                payload: Payload::Ref { guard: 0, id: 0 },
-            }, &mut tally), "request key {:?} dropped", k);
-            prop_assert!(
-                filters.keep(&key, &Message::Assert { cond: g }, &mut tally),
-                "assert key {:?} dropped", k
-            );
-        }
-        prop_assert_eq!(tally.suppressed, 0);
-        prop_assert_eq!(tally.false_positives, 0, "all keys are mutually present");
-    }
-
-    /// The observed false-positive rate stays within twice the filter's
-    /// own predicted rate (plus a small absolute slack for tiny counts):
-    /// split-block filters run slightly above the classic Bloom formula
-    /// at low densities, and `2x + 8` is the contract the planner's
-    /// savings discount relies on.
-    #[test]
-    fn bloom_observed_fp_within_twice_predicted(
-        n in 1u64..2000,
-        bits in 6u32..17,
-        seed in any::<u64>(),
-    ) {
-        let key = |i: u64| Tuple::from_ints(&[(seed ^ i) as i64, i as i64]);
-        let mut bloom = SplitBlockBloom::with_capacity(n, bits);
-        for i in 0..n {
-            bloom.insert(hash_tuple(&key(i)));
-        }
-        let probes = 4096u64;
-        let observed = (n..n + probes)
-            .filter(|&i| bloom.contains(hash_tuple(&key(i))))
-            .count() as f64;
-        let expected = bloom.predicted_fp_rate(n) * probes as f64;
-        prop_assert!(
-            observed <= 2.0 * expected + 8.0,
-            "observed {} false positives vs predicted {:.2} (n={}, bits={})",
-            observed, expected, n, bits
-        );
     }
 
     /// `into_dag()` over random programs preserves round semantics as

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gumbo_common::Result;
-use gumbo_storage::{Compression, SpillDir};
+use gumbo_storage::SpillDir;
 
 /// How many sources (runs + the in-memory tail) a single streaming merge
 /// may read at once. With more runs than this, intermediate merge passes
@@ -55,8 +55,7 @@ pub(crate) static MERGE_PASSES: gumbo_obs::Counter =
 // Budget spec + tracker
 // ---------------------------------------------------------------------------
 
-/// A shuffle memory budget *specification*: a byte limit (or unlimited)
-/// plus whether spilled runs are RLE-block compressed on disk.
+/// A shuffle memory budget *specification*: a byte limit, or unlimited.
 ///
 /// This is the `Copy` value the configuration layers carry
 /// (`EngineConfig::mem_budget`, `EvalOptions::mem_budget`,
@@ -65,45 +64,16 @@ pub(crate) static MERGE_PASSES: gumbo_obs::Counter =
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemBudget {
     limit: Option<u64>,
-    compress: bool,
 }
 
 impl MemBudget {
     /// No limit: the shuffle buffers everything in memory (the historical
     /// behavior), while still tracking usage for observability.
-    pub const UNLIMITED: MemBudget = MemBudget {
-        limit: None,
-        compress: false,
-    };
+    pub const UNLIMITED: MemBudget = MemBudget { limit: None };
 
     /// A hard limit on tracked shuffle memory, in bytes.
     pub fn bytes(limit: u64) -> MemBudget {
-        MemBudget {
-            limit: Some(limit),
-            compress: false,
-        }
-    }
-
-    /// The same budget with spill-run compression switched on or off
-    /// (`--spill-compress` on the CLI). Compression changes only the
-    /// on-disk representation of runs — answers, grouping order and all
-    /// non-spill statistics are byte-identical either way.
-    pub fn compressed(self, compress: bool) -> MemBudget {
-        MemBudget { compress, ..self }
-    }
-
-    /// Whether spill runs are RLE-block compressed on disk.
-    pub fn compress(&self) -> bool {
-        self.compress
-    }
-
-    /// The run-file codec this budget selects.
-    pub fn run_compression(&self) -> Compression {
-        if self.compress {
-            Compression::Rle
-        } else {
-            Compression::None
-        }
+        MemBudget { limit: Some(limit) }
     }
 
     /// The limit in bytes, or `None` when unlimited.
@@ -138,8 +108,7 @@ impl MemBudget {
         Some(MemBudget::bytes(n.checked_mul(mult)?))
     }
 
-    /// The CLI spelling of this budget (the compression flag is a
-    /// separate CLI switch and is not part of the label).
+    /// The CLI spelling of this budget.
     pub fn label(&self) -> String {
         match self.limit {
             None => "unlimited".into(),
@@ -258,10 +227,8 @@ pub struct SpillStats {
     /// of the raw/on-disk pair.
     pub spilled_bytes: u64,
     /// Actual file bytes of those initial flushes (length-prefixed
-    /// encoded frames, RLE-block compressed when the budget asks for
-    /// it) — the *on-disk* side. Encoded frames differ from the
-    /// estimated accounting, so measure compression by comparing the
-    /// disk figures of a compressed and an uncompressed run.
+    /// encoded frames) — the *on-disk* side. Encoded frames differ from
+    /// the estimated accounting.
     pub spilled_disk_bytes: u64,
     /// Run files written (initial flushes plus intermediate merge
     /// outputs).

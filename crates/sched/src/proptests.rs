@@ -71,7 +71,6 @@ fn copy_job(name: &str, input: &str, output: &str, cost: f64) -> Job {
         reducer: Box::new(CopyTo(output.into())),
         config: JobConfig::default(),
         estimate: None,
-        filter: None,
     }
     .with_estimate(estimate(cost))
 }

@@ -324,7 +324,6 @@ mod tests {
             reducer: Box::new(CopyTo(output.into())),
             config: JobConfig::default(),
             estimate: None,
-            filter: None,
         }
     }
 
@@ -401,7 +400,6 @@ mod tests {
                 reducer: Box::new(Bad),
                 config: JobConfig::default(),
                 estimate: None,
-                filter: None,
             });
             let dfs = dfs_with(&["R"]);
             let err = slots(n).execute_program(&executor(), &dfs, p).unwrap_err();

@@ -353,9 +353,9 @@ pub fn relation_frames(relation: &Relation) -> Vec<Frame> {
 }
 
 /// Lower a [`gumbo_mr::ProgramStats`] to one JSON document: the paper's
-/// four metrics, the spill and shuffle-filter counters, the predicted
-/// DAG net time, the per-job calibration ledger, and — for file-backed
-/// runs — the DFS block-cache counters. This is the single stats
+/// four metrics, the spill counters, the predicted DAG net time, the
+/// per-job calibration ledger, and — for file-backed runs — the DFS
+/// block-cache counters. This is the single stats
 /// vocabulary: `gumbo-cli --stats-json` and the service's `stats` frame
 /// both emit it.
 pub fn stats_to_json(
@@ -381,14 +381,6 @@ pub fn stats_to_json(
                 ("spilled_disk_bytes", Json::Int(j.spilled_disk_bytes)),
                 ("spill_files", Json::Int(j.spill_files)),
                 ("spill_merge_passes", Json::Int(j.spill_merge_passes)),
-                ("filter_bytes", Json::Int(j.filter_bytes)),
-                ("suppressed_messages", Json::Int(j.suppressed_messages)),
-                ("filter_probes", Json::Int(j.filter_probes)),
-                (
-                    "filter_false_positives",
-                    Json::Int(j.filter_false_positives),
-                ),
-                ("observed_fp_rate", opt(j.observed_fp_rate())),
                 ("estimated_cost", opt(j.estimated_cost)),
                 ("estimate_error", opt(j.estimate_error())),
             ])
@@ -409,17 +401,12 @@ pub fn stats_to_json(
         ("spilled_disk_bytes", Json::Int(stats.spilled_disk_bytes())),
         ("spill_files", Json::Int(stats.spill_files())),
         ("spill_merge_passes", Json::Int(stats.spill_merge_passes())),
-        ("filter_bytes", Json::Int(stats.filter_bytes())),
-        (
-            "suppressed_messages",
-            Json::Int(stats.suppressed_messages()),
-        ),
-        ("filter_probes", Json::Int(stats.filter_probes())),
-        (
-            "filter_false_positives",
-            Json::Int(stats.filter_false_positives()),
-        ),
-        ("observed_fp_rate", opt(stats.observed_fp_rate())),
+        // Frozen wire contract: `benchmark/src/verify.rs` rejects a stats
+        // frame without these three keys. No shuffle filter exists, so
+        // they are always 0.
+        ("filter_bytes", Json::Int(0)),
+        ("suppressed_messages", Json::Int(0)),
+        ("filter_probes", Json::Int(0)),
         ("mean_estimate_error", opt(stats.mean_estimate_error())),
         ("jobs", Json::Arr(jobs)),
     ];
@@ -548,6 +535,53 @@ mod tests {
         // and the rebuild is the identical relation.
         assert!(streamed.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(rebuilt, rel);
+    }
+
+    /// `benchmark/src/verify.rs` reads `filter_bytes`, `filter_probes`
+    /// and `suppressed_messages` from every stats frame: they stay at the
+    /// top level, always 0, and no other filter key is left anywhere.
+    #[test]
+    fn stats_keep_the_frozen_filter_keys_at_zero_and_nothing_else() {
+        let mut db = gumbo_common::Database::new();
+        for (rel, v) in [("R", 1), ("R", 2), ("S", 2)] {
+            db.insert_fact(gumbo_common::Fact::new(rel, Tuple::from_ints(&[v])))
+                .unwrap();
+        }
+        let dfs = gumbo_storage::SimDfs::from_database(&db);
+        let query = gumbo_sgf::parse_program("Out := SELECT x FROM R(x) WHERE S(x);").unwrap();
+        let stats = gumbo_core::GumboEngine::with_defaults()
+            .eval()
+            .run(&dfs, &query)
+            .unwrap();
+        assert!(stats.num_jobs() > 0);
+        let cache = gumbo_storage::CacheStats::default();
+        let json = Json::parse(&stats_to_json(&stats, Some(&cache)).to_string()).unwrap();
+
+        for key in ["filter_bytes", "filter_probes", "suppressed_messages"] {
+            assert_eq!(json.get(key).and_then(Json::as_u64), Some(0), "{key}");
+        }
+        fn filter_keys(json: &Json, path: &str, found: &mut Vec<String>) {
+            match json {
+                Json::Obj(pairs) => {
+                    for (key, value) in pairs {
+                        let at = format!("{path}/{key}");
+                        filter_keys(value, &at, found);
+                        let prefixes = ["filter_", "suppressed_", "observed_fp_"];
+                        if prefixes.iter().any(|p| key.starts_with(p)) {
+                            found.push(at);
+                        }
+                    }
+                }
+                Json::Arr(items) => items.iter().for_each(|v| filter_keys(v, path, found)),
+                _ => {}
+            }
+        }
+        let mut found = Vec::new();
+        filter_keys(&json, "", &mut found);
+        assert_eq!(
+            found,
+            ["/filter_bytes", "/suppressed_messages", "/filter_probes"]
+        );
     }
 
     /// Request lines from four angles: printable noise, arbitrary bytes,

@@ -9,9 +9,8 @@
 //! * [`Dfs::stat`] — **metadata, free**: size, cardinality and arity in
 //!   O(1), no tuple touched. What the planner prices plans from.
 //! * [`Dfs::peek`] — **the whole relation, unmetered**: result checking,
-//!   streaming answers to a client, and the planner's two value-reading
-//!   corners (sampling a constant-bearing atom, exact Bloom-filter key
-//!   overlap).
+//!   streaming answers to a client, and the planner's one value-reading
+//!   corner (sampling a constant-bearing atom).
 //! * [`Dfs::scan`] — **ranged and metered**: how jobs read their input.
 //!
 //! [`Dfs`] pins that interface down as a trait so the

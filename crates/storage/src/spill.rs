@@ -20,14 +20,14 @@
 //!   is raw or RLE-compressed. Readers reject unknown format bytes and
 //!   frames of the wrong kind instead of guessing, so future formats are
 //!   additive, never a breaking re-interpretation of old files.
-//! * [`Compression`] — an optional per-frame RLE block codec. Both the
-//!   pair and the columnar encodings store integer values as 8-byte
-//!   little-endian words, so real shuffle data carries long zero runs;
-//!   byte-level RLE shrinks run files (roughly a quarter on the
-//!   reference spill sweep, more on wide-tuple data) at the small
-//!   budgets where merge passes appear. The writer picks raw or RLE per
-//!   frame, whichever is smaller, so incompressible frames cost only the
-//!   format byte, never an expansion.
+//! * [`Compression`] — an optional per-frame RLE block codec. The
+//!   encodings store integer values as 8-byte little-endian words, so
+//!   real data carries long zero runs. [`crate::file_dfs`] segments are
+//!   written with RLE; shuffle spill runs are always raw, because on the
+//!   budgeted shuffle RLE cost more CPU than the disk bytes it saved.
+//!   The writer picks raw or RLE per frame, whichever is smaller, so
+//!   incompressible frames cost only the format byte, never an
+//!   expansion.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -105,10 +105,9 @@ impl Drop for SpillDir {
     }
 }
 
-/// The block codec a [`RunWriter`] *may* apply to frames (the shuffle
-/// derives it from the memory budget's `compress` flag). Readers no
-/// longer need to agree up front: each frame's [`FrameFormat`] byte
-/// records what was actually stored.
+/// The block codec a [`RunWriter`] *may* apply to frames. Readers need
+/// not agree up front: each frame's [`FrameFormat`] byte records what
+/// was actually stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// Frames stored verbatim.

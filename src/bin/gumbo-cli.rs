@@ -34,8 +34,7 @@
 //!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
 //!           [--executor sim|parallel|parallel:N]
 //!           [--max-jobs N]
-//!           [--mem-budget BYTES|unlimited] [--spill-compress]
-//!           [--shuffle-filter off|bloom[:BITS]|auto[:BITS]]
+//!           [--mem-budget BYTES|unlimited]
 //!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
 //!           [--trace PATH] [--trace-format chrome|jsonl]
 //!           [--metrics-dump] [--stats-json PATH]
@@ -60,13 +59,6 @@
 //! job-scoped temp directory instead of exceeding the budget, and a
 //! `shuffle memory:` summary line (spilled bytes — raw and on-disk —
 //! run files, merge passes, peak) is printed after the run.
-//! `--spill-compress` RLE-block-compresses the run files on disk.
-//! `--shuffle-filter` engages the Bloom-filtered semijoin shuffle:
-//! `bloom[:BITS]` filters every MSJ job (BITS bits per key, default 10),
-//! `auto[:BITS]` filters only jobs the planner predicts save more bytes
-//! than the filter broadcast costs. Answers are byte-identical to `off`;
-//! a `shuffle filter:` summary line reports suppressed messages, filter
-//! bytes and the observed false-positive rate.
 //! Results are byte-identical to an unlimited run; the CLI exits nonzero
 //! if the tracked peak ever exceeded the budget — printing the
 //! shuffle-memory summary *before* exiting, so the evidence of the
@@ -116,8 +108,6 @@ struct Args {
     executor: gumbo::mr::ExecutorKind,
     max_jobs: usize,
     mem_budget: gumbo::mr::MemBudget,
-    spill_compress: bool,
-    shuffle_filter: gumbo::mr::ShuffleFilterMode,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
     trace: Option<PathBuf>,
@@ -135,8 +125,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      [--strategy greedy|par|sequnit|parunit|one-round|dynamic] \
                      [--executor sim|parallel|parallel:N] \
                      [--max-jobs N] \
-                     [--mem-budget BYTES|unlimited] [--spill-compress] \
-                     [--shuffle-filter off|bloom[:BITS]|auto[:BITS]] \
+                     [--mem-budget BYTES|unlimited] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                      [--trace PATH] [--trace-format chrome|jsonl] \
                      [--metrics-dump] [--stats-json PATH] \
@@ -152,8 +141,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         executor: gumbo::mr::ExecutorKind::Simulated,
         max_jobs: 1,
         mem_budget: gumbo::mr::MemBudget::UNLIMITED,
-        spill_compress: false,
-        shuffle_filter: gumbo::mr::ShuffleFilterMode::Off,
         dfs: DfsSpec::Sim,
         dfs_cache: None,
         trace: None,
@@ -188,14 +175,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.max_jobs = need(&mut i, argv)?
                     .parse()
                     .map_err(|e| format!("--max-jobs: {e}"))?
-            }
-            "--spill-compress" => args.spill_compress = true,
-            "--shuffle-filter" => {
-                let spec = need(&mut i, argv)?;
-                args.shuffle_filter =
-                    gumbo::mr::ShuffleFilterMode::parse(&spec).ok_or_else(|| {
-                        format!("--shuffle-filter: off|bloom[:BITS]|auto[:BITS], got {spec}")
-                    })?;
             }
             "--mem-budget" => {
                 let spec = need(&mut i, argv)?;
@@ -323,15 +302,8 @@ fn options_for(args: &Args) -> Result<EvalOptions, String> {
         },
         other => return Err(format!("unknown strategy {other}")),
     };
-    if args.spill_compress && !args.mem_budget.is_limited() {
-        // Nothing ever spills under an unlimited budget, so the flag
-        // would be a silent no-op.
-        return Err("--spill-compress requires a limited --mem-budget".into());
-    }
-    let budget = args.mem_budget.compressed(args.spill_compress);
-    options.mem_budget = budget;
-    options.shuffle_filter = args.shuffle_filter;
-    options.scheduler = Some(scheduler_config(args.max_jobs, budget));
+    options.mem_budget = args.mem_budget;
+    options.scheduler = Some(scheduler_config(args.max_jobs, args.mem_budget));
     Ok(options)
 }
 
@@ -518,9 +490,8 @@ fn run(args: Args) -> Result<(), String> {
     // The summary line always prints before the budget check below, so a
     // nonzero exit still carries the evidence in the log.
     println!(
-        "shuffle memory: budget={} compress={} {peak_key}{} spilled_bytes={} spilled_disk_bytes={} spill_files={} merge_passes={}",
+        "shuffle memory: budget={} {peak_key}{} spilled_bytes={} spilled_disk_bytes={} spill_files={} merge_passes={}",
         budget.spec().label(),
-        if budget.spec().compress() { "rle" } else { "off" },
         budget.peak(),
         stats.spilled_bytes(),
         stats.spilled_disk_bytes(),
@@ -528,19 +499,6 @@ fn run(args: Args) -> Result<(), String> {
         stats.spill_merge_passes(),
     );
     budget_check(budget.peak(), budget.limit())?;
-    if args.shuffle_filter != gumbo::mr::ShuffleFilterMode::Off {
-        let fp = stats
-            .observed_fp_rate()
-            .map_or("n/a".to_string(), |r| format!("{r:.4}"));
-        println!(
-            "shuffle filter: mode={} filter_bytes={} suppressed_messages={} probes={} false_positives={} observed_fp_rate={fp}",
-            args.shuffle_filter.label(),
-            stats.filter_bytes(),
-            stats.suppressed_messages(),
-            stats.filter_probes(),
-            stats.filter_false_positives(),
-        );
-    }
     let cache = if matches!(args.dfs, DfsSpec::File(_)) {
         let cache = dfs.cache_stats();
         println!(
@@ -1005,6 +963,23 @@ mod tests {
         for flags in [["--placement", "sjf"], ["--cores", "8"]] {
             let err = parse(&flags).err().expect("flag is gone");
             assert!(err.contains(&format!("unknown flag {}", flags[0])), "{err}");
+        }
+    }
+
+    /// Every MSJ message is shuffled and spill runs are written raw: no
+    /// flag filters the shuffle or compresses runs, and naming one is an
+    /// error rather than a silent no-op.
+    #[test]
+    fn shuffle_filter_and_spill_compress_flags_are_unknown() {
+        for (flags, removed) in [
+            (&["--shuffle-filter", "auto"][..], "--shuffle-filter"),
+            (
+                &["--mem-budget", "64k", "--spill-compress"][..],
+                "--spill-compress",
+            ),
+        ] {
+            let err = parse(flags).err().expect("flag is gone");
+            assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
         }
     }
 }

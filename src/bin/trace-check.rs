@@ -77,8 +77,6 @@ const KNOWN_SPANS: &[&str] = &[
     "plan",
     "map",
     "map:task",
-    "filter:build",
-    "filter:probe",
     "shuffle:flush",
     "reduce",
     "reduce:task",
@@ -215,14 +213,14 @@ mod tests {
     }
 
     #[test]
-    fn chrome_accepts_filter_spans() {
+    fn chrome_accepts_spill_spans() {
         let text = format!(
             "[{},{},{},{},{},{}]",
             ev("B", "job"),
-            ev("B", "filter:build"),
-            ev("E", "filter:build"),
-            ev("B", "filter:probe"),
-            ev("E", "filter:probe"),
+            ev("B", "spill:run"),
+            ev("E", "spill:run"),
+            ev("B", "spill:merge"),
+            ev("E", "spill:merge"),
             ev("E", "job"),
         );
         assert!(check_chrome(&text).is_ok());
@@ -230,21 +228,23 @@ mod tests {
 
     #[test]
     fn chrome_rejects_unknown_span_names() {
-        let text = format!("[{},{}]", ev("B", "filter:warp"), ev("E", "filter:warp"));
-        let err = check_chrome(&text).unwrap_err();
-        assert!(err.contains("unknown span name"), "{err}");
+        for name in ["spill:warp", "filter:build", "filter:probe"] {
+            let text = format!("[{},{}]", ev("B", name), ev("E", name));
+            let err = check_chrome(&text).unwrap_err();
+            assert!(err.contains("unknown span name"), "{name}: {err}");
+        }
     }
 
     #[test]
     fn chrome_rejects_span_name_as_instant() {
-        let err = check_chrome(&format!("[{}]", ev("i", "filter:build"))).unwrap_err();
+        let err = check_chrome(&format!("[{}]", ev("i", "spill:merge"))).unwrap_err();
         assert!(err.contains("unknown instant name"), "{err}");
     }
 
     #[test]
     fn jsonl_validates_names_too() {
-        let good = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"filter:build"}
-{"ts_ns":2,"lane":1,"ph":"E","name":"filter:build"}"#;
+        let good = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"spill:merge"}
+{"ts_ns":2,"lane":1,"ph":"E","name":"spill:merge"}"#;
         assert!(check_jsonl(good).is_ok());
         let bad = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"mystery"}"#;
         assert!(check_jsonl(bad).unwrap_err().contains("unknown span name"));

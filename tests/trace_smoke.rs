@@ -338,7 +338,6 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
         reducer: Box::new(Bomb),
         config: JobConfig::default(),
         estimate: None,
-        filter: None,
     }]);
 
     let path = std::env::temp_dir().join(format!(
