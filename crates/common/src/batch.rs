@@ -56,17 +56,6 @@ pub enum ValueRef<'a> {
     Str(&'a str),
 }
 
-/// One undecoded cell of a [`TupleBatch`]: integers verbatim, strings as
-/// dictionary codes (resolve with [`StringDict::get`], or rank them for
-/// integer-only sorting). Returned by [`TupleBatch::cell`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cell {
-    /// An integer cell.
-    Int(i64),
-    /// A string cell, as its dictionary code.
-    Str(u32),
-}
-
 impl ValueRef<'_> {
     /// Materialize an owned [`Value`]. Allocates a fresh `Arc<str>` for
     /// strings; prefer [`TupleBatch::tuple`], which clones the dictionary's
@@ -84,17 +73,6 @@ impl ValueRef<'_> {
         match self {
             ValueRef::Int(_) => INT_VALUE_BYTES,
             ValueRef::Str(s) => (s.len() as u64).max(INT_VALUE_BYTES),
-        }
-    }
-
-    /// Compare against an owned [`Value`] with the same total order as
-    /// `Value`'s own `Ord`.
-    pub fn cmp_value(&self, other: &Value) -> Ordering {
-        match (self, other) {
-            (ValueRef::Int(a), Value::Int(b)) => a.cmp(b),
-            (ValueRef::Int(_), Value::Str(_)) => Ordering::Less,
-            (ValueRef::Str(_), Value::Int(_)) => Ordering::Greater,
-            (ValueRef::Str(a), Value::Str(b)) => (*a).cmp(&**b),
         }
     }
 }
@@ -337,21 +315,17 @@ impl TupleBatch {
         TupleView { batch: self, row }
     }
 
-    /// Raw cell access: the undecoded `(tag, payload)` of one cell, with
-    /// string cells left as dictionary codes. This is the hook for
-    /// rank-based sorting — resolve codes through a precomputed rank
-    /// table and row comparisons become pure integer comparisons.
+    /// Whether rows `a` and `b` hold equal tuples, decided on raw cells:
+    /// the batch's one dictionary interns each distinct string once, so
+    /// equal codes are equal strings and no string byte is read.
     ///
     /// # Panics
-    /// If `row` or `col` is out of bounds.
-    pub fn cell(&self, row: usize, col: usize) -> Cell {
-        assert!(row < self.rows, "row out of bounds");
-        let cell = self.cols[col].cells[row];
-        if self.cols[col].tag(row) == TAG_INT {
-            Cell::Int(cell)
-        } else {
-            Cell::Str(cell as u32)
-        }
+    /// If `a` or `b` is out of bounds.
+    pub fn same_row(&self, a: usize, b: usize) -> bool {
+        assert!(a < self.rows && b < self.rows, "row out of bounds");
+        self.cols
+            .iter()
+            .all(|col| col.cells[a] == col.cells[b] && col.tag(a) == col.tag(b))
     }
 
     /// Materialize row `row` as an owned [`Tuple`]. String fields clone the
@@ -610,26 +584,6 @@ impl<'a> TupleView<'a> {
     pub fn estimated_bytes(&self) -> u64 {
         self.batch.row_bytes(self.row)
     }
-
-    /// Compare against an owned [`Tuple`] with the same total order as
-    /// `Tuple`'s `Ord`.
-    pub fn cmp_tuple(&self, t: &Tuple) -> Ordering {
-        let mut vals = t.values().iter();
-        for i in 0..self.batch.arity {
-            match vals.next() {
-                None => return Ordering::Greater,
-                Some(v) => match self.value(i).cmp_value(v) {
-                    Ordering::Equal => {}
-                    non_eq => return non_eq,
-                },
-            }
-        }
-        if vals.next().is_some() {
-            Ordering::Less
-        } else {
-            Ordering::Equal
-        }
-    }
 }
 
 impl PartialEq for TupleView<'_> {
@@ -692,7 +646,6 @@ mod tests {
         );
         for (i, t) in tuples.iter().enumerate() {
             assert_eq!(batch.row_bytes(i), t.estimated_bytes());
-            assert_eq!(batch.view(i).cmp_tuple(t), Ordering::Equal);
         }
     }
 
@@ -747,6 +700,28 @@ mod tests {
         b.push_tuple(&Tuple::new(vec![Value::str("same")]));
         assert_eq!(a.view(0), b.view(1));
         assert!(a.view(0) < b.view(0));
+    }
+
+    #[test]
+    fn same_row_is_tuple_equality_on_raw_cells() {
+        // Int 0 and the string with dictionary code 0 share a cell payload;
+        // only the tag tells them apart.
+        let rows = [
+            Tuple::new(vec![Value::str("a"), Value::Int(1)]),
+            Tuple::new(vec![Value::Int(0), Value::Int(1)]),
+            Tuple::new(vec![Value::str("b"), Value::Int(1)]),
+            Tuple::new(vec![Value::str("a"), Value::Int(1)]),
+            Tuple::new(vec![Value::Int(0), Value::Int(1)]),
+        ];
+        let mut batch = TupleBatch::new(2);
+        for t in &rows {
+            batch.push_tuple(t);
+        }
+        for a in 0..rows.len() {
+            for b in 0..rows.len() {
+                assert_eq!(batch.same_row(a, b), rows[a] == rows[b], "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod relation;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{Cell, StringDict, TupleBatch, TupleView, ValueRef};
+pub use batch::{StringDict, TupleBatch, TupleView, ValueRef};
 pub use bytes::{ByteSize, MB};
 pub use database::Database;
 pub use error::{GumboError, Result};

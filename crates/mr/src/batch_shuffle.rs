@@ -5,38 +5,48 @@
 //! * [`PairBatch`] — a columnar batch of `(key, message)` pairs: keys and
 //!   payload tuples live in per-arity [`TupleBatch`] arenas (contiguous
 //!   `i64` cells plus a string dictionary), message metadata in parallel
-//!   flat vectors. Pushing a pair appends plain integers — no per-pair
-//!   heap blocks;
+//!   flat vectors, and every key's 64-bit hash ([`hash_view`], computed
+//!   once when the map task pushes the pair) in one `u64` column that
+//!   travels with the row in memory. Spill frames do not store it: a
+//!   decoded frame re-hashes its keys, which measured as fast as reading
+//!   stored hashes and keeps the frames 8 bytes a row smaller. Pushing a
+//!   pair appends plain integers — no per-pair heap blocks;
 //! * [`BatchPartition`] — one reducer partition's buffer. It charges the
 //!   shared [`MemoryBudget`] once per frame-sized chunk; when the buffer
 //!   crosses its share of the budget (`limit / reducers`) or the global
-//!   budget is exhausted, it sorts by key *by index* (a `u32`
-//!   permutation; tuples never move) and flushes a run of
-//!   length-prefixed **columnar frames**
-//!   ([`gumbo_storage::FrameFormat::Columnar`]) of up to
-//!   [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
+//!   budget is exhausted, it sorts *by index* on one fixed-width
+//!   `(hash prefix, row)` word per row (a `u32` permutation; tuples never
+//!   move, no comparator reads a cell) and flushes a run of length-prefixed
+//!   **columnar frames** ([`gumbo_storage::FrameFormat::Columnar`]) of up
+//!   to [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
 //! * [`BatchGroupStream`] — the k-way merge of the spill runs plus the
-//!   in-memory tail, iterating zero-copy [`TupleView`]s over decoded
-//!   frame buffers and materializing one owned key per *group* (not per
-//!   pair).
+//!   in-memory tail over decoded frame buffers: sources compare `u64`
+//!   hashes and fall back to [`TupleView`] order only on equal hashes,
+//!   one min-scan per key group, each holding source's whole run of the
+//!   key drained at once; one owned key is materialized per *group* (not
+//!   per pair).
 //!
-//! **The contract.** Reducers see keys in ascending `Tuple` order
-//! ([`TupleView`]'s order replicates it exactly) and, within a key,
-//! values in global emission order — the grouping a
-//! `BTreeMap<Tuple, Vec<Message>>` fold of the pair sequence produces,
-//! which is the oracle the tests compare against. It holds whatever the
-//! budget and whenever the flushes happen: each run is a contiguous,
-//! stable-sorted slice of the partition's emission-order sequence, and
-//! the merge drains earlier runs before later ones on equal keys. A row's
-//! bytes are `key.estimated_bytes() + message.estimated_bytes()` computed
-//! from the columnar form, so `reducer_bytes` and spill volumes use the
-//! paper's accounting.
+//! **The contract.** Reducers see keys in ascending `(hash, Tuple)` order
+//! — the key hash first, `Tuple` order only between keys whose hashes
+//! collide — and, within a key, values in global emission order: the
+//! grouping a `BTreeMap<(u64, Tuple), Vec<Message>>` fold of the pair
+//! sequence produces, which is the oracle the tests compare against. No
+//! reducer depends on the key order: every job output is sorted and
+//! deduplicated at commit. The contract holds whatever the budget and
+//! whenever the flushes happen: each run is a contiguous slice of the
+//! partition's emission-order sequence sorted with equal keys in row
+//! order, and the merge drains earlier runs before later ones on equal
+//! keys. A row's bytes are `key.estimated_bytes() +
+//! message.estimated_bytes()` computed from the columnar form, so
+//! `reducer_bytes` and spill volumes use the paper's accounting.
 
 use std::cmp::Ordering;
+use std::path::Path;
 
-use gumbo_common::{Cell, GumboError, Result, Tuple, TupleBatch, TupleView};
+use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView};
 use gumbo_storage::{RunReader, RunWriter};
 
+use crate::hash::hash_view;
 use crate::message::{Message, Payload};
 use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, UNLIMITED_GRANULE};
 
@@ -44,6 +54,39 @@ use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, U
 /// frame header and the dictionary, small enough that a reading merge
 /// holds only a bounded window of each run in memory.
 pub const ROWS_PER_FRAME: usize = 512;
+
+#[cfg(test)]
+thread_local! {
+    static FORCED_KEY_HASH: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// The hash a key is routed and ordered by: [`hash_view`], equal to
+/// [`crate::hash::hash_tuple`] of the owned key. Tests can force every key
+/// of their thread onto one hash ([`with_forced_key_hash`]) so that any
+/// two distinct keys collide.
+fn key_hash(key: TupleView<'_>) -> u64 {
+    #[cfg(test)]
+    if let Some(forced) = FORCED_KEY_HASH.with(std::cell::Cell::get) {
+        return forced;
+    }
+    hash_view(key)
+}
+
+/// Run `f` with every key hash this thread computes forced to `hash`:
+/// sort, flush, merge passes and group boundaries then all take the
+/// collision path.
+#[cfg(test)]
+pub(crate) fn with_forced_key_hash<R>(hash: u64, f: impl FnOnce() -> R) -> R {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            FORCED_KEY_HASH.with(|forced| forced.set(None));
+        }
+    }
+    FORCED_KEY_HASH.with(|forced| forced.set(Some(hash)));
+    let _reset = Reset;
+    f()
+}
 
 // ---------------------------------------------------------------------------
 // Tuple store: mixed-arity tuples over per-arity columnar arenas
@@ -57,138 +100,115 @@ struct Loc {
 }
 
 /// Columnar storage for a sequence of tuples of *mixed* arity: one
-/// [`TupleBatch`] per arity (the batch index is the arity) plus a
-/// per-tuple locator, so slot `i` still names the `i`-th pushed tuple.
+/// [`TupleBatch`] per arity (the batch index is the arity), so slot `i`
+/// names the `i`-th pushed tuple. While every tuple has one arity — the
+/// usual case — slot `i` is row `i` of that arity's batch; per-tuple
+/// locators are stored only once a second arity arrives (as
+/// [`TupleBatch`] stores cell tags only once a string arrives). The 8
+/// bytes a row this saves on [`PairBatch`] keys pay for its hash column,
+/// which the map batches hold through the whole reduce phase.
 #[derive(Debug, Default)]
 pub struct TupleStore {
     by_arity: Vec<TupleBatch>,
-    locs: Vec<Loc>,
+    /// Per-tuple locators; `None` while every tuple has arity `arity`.
+    locs: Option<Vec<Loc>>,
+    arity: u32,
+    len: u32,
 }
 
 impl TupleStore {
     /// Number of tuples stored.
     pub fn len(&self) -> usize {
-        self.locs.len()
+        self.len as usize
     }
 
     /// True when no tuple has been stored.
     pub fn is_empty(&self) -> bool {
-        self.locs.is_empty()
+        self.len == 0
     }
 
-    fn batch_for(&mut self, arity: usize) -> &mut TupleBatch {
+    fn loc(&self, slot: u32) -> Loc {
+        match &self.locs {
+            Some(locs) => locs[slot as usize],
+            None => {
+                assert!(slot < self.len, "slot out of bounds");
+                Loc {
+                    arity: self.arity,
+                    row: slot,
+                }
+            }
+        }
+    }
+
+    /// Append one tuple of arity `arity` — `push` adds its row to that
+    /// arity's batch — and return its slot.
+    fn push_with(&mut self, arity: usize, push: impl FnOnce(&mut TupleBatch)) -> u32 {
         while self.by_arity.len() <= arity {
             self.by_arity.push(TupleBatch::new(self.by_arity.len()));
         }
-        &mut self.by_arity[arity]
+        let batch = &mut self.by_arity[arity];
+        let loc = Loc {
+            arity: arity as u32,
+            row: u32::try_from(batch.len()).expect("batch under 2^32 rows"),
+        };
+        push(batch);
+        let slot = self.len;
+        match &mut self.locs {
+            Some(locs) => locs.push(loc),
+            None if slot == 0 || loc.arity == self.arity => {
+                debug_assert_eq!(loc.row, slot, "one arity: slot = row");
+                self.arity = loc.arity;
+            }
+            None => {
+                let arity = self.arity;
+                let mut locs: Vec<Loc> = (0..slot).map(|row| Loc { arity, row }).collect();
+                locs.push(loc);
+                self.locs = Some(locs);
+            }
+        }
+        self.len = slot.checked_add(1).expect("store under 2^32 tuples");
+        slot
     }
 
     /// Append an owned tuple; returns its slot.
     pub fn push_tuple(&mut self, t: &Tuple) -> u32 {
-        let arity = t.arity();
-        let batch = self.batch_for(arity);
-        let row = u32::try_from(batch.len()).expect("batch under 2^32 rows");
-        batch.push_tuple(t);
-        let slot = u32::try_from(self.locs.len()).expect("store under 2^32 tuples");
-        self.locs.push(Loc {
-            arity: arity as u32,
-            row,
-        });
-        slot
+        self.push_with(t.arity(), |batch| batch.push_tuple(t))
     }
 
     /// Copy slot `slot` of `src` into this store (columnar row copy, no
     /// `Tuple` materialized); returns the new slot.
     pub fn push_from(&mut self, src: &TupleStore, slot: u32) -> u32 {
-        let loc = src.locs[slot as usize];
+        let loc = src.loc(slot);
         let src_batch = &src.by_arity[loc.arity as usize];
-        let batch = self.batch_for(loc.arity as usize);
-        let row = u32::try_from(batch.len()).expect("batch under 2^32 rows");
-        batch.push_row(src_batch, loc.row as usize);
-        let new_slot = u32::try_from(self.locs.len()).expect("store under 2^32 tuples");
-        self.locs.push(Loc {
-            arity: loc.arity,
-            row,
-        });
-        new_slot
+        self.push_with(loc.arity as usize, |batch| {
+            batch.push_row(src_batch, loc.row as usize)
+        })
     }
 
     /// Zero-copy view of slot `slot`.
     pub fn view(&self, slot: u32) -> TupleView<'_> {
-        let loc = self.locs[slot as usize];
+        let loc = self.loc(slot);
         self.by_arity[loc.arity as usize].view(loc.row as usize)
     }
 
     /// Materialize slot `slot` as an owned [`Tuple`].
     pub fn tuple(&self, slot: u32) -> Tuple {
-        let loc = self.locs[slot as usize];
+        let loc = self.loc(slot);
         self.by_arity[loc.arity as usize].tuple(loc.row as usize)
     }
 
-    /// Global string ranks across every per-arity dictionary:
-    /// `tables[arity][code]` is the rank of that dictionary entry within
-    /// the sorted set of all distinct strings in the store. Equal strings
-    /// share a rank even across dictionaries, so comparing ranks is
-    /// exactly comparing the strings — once per *distinct* string instead
-    /// of once per row comparison.
-    fn rank_tables(&self) -> Vec<Vec<u32>> {
-        let mut entries: Vec<(&str, usize, u32)> = Vec::new();
-        for (b, batch) in self.by_arity.iter().enumerate() {
-            let dict = batch.dict();
-            for code in 0..dict.len() as u32 {
-                entries.push((dict.get(code), b, code));
-            }
-        }
-        let mut tables: Vec<Vec<u32>> = self
-            .by_arity
-            .iter()
-            .map(|b| vec![0; b.dict().len()])
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut rank = 0u32;
-        let mut prev: Option<&str> = None;
-        for (s, b, code) in entries {
-            match prev {
-                Some(p) if p == s => {}
-                Some(_) => {
-                    rank += 1;
-                    prev = Some(s);
-                }
-                None => prev = Some(s),
-            }
-            tables[b][code as usize] = rank;
-        }
-        tables
-    }
-
-    /// Compare two slots in `Tuple` order using precomputed rank tables
-    /// ([`rank_tables`](Self::rank_tables)) — every cell comparison is an
-    /// integer comparison, strings are never touched.
-    fn cmp_ranked(&self, a: u32, b: u32, ranks: &[Vec<u32>]) -> Ordering {
-        let la = self.locs[a as usize];
-        let lb = self.locs[b as usize];
-        let ba = &self.by_arity[la.arity as usize];
-        let bb = &self.by_arity[lb.arity as usize];
-        let shared = la.arity.min(lb.arity) as usize;
-        for c in 0..shared {
-            let ord = match (ba.cell(la.row as usize, c), bb.cell(lb.row as usize, c)) {
-                (Cell::Int(x), Cell::Int(y)) => x.cmp(&y),
-                (Cell::Int(_), Cell::Str(_)) => Ordering::Less,
-                (Cell::Str(_), Cell::Int(_)) => Ordering::Greater,
-                (Cell::Str(x), Cell::Str(y)) => {
-                    ranks[la.arity as usize][x as usize].cmp(&ranks[lb.arity as usize][y as usize])
-                }
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        la.arity.cmp(&lb.arity)
+    /// Whether slots `a` and `b` hold equal tuples, on raw cells
+    /// ([`TupleBatch::same_row`]); tuples of different arity never are.
+    fn same(&self, a: u32, b: u32) -> bool {
+        let la = self.loc(a);
+        let lb = self.loc(b);
+        la.arity == lb.arity
+            && self.by_arity[la.arity as usize].same_row(la.row as usize, lb.row as usize)
     }
 
     /// Estimated bytes of slot `slot` (paper layout).
     pub fn bytes(&self, slot: u32) -> u64 {
-        let loc = self.locs[slot as usize];
+        let loc = self.loc(slot);
         self.by_arity[loc.arity as usize].row_bytes(loc.row as usize)
     }
 
@@ -196,18 +216,33 @@ impl TupleStore {
         for batch in &mut self.by_arity {
             batch.clear();
         }
-        self.locs.clear();
+        if let Some(locs) = &mut self.locs {
+            locs.clear();
+        }
+        self.len = 0;
     }
 
+    /// Layout: `[batches u32] batches × TupleBatch [len u32]` then either
+    /// `[0u8] [arity u32]` (one arity) or `[1u8] len × ([arity u32] [row
+    /// u32])`.
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         out.extend_from_slice(&(self.by_arity.len() as u32).to_le_bytes());
         for batch in &self.by_arity {
             batch.encode_into(out)?;
         }
-        out.extend_from_slice(&(self.locs.len() as u32).to_le_bytes());
-        for loc in &self.locs {
-            out.extend_from_slice(&loc.arity.to_le_bytes());
-            out.extend_from_slice(&loc.row.to_le_bytes());
+        out.extend_from_slice(&self.len.to_le_bytes());
+        match &self.locs {
+            None => {
+                out.push(0);
+                out.extend_from_slice(&self.arity.to_le_bytes());
+            }
+            Some(locs) => {
+                out.push(1);
+                for loc in locs {
+                    out.extend_from_slice(&loc.arity.to_le_bytes());
+                    out.extend_from_slice(&loc.row.to_le_bytes());
+                }
+            }
         }
         Ok(())
     }
@@ -222,22 +257,42 @@ impl TupleStore {
         for _ in 0..n_batches {
             by_arity.push(TupleBatch::decode_from(buf, pos)?);
         }
-        let n_locs = read_u32(buf, pos)? as usize;
-        let mut locs = Vec::with_capacity(n_locs.min((buf.len() - *pos) / 8));
-        for _ in 0..n_locs {
-            let arity = read_u32(buf, pos)?;
-            let row = read_u32(buf, pos)?;
-            let valid = by_arity
-                .get(arity as usize)
-                .is_some_and(|b| (row as usize) < b.len());
-            if !valid {
-                return Err(GumboError::Storage(
-                    "corrupt columnar frame: tuple locator out of range".into(),
-                ));
+        let len = read_u32(buf, pos)?;
+        let rows_of = |arity: u32| by_arity.get(arity as usize).map_or(0, TupleBatch::len);
+        let out_of_range =
+            || GumboError::Storage("corrupt columnar frame: tuple locator out of range".into());
+        let (locs, arity) = match read_slice(buf, pos, 1)?[0] {
+            0 => {
+                let arity = read_u32(buf, pos)?;
+                if len as usize > rows_of(arity) {
+                    return Err(out_of_range());
+                }
+                (None, arity)
             }
-            locs.push(Loc { arity, row });
-        }
-        Ok(TupleStore { by_arity, locs })
+            1 => {
+                let mut locs = Vec::with_capacity((len as usize).min((buf.len() - *pos) / 8));
+                for _ in 0..len {
+                    let arity = read_u32(buf, pos)?;
+                    let row = read_u32(buf, pos)?;
+                    if row as usize >= rows_of(arity) {
+                        return Err(out_of_range());
+                    }
+                    locs.push(Loc { arity, row });
+                }
+                (Some(locs), 0)
+            }
+            other => {
+                return Err(GumboError::Storage(format!(
+                    "corrupt columnar frame: bad locator flag {other}"
+                )))
+            }
+        };
+        Ok(TupleStore {
+            by_arity,
+            locs,
+            arity,
+            len,
+        })
     }
 }
 
@@ -458,6 +513,11 @@ fn read_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]
 #[derive(Debug, Default)]
 pub struct PairBatch {
     keys: TupleStore,
+    /// Every row's key hash ([`key_hash`]), in row order: computed when
+    /// the pair is pushed (or its spilled frame decoded) and copied with
+    /// the row otherwise. It routes the row to its reducer, drives the
+    /// §5.1 packing count and orders the shuffle.
+    hashes: Vec<u64>,
     msgs: MsgStore,
     bytes: u64,
 }
@@ -484,19 +544,27 @@ impl PairBatch {
         self.bytes
     }
 
-    /// Append one pair, decomposing it into the columnar arenas.
+    /// Append one pair, decomposing it into the columnar arenas and
+    /// hashing its key.
     pub fn push_pair(&mut self, key: &Tuple, msg: &Message) {
         let slot = self.keys.push_tuple(key);
+        self.hashes.push(key_hash(self.keys.view(slot)));
         self.msgs.push(msg);
         self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);
     }
 
     /// Copy row `row` of `src` into this batch — a columnar cell copy, no
-    /// owned `Tuple` or `Message` in between.
+    /// owned `Tuple` or `Message` in between, and no re-hash.
     pub fn push_row(&mut self, src: &PairBatch, row: usize) {
         let slot = self.keys.push_from(&src.keys, row as u32);
+        self.hashes.push(src.hashes[row]);
         self.msgs.push_from(&src.msgs, row);
         self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);
+    }
+
+    /// Every row's key hash ([`hash_view`]), in row order.
+    pub fn hashes(&self) -> &[u64] {
+        &self.hashes
     }
 
     /// Zero-copy view of row `row`'s key.
@@ -507,6 +575,12 @@ impl PairBatch {
     /// Materialize row `row`'s key.
     pub fn key_tuple(&self, row: usize) -> Tuple {
         self.keys.tuple(row as u32)
+    }
+
+    /// Whether rows `a` and `b` have equal keys: equal hashes, then equal
+    /// raw cells — no string is read.
+    fn same_key(&self, a: usize, b: usize) -> bool {
+        self.hashes[a] == self.hashes[b] && self.keys.same(a as u32, b as u32)
     }
 
     /// Materialize row `row`'s message.
@@ -524,21 +598,45 @@ impl PairBatch {
         self.keys.bytes(row as u32) + self.msgs.bytes(row)
     }
 
-    /// The stable key-sorted permutation of `0..len()`: an index sort —
-    /// four bytes per row move, the tuples themselves never do. Equal
-    /// keys keep emission order.
+    /// The permutation of `0..len()` in shuffle order: keys ascending by
+    /// `(hash, Tuple)`, equal keys in row (emission) order. An index sort
+    /// on one fixed-width word per row — the hash's high half above the
+    /// row number; no comparator reads a cell — then one linear scan that
+    /// checks each adjacent pair sharing that half for equal keys (full
+    /// hash, then raw cells). Only a run holding two different keys (a
+    /// real collision, or hashes that differ in the low half) is
+    /// re-sorted, stably by `(hash, Tuple)`.
     pub fn sort_indices(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        // Rank the dictionaries once, then sort on integers only: string
-        // cells compare by rank, never by bytes.
-        let ranks = self.keys.rank_tables();
-        order.sort_by(|&a, &b| self.keys.cmp_ranked(a, b, &ranks));
-        order
+        const ROW: u64 = u32::MAX as u64;
+        let mut words: Vec<u64> = (self.hashes.iter().zip(0u32..))
+            .map(|(&hash, row)| (hash & !ROW) | u64::from(row))
+            .collect();
+        words.sort_unstable();
+        let row = |word: u64| (word & ROW) as usize;
+        let mut start = 0;
+        while start < words.len() {
+            let mut end = start + 1;
+            let mut mixed = false;
+            while end < words.len() && words[end] & !ROW == words[start] & !ROW {
+                mixed |= !self.same_key(row(words[end - 1]), row(words[end]));
+                end += 1;
+            }
+            if mixed {
+                words[start..end].sort_by(|&a, &b| {
+                    let (a, b) = (row(a), row(b));
+                    (self.hashes[a].cmp(&self.hashes[b]))
+                        .then_with(|| self.key_view(a).cmp(&self.key_view(b)))
+                });
+            }
+            start = end;
+        }
+        words.into_iter().map(|word| row(word) as u32).collect()
     }
 
     /// Drop every row, keeping arena capacity.
     pub fn clear(&mut self) {
         self.keys.clear();
+        self.hashes.clear();
         self.msgs.clear();
         self.bytes = 0;
     }
@@ -550,16 +648,21 @@ impl PairBatch {
             .collect()
     }
 
-    /// Append the batch's wire encoding (a columnar spill frame body).
+    /// Append the batch's wire encoding (a columnar spill frame body):
+    /// keys, then messages; the key hashes are not stored.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         self.keys.encode_into(out)?;
         self.msgs.encode_into(out)
     }
 
-    /// Decode one frame body produced by [`encode_into`](Self::encode_into).
+    /// Decode one frame body produced by [`encode_into`](Self::encode_into),
+    /// re-hashing every key.
     pub fn decode(buf: &[u8]) -> Result<PairBatch> {
         let mut pos = 0;
         let keys = TupleStore::decode_from(buf, &mut pos)?;
+        let hashes = (0..keys.len() as u32)
+            .map(|slot| key_hash(keys.view(slot)))
+            .collect();
         let msgs = MsgStore::decode_from(buf, &mut pos)?;
         if pos != buf.len() {
             return Err(GumboError::Storage(
@@ -573,6 +676,7 @@ impl PairBatch {
         }
         let mut batch = PairBatch {
             keys,
+            hashes,
             msgs,
             bytes: 0,
         };
@@ -696,7 +800,8 @@ impl<'a> BatchPartition<'a> {
         Ok(())
     }
 
-    /// Index-sort the buffer by key and write it out as one run of
+    /// Index-sort the buffer into shuffle order
+    /// ([`PairBatch::sort_indices`]) and write it out as one run of
     /// columnar frames.
     fn flush(&mut self) -> Result<()> {
         if self.batch.is_empty() {
@@ -713,19 +818,11 @@ impl<'a> BatchPartition<'a> {
         let order = self.batch.sort_indices();
         let path = self.spill.run_path(self.partition, self.next_seq)?;
         self.next_seq += 1;
-        let mut writer = RunWriter::create(&path)?;
-        let mut chunk = PairBatch::new();
-        let mut frame = Vec::new();
-        for rows in order.chunks(ROWS_PER_FRAME) {
-            chunk.clear();
-            for &row in rows {
-                chunk.push_row(&self.batch, row as usize);
-            }
-            frame.clear();
-            chunk.encode_into(&mut frame)?;
-            writer.push_columnar(&frame)?;
+        let mut sink = RunSink::create(&path)?;
+        for &row in &order {
+            sink.push(&self.batch, row as usize)?;
         }
-        let (_, disk_bytes) = writer.finish()?;
+        let disk_bytes = sink.finish()?;
         span.record(|f| f.u64("disk_bytes", disk_bytes));
         crate::shuffle::SPILL_RUNS.incr();
         crate::shuffle::SPILL_BYTES.add(self.batch.estimated_bytes());
@@ -760,27 +857,10 @@ impl<'a> BatchPartition<'a> {
             }
             let path = self.spill.run_path(self.partition, self.next_seq)?;
             self.next_seq += 1;
-            let mut writer = RunWriter::create(&path)?;
-            let mut merge = BatchMerge { sources };
-            let mut staging = PairBatch::new();
-            let mut frame = Vec::new();
-            while let Some(i) = merge.min_source() {
-                let s = &mut merge.sources[i];
-                staging.push_row(&s.batch, s.head_row());
-                s.advance()?;
-                if staging.len() == ROWS_PER_FRAME {
-                    frame.clear();
-                    staging.encode_into(&mut frame)?;
-                    writer.push_columnar(&frame)?;
-                    staging.clear();
-                }
-            }
-            if !staging.is_empty() {
-                frame.clear();
-                staging.encode_into(&mut frame)?;
-                writer.push_columnar(&frame)?;
-            }
-            writer.finish()?;
+            let mut sink = RunSink::create(&path)?;
+            let mut merge = BatchMerge::new(sources);
+            while merge.next_group(|batch, row| sink.push(batch, row))? {}
+            sink.finish()?;
             self.runs.insert(0, Run { path });
             crate::shuffle::MERGE_PASSES.incr();
             self.stats.spill_files += 1;
@@ -795,7 +875,7 @@ impl<'a> BatchPartition<'a> {
         let stats = self.stats;
         Ok((
             BatchGroupStream {
-                merge: BatchMerge { sources },
+                merge: BatchMerge::new(sources),
                 budget: self.budget,
                 charged: std::mem::take(&mut self.charged),
                 _runs: std::mem::take(&mut self.runs),
@@ -812,8 +892,51 @@ impl Drop for BatchPartition<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming merge over columnar sources
+// Run files and the streaming merge over columnar sources
 // ---------------------------------------------------------------------------
+
+/// Writes rows, in the order pushed, as one run of columnar frames of up
+/// to [`ROWS_PER_FRAME`] rows: the one write path of flushes and
+/// intermediate merge passes.
+struct RunSink {
+    writer: RunWriter,
+    staging: PairBatch,
+    frame: Vec<u8>,
+}
+
+impl RunSink {
+    fn create(path: &Path) -> Result<RunSink> {
+        Ok(RunSink {
+            writer: RunWriter::create(path)?,
+            staging: PairBatch::new(),
+            frame: Vec::new(),
+        })
+    }
+
+    fn push(&mut self, src: &PairBatch, row: usize) -> Result<()> {
+        self.staging.push_row(src, row);
+        if self.staging.len() == ROWS_PER_FRAME {
+            self.write_frame()?;
+        }
+        Ok(())
+    }
+
+    fn write_frame(&mut self) -> Result<()> {
+        self.frame.clear();
+        self.staging.encode_into(&mut self.frame)?;
+        self.staging.clear();
+        self.writer.push_columnar(&self.frame)
+    }
+
+    /// Write the last partial frame and close the run, returning its file
+    /// bytes.
+    fn finish(mut self) -> Result<u64> {
+        if !self.staging.is_empty() {
+            self.write_frame()?;
+        }
+        Ok(self.writer.finish()?.1)
+    }
+}
 
 /// One merge input: a run of columnar frames on disk (decoded one frame
 /// at a time — a bounded window of the run) or the index-sorted
@@ -821,14 +944,15 @@ impl Drop for BatchPartition<'_> {
 struct BatchSource {
     reader: Option<RunReader>,
     batch: PairBatch,
-    /// Row visit order within `batch`: the sort permutation for the
-    /// in-memory tail, identity for run frames (flushed pre-sorted).
+    /// Row visit order within `batch` for the in-memory tail (its sort
+    /// permutation); empty for a run, whose frames were flushed sorted and
+    /// are visited row by row.
     order: Vec<u32>,
     at: usize,
 }
 
 impl BatchSource {
-    fn open_run(path: &std::path::Path) -> Result<BatchSource> {
+    fn open_run(path: &Path) -> Result<BatchSource> {
         let mut source = BatchSource {
             reader: Some(RunReader::open(path)?),
             batch: PairBatch::new(),
@@ -849,63 +973,126 @@ impl BatchSource {
         }
     }
 
-    /// The current row's key, or `None` when drained.
-    fn head(&self) -> Option<TupleView<'_>> {
-        (self.at < self.order.len()).then(|| self.batch.key_view(self.order[self.at] as usize))
-    }
-
-    /// The current row index into `batch` (caller checked `head()`).
-    fn head_row(&self) -> usize {
-        self.order[self.at] as usize
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        self.at += 1;
-        if self.at >= self.order.len() {
-            self.refill()?;
+    /// The current row index into `batch`, or `None` when drained.
+    fn head_row(&self) -> Option<usize> {
+        match self.reader {
+            Some(_) => (self.at < self.batch.len()).then_some(self.at),
+            None => self.order.get(self.at).map(|&row| row as usize),
         }
-        Ok(())
     }
 
+    /// The current row's key hash and key, or `None` when drained.
+    fn head(&self) -> Option<(u64, TupleView<'_>)> {
+        self.head_row()
+            .map(|row| (self.batch.hashes[row], self.batch.key_view(row)))
+    }
+
+    /// Visit the head row and every following row with the same key,
+    /// advancing past them. Within a frame the boundary test is hash plus
+    /// raw-cell equality with the previous row; across a frame boundary
+    /// the new frame's first row is compared by content with the last row
+    /// of the old one.
+    fn drain_group(
+        &mut self,
+        visit: &mut impl FnMut(&PairBatch, usize) -> Result<()>,
+    ) -> Result<()> {
+        let Some(mut row) = self.head_row() else {
+            return Ok(());
+        };
+        loop {
+            visit(&self.batch, row)?;
+            self.at += 1;
+            if let Some(next) = self.head_row() {
+                if !self.batch.same_key(row, next) {
+                    return Ok(());
+                }
+                row = next;
+                continue;
+            }
+            let last = std::mem::take(&mut self.batch);
+            self.refill()?;
+            match self.head_row() {
+                Some(next)
+                    if self.batch.hashes[next] == last.hashes[row]
+                        && self.batch.key_view(next) == last.key_view(row) =>
+                {
+                    row = next
+                }
+                _ => return Ok(()),
+            }
+        }
+    }
+
+    /// Decode the run's next frame, if any; a drained source stays
+    /// drained.
     fn refill(&mut self) -> Result<()> {
         let Some(reader) = &mut self.reader else {
             return Ok(());
         };
         if let Some(frame) = reader.next_columnar_frame()? {
             self.batch = PairBatch::decode(&frame)?;
-            self.order = (0..self.batch.len() as u32).collect();
             self.at = 0;
         }
         Ok(())
     }
 }
 
-/// K-way stable merge over sorted columnar sources: keys ascend; equal
-/// keys drain earlier sources first, reconstructing global emission
-/// order within each key (source order *is* emission order).
+/// K-way stable merge over sources sorted in shuffle order: keys ascend
+/// by `(hash, Tuple)`; equal keys drain earlier sources first,
+/// reconstructing global emission order within each key (source order
+/// *is* emission order).
 struct BatchMerge {
     sources: Vec<BatchSource>,
+    /// The sources whose head holds the current smallest key, in source
+    /// order; reused from group to group.
+    holders: Vec<usize>,
 }
 
 impl BatchMerge {
-    /// Index of the source holding the smallest head key (earliest
-    /// source wins ties), or `None` when everything is drained.
-    fn min_source(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, s) in self.sources.iter().enumerate() {
-            let Some(key) = s.head() else { continue };
-            match best {
-                Some(b) if self.sources[b].head().expect("has head") <= key => {}
-                _ => best = Some(i),
+    fn new(sources: Vec<BatchSource>) -> BatchMerge {
+        BatchMerge {
+            sources,
+            holders: Vec::new(),
+        }
+    }
+
+    /// Visit every row of the smallest key group in value order, advancing
+    /// past it; `false` once every source is drained. One min-scan per
+    /// group finds every source holding the key — `u64` hashes first,
+    /// [`TupleView`] order only on equal hashes — and each holder's whole
+    /// run of the key is then drained in one go, earliest source first.
+    fn next_group(
+        &mut self,
+        mut visit: impl FnMut(&PairBatch, usize) -> Result<()>,
+    ) -> Result<bool> {
+        self.holders.clear();
+        let mut best: Option<(u64, TupleView<'_>)> = None;
+        for (i, source) in self.sources.iter().enumerate() {
+            let Some(head) = source.head() else { continue };
+            let order = match best {
+                None => Ordering::Less,
+                Some(b) => head.0.cmp(&b.0).then_with(|| head.1.cmp(&b.1)),
+            };
+            match order {
+                Ordering::Less => {
+                    self.holders.clear();
+                    self.holders.push(i);
+                    best = Some(head);
+                }
+                Ordering::Equal => self.holders.push(i),
+                Ordering::Greater => {}
             }
         }
-        best
+        for &i in &self.holders {
+            self.sources[i].drain_group(&mut visit)?;
+        }
+        Ok(!self.holders.is_empty())
     }
 }
 
-/// The grouped stream the reducer consumes: keys ascend, values stay in
-/// global emission order, and exactly one owned key `Tuple` is
-/// materialized per group.
+/// The grouped stream the reducer consumes: keys ascend by
+/// `(hash, Tuple)`, values stay in global emission order, and exactly one
+/// owned key `Tuple` is materialized per group.
 pub struct BatchGroupStream<'a> {
     merge: BatchMerge,
     budget: &'a MemoryBudget,
@@ -918,24 +1105,13 @@ impl BatchGroupStream<'_> {
     /// values appended into a caller-owned scratch vector (cleared first).
     pub fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
         values.clear();
-        let Some(i) = self.merge.min_source() else {
-            return Ok(None);
-        };
-        let source = &self.merge.sources[i];
-        let row = source.head_row();
-        let key = source.batch.key_tuple(row);
-        values.push(source.batch.message(row));
-        self.merge.sources[i].advance()?;
-        while let Some(i) = self.merge.min_source() {
-            let source = &self.merge.sources[i];
-            let row = source.head_row();
-            if source.batch.key_view(row).cmp_tuple(&key) != Ordering::Equal {
-                break;
-            }
-            values.push(source.batch.message(row));
-            self.merge.sources[i].advance()?;
-        }
-        Ok(Some(key))
+        let mut key = None;
+        self.merge.next_group(|batch, row| {
+            key.get_or_insert_with(|| batch.key_tuple(row));
+            values.push(batch.message(row));
+            Ok(())
+        })?;
+        Ok(key)
     }
 }
 
@@ -945,15 +1121,24 @@ impl Drop for BatchGroupStream<'_> {
     }
 }
 
-/// The shuffle's contract as a test oracle: keys ascend in `Tuple` order,
-/// values keep emission order.
+/// The shuffle's contract as a test oracle: keys ascend in
+/// `(key hash, Tuple)` order — the hash forced, too, under
+/// [`with_forced_key_hash`] — and values keep emission order.
 #[cfg(test)]
 pub(crate) fn group_reference(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Message>)> {
-    let mut groups: std::collections::BTreeMap<Tuple, Vec<Message>> = Default::default();
+    let mut groups: std::collections::BTreeMap<(u64, Tuple), Vec<Message>> = Default::default();
     for (k, v) in pairs {
-        groups.entry(k.clone()).or_default().push(v.clone());
+        let mut key = TupleBatch::new(k.arity());
+        key.push_tuple(k);
+        groups
+            .entry((key_hash(key.view(0)), k.clone()))
+            .or_default()
+            .push(v.clone());
     }
-    groups.into_iter().collect()
+    groups
+        .into_iter()
+        .map(|((_, k), values)| (k, values))
+        .collect()
 }
 
 /// Collect every group of a stream (dropping it, which releases its
@@ -1090,15 +1275,85 @@ mod tests {
 
     #[test]
     fn sort_indices_is_stable_by_key() {
-        let mut batch = PairBatch::new();
-        for (i, key) in [3i64, 1, 3, 2, 1].iter().enumerate() {
-            batch.push_pair(
-                &Tuple::from_ints(&[*key]),
-                &Message::Assert { cond: i as u32 },
-            );
-        }
-        let order = batch.sort_indices();
+        let keys = [3i64, 1, 3, 2, 1];
+        let sorted = || {
+            let mut batch = PairBatch::new();
+            for (i, key) in keys.iter().enumerate() {
+                batch.push_pair(
+                    &Tuple::from_ints(&[*key]),
+                    &Message::Assert { cond: i as u32 },
+                );
+            }
+            (batch.hashes().to_vec(), batch.sort_indices())
+        };
+        // Real hashes: ascending hash, equal keys adjacent and in emission
+        // order.
+        let (hashes, order) = sorted();
+        let mut expected: Vec<u32> = (0..keys.len() as u32).collect();
+        expected.sort_by_key(|&row| (hashes[row as usize], keys[row as usize], row));
+        assert_eq!(order, expected);
+        // One hash for every key: key order decides, emission order still
+        // holds within each key.
+        let (_, order) = with_forced_key_hash(7, sorted);
         assert_eq!(order, vec![1, 4, 3, 0, 2]);
+    }
+
+    #[test]
+    fn collisions_group_like_the_oracle_through_every_merge_stage() {
+        let keys = [
+            Tuple::from_ints(&[4]),
+            Tuple::new(vec![Value::str("k")]),
+            Tuple::from_ints(&[4, 0]),
+            Tuple::from_ints(&[]),
+            Tuple::new(vec![Value::str("k"), Value::Int(4)]),
+            Tuple::from_ints(&[-1]),
+            Tuple::new(vec![Value::str("")]),
+        ];
+        // Runs of two frames each, more of them than the merge fan-in, key
+        // groups that straddle frame boundaries, and a key mix that shifts
+        // every 1 000 pairs, so that merged sources hold different keys.
+        let pairs: Vec<(Tuple, Message)> = (0..20_000usize)
+            .map(|i| {
+                let key = keys[(i / 1000 + i % 3) % keys.len()].clone();
+                (key, Message::Tag { rel: i as u32 })
+            })
+            .collect();
+        let check = || {
+            let reference = group_reference(&pairs);
+            let (groups, stats, _) = group_batched(MemBudget::UNLIMITED, &pairs);
+            assert_eq!(groups, reference, "in memory");
+            assert_eq!(stats, SpillStats::default());
+            let (groups, stats, _) = group_batched(MemBudget::bytes(12_000), &pairs);
+            assert_eq!(groups, reference, "spilled ({stats:?})");
+            assert!(stats.merge_passes > 0, "{stats:?}");
+        };
+        check();
+        with_forced_key_hash(0, check);
+    }
+
+    #[test]
+    fn a_key_group_ending_on_a_frame_boundary_is_closed_by_content() {
+        // The budget flushes the first 601 pairs as one run. Under the
+        // forced hash its first frame holds exactly the smaller key's rows,
+        // and the larger key opens the second frame with an equal hash.
+        let (smaller, larger) = (Tuple::from_ints(&[1]), Tuple::from_ints(&[2]));
+        let pairs: Vec<(Tuple, Message)> = (0..ROWS_PER_FRAME + 100)
+            .map(|i| {
+                let key = if i < ROWS_PER_FRAME {
+                    &smaller
+                } else {
+                    &larger
+                };
+                (key.clone(), Message::Tag { rel: i as u32 })
+            })
+            .collect();
+        let check = || {
+            let (groups, stats, _) = group_batched(MemBudget::bytes(8_400), &pairs);
+            assert_eq!(groups, group_reference(&pairs));
+            assert_eq!(stats.spill_files, 1, "{stats:?}");
+        };
+        check();
+        with_forced_key_hash(0, check);
     }
 
     /// Group a pair sequence through a `BatchPartition` under `spec`,

@@ -16,24 +16,27 @@
 //!
 //! 1. **map** — the job's map tasks (splits fixed at plan time) are
 //!    pulled off a shared counter by the workers, each filling one
-//!    columnar [`PairBatch`] and hashing every emitted key exactly once
-//!    ([`crate::hash::hash_view`]); the §5.1 (1) packing count is one
-//!    pass over a hash table of row ids keyed by those hashes;
+//!    columnar [`PairBatch`] that hashes every emitted key exactly once
+//!    ([`crate::hash::hash_view`]) into its hash column; the §5.1 (1)
+//!    packing count is one pass over a hash table of row ids keyed by
+//!    those hashes;
 //! 2. **shuffle** — workers counting-sort each task's rows into
 //!    per-(task, reducer) row lists by the same hashes;
 //! 3. **reduce** — fused with the per-reducer drain: each reducer appends
-//!    its rows in task order to a budget-charged spilling buffer
-//!    ([`crate::batch_shuffle`]), then streams the merge of its spill
-//!    runs plus the in-memory tail straight into the reduce function,
-//!    appending what it emits to one vector per output;
+//!    its rows in task order, hashes included, to a budget-charged
+//!    spilling buffer ([`crate::batch_shuffle`]) that sorts its runs on
+//!    those hashes, then streams the merge of its spill runs plus the
+//!    in-memory tail — keys in `(hash, Tuple)` order, values in global
+//!    emission order — straight into the reduce function, appending what
+//!    it emits to one vector per output;
 //! 4. **commit** — on the caller's thread, each output's vectors are
 //!    concatenated in partition order and sorted and deduplicated once
 //!    into the stored relation.
 //!
 //! Determinism: map results are re-assembled **in task order**, each
-//! reducer's stream is grouped with keys in sorted order and values in
-//! global emission order, and every output is a sorted set whatever
-//! order its tuples were emitted in — so answer relations
+//! reducer's stream is grouped with keys in `(hash, Tuple)` order and
+//! values in global emission order, and every output is a sorted set
+//! whatever order its tuples were emitted in — so answer relations
 //! and [`JobStats`] are byte-identical whatever the worker count, OS
 //! scheduling or memory budget. At one worker every phase runs inline on
 //! the calling thread: that configuration is the *reference* runtime
@@ -52,7 +55,7 @@ use gumbo_storage::{Dfs, RelationScan};
 use crate::batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
-use crate::hash::{hash_view, partition_of};
+use crate::hash::partition_of;
 use crate::job::Job;
 use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
@@ -152,7 +155,7 @@ where
 
 /// One map task's rows grouped by target reducer — a counting sort on
 /// the key hashes the map task already computed
-/// ([`MapTaskOutput::key_hashes`]), so routing hashes nothing and a task
+/// ([`PairBatch::hashes`]), so routing hashes nothing and a task
 /// costs four allocations however many reducers there are. Reducer `p`
 /// owns `rows[starts[p]..starts[p + 1]]`, in ascending row (= emission)
 /// order.
@@ -310,9 +313,8 @@ impl Executor {
             f.u64("reducers", reducers as u64);
         });
         let routes: Vec<TaskRoutes> = parallel_for(mapped.len(), workers, |t| {
-            TaskRoutes::of(&mapped[t].key_hashes, reducers)
+            TaskRoutes::of(mapped[t].batch.hashes(), reducers)
         });
-        // The hashes have done both their jobs; only the batches go on.
         let batches: Vec<PairBatch> = mapped.into_iter().map(|task| task.batch).collect();
         drop(shuffle_span);
 
@@ -587,11 +589,10 @@ fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPlan> 
 /// What one map task produced: the emitted pairs in emission order, held
 /// as one columnar [`PairBatch`].
 pub(crate) struct MapTaskOutput {
-    /// Emitted pairs in emission order, columnar.
+    /// Emitted pairs in emission order, columnar, each key hashed once
+    /// ([`PairBatch::hashes`]) — read by the packing count, the routing
+    /// and the shuffle's sort.
     pub batch: PairBatch,
-    /// [`hash_view`] of every row's key, in row order — computed once,
-    /// read by the packing count and by the shuffle's routing.
-    pub key_hashes: Vec<u64>,
     /// Charged map-output bytes (packing-aware), unscaled.
     pub output_bytes: u64,
     /// Charged map-output records (packing-aware).
@@ -599,8 +600,8 @@ pub(crate) struct MapTaskOutput {
 }
 
 /// Run one map task: apply the mapper to every fact of the split, landing
-/// its output directly in a [`PairBatch`], hash every emitted key once,
-/// and account bytes/records, charging key bytes once per distinct key
+/// its output directly in a [`PairBatch`] (which hashes every emitted key
+/// once), and account bytes/records, charging key bytes once per distinct key
 /// within the task when packing is enabled (§5.1 (1)) — one pass over a
 /// hash table of row ids ([`packed_counts`]), no sort.
 pub(crate) fn run_map_task(job: &Job, facts: &[(u64, Fact)]) -> MapTaskOutput {
@@ -613,18 +614,14 @@ pub(crate) fn run_map_task(job: &Job, facts: &[(u64, Fact)]) -> MapTaskOutput {
         job.mapper
             .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
     }
-    let key_hashes: Vec<u64> = (0..batch.len())
-        .map(|row| hash_view(batch.key_view(row)))
-        .collect();
     let (output_bytes, records_out) = if job.config.packing {
-        packed_counts(&batch, &key_hashes)
+        packed_counts(&batch, batch.hashes())
     } else {
         (batch.estimated_bytes(), batch.len() as u64)
     };
     span.record(|f| f.u64("records_out", records_out));
     MapTaskOutput {
         batch,
-        key_hashes,
         output_bytes,
         records_out,
     }
@@ -694,8 +691,9 @@ fn declared_outputs(job: &Job) -> BTreeMap<&RelationName, usize> {
 }
 
 /// Reduce one shuffle partition by streaming its key groups (keys in
-/// canonical order, values in emission order — the order the bounded and
-/// unlimited shuffles both guarantee) and append what the reducer emits to
+/// `(hash, Tuple)` order, values in global emission order — the order the
+/// bounded and unlimited shuffles both guarantee; no reducer depends on
+/// the key order) and append what the reducer emits to
 /// one vector per declared output ([`declared_outputs`] order), duplicates
 /// included: [`commit_job`] sorts and deduplicates once per relation. An
 /// emission of the wrong arity or to an undeclared output is rejected

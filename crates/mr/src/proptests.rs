@@ -7,12 +7,13 @@ use proptest::prelude::*;
 
 use gumbo_common::{ByteSize, Tuple};
 
-use crate::batch_shuffle::{drain, group_reference, BatchPartition, PairBatch};
+use crate::batch_shuffle::{
+    drain, group_reference, with_forced_key_hash, BatchPartition, PairBatch,
+};
 use crate::cluster::lpt_makespan;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::dag::jobs_conflict;
 use crate::executor::packed_counts;
-use crate::hash::hash_view;
 use crate::job::test_support::noop_job;
 use crate::job::Job;
 use crate::message::{Message, Payload};
@@ -89,8 +90,7 @@ proptest! {
             batch.push_pair(&key, &msg);
         }
         let expected = packed_counts_by_sorting(&batch);
-        let hashes: Vec<u64> = (0..batch.len()).map(|r| hash_view(batch.key_view(r))).collect();
-        prop_assert_eq!(packed_counts(&batch, &hashes), expected);
+        prop_assert_eq!(packed_counts(&batch, batch.hashes()), expected);
         prop_assert_eq!(packed_counts(&batch, &vec![7; batch.len()]), expected, "all probes collide");
         prop_assert_eq!(packed_counts(&PairBatch::new(), &[]), (0, 0), "empty batch");
     }
@@ -196,11 +196,15 @@ proptest! {
     }
 
     /// Merge-of-runs preserves the grouping order reducers observe: for
-    /// any pair sequence (mixed message shapes, string keys and payloads
-    /// included) and any budget — however many columnar spill frames and
-    /// intermediate merge passes it forces — the grouped stream equals
-    /// the `BTreeMap` grouping oracle (keys in sorted order, values in
-    /// global emission order), with the paper's total byte accounting.
+    /// any pair sequence (mixed message shapes, int and string keys and
+    /// payloads included) and any budget — however many columnar spill
+    /// frames and intermediate merge passes it forces — the grouped stream
+    /// equals the `BTreeMap` grouping oracle (keys in `(hash, Tuple)`
+    /// order, values in global emission order), with the paper's total
+    /// byte accounting. Each case runs twice: with the real key hashes,
+    /// and with every key forced onto one hash, so that the sort, the
+    /// flushes, the merge passes and every group boundary take the
+    /// collision path.
     #[test]
     fn spill_merge_preserves_reducer_grouping_order(
         keys in proptest::collection::vec(0i64..12, 0usize..120),
@@ -239,32 +243,38 @@ proptest! {
                 (key, msg)
             })
             .collect();
-        let expected = group_reference(&pairs);
         let expected_bytes: u64 = pairs
             .iter()
             .map(|(k, v)| k.estimated_bytes() + v.estimated_bytes())
             .sum();
 
-        // One batch through a budget-charged partition, as the executor
-        // routes it.
-        let tracker = MemoryBudget::new(MemBudget::bytes(budget));
-        let spill = ShuffleSpill::new("proptest");
-        let mut part = BatchPartition::new(0, &tracker, &spill, 1);
-        let mut batch = PairBatch::new();
-        for (k, v) in &pairs {
-            batch.push_pair(k, v);
-        }
-        let rows: Vec<u32> = (0..batch.len() as u32).collect();
-        part.push_rows(&batch, &rows).unwrap();
-        prop_assert_eq!(part.total_bytes(), expected_bytes, "total byte accounting");
-        let (stream, stats) = part.into_groups().unwrap();
-        let got = drain(stream);
+        // One batch through a budget-charged partition, a row per push so
+        // that the budget settles (and may flush a run) after every pair.
+        let check = || -> Result<(), TestCaseError> {
+            let expected = group_reference(&pairs);
+            let tracker = MemoryBudget::new(MemBudget::bytes(budget));
+            let spill = ShuffleSpill::new("proptest");
+            let mut part = BatchPartition::new(0, &tracker, &spill, 1);
+            let mut batch = PairBatch::new();
+            for (k, v) in &pairs {
+                batch.push_pair(k, v);
+            }
+            for row in 0..batch.len() as u32 {
+                part.push_rows(&batch, &[row]).unwrap();
+            }
+            prop_assert_eq!(part.total_bytes(), expected_bytes, "total byte accounting");
+            let (stream, stats) = part.into_groups().unwrap();
+            let got = drain(stream);
 
-        prop_assert_eq!(got, expected, "budget {} (stats {:?})", budget, stats);
-        if let Some(limit) = tracker.limit() {
-            prop_assert!(tracker.peak() <= limit);
-        }
-        prop_assert_eq!(tracker.used(), 0, "all charges released");
+            prop_assert_eq!(got, expected, "budget {} (stats {:?})", budget, stats);
+            if let Some(limit) = tracker.limit() {
+                prop_assert!(tracker.peak() <= limit);
+            }
+            prop_assert_eq!(tracker.used(), 0, "all charges released");
+            Ok(())
+        };
+        check()?;
+        with_forced_key_hash(0x5eed, check)?;
     }
 
     /// `into_dag()` over random programs preserves round semantics as

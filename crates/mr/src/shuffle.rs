@@ -293,8 +293,9 @@ impl ShuffleSpill {
     }
 }
 
-/// One run on disk: pairs stable-sorted by key, a contiguous slice of the
-/// partition's emission-order pair sequence.
+/// One run on disk: a contiguous slice of the partition's emission-order
+/// pair sequence, sorted by `(key hash, key)` with equal keys in emission
+/// order ([`crate::PairBatch::sort_indices`]).
 pub(crate) struct Run {
     pub(crate) path: std::path::PathBuf,
 }

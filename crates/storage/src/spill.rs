@@ -367,15 +367,15 @@ impl RunReader {
             )));
         }
         self.left -= stored;
-        let mut frame = vec![0u8; stored as usize];
+        // The format byte goes to a local and the block straight into its
+        // own buffer: one allocation, no byte moved twice.
+        let mut format = [0u8; 1];
+        let mut block = vec![0u8; stored as usize - 1];
         self.reader
-            .read_exact(&mut frame)
+            .read_exact(&mut format)
+            .and_then(|()| self.reader.read_exact(&mut block))
             .map_err(|e| storage_err("reading spill frame (torn run file)", e))?;
-        let format = FrameFormat::from_byte(frame[0])?;
-        // Strip the format byte in place: no second allocation on the
-        // merge/read hot path.
-        frame.drain(..1);
-        Ok(Some((format, frame)))
+        Ok(Some((FrameFormat::from_byte(format[0])?, block)))
     }
 }
 

@@ -127,15 +127,15 @@ fn shuffle(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
 }
 
 /// The shuffle allocates a fraction of a time per pair: at most 0.25
-/// calls in memory and 0.6 under a spill-forcing 4 KiB budget.
+/// calls in memory and 0.56 under a spill-forcing 4 KiB budget.
 #[test]
 fn shuffle_allocations_per_pair_stay_under_the_ceiling() {
     let pairs = a3_pairs();
     let mut groups = Vec::new();
-    // Measured at 6000 pairs: 0.13 calls per pair in memory, 0.28 under
+    // Measured at 6000 pairs: 0.126 calls per pair in memory, 0.278 under
     // the 4 KiB budget; the ceilings leave ~2x headroom against allocator
     // jitter.
-    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 25), (MemBudget::bytes(4096), 60)] {
+    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 25), (MemBudget::bytes(4096), 56)] {
         let budget = MemoryBudget::new(limit);
         let (allocations, seen) = count_allocations(|| shuffle(&pairs, &budget));
         groups.push(seen);
