@@ -1,8 +1,11 @@
-//! Experiment implementations: one function per table/figure of §5.
+//! Experiment implementations: one function per table/figure of §5, plus
+//! [`scaling`], the one wall-clock experiment.
 //!
-//! Each function prints the same rows/series the paper reports (absolute
-//! values plus, where the paper does, values relative to the baseline) and
-//! returns its rows for programmatic use.
+//! Each §5 function prints the same rows/series the paper reports
+//! (absolute values plus, where the paper does, values relative to the
+//! baseline) and returns its rows for programmatic use. Their figures are
+//! the cost model's deterministic output: the same flags print the same
+//! numbers on every run, at every `--executor`.
 
 use std::collections::BTreeSet;
 
@@ -481,377 +484,33 @@ pub fn structures() -> Result<()> {
     Ok(())
 }
 
-/// Executor speedup: real wall-clock of the worker pool vs the one-worker
-/// `sim` configuration, sweeping the worker count. Run with
-/// `--tuples 100000` for the reference 100k-tuple workload.
+/// Wall-clock scaling of one program: worker counts at one job slot,
+/// then job-slot counts at one worker.
 ///
-/// This is the one experiment about *our* wall-clock rather than the
-/// paper's simulated metrics: answers and metered stats are identical
-/// across worker counts by construction (see `tests/executor_equivalence.rs`),
-/// so the only thing that changes is how fast the hardware delivers them.
-/// On a 4+-core machine the pooled runtime clears 2× over one thread.
-pub fn speedup(cfg: &RunConfig) -> Result<()> {
+/// This is the one experiment about *our* wall clock rather than the
+/// paper's simulated metrics. The program merges eight clients'
+/// independent A3-shaped queries, each over its own renamed copy of the
+/// relations, into one `MrProgram` ([`gumbo_mr::MrProgram::extend`]).
+/// Each client's MSJ → EVAL chain is a real dependency while different
+/// clients' jobs may overlap, so workers split every job's map and
+/// reduce tasks and job slots overlap whole jobs. Every row must leave
+/// the DFS contents and per-job statistics of the serial reference loop
+/// on the same program ([`gumbo_sched::serial_reference`] on
+/// `--executor`; asserted): only the wall clock may differ. Rows — wall
+/// and speed-up over the one-worker, one-slot row — are written to
+/// `BENCH_scaling.json`.
+pub fn scaling(cfg: &RunConfig) -> Result<()> {
     use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, Grouping, GumboEngine, SortStrategy};
-    use gumbo_mr::{ExecutorKind, ReducerPolicy};
-    use std::time::Instant;
-
-    print_header("Executor speedup — wall-clock, worker pool vs one worker");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let tuples = cfg.tuples;
-    println!("available hardware parallelism: {hw} core(s); {tuples} guard tuples");
-
-    // Paper-scale byte accounting; fixed reducers keep every pool size on
-    // plenty of independent reduce tasks.
-    let w = queries::a3_family(8).with_tuples(tuples);
-    let db = w.spec.database(cfg.seed);
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    let options = EvalOptions {
-        grouping: Grouping::Singletons,
-        sort: SortStrategy::Levels,
-        enable_one_round: false,
-        job_config: gumbo_mr::JobConfig {
-            reducer_policy: ReducerPolicy::Fixed(64),
-            ..gumbo_mr::JobConfig::default()
-        },
-        ..EvalOptions::default()
-    };
-    let time_with = |kind: ExecutorKind| -> Result<(f64, u64)> {
-        let engine = GumboEngine::with_executor(engine_cfg, kind, options);
-        let dfs = SimDfs::from_database(&db);
-        let start = Instant::now();
-        let stats = engine.evaluate(&dfs, &w.query)?;
-        let elapsed = start.elapsed().as_secs_f64();
-        Ok((elapsed, stats.jobs.iter().map(|j| j.output_tuples).sum()))
-    };
-
-    let mut rows: Vec<Json> = Vec::new();
-    let mut record = |label: &str, secs: f64, speedup: f64, out: u64| {
-        println!("{label:<26} {secs:>10.3} {speedup:>11.2}x {out:>10}");
-        rows.push(Json::obj([
-            ("runtime", Json::Str(label.into())),
-            ("wall_s", Json::Num(secs)),
-            ("speedup", Json::Num(speedup)),
-            ("output_tuples", Json::Int(out)),
-        ]));
-    };
-
-    // `sim` is the executor at one worker: the sequential baseline.
-    let (base_secs, base_out) = time_with(ExecutorKind::Simulated)?;
-    println!(
-        "{:<26} {:>10} {:>12} {:>10}",
-        "runtime", "wall (s)", "speedup", "out tuples"
-    );
-    record("sim (1 worker)", base_secs, 1.0, base_out);
-
-    let mut sweep: Vec<usize> = vec![2, 4, 8, 16];
-    sweep.retain(|&t| t <= 2 * hw.max(1));
-    sweep.push(0); // auto
-    for threads in sweep {
-        let (secs, out) = time_with(ExecutorKind::Parallel { threads })?;
-        assert_eq!(base_out, out, "worker counts must agree on results");
-        let label = if threads == 0 {
-            format!(
-                "parallel (auto = {})",
-                gumbo_mr::Executor::with_threads(engine_cfg, 0).effective_threads()
-            )
-        } else {
-            format!("parallel:{threads}")
-        };
-        record(&label, secs, base_secs / secs, out);
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("speedup".into())),
-        ("tuples", Json::Int(tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("hardware_threads", Json::Int(hw as u64)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("speedup", &report).map_err(|e| {
-        gumbo_common::GumboError::Storage(format!("writing BENCH_speedup.json: {e}"))
-    })?;
-    Ok(())
-}
-
-/// Bounded-memory shuffle: budget sweep at a fixed input size.
-///
-/// One workload (the 8-conditional A3 family), one database, one plan —
-/// evaluated under a sweep of shuffle memory budgets from unlimited down
-/// to a small fraction of the shuffle footprint. Every budgeted run must
-/// leave a byte-identical DFS (and identical non-spill statistics are
-/// implied by the shared metering pipeline); what changes is *where* the
-/// shuffle lives: the spilled bytes, run files, merge passes, peak
-/// tracked memory and wall-clock are recorded per budget and written to
-/// `BENCH_spill.json`, so successive PRs can watch the cost of spilling.
-pub fn spill(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, Grouping, GumboEngine, SortStrategy};
-    use gumbo_mr::{MemBudget, ReducerPolicy};
-    use std::time::Instant;
-
-    print_header("Bounded-memory shuffle — budget sweep at fixed input size");
-    let tuples = cfg.tuples;
-    println!("{tuples} guard tuples; executor {}", cfg.executor.label());
-
-    let w = queries::a3_family(8).with_tuples(tuples);
-    let db = w.spec.database(cfg.seed);
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    // Fixed reducers give the sweep a stable partition count, so the
-    // per-partition budget share varies only with the budget itself.
-    let options = EvalOptions {
-        grouping: Grouping::Singletons,
-        sort: SortStrategy::Levels,
-        enable_one_round: false,
-        job_config: gumbo_mr::JobConfig {
-            reducer_policy: ReducerPolicy::Fixed(16),
-            ..gumbo_mr::JobConfig::default()
-        },
-        ..EvalOptions::default()
-    };
-
-    let budgets = [
-        ("unlimited", MemBudget::UNLIMITED),
-        ("8m", MemBudget::bytes(8 << 20)),
-        ("1m", MemBudget::bytes(1 << 20)),
-        ("256k", MemBudget::bytes(256 << 10)),
-        ("64k", MemBudget::bytes(64 << 10)),
-    ];
-
-    println!(
-        "{:<12} {:>10} {:>14} {:>13} {:>11} {:>13} {:>14}",
-        "budget", "wall (s)", "spilled (B)", "disk (B)", "runs", "merge passes", "peak (B)"
-    );
-    let mut reference: Option<SimDfs> = None;
-    let mut rows: Vec<Json> = Vec::new();
-    for (label, budget) in budgets {
-        let engine = GumboEngine::with_executor(
-            engine_cfg,
-            cfg.executor,
-            EvalOptions {
-                mem_budget: budget,
-                ..options
-            },
-        );
-        let runtime = engine.runtime();
-        let dfs = SimDfs::from_database(&db);
-        let start = Instant::now();
-        let stats = engine.eval().on(&runtime).run(&dfs, &w.query)?;
-        let wall = start.elapsed().as_secs_f64();
-
-        let peak = runtime.budget().peak();
-        if let Some(limit) = budget.limit() {
-            assert!(
-                peak <= limit,
-                "budget {label}: tracked peak {peak} exceeded the limit"
-            );
-        }
-        match &reference {
-            None => reference = Some(dfs),
-            Some(expected) => {
-                gumbo_sched::assert_identical_dfs(&format!("spill budget {label}"), expected, &dfs)
-            }
-        }
-
-        println!(
-            "{label:<12} {wall:>10.3} {:>14} {:>13} {:>11} {:>13} {peak:>14}",
-            stats.spilled_bytes(),
-            stats.spilled_disk_bytes(),
-            stats.spill_files(),
-            stats.spill_merge_passes(),
-        );
-        rows.push(Json::obj([
-            ("budget", Json::Str(label.into())),
-            ("budget_bytes", Json::Int(budget.limit().unwrap_or(0))),
-            ("wall_s", Json::Num(wall)),
-            ("spilled_bytes", Json::Int(stats.spilled_bytes())),
-            ("spilled_disk_bytes", Json::Int(stats.spilled_disk_bytes())),
-            ("spill_files", Json::Int(stats.spill_files())),
-            ("merge_passes", Json::Int(stats.spill_merge_passes())),
-            ("peak_tracked_bytes", Json::Int(peak)),
-            (
-                "output_tuples",
-                Json::Int(stats.jobs.iter().map(|j| j.output_tuples).sum()),
-            ),
-        ]));
-        if budget.limit() == Some(64 << 10) {
-            assert!(
-                stats.spilled_bytes() > 0,
-                "the 64 KiB budget must force spilling on this workload"
-            );
-        }
-    }
-
-    let report = Json::obj([
-        ("experiment", Json::Str("spill".into())),
-        ("tuples", Json::Int(tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("rows", Json::Arr(rows)),
-    ]);
-    write_bench_json("spill", &report)
-        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_spill.json: {e}")))?;
-    Ok(())
-}
-
-/// Durable DFS backends: the same workload evaluated on the in-memory
-/// `SimDfs` and the file-segment `FileDfs`, the latter twice — cold
-/// (block cache starts empty) and warm (cache populated by the cold
-/// run). Asserts cross-backend equivalence (identical relations and
-/// byte meters) and writes wall times plus block-cache counters to
-/// `BENCH_dfs.json`.
-pub fn dfs(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_storage::{Dfs as _, FileDfs, DEFAULT_CACHE_BYTES};
-    use std::time::Instant;
-
-    print_header("Durable DFS — sim vs file backend, cold and warm block cache");
-    let w = queries::a3().with_tuples(cfg.tuples);
-    let db = w.spec.database(cfg.seed);
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    let mut engine = greedy_engine(engine_cfg);
-    engine.executor = cfg.executor;
-
-    let dfs_sim = SimDfs::from_database(&db);
-    let start = Instant::now();
-    let stats_sim = engine.evaluate(&dfs_sim, &w.query)?;
-    let wall_sim = start.elapsed().as_secs_f64();
-
-    let root = std::env::temp_dir().join(format!("gumbo-bench-dfs-{}", std::process::id()));
-    if root.exists() {
-        std::fs::remove_dir_all(&root)
-            .map_err(|e| gumbo_common::GumboError::Storage(format!("clearing {root:?}: {e}")))?;
-    }
-    let dfs_file = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db)?;
-    let start = Instant::now();
-    let stats_cold = engine.evaluate(&dfs_file, &w.query)?;
-    let wall_cold = start.elapsed().as_secs_f64();
-    let cache_cold = dfs_file.cache_stats();
-
-    // Byte meters are logical and backend-invariant: the file backend
-    // must report the exact relations and I/O counters sim does.
-    gumbo_sched::assert_identical_dfs("dfs sim vs file", &dfs_sim, &dfs_file);
-    gumbo_sched::assert_identical_stats("dfs sim vs file", &stats_sim, &stats_cold);
-
-    let start = Instant::now();
-    let stats_warm = engine.evaluate(&dfs_file, &w.query)?;
-    let wall_warm = start.elapsed().as_secs_f64();
-    gumbo_sched::assert_identical_stats("dfs file warm", &stats_cold, &stats_warm);
-    let cache_total = dfs_file.cache_stats();
-    let warm_hits = cache_total.hits - cache_cold.hits;
-    let warm_misses = cache_total.misses - cache_cold.misses;
-    assert!(
-        warm_hits > 0,
-        "the warm pass must serve some blocks from cache"
-    );
-
-    println!(
-        "{:<10} {:>10} {:>12} {:>12} {:>11}",
-        "backend", "wall (s)", "cache hits", "misses", "evictions"
-    );
-    println!(
-        "{:<10} {wall_sim:>10.3} {:>12} {:>12} {:>11}",
-        "sim", "-", "-", "-"
-    );
-    println!(
-        "{:<10} {wall_cold:>10.3} {:>12} {:>12} {:>11}",
-        "file-cold", cache_cold.hits, cache_cold.misses, cache_cold.evictions
-    );
-    println!(
-        "{:<10} {wall_warm:>10.3} {:>12} {:>12} {:>11}",
-        "file-warm",
-        warm_hits,
-        warm_misses,
-        cache_total.evictions - cache_cold.evictions
-    );
-
-    let row = |backend: &str, wall: f64, hits: u64, misses: u64, evictions: u64| {
-        Json::obj([
-            ("backend", Json::Str(backend.into())),
-            ("wall_s", Json::Num(wall)),
-            ("cache_hits", Json::Int(hits)),
-            ("cache_misses", Json::Int(misses)),
-            ("cache_evictions", Json::Int(evictions)),
-        ])
-    };
-    let report = Json::obj([
-        ("experiment", Json::Str("dfs".into())),
-        ("tuples", Json::Int(cfg.tuples as u64)),
-        ("scale", Json::Int(cfg.scale)),
-        ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
-        ("cache_bytes", Json::Int(DEFAULT_CACHE_BYTES)),
-        (
-            "output_tuples",
-            Json::Int(stats_sim.jobs.iter().map(|j| j.output_tuples).sum()),
-        ),
-        (
-            "rows",
-            Json::Arr(vec![
-                row("sim", wall_sim, 0, 0, 0),
-                row(
-                    "file_cold",
-                    wall_cold,
-                    cache_cold.hits,
-                    cache_cold.misses,
-                    cache_cold.evictions,
-                ),
-                row(
-                    "file_warm",
-                    wall_warm,
-                    warm_hits,
-                    warm_misses,
-                    cache_total.evictions - cache_cold.evictions,
-                ),
-            ]),
-        ),
-    ]);
-    write_bench_json("dfs", &report)
-        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_dfs.json: {e}")))?;
-    std::fs::remove_dir_all(&root).ok();
-    Ok(())
-}
-
-/// Job-slot sweep: real wall-clock of one program of independent SGF
-/// queries at 1, 2, 4 and 8 job slots.
-///
-/// Every client's A3-shaped query runs over its own renamed copy of the
-/// relations, and the clients' programs are merged into one `MrProgram`
-/// ([`gumbo_mr::MrProgram::extend`]), so the DAG is embarrassingly
-/// schedulable: at one slot the jobs run strictly one after another on
-/// the calling thread, at more slots the scheduler overlaps up to that
-/// many of them. Every run must leave the DFS contents and per-job
-/// statistics of the serial reference loop on the same merged program
-/// ([`gumbo_sched::serial_reference`], asserted); only the wall clock
-/// differs. Rows — wall and speed-up relative to the one-slot row — are
-/// written to `BENCH_dagsched.json`.
-pub fn dagsched(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, Grouping, GumboEngine};
+    use gumbo_core::{EvalOptions, GumboEngine};
     use gumbo_datagen::DataSpec;
+    use gumbo_mr::{Executor, ReducerPolicy};
     use gumbo_sched::{DagScheduler, SchedulerConfig};
-    use gumbo_sgf::SgfQuery;
     use std::time::Instant;
 
     const CLIENTS: usize = 8;
+    const COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-    print_header("Job slots — wall-clock of independent queries at 1/2/4/8 slots");
+    print_header("Scaling — wall clock of one program by workers, then by job slots");
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -865,19 +524,20 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
         cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
         ..gumbo_mr::EngineConfig::default()
     };
-    // MSJ → EVAL structure (no 1-ROUND fusion): each client's program has
-    // a real intra-client dependency on top of the cross-client overlap.
+    // MSJ → EVAL structure (no 1-ROUND fusion); fixed reducers keep every
+    // worker count on plenty of independent reduce tasks.
     let engine = GumboEngine::new(
         engine_cfg,
         EvalOptions {
-            grouping: Grouping::Greedy,
             enable_one_round: false,
+            job_config: JobConfig {
+                reducer_policy: ReducerPolicy::Fixed(64),
+                ..JobConfig::default()
+            },
             ..EvalOptions::default()
         },
     );
-
-    // One independent query per client over per-client relation names.
-    let queries: Vec<SgfQuery> = (0..CLIENTS)
+    let queries: Vec<gumbo_sgf::SgfQuery> = (0..CLIENTS)
         .map(|i| {
             gumbo_sgf::parse_program(&format!(
                 "Out{i} := SELECT (x, y, z, w) FROM R{i}(x, y, z, w) \
@@ -886,25 +546,19 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
             .expect("client query parses")
         })
         .collect();
-    let mut combined = gumbo_common::Database::new();
+    let mut db = gumbo_common::Database::new();
     for i in 0..CLIENTS {
         let guard = format!("R{i}");
-        let conds = [
-            format!("S{i}"),
-            format!("T{i}"),
-            format!("U{i}"),
-            format!("V{i}"),
-        ];
+        let conds = ["S", "T", "U", "V"].map(|c| format!("{c}{i}"));
         let cond_refs: Vec<(&str, usize)> = conds.iter().map(|c| (c.as_str(), 1)).collect();
-        let db = DataSpec::new(&[(guard.as_str(), 4)], &cond_refs)
+        let client_db = DataSpec::new(&[(guard.as_str(), 4)], &cond_refs)
             .with_tuples(cfg.tuples)
             .with_selectivity(cfg.selectivity)
             .database(cfg.seed + i as u64);
-        for rel in db.relations() {
-            combined.add_relation(rel.clone());
+        for rel in client_db.relations() {
+            db.add_relation(rel.clone());
         }
     }
-    // All clients' programs, back to back, as one program.
     let build_program = |dfs: &SimDfs| -> Result<gumbo_mr::MrProgram> {
         let mut merged = gumbo_mr::MrProgram::new();
         for q in &queries {
@@ -918,61 +572,69 @@ pub fn dagsched(cfg: &RunConfig) -> Result<()> {
         Ok(merged)
     };
 
-    // The oracle: the merged program on the serial round loop.
-    let executor = cfg.executor.build(engine_cfg);
-    let dfs_serial = SimDfs::from_database(&combined);
-    let serial_stats =
-        gumbo_sched::serial_reference(&executor, &dfs_serial, &build_program(&dfs_serial)?)?;
+    let reference_dfs = SimDfs::from_database(&db);
+    let reference = gumbo_sched::serial_reference(
+        &cfg.executor.build(engine_cfg),
+        &reference_dfs,
+        &build_program(&reference_dfs)?,
+    )?;
 
-    println!(
-        "{:>6} {:>6} {:>10} {:>9}",
-        "slots", "jobs", "wall (s)", "speedup"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    let mut one_slot_wall = None;
-    for slots in [1usize, 2, 4, 8] {
-        // Jobs start the moment their inputs are materialized and a slot
-        // is free.
+    // The one timed-run body: every row, and an untimed warm-up so the
+    // first row is not charged for the process's first-touch memory.
+    let timed_run = |workers: usize, slots: usize| -> Result<(f64, usize)> {
+        let executor = Executor::with_threads(engine_cfg, workers);
         let scheduler = DagScheduler::new(SchedulerConfig {
             max_concurrent_jobs: slots,
             ..SchedulerConfig::ONE_SLOT
         });
-        let dfs = SimDfs::from_database(&combined);
+        let dfs = SimDfs::from_database(&db);
         let program = build_program(&dfs)?;
         let start = Instant::now();
         let stats = scheduler.execute_program(&executor, &dfs, program)?;
         let wall = start.elapsed().as_secs_f64();
 
-        // Equivalence: byte-identical DFS contents, identical per-job and
-        // per-round statistics — slots may only move wall clock.
-        let label = format!("dagsched x{slots}");
-        gumbo_sched::assert_identical_dfs(&label, &dfs_serial, &dfs);
-        gumbo_sched::assert_identical_stats(&label, &serial_stats, &stats);
-        let jobs = stats.num_jobs();
-        let speedup = *one_slot_wall.get_or_insert(wall) / wall.max(1e-12);
-        println!("{slots:>6} {jobs:>6} {wall:>10.3} {speedup:>8.2}x");
+        let label = format!("scaling {workers} workers x {slots} slots");
+        gumbo_sched::assert_identical_dfs(&label, &reference_dfs, &dfs);
+        gumbo_sched::assert_identical_stats(&label, &reference, &stats);
+        Ok((wall, stats.num_jobs()))
+    };
+    timed_run(1, 1)?;
+
+    println!(
+        "{:>8} {:>6} {:>6} {:>10} {:>9}",
+        "workers", "slots", "jobs", "wall (s)", "speedup"
+    );
+    let mut rows: Vec<Json> = Vec::new();
+    let mut first_wall = None;
+    let settings = COUNTS
+        .iter()
+        .map(|&workers| (workers, 1))
+        .chain(COUNTS[1..].iter().map(|&slots| (1, slots)));
+    for (workers, slots) in settings {
+        let (wall, jobs) = timed_run(workers, slots)?;
+        let speedup = *first_wall.get_or_insert(wall) / wall.max(1e-12);
+        println!("{workers:>8} {slots:>6} {jobs:>6} {wall:>10.3} {speedup:>8.2}x");
         rows.push(Json::obj([
+            ("workers", Json::Int(workers as u64)),
             ("slots", Json::Int(slots as u64)),
             ("jobs", Json::Int(jobs as u64)),
             ("wall_s", Json::Num(wall)),
-            ("speedup_vs_one_slot", Json::Num(speedup)),
+            ("speedup", Json::Num(speedup)),
         ]));
     }
 
     let report = Json::obj([
-        ("experiment", Json::Str("dagsched".into())),
+        ("experiment", Json::Str("scaling".into())),
         ("clients", Json::Int(CLIENTS as u64)),
         ("tuples_per_client", Json::Int(cfg.tuples as u64)),
         ("scale", Json::Int(cfg.scale)),
         ("nodes", Json::Int(cfg.nodes as u64)),
-        ("executor", Json::Str(cfg.executor.label())),
+        ("reference_executor", Json::Str(cfg.executor.label())),
         ("hardware_threads", Json::Int(hw as u64)),
         ("rows", Json::Arr(rows)),
     ]);
-    write_bench_json("dagsched", &report).map_err(|e| {
-        gumbo_common::GumboError::Storage(format!("writing BENCH_dagsched.json: {e}"))
-    })?;
-    Ok(())
+    write_bench_json("scaling", &report)
+        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_scaling.json: {e}")))
 }
 
 /// Run everything.

@@ -1,8 +1,8 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-trajectory experiments (`speedup`, `dagsched`) emit a
-//! `BENCH_<name>.json` next to the working directory so successive PRs
-//! can be compared mechanically. The offline build has no serde; the
+//! The wall-clock experiment (`scaling`) emits a `BENCH_<name>.json` in
+//! the working directory so successive runs can be compared
+//! mechanically. The offline build has no serde; the
 //! JSON value model lives in [`gumbo_obs::json`] (shared with the trace
 //! sinks and `trace-check`) and is re-exported here so existing bench
 //! call sites keep compiling unchanged.

@@ -74,8 +74,8 @@ pub struct RunConfig {
     pub executor: ExecutorKind,
     /// Record a trace of the whole experiment to this path (`--trace`).
     pub trace: Option<std::path::PathBuf>,
-    /// Trace encoding (`--trace-format`).
-    pub trace_format: gumbo_obs::TraceFormat,
+    /// Trace encoding (`--trace-format`; Chrome when unset).
+    pub trace_format: Option<gumbo_obs::TraceFormat>,
     /// Print the counter/gauge registry after the run (`--metrics-dump`).
     pub metrics_dump: bool,
 }
@@ -92,7 +92,7 @@ impl Default for RunConfig {
             verify: true,
             executor: ExecutorKind::Simulated,
             trace: None,
-            trace_format: gumbo_obs::TraceFormat::Chrome,
+            trace_format: None,
             metrics_dump: false,
         }
     }
@@ -102,22 +102,6 @@ impl RunConfig {
     /// The paper-equivalent guard tuple count.
     pub fn equivalent_tuples(&self) -> u64 {
         self.tuples as u64 * self.scale
-    }
-
-    /// Install the configured trace sink, if any. Returns whether one
-    /// was installed — the caller owns the matching
-    /// [`gumbo_obs::uninstall`] (which finalizes the file).
-    pub fn install_trace(&self) -> std::io::Result<bool> {
-        use std::sync::Arc;
-        let Some(path) = &self.trace else {
-            return Ok(false);
-        };
-        let sink: Arc<dyn gumbo_obs::TraceSink> = match self.trace_format {
-            gumbo_obs::TraceFormat::Chrome => Arc::new(gumbo_obs::ChromeTraceSink::create(path)?),
-            gumbo_obs::TraceFormat::Jsonl => Arc::new(gumbo_obs::JsonlSink::create(path)?),
-        };
-        gumbo_obs::install(sink);
-        Ok(true)
     }
 
     fn engine_config(&self) -> EngineConfig {

@@ -95,12 +95,10 @@ pub struct EvalOptions {
     /// statistics are identical to unlimited execution. A limited
     /// [`SchedulerConfig::mem_budget`] takes precedence.
     pub mem_budget: gumbo_mr::MemBudget,
-    /// Block-cache budget, in bytes, for durable DFS backends
-    /// (`--dfs-cache` on the CLI). The engine itself never constructs a
-    /// DFS — whoever does (the CLI, the bench harness, a test) reads this
-    /// knob when building a [`gumbo_storage::FileDfs`]. `None` keeps
-    /// [`gumbo_storage::DEFAULT_CACHE_BYTES`]. Cache sizing can change
-    /// wall clock and cache counters only, never answers or byte meters.
+    /// Unread: the engine never constructs a DFS, so nothing here sizes
+    /// a block cache — whoever builds a [`gumbo_storage::FileDfs`] passes
+    /// the cache size to it directly. Kept only because `benchmark/`,
+    /// which is frozen between benchmark PRs, writes it.
     pub dfs_cache: Option<u64>,
 }
 
@@ -126,12 +124,6 @@ impl EvalOptions {
     /// Builder-style: set the shuffle memory budget.
     pub fn with_mem_budget(mut self, budget: gumbo_mr::MemBudget) -> Self {
         self.mem_budget = budget;
-        self
-    }
-
-    /// Builder-style: set the durable-DFS block-cache budget in bytes.
-    pub fn with_dfs_cache(mut self, bytes: u64) -> Self {
-        self.dfs_cache = Some(bytes);
         self
     }
 }

@@ -38,10 +38,10 @@ pub mod metrics;
 pub mod sink;
 
 pub use metrics::{
-    metrics_enabled, metrics_reset, metrics_snapshot, set_metrics_enabled, Counter, Gauge,
-    MetricKind,
+    metrics_enabled, metrics_reset, metrics_snapshot, print_metrics, set_metrics_enabled, Counter,
+    Gauge, MetricKind,
 };
-pub use sink::{ChromeTraceSink, JsonlSink, RingSink, TraceFormat, TraceSink};
+pub use sink::{install_trace_file, ChromeTraceSink, JsonlSink, RingSink, TraceFormat, TraceSink};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

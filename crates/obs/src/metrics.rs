@@ -146,6 +146,18 @@ pub fn metrics_snapshot() -> Vec<(&'static str, MetricKind, u64)> {
         .collect()
 }
 
+/// Print every registered metric to stdout as one
+/// `metric <counter|gauge> <name>=<value>` line (`--metrics-dump`).
+pub fn print_metrics() {
+    for (name, kind, value) in metrics_snapshot() {
+        let kind = match kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        };
+        println!("metric {kind} {name}={value}");
+    }
+}
+
 /// Zero every registered metric (tests; between CLI runs).
 pub fn metrics_reset() {
     for cell in REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).iter() {

@@ -47,6 +47,19 @@ impl TraceFormat {
     }
 }
 
+/// Install the process-global file sink a `--trace PATH
+/// [--trace-format F]` pair asks for (Chrome when no format is given).
+/// The caller owns the matching [`crate::uninstall`], which finalizes
+/// the file.
+pub fn install_trace_file(path: &Path, format: Option<TraceFormat>) -> std::io::Result<()> {
+    let sink: std::sync::Arc<dyn TraceSink> = match format.unwrap_or(TraceFormat::Chrome) {
+        TraceFormat::Chrome => std::sync::Arc::new(ChromeTraceSink::create(path)?),
+        TraceFormat::Jsonl => std::sync::Arc::new(JsonlSink::create(path)?),
+    };
+    crate::install(sink);
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Ring buffer
 // ---------------------------------------------------------------------------

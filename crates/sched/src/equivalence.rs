@@ -4,7 +4,7 @@
 //! The DAG scheduler promises byte-identical DFS contents and identical
 //! statistics versus the serial round-by-round reference, whatever the
 //! slot count or executor sizing. Every harness that asserts that promise
-//! (the `dagsched` benchmark, the scheduler unit tests, the
+//! (the `scaling` experiment, the scheduler unit tests, the
 //! workspace-level equivalence suite) runs the reference with
 //! [`serial_reference`] and compares with [`assert_identical_dfs`] and
 //! [`assert_identical_stats`], so the field list can never drift between
@@ -20,7 +20,7 @@ use gumbo_storage::Dfs;
 /// Run `program` on the serial reference loop ([`Executor::execute`]):
 /// the oracle a scheduled run of the same program over an equal DFS is
 /// compared against. Not a way to run programs — it exists so that
-/// checkers outside `#[cfg(test)]` (the `dagsched` experiment) reach the
+/// checkers outside `#[cfg(test)]` (the `scaling` experiment) reach the
 /// oracle through this module and nothing else does.
 pub fn serial_reference(
     executor: &Executor,

@@ -1,95 +1,59 @@
 //! `gumbo-cli` — run SGF queries over TSV relations from the command line,
 //! or serve them to concurrent tenants over TCP.
 //!
-//! Three subcommands wrap the resident query service (`gumbo::service`):
-//!
 //! ```text
-//! gumbo-cli serve    [--listen ADDR] (--preset NAME [--tuples N] | --data DIR)
-//!                    [--dfs sim|file:PATH] [--dfs-cache BYTES]
-//!                    [--executor sim|parallel|parallel:N] [--max-jobs N]
-//!                    [--mem-budget BYTES|unlimited]
-//!                    [--queue-cap N] [--inflight N] [--default-weight W]
-//!                    [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
+//! gumbo-cli [FLAGS]          one-shot: evaluate one program, verify it, exit
+//! gumbo-cli serve [FLAGS]    hold the database resident and answer queries
 //! gumbo-cli query    [--addr ADDR] [--tenant NAME] [--weight W]
 //!                    (--query FILE | --sgf TEXT | --preset NAME)
 //!                    [--out DIR] [--stats-json PATH]
 //! gumbo-cli shutdown [--addr ADDR]
 //! ```
 //!
-//! `serve` loads the database once (preset or TSV directory), binds a
-//! TCP listener, and answers line-delimited JSON query requests with
-//! estimate-weighted fair-share admission between tenants; answers are
-//! byte-identical to one-shot evaluation. SIGTERM/SIGINT (or a client's
-//! `shutdown` request) triggers a graceful drain: every accepted
-//! submission finishes and streams out before the process exits, and
-//! the exit code is nonzero if any accepted work was lost. `query`
-//! submits one program and writes the streamed relations/stats exactly
-//! like the one-shot flags of the same name. `shutdown` asks a running
-//! server to drain.
+//! One-shot and `serve` share one parser for the eleven flags they have
+//! in common — input (`--preset`, `--tuples`, `--data`), engine sizing
+//! (`--executor`, `--max-jobs`, `--mem-budget`), storage (`--dfs`,
+//! `--dfs-cache`) and recording (`--trace`, `--trace-format`,
+//! `--metrics-dump`) — one checker for the rules between them, one loader
+//! and one engine builder. The same flags therefore give both modes the
+//! same engine, so a served query is planned, priced and answered exactly
+//! like a one-shot run. The only difference is the documented `--max-jobs`
+//! default: one job slot one-shot, four in `serve`. README's option table
+//! lists every flag of both modes with its default.
 //!
-//! Without a subcommand, the classic one-shot mode:
+//! One-shot reads a program from `--query FILE` over the `Name.tsv`
+//! relations in `--data DIR`, or runs a `--preset` (`a1`–`a5`, `b1`, `b2`,
+//! `c1`–`c4`) without any files. It checks the answer against the naive
+//! reference evaluator and exits nonzero on a mismatch. It then prints the
+//! paper's four metrics and a `shuffle memory:` summary line, and, on a
+//! `file:` store, a `dfs cache:` line. A tracked shuffle peak above
+//! `--mem-budget` is an internal error: the summary prints first, then
+//! the process exits nonzero. `--out` writes every output relation as
+//! TSV, and `--stats-json` writes the full [`ProgramStats`].
 //!
-//! ```text
-//! gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N]
-//!           [--strategy greedy|par|sequnit|parunit|one-round|dynamic]
-//!           [--executor sim|parallel|parallel:N]
-//!           [--max-jobs N]
-//!           [--mem-budget BYTES|unlimited]
-//!           [--dfs sim|file:PATH] [--dfs-cache BYTES]
-//!           [--trace PATH] [--trace-format chrome|jsonl]
-//!           [--metrics-dump] [--stats-json PATH]
-//!           [--scale N] [--nodes N] [--out DIR] [--explain]
-//! ```
-//!
-//! `DIR` holds one `Name.tsv` per relation (tab-separated, integers or
-//! strings); `FILE` holds an SGF program in the paper's SQL-like syntax.
-//! Alternatively `--preset` runs one of the paper's generated workloads
-//! (`a1`–`a5`, `b1`, `b2`, `c1`–`c4`) without any files. Every output
-//! relation (final and intermediate `Z`s) is written back to `--out` (if
-//! given) as TSV, and the paper's four metrics are printed.
-//!
-//! Planned jobs run on the dependency-driven DAG scheduler, in the order
-//! they become ready, at most `--max-jobs` at a time (default 1: one after
-//! another in round order; `serve` defaults to 4). Results and statistics
-//! are byte-identical at every setting; every run reports the predicted
-//! DAG net time.
-//!
-//! `--mem-budget` bounds tracked shuffle memory (bytes, with optional
-//! `k`/`m`/`g` binary suffix): per-reducer buffers spill sorted runs to a
-//! job-scoped temp directory instead of exceeding the budget, and a
-//! `shuffle memory:` summary line (spilled bytes — raw and on-disk —
-//! run files, merge passes, peak) is printed after the run.
-//! Results are byte-identical to an unlimited run; the CLI exits nonzero
-//! if the tracked peak ever exceeded the budget — printing the
-//! shuffle-memory summary *before* exiting, so the evidence of the
-//! violation always reaches the log.
-//!
-//! `--dfs` selects the storage backend: `sim` (the default in-memory
-//! DFS) or `file:PATH` — a durable file-segment store rooted at `PATH`.
-//! A fresh directory is created and loaded from the inputs; an existing
-//! store is reopened and only missing relations are loaded, so a second
-//! run against the same `PATH` restarts from the durable state.
-//! `--dfs-cache` bounds the file backend's block cache (bytes, `k`/`m`/
-//! `g` suffix ok; default 64 MiB) — cache sizing never changes answers
-//! or the byte meters, which are logical and backend-invariant. A
-//! `dfs cache:` summary line (hits, misses, evictions) is printed after
-//! file-backed runs.
-//!
-//! `--trace PATH` records every phase span, scheduler event and budget
-//! event of the run to `PATH`; `--trace-format` picks the encoding —
-//! `chrome` (the default) writes a Chrome trace-event JSON array that
-//! loads directly into Perfetto or `chrome://tracing`, `jsonl` writes
-//! one JSON object per line for scripting. `--metrics-dump` prints the
-//! process-wide counter/gauge registry (spill runs, budget denials,
-//! committed jobs, …) after the run. `--stats-json PATH` dumps the full
-//! [`ProgramStats`] — the paper's four metrics, per-job costs, spill
-//! counters, and the estimated-vs-observed calibration ledger — as one
-//! JSON document.
+//! `serve` binds `--listen` and answers line-delimited JSON query
+//! requests with estimate-weighted fair-share admission between tenants.
+//! SIGTERM/SIGINT (or a client's `shutdown` request) drains it: every
+//! accepted submission finishes and streams out before the process
+//! exits, and the exit code is nonzero if any accepted work was lost.
+//! `query` submits one program and writes the streamed relations and
+//! stats like the one-shot flags of the same name.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use gumbo::mr::{ExecutorKind, MemBudget};
+use gumbo::obs::TraceFormat;
 use gumbo::prelude::*;
+// The stats vocabulary is shared with the query service so `--stats-json`
+// documents and streamed `stats` frames speak identical JSON.
+use gumbo::service::protocol::stats_to_json;
+
+// One-shot's `--strategy`, `--scale` and `--nodes` defaults. `serve` has
+// none of the three flags and plans and prices every query with these.
+const DEFAULT_STRATEGY: &str = "greedy";
+const DEFAULT_SCALE: u64 = 1;
+const DEFAULT_NODES: usize = 10;
 
 /// Which storage backend `--dfs` selected.
 enum DfsSpec {
@@ -99,25 +63,304 @@ enum DfsSpec {
     File(PathBuf),
 }
 
-struct Args {
-    data: PathBuf,
-    query: PathBuf,
+/// The flags one-shot runs and `serve` share.
+struct Common {
     preset: Option<String>,
     tuples: Option<usize>,
-    strategy: String,
-    executor: gumbo::mr::ExecutorKind,
+    data: Option<PathBuf>,
+    executor: ExecutorKind,
     max_jobs: usize,
-    mem_budget: gumbo::mr::MemBudget,
+    mem_budget: MemBudget,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
     trace: Option<PathBuf>,
-    trace_format: Option<gumbo::obs::TraceFormat>,
+    trace_format: Option<TraceFormat>,
     metrics_dump: bool,
-    stats_json: Option<PathBuf>,
+}
+
+impl Common {
+    /// The defaults of a mode whose `--max-jobs` default is `max_jobs`.
+    fn new(max_jobs: usize) -> Common {
+        Common {
+            preset: None,
+            tuples: None,
+            data: None,
+            executor: ExecutorKind::Simulated,
+            max_jobs,
+            mem_budget: MemBudget::UNLIMITED,
+            dfs: DfsSpec::Sim,
+            dfs_cache: None,
+            trace: None,
+            trace_format: None,
+            metrics_dump: false,
+        }
+    }
+
+    /// Parse `argv[*i]` (and its value) if it is a shared flag; `false`
+    /// leaves it to the mode's own flags.
+    fn parse_flag(&mut self, i: &mut usize, argv: &[String]) -> Result<bool, String> {
+        match argv[*i].as_str() {
+            "--preset" => self.preset = Some(need(i, argv)?),
+            "--tuples" => self.tuples = Some(parsed(i, argv)?),
+            "--data" => self.data = Some(PathBuf::from(need(i, argv)?)),
+            "--executor" => {
+                let spec = need(i, argv)?;
+                self.executor = ExecutorKind::parse(&spec)
+                    .ok_or_else(|| format!("--executor: unknown runtime {spec}"))?;
+            }
+            "--max-jobs" => self.max_jobs = parsed(i, argv)?,
+            "--mem-budget" => {
+                let spec = need(i, argv)?;
+                self.mem_budget = MemBudget::parse(&spec).ok_or_else(|| {
+                    format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
+                })?;
+            }
+            "--dfs" => {
+                let spec = need(i, argv)?;
+                self.dfs = if spec == "sim" {
+                    DfsSpec::Sim
+                } else if let Some(path) = spec.strip_prefix("file:") {
+                    DfsSpec::File(PathBuf::from(path))
+                } else {
+                    return Err(format!("--dfs: sim|file:PATH, got {spec}"));
+                };
+            }
+            "--dfs-cache" => {
+                let spec = need(i, argv)?;
+                // MemBudget's byte grammar (k/m/g suffixes), minus the
+                // "unlimited" spelling — an unbounded cache is just a
+                // cache sized to the store.
+                self.dfs_cache = Some(
+                    MemBudget::parse(&spec)
+                        .and_then(|b| b.limit())
+                        .ok_or_else(|| {
+                            format!("--dfs-cache: BYTES (k/m/g suffix ok), got {spec}")
+                        })?,
+                );
+            }
+            "--trace" => self.trace = Some(PathBuf::from(need(i, argv)?)),
+            "--trace-format" => {
+                let spec = need(i, argv)?;
+                self.trace_format =
+                    Some(TraceFormat::parse(&spec).map_err(|e| format!("--trace-format: {e}"))?);
+            }
+            "--metrics-dump" => self.metrics_dump = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The rules between shared flags, for both modes. Each guards a
+    /// combination that would otherwise be ambiguous or a silent no-op.
+    fn check(&self) -> Result<(), String> {
+        match (&self.preset, &self.data) {
+            (Some(_), Some(_)) => {
+                return Err("--preset conflicts with --data: pick one input source".into())
+            }
+            (None, None) => {
+                return Err("either --preset NAME or --data DIR is required (try --help)".into())
+            }
+            (None, Some(_)) if self.tuples.is_some() => {
+                return Err("--tuples only applies to --preset workloads".into())
+            }
+            _ => {}
+        }
+        if self.trace_format.is_some() && self.trace.is_none() {
+            return Err("--trace-format requires --trace PATH".into());
+        }
+        if self.dfs_cache.is_some() && matches!(self.dfs, DfsSpec::Sim) {
+            // The in-memory DFS has no block cache.
+            return Err("--dfs-cache requires --dfs file:PATH".into());
+        }
+        Ok(())
+    }
+
+    /// Start recording what `--trace` and `--metrics-dump` ask for.
+    /// `gumbo::obs::uninstall` finalizes the trace file.
+    fn start_recording(&self) -> Result<(), String> {
+        if let Some(path) = &self.trace {
+            gumbo::obs::install_trace_file(path, self.trace_format)
+                .map_err(|e| format!("--trace {path:?}: {e}"))?;
+        }
+        if self.metrics_dump {
+            gumbo::obs::set_metrics_enabled(true);
+        }
+        Ok(())
+    }
+}
+
+/// The scheduler configuration the CLI runs under, one-shot and `serve`
+/// alike: `--max-jobs` slots, and the same shuffle budget
+/// `EvalOptions::mem_budget` carries (one executor, one shared tracker).
+fn scheduler_config(max_jobs: usize, budget: MemBudget) -> SchedulerConfig {
+    SchedulerConfig {
+        max_concurrent_jobs: max_jobs,
+        mem_budget: budget,
+        ..SchedulerConfig::ONE_SLOT
+    }
+}
+
+/// The evaluation options a `--strategy` name selects.
+fn strategy_options(strategy: &str) -> Result<EvalOptions, String> {
+    let base = EvalOptions::default();
+    let singletons = |sort| EvalOptions {
+        grouping: Grouping::Singletons,
+        sort,
+        enable_one_round: false,
+        ..base
+    };
+    Ok(match strategy {
+        "greedy" => EvalOptions {
+            enable_one_round: false,
+            ..base
+        },
+        "one-round" => base,
+        "par" | "parunit" => singletons(SortStrategy::Levels),
+        "sequnit" => singletons(SortStrategy::Sequential),
+        "dynamic" => EvalOptions {
+            sort: SortStrategy::DynamicGreedy,
+            ..base
+        },
+        other => return Err(format!("unknown strategy {other}")),
+    })
+}
+
+/// The engine both modes run: a strategy and cost-model scale, sized by
+/// the shared flags.
+fn build_engine(
+    common: &Common,
+    strategy: &str,
+    scale: u64,
+    nodes: usize,
+) -> Result<GumboEngine, String> {
+    let options = EvalOptions {
+        mem_budget: common.mem_budget,
+        scheduler: Some(scheduler_config(common.max_jobs, common.mem_budget)),
+        ..strategy_options(strategy)?
+    };
+    let config = EngineConfig {
+        scale,
+        cluster: Cluster::with_nodes(nodes),
+        ..EngineConfig::default()
+    };
+    Ok(GumboEngine::with_executor(config, common.executor, options))
+}
+
+/// Resolve one of the paper's generated workloads by name.
+fn preset(name: &str) -> Result<gumbo::datagen::Workload, String> {
+    use gumbo::datagen::queries;
+    Ok(match name.to_ascii_lowercase().as_str() {
+        "a1" => queries::a1(),
+        "a2" => queries::a2(),
+        "a3" => queries::a3(),
+        "a4" => queries::a4(),
+        "a5" => queries::a5(),
+        "b1" => queries::b1(),
+        "b2" => queries::b2(),
+        "c1" => queries::c1(),
+        "c2" => queries::c2(),
+        "c3" => queries::c3(),
+        "c4" => queries::c4(),
+        _ => return Err(format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)")),
+    })
+}
+
+/// Load the database both modes evaluate over — a generated preset,
+/// seeded identically everywhere so served answers diff clean against
+/// one-shot output, or a TSV directory — and the program to run: the
+/// preset's own, or the one in `query` (`None` when neither applies).
+fn load_inputs(
+    common: &Common,
+    query: Option<&Path>,
+) -> Result<(Database, Option<SgfQuery>), String> {
+    if let Some(name) = &common.preset {
+        let workload = preset(name)?;
+        let tuples = common.tuples.unwrap_or(1000);
+        let db = workload.spec.clone().with_tuples(tuples).database(1);
+        eprintln!(
+            "preset {}: {} relations, {tuples} guard tuples",
+            workload.name,
+            db.relation_count(),
+        );
+        return Ok((db, Some(workload.query)));
+    }
+
+    let dir = common
+        .data
+        .as_ref()
+        .expect("Common::check requires an input");
+    let relations = gumbo::common::io::read_tsv_dir(dir).map_err(|e| e.to_string())?;
+    if relations.is_empty() {
+        return Err(format!("no .tsv relations found in {dir:?}"));
+    }
+    let mut db = Database::new();
+    for rel in relations {
+        eprintln!(
+            "loaded {:<16} {:>8} tuples (arity {})",
+            rel.name(),
+            rel.len(),
+            rel.arity()
+        );
+        db.add_relation(rel);
+    }
+    let Some(path) = query else {
+        return Ok((db, None));
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+    let query = parse_program(&text).map_err(|e| e.to_string())?;
+    Ok((db, Some(query)))
+}
+
+/// Build the selected DFS backend, loaded with the input database.
+///
+/// The file backend reopens an existing store at `PATH` and loads only
+/// the relations it doesn't already hold, so a rerun against the same
+/// root restarts from the durable state. The initial load is unmetered,
+/// matching [`SimDfs::from_database`].
+fn build_dfs(common: &Common, db: &Database) -> Result<Box<dyn Dfs>, String> {
+    match &common.dfs {
+        DfsSpec::Sim => Ok(Box::new(SimDfs::from_database(db))),
+        DfsSpec::File(root) => {
+            let cache = common.dfs_cache.unwrap_or(DEFAULT_CACHE_BYTES);
+            let dfs = FileDfs::open_or_create(root, cache).map_err(|e| e.to_string())?;
+            for rel in db.relations() {
+                if !dfs.exists(rel.name()) {
+                    Dfs::store(&dfs, rel.clone()).map_err(|e| e.to_string())?;
+                }
+            }
+            dfs.reset_counters();
+            Ok(Box::new(dfs))
+        }
+    }
+}
+
+/// The value after the flag at `argv[*i]`.
+fn need(i: &mut usize, argv: &[String]) -> Result<String, String> {
+    *i += 1;
+    argv.get(*i)
+        .cloned()
+        .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
+}
+
+/// The value after the flag at `argv[*i]`, parsed.
+fn parsed<T: std::str::FromStr>(i: &mut usize, argv: &[String]) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = need(i, argv)?;
+    value.parse().map_err(|e| format!("{}: {e}", argv[*i - 1]))
+}
+
+/// One-shot mode: the shared flags plus the ones only a single run has.
+struct Args {
+    common: Common,
+    query: Option<PathBuf>,
+    strategy: String,
     scale: u64,
     nodes: usize,
     out: Option<PathBuf>,
     explain: bool,
+    stats_json: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per subcommand) | \
@@ -133,178 +376,43 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        data: PathBuf::new(),
-        query: PathBuf::new(),
-        preset: None,
-        tuples: None,
-        strategy: "greedy".into(),
-        executor: gumbo::mr::ExecutorKind::Simulated,
-        max_jobs: 1,
-        mem_budget: gumbo::mr::MemBudget::UNLIMITED,
-        dfs: DfsSpec::Sim,
-        dfs_cache: None,
-        trace: None,
-        trace_format: None,
-        metrics_dump: false,
-        stats_json: None,
-        scale: 1,
-        nodes: 10,
+        common: Common::new(1),
+        query: None,
+        strategy: DEFAULT_STRATEGY.into(),
+        scale: DEFAULT_SCALE,
+        nodes: DEFAULT_NODES,
         out: None,
         explain: false,
+        stats_json: None,
     };
     let mut i = 0;
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--data" => args.data = PathBuf::from(need(&mut i, argv)?),
-            "--query" => args.query = PathBuf::from(need(&mut i, argv)?),
-            "--preset" => args.preset = Some(need(&mut i, argv)?),
-            "--tuples" => {
-                args.tuples = Some(
-                    need(&mut i, argv)?
-                        .parse()
-                        .map_err(|e| format!("--tuples: {e}"))?,
-                )
+        if !args.common.parse_flag(&mut i, argv)? {
+            match argv[i].as_str() {
+                "--query" => args.query = Some(PathBuf::from(need(&mut i, argv)?)),
+                "--strategy" => args.strategy = need(&mut i, argv)?,
+                "--scale" => args.scale = parsed(&mut i, argv)?,
+                "--nodes" => args.nodes = parsed(&mut i, argv)?,
+                "--out" => args.out = Some(PathBuf::from(need(&mut i, argv)?)),
+                "--explain" => args.explain = true,
+                "--stats-json" => args.stats_json = Some(PathBuf::from(need(&mut i, argv)?)),
+                "--help" | "-h" => return Err(USAGE.into()),
+                other => return Err(format!("unknown flag {other} (try --help)")),
             }
-            "--strategy" => args.strategy = need(&mut i, argv)?,
-            "--executor" => {
-                let spec = need(&mut i, argv)?;
-                args.executor = gumbo::mr::ExecutorKind::parse(&spec)
-                    .ok_or_else(|| format!("--executor: unknown runtime {spec}"))?;
-            }
-            "--max-jobs" => {
-                args.max_jobs = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--max-jobs: {e}"))?
-            }
-            "--mem-budget" => {
-                let spec = need(&mut i, argv)?;
-                args.mem_budget = gumbo::mr::MemBudget::parse(&spec).ok_or_else(|| {
-                    format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
-                })?;
-            }
-            "--dfs" => {
-                let spec = need(&mut i, argv)?;
-                args.dfs = if spec == "sim" {
-                    DfsSpec::Sim
-                } else if let Some(path) = spec.strip_prefix("file:") {
-                    DfsSpec::File(PathBuf::from(path))
-                } else {
-                    return Err(format!("--dfs: sim|file:PATH, got {spec}"));
-                };
-            }
-            "--dfs-cache" => {
-                let spec = need(&mut i, argv)?;
-                // MemBudget's byte grammar (k/m/g suffixes), minus the
-                // "unlimited" spelling — an unbounded cache is just a
-                // cache sized to the store.
-                args.dfs_cache = Some(
-                    gumbo::mr::MemBudget::parse(&spec)
-                        .and_then(|b| b.limit())
-                        .ok_or_else(|| {
-                            format!("--dfs-cache: BYTES (k/m/g suffix ok), got {spec}")
-                        })?,
-                );
-            }
-            "--scale" => {
-                args.scale = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--nodes" => {
-                args.nodes = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--trace" => args.trace = Some(PathBuf::from(need(&mut i, argv)?)),
-            "--trace-format" => {
-                let spec = need(&mut i, argv)?;
-                args.trace_format = Some(
-                    gumbo::obs::TraceFormat::parse(&spec)
-                        .map_err(|e| format!("--trace-format: {e}"))?,
-                );
-            }
-            "--metrics-dump" => args.metrics_dump = true,
-            "--stats-json" => args.stats_json = Some(PathBuf::from(need(&mut i, argv)?)),
-            "--out" => args.out = Some(PathBuf::from(need(&mut i, argv)?)),
-            "--explain" => args.explain = true,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other} (try --help)")),
         }
         i += 1;
     }
-    let has_files = !args.data.as_os_str().is_empty() || !args.query.as_os_str().is_empty();
-    if args.preset.is_some() && has_files {
-        return Err("--preset conflicts with --data/--query: pick one input source".into());
-    }
-    if args.preset.is_none() {
-        if args.data.as_os_str().is_empty() || args.query.as_os_str().is_empty() {
-            return Err(
-                "either --preset NAME or both --data and --query are required (try --help)".into(),
-            );
-        }
-        if args.tuples.is_some() {
-            return Err("--tuples only applies to --preset workloads".into());
-        }
-    }
-    if args.trace_format.is_some() && args.trace.is_none() {
-        // A format without a destination would be a silent no-op.
-        return Err("--trace-format requires --trace PATH".into());
-    }
-    if args.dfs_cache.is_some() && matches!(args.dfs, DfsSpec::Sim) {
-        // The in-memory DFS has no block cache; the flag would be a
-        // silent no-op.
-        return Err("--dfs-cache requires --dfs file:PATH".into());
+    args.common.check()?;
+    if args.query.is_some() != args.common.data.is_some() {
+        return Err("--query goes with --data; a --preset brings its own query".into());
     }
     Ok(args)
 }
 
-/// The scheduler configuration the CLI runs under, one-shot and `serve`
-/// alike: `--max-jobs` slots, and the same shuffle budget
-/// `EvalOptions::mem_budget` carries (one executor, one shared tracker).
-fn scheduler_config(max_jobs: usize, budget: gumbo::mr::MemBudget) -> SchedulerConfig {
-    SchedulerConfig {
-        max_concurrent_jobs: max_jobs,
-        mem_budget: budget,
-        ..SchedulerConfig::ONE_SLOT
+impl Args {
+    fn engine(&self) -> Result<GumboEngine, String> {
+        build_engine(&self.common, &self.strategy, self.scale, self.nodes)
     }
-}
-
-fn options_for(args: &Args) -> Result<EvalOptions, String> {
-    use gumbo::core::SortStrategy;
-    let base = EvalOptions::default();
-    let mut options = match args.strategy.as_str() {
-        "greedy" => EvalOptions {
-            enable_one_round: false,
-            ..base
-        },
-        "one-round" => base,
-        "par" => EvalOptions {
-            grouping: Grouping::Singletons,
-            sort: SortStrategy::Levels,
-            enable_one_round: false,
-            ..base
-        },
-        "sequnit" => EvalOptions {
-            grouping: Grouping::Singletons,
-            sort: SortStrategy::Sequential,
-            enable_one_round: false,
-            ..base
-        },
-        "parunit" => EvalOptions {
-            grouping: Grouping::Singletons,
-            sort: SortStrategy::Levels,
-            enable_one_round: false,
-            ..base
-        },
-        "dynamic" => EvalOptions {
-            sort: SortStrategy::DynamicGreedy,
-            ..base
-        },
-        other => return Err(format!("unknown strategy {other}")),
-    };
-    options.mem_budget = args.mem_budget;
-    options.scheduler = Some(scheduler_config(args.max_jobs, args.mem_budget));
-    Ok(options)
 }
 
 /// Nonzero-exit check for the shuffle-memory budget, split out so the
@@ -320,107 +428,13 @@ fn budget_check(peak: u64, limit: Option<u64>) -> Result<(), String> {
     }
 }
 
-// The stats vocabulary is shared with the query service so `--stats-json`
-// documents and streamed `stats` frames speak identical JSON.
-use gumbo::service::protocol::stats_to_json;
-
-/// Resolve one of the paper's generated workloads by name.
-fn preset(name: &str) -> Option<gumbo::datagen::Workload> {
-    use gumbo::datagen::queries;
-    Some(match name.to_ascii_lowercase().as_str() {
-        "a1" => queries::a1(),
-        "a2" => queries::a2(),
-        "a3" => queries::a3(),
-        "a4" => queries::a4(),
-        "a5" => queries::a5(),
-        "b1" => queries::b1(),
-        "b2" => queries::b2(),
-        "c1" => queries::c1(),
-        "c2" => queries::c2(),
-        "c3" => queries::c3(),
-        "c4" => queries::c4(),
-        _ => return None,
-    })
-}
-
-fn load_inputs(args: &Args) -> Result<(Database, SgfQuery), String> {
-    if let Some(name) = &args.preset {
-        let workload =
-            preset(name).ok_or_else(|| format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)"))?;
-        let tuples = args.tuples.unwrap_or(1000);
-        let db = workload.spec.clone().with_tuples(tuples).database(1);
-        eprintln!(
-            "preset {}: {} relations, {tuples} guard tuples",
-            workload.name,
-            db.relation_count(),
-        );
-        return Ok((db, workload.query));
-    }
-
-    let relations = gumbo::common::io::read_tsv_dir(&args.data).map_err(|e| e.to_string())?;
-    if relations.is_empty() {
-        return Err(format!("no .tsv relations found in {:?}", args.data));
-    }
-    let mut db = Database::new();
-    for rel in relations {
-        eprintln!(
-            "loaded {:<16} {:>8} tuples (arity {})",
-            rel.name(),
-            rel.len(),
-            rel.arity()
-        );
-        db.add_relation(rel);
-    }
-    let text = std::fs::read_to_string(&args.query)
-        .map_err(|e| format!("reading {:?}: {e}", args.query))?;
-    let query = parse_program(&text).map_err(|e| e.to_string())?;
-    Ok((db, query))
-}
-
-/// Build the selected DFS backend, loaded with the input database.
-///
-/// The file backend reopens an existing store at `PATH` and loads only
-/// the relations it doesn't already hold, so a rerun against the same
-/// root restarts from the durable state. The initial load is unmetered,
-/// matching [`SimDfs::from_database`].
-fn build_dfs(
-    spec: &DfsSpec,
-    dfs_cache: Option<u64>,
-    db: &Database,
-) -> Result<Box<dyn Dfs>, String> {
-    match spec {
-        DfsSpec::Sim => Ok(Box::new(SimDfs::from_database(db))),
-        DfsSpec::File(root) => {
-            let cache = dfs_cache.unwrap_or(DEFAULT_CACHE_BYTES);
-            let dfs = FileDfs::open_or_create(root, cache).map_err(|e| e.to_string())?;
-            for rel in db.relations() {
-                if !dfs.exists(rel.name()) {
-                    Dfs::store(&dfs, rel.clone()).map_err(|e| e.to_string())?;
-                }
-            }
-            dfs.reset_counters();
-            Ok(Box::new(dfs))
-        }
-    }
-}
-
 fn run(args: Args) -> Result<(), String> {
-    let (db, query) = load_inputs(&args)?;
+    let (db, query) = load_inputs(&args.common, args.query.as_deref())?;
+    let query = query.expect("parse_args pairs --data with --query");
     eprintln!("\nquery:\n{query}\n");
 
-    // Plan + run.
-    let mut options = options_for(&args)?;
-    options.dfs_cache = args.dfs_cache;
-    let engine = GumboEngine::with_executor(
-        EngineConfig {
-            scale: args.scale,
-            cluster: Cluster::with_nodes(args.nodes),
-            ..EngineConfig::default()
-        },
-        args.executor,
-        options,
-    );
-    let dfs = build_dfs(&args.dfs, args.dfs_cache, &db)?;
+    let engine = args.engine()?;
+    let dfs = build_dfs(&args.common, &db)?;
     let dfs: &dyn Dfs = &*dfs;
 
     if args.explain {
@@ -430,7 +444,7 @@ fn run(args: Args) -> Result<(), String> {
             .sort_cost(dfs, &query, &sort)
             .map_err(|e| e.to_string())?;
         eprintln!("estimated plan cost      : {cost:.1}");
-        if let Some(sched) = options.scheduler {
+        if let Some(sched) = engine.options.scheduler {
             eprintln!(
                 "scheduler                : max {} concurrent jobs",
                 sched.effective_workers(),
@@ -439,21 +453,13 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!();
     }
 
-    if let Some(path) = &args.trace {
-        install_trace_sink(path, args.trace_format)?;
-    }
-    if args.metrics_dump {
-        gumbo::obs::set_metrics_enabled(true);
-    }
-
+    args.common.start_recording()?;
     let runtime = engine.runtime();
     let result = engine.eval().on(&runtime).run(dfs, &query);
     // Uninstall *before* propagating errors so the trace file is always
     // finalized (the Chrome array closed) — a failed run's trace is
     // exactly the one worth loading into Perfetto.
-    if args.trace.is_some() {
-        gumbo::obs::uninstall();
-    }
+    gumbo::obs::uninstall();
     let stats = result.map_err(|e| e.to_string())?;
 
     // Verify against the reference evaluator (cheap at CLI scales).
@@ -499,7 +505,7 @@ fn run(args: Args) -> Result<(), String> {
         stats.spill_merge_passes(),
     );
     budget_check(budget.peak(), budget.limit())?;
-    let cache = if matches!(args.dfs, DfsSpec::File(_)) {
+    let cache = if matches!(args.common.dfs, DfsSpec::File(_)) {
         let cache = dfs.cache_stats();
         println!(
             "dfs cache: capacity={} hits={} misses={} evictions={} cached_bytes={} hit_rate={}",
@@ -525,14 +531,8 @@ fn run(args: Args) -> Result<(), String> {
             .map_err(|e| format!("--stats-json {path:?}: {e}"))?;
         println!("wrote {path:?} (program stats)");
     }
-    if args.metrics_dump {
-        for (name, kind, value) in gumbo::obs::metrics_snapshot() {
-            let kind = match kind {
-                gumbo::obs::MetricKind::Counter => "counter",
-                gumbo::obs::MetricKind::Gauge => "gauge",
-            };
-            println!("metric {kind} {name}={value}");
-        }
+    if args.common.metrics_dump {
+        gumbo::obs::print_metrics();
     }
 
     if let Some(out_dir) = args.out {
@@ -547,70 +547,11 @@ fn run(args: Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Install the process-global trace sink for `--trace PATH`.
-fn install_trace_sink(
-    path: &PathBuf,
-    format: Option<gumbo::obs::TraceFormat>,
-) -> Result<(), String> {
-    let format = format.unwrap_or(gumbo::obs::TraceFormat::Chrome);
-    let sink: std::sync::Arc<dyn gumbo::obs::TraceSink> = match format {
-        gumbo::obs::TraceFormat::Chrome => std::sync::Arc::new(
-            gumbo::obs::ChromeTraceSink::create(path)
-                .map_err(|e| format!("--trace {path:?}: {e}"))?,
-        ),
-        gumbo::obs::TraceFormat::Jsonl => std::sync::Arc::new(
-            gumbo::obs::JsonlSink::create(path).map_err(|e| format!("--trace {path:?}: {e}"))?,
-        ),
-    };
-    gumbo::obs::install(sink);
-    Ok(())
-}
-
-/// Shared positional-value helper for the subcommand parsers.
-fn need(i: &mut usize, argv: &[String]) -> Result<String, String> {
-    *i += 1;
-    argv.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-}
-
-/// Load the database a server will hold resident: a generated preset
-/// (seeded exactly like one-shot `--preset`, so service answers diff
-/// clean against one-shot output) or a TSV directory.
-fn load_service_db(
-    preset_name: Option<&str>,
-    tuples: Option<usize>,
-    data: Option<&PathBuf>,
-) -> Result<Database, String> {
-    match (preset_name, data) {
-        (Some(name), None) => {
-            let workload = preset(name)
-                .ok_or_else(|| format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)"))?;
-            let tuples = tuples.unwrap_or(1000);
-            let db = workload.spec.clone().with_tuples(tuples).database(1);
-            eprintln!(
-                "preset {}: {} relations, {tuples} guard tuples",
-                workload.name,
-                db.relation_count(),
-            );
-            Ok(db)
-        }
-        (None, Some(dir)) => {
-            if tuples.is_some() {
-                return Err("--tuples only applies to --preset workloads".into());
-            }
-            let relations = gumbo::common::io::read_tsv_dir(dir).map_err(|e| e.to_string())?;
-            if relations.is_empty() {
-                return Err(format!("no .tsv relations found in {dir:?}"));
-            }
-            let mut db = Database::new();
-            for rel in relations {
-                db.add_relation(rel);
-            }
-            Ok(db)
-        }
-        _ => Err("serve needs exactly one of --preset NAME or --data DIR".into()),
-    }
+/// `serve` mode: the shared flags plus the server's own.
+struct ServeArgs {
+    common: Common,
+    listen: String,
+    config: ServeConfig,
 }
 
 const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
@@ -621,157 +562,55 @@ const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
                            [--queue-cap N] [--inflight N] [--default-weight W] \
                            [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
 
-fn run_serve(argv: &[String]) -> Result<(), String> {
-    let mut listen = "127.0.0.1:7421".to_string();
-    let mut preset_name: Option<String> = None;
-    let mut tuples: Option<usize> = None;
-    let mut data: Option<PathBuf> = None;
-    let mut dfs_spec = DfsSpec::Sim;
-    let mut dfs_cache: Option<u64> = None;
-    let mut executor = gumbo::mr::ExecutorKind::Simulated;
-    let mut max_jobs = 4usize;
-    let mut mem_budget = gumbo::mr::MemBudget::UNLIMITED;
-    let mut queue_cap = 64usize;
-    let mut inflight = 2usize;
-    let mut default_weight = 1.0f64;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_format: Option<gumbo::obs::TraceFormat> = None;
-    let mut metrics_dump = false;
+fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
+    let mut args = ServeArgs {
+        common: Common::new(4),
+        listen: "127.0.0.1:7421".into(),
+        config: ServeConfig::default(),
+    };
     let mut i = 0;
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--listen" => listen = need(&mut i, argv)?,
-            "--preset" => preset_name = Some(need(&mut i, argv)?),
-            "--tuples" => {
-                tuples = Some(
-                    need(&mut i, argv)?
-                        .parse()
-                        .map_err(|e| format!("--tuples: {e}"))?,
-                )
+        if !args.common.parse_flag(&mut i, argv)? {
+            match argv[i].as_str() {
+                "--listen" => args.listen = need(&mut i, argv)?,
+                "--queue-cap" => args.config.queue_capacity = parsed(&mut i, argv)?,
+                "--inflight" => args.config.max_in_flight = parsed(&mut i, argv)?,
+                "--default-weight" => args.config.default_weight = parsed(&mut i, argv)?,
+                "--help" | "-h" => return Err(SERVE_USAGE.into()),
+                other => return Err(format!("serve: unknown flag {other} (try --help)")),
             }
-            "--data" => data = Some(PathBuf::from(need(&mut i, argv)?)),
-            "--dfs" => {
-                let spec = need(&mut i, argv)?;
-                dfs_spec = if spec == "sim" {
-                    DfsSpec::Sim
-                } else if let Some(path) = spec.strip_prefix("file:") {
-                    DfsSpec::File(PathBuf::from(path))
-                } else {
-                    return Err(format!("--dfs: sim|file:PATH, got {spec}"));
-                };
-            }
-            "--dfs-cache" => {
-                let spec = need(&mut i, argv)?;
-                dfs_cache = Some(
-                    gumbo::mr::MemBudget::parse(&spec)
-                        .and_then(|b| b.limit())
-                        .ok_or_else(|| {
-                            format!("--dfs-cache: BYTES (k/m/g suffix ok), got {spec}")
-                        })?,
-                );
-            }
-            "--executor" => {
-                let spec = need(&mut i, argv)?;
-                executor = gumbo::mr::ExecutorKind::parse(&spec)
-                    .ok_or_else(|| format!("--executor: unknown runtime {spec}"))?;
-            }
-            "--max-jobs" => {
-                max_jobs = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--max-jobs: {e}"))?
-            }
-            "--mem-budget" => {
-                let spec = need(&mut i, argv)?;
-                mem_budget = gumbo::mr::MemBudget::parse(&spec).ok_or_else(|| {
-                    format!("--mem-budget: BYTES (k/m/g suffix ok) or unlimited, got {spec}")
-                })?;
-            }
-            "--queue-cap" => {
-                queue_cap = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?
-            }
-            "--inflight" => {
-                inflight = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--inflight: {e}"))?
-            }
-            "--default-weight" => {
-                default_weight = need(&mut i, argv)?
-                    .parse()
-                    .map_err(|e| format!("--default-weight: {e}"))?
-            }
-            "--trace" => trace = Some(PathBuf::from(need(&mut i, argv)?)),
-            "--trace-format" => {
-                let spec = need(&mut i, argv)?;
-                trace_format = Some(
-                    gumbo::obs::TraceFormat::parse(&spec)
-                        .map_err(|e| format!("--trace-format: {e}"))?,
-                );
-            }
-            "--metrics-dump" => metrics_dump = true,
-            "--help" | "-h" => return Err(SERVE_USAGE.into()),
-            other => return Err(format!("serve: unknown flag {other} (try --help)")),
         }
         i += 1;
     }
-    if dfs_cache.is_some() && matches!(dfs_spec, DfsSpec::Sim) {
-        return Err("--dfs-cache requires --dfs file:PATH".into());
+    args.common.check()?;
+    Ok(args)
+}
+
+impl ServeArgs {
+    fn engine(&self) -> Result<GumboEngine, String> {
+        build_engine(&self.common, DEFAULT_STRATEGY, DEFAULT_SCALE, DEFAULT_NODES)
     }
-    if trace_format.is_some() && trace.is_none() {
-        return Err("--trace-format requires --trace PATH".into());
-    }
-    let db = load_service_db(preset_name.as_deref(), tuples, data.as_ref())?;
-    let dfs: std::sync::Arc<dyn Dfs> = std::sync::Arc::from(build_dfs(&dfs_spec, dfs_cache, &db)?);
-    // Match the one-shot default (strategy "greedy"): the service must
-    // produce byte-identical relations — intermediates included — to a
-    // default one-shot run over the same inputs.
-    let options = EvalOptions {
-        enable_one_round: false,
-        mem_budget,
-        dfs_cache,
-        scheduler: Some(scheduler_config(max_jobs, mem_budget)),
-        ..EvalOptions::default()
-    };
-    let engine = GumboEngine::with_executor(EngineConfig::default(), executor, options);
+}
+
+fn run_serve(args: ServeArgs) -> Result<(), String> {
+    let (db, _) = load_inputs(&args.common, None)?;
+    let dfs: std::sync::Arc<dyn Dfs> = std::sync::Arc::from(build_dfs(&args.common, &db)?);
+    let engine = args.engine()?;
     gumbo::service::install_signal_drain();
-    if let Some(path) = &trace {
-        install_trace_sink(path, trace_format)?;
-    }
-    if metrics_dump {
-        gumbo::obs::set_metrics_enabled(true);
-    }
-    let listener =
-        std::net::TcpListener::bind(&listen).map_err(|e| format!("bind {listen}: {e}"))?;
-    let handle = serve(
-        listener,
-        dfs,
-        engine,
-        ServeConfig {
-            queue_capacity: queue_cap,
-            max_in_flight: inflight,
-            default_weight,
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    args.common.start_recording()?;
+    let listener = std::net::TcpListener::bind(&args.listen)
+        .map_err(|e| format!("bind {}: {e}", args.listen))?;
+    let handle = serve(listener, dfs, engine, args.config).map_err(|e| e.to_string())?;
     println!("gumbo-serve listening on {}", handle.addr());
     let summary = handle.join();
     // Finalize the trace (close the Chrome array) before any exit path.
-    if trace.is_some() {
-        gumbo::obs::uninstall();
-    }
+    gumbo::obs::uninstall();
     println!(
         "gumbo-serve drained: connections={} accepted={} completed={}",
         summary.connections, summary.accepted, summary.completed,
     );
-    if metrics_dump {
-        for (name, kind, value) in gumbo::obs::metrics_snapshot() {
-            let kind = match kind {
-                gumbo::obs::MetricKind::Counter => "counter",
-                gumbo::obs::MetricKind::Gauge => "gauge",
-            };
-            println!("metric {kind} {name}={value}");
-        }
+    if args.common.metrics_dump {
+        gumbo::obs::print_metrics();
     }
     if summary.accepted != summary.completed {
         return Err(format!(
@@ -800,13 +639,7 @@ fn run_query(argv: &[String]) -> Result<(), String> {
         match argv[i].as_str() {
             "--addr" => addr = need(&mut i, argv)?,
             "--tenant" => tenant = need(&mut i, argv)?,
-            "--weight" => {
-                weight = Some(
-                    need(&mut i, argv)?
-                        .parse()
-                        .map_err(|e| format!("--weight: {e}"))?,
-                )
-            }
+            "--weight" => weight = Some(parsed(&mut i, argv)?),
             "--query" => query_file = Some(PathBuf::from(need(&mut i, argv)?)),
             "--sgf" => sgf_text = Some(need(&mut i, argv)?),
             "--preset" => preset_name = Some(need(&mut i, argv)?),
@@ -822,10 +655,7 @@ fn run_query(argv: &[String]) -> Result<(), String> {
             std::fs::read_to_string(&path).map_err(|e| format!("reading {path:?}: {e}"))?
         }
         (None, Some(text), None) => text,
-        (None, None, Some(name)) => preset(&name)
-            .ok_or_else(|| format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)"))?
-            .query
-            .to_string(),
+        (None, None, Some(name)) => preset(&name)?.query.to_string(),
         _ => return Err("query needs exactly one of --query, --sgf, --preset".into()),
     };
     // Retry the connect: CI starts the server in the background and the
@@ -897,7 +727,7 @@ fn run_shutdown(argv: &[String]) -> Result<(), String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match argv.first().map(String::as_str) {
-        Some("serve") => run_serve(&argv[1..]),
+        Some("serve") => parse_serve(&argv[1..]).and_then(run_serve),
         Some("query") => run_query(&argv[1..]),
         Some("shutdown") => run_shutdown(&argv[1..]),
         _ => parse_args(&argv).and_then(run),
@@ -927,13 +757,12 @@ mod tests {
         assert!(budget_check(u64::MAX, None).is_ok());
     }
 
+    fn argv(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|s| s.to_string()).collect()
+    }
+
     fn parse(flags: &[&str]) -> Result<Args, String> {
-        let argv: Vec<String> = ["--preset", "a3"]
-            .iter()
-            .chain(flags)
-            .map(|s| s.to_string())
-            .collect();
-        parse_args(&argv)
+        parse_args(&argv(&[&["--preset", "a3"][..], flags].concat()))
     }
 
     /// There is no scheduler to choose: every run is on the one
@@ -948,7 +777,7 @@ mod tests {
         assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
 
         let budgeted = parse(&["--mem-budget", "64k"]).unwrap();
-        let options = options_for(&budgeted).unwrap();
+        let options = budgeted.engine().unwrap().options;
         let sched = options.scheduler.unwrap();
         assert_eq!(sched.max_concurrent_jobs, 1);
         assert_eq!(sched.mem_budget, options.mem_budget);
@@ -980,6 +809,150 @@ mod tests {
         ] {
             let err = parse(flags).err().expect("flag is gone");
             assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
+        }
+    }
+
+    /// Both modes build their engine from the shared flags through one
+    /// builder, so a served query is planned and priced like a one-shot
+    /// run — same scale, cluster, strategy, executor and budget. The one
+    /// difference is the documented `--max-jobs` default.
+    #[test]
+    fn shared_flags_give_both_modes_the_same_engine() {
+        let shared = [
+            "--preset",
+            "a1",
+            "--executor",
+            "parallel:2",
+            "--mem-budget",
+            "64k",
+        ];
+        let engines = |flags: &[&str]| {
+            let one_shot = parse_args(&argv(flags)).unwrap().engine().unwrap();
+            let served = parse_serve(&argv(flags)).unwrap().engine().unwrap();
+            (one_shot, served)
+        };
+        let slots = |e: &GumboEngine| e.options.scheduler.unwrap().max_concurrent_jobs;
+
+        let (one_shot, served) = engines(&shared);
+        assert_eq!((slots(&one_shot), slots(&served)), (1, 4));
+        assert_eq!(one_shot.config.scale, DEFAULT_SCALE);
+        assert_eq!(
+            format!("{:?}", one_shot.config),
+            format!("{:?}", served.config)
+        );
+        assert_eq!(one_shot.executor, served.executor);
+        let served_options = EvalOptions {
+            scheduler: one_shot.options.scheduler,
+            ..served.options
+        };
+        assert_eq!(
+            format!("{:?}", one_shot.options),
+            format!("{:?}", served_options)
+        );
+
+        // An explicit --max-jobs leaves nothing to differ.
+        let (one_shot, served) = engines(&[&shared[..], &["--max-jobs", "3"]].concat());
+        assert_eq!(
+            format!(
+                "{:?}",
+                (one_shot.config, one_shot.executor, one_shot.options)
+            ),
+            format!("{:?}", (served.config, served.executor, served.options))
+        );
+    }
+
+    /// Each rule between shared flags holds in both modes.
+    #[test]
+    fn cross_flag_rules_apply_to_both_modes() {
+        for (flags, message) in [
+            (
+                &["--preset", "a1", "--dfs-cache", "1m"][..],
+                "--dfs-cache requires --dfs file:PATH",
+            ),
+            (
+                &["--preset", "a1", "--trace-format", "jsonl"],
+                "--trace-format requires --trace PATH",
+            ),
+            (
+                &["--data", "d", "--tuples", "5"],
+                "--tuples only applies to --preset workloads",
+            ),
+            (
+                &["--preset", "a1", "--data", "d"],
+                "--preset conflicts with --data",
+            ),
+            (
+                &["--executor", "sim"],
+                "either --preset NAME or --data DIR is required",
+            ),
+            (
+                &["--preset", "a1", "--tuples"],
+                "missing value after --tuples",
+            ),
+        ] {
+            for err in [
+                parse_args(&argv(flags)).err(),
+                parse_serve(&argv(flags)).err(),
+            ] {
+                let err = err.unwrap_or_else(|| panic!("{flags:?} must be rejected"));
+                assert!(err.contains(message), "{flags:?}: {err}");
+            }
+        }
+        // Only one-shot reads a program file, and only with --data.
+        let err = parse(&["--query", "q.sgf"])
+            .err()
+            .expect("preset has a query");
+        assert!(err.contains("--query goes with --data"), "{err}");
+        assert!(parse_args(&argv(&["--data", "d"])).is_err());
+        assert!(parse_args(&argv(&["--data", "d", "--query", "q.sgf"])).is_ok());
+        assert!(parse_serve(&argv(&["--data", "d"])).is_ok());
+    }
+
+    /// README's option table has one row per flag of the two modes, and
+    /// its one-shot and serve columns say which parser accepts it.
+    #[test]
+    fn readme_option_table_lists_every_flag() {
+        let readme = include_str!("../../README.md");
+        let rows: Vec<(&str, bool, bool)> = readme
+            .lines()
+            .filter(|line| line.starts_with("| `--"))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let flag = cells[1].trim_matches('`').split(' ').next().unwrap();
+                (flag, cells[2] == "yes", cells[3] == "yes")
+            })
+            .collect();
+        let accepts = |parse: fn(&[String]) -> Result<(), String>, flag: &str| {
+            parse(&argv(&[flag]))
+                .err()
+                .is_none_or(|e| !e.contains(&format!("unknown flag {flag}")))
+        };
+        let one_shot: fn(&[String]) -> Result<(), String> = |a| parse_args(a).map(drop);
+        let served: fn(&[String]) -> Result<(), String> = |a| parse_serve(a).map(drop);
+        for &(flag, in_one_shot, in_serve) in &rows {
+            assert_eq!(
+                accepts(one_shot, flag),
+                in_one_shot,
+                "one-shot column of {flag}"
+            );
+            assert_eq!(accepts(served, flag), in_serve, "serve column of {flag}");
+        }
+
+        // Every flag a parser in this file matches on has a row, except
+        // the `query`/`shutdown` client's own.
+        let client_only = ["--addr", "--tenant", "--weight", "--sgf", "--help"];
+        let source = include_str!("gumbo-cli.rs");
+        for (at, _) in source.match_indices("\"--") {
+            let rest = &source[at + 1..];
+            let end = rest.find('"').unwrap();
+            let (flag, after) = (&rest[..end], &rest[end + 1..]);
+            let is_match_arm = after.starts_with(" =>") || after.starts_with(" |");
+            if is_match_arm && !client_only.contains(&flag) {
+                assert!(
+                    rows.iter().any(|row| row.0 == flag),
+                    "README's option table has no row for {flag}"
+                );
+            }
         }
     }
 }

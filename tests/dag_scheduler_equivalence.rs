@@ -72,7 +72,7 @@ fn round_barrier_oracle(dfs: &SimDfs, query: &SgfQuery) -> ProgramStats {
 }
 
 /// One definition of "observationally identical", shared with the
-/// `dagsched` benchmark and the scheduler's own unit tests —
+/// `scaling` experiment and the scheduler's own unit tests —
 /// byte-identical DFS contents (metered I/O included), identical per-job
 /// statistics, and exact agreement on the paper's four metrics.
 fn assert_equivalent(

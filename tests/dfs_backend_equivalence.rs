@@ -12,10 +12,12 @@
 //! are charged per *logical* relation size, so they must not depend on
 //! the backend) and exact agreement on the paper's four metrics.
 //!
-//! Two more properties only the file backend has are covered here too:
+//! Three more properties only the file backend has are covered here too:
 //! restart (a reopened store serves the exact relations a previous
-//! process committed) and cache pressure (a block cache far smaller
-//! than the input evicts — observably — without changing any answer).
+//! process committed), a warm cache (a second pass on one handle hits
+//! the cache with identical statistics) and cache pressure (a block
+//! cache far smaller than the input evicts — observably — without
+//! changing any answer).
 
 use std::path::PathBuf;
 
@@ -146,6 +148,30 @@ fn file_dfs_restarts_from_durable_state() {
     }
     assert_eq!(reopened.bytes_read().as_bytes(), 0);
     assert_eq!(reopened.bytes_written().as_bytes(), 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Warm cache: a second evaluation on the same handle reads blocks the
+/// first one cached, and reports statistics identical to the first —
+/// the cache changes where bytes come from, never the byte meters.
+#[test]
+fn second_pass_on_one_handle_hits_the_cache_with_identical_stats() {
+    let workload = queries::a3();
+    let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
+    let root = temp_root("warm");
+    let dfs = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap();
+
+    let cold = engine(1).evaluate(&dfs, &workload.query).unwrap();
+    let hits_after_cold = dfs.cache_stats().hits;
+    let warm = engine(1).evaluate(&dfs, &workload.query).unwrap();
+    let warm_hits = dfs.cache_stats().hits - hits_after_cold;
+
+    assert!(
+        warm_hits > 0,
+        "the second pass must serve some blocks from cache"
+    );
+    gumbo::sched::assert_identical_stats("file warm vs cold", &cold, &warm);
+    drop(dfs);
     let _ = std::fs::remove_dir_all(&root);
 }
 
