@@ -1,47 +1,24 @@
-//! Estimate-weighted fair-share admission: the queue between a
-//! multi-tenant front door and the [`crate::DagScheduler`].
+//! Fair-share admission charged measured service time: the queue between
+//! a multi-tenant front door and the [`crate::DagScheduler`].
 //!
-//! Tenants submit work tagged with a *weight* and an *estimated cost*
-//! (the estimation layer's remaining-work figure for the whole query).
-//! The queue admits, at every decision point, the pending entry whose
-//! tenant has consumed the least **weight-normalized estimated cost** so
-//! far — cumulative admitted cost divided by tenant weight — with ties
-//! broken by arrival order. Under saturation this converges to weighted
-//! fair sharing: a weight-4 tenant is admitted ~4× the estimated cost of
-//! a weight-1 tenant, and no tenant starves (an idle tenant's normalized
+//! Tenants submit work tagged with a *weight*. The queue admits, at every
+//! decision point, the pending entry whose tenant has been **charged the
+//! least service time per unit of weight** so far, with ties broken by
+//! arrival order. Nothing is charged at admission: when a submission
+//! finishes, its dispatcher reports the wall seconds it took
+//! ([`AdmissionQueue::charge`]). Under saturation this converges to
+//! weighted fair sharing of measured service time — a weight-4 tenant
+//! receives ~4× the service time of a weight-1 tenant, whatever its
+//! queries cost — and no tenant starves (an idle tenant's normalized
 //! account stays put while the busy tenants' accounts grow past it).
 //!
 //! The policy is deterministic: admission order is a pure function of
-//! the submission sequence (seq numbers, tenants, weights, costs) — no
-//! clocks, no randomness — which is what lets the fairness property be
-//! proptested exactly.
+//! the submit/charge sequence (seq numbers, tenants, weights, charged
+//! seconds) — no clocks, no randomness — which is what lets the fairness
+//! property be proptested exactly.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-
-/// Admission-queue sizing and defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Bounded queue capacity: [`AdmissionQueue::submit`] blocks while
-    /// this many entries are pending (backpressure on the front door).
-    pub capacity: usize,
-    /// Weight used for tenants that never declared one.
-    pub default_weight: f64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            capacity: 64,
-            default_weight: 1.0,
-        }
-    }
-}
-
-/// Submissions that carry no usable estimate are charged this much, so
-/// admission degrades to weighted round-robin instead of letting a
-/// zero-cost tenant be admitted forever for free.
-pub const MIN_CHARGE: f64 = 1.0;
 
 /// One pending (or admitted) unit of work, as the queue saw it.
 #[derive(Debug)]
@@ -52,9 +29,6 @@ pub struct QueuedEntry<T> {
     pub tenant: String,
     /// The tenant's weight at admission time.
     pub weight: f64,
-    /// Estimated remaining work (the estimation layer's plan cost),
-    /// already floored to [`MIN_CHARGE`].
-    pub estimated_cost: f64,
     /// When the entry was queued (monotonic ns, obs epoch).
     pub queued_ns: u64,
     /// When the entry was admitted (monotonic ns, obs epoch). Zero
@@ -69,48 +43,46 @@ pub struct QueuedEntry<T> {
 pub struct TenantAccount {
     /// The tenant's declared weight (≥ [`FairShareLedger::MIN_WEIGHT`]).
     pub weight: f64,
-    /// Cumulative estimated cost admitted for this tenant.
-    pub admitted_cost: f64,
+    /// Cumulative service time charged to this tenant, in seconds.
+    pub charged: f64,
     /// Number of submissions admitted for this tenant.
     pub admitted: u64,
 }
 
 impl TenantAccount {
-    /// The fair-share key: admitted cost per unit of weight.
-    pub fn normalized_cost(&self) -> f64 {
-        self.admitted_cost / self.weight
+    /// The fair-share key: charged service time per unit of weight.
+    pub fn normalized_charge(&self) -> f64 {
+        self.charged / self.weight
     }
 }
 
-/// The per-tenant token accounting behind the queue. Pure and
-/// synchronous — the concurrency lives in [`AdmissionQueue`] — so the
-/// fairness proptests can drive it directly.
-#[derive(Debug)]
+/// The per-tenant accounting behind the queue. Pure and synchronous —
+/// the concurrency lives in [`AdmissionQueue`] — so the fairness
+/// proptests can drive it directly.
+#[derive(Debug, Default)]
 pub struct FairShareLedger {
     tenants: BTreeMap<String, TenantAccount>,
-    default_weight: f64,
 }
 
 impl FairShareLedger {
     /// Weights below this are clamped up; a zero/negative weight would
-    /// make the normalized-cost key meaningless.
+    /// make the normalized-charge key meaningless.
     pub const MIN_WEIGHT: f64 = 1e-6;
 
+    /// The weight of a tenant that never declared one.
+    pub const DEFAULT_WEIGHT: f64 = 1.0;
+
     /// An empty ledger.
-    pub fn new(default_weight: f64) -> FairShareLedger {
-        FairShareLedger {
-            tenants: BTreeMap::new(),
-            default_weight: default_weight.max(Self::MIN_WEIGHT),
-        }
+    pub fn new() -> FairShareLedger {
+        FairShareLedger::default()
     }
 
     fn account_mut(&mut self, tenant: &str) -> &mut TenantAccount {
-        let default_weight = self.default_weight;
         self.tenants
             .entry(tenant.to_string())
             .or_insert(TenantAccount {
-                weight: default_weight,
-                admitted_cost: 0.0,
+                weight: Self::DEFAULT_WEIGHT,
+                charged: 0.0,
                 admitted: 0,
             })
     }
@@ -123,35 +95,39 @@ impl FairShareLedger {
         }
     }
 
-    /// The fair-share key for a tenant: cumulative admitted estimated
-    /// cost divided by weight. Unknown tenants are at 0 (first in line).
-    pub fn normalized_cost(&self, tenant: &str) -> f64 {
+    /// The fair-share key for a tenant: cumulative charged service time
+    /// divided by weight. Unknown tenants are at 0 (first in line).
+    pub fn normalized_charge(&self, tenant: &str) -> f64 {
         self.tenants
             .get(tenant)
-            .map(TenantAccount::normalized_cost)
+            .map(TenantAccount::normalized_charge)
             .unwrap_or(0.0)
     }
 
     /// Pick the next entry to admit from `pending`: the entry whose
-    /// tenant has the smallest normalized admitted cost, ties broken by
-    /// arrival seq. Returns the index into `pending`.
+    /// tenant has the smallest normalized charge, ties broken by arrival
+    /// seq. Returns the index into `pending`.
     pub fn pick<T>(&self, pending: &VecDeque<QueuedEntry<T>>) -> Option<usize> {
         pending
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                let ka = (self.normalized_cost(&a.tenant), a.seq);
-                let kb = (self.normalized_cost(&b.tenant), b.seq);
-                ka.partial_cmp(&kb).expect("finite normalized costs")
+                let ka = (self.normalized_charge(&a.tenant), a.seq);
+                let kb = (self.normalized_charge(&b.tenant), b.seq);
+                ka.partial_cmp(&kb).expect("charges are never NaN")
             })
             .map(|(idx, _)| idx)
     }
 
-    /// Charge a tenant's account for an admitted entry.
-    pub fn charge(&mut self, tenant: &str, estimated_cost: f64) {
-        let account = self.account_mut(tenant);
-        account.admitted_cost += estimated_cost.max(MIN_CHARGE);
-        account.admitted += 1;
+    /// Count one admission for a tenant. Admission charges nothing.
+    pub fn admit(&mut self, tenant: &str) {
+        self.account_mut(tenant).admitted += 1;
+    }
+
+    /// Charge a tenant the service time one of its submissions took.
+    /// Negative and NaN charges count as zero.
+    pub fn charge(&mut self, tenant: &str, seconds: f64) {
+        self.account_mut(tenant).charged += seconds.max(0.0);
     }
 
     /// Every tenant's account, in tenant-name order (deterministic).
@@ -159,13 +135,13 @@ impl FairShareLedger {
         self.tenants.iter().map(|(t, a)| (t.as_str(), a))
     }
 
-    /// The weight a tenant's account currently carries (the default for
-    /// tenants that never declared one).
+    /// The weight a tenant's account currently carries
+    /// ([`Self::DEFAULT_WEIGHT`] for tenants that never declared one).
     pub fn account_weight(&self, tenant: &str) -> f64 {
         self.tenants
             .get(tenant)
             .map(|a| a.weight)
-            .unwrap_or(self.default_weight)
+            .unwrap_or(Self::DEFAULT_WEIGHT)
     }
 }
 
@@ -200,11 +176,12 @@ struct QueueState<T> {
 ///
 /// Producers ([`AdmissionQueue::submit`]) block while the queue is at
 /// capacity; consumers ([`AdmissionQueue::admit`]) block while it is
-/// empty. [`AdmissionQueue::close`] starts a drain: further submissions
-/// are rejected with [`SubmitError::Closed`], already-accepted entries
-/// keep flowing to consumers, and `admit` returns `None` once the queue
-/// is closed *and* empty — so every accepted entry is admitted exactly
-/// once (zero lost work).
+/// empty and report each admitted entry's service time back with
+/// [`AdmissionQueue::charge`]. [`AdmissionQueue::close`] starts a drain:
+/// further submissions are rejected with [`SubmitError::Closed`],
+/// already-accepted entries keep flowing to consumers, and `admit`
+/// returns `None` once the queue is closed *and* empty — so every
+/// accepted entry is admitted exactly once (zero lost work).
 pub struct AdmissionQueue<T> {
     capacity: usize,
     state: Mutex<QueueState<T>>,
@@ -225,13 +202,14 @@ impl<T> std::fmt::Debug for AdmissionQueue<T> {
 }
 
 impl<T> AdmissionQueue<T> {
-    /// An empty open queue.
-    pub fn new(config: AdmissionConfig) -> AdmissionQueue<T> {
+    /// An empty open queue; [`AdmissionQueue::submit`] blocks while
+    /// `capacity` entries are pending (backpressure on the front door).
+    pub fn new(capacity: usize) -> AdmissionQueue<T> {
         AdmissionQueue {
-            capacity: config.capacity.max(1),
+            capacity: capacity.max(1),
             state: Mutex::new(QueueState {
                 pending: VecDeque::new(),
-                ledger: FairShareLedger::new(config.default_weight),
+                ledger: FairShareLedger::new(),
                 next_seq: 0,
                 closed: false,
                 accepted: 0,
@@ -243,16 +221,13 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Queue one unit of work for `tenant`. `weight`, when given,
-    /// (re)declares the tenant's weight; `estimated_cost` is the
-    /// estimation layer's remaining-work figure (floored to
-    /// [`MIN_CHARGE`] at charge time). Blocks while the queue is full;
+    /// (re)declares the tenant's weight. Blocks while the queue is full;
     /// returns the entry's arrival seq, or [`SubmitError::Closed`] once
     /// a drain has started.
     pub fn submit(
         &self,
         tenant: &str,
         weight: Option<f64>,
-        estimated_cost: f64,
         payload: T,
     ) -> Result<u64, SubmitError> {
         let mut st = self.state.lock().expect("unpoisoned admission queue");
@@ -271,16 +246,11 @@ impl<T> AdmissionQueue<T> {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.accepted += 1;
-        let account_weight = st.ledger.account_weight(tenant);
+        let weight = st.ledger.account_weight(tenant);
         st.pending.push_back(QueuedEntry {
             seq,
             tenant: tenant.to_string(),
-            weight: account_weight,
-            estimated_cost: if estimated_cost.is_finite() {
-                estimated_cost.max(MIN_CHARGE)
-            } else {
-                MIN_CHARGE
-            },
+            weight,
             queued_ns: gumbo_obs::now_ns(),
             admitted_ns: 0,
             payload,
@@ -290,16 +260,16 @@ impl<T> AdmissionQueue<T> {
         Ok(seq)
     }
 
-    /// Take the next entry under the fair-share policy, charging its
-    /// tenant's account. Blocks while the queue is open and empty;
-    /// returns `None` once the queue is closed *and* drained.
+    /// Take the next entry under the fair-share policy. Blocks while the
+    /// queue is open and empty; returns `None` once the queue is closed
+    /// *and* drained.
     pub fn admit(&self) -> Option<QueuedEntry<T>> {
         let mut st = self.state.lock().expect("unpoisoned admission queue");
         loop {
             if let Some(idx) = st.ledger.pick(&st.pending) {
                 let mut entry = st.pending.remove(idx).expect("picked index in bounds");
                 entry.weight = st.ledger.account_weight(&entry.tenant);
-                st.ledger.charge(&entry.tenant, entry.estimated_cost);
+                st.ledger.admit(&entry.tenant);
                 st.admitted += 1;
                 entry.admitted_ns = gumbo_obs::now_ns();
                 drop(st);
@@ -311,6 +281,16 @@ impl<T> AdmissionQueue<T> {
             }
             st = self.items.wait(st).expect("unpoisoned admission queue");
         }
+    }
+
+    /// Charge `tenant` the measured service time, in seconds, of one of
+    /// its admitted entries — on success or failure alike.
+    pub fn charge(&self, tenant: &str, seconds: f64) {
+        self.state
+            .lock()
+            .expect("unpoisoned admission queue")
+            .ledger
+            .charge(tenant, seconds);
     }
 
     /// Start the drain: reject new submissions, keep serving the
@@ -359,12 +339,12 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Snapshot of every tenant's account, in tenant-name order:
-    /// `(tenant, weight, admitted_cost, admitted)`.
+    /// `(tenant, weight, charged seconds, admitted)`.
     pub fn accounts(&self) -> Vec<(String, f64, f64, u64)> {
         let st = self.state.lock().expect("unpoisoned admission queue");
         st.ledger
             .accounts()
-            .map(|(t, a)| (t.to_string(), a.weight, a.admitted_cost, a.admitted))
+            .map(|(t, a)| (t.to_string(), a.weight, a.charged, a.admitted))
             .collect()
     }
 }
@@ -374,12 +354,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn entry(seq: u64, tenant: &str, cost: f64) -> QueuedEntry<()> {
+    fn entry(seq: u64, tenant: &str) -> QueuedEntry<()> {
         QueuedEntry {
             seq,
             tenant: tenant.to_string(),
             weight: 1.0,
-            estimated_cost: cost,
             queued_ns: 0,
             admitted_ns: 0,
             payload: (),
@@ -387,38 +366,35 @@ mod tests {
     }
 
     #[test]
-    fn ledger_prefers_least_normalized_cost_then_arrival_order() {
-        let mut ledger = FairShareLedger::new(1.0);
+    fn ledger_prefers_least_normalized_charge_then_arrival_order() {
+        let mut ledger = FairShareLedger::new();
         ledger.set_weight("heavy", 4.0);
         let mut pending = VecDeque::new();
-        pending.push_back(entry(0, "light", 10.0));
-        pending.push_back(entry(1, "heavy", 10.0));
+        pending.push_back(entry(0, "light"));
+        pending.push_back(entry(1, "heavy"));
         // Fresh accounts: both at 0, seq breaks the tie.
         assert_eq!(ledger.pick(&pending), Some(0));
-        ledger.charge("light", 10.0);
-        // light is at 10/1, heavy at 0/4 — heavy goes next.
+        // Admitting charges nothing: light stays first in line until its
+        // work reports its service time.
+        ledger.admit("light");
+        assert_eq!(ledger.pick(&pending), Some(0));
+        ledger.charge("light", 0.010);
+        // light is at 0.010/1, heavy at 0/4 — heavy goes next.
         assert_eq!(ledger.pick(&pending), Some(1));
-        ledger.charge("heavy", 10.0);
-        // light 10.0 vs heavy 2.5: heavy keeps winning until it has
-        // consumed ~4× light's cost.
-        assert!(ledger.normalized_cost("heavy") < ledger.normalized_cost("light"));
-    }
-
-    #[test]
-    fn unestimated_work_is_charged_the_floor() {
-        let mut ledger = FairShareLedger::new(1.0);
-        ledger.charge("t", 0.0);
-        assert_eq!(ledger.normalized_cost("t"), MIN_CHARGE);
+        ledger.charge("heavy", 0.010);
+        // light 0.010 vs heavy 0.0025: heavy keeps winning until it has
+        // been charged ~4× light's service time.
+        assert!(ledger.normalized_charge("heavy") < ledger.normalized_charge("light"));
     }
 
     #[test]
     fn queue_admits_everything_accepted_before_close() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(AdmissionConfig::default());
+        let q: AdmissionQueue<u32> = AdmissionQueue::new(64);
         for i in 0..5 {
-            q.submit("t", None, 1.0, i).unwrap();
+            q.submit("t", None, i).unwrap();
         }
         q.close();
-        assert_eq!(q.submit("t", None, 1.0, 99), Err(SubmitError::Closed));
+        assert_eq!(q.submit("t", None, 99), Err(SubmitError::Closed));
         let mut drained = Vec::new();
         while let Some(e) = q.admit() {
             drained.push(e.payload);
@@ -431,22 +407,19 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotonic_across_queue_and_admit() {
-        let q: AdmissionQueue<()> = AdmissionQueue::new(AdmissionConfig::default());
-        q.submit("t", None, 1.0, ()).unwrap();
+        let q: AdmissionQueue<()> = AdmissionQueue::new(64);
+        q.submit("t", None, ()).unwrap();
         let e = q.admit().unwrap();
         assert!(e.admitted_ns >= e.queued_ns);
     }
 
     #[test]
     fn bounded_capacity_applies_backpressure() {
-        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(AdmissionConfig {
-            capacity: 1,
-            default_weight: 1.0,
-        }));
-        q.submit("t", None, 1.0, 0).unwrap();
+        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(1));
+        q.submit("t", None, 0).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.submit("t", None, 1.0, 1))
+            std::thread::spawn(move || q.submit("t", None, 1))
         };
         // The producer is blocked on the full queue until we admit.
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -456,30 +429,40 @@ mod tests {
         assert_eq!(q.admit().unwrap().payload, 1);
     }
 
+    /// A saturated backlog of two tenants whose queries cost different
+    /// service times — the weight-1 tenant's 3 s each, the weight-4
+    /// tenant's 1 s — drained admit → charge at one and at two
+    /// outstanding admissions: the weight-4 tenant ends up charged ~4×
+    /// the weight-1 tenant's service time, though it runs 12× as many
+    /// queries.
     #[test]
-    fn weighted_tenants_share_by_weight_under_backlog() {
-        let q: AdmissionQueue<()> = AdmissionQueue::new(AdmissionConfig {
-            capacity: 1024,
-            default_weight: 1.0,
-        });
-        // A saturated backlog: 30 unit-cost submissions per tenant.
-        for _ in 0..30 {
-            q.submit("w1", Some(1.0), 1.0, ()).unwrap();
-            q.submit("w4", Some(4.0), 1.0, ()).unwrap();
+    fn weighted_tenants_share_measured_time_by_weight_under_backlog() {
+        const COST: [(&str, f64, f64); 2] = [("w1", 1.0, 3.0), ("w4", 4.0, 1.0)];
+        for outstanding in [1, 2] {
+            let q: AdmissionQueue<f64> = AdmissionQueue::new(1024);
+            for _ in 0..100 {
+                for (tenant, weight, cost) in COST {
+                    q.submit(tenant, Some(weight), cost).unwrap();
+                }
+            }
+            let mut in_flight = VecDeque::new();
+            for _ in 0..60 {
+                while in_flight.len() < outstanding {
+                    in_flight.push_back(q.admit().unwrap());
+                }
+                let done = in_flight.pop_front().unwrap();
+                q.charge(&done.tenant, done.payload);
+            }
+            let accounts = q.accounts();
+            let charged = |tenant: &str| {
+                let account = accounts.iter().find(|a| a.0 == tenant).unwrap();
+                account.2
+            };
+            let ratio = charged("w4") / charged("w1");
+            assert!(
+                (3.0..=5.0).contains(&ratio),
+                "{outstanding} outstanding: w4:w1 charged-time ratio {ratio} should be near 4"
+            );
         }
-        // After 20 admissions the 4-weight tenant must hold ~4/5 of the
-        // admitted cost.
-        let mut share = std::collections::BTreeMap::new();
-        for _ in 0..20 {
-            let e = q.admit().unwrap();
-            *share.entry(e.tenant).or_insert(0.0) += e.estimated_cost;
-        }
-        let w1 = share.get("w1").copied().unwrap_or(0.0);
-        let w4 = share.get("w4").copied().unwrap_or(0.0);
-        let ratio = w4 / w1.max(1.0);
-        assert!(
-            (3.0..=5.0).contains(&ratio),
-            "w4:w1 admitted-cost ratio {ratio} should be near 4"
-        );
     }
 }

@@ -24,12 +24,13 @@
 //!   submission (statistics plus `queued_ns`/`admitted_ns`/`completed_ns`
 //!   on the obs monotonic clock);
 //! * [`admission`] — the resident-service layer on top: a bounded
-//!   [`AdmissionQueue`] with **estimate-weighted fair-share** admission
-//!   ([`FairShareLedger`]): each tenant carries a weight and a running
-//!   account of admitted estimated cost, and the pending entry whose
-//!   tenant has the least weight-normalized cost is admitted next — so
-//!   under contention a weight-4 tenant receives ~4× the admitted
-//!   estimated cost of a weight-1 tenant, deterministically;
+//!   [`AdmissionQueue`] with **fair-share admission charged measured
+//!   service time** ([`FairShareLedger`]): each tenant carries a weight
+//!   and a running account of the wall seconds its finished submissions
+//!   took, and the pending entry whose tenant has the least
+//!   weight-normalized charge is admitted next — so under contention a
+//!   weight-4 tenant receives ~4× the service time of a weight-1 tenant,
+//!   in an order determined by the submit/charge sequence;
 //! * [`equivalence`] — the oracle: [`serial_reference`] runs a program on
 //!   the 16-line serial round loop ([`gumbo_mr::Executor::execute`]), and
 //!   the two `assert_identical_*` checks define "observationally
@@ -48,9 +49,7 @@ pub mod equivalence;
 pub mod scheduler;
 pub mod submission;
 
-pub use admission::{
-    AdmissionConfig, AdmissionQueue, FairShareLedger, QueuedEntry, SubmitError, TenantAccount,
-};
+pub use admission::{AdmissionQueue, FairShareLedger, QueuedEntry, SubmitError, TenantAccount};
 pub use equivalence::{assert_identical_dfs, assert_identical_stats, serial_reference};
 pub use scheduler::{DagScheduler, SchedulerConfig};
 pub use submission::SubmissionReport;

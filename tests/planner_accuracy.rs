@@ -302,7 +302,8 @@ fn annotated(engine: &GumboEngine, est: &Estimator<'_>, ctx: &QueryContext) -> M
         .unwrap()
 }
 
-/// Pricing a query for admission (`sort_for` + `sort_cost`) and planning
+/// Pricing a query's multiway sort (`sort_for` + `sort_cost`, which
+/// `--explain` prints and `SortStrategy::Optimal` searches with) and planning
 /// each group of an evaluation reach no tuple on either backend, ask for
 /// one `stat` per relation the query names, leave the block cache alone,
 /// and produce — bit for bit — the numbers an eagerly filled catalog
@@ -358,7 +359,7 @@ fn planning_reads_statistics_not_relations() {
                 },
             );
 
-            // Admission pricing: one estimator.
+            // Pricing the sort: one estimator.
             let cache = store.cache_stats();
             let sort = engine.sort_for(&dfs, &w.query).unwrap();
             let cost = engine.sort_cost(&dfs, &w.query, &sort).unwrap();

@@ -6,16 +6,20 @@
 //! Also covered here: the drain invariant (a shutdown mid-workload
 //! loses zero accepted submissions), restart durability for a
 //! file-backed service, the per-submission timestamp chain
-//! (`queued_ns <= admitted_ns <= completed_ns`), and the request-size cap.
+//! (`queued_ns <= admitted_ns <= completed_ns`), the request-size cap,
+//! and that a served query is planned once.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gumbo::common::RelationName;
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 use gumbo::service::{Frame, MAX_REQUEST_BYTES};
+use gumbo::storage::RelStats;
 
 const TUPLES: usize = 150;
 const SEED: u64 = 7;
@@ -341,4 +345,79 @@ fn oversized_request_line_is_refused_and_the_server_lives_on() {
     let summary = handle.join();
     assert_eq!(summary.accepted, summary.completed);
     assert_eq!(summary.connections, 2);
+}
+
+/// A [`SimDfs`] that counts `stat` calls: the only way planning reaches
+/// the store (`tests/planner_accuracy.rs` pins that).
+#[derive(Debug)]
+struct StatCountingDfs {
+    inner: SimDfs,
+    stats: AtomicU64,
+}
+
+impl Dfs for StatCountingDfs {
+    fn backend(&self) -> &'static str {
+        Dfs::backend(&self.inner)
+    }
+    fn store(&self, relation: Relation) -> Result<ByteSize> {
+        Dfs::store(&self.inner, relation)
+    }
+    fn stat(&self, name: &RelationName) -> Result<RelStats> {
+        self.stats.fetch_add(1, Ordering::Relaxed);
+        Dfs::stat(&self.inner, name)
+    }
+    fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
+        Dfs::peek(&self.inner, name)
+    }
+    fn scan(&self, name: &RelationName) -> Result<RelationScan> {
+        Dfs::scan(&self.inner, name)
+    }
+    fn exists(&self, name: &RelationName) -> bool {
+        Dfs::exists(&self.inner, name)
+    }
+    fn delete(&self, name: &RelationName) -> Result<bool> {
+        Dfs::delete(&self.inner, name)
+    }
+    fn file_names(&self) -> Vec<RelationName> {
+        Dfs::file_names(&self.inner)
+    }
+    fn bytes_read(&self) -> ByteSize {
+        Dfs::bytes_read(&self.inner)
+    }
+    fn bytes_written(&self) -> ByteSize {
+        Dfs::bytes_written(&self.inner)
+    }
+    fn reset_counters(&self) {
+        Dfs::reset_counters(&self.inner)
+    }
+}
+
+/// The server plans a query once, in the dispatcher that runs it:
+/// admission prices nothing, so serving a nested query asks the store for
+/// exactly as many `stat`s as evaluating it directly.
+#[test]
+fn a_served_query_is_planned_once() {
+    let workload = queries::c1();
+    let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
+    let counting = || {
+        Arc::new(StatCountingDfs {
+            inner: SimDfs::from_database(&db),
+            stats: AtomicU64::new(0),
+        })
+    };
+
+    let direct = counting();
+    engine(3).eval().run(&*direct, &workload.query).unwrap();
+    let planned = direct.stats.load(Ordering::Relaxed);
+    assert!(planned > 0, "planning reads statistics");
+
+    let served = counting();
+    let handle = start_server(served.clone(), ServeConfig::default());
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    client
+        .query("once", None, &workload.query.to_string())
+        .unwrap();
+    assert_eq!(client.shutdown().unwrap(), (1, 1));
+    handle.join();
+    assert_eq!(served.stats.load(Ordering::Relaxed), planned, "stat calls");
 }
