@@ -1,7 +1,7 @@
 //! # gumbo-bench
 //!
 //! The experiment harness regenerating every table and figure of the
-//! paper's evaluation (§5), plus Criterion micro-benchmarks.
+//! paper's evaluation (§5).
 //!
 //! The `experiments` binary drives the [`experiments`] module:
 //!

@@ -432,22 +432,27 @@ impl TupleBatch {
 
     /// Decode one batch starting at `*pos` in `buf`, advancing `*pos` past
     /// it. Rejects corrupt input (truncation, bad tags, out-of-range
-    /// dictionary codes, non-UTF-8 strings) instead of guessing.
+    /// dictionary codes, repeated dictionary entries, non-UTF-8 strings)
+    /// instead of guessing.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
         let arity = read_u32(buf, pos)? as usize;
         let rows = read_u32(buf, pos)? as usize;
         let dict_len = read_u32(buf, pos)? as usize;
         let mut dict = StringDict::default();
-        for _ in 0..dict_len {
+        for code in 0..dict_len {
             let len = read_u32(buf, pos)? as usize;
             let bytes = read_bytes(buf, pos, len)?;
             let s = std::str::from_utf8(bytes).map_err(|_| {
                 GumboError::Storage("corrupt columnar frame: non-UTF-8 dictionary entry".into())
             })?;
-            let arc: Arc<str> = Arc::from(s);
-            // Codes are positional; re-interning preserves them because the
-            // writer emitted strings in code order and they are distinct.
-            dict.intern(&arc);
+            // Codes are positional: interning in frame order reproduces
+            // them only while every entry is new. A repeat would shift every
+            // later code onto a different string.
+            if dict.intern(&Arc::from(s)) as usize != code {
+                return Err(GumboError::Storage(
+                    "corrupt columnar frame: repeated dictionary entry".into(),
+                ));
+            }
         }
         // Lengths come from the frame: reserve no more than the bytes left
         // could possibly describe, so a corrupt count errors out below
@@ -842,6 +847,24 @@ mod tests {
         let mut pos = 0;
         let err = TupleBatch::decode_from(&bad, &mut pos).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+
+        // A dictionary that repeats an entry: ["q", "r"] becomes ["q", "q"],
+        // which would re-map code 1 onto "q" if interning were trusted.
+        let mut two = TupleBatch::new(1);
+        for s in ["q", "r"] {
+            two.push_tuple(&Tuple::new(vec![Value::str(s)]));
+        }
+        let mut buf = Vec::new();
+        two.encode_into(&mut buf).unwrap();
+        let r_at = 12 + 4 + 1 + 4; // header, "q" entry, length of "r"
+        assert_eq!(buf[r_at], b'r');
+        buf[r_at] = b'q';
+        let mut pos = 0;
+        let err = TupleBatch::decode_from(&buf, &mut pos).unwrap_err();
+        assert!(
+            err.to_string().contains("repeated dictionary entry"),
+            "{err}"
+        );
     }
 
     #[test]

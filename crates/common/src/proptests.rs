@@ -158,6 +158,37 @@ proptest! {
         prop_assert_eq!(decoded.estimated_bytes(), total);
     }
 
+    /// Frame decoding never panics: arbitrary bytes, and a valid frame
+    /// with one byte overwritten, decode to `Ok` or `Err`. An `Ok` batch
+    /// is consistent enough to materialize every row.
+    #[test]
+    fn batch_decode_never_panics(
+        input in arb_batch_rows(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (arity, rows) = input;
+        let mut batch = TupleBatch::new(arity);
+        for t in &rows {
+            batch.push_tuple(t);
+        }
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        let i = at % frame.len();
+        frame[i] = byte;
+        for buf in [&frame[..], &noise[..]] {
+            let mut pos = 0;
+            if let Ok(decoded) = TupleBatch::decode_from(buf, &mut pos) {
+                prop_assert!(pos <= buf.len());
+                // A nullary batch's row count is bounded by nothing else.
+                if decoded.len() <= buf.len() {
+                    prop_assert_eq!(decoded.to_tuples().len(), decoded.len());
+                }
+            }
+        }
+    }
+
     /// Cross-batch row copies preserve content and byte accounting, and
     /// the target dictionary interns each distinct string at most once
     /// however many source rows repeat it.

@@ -16,9 +16,9 @@
 //!   crosses its share of the budget (`limit / reducers`) or the global
 //!   budget is exhausted, it sorts *by index* on one fixed-width
 //!   `(hash prefix, row)` word per row (a `u32` permutation; tuples never
-//!   move, no comparator reads a cell) and flushes a run of length-prefixed
-//!   **columnar frames** ([`gumbo_storage::FrameFormat::Columnar`]) of up
-//!   to [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
+//!   move, no comparator reads a cell) and flushes a run of checksummed
+//!   **columnar frames** ([`gumbo_storage::RunWriter`]) of up to
+//!   [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
 //! * [`BatchGroupStream`] — the k-way merge of the spill runs plus the
 //!   in-memory tail over decoded frame buffers: sources compare `u64`
 //!   hashes and fall back to [`TupleView`] order only on equal hashes,
@@ -925,7 +925,7 @@ impl RunSink {
         self.frame.clear();
         self.staging.encode_into(&mut self.frame)?;
         self.staging.clear();
-        self.writer.push_columnar(&self.frame)
+        self.writer.push(&self.frame)
     }
 
     /// Write the last partial frame and close the run, returning its file
@@ -1029,7 +1029,7 @@ impl BatchSource {
         let Some(reader) = &mut self.reader else {
             return Ok(());
         };
-        if let Some(frame) = reader.next_columnar_frame()? {
+        if let Some(frame) = reader.next_frame()? {
             self.batch = PairBatch::decode(&frame)?;
             self.at = 0;
         }

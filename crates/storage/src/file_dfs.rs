@@ -6,20 +6,22 @@
 //! ```text
 //! root/
 //!   MANIFEST            name → segment mapping (atomic tmp+rename)
-//!   seg-00000000.seg    length-prefixed tuple frames (spill codec)
+//!   seg-00000000.seg    checksummed columnar frames (the spill layout)
 //!   seg-00000003.seg    …
 //! ```
 //!
 //! # Segment format
 //!
-//! A segment is a sequence of spill-layer frames
-//! (`[len u32][format u8][block]`, see [`crate::spill`]), written by
-//! [`RunWriter`] with per-frame RLE when it wins. Each block holds up to
-//! [`TUPLES_PER_FRAME`] tuples in the relation's canonical (sorted)
-//! order, encoded as `[count u32]` then per tuple `[arity u16]` and per
-//! value a tag byte (`0` = int, `i64` LE; `1` = string, `len u32` +
-//! UTF-8). The fixed tuples-per-frame makes `tuple index → frame index`
-//! arithmetic, so a range fetch touches only the frames covering it.
+//! A segment is a run file of the spill layer: frames of
+//! `[len u32][checksum u64][block]` written by [`RunWriter`] (see
+//! [`crate::spill`]). Each block is one columnar `TupleBatch` encoding
+//! (`TupleBatch::encode_into`) of up to [`TUPLES_PER_FRAME`] tuples in
+//! the relation's canonical (sorted) order, stored raw. The fixed
+//! tuples-per-frame makes `tuple index → frame index` arithmetic, so a
+//! range fetch touches only the frames covering it. A cache miss
+//! verifies the frame's checksum, decodes it and checks its arity and
+//! row count against the manifest before a tuple is served: a corrupt
+//! frame is a [`GumboError::Storage`] naming the file and the frame.
 //!
 //! Segments are never mutated: overwriting relation `R` writes a *new*
 //! segment under the next generation number and retargets the manifest,
@@ -27,11 +29,14 @@
 //! (now unlinked, still open) segment — the same snapshot isolation the
 //! in-memory backend gets from `Arc`.
 //!
-//! The `MANIFEST` is a versioned header line plus one tab-separated line
-//! per live relation (`name, segment file, arity, tuples, logical
-//! bytes`); it is rewritten to a temp file, fsynced and renamed on every
-//! commit, so a crash leaves either the old or the new file set — never
-//! half a state.
+//! The `MANIFEST` is a versioned header line (`gumbo-dfs\tv2`; a root
+//! of another version is refused at open, there is no migration) plus
+//! one tab-separated line per live relation (`name, segment file, arity,
+//! tuples, logical bytes`); it is rewritten to a temp file, fsynced and
+//! renamed on every commit, so a crash leaves either the old or the new
+//! file set — never half a state. What a crash can leave behind besides
+//! (a `MANIFEST.tmp`, a segment the manifest never named) is removed at
+//! the next open.
 //!
 //! # Block cache
 //!
@@ -46,7 +51,7 @@
 //! to [`SimDfs`](crate::SimDfs) — the equivalence suite holds both
 //! backends to the same counters.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
@@ -54,11 +59,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple, Value};
+use gumbo_common::{
+    ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple, TupleBatch,
+};
 use gumbo_obs::metrics::Counter;
 
 use crate::dfs::{CacheStats, Dfs, RelStats, RelationScan, TupleSource};
-use crate::spill::{rle_decode, Compression, FrameFormat, RunWriter};
+use crate::spill::{read_frame, RunWriter, FRAME_HEADER};
 
 /// Tuples per segment frame. Fixed (except the final frame) so that
 /// `tuple index → frame index` is plain division and a range fetch knows
@@ -75,102 +82,6 @@ fn storage_err(context: &str, e: std::io::Error) -> GumboError {
 
 fn corrupt(msg: impl Into<String>) -> GumboError {
     GumboError::Storage(msg.into())
-}
-
-// ---------------------------------------------------------------------
-// Tuple codec (storage-resident; the shuffle has its own pair codec in
-// `gumbo-mr` — segments must be decodable without the execution layer).
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Int(i) => {
-            out.push(0);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(1);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(t.arity() as u16).to_le_bytes());
-    for v in t.values() {
-        encode_value(v, out);
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("truncated DFS segment frame"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-fn decode_tuple(c: &mut Cursor<'_>) -> Result<Tuple> {
-    let arity = c.u16()? as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let tag = c.take(1)?[0];
-        values.push(match tag {
-            0 => Value::Int(c.i64()?),
-            1 => {
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| corrupt("non-UTF-8 string in DFS segment"))?;
-                Value::str(s)
-            }
-            other => return Err(corrupt(format!("unknown DFS value tag {other}"))),
-        });
-    }
-    Ok(Tuple::new(values))
-}
-
-fn encode_frame(tuples: &[&Tuple], out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-    for t in tuples {
-        encode_tuple(t, out);
-    }
-}
-
-fn decode_frame(block: &[u8]) -> Result<Vec<Tuple>> {
-    let mut c = Cursor { buf: block, pos: 0 };
-    let count = c.u32()? as usize;
-    let mut tuples = Vec::with_capacity(count);
-    for _ in 0..count {
-        tuples.push(decode_tuple(&mut c)?);
-    }
-    if c.pos != block.len() {
-        return Err(corrupt("trailing bytes in DFS segment frame"));
-    }
-    Ok(tuples)
 }
 
 // ---------------------------------------------------------------------
@@ -349,7 +260,7 @@ impl Segment {
                 .and_then(|_| file.read_exact(&mut len))
                 .map_err(|e| storage_err("indexing DFS segment", e))?;
             frame_offsets.push(pos);
-            pos += 4 + u64::from(u32::from_le_bytes(len));
+            pos += FRAME_HEADER + u64::from(u32::from_le_bytes(len));
         }
         if pos != total {
             return Err(corrupt(format!("torn DFS segment {file_name}")));
@@ -381,40 +292,41 @@ impl Segment {
             _ => return Err(corrupt("DFS frame index out of range")),
         };
         let mut file = self.file.lock().expect("unpoisoned segment file");
-        let mut len = [0u8; 4];
         file.seek(SeekFrom::Start(offset))
-            .and_then(|_| file.read_exact(&mut len))
-            .map_err(|e| storage_err("reading DFS frame length", e))?;
-        let stored = u64::from(u32::from_le_bytes(len));
-        if stored == 0 {
-            return Err(corrupt("empty DFS frame (missing format byte)"));
-        }
-        // The prefix was walked when the segment was indexed; a different
-        // value now is corruption, and must not size an allocation.
-        let indexed = end - offset - 4;
-        if stored != indexed {
-            return Err(corrupt(format!(
-                "DFS frame {idx} of {} claims {stored} bytes, the index says {indexed}",
+            .map_err(|e| storage_err("seeking to a DFS frame", e))?;
+        // The frame must fill exactly the extent indexed at open: a length
+        // prefix that changed since is corruption, and must not size an
+        // allocation.
+        let mut left = end - offset;
+        let block = read_frame(
+            &mut *file,
+            &mut left,
+            Path::new(&self.file_name),
+            idx as u64,
+        )?;
+        drop(file);
+        let block = block.filter(|_| left == 0).ok_or_else(|| {
+            corrupt(format!(
+                "DFS frame {idx} of {} is shorter than its indexed extent",
                 self.file_name
+            ))
+        })?;
+        let mut pos = 0;
+        let batch = TupleBatch::decode_from(&block, &mut pos)?;
+        let rows = (self.tuples - idx * TUPLES_PER_FRAME).min(TUPLES_PER_FRAME);
+        if batch.arity() != self.arity || batch.len() != rows || pos != block.len() {
+            return Err(corrupt(format!(
+                "DFS frame {idx} of {} holds {} rows of arity {}, the manifest implies {rows} of arity {}",
+                self.file_name,
+                batch.len(),
+                batch.arity(),
+                self.arity
             )));
         }
-        let mut frame = vec![0u8; stored as usize];
-        file.read_exact(&mut frame)
-            .map_err(|e| storage_err("reading DFS frame", e))?;
-        drop(file);
-        let format = FrameFormat::from_byte(frame[0])?;
-        let block = &frame[1..];
-        let tuples = match format {
-            FrameFormat::Raw => decode_frame(block)?,
-            FrameFormat::Rle => decode_frame(&rle_decode(block)?)?,
-            other => {
-                return Err(corrupt(format!(
-                    "unexpected frame format {other:?} in DFS segment"
-                )))
-            }
-        };
-        let bytes = tuples.iter().map(Tuple::estimated_bytes).sum();
-        Ok(CachedFrame { tuples, bytes })
+        Ok(CachedFrame {
+            tuples: batch.to_tuples(),
+            bytes: batch.estimated_bytes(),
+        })
     }
 }
 
@@ -463,7 +375,11 @@ impl TupleSource for FileScanSource {
 // FileDfs
 
 const MANIFEST: &str = "MANIFEST";
-const MANIFEST_HEADER: &str = "gumbo-dfs\tv1";
+const MANIFEST_TMP: &str = "MANIFEST.tmp";
+/// The manifest's first line is this magic word, then the format
+/// version.
+const MANIFEST_MAGIC: &str = "gumbo-dfs\t";
+const MANIFEST_VERSION: &str = "v2";
 
 #[derive(Debug, Default)]
 struct FileMap {
@@ -524,8 +440,17 @@ impl FileDfs {
             .map_err(|e| storage_err("reading DFS manifest", e))?;
         let mut lines = manifest.lines();
         match lines.next() {
-            Some(MANIFEST_HEADER) => {}
-            Some(other) => return Err(corrupt(format!("unknown DFS manifest header {other:?}"))),
+            Some(header) => match header.strip_prefix(MANIFEST_MAGIC) {
+                Some(MANIFEST_VERSION) => {}
+                Some(version) => {
+                    return Err(corrupt(format!(
+                        "DFS root {} is format {version}; this build reads only \
+                         {MANIFEST_VERSION}, with no migration: recreate the root",
+                        root.display()
+                    )))
+                }
+                None => return Err(corrupt(format!("unknown DFS manifest header {header:?}"))),
+            },
             None => return Err(corrupt("empty DFS manifest")),
         }
         let mut files = BTreeMap::new();
@@ -557,6 +482,21 @@ impl FileDfs {
             segment.logical_bytes = parse(logical, "byte count")?;
             next_seg = next_seg.max(seg_id + 1);
             files.insert(RelationName::from(name), Arc::new(segment));
+        }
+        // A crash can leave a manifest that never got renamed into place,
+        // or a segment that no published manifest names (its store died
+        // before or while committing): neither is part of any state.
+        let live: HashSet<&str> = files.values().map(|s| s.file_name.as_str()).collect();
+        for entry in fs::read_dir(&root).map_err(|e| storage_err("listing DFS root", e))? {
+            let name = entry
+                .map_err(|e| storage_err("listing DFS root", e))?
+                .file_name();
+            let Some(name) = name.to_str() else { continue };
+            let orphan = name.starts_with("seg-") && name.ends_with(".seg") && !live.contains(name);
+            if orphan || name == MANIFEST_TMP {
+                fs::remove_file(root.join(name))
+                    .map_err(|e| storage_err("removing a DFS crash leftover", e))?;
+            }
         }
         Ok(FileDfs {
             root,
@@ -612,15 +552,14 @@ impl FileDfs {
 
     /// Rewrite the manifest atomically (tmp + fsync + rename).
     fn write_manifest(&self, state: &FileMap) -> Result<()> {
-        let mut body = String::from(MANIFEST_HEADER);
-        body.push('\n');
+        let mut body = format!("{MANIFEST_MAGIC}{MANIFEST_VERSION}\n");
         for (name, seg) in &state.files {
             body.push_str(&format!(
                 "{name}\t{}\t{}\t{}\t{}\n",
                 seg.file_name, seg.arity, seg.tuples, seg.logical_bytes
             ));
         }
-        let tmp = self.root.join("MANIFEST.tmp");
+        let tmp = self.root.join(MANIFEST_TMP);
         fs::write(&tmp, body).map_err(|e| storage_err("writing DFS manifest", e))?;
         File::open(&tmp)
             .and_then(|f| f.sync_all())
@@ -631,27 +570,48 @@ impl FileDfs {
     }
 
     /// Write a relation as a new segment file and return its open handle.
+    /// A segment that fails half-way is unlinked, not left behind.
     fn write_segment(&self, relation: &Relation, seg_id: u64) -> Result<Segment> {
         let file_name = format!("seg-{seg_id:08}.seg");
         let path = self.root.join(&file_name);
-        let mut writer = RunWriter::create_with(&path, Compression::Rle)?;
-        let tuples: Vec<&Tuple> = relation.iter().collect();
-        let mut buf = Vec::new();
-        for chunk in tuples.chunks(TUPLES_PER_FRAME) {
-            encode_frame(chunk, &mut buf);
-            writer.push(&buf)?;
+        let written = write_frames(&path, relation).and_then(|()| {
+            Segment::open(
+                &self.root,
+                seg_id,
+                &file_name,
+                relation.arity(),
+                relation.len(),
+            )
+        });
+        match written {
+            Ok(mut segment) => {
+                segment.logical_bytes = relation.estimated_bytes();
+                Ok(segment)
+            }
+            Err(e) => {
+                let _ = fs::remove_file(&path);
+                Err(e)
+            }
         }
-        writer.finish()?;
-        let mut segment = Segment::open(
-            &self.root,
-            seg_id,
-            &file_name,
-            relation.arity(),
-            relation.len(),
-        )?;
-        segment.logical_bytes = relation.estimated_bytes();
-        Ok(segment)
     }
+}
+
+/// Write `relation` to `path` as frames of [`TUPLES_PER_FRAME`] tuples.
+fn write_frames(path: &Path, relation: &Relation) -> Result<()> {
+    let mut writer = RunWriter::create(path)?;
+    let mut batch = TupleBatch::new(relation.arity());
+    let mut block = Vec::new();
+    let mut tuples = relation.iter().peekable();
+    while tuples.peek().is_some() {
+        batch.clear();
+        for t in tuples.by_ref().take(TUPLES_PER_FRAME) {
+            batch.push_tuple(t);
+        }
+        block.clear();
+        batch.encode_into(&mut block)?;
+        writer.push(&block)?;
+    }
+    writer.finish().map(|_| ())
 }
 
 impl Dfs for FileDfs {
@@ -796,6 +756,7 @@ impl Dfs for FileDfs {
 mod tests {
     use super::*;
     use crate::SimDfs;
+    use gumbo_common::Value;
 
     fn temp_root(label: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1039,6 +1000,81 @@ mod tests {
         fs::write(root.0.join(MANIFEST), "not-a-manifest\tv9\n").unwrap();
         let err = FileDfs::open(&root.0, 0).unwrap_err();
         assert!(err.to_string().contains("manifest header"), "{err}");
+    }
+
+    #[test]
+    fn a_v1_root_is_refused_naming_its_version() {
+        let root = Root(temp_root("v1"));
+        fs::create_dir_all(&root.0).unwrap();
+        fs::write(
+            root.0.join(MANIFEST),
+            "gumbo-dfs\tv1\nR\tseg-00000000.seg\t2\t1\t20\n",
+        )
+        .unwrap();
+        let err = FileDfs::open(&root.0, 0).unwrap_err();
+        assert!(matches!(err, GumboError::Storage(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("format v1") && msg.contains("v2"), "{msg}");
+    }
+
+    #[test]
+    fn open_removes_what_a_crash_leaves_behind() {
+        let root = Root(temp_root("leftovers"));
+        let (r, s) = (rel("R", 600), mixed_rel("S"));
+        {
+            let file = FileDfs::create(&root.0, 0).unwrap();
+            Dfs::store(&file, r.clone()).unwrap();
+            Dfs::store(&file, s.clone()).unwrap();
+        }
+        let segments = || {
+            let mut names: Vec<String> = fs::read_dir(&root.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|n| n.ends_with(".seg"))
+                .collect();
+            names.sort();
+            names
+        };
+        let named = segments();
+        assert_eq!(named.len(), 2);
+        // A store that died before its manifest was published, and a
+        // manifest rewrite that died before its rename.
+        fs::write(root.0.join("seg-00000007.seg"), b"half a segment").unwrap();
+        fs::write(root.0.join(MANIFEST_TMP), "gumbo-dfs\tv2\n").unwrap();
+        let file = FileDfs::open(&root.0, 0).unwrap();
+        assert_eq!(segments(), named, "only the segments the manifest names");
+        assert!(!root.0.join(MANIFEST_TMP).exists());
+        assert_eq!(Dfs::peek(&file, &"R".into()).unwrap().as_ref(), &r);
+        assert_eq!(Dfs::peek(&file, &"S".into()).unwrap().as_ref(), &s);
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_segment_block_is_a_storage_error() {
+        let root = Root(temp_root("bitflip"));
+        // No cache: every read goes to the file.
+        let file = FileDfs::create(&root.0, 0).unwrap();
+        let m = mixed_rel("M");
+        Dfs::store(&file, m.clone()).unwrap();
+        let seg = root.0.join(&file.segment(&"M".into()).unwrap().file_name);
+        let clean = fs::read(&seg).unwrap();
+        // Past the length prefix: the checksum and the block.
+        for bit in 4 * 8..clean.len() * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&seg, &bytes).unwrap();
+            let scan = Dfs::scan(&file, &"M".into()).unwrap();
+            let errs = [
+                Dfs::peek(&file, &"M".into()).unwrap_err(),
+                scan.fetch(0..scan.len()).unwrap_err(),
+            ];
+            for err in errs {
+                let msg = err.to_string();
+                assert!(matches!(err, GumboError::Storage(_)), "bit {bit}: {msg}");
+                assert!(msg.contains("checksum") && msg.contains("frame 0"), "{msg}");
+            }
+        }
+        fs::write(&seg, &clean).unwrap();
+        assert_eq!(Dfs::peek(&file, &"M".into()).unwrap().as_ref(), &m);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! Alongside the DFS, the [`spill`] module provides the *local* storage
 //! the bounded-memory shuffle uses: job-scoped temporary directories of
-//! length-prefixed run files, removed via RAII on success and error
-//! paths alike. [`FileDfs`] segments reuse the same frame codec.
+//! checksummed run files, removed via RAII on success and error paths
+//! alike. [`FileDfs`] segments are run files of the same frame layout.
 
 pub mod dfs;
 pub mod file_dfs;
@@ -29,4 +29,4 @@ pub mod spill;
 pub use dfs::{CacheStats, Dfs, RelStats, RelationScan, SimDfs, TupleSource};
 pub use file_dfs::{FileDfs, DEFAULT_CACHE_BYTES};
 pub use sample::reservoir_sample;
-pub use spill::{Compression, FrameFormat, RunReader, RunWriter, SpillDir};
+pub use spill::{RunReader, RunWriter, SpillDir};
