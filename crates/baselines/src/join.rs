@@ -11,7 +11,7 @@ use gumbo_common::{RelationName, Tuple};
 use gumbo_core::semijoin::{
     assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin,
 };
-use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo_sgf::Atom;
 
 /// Per-semi-join mapper state: the guard plus the coordinates of its join
@@ -30,14 +30,14 @@ struct JoinMapper {
 }
 
 impl Mapper for JoinMapper {
-    fn map(&self, fact: &gumbo_common::Fact, _i: u64, emit: &mut dyn FnMut(Tuple, Message)) {
+    fn map(&self, relation: &RelationName, tuple: &Tuple, _i: u64, out: &mut Emitter<'_>) {
         for (local, sj) in self.sjs.iter().enumerate() {
-            if sj.guard.conforms_fact(fact) {
-                let key = fact.tuple.project(&sj.join_key);
+            if sj.guard.conforms(relation, tuple) {
                 // Full guard tuple on the wire (no reference optimization).
-                let payload = Payload::Tuple(fact.tuple.project(&sj.identity));
-                emit(
-                    key,
+                let payload = Payload::Tuple(tuple.project(&sj.identity));
+                out.project(
+                    tuple,
+                    &sj.join_key,
                     Message::Req {
                         cond: local as u32,
                         payload,
@@ -46,15 +46,15 @@ impl Mapper for JoinMapper {
             }
         }
         for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
-            if atom.conforms_fact(fact) {
-                let key = fact.tuple.project(key_positions);
+            if atom.conforms(relation, tuple) {
                 // Full conditional tuple on the wire (outer-join semantics
                 // keep the right side's columns until the final projection).
-                emit(
-                    key,
+                out.project(
+                    tuple,
+                    key_positions,
                     Message::GuardTuple {
                         guard: g as u32,
-                        tuple: fact.tuple.clone(),
+                        tuple: tuple.clone(),
                     },
                 );
             }

@@ -17,7 +17,9 @@ use gumbo_common::{GumboError, RelationName, Result, Tuple};
 use gumbo_core::oneround::build_one_round_job;
 use gumbo_core::semijoin::{identity_vars, QueryContext};
 use gumbo_core::{BsgfSetPlan, PayloadMode};
-use gumbo_mr::{Executor, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer};
+use gumbo_mr::{
+    Emitter, Executor, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer,
+};
 use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_sgf::{Atom, BsgfQuery, Condition, Term, Var};
 use gumbo_storage::Dfs;
@@ -222,8 +224,8 @@ struct UnionMapper {
 }
 
 impl Mapper for UnionMapper {
-    fn map(&self, fact: &gumbo_common::Fact, _i: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-        emit(fact.tuple.project(&self.positions), Message::Tag { rel: 0 });
+    fn map(&self, _: &RelationName, tuple: &Tuple, _i: u64, out: &mut Emitter<'_>) {
+        out.project(tuple, &self.positions, Message::Tag { rel: 0 });
     }
 }
 

@@ -213,9 +213,10 @@ impl StringDict {
 ///
 /// See the [module docs](self) for the layout. Batches grow by
 /// [`push_tuple`](Self::push_tuple) (decomposing an owned tuple at the
-/// edge) or [`push_row`](Self::push_row) (copying a row from another batch
-/// without materializing a `Tuple`); rows are read through zero-copy
-/// [`TupleView`]s.
+/// edge), [`push_projected`](Self::push_projected) (a projection of a
+/// borrowed tuple, never built) or [`push_row`](Self::push_row) (copying
+/// a row from another batch without materializing a `Tuple`); rows are
+/// read through zero-copy [`TupleView`]s.
 #[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
     arity: usize,
@@ -268,18 +269,46 @@ impl TupleBatch {
     /// # Panics
     /// If the tuple's arity differs from the batch's.
     pub fn push_tuple(&mut self, t: &Tuple) {
-        assert_eq!(t.arity(), self.arity, "batch arity mismatch");
-        for (col, v) in self.cols.iter_mut().zip(t.values()) {
-            match v {
-                Value::Int(i) => col.push_int(*i),
-                Value::Str(s) => {
-                    let code = self.dict.intern(s);
-                    col.push_str_code(code);
-                }
-            }
-            self.bytes += v.estimated_bytes();
+        self.push_values(t.values());
+    }
+
+    /// Append one row given as borrowed values — an owned tuple's
+    /// [`Tuple::values`] or a stack array of integers; no `Tuple` needed.
+    ///
+    /// # Panics
+    /// If the row's arity differs from the batch's.
+    pub fn push_values(&mut self, values: &[Value]) {
+        assert_eq!(values.len(), self.arity, "batch arity mismatch");
+        for (c, v) in values.iter().enumerate() {
+            self.push_cell(c, v);
         }
         self.rows += 1;
+    }
+
+    /// Append the projection of `values` onto `positions` — the row
+    /// `Tuple::project(positions)` would build, written cell by cell
+    /// without building it.
+    ///
+    /// # Panics
+    /// If `positions.len()` differs from the batch's arity or a position
+    /// is out of range.
+    pub fn push_projected(&mut self, values: &[Value], positions: &[usize]) {
+        assert_eq!(positions.len(), self.arity, "batch arity mismatch");
+        for (c, &i) in positions.iter().enumerate() {
+            self.push_cell(c, &values[i]);
+        }
+        self.rows += 1;
+    }
+
+    fn push_cell(&mut self, c: usize, v: &Value) {
+        match v {
+            Value::Int(i) => self.cols[c].push_int(*i),
+            Value::Str(s) => {
+                let code = self.dict.intern(s);
+                self.cols[c].push_str_code(code);
+            }
+        }
+        self.bytes += v.estimated_bytes();
     }
 
     /// Append row `row` of `src` (which may be `self`-shaped but a

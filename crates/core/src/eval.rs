@@ -13,8 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use gumbo_common::{RelationName, Tuple};
-use gumbo_mr::{Job, JobConfig, Mapper, Message, Reducer};
+use gumbo_common::{RelationName, Tuple, Value};
+use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Reducer};
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
@@ -53,28 +53,28 @@ struct EvalMapper {
 }
 
 impl Mapper for EvalMapper {
-    fn map(&self, fact: &gumbo_common::Fact, index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-        match self.routes.get(&fact.relation) {
+    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>) {
+        match self.routes.get(relation) {
             None => {}
-            Some(Route::X(tag)) => emit(fact.tuple.clone(), Message::Tag { rel: *tag }),
+            Some(Route::X(tag)) => out.key(tuple.values(), Message::Tag { rel: *tag }),
             // One tag (full mode) or guard-tuple message (ref mode) per
             // query guarded by this relation.
             Some(Route::Guard(guarded)) => {
                 for &j in guarded {
                     let q = &self.queries[j as usize];
-                    if !q.guard.conforms_tuple(&fact.tuple) {
+                    if !q.guard.conforms_tuple(tuple) {
                         continue;
                     }
                     match self.mode {
                         PayloadMode::Full => {
-                            emit(fact.tuple.project(&q.identity), Message::Tag { rel: j });
+                            out.project(tuple, &q.identity, Message::Tag { rel: j });
                         }
                         PayloadMode::Reference => {
-                            emit(
-                                Tuple::from_ints(&[i64::from(j), index as i64]),
+                            out.key(
+                                &[Value::Int(i64::from(j)), Value::Int(index as i64)],
                                 Message::GuardTuple {
                                     guard: j,
-                                    tuple: fact.tuple.clone(),
+                                    tuple: tuple.clone(),
                                 },
                             );
                         }

@@ -15,8 +15,8 @@
 //! * **payload mode**: requests carry either the full guard identity tuple
 //!   or a `(guard, id)` reference (§5.1 (2)).
 
-use gumbo_common::{RelationName, Tuple};
-use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_common::{RelationName, Tuple, Value};
+use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo_sgf::Atom;
 
 use crate::plan::PayloadMode;
@@ -46,24 +46,26 @@ struct MsjMapper {
 }
 
 impl MsjMapper {
-    fn salted(&self, key: Tuple, salt: u32) -> Tuple {
+    /// Emit `msg` on `π_key(tuple)`, extended with `salt` when salting
+    /// (an owned key; the projection is written in place otherwise).
+    fn emit(&self, out: &mut Emitter<'_>, tuple: &Tuple, key: &[usize], salt: u32, msg: Message) {
         if self.salts <= 1 {
-            return key;
+            return out.project(tuple, key, msg);
         }
-        let mut values: Vec<gumbo_common::Value> = key.values().to_vec();
-        values.push(gumbo_common::Value::Int(i64::from(salt)));
-        Tuple::new(values)
+        let mut values: Vec<Value> = key.iter().map(|&i| tuple.values()[i].clone()).collect();
+        values.push(Value::Int(i64::from(salt)));
+        out.key(&values, msg);
     }
 }
 
 impl Mapper for MsjMapper {
-    fn map(&self, fact: &gumbo_common::Fact, index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
+    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>) {
+        let salts = self.salts.max(1);
         // Guard side: one request per semi-join this fact guards.
         for (local, sj) in self.sjs.iter().enumerate() {
-            if sj.guard.conforms_fact(fact) {
-                let key = fact.tuple.project(&sj.join_key);
+            if sj.guard.conforms(relation, tuple) {
                 let payload = match self.mode {
-                    PayloadMode::Full => Payload::Tuple(fact.tuple.project(&sj.identity)),
+                    PayloadMode::Full => Payload::Tuple(tuple.project(&sj.identity)),
                     PayloadMode::Reference => Payload::Ref {
                         guard: sj.guard_idx,
                         id: index,
@@ -71,28 +73,23 @@ impl Mapper for MsjMapper {
                 };
                 // Salt from the tuple identity so the same guard tuple is
                 // routed consistently.
-                let salt = (index % u64::from(self.salts.max(1))) as u32;
-                emit(
-                    self.salted(key, salt),
-                    Message::Req {
-                        cond: local as u32,
-                        payload,
-                    },
-                );
+                let salt = (index % u64::from(salts)) as u32;
+                let msg = Message::Req {
+                    cond: local as u32,
+                    payload,
+                };
+                self.emit(out, tuple, &sj.join_key, salt, msg);
             }
         }
         // Conditional side: one assert per *assert group* (shared streams),
         // replicated to every salt so each salted request group sees it.
         for (group_idx, (atom, key_positions)) in self.asserts.iter().enumerate() {
-            if atom.conforms_fact(fact) {
-                let key = fact.tuple.project(key_positions);
-                for salt in 0..self.salts.max(1) {
-                    emit(
-                        self.salted(key.clone(), salt),
-                        Message::Assert {
-                            cond: group_idx as u32,
-                        },
-                    );
+            if atom.conforms(relation, tuple) {
+                for salt in 0..salts {
+                    let msg = Message::Assert {
+                        cond: group_idx as u32,
+                    };
+                    self.emit(out, tuple, key_positions, salt, msg);
                 }
             }
         }

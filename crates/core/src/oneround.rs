@@ -16,7 +16,7 @@
 //! second round, no `Xᵢ` intermediates.
 
 use gumbo_common::{RelationName, Tuple};
-use gumbo_mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::msj::PresentAsserts;
@@ -48,25 +48,23 @@ struct OneRoundMapper {
 }
 
 impl Mapper for OneRoundMapper {
-    fn map(&self, fact: &gumbo_common::Fact, _index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
+    fn map(&self, relation: &RelationName, tuple: &Tuple, _index: u64, out: &mut Emitter<'_>) {
         for (r, req) in self.requests.iter().enumerate() {
             let guard = &self.guards[req.query as usize];
-            if guard.atom.conforms_fact(fact) {
-                emit(
-                    fact.tuple.project(&req.key),
+            if guard.atom.conforms(relation, tuple) {
+                out.project(
+                    tuple,
+                    &req.key,
                     Message::Req {
                         cond: r as u32,
-                        payload: Payload::Tuple(fact.tuple.project(&guard.output)),
+                        payload: Payload::Tuple(tuple.project(&guard.output)),
                     },
                 );
             }
         }
         for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
-            if atom.conforms_fact(fact) {
-                emit(
-                    fact.tuple.project(key_positions),
-                    Message::Assert { cond: g as u32 },
-                );
+            if atom.conforms(relation, tuple) {
+                out.project(tuple, key_positions, Message::Assert { cond: g as u32 });
             }
         }
     }

@@ -43,7 +43,7 @@
 use std::cmp::Ordering;
 use std::path::Path;
 
-use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView};
+use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView, Value};
 use gumbo_storage::{RunReader, RunWriter};
 
 use crate::hash::hash_view;
@@ -547,7 +547,31 @@ impl PairBatch {
     /// Append one pair, decomposing it into the columnar arenas and
     /// hashing its key.
     pub fn push_pair(&mut self, key: &Tuple, msg: &Message) {
-        let slot = self.keys.push_tuple(key);
+        self.push_values(key.values(), msg);
+    }
+
+    /// Append the pair `(key, msg)` for a key given as borrowed values
+    /// (an owned tuple's values, or a stack array of integers).
+    pub fn push_values(&mut self, key: &[Value], msg: &Message) {
+        self.push_keyed(key.len(), |batch| batch.push_values(key), msg);
+    }
+
+    /// Append the pair `(tuple.project(positions), msg)` without building
+    /// the key: its cells go straight from `tuple` into the key arena and
+    /// are hashed there — identical row, hash and bytes to
+    /// [`push_pair`](Self::push_pair) of the projection.
+    pub fn push_projected(&mut self, tuple: &Tuple, positions: &[usize], msg: &Message) {
+        self.push_keyed(
+            positions.len(),
+            |batch| batch.push_projected(tuple.values(), positions),
+            msg,
+        );
+    }
+
+    /// Append a key of arity `arity` (`push_key` writes its row), hash it
+    /// in place, then append `msg`.
+    fn push_keyed(&mut self, arity: usize, push_key: impl FnOnce(&mut TupleBatch), msg: &Message) {
+        let slot = self.keys.push_with(arity, push_key);
         self.hashes.push(key_hash(self.keys.view(slot)));
         self.msgs.push(msg);
         self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);

@@ -45,18 +45,19 @@
 //! the workspace root enforce the guarantee.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use gumbo_common::{ByteSize, Fact, GumboError, Relation, RelationName, Result, Tuple};
+use gumbo_common::{ByteSize, GumboError, Relation, RelationName, Result, Tuple};
 use gumbo_storage::{Dfs, RelationScan};
 
 use crate::batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::hash::partition_of;
-use crate::job::Job;
+use crate::job::{Emitter, Job};
 use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
@@ -286,16 +287,16 @@ impl Executor {
         let workers = self.effective_threads();
         // ---- map phase: tasks fan out over the pool ---------------------
         // Planning (and its DFS read metering) happened on the caller's
-        // thread; tasks fetch their facts from snapshot scans, so workers
-        // never touch the DFS.
+        // thread; tasks visit their splits in place on snapshot scans, so
+        // workers never touch the DFS.
         let map_span = gumbo_obs::span_with("map", |f| {
             f.str("job", &job.name);
             f.u64("tasks", plan.tasks.len() as u64);
             f.u64("workers", workers as u64);
         });
         let mapped: Vec<MapTaskOutput> = parallel_for(plan.tasks.len(), workers, |i| {
-            plan.task_facts(&plan.tasks[i])
-                .map(|facts| run_map_task(job, &facts))
+            let task = &plan.tasks[i];
+            run_map_task(job, &plan.input_scans[task.input_idx], task.split.clone())
         })
         .into_iter()
         .collect::<Result<_>>()?;
@@ -466,25 +467,25 @@ impl ExecutorKind {
 // Shared execution pipeline
 // ---------------------------------------------------------------------------
 
-/// One map task: a split of one input partition, with the facts it covers
-/// (fact indices are positions in the relation's canonical order — the
-/// tuple ids of the guard-reference optimization, §5.1 (2)).
+/// One map task: a split of one input partition (tuple indices are
+/// positions in the relation's canonical order — the tuple ids of the
+/// guard-reference optimization, §5.1 (2)).
 pub(crate) struct MapTaskSpec {
-    /// Index into `MapPlan::partitions` / `MapPlan::input_facts`.
+    /// Index into `MapPlan::partitions` / `MapPlan::input_scans`.
     pub input_idx: usize,
-    /// This split's range within the input's fact list.
-    pub split: std::ops::Range<usize>,
+    /// This split's range within the input's canonical order.
+    pub split: Range<usize>,
 }
 
 /// The planned map phase of one job: per-input partitions (with mapper
 /// counts fixed by the split-size rule) plus the concrete task list.
 ///
-/// Inputs are held as *scans*, not materialized relations: a task's
-/// facts are fetched from its input's [`RelationScan`] only when the
-/// task runs (`MapPlan::task_facts`), so the whole relation is never
-/// resident at once — on the file backend a task touches only the
-/// segment frames covering its split. The scans are snapshots with no
-/// borrow of the DFS instance, which is what lets a concurrent
+/// Inputs are held as *scans*, not materialized relations: a task visits
+/// its split of its input's [`RelationScan`] in place only when it runs
+/// ([`run_map_task`]), so the whole relation is never resident at once —
+/// on the file backend a task touches only the segment frames covering
+/// its split — and no input tuple is cloned. The scans are snapshots with
+/// no borrow of the DFS instance, which is what lets a concurrent
 /// scheduler run [`Executor::run_phases`] without holding any storage
 /// lock. All read metering already happened at [`plan_job`] time.
 pub(crate) struct MapPlan {
@@ -498,25 +499,6 @@ pub(crate) struct MapPlan {
 }
 
 impl MapPlan {
-    /// Fetch the facts a task covers from its input's scan. Tuple ids are
-    /// positions in the relation's canonical order (the guard-reference
-    /// ids of §5.1 (2)) — the split's offset pins them regardless of
-    /// which frames back the fetch.
-    pub(crate) fn task_facts(&self, task: &MapTaskSpec) -> Result<Vec<(u64, Fact)>> {
-        let scan = &self.input_scans[task.input_idx];
-        let tuples = scan.fetch(task.split.clone())?;
-        Ok(tuples
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                (
-                    (task.split.start + i) as u64,
-                    Fact::new(scan.name().clone(), t),
-                )
-            })
-            .collect())
-    }
-
     /// Resolve the job's reduce-task count from the measured input and
     /// intermediate sizes (call after `MapPlan::apply_counts`).
     pub(crate) fn resolve_reducers(&self, job: &Job) -> usize {
@@ -534,7 +516,7 @@ impl MapPlan {
 ///
 /// Shared DFS access suffices: scans are metered through atomic counters
 /// and the returned plan holds snapshot scans, not materialized
-/// relations — facts stream in per task during the map phase.
+/// relations — each task visits its split during the map phase.
 fn plan_job(config: &EngineConfig, dfs: &dyn Dfs, job: &Job) -> Result<MapPlan> {
     let mut span = gumbo_obs::span_with("plan", |f| f.str("job", &job.name));
     let scale = config.scale.max(1);
@@ -599,32 +581,42 @@ pub(crate) struct MapTaskOutput {
     pub records_out: u64,
 }
 
-/// Run one map task: apply the mapper to every fact of the split, landing
-/// its output directly in a [`PairBatch`] (which hashes every emitted key
-/// once), and account bytes/records, charging key bytes once per distinct key
-/// within the task when packing is enabled (§5.1 (1)) — one pass over a
-/// hash table of row ids ([`packed_counts`]), no sort.
-pub(crate) fn run_map_task(job: &Job, facts: &[(u64, Fact)]) -> MapTaskOutput {
+/// Run one map task: visit the tuples of `split` in place on `scan` and
+/// apply the mapper to each — its tuple id is its position in the
+/// relation's canonical order (the guard-reference ids of §5.1 (2)),
+/// pinned by the split's offset whichever frames back the visit. The
+/// mapper writes its pairs straight into one [`PairBatch`] (which hashes
+/// every emitted key once); then bytes/records are accounted, charging
+/// key bytes once per distinct key within the task when packing is
+/// enabled (§5.1 (1)) — one pass over a hash table of row ids
+/// ([`packed_counts`]), no sort.
+pub(crate) fn run_map_task(
+    job: &Job,
+    scan: &RelationScan,
+    split: Range<usize>,
+) -> Result<MapTaskOutput> {
     let mut span = gumbo_obs::span_with("map:task", |f| {
         f.str("job", &job.name);
-        f.u64("facts", facts.len() as u64);
+        f.u64("facts", split.len() as u64);
     });
     let mut batch = PairBatch::new();
-    for (index, fact) in facts {
-        job.mapper
-            .map(fact, *index, &mut |k, v| batch.push_pair(&k, &v));
-    }
+    let mut out = Emitter::new(&mut batch);
+    let mut index = split.start as u64;
+    scan.for_each(split, &mut |tuple| {
+        job.mapper.map(scan.name(), tuple, index, &mut out);
+        index += 1;
+    })?;
     let (output_bytes, records_out) = if job.config.packing {
         packed_counts(&batch, batch.hashes())
     } else {
         (batch.estimated_bytes(), batch.len() as u64)
     };
     span.record(|f| f.u64("records_out", records_out));
-    MapTaskOutput {
+    Ok(MapTaskOutput {
         batch,
         output_bytes,
         records_out,
-    }
+    })
 }
 
 /// The packed `(output_bytes, records_out)` of one map task's output
@@ -890,24 +882,19 @@ mod tests {
         guard: &'static str,
     }
     impl Mapper for SemiJoinMapper {
-        fn map(&self, fact: &Fact, _index: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-            let is_guard = fact.relation.as_str() == self.guard;
-            let key = Tuple::new(vec![fact
-                .tuple
-                .get(if is_guard { 1 } else { 0 })
-                .unwrap()
-                .clone()]);
-            if is_guard {
-                let out = Tuple::new(vec![fact.tuple.get(0).unwrap().clone()]);
-                emit(
-                    key,
+        fn map(&self, relation: &RelationName, tuple: &Tuple, _index: u64, out: &mut Emitter<'_>) {
+            if relation.as_str() == self.guard {
+                let out_tuple = tuple.project(&[0]);
+                out.project(
+                    tuple,
+                    &[1],
                     Message::Req {
                         cond: 0,
-                        payload: Payload::Tuple(out),
+                        payload: Payload::Tuple(out_tuple),
                     },
                 );
             } else {
-                emit(key, Message::Assert { cond: 0 });
+                out.project(tuple, &[0], Message::Assert { cond: 0 });
             }
         }
     }

@@ -2,20 +2,55 @@
 
 use std::fmt;
 
-use gumbo_common::{ByteSize, Fact, RelationName, Tuple};
+use gumbo_common::{ByteSize, RelationName, Tuple, Value};
 
+use crate::batch_shuffle::PairBatch;
 use crate::estimate::JobEstimate;
 use crate::message::Message;
 
 /// A map function `µ`.
 ///
-/// Called once per input fact, in the deterministic order of the job's
-/// input relations. `index` is the fact's position within its relation's
-/// canonical (sorted) order — the tuple id used by the guard-reference
-/// optimization (§5.1 (2)).
+/// Called once per input tuple, in the deterministic order of the job's
+/// input relations, with the tuple borrowed in place from the task's
+/// scan (a DFS snapshot or a cached segment frame): nothing is cloned
+/// to call it. `relation` names the input the tuple belongs to — the
+/// tuple and its relation are the paper's fact `R(ā)`. `index` is the
+/// tuple's position within its relation's canonical (sorted) order — the
+/// tuple id used by the guard-reference optimization (§5.1 (2)).
+///
+/// Pairs go to `out`, which writes them straight into the map task's
+/// columnar [`PairBatch`] (see [`Emitter`]).
 pub trait Mapper: Send + Sync {
-    /// Process one fact, emitting key-value pairs.
-    fn map(&self, fact: &Fact, index: u64, emit: &mut dyn FnMut(Tuple, Message));
+    /// Process one input tuple, emitting key-value pairs into `out`.
+    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>);
+}
+
+/// Where a mapper's pairs land: the map task's [`PairBatch`]. Every key
+/// is written into the batch's key arena and hashed there; no key
+/// `Tuple` is handed over. Pairs keep their emission order.
+pub struct Emitter<'a> {
+    batch: &'a mut PairBatch,
+}
+
+impl<'a> Emitter<'a> {
+    /// An emitter appending to `batch`.
+    pub fn new(batch: &'a mut PairBatch) -> Emitter<'a> {
+        Emitter { batch }
+    }
+
+    /// Emit `⟨π_positions(tuple) : msg⟩` — the paper's projected key
+    /// (Algorithm 1) — copying the key's cells from `tuple` straight into
+    /// the key arena, with no projected `Tuple` in between.
+    pub fn project(&mut self, tuple: &Tuple, positions: &[usize], msg: Message) {
+        self.batch.push_projected(tuple, positions, &msg);
+    }
+
+    /// Emit `⟨key : msg⟩` for a key that is not a projection: an owned
+    /// tuple's [`Tuple::values`], or a stack array of integers (a salted
+    /// key, EVAL's `(j, id)`).
+    pub fn key(&mut self, key: &[Value], msg: Message) {
+        self.batch.push_values(key, &msg);
+    }
 }
 
 /// A reduce function `ρ`.
@@ -186,7 +221,7 @@ pub(crate) mod test_support {
     pub(crate) struct Noop;
 
     impl Mapper for Noop {
-        fn map(&self, _: &Fact, _: u64, _: &mut dyn FnMut(Tuple, Message)) {}
+        fn map(&self, _: &RelationName, _: &Tuple, _: u64, _: &mut Emitter<'_>) {}
     }
 
     impl Reducer for Noop {

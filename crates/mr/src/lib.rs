@@ -80,7 +80,7 @@ pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
 pub use estimate::{list_schedule_makespan, JobEstimate};
 pub use executor::{EngineConfig, Executor, ExecutorKind};
-pub use job::{Job, JobConfig, Mapper, Reducer, ReducerPolicy};
+pub use job::{Emitter, Job, JobConfig, Mapper, Reducer, ReducerPolicy};
 pub use message::{Message, Payload};
 pub use metrics::{JobStats, ProgramStats};
 pub use profile::{InputPartition, JobProfile};

@@ -1,5 +1,5 @@
 //! Property-based tests for the cost model, the cluster scheduler, the
-//! program → DAG lowering, and the spill merge.
+//! program → DAG lowering, the map emitter, and the spill merge.
 
 #![cfg(test)]
 
@@ -15,7 +15,7 @@ use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::dag::jobs_conflict;
 use crate::executor::packed_counts;
 use crate::job::test_support::noop_job;
-use crate::job::Job;
+use crate::job::{Emitter, Job};
 use crate::message::{Message, Payload};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
@@ -93,6 +93,72 @@ proptest! {
         prop_assert_eq!(packed_counts(&batch, batch.hashes()), expected);
         prop_assert_eq!(packed_counts(&batch, &vec![7; batch.len()]), expected, "all probes collide");
         prop_assert_eq!(packed_counts(&PairBatch::new(), &[]), (0, 0), "empty batch");
+    }
+
+    /// The emitter's in-place keys are the keys the mapper used to build:
+    /// a projected push equals `push_pair(&t.project(pos), m)`, and an
+    /// owned key pushed by its values equals `push_pair(&t, m)` — key
+    /// view, hash, row bytes, message and `to_pairs`. Tuples mix ints and
+    /// strings (one dictionary shared across rows); positions repeat and
+    /// may be empty (the nullary key).
+    #[test]
+    fn emitted_keys_equal_pushed_owned_keys(
+        rows in proptest::collection::vec(
+            (
+                proptest::collection::vec((0i64..5, any::<bool>()), 0usize..5),
+                proptest::collection::vec(0usize..5, 0usize..4),
+                any::<bool>(),
+            ),
+            0usize..60,
+        ),
+    ) {
+        let mut emitted = PairBatch::new();
+        let mut pushed = PairBatch::new();
+        for (seq, (cells, positions, projected)) in rows.iter().enumerate() {
+            let tuple: Tuple = cells
+                .iter()
+                .map(|&(v, string)| {
+                    if string {
+                        gumbo_common::Value::str(format!("s{v}"))
+                    } else {
+                        gumbo_common::Value::Int(v)
+                    }
+                })
+                .collect();
+            // Positions index into the tuple; an empty tuple projects
+            // onto the empty key.
+            let positions: Vec<usize> = if tuple.arity() == 0 {
+                Vec::new()
+            } else {
+                positions.iter().map(|&i| i % tuple.arity()).collect()
+            };
+            let msg = if seq % 3 == 0 {
+                Message::Assert { cond: seq as u32 }
+            } else {
+                Message::Req {
+                    cond: seq as u32,
+                    payload: Payload::Tuple(tuple.clone()),
+                }
+            };
+            let mut out = Emitter::new(&mut emitted);
+            if *projected {
+                out.project(&tuple, &positions, msg.clone());
+                pushed.push_pair(&tuple.project(&positions), &msg);
+            } else {
+                out.key(tuple.values(), msg.clone());
+                pushed.push_pair(&tuple, &msg);
+            }
+        }
+        prop_assert_eq!(emitted.len(), pushed.len());
+        prop_assert_eq!(emitted.hashes(), pushed.hashes());
+        prop_assert_eq!(emitted.estimated_bytes(), pushed.estimated_bytes());
+        for row in 0..pushed.len() {
+            prop_assert_eq!(emitted.key_view(row), pushed.key_view(row));
+            prop_assert_eq!(emitted.hashes()[row], crate::hash::hash_tuple(&pushed.key_tuple(row)));
+            prop_assert_eq!(emitted.row_bytes(row), pushed.row_bytes(row));
+            prop_assert_eq!(emitted.message(row), pushed.message(row));
+        }
+        prop_assert_eq!(emitted.to_pairs(), pushed.to_pairs());
     }
 
     /// Costs are non-negative, finite, and at least the job overhead.

@@ -16,10 +16,10 @@
 
 use proptest::prelude::*;
 
-use gumbo_common::{ByteSize, Fact, Relation, RelationName, Tuple};
+use gumbo_common::{ByteSize, Relation, RelationName, Tuple};
 use gumbo_mr::{
-    list_schedule_makespan, CostConstants, CostModelKind, EngineConfig, Executor, InputPartition,
-    Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
+    list_schedule_makespan, CostConstants, CostModelKind, Emitter, EngineConfig, Executor,
+    InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
 };
 use gumbo_storage::SimDfs;
 
@@ -29,8 +29,8 @@ use crate::scheduler::{DagScheduler, SchedulerConfig};
 /// deterministic, and write-conflicting when outputs collide.
 struct Copy;
 impl Mapper for Copy {
-    fn map(&self, fact: &Fact, _: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-        emit(fact.tuple.clone(), Message::Assert { cond: 0 });
+    fn map(&self, _: &RelationName, tuple: &Tuple, _: u64, out: &mut Emitter<'_>) {
+        out.key(tuple.values(), Message::Assert { cond: 0 });
     }
 }
 struct CopyTo(RelationName);

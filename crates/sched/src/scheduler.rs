@@ -297,15 +297,15 @@ impl DagScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gumbo_common::{Fact, Relation, RelationName, Tuple};
-    use gumbo_mr::{EngineConfig, Job, JobConfig, Mapper, Message, Reducer};
+    use gumbo_common::{Relation, RelationName, Tuple};
+    use gumbo_mr::{Emitter, EngineConfig, Job, JobConfig, Mapper, Message, Reducer};
     use gumbo_storage::SimDfs;
 
     /// Copies every input tuple to the job's single output relation.
     struct Copy;
     impl Mapper for Copy {
-        fn map(&self, fact: &Fact, _: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-            emit(fact.tuple.clone(), Message::Assert { cond: 0 });
+        fn map(&self, _: &RelationName, tuple: &Tuple, _: u64, out: &mut Emitter<'_>) {
+            out.key(tuple.values(), Message::Assert { cond: 0 });
         }
     }
     struct CopyTo(RelationName);

@@ -57,8 +57,8 @@ pub static SVC_COMPLETED: Counter = Counter::new("svc.completed");
 pub static SVC_QUEUE_DEPTH: Gauge = Gauge::new("svc.queue_depth");
 
 /// Process-wide drain request, set by [`request_drain`] or by a signal
-/// handler installed with [`install_signal_drain`]. The server's accept
-/// loop polls this between accepts.
+/// handler installed with [`install_signal_drain`]. Each server polls it
+/// every 50 ms on a watcher thread and begins its drain when it is set.
 static GLOBAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// Has a process-wide drain been requested?

@@ -30,9 +30,9 @@
 //! `accepted == completed` — zero lost work.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,6 +109,9 @@ struct Shared {
     completed: AtomicU64,
     /// Connections accepted.
     connections: AtomicU64,
+    /// The listener's address: [`Shared::begin_drain`] connects to it once
+    /// to wake the supervisor's blocking `accept`.
+    addr: SocketAddr,
 }
 
 /// A running server. Dropping the handle does *not* stop the server;
@@ -155,6 +158,17 @@ impl Shared {
                 f.u64("accepted", self.queue.accepted());
                 f.u64("completed", self.completed.load(Ordering::SeqCst));
             });
+            // Wake the blocking accept: the supervisor sees the drain and
+            // drops this connection uncounted. Once the listener is gone
+            // the connect is refused at once, which is just as good.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         }
         self.queue.close();
     }
@@ -175,7 +189,6 @@ pub fn serve(
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         runtime: *engine.runtime(),
         engine,
@@ -184,6 +197,7 @@ pub fn serve(
         draining: AtomicBool::new(false),
         completed: AtomicU64::new(0),
         connections: AtomicU64::new(0),
+        addr,
     });
 
     let supervisor = {
@@ -216,32 +230,41 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, config: ServeConfig) ->
         .collect();
     let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
 
-    while !shared.is_draining() {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                SVC_CONNECTIONS.incr();
-                gumbo_obs::event("svc:accept", |f| {
-                    f.str("peer", &peer.to_string());
-                });
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("gumbo-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn connection handler");
-                handlers
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+    // A signal handler can only set the process-wide drain flag; it
+    // cannot wake the blocking accept, so a watcher polls the flag.
+    {
+        let shared = Arc::downgrade(&shared);
+        std::thread::Builder::new()
+            .name("gumbo-drain-watch".into())
+            .spawn(move || watch_drain_flag(&shared))
+            .expect("spawn drain watcher");
+    }
+
+    // Accept blocks; `begin_drain` wakes it with a connection of its own.
+    while let Ok((stream, peer)) = listener.accept() {
+        if shared.is_draining() {
+            // The wake connection (or a client that raced it): not served,
+            // not counted.
+            break;
         }
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        SVC_CONNECTIONS.incr();
+        gumbo_obs::event("svc:accept", |f| {
+            f.str("peer", &peer.to_string());
+        });
+        let shared = Arc::clone(&shared);
+        let handle = std::thread::Builder::new()
+            .name("gumbo-conn".into())
+            .spawn(move || handle_connection(stream, &shared))
+            .expect("spawn connection handler");
+        handlers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(handle);
     }
     // Drain: no new connections; refuse new submissions; finish the
     // backlog; let every handler stream its replies out.
+    drop(listener);
     shared.begin_drain();
     for d in dispatchers {
         let _ = d.join();
@@ -255,6 +278,24 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, config: ServeConfig) ->
         connections: shared.connections.load(Ordering::SeqCst),
         accepted: shared.queue.accepted(),
         completed: shared.completed.load(Ordering::SeqCst),
+    }
+}
+
+/// Turn a process-wide drain request ([`drain_requested`], set by a
+/// signal) into this server's drain. Holds the server weakly and stops
+/// once it drains or is gone.
+fn watch_drain_flag(shared: &Weak<Shared>) {
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let Some(shared) = shared.upgrade() else {
+            return;
+        };
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        if drain_requested() {
+            return shared.begin_drain();
+        }
     }
 }
 

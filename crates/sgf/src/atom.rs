@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use gumbo_common::{Fact, RelationName, Tuple, Value};
+use gumbo_common::{RelationName, Tuple, Value};
 
 use crate::term::{Term, Var};
 
@@ -120,7 +120,7 @@ impl Atom {
     }
 
     /// Conformance test `f ⊨ α` for a bare tuple: relation symbols are
-    /// checked by [`Atom::conforms_fact`]; this checks the tuple side only.
+    /// checked by [`Atom::conforms`]; this checks the tuple side only.
     ///
     /// A tuple `ā` conforms to `t̄` iff (1) equal terms carry equal values and
     /// (2) constant terms carry exactly their constants (§4).
@@ -139,9 +139,11 @@ impl Atom {
         self.constants.is_empty() && self.equalities.is_empty()
     }
 
-    /// Full conformance test `T(ā) ⊨ U(t̄)`.
-    pub fn conforms_fact(&self, fact: &Fact) -> bool {
-        fact.relation == self.relation && self.conforms_tuple(&fact.tuple)
+    /// Full conformance test `T(ā) ⊨ U(t̄)` of the fact `relation(tuple)`
+    /// (relation and tuple passed apart, so a mapper tests a tuple borrowed
+    /// from its scan without building a `Fact`).
+    pub fn conforms(&self, relation: &RelationName, tuple: &Tuple) -> bool {
+        *relation == self.relation && self.conforms_tuple(tuple)
     }
 
     /// Projection `π_{α;x̄}(f)` of a conforming tuple onto variables `x̄`.
@@ -243,8 +245,8 @@ mod tests {
     #[test]
     fn conformance_checks_relation_symbol() {
         let a = Atom::vars("R", &["x"]);
-        assert!(a.conforms_fact(&Fact::new("R", Tuple::from_ints(&[1]))));
-        assert!(!a.conforms_fact(&Fact::new("S", Tuple::from_ints(&[1]))));
+        assert!(a.conforms(&"R".into(), &Tuple::from_ints(&[1])));
+        assert!(!a.conforms(&"S".into(), &Tuple::from_ints(&[1])));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result};
+use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple};
 
 /// What [`Dfs::stat`] knows about one stored relation without touching a
 /// tuple — the three numbers the planner prices plans from.
@@ -98,15 +98,18 @@ impl CacheStats {
     }
 }
 
-/// A source of tuples for one opened scan: fetches any sub-range of the
-/// relation's canonical (sorted) tuple order, independently of the DFS
-/// instance's locks, so map tasks on worker threads can pull their splits
-/// concurrently. Backends decide what "fetch" costs: the in-memory DFS
-/// clones from an `Arc` snapshot; the file backend reads and decodes only
-/// the segment frames covering the range (through the block cache).
+/// A source of tuples for one opened scan: visits any sub-range of the
+/// relation's canonical (sorted) tuple order in place, independently of
+/// the DFS instance's locks, so map tasks on worker threads can walk
+/// their splits concurrently. Backends decide what a visit costs: the
+/// in-memory DFS walks its `Arc` snapshot of the relation; the file
+/// backend walks the decoded segment frames covering the range (through
+/// the block cache). Neither clones a tuple to visit it.
 pub trait TupleSource: Send + Sync {
-    /// The tuples at `range` of the relation's canonical order.
-    fn fetch(&self, range: Range<usize>) -> Result<Vec<gumbo_common::Tuple>>;
+    /// Call `visit` on every tuple at `range` of the relation's canonical
+    /// order, in that order, borrowed from the source. Out-of-bounds
+    /// ranges are clamped to the relation.
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()>;
 }
 
 /// A metered streaming scan over one stored relation.
@@ -166,10 +169,20 @@ impl RelationScan {
         self.bytes
     }
 
-    /// Fetch the tuples of `range` (canonical order). Out-of-bounds
-    /// ranges are clamped by the source.
-    pub fn fetch(&self, range: Range<usize>) -> Result<Vec<gumbo_common::Tuple>> {
-        self.source.fetch(range)
+    /// Visit the tuples of `range` in canonical order, borrowed in place
+    /// ([`TupleSource::for_each`]): how map tasks read their splits.
+    /// Out-of-bounds ranges are clamped.
+    pub fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
+        self.source.for_each(range, visit)
+    }
+
+    /// The tuples of `range` (canonical order) as owned clones — a
+    /// collect over [`RelationScan::for_each`]. Out-of-bounds ranges are
+    /// clamped.
+    pub fn fetch(&self, range: Range<usize>) -> Result<Vec<Tuple>> {
+        let mut out = Vec::with_capacity(range.end.min(self.len).saturating_sub(range.start));
+        self.for_each(range, &mut |t| out.push(t.clone()))?;
+        Ok(out)
     }
 }
 
@@ -292,16 +305,15 @@ struct SimScanSource {
 }
 
 impl TupleSource for SimScanSource {
-    fn fetch(&self, range: Range<usize>) -> Result<Vec<gumbo_common::Tuple>> {
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
         let end = range.end.min(self.relation.len());
         let start = range.start.min(end);
-        Ok(self
-            .relation
+        self.relation
             .iter()
             .skip(start)
             .take(end - start)
-            .cloned()
-            .collect())
+            .for_each(visit);
+        Ok(())
     }
 }
 

@@ -18,10 +18,11 @@
 //! (`TupleBatch::encode_into`) of up to [`TUPLES_PER_FRAME`] tuples in
 //! the relation's canonical (sorted) order, stored raw. The fixed
 //! tuples-per-frame makes `tuple index → frame index` arithmetic, so a
-//! range fetch touches only the frames covering it. A cache miss
-//! verifies the frame's checksum, decodes it and checks its arity and
-//! row count against the manifest before a tuple is served: a corrupt
-//! frame is a [`GumboError::Storage`] naming the file and the frame.
+//! range visit touches only the frames covering it, and walks their
+//! cached tuples in place. A cache miss verifies the frame's checksum,
+//! decodes it and checks its arity and row count against the manifest
+//! before a tuple is served: a corrupt frame is a
+//! [`GumboError::Storage`] naming the file and the frame.
 //!
 //! Segments are never mutated: overwriting relation `R` writes a *new*
 //! segment under the next generation number and retargets the manifest,
@@ -68,7 +69,7 @@ use crate::dfs::{CacheStats, Dfs, RelStats, RelationScan, TupleSource};
 use crate::spill::{read_frame, RunWriter, FRAME_HEADER};
 
 /// Tuples per segment frame. Fixed (except the final frame) so that
-/// `tuple index → frame index` is plain division and a range fetch knows
+/// `tuple index → frame index` is plain division and a range visit knows
 /// exactly which frames cover it.
 pub const TUPLES_PER_FRAME: usize = 512;
 
@@ -351,23 +352,22 @@ impl FileScanSource {
 }
 
 impl TupleSource for FileScanSource {
-    fn fetch(&self, range: Range<usize>) -> Result<Vec<Tuple>> {
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
         let end = range.end.min(self.segment.tuples);
         let start = range.start.min(end);
         if start == end {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let first = start / TUPLES_PER_FRAME;
         let last = (end - 1) / TUPLES_PER_FRAME;
-        let mut out = Vec::with_capacity(end - start);
         for f in first..=last {
             let frame = self.frame(f as u32)?;
             let base = f * TUPLES_PER_FRAME;
             let lo = start.saturating_sub(base);
             let hi = (end - base).min(frame.tuples.len());
-            out.extend_from_slice(&frame.tuples[lo..hi]);
+            frame.tuples[lo..hi].iter().for_each(&mut *visit);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -665,7 +665,9 @@ impl Dfs for FileDfs {
             segment,
             cache: Arc::clone(&self.cache),
         };
-        Relation::from_tuples(name.clone(), arity, source.fetch(0..len)?).map(Arc::new)
+        let mut tuples = Vec::with_capacity(len);
+        source.for_each(0..len, &mut |t| tuples.push(t.clone()))?;
+        Relation::from_tuples(name.clone(), arity, tuples).map(Arc::new)
     }
 
     fn scan(&self, name: &RelationName) -> Result<RelationScan> {

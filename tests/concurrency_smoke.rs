@@ -6,8 +6,9 @@
 //! contention level); any nondeterminism in the shuffle ordering or the
 //! reduce merge would show up as diverging relations or statistics.
 
+use gumbo::common::RelationName;
 use gumbo::datagen::queries;
-use gumbo::mr::{Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo::mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
 use gumbo::prelude::*;
 
 fn run_with(
@@ -70,13 +71,12 @@ fn repeated_high_contention_runs_are_stable() {
 /// contention, many values per group.
 struct HotKeyMapper;
 impl Mapper for HotKeyMapper {
-    fn map(&self, fact: &gumbo::common::Fact, i: u64, emit: &mut dyn FnMut(Tuple, Message)) {
-        let key = Tuple::from_ints(&[(i % 3) as i64]);
-        emit(
-            key,
+    fn map(&self, _: &RelationName, tuple: &Tuple, i: u64, out: &mut Emitter<'_>) {
+        out.key(
+            &[Value::Int((i % 3) as i64)],
             Message::Req {
                 cond: 0,
-                payload: Payload::Tuple(fact.tuple.clone()),
+                payload: Payload::Tuple(tuple.clone()),
             },
         );
     }

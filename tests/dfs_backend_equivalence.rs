@@ -17,7 +17,8 @@
 //! process committed), a warm cache (a second pass on one handle hits
 //! the cache with identical statistics) and cache pressure (a block
 //! cache far smaller than the input evicts — observably — without
-//! changing any answer).
+//! changing any answer). Last, on both backends a scan's `fetch` is
+//! exactly its in-place visit, collected.
 
 use std::path::PathBuf;
 
@@ -202,5 +203,58 @@ fn tiny_block_cache_evicts_without_changing_answers() {
     );
     gumbo::sched::assert_identical_dfs("tiny cache", &dfs_sim, &dfs_file);
     gumbo::sched::assert_identical_stats("tiny cache", &stats_sim, &stats_file);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A scan has one read path, the in-place visit: on both backends
+/// `RelationScan::fetch` returns exactly the tuples `for_each` visits, in
+/// canonical order — for ranges crossing segment frame boundaries, empty
+/// ranges, and ranges reaching or lying past the end (clamped). The file
+/// backend runs with a cache smaller than a frame, so visits also read
+/// frames that were just evicted.
+#[test]
+fn fetch_is_the_visit_collected_on_both_backends() {
+    let frame = gumbo::storage::file_dfs::TUPLES_PER_FRAME;
+    let n = 2 * frame + 37;
+    let tuples =
+        (0..n as i64).map(|i| Tuple::new(vec![Value::Int(i), Value::str(format!("v{}", i % 7))]));
+    let relation = Relation::from_tuples("R", 2, tuples).unwrap();
+    let canonical: Vec<Tuple> = relation.iter().cloned().collect();
+
+    let sim = SimDfs::new();
+    sim.store(relation.clone());
+    let root = temp_root("visit");
+    let file = FileDfs::create(&root, 2048).unwrap();
+    Dfs::store(&file, relation).unwrap();
+
+    let ranges = [
+        0..n,
+        0..frame,
+        frame - 3..frame + 3,
+        frame - 1..2 * frame + 1,
+        1..n - 1,
+        5..5,
+        frame..frame,
+        n - 2..n + 10,
+        n..n + 10,
+        n + 5..n + 9,
+    ];
+    for dfs in [&sim as &dyn Dfs, &file] {
+        let scan = dfs.scan(&"R".into()).unwrap();
+        for range in &ranges {
+            let mut visited = Vec::new();
+            scan.for_each(range.clone(), &mut |t| visited.push(t.clone()))
+                .unwrap();
+            let expected = &canonical[range.start.min(n)..range.end.min(n)];
+            assert_eq!(visited, expected, "{} visit of {range:?}", dfs.backend());
+            assert_eq!(
+                scan.fetch(range.clone()).unwrap(),
+                visited,
+                "{} fetch of {range:?}",
+                dfs.backend()
+            );
+        }
+    }
+    drop(file);
     let _ = std::fs::remove_dir_all(&root);
 }

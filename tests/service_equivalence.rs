@@ -312,6 +312,34 @@ fn protocol_errors_and_liveness() {
     assert_eq!(summary.completed, 0);
 }
 
+/// The accept loop blocks, and a drain wakes it at once — through the
+/// handle and through the protocol's `shutdown` request alike — without
+/// counting the wake connection as a client.
+#[test]
+fn shutdown_returns_promptly_through_the_handle_and_the_protocol() {
+    // Joins on a helper thread, so a drain that never wakes the accept
+    // fails the test instead of hanging it.
+    fn join_promptly(handle: ServerHandle) -> ServeSummary {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.join()));
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the server drains promptly")
+    }
+    let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::new());
+
+    let handle = start_server(Arc::clone(&dfs), ServeConfig::default());
+    handle.shutdown();
+    let summary = join_promptly(handle);
+    assert_eq!(summary.connections, 0, "the wake connection is no client");
+
+    let handle = start_server(dfs, ServeConfig::default());
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.shutdown().unwrap(), (0, 0));
+    drop(client);
+    let summary = join_promptly(handle);
+    assert_eq!(summary.connections, 1, "only the client is counted");
+}
+
 /// A client that never sends a newline costs the server one bounded
 /// buffer: past the cap it gets one `error` frame and EOF, and the server
 /// keeps serving everyone else byte-identically and drains clean.

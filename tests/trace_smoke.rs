@@ -308,8 +308,14 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
 
     struct KeyEcho;
     impl gumbo::mr::Mapper for KeyEcho {
-        fn map(&self, fact: &Fact, _index: u64, emit: &mut dyn FnMut(Tuple, gumbo::mr::Message)) {
-            emit(fact.tuple.clone(), gumbo::mr::Message::Assert { cond: 0 });
+        fn map(
+            &self,
+            _: &RelationName,
+            tuple: &Tuple,
+            _index: u64,
+            out: &mut gumbo::mr::Emitter<'_>,
+        ) {
+            out.key(tuple.values(), gumbo::mr::Message::Assert { cond: 0 });
         }
     }
     struct Bomb;
