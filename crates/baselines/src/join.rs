@@ -11,7 +11,9 @@ use gumbo_common::{RelationName, Tuple};
 use gumbo_core::semijoin::{
     assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin,
 };
-use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{
+    Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Payload, PayloadView, Reducer,
+};
 use gumbo_sgf::Atom;
 
 /// Per-semi-join mapper state: the guard plus the coordinates of its join
@@ -68,23 +70,23 @@ struct JoinReducer {
 }
 
 impl Reducer for JoinReducer {
-    fn reduce(&self, _key: &Tuple, values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        let present: Vec<u32> = values
-            .iter()
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        let present: IdSet = group
+            .values()
             .filter_map(|m| match m {
-                Message::GuardTuple { guard, .. } => Some(*guard),
+                MsgView::GuardTuple { guard, .. } => Some(guard),
                 _ => None,
             })
             .collect();
-        for m in values {
-            if let Message::Req {
+        for m in group.values() {
+            if let MsgView::Req {
                 cond,
-                payload: Payload::Tuple(t),
+                payload: PayloadView::Tuple(t),
             } = m
             {
-                let (x_name, stream) = &self.routes[*cond as usize];
-                if present.contains(stream) {
-                    emit(x_name, t.clone());
+                let (x_name, stream) = &self.routes[cond as usize];
+                if present.contains(*stream) {
+                    emit(x_name, t.to_tuple());
                 }
             }
         }

@@ -18,7 +18,7 @@ use gumbo_core::oneround::build_one_round_job;
 use gumbo_core::semijoin::{identity_vars, QueryContext};
 use gumbo_core::{BsgfSetPlan, PayloadMode};
 use gumbo_mr::{
-    Emitter, Executor, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer,
+    Emitter, Executor, Group, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer,
 };
 use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_sgf::{Atom, BsgfQuery, Condition, Term, Var};
@@ -234,8 +234,8 @@ struct UnionReducer {
 }
 
 impl Reducer for UnionReducer {
-    fn reduce(&self, key: &Tuple, _values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        emit(&self.output, key.clone());
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        emit(&self.output, group.key().to_tuple());
     }
 }
 

@@ -102,6 +102,7 @@ impl Column {
         self.cells.push(i64::from(code));
     }
 
+    #[inline]
     fn tag(&self, row: usize) -> u8 {
         self.tags.as_ref().map_or(TAG_INT, |t| t[row])
     }
@@ -339,6 +340,7 @@ impl TupleBatch {
     ///
     /// # Panics
     /// If `row` is out of bounds.
+    #[inline]
     pub fn view(&self, row: usize) -> TupleView<'_> {
         assert!(row < self.rows, "row out of bounds");
         TupleView { batch: self, row }
@@ -362,16 +364,18 @@ impl TupleBatch {
     /// tuple is a single `Arc<[Value]>` allocation.
     pub fn tuple(&self, row: usize) -> Tuple {
         assert!(row < self.rows, "row out of bounds");
-        (0..self.arity)
-            .map(|c| {
-                let cell = self.cols[c].cells[row];
-                if self.cols[c].tag(row) == TAG_INT {
-                    Value::Int(cell)
-                } else {
-                    Value::Str(self.dict.get(cell as u32).clone())
-                }
-            })
-            .collect()
+        (0..self.arity).map(|c| self.value(c, row)).collect()
+    }
+
+    /// The owned value of column `c` at row `row`: an integer copy, or a
+    /// clone of the dictionary's `Arc<str>`.
+    fn value(&self, c: usize, row: usize) -> Value {
+        let cell = self.cols[c].cells[row];
+        if self.cols[c].tag(row) == TAG_INT {
+            Value::Int(cell)
+        } else {
+            Value::Str(self.dict.get(cell as u32).clone())
+        }
     }
 
     /// Estimated bytes of one row (paper layout), equal to
@@ -585,6 +589,7 @@ pub struct TupleView<'a> {
 
 impl<'a> TupleView<'a> {
     /// The row's arity.
+    #[inline]
     pub fn arity(&self) -> usize {
         self.batch.arity
     }
@@ -593,6 +598,7 @@ impl<'a> TupleView<'a> {
     ///
     /// # Panics
     /// If `i >= arity`.
+    #[inline]
     pub fn value(&self, i: usize) -> ValueRef<'a> {
         let col = &self.batch.cols[i];
         let cell = col.cells[self.row];
@@ -612,6 +618,19 @@ impl<'a> TupleView<'a> {
     /// fields bump the dictionary `Arc`s).
     pub fn to_tuple(&self) -> Tuple {
         self.batch.tuple(self.row)
+    }
+
+    /// Project the row onto `positions` as an owned [`Tuple`] — what
+    /// `self.to_tuple().project(positions)` returns, in one allocation and
+    /// without the intermediate tuple.
+    ///
+    /// # Panics
+    /// If a position is out of range.
+    pub fn project(&self, positions: &[usize]) -> Tuple {
+        positions
+            .iter()
+            .map(|&c| self.batch.value(c, self.row))
+            .collect()
     }
 
     /// Estimated bytes of the row under the paper's layout.
@@ -785,6 +804,20 @@ mod tests {
                 .map(|&i| tuples[i].estimated_bytes())
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn view_projection_equals_tuple_projection() {
+        let tuples = mixed_tuples();
+        let mut batch = TupleBatch::new(3);
+        for t in &tuples {
+            batch.push_tuple(t);
+        }
+        for positions in [&[][..], &[1], &[2, 0], &[1, 1, 0]] {
+            for (row, t) in tuples.iter().enumerate() {
+                assert_eq!(batch.view(row).project(positions), t.project(positions));
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use gumbo_common::{RelationName, Tuple, Value};
-use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Reducer};
+use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Reducer};
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
@@ -92,27 +92,28 @@ struct EvalReducer {
 }
 
 impl EvalReducer {
-    fn formula_holds(&self, q: &EvalQuery, tags: &[u32]) -> bool {
+    fn formula_holds(&self, q: &EvalQuery, tags: &IdSet) -> bool {
         q.formula
-            .evaluate(&|sj| tags.contains(&(self.num_queries + sj as u32)))
+            .evaluate(&|sj| tags.contains(self.num_queries + sj as u32))
     }
 }
 
 impl Reducer for EvalReducer {
-    fn reduce(&self, key: &Tuple, values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        let tags: Vec<u32> = values
-            .iter()
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        let tags: IdSet = group
+            .values()
             .filter_map(|m| match m {
-                Message::Tag { rel } => Some(*rel),
+                MsgView::Tag { rel } => Some(rel),
                 _ => None,
             })
             .collect();
         match self.mode {
             PayloadMode::Full => {
+                let key = group.key();
                 for (j, q) in self.queries.iter().enumerate() {
                     // The paper's X₀ ∧ ϕ: the guard tag must be present.
                     if key.arity() == q.identity.len()
-                        && tags.contains(&(j as u32))
+                        && tags.contains(j as u32)
                         && self.formula_holds(q, &tags)
                     {
                         emit(&q.output, key.project(&q.out_of_identity));
@@ -120,9 +121,9 @@ impl Reducer for EvalReducer {
                 }
             }
             PayloadMode::Reference => {
-                for m in values {
-                    if let Message::GuardTuple { guard, tuple } = m {
-                        let q = &self.queries[*guard as usize];
+                for m in group.values() {
+                    if let MsgView::GuardTuple { guard, tuple } = m {
+                        let q = &self.queries[guard as usize];
                         if self.formula_holds(q, &tags) {
                             emit(&q.output, tuple.project(&q.out_of_guard));
                         }

@@ -16,7 +16,7 @@
 //!   or a `(guard, id)` reference (§5.1 (2)).
 
 use gumbo_common::{RelationName, Tuple, Value};
-use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Payload, Reducer};
 use gumbo_sgf::Atom;
 
 use crate::plan::PayloadMode;
@@ -103,13 +103,16 @@ struct MsjReducer {
 }
 
 impl Reducer for MsjReducer {
-    fn reduce(&self, _key: &Tuple, values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        let present = PresentAsserts::of(values);
-        for v in values {
-            if let Message::Req { cond, payload } = v {
-                let (x_name, assert_group) = &self.routes[*cond as usize];
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        let present = present_asserts(group);
+        if present.is_empty() {
+            return;
+        }
+        for v in group.values() {
+            if let MsgView::Req { cond, payload } = v {
+                let (x_name, assert_group) = &self.routes[cond as usize];
                 if present.contains(*assert_group) {
-                    emit(x_name, payload_tuple(payload));
+                    emit(x_name, payload.to_tuple());
                 }
             }
         }
@@ -118,45 +121,14 @@ impl Reducer for MsjReducer {
 
 /// The assert groups present in one reduce group, which the MSJ and the
 /// fused 1-ROUND reducers test requests against.
-pub(crate) struct PresentAsserts {
-    /// Bit `g` is set when assert group `g < 64` is present.
-    low: u64,
-    /// The present groups from 64 up.
-    high: Vec<u32>,
-}
-
-impl PresentAsserts {
-    pub(crate) fn of(values: &[Message]) -> Self {
-        let mut present = PresentAsserts {
-            low: 0,
-            high: Vec::new(),
-        };
-        for v in values {
-            if let Message::Assert { cond } = v {
-                match 1u64.checked_shl(*cond) {
-                    Some(bit) => present.low |= bit,
-                    None if !present.high.contains(cond) => present.high.push(*cond),
-                    None => {}
-                }
-            }
-        }
-        present
-    }
-
-    pub(crate) fn contains(&self, group: u32) -> bool {
-        match 1u64.checked_shl(group) {
-            Some(bit) => self.low & bit != 0,
-            None => self.high.contains(&group),
-        }
-    }
-}
-
-/// Materialize a payload as the tuple stored in `Xᵢ`.
-pub(crate) fn payload_tuple(payload: &Payload) -> Tuple {
-    match payload {
-        Payload::Tuple(t) => t.clone(),
-        Payload::Ref { guard, id } => Tuple::from_ints(&[i64::from(*guard), *id as i64]),
-    }
+pub(crate) fn present_asserts(group: &Group<'_>) -> IdSet {
+    group
+        .values()
+        .filter_map(|v| match v {
+            MsgView::Assert { cond } => Some(cond),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Arity of the `Xᵢ` relation for a semi-join under a payload mode.
@@ -388,19 +360,5 @@ mod tests {
         let x = dfs.peek(&"Z#X0".into()).unwrap();
         assert_eq!(x.len(), 1);
         assert!(x.contains(&Tuple::from_ints(&[1])));
-    }
-
-    #[test]
-    fn present_asserts_hold_groups_on_both_sides_of_64() {
-        let req = Message::Req {
-            cond: 0,
-            payload: Payload::Tuple(Tuple::from_ints(&[1])),
-        };
-        let asserts = [3, 63, 64, 200, 64].map(|cond| Message::Assert { cond });
-        let values: Vec<Message> = std::iter::once(req).chain(asserts).collect();
-        let present = PresentAsserts::of(&values);
-        for g in 0..300 {
-            assert_eq!(present.contains(g), [3, 63, 64, 200].contains(&g), "{g}");
-        }
     }
 }

@@ -16,10 +16,12 @@
 //! second round, no `Xᵢ` intermediates.
 
 use gumbo_common::{RelationName, Tuple};
-use gumbo_mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo_mr::{
+    Emitter, Group, Job, JobConfig, Mapper, Message, MsgView, Payload, PayloadView, Reducer,
+};
 use gumbo_sgf::{Atom, BoolExpr};
 
-use crate::msj::PresentAsserts;
+use crate::msj::present_asserts;
 use crate::semijoin::{
     assert_projections, cond_groups, AssertProjection, FusedRequest, QueryContext, SemiJoin,
 };
@@ -77,17 +79,17 @@ struct OneRoundReducer {
 }
 
 impl Reducer for OneRoundReducer {
-    fn reduce(&self, _key: &Tuple, values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        let present = PresentAsserts::of(values);
-        for m in values {
-            if let Message::Req {
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        let present = present_asserts(group);
+        for m in group.values() {
+            if let MsgView::Req {
                 cond,
-                payload: Payload::Tuple(out),
+                payload: PayloadView::Tuple(out),
             } = m
             {
-                let req = &self.requests[*cond as usize];
+                let req = &self.requests[cond as usize];
                 if req.formula.evaluate(&|g| present.contains(g as u32)) {
-                    emit(&self.outputs[req.query as usize], out.clone());
+                    emit(&self.outputs[req.query as usize], out.to_tuple());
                 }
             }
         }

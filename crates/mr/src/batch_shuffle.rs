@@ -1,30 +1,37 @@
 //! The shuffle's data path: columnar batches from the mappers through
 //! budget-charged, spilling partition buffers to the grouped stream the
-//! reducers consume.
+//! reducers consume. No row is copied between the map task that writes it
+//! and the reducer that reads it, unless it spills.
 //!
 //! * [`PairBatch`] — a columnar batch of `(key, message)` pairs: keys and
 //!   payload tuples live in per-arity [`TupleBatch`] arenas (contiguous
-//!   `i64` cells plus a string dictionary), message metadata in parallel
-//!   flat vectors, and every key's 64-bit hash ([`hash_view`], computed
-//!   once when the map task pushes the pair) in one `u64` column that
-//!   travels with the row in memory. Spill frames do not store it: a
-//!   decoded frame re-hashes its keys, which measured as fast as reading
-//!   stored hashes and keeps the frames 8 bytes a row smaller. Pushing a
-//!   pair appends plain integers — no per-pair heap blocks;
-//! * [`BatchPartition`] — one reducer partition's buffer. It charges the
-//!   shared [`MemoryBudget`] once per frame-sized chunk; when the buffer
-//!   crosses its share of the budget (`limit / reducers`) or the global
-//!   budget is exhausted, it sorts *by index* on one fixed-width
-//!   `(hash prefix, row)` word per row (a `u32` permutation; tuples never
-//!   move, no comparator reads a cell) and flushes a run of checksummed
-//!   **columnar frames** ([`gumbo_storage::RunWriter`]) of up to
-//!   [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`];
-//! * [`BatchGroupStream`] — the k-way merge of the spill runs plus the
-//!   in-memory tail over decoded frame buffers: sources compare `u64`
-//!   hashes and fall back to [`TupleView`] order only on equal hashes,
-//!   one min-scan per key group, each holding source's whole run of the
-//!   key drained at once; one owned key is materialized per *group* (not
-//!   per pair).
+//!   `i64` cells plus a string dictionary), each message's fixed-width
+//!   fields in one packed slot, and every key's 64-bit hash
+//!   ([`hash_view`], computed once when the map task pushes the pair) in
+//!   one `u64` column that travels with the row in memory. Spill frames
+//!   do not store it: a decoded frame re-hashes its keys, which measured
+//!   as fast as reading stored hashes and keeps the frames 8 bytes a row
+//!   smaller. Pushing a pair appends plain integers — no per-pair heap
+//!   blocks;
+//! * [`BatchPartition`] — one reducer partition's buffer: 8-byte
+//!   `(task, row)` handles into the job's map outputs, which stay resident
+//!   until every reducer of the job has finished. It charges the shared
+//!   [`MemoryBudget`] the bytes of the rows it references once per
+//!   frame-sized chunk; when the buffer crosses its share of the budget
+//!   (`limit / reducers`) or the global budget is exhausted, it sorts the
+//!   handles on one fixed-width `(hash prefix, position)` word per row (no
+//!   comparator reads a cell) and writes the rows they reference as a run
+//!   of checksummed **columnar frames** ([`gumbo_storage::RunWriter`]) of
+//!   up to [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`] — so a
+//!   flush frees handles, while the map outputs stay where they are;
+//! * [`BatchGroupStream`] — the k-way merge of the spill runs' decoded
+//!   frames plus the sorted in-memory tail of handles: sources compare
+//!   `u64` hashes and fall back to [`TupleView`] order only on equal
+//!   hashes, one min-scan per key group, each holding source's whole run
+//!   of the key drained at once. Each group goes to the reducer as a
+//!   [`Group`]: the key as a [`TupleView`] and the values as
+//!   [`MsgView`]s read in place — no key `Tuple` and no `Message` is
+//!   built.
 //!
 //! **The contract.** Reducers see keys in ascending `(hash, Tuple)` order
 //! — the key hash first, `Tuple` order only between keys whose hashes
@@ -43,11 +50,11 @@
 use std::cmp::Ordering;
 use std::path::Path;
 
-use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView, Value};
+use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView, Value, ValueRef};
 use gumbo_storage::{RunReader, RunWriter};
 
 use crate::hash::hash_view;
-use crate::message::{Message, Payload};
+use crate::message::{Message, MsgView, Payload, PayloadView};
 use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, UNLIMITED_GRANULE};
 
 /// Maximum rows per spilled columnar frame: large enough to amortize the
@@ -127,6 +134,7 @@ impl TupleStore {
         self.len == 0
     }
 
+    #[inline]
     fn loc(&self, slot: u32) -> Loc {
         match &self.locs {
             Some(locs) => locs[slot as usize],
@@ -186,6 +194,7 @@ impl TupleStore {
     }
 
     /// Zero-copy view of slot `slot`.
+    #[inline]
     pub fn view(&self, slot: u32) -> TupleView<'_> {
         let loc = self.loc(slot);
         self.by_arity[loc.arity as usize].view(loc.row as usize)
@@ -204,6 +213,13 @@ impl TupleStore {
         let lb = self.loc(b);
         la.arity == lb.arity
             && self.by_arity[la.arity as usize].same_row(la.row as usize, lb.row as usize)
+    }
+
+    /// Whether every stored tuple holds integers only and at most `max`
+    /// fields. A string anywhere in a batch leaves its dictionary
+    /// non-empty, so this reads no row.
+    fn ints_up_to(&self, max: usize) -> bool {
+        (self.by_arity.iter()).all(|b| b.is_empty() || (b.arity() <= max && b.dict().is_empty()))
     }
 
     /// Estimated bytes of slot `slot` (paper layout).
@@ -297,7 +313,7 @@ impl TupleStore {
 }
 
 // ---------------------------------------------------------------------------
-// Message store: struct-of-arrays for the message vocabulary
+// Message store: one fixed-width slot per message
 // ---------------------------------------------------------------------------
 
 const KIND_ASSERT: u8 = 0;
@@ -306,8 +322,7 @@ const KIND_REQ_REF: u8 = 2;
 const KIND_TAG: u8 = 3;
 const KIND_GUARD_TUPLE: u8 = 4;
 
-/// Columnar storage for [`Message`]s: one kind byte plus three parallel
-/// metadata columns per message, with payload tuples in a [`TupleStore`].
+/// One message's fixed-width fields:
 ///
 /// | kind | `small` | `aux` | `wide` |
 /// |---|---|---|---|
@@ -316,18 +331,29 @@ const KIND_GUARD_TUPLE: u8 = 4;
 /// | `Req`+`Payload::Ref` | `cond` | `guard` | `id` |
 /// | `Tag` | `rel` | – | – |
 /// | `GuardTuple` | `guard` | payload slot | – |
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed)]
+struct MsgSlot {
+    wide: u64,
+    small: u32,
+    aux: u32,
+    kind: u8,
+}
+
+/// Storage for [`Message`]s: one [`MsgSlot`] per message, with payload
+/// tuples in a [`TupleStore`]. A slot keeps a message's fields together
+/// — packed, 17 bytes — because reducers read messages in shuffle order,
+/// not in the order the map task wrote them: one slot is one memory
+/// access. Spill frames store the fields column by column.
 #[derive(Debug, Default)]
 struct MsgStore {
-    kinds: Vec<u8>,
-    small: Vec<u32>,
-    aux: Vec<u32>,
-    wide: Vec<u64>,
+    slots: Vec<MsgSlot>,
     tuples: TupleStore,
 }
 
 impl MsgStore {
     fn len(&self) -> usize {
-        self.kinds.len()
+        self.slots.len()
     }
 
     fn push(&mut self, m: &Message) {
@@ -346,48 +372,44 @@ impl MsgStore {
                 (KIND_GUARD_TUPLE, *guard, self.tuples.push_tuple(tuple), 0)
             }
         };
-        self.kinds.push(kind);
-        self.small.push(small);
-        self.aux.push(aux);
-        self.wide.push(wide);
+        self.slots.push(MsgSlot {
+            wide,
+            small,
+            aux,
+            kind,
+        });
     }
 
     fn push_from(&mut self, src: &MsgStore, row: usize) {
-        let kind = src.kinds[row];
-        let aux = match kind {
-            KIND_REQ_TUPLE | KIND_GUARD_TUPLE => self.tuples.push_from(&src.tuples, src.aux[row]),
-            _ => src.aux[row],
-        };
-        self.kinds.push(kind);
-        self.small.push(src.small[row]);
-        self.aux.push(aux);
-        self.wide.push(src.wide[row]);
+        let mut slot = src.slots[row];
+        if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
+            slot.aux = self.tuples.push_from(&src.tuples, slot.aux);
+        }
+        self.slots.push(slot);
     }
 
-    /// Materialize message `row` (payload tuples are single-allocation
-    /// copies whose string fields bump dictionary `Arc`s).
-    fn message(&self, row: usize) -> Message {
-        match self.kinds[row] {
-            KIND_ASSERT => Message::Assert {
-                cond: self.small[row],
+    /// Zero-copy view of message `row`: payload tuples are views into
+    /// the payload arena.
+    #[inline]
+    fn view(&self, row: usize) -> MsgView<'_> {
+        let slot = self.slots[row];
+        match slot.kind {
+            KIND_ASSERT => MsgView::Assert { cond: slot.small },
+            KIND_REQ_TUPLE => MsgView::Req {
+                cond: slot.small,
+                payload: PayloadView::Tuple(self.tuples.view(slot.aux)),
             },
-            KIND_REQ_TUPLE => Message::Req {
-                cond: self.small[row],
-                payload: Payload::Tuple(self.tuples.tuple(self.aux[row])),
-            },
-            KIND_REQ_REF => Message::Req {
-                cond: self.small[row],
-                payload: Payload::Ref {
-                    guard: self.aux[row],
-                    id: self.wide[row],
+            KIND_REQ_REF => MsgView::Req {
+                cond: slot.small,
+                payload: PayloadView::Ref {
+                    guard: slot.aux,
+                    id: slot.wide,
                 },
             },
-            KIND_TAG => Message::Tag {
-                rel: self.small[row],
-            },
-            KIND_GUARD_TUPLE => Message::GuardTuple {
-                guard: self.small[row],
-                tuple: self.tuples.tuple(self.aux[row]),
+            KIND_TAG => MsgView::Tag { rel: slot.small },
+            KIND_GUARD_TUPLE => MsgView::GuardTuple {
+                guard: slot.small,
+                tuple: self.tuples.view(slot.aux),
             },
             other => unreachable!("validated message kind {other}"),
         }
@@ -395,36 +417,37 @@ impl MsgStore {
 
     /// `Message::estimated_bytes` of row `row`, computed columnar.
     fn bytes(&self, row: usize) -> u64 {
-        match self.kinds[row] {
+        let slot = self.slots[row];
+        match slot.kind {
             KIND_ASSERT | KIND_TAG => 4,
             KIND_REQ_REF => 4 + 10,
             // Req+Tuple and GuardTuple: header plus the payload tuple.
-            _ => 4 + self.tuples.bytes(self.aux[row]),
+            _ => 4 + self.tuples.bytes(slot.aux),
         }
     }
 
     fn clear(&mut self) {
-        self.kinds.clear();
-        self.small.clear();
-        self.aux.clear();
-        self.wide.clear();
+        self.slots.clear();
         self.tuples.clear();
     }
 
+    /// Layout: `[rows u32] rows × [kind u8] rows × [small u32] rows ×
+    /// [aux u32]`, then `[0u8]` when every `wide` is zero or `[1u8] rows ×
+    /// [wide u64]`, then the payload [`TupleStore`].
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        out.extend_from_slice(&(self.kinds.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.kinds);
-        for v in &self.small {
-            out.extend_from_slice(&v.to_le_bytes());
+        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
+        out.extend(self.slots.iter().map(|slot| slot.kind));
+        for &MsgSlot { small, .. } in &self.slots {
+            out.extend_from_slice(&small.to_le_bytes());
         }
-        for v in &self.aux {
-            out.extend_from_slice(&v.to_le_bytes());
+        for &MsgSlot { aux, .. } in &self.slots {
+            out.extend_from_slice(&aux.to_le_bytes());
         }
-        let has_wide = self.wide.iter().any(|&w| w != 0);
+        let has_wide = self.slots.iter().any(|&MsgSlot { wide, .. }| wide != 0);
         out.push(u8::from(has_wide));
         if has_wide {
-            for v in &self.wide {
-                out.extend_from_slice(&v.to_le_bytes());
+            for &MsgSlot { wide, .. } in &self.slots {
+                out.extend_from_slice(&wide.to_le_bytes());
             }
         }
         self.tuples.encode_into(out)
@@ -432,35 +455,40 @@ impl MsgStore {
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> Result<MsgStore> {
         let rows = read_u32(buf, pos)? as usize;
-        let kinds = read_slice(buf, pos, rows)?.to_vec();
-        let mut small = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            small.push(read_u32(buf, pos)?);
+        let kinds = read_slice(buf, pos, rows)?;
+        let mut slots: Vec<MsgSlot> = kinds
+            .iter()
+            .map(|&kind| MsgSlot {
+                wide: 0,
+                small: 0,
+                aux: 0,
+                kind,
+            })
+            .collect();
+        for slot in &mut slots {
+            slot.small = read_u32(buf, pos)?;
         }
-        let mut aux = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            aux.push(read_u32(buf, pos)?);
+        for slot in &mut slots {
+            slot.aux = read_u32(buf, pos)?;
         }
-        let wide = match read_slice(buf, pos, 1)?[0] {
-            0 => vec![0u64; rows],
+        match read_slice(buf, pos, 1)?[0] {
+            0 => {}
             1 => {
-                let mut wide = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    wide.push(read_u64(buf, pos)?);
+                for slot in &mut slots {
+                    slot.wide = read_u64(buf, pos)?;
                 }
-                wide
             }
             other => {
                 return Err(GumboError::Storage(format!(
                     "corrupt columnar frame: bad wide-column flag {other}"
                 )))
             }
-        };
+        }
         let tuples = TupleStore::decode_from(buf, pos)?;
-        for (row, &kind) in kinds.iter().enumerate() {
-            let payload_ok = match kind {
+        for slot in &slots {
+            let payload_ok = match slot.kind {
                 KIND_ASSERT | KIND_REQ_REF | KIND_TAG => true,
-                KIND_REQ_TUPLE | KIND_GUARD_TUPLE => (aux[row] as usize) < tuples.len(),
+                KIND_REQ_TUPLE | KIND_GUARD_TUPLE => (slot.aux as usize) < tuples.len(),
                 other => {
                     return Err(GumboError::Storage(format!(
                         "corrupt columnar frame: unknown message kind {other}"
@@ -473,13 +501,7 @@ impl MsgStore {
                 ));
             }
         }
-        Ok(MsgStore {
-            kinds,
-            small,
-            aux,
-            wide,
-            tuples,
-        })
+        Ok(MsgStore { slots, tuples })
     }
 }
 
@@ -592,24 +614,33 @@ impl PairBatch {
     }
 
     /// Zero-copy view of row `row`'s key.
+    #[inline]
     pub fn key_view(&self, row: usize) -> TupleView<'_> {
         self.keys.view(row as u32)
     }
 
-    /// Materialize row `row`'s key.
+    /// Materialize row `row`'s key (tests and edge conversions; reducers
+    /// read [`key_view`](Self::key_view)).
     pub fn key_tuple(&self, row: usize) -> Tuple {
         self.keys.tuple(row as u32)
     }
 
     /// Whether rows `a` and `b` have equal keys: equal hashes, then equal
-    /// raw cells — no string is read.
+    /// raw cells — the batch's one dictionary codes each string once.
     fn same_key(&self, a: usize, b: usize) -> bool {
         self.hashes[a] == self.hashes[b] && self.keys.same(a as u32, b as u32)
     }
 
-    /// Materialize row `row`'s message.
+    /// Zero-copy view of row `row`'s message.
+    #[inline]
+    pub fn msg_view(&self, row: usize) -> MsgView<'_> {
+        self.msgs.view(row)
+    }
+
+    /// Materialize row `row`'s message (tests and edge conversions;
+    /// reducers read [`msg_view`](Self::msg_view)).
     pub fn message(&self, row: usize) -> Message {
-        self.msgs.message(row)
+        self.msgs.view(row).to_message()
     }
 
     /// Estimated bytes of row `row`'s key (paper layout).
@@ -622,39 +653,16 @@ impl PairBatch {
         self.keys.bytes(row as u32) + self.msgs.bytes(row)
     }
 
-    /// The permutation of `0..len()` in shuffle order: keys ascending by
-    /// `(hash, Tuple)`, equal keys in row (emission) order. An index sort
-    /// on one fixed-width word per row — the hash's high half above the
-    /// row number; no comparator reads a cell — then one linear scan that
-    /// checks each adjacent pair sharing that half for equal keys (full
-    /// hash, then raw cells). Only a run holding two different keys (a
-    /// real collision, or hashes that differ in the low half) is
-    /// re-sorted, stably by `(hash, Tuple)`.
-    pub fn sort_indices(&self) -> Vec<u32> {
-        const ROW: u64 = u32::MAX as u64;
-        let mut words: Vec<u64> = (self.hashes.iter().zip(0u32..))
-            .map(|(&hash, row)| (hash & !ROW) | u64::from(row))
+    /// The permutation of `0..len()` in shuffle order ([`sort_refs`]).
+    #[cfg(test)]
+    pub(crate) fn sort_indices(&self) -> Vec<u32> {
+        let refs: Vec<RowRef> = (0..self.len() as u32)
+            .map(|row| RowRef { batch: 0, row })
             .collect();
-        words.sort_unstable();
-        let row = |word: u64| (word & ROW) as usize;
-        let mut start = 0;
-        while start < words.len() {
-            let mut end = start + 1;
-            let mut mixed = false;
-            while end < words.len() && words[end] & !ROW == words[start] & !ROW {
-                mixed |= !self.same_key(row(words[end - 1]), row(words[end]));
-                end += 1;
-            }
-            if mixed {
-                words[start..end].sort_by(|&a, &b| {
-                    let (a, b) = (row(a), row(b));
-                    (self.hashes[a].cmp(&self.hashes[b]))
-                        .then_with(|| self.key_view(a).cmp(&self.key_view(b)))
-                });
-            }
-            start = end;
-        }
-        words.into_iter().map(|word| row(word) as u32).collect()
+        let batches = Batches::of(std::slice::from_ref(self));
+        (sort_refs(batches, &refs).refs.into_iter())
+            .map(|r| r.row)
+            .collect()
     }
 
     /// Drop every row, keeping arena capacity.
@@ -684,20 +692,23 @@ impl PairBatch {
     pub fn decode(buf: &[u8]) -> Result<PairBatch> {
         let mut pos = 0;
         let keys = TupleStore::decode_from(buf, &mut pos)?;
-        let hashes = (0..keys.len() as u32)
-            .map(|slot| key_hash(keys.view(slot)))
-            .collect();
         let msgs = MsgStore::decode_from(buf, &mut pos)?;
         if pos != buf.len() {
             return Err(GumboError::Storage(
                 "corrupt columnar frame: trailing bytes".into(),
             ));
         }
+        // A nullary key batch claims its row count without a byte per
+        // row; the message kinds take one each, so hashing only after
+        // the counts agree keeps the work bounded by the frame's size.
         if keys.len() != msgs.len() {
             return Err(GumboError::Storage(
                 "corrupt columnar frame: key/message row mismatch".into(),
             ));
         }
+        let hashes = (0..keys.len() as u32)
+            .map(|slot| key_hash(keys.view(slot)))
+            .collect();
         let mut batch = PairBatch {
             keys,
             hashes,
@@ -710,21 +721,214 @@ impl PairBatch {
 }
 
 // ---------------------------------------------------------------------------
+// Row handles
+// ---------------------------------------------------------------------------
+
+/// Batch numbers from this one up name decoded run frames; below it, map
+/// task outputs.
+const FRAME: u32 = 1 << 31;
+
+/// A handle to one shuffled row: row `row` of map task `batch`'s output
+/// when `batch < FRAME`, else of the decoded run frame in slot
+/// `batch - FRAME` of the merge's [`FrameSlab`]. Eight bytes, whatever
+/// the row holds, laid out like the `u64` sort words so that the sorted
+/// handles reuse the words' allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(8))]
+struct RowRef {
+    batch: u32,
+    row: u32,
+}
+
+/// The batches [`RowRef`]s resolve against: the map outputs, which stay
+/// resident until every reducer of the job has finished, and the decoded
+/// run frames a merge holds.
+#[derive(Clone, Copy)]
+struct Batches<'s> {
+    outputs: &'s [PairBatch],
+    frames: &'s [PairBatch],
+}
+
+impl<'s> Batches<'s> {
+    fn of(outputs: &'s [PairBatch]) -> Batches<'s> {
+        Batches {
+            outputs,
+            frames: &[],
+        }
+    }
+
+    #[inline]
+    fn get(self, r: RowRef) -> &'s PairBatch {
+        match r.batch.checked_sub(FRAME) {
+            None => &self.outputs[r.batch as usize],
+            Some(slot) => &self.frames[slot as usize],
+        }
+    }
+
+    #[inline]
+    fn hash(self, r: RowRef) -> u64 {
+        self.get(r).hashes[r.row as usize]
+    }
+
+    #[inline]
+    fn key(self, r: RowRef) -> TupleView<'s> {
+        self.get(r).key_view(r.row as usize)
+    }
+
+    /// Whether rows `a` and `b` have equal keys: equal hashes, then equal
+    /// raw cells within one batch — whose one dictionary codes each
+    /// string once — or equal content across two, whose dictionaries may
+    /// give the same string different codes.
+    fn same_key(self, a: RowRef, b: RowRef) -> bool {
+        self.hash(a) == self.hash(b)
+            && if a.batch == b.batch {
+                self.get(a).keys.same(a.row, b.row)
+            } else {
+                self.key(a) == self.key(b)
+            }
+    }
+
+    /// Shuffle order of two rows' keys: hash, then [`TupleView`] order.
+    fn cmp(self, a: RowRef, b: RowRef) -> Ordering {
+        (self.hash(a).cmp(&self.hash(b))).then_with(|| self.key(a).cmp(&self.key(b)))
+    }
+}
+
+/// Rows in shuffle order ([`sort_refs`]), and where each key group
+/// starts among them.
+struct SortedRefs {
+    refs: Vec<RowRef>,
+    /// The position in `refs` of every key group's first row, ascending.
+    starts: Vec<u32>,
+}
+
+/// A key as one word and a class byte (9 bytes, packed), which decide
+/// equality on their own when they can: the nullary key, one integer, or
+/// two integers that fit 32 bits each, each shape in its own class; every
+/// other key — longer, wider, or holding a string — is
+/// [`KeyPrefix::OTHER`]. Two keys are equal iff their prefixes are,
+/// unless both are `OTHER`. Strings never enter a prefix, so prefixes of
+/// batches with different dictionaries compare by content.
+///
+/// The prefix pays only for integer keys of arity ≤ 2 — the MSJ keys
+/// (one join variable) and EVAL keys (`(j, id)`) of integer relations.
+/// For other keys the gather is wasted reads (25–30 % more shuffle time
+/// on string or three-field keys, measured), so [`sort_refs`] gathers
+/// prefixes only when every map output's keys are of that shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
+struct KeyPrefix {
+    word: u64,
+    class: u8,
+}
+
+impl KeyPrefix {
+    const OTHER: KeyPrefix = KeyPrefix { word: 0, class: 3 };
+
+    fn of(key: TupleView<'_>) -> KeyPrefix {
+        let int = |c: usize| match key.value(c) {
+            ValueRef::Int(i) => Some(i),
+            ValueRef::Str(_) => None,
+        };
+        let half = |c: usize| int(c).and_then(|i| i32::try_from(i).ok()).map(|i| i as u32);
+        let prefix = match key.arity() {
+            0 => Some((0, 0)),
+            1 => int(0).map(|i| (i as u64, 1)),
+            2 => half(0)
+                .zip(half(1))
+                .map(|(a, b)| ((u64::from(a) << 32) | u64::from(b), 2)),
+            _ => None,
+        };
+        prefix.map_or(KeyPrefix::OTHER, |(word, class)| KeyPrefix { word, class })
+    }
+}
+
+/// `refs` in shuffle order: keys ascending by `(hash, Tuple)`, equal keys
+/// in `refs` order. An index sort on one fixed-width word per row — the
+/// hash's high half above the row's position in `refs`; no comparator
+/// reads a cell — then one linear scan that checks each adjacent pair
+/// sharing that half for equal keys. Only a run holding two different
+/// keys (a real collision, or hashes that differ in the low half) is
+/// re-sorted, stably by `(hash, Tuple)`. The scan finds the key group
+/// boundaries on the way, so no later pass compares keys.
+///
+/// The rows sit wherever their map tasks wrote them, so when every map
+/// output holds only integer keys of arity ≤ 2, the pass that builds the
+/// words — in `refs` order, which walks each map output forward — also
+/// gathers every row's [`KeyPrefix`] into one compact vector: the scan's
+/// equality tests then read the map outputs only for keys no prefix
+/// decides. Otherwise every test reads the map outputs.
+fn sort_refs(batches: Batches<'_>, refs: &[RowRef]) -> SortedRefs {
+    const SEQ: u64 = u32::MAX as u64;
+    let prefixed = (batches.outputs.iter()).all(|b| b.keys.ints_up_to(2));
+    let mut words = Vec::with_capacity(refs.len());
+    let mut prefixes = Vec::with_capacity(if prefixed { refs.len() } else { 0 });
+    for (&r, seq) in refs.iter().zip(0u32..) {
+        words.push((batches.hash(r) & !SEQ) | u64::from(seq));
+        if prefixed {
+            prefixes.push(KeyPrefix::of(batches.key(r)));
+        }
+    }
+    words.sort_unstable();
+    let at = |word: u64| refs[(word & SEQ) as usize];
+    let same_key = |a: u64, b: u64| {
+        if !prefixed {
+            return batches.same_key(at(a), at(b));
+        }
+        let prefix = prefixes[(a & SEQ) as usize];
+        prefix == prefixes[(b & SEQ) as usize]
+            && (prefix != KeyPrefix::OTHER || batches.same_key(at(a), at(b)))
+    };
+    let mut starts = Vec::new();
+    let mut start = 0;
+    while start < words.len() {
+        starts.push(start as u32);
+        let mut end = start + 1;
+        let mut mixed = false;
+        while end < words.len() && words[end] & !SEQ == words[start] & !SEQ {
+            mixed |= !same_key(words[end - 1], words[end]);
+            end += 1;
+        }
+        if mixed {
+            let run = &mut words[start..end];
+            run.sort_by(|&a, &b| batches.cmp(at(a), at(b)));
+            for i in 1..run.len() {
+                if !same_key(run[i - 1], run[i]) {
+                    starts.push((start + i) as u32);
+                }
+            }
+        }
+        start = end;
+    }
+    SortedRefs {
+        refs: words.into_iter().map(at).collect(),
+        starts,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Spilling batch partition
 // ---------------------------------------------------------------------------
 
-/// One reducer partition's shuffle buffer, charging the shared budget
-/// *per appended chunk* and spilling index-sorted columnar frames.
+/// One reducer partition's shuffle buffer: handles to its rows in the map
+/// outputs — no row is copied — charging the shared budget *per appended
+/// chunk* the bytes those rows account for, and spilling index-sorted
+/// columnar frames.
 pub struct BatchPartition<'a> {
     partition: usize,
     share: u64,
     granule: u64,
     budget: &'a MemoryBudget,
     spill: &'a ShuffleSpill,
-    batch: PairBatch,
-    /// Bytes currently reserved in the budget for `batch` (may exceed the
-    /// buffer by part of a granule, and fall short by at most one
-    /// append that could not be reserved before its flush).
+    /// The job's map outputs in task order, which the handles point into.
+    outputs: &'a [PairBatch],
+    /// The buffered rows, in append (= emission) order.
+    refs: Vec<RowRef>,
+    /// Estimated bytes of the buffered rows.
+    bytes: u64,
+    /// Bytes currently reserved in the budget for the buffer (may exceed
+    /// it by part of a granule, and fall short by at most one append
+    /// that could not be reserved before its flush).
     charged: u64,
     total_bytes: u64,
     runs: Vec<Run>,
@@ -733,11 +937,13 @@ pub struct BatchPartition<'a> {
 }
 
 impl<'a> BatchPartition<'a> {
-    /// An empty buffer for reducer `partition` of `partitions`.
+    /// An empty buffer for reducer `partition` of `partitions`, over the
+    /// map outputs `outputs`.
     pub fn new(
         partition: usize,
         budget: &'a MemoryBudget,
         spill: &'a ShuffleSpill,
+        outputs: &'a [PairBatch],
         partitions: usize,
     ) -> BatchPartition<'a> {
         let share = budget.partition_share(partitions);
@@ -754,7 +960,9 @@ impl<'a> BatchPartition<'a> {
             granule,
             budget,
             spill,
-            batch: PairBatch::new(),
+            outputs,
+            refs: Vec::new(),
+            bytes: 0,
             charged: 0,
             total_bytes: 0,
             runs: Vec::new(),
@@ -768,16 +976,24 @@ impl<'a> BatchPartition<'a> {
         self.total_bytes
     }
 
-    /// Append the selected rows of `src` (in `rows` order), settling the
-    /// budget once per frame-sized chunk so the buffer never runs more
-    /// than one frame past what the budget has granted.
-    pub fn push_rows(&mut self, src: &PairBatch, rows: &[u32]) -> Result<()> {
+    /// Append the selected rows of map task `task`'s output (in `rows`
+    /// order), settling the budget once per frame-sized chunk so the
+    /// buffer never runs more than one frame past what the budget has
+    /// granted.
+    pub fn push_rows(&mut self, task: usize, rows: &[u32]) -> Result<()> {
+        let batch = u32::try_from(task)
+            .ok()
+            .filter(|&b| b < FRAME)
+            .expect("under 2^31 map tasks");
+        let src = &self.outputs[task];
         for chunk in rows.chunks(ROWS_PER_FRAME) {
-            let before = self.batch.estimated_bytes();
+            let mut added = 0;
             for &row in chunk {
-                self.batch.push_row(src, row as usize);
+                added += src.row_bytes(row as usize);
+                self.refs.push(RowRef { batch, row });
             }
-            self.total_bytes += self.batch.estimated_bytes() - before;
+            self.bytes += added;
+            self.total_bytes += added;
             self.settle()?;
         }
         Ok(())
@@ -786,7 +1002,7 @@ impl<'a> BatchPartition<'a> {
     /// Bring the budget charge in line with the buffer: grant in
     /// granules, flush when the budget refuses or the share is crossed.
     fn settle(&mut self) -> Result<()> {
-        let buffered = self.batch.estimated_bytes();
+        let buffered = self.bytes;
         if self.budget.limit().is_none() {
             if buffered > self.charged {
                 let grant = (buffered - self.charged).div_ceil(self.granule) * self.granule;
@@ -824,11 +1040,10 @@ impl<'a> BatchPartition<'a> {
         Ok(())
     }
 
-    /// Index-sort the buffer into shuffle order
-    /// ([`PairBatch::sort_indices`]) and write it out as one run of
-    /// columnar frames.
+    /// Index-sort the buffer into shuffle order ([`sort_refs`]) and write
+    /// the rows it references out as one run of columnar frames.
     fn flush(&mut self) -> Result<()> {
-        if self.batch.is_empty() {
+        if self.refs.is_empty() {
             return Ok(());
         }
         // The span's `bytes` field is exactly this flush's increment of
@@ -836,27 +1051,29 @@ impl<'a> BatchPartition<'a> {
         let mut span = gumbo_obs::span_with("spill:run", |f| {
             f.str("job", self.spill.label());
             f.u64("partition", self.partition as u64);
-            f.u64("bytes", self.batch.estimated_bytes());
-            f.u64("pairs", self.batch.len() as u64);
+            f.u64("bytes", self.bytes);
+            f.u64("pairs", self.refs.len() as u64);
         });
-        let order = self.batch.sort_indices();
+        let batches = Batches::of(self.outputs);
+        let order = sort_refs(batches, &self.refs).refs;
         let path = self.spill.run_path(self.partition, self.next_seq)?;
         self.next_seq += 1;
         let mut sink = RunSink::create(&path)?;
-        for &row in &order {
-            sink.push(&self.batch, row as usize)?;
+        for r in order {
+            sink.push(batches.get(r), r.row as usize)?;
         }
         let disk_bytes = sink.finish()?;
         span.record(|f| f.u64("disk_bytes", disk_bytes));
         crate::shuffle::SPILL_RUNS.incr();
-        crate::shuffle::SPILL_BYTES.add(self.batch.estimated_bytes());
+        crate::shuffle::SPILL_BYTES.add(self.bytes);
         self.runs.push(Run { path });
         self.stats.spill_files += 1;
-        self.stats.spilled_bytes += self.batch.estimated_bytes();
+        self.stats.spilled_bytes += self.bytes;
         self.stats.spilled_disk_bytes += disk_bytes;
         self.budget.release(self.charged);
         self.charged = 0;
-        self.batch.clear();
+        self.refs.clear();
+        self.bytes = 0;
         Ok(())
     }
 
@@ -875,15 +1092,11 @@ impl<'a> BatchPartition<'a> {
                 f.u64("fan_in", take as u64);
             });
             let oldest: Vec<Run> = self.runs.drain(..take).collect();
-            let mut sources = Vec::with_capacity(oldest.len());
-            for run in &oldest {
-                sources.push(BatchSource::open_run(&run.path)?);
-            }
             let path = self.spill.run_path(self.partition, self.next_seq)?;
             self.next_seq += 1;
             let mut sink = RunSink::create(&path)?;
-            let mut merge = BatchMerge::new(sources);
-            while merge.next_group(|batch, row| sink.push(batch, row))? {}
+            let mut merge = BatchMerge::open(self.outputs, &oldest, None)?;
+            while merge.next_group(|batch, r| sink.push(batch, r.row as usize))? {}
             sink.finish()?;
             self.runs.insert(0, Run { path });
             crate::shuffle::MERGE_PASSES.incr();
@@ -891,15 +1104,13 @@ impl<'a> BatchPartition<'a> {
             self.stats.merge_passes += 1;
         }
 
-        let mut sources = Vec::with_capacity(self.runs.len() + 1);
-        for run in &self.runs {
-            sources.push(BatchSource::open_run(&run.path)?);
-        }
-        sources.push(BatchSource::from_memory(std::mem::take(&mut self.batch)));
+        let tail = sort_refs(Batches::of(self.outputs), &std::mem::take(&mut self.refs));
+        let merge = BatchMerge::open(self.outputs, &self.runs, Some(tail))?;
         let stats = self.stats;
         Ok((
             BatchGroupStream {
-                merge: BatchMerge::new(sources),
+                merge,
+                rows: Vec::new(),
                 budget: self.budget,
                 charged: std::mem::take(&mut self.charged),
                 _runs: std::mem::take(&mut self.runs),
@@ -962,122 +1173,139 @@ impl RunSink {
     }
 }
 
-/// One merge input: a run of columnar frames on disk (decoded one frame
-/// at a time — a bounded window of the run) or the index-sorted
-/// in-memory tail.
-struct BatchSource {
-    reader: Option<RunReader>,
-    batch: PairBatch,
-    /// Row visit order within `batch` for the in-memory tail (its sort
-    /// permutation); empty for a run, whose frames were flushed sorted and
-    /// are visited row by row.
-    order: Vec<u32>,
-    at: usize,
+/// Decoded run frames, addressed by slot. A run source whose frame runs
+/// out decodes its next frame into a free slot and retires the old one,
+/// which stays readable until the next group starts: the group being
+/// visited may hold rows of it.
+#[derive(Default)]
+struct FrameSlab {
+    frames: Vec<PairBatch>,
+    free: Vec<u32>,
+    retired: Vec<u32>,
 }
 
-impl BatchSource {
-    fn open_run(path: &Path) -> Result<BatchSource> {
-        let mut source = BatchSource {
-            reader: Some(RunReader::open(path)?),
-            batch: PairBatch::new(),
-            order: Vec::new(),
-            at: 0,
-        };
-        source.refill()?;
-        Ok(source)
-    }
-
-    fn from_memory(batch: PairBatch) -> BatchSource {
-        let order = batch.sort_indices();
-        BatchSource {
-            reader: None,
-            batch,
-            order,
-            at: 0,
-        }
-    }
-
-    /// The current row index into `batch`, or `None` when drained.
-    fn head_row(&self) -> Option<usize> {
-        match self.reader {
-            Some(_) => (self.at < self.batch.len()).then_some(self.at),
-            None => self.order.get(self.at).map(|&row| row as usize),
-        }
-    }
-
-    /// The current row's key hash and key, or `None` when drained.
-    fn head(&self) -> Option<(u64, TupleView<'_>)> {
-        self.head_row()
-            .map(|row| (self.batch.hashes[row], self.batch.key_view(row)))
-    }
-
-    /// Visit the head row and every following row with the same key,
-    /// advancing past them. Within a frame the boundary test is hash plus
-    /// raw-cell equality with the previous row; across a frame boundary
-    /// the new frame's first row is compared by content with the last row
-    /// of the old one.
-    fn drain_group(
-        &mut self,
-        visit: &mut impl FnMut(&PairBatch, usize) -> Result<()>,
-    ) -> Result<()> {
-        let Some(mut row) = self.head_row() else {
-            return Ok(());
-        };
-        loop {
-            visit(&self.batch, row)?;
-            self.at += 1;
-            if let Some(next) = self.head_row() {
-                if !self.batch.same_key(row, next) {
-                    return Ok(());
-                }
-                row = next;
-                continue;
+impl FrameSlab {
+    /// Store `frame` in a free slot, returning the slot.
+    fn insert(&mut self, frame: PairBatch) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.frames[slot as usize] = frame;
+                slot
             }
-            let last = std::mem::take(&mut self.batch);
-            self.refill()?;
-            match self.head_row() {
-                Some(next)
-                    if self.batch.hashes[next] == last.hashes[row]
-                        && self.batch.key_view(next) == last.key_view(row) =>
-                {
-                    row = next
-                }
-                _ => return Ok(()),
+            None => {
+                self.frames.push(frame);
+                (self.frames.len() - 1) as u32
             }
         }
     }
+}
 
-    /// Decode the run's next frame, if any; a drained source stays
-    /// drained.
-    fn refill(&mut self) -> Result<()> {
-        let Some(reader) = &mut self.reader else {
-            return Ok(());
-        };
-        if let Some(frame) = reader.next_frame()? {
-            self.batch = PairBatch::decode(&frame)?;
-            self.at = 0;
-        }
-        Ok(())
-    }
+/// One merge input.
+enum BatchSource {
+    /// A run of columnar frames on disk, decoded one frame at a time — a
+    /// bounded window of the run — into slot `slot` of the frame slab.
+    /// Its frames were flushed sorted and are visited row by row.
+    Run {
+        reader: RunReader,
+        slot: u32,
+        at: u32,
+    },
+    /// The index-sorted in-memory tail: handles into the map outputs,
+    /// drained a whole key group at a time (`group` indexes the group
+    /// starting at `at`).
+    Memory {
+        tail: SortedRefs,
+        at: usize,
+        group: usize,
+    },
 }
 
 /// K-way stable merge over sources sorted in shuffle order: keys ascend
 /// by `(hash, Tuple)`; equal keys drain earlier sources first,
 /// reconstructing global emission order within each key (source order
 /// *is* emission order).
-struct BatchMerge {
+struct BatchMerge<'a> {
+    outputs: &'a [PairBatch],
     sources: Vec<BatchSource>,
+    slab: FrameSlab,
     /// The sources whose head holds the current smallest key, in source
     /// order; reused from group to group.
     holders: Vec<usize>,
 }
 
-impl BatchMerge {
-    fn new(sources: Vec<BatchSource>) -> BatchMerge {
-        BatchMerge {
-            sources,
-            holders: Vec::new(),
+impl<'a> BatchMerge<'a> {
+    /// Merge `runs`, oldest first, and then `tail`, the sorted handles of
+    /// the newest rows.
+    fn open(
+        outputs: &'a [PairBatch],
+        runs: &[Run],
+        tail: Option<SortedRefs>,
+    ) -> Result<BatchMerge<'a>> {
+        let mut slab = FrameSlab::default();
+        let mut sources = Vec::with_capacity(runs.len() + 1);
+        for run in runs {
+            let mut reader = RunReader::open(&run.path)?;
+            let frame = match reader.next_frame()? {
+                Some(frame) => PairBatch::decode(&frame)?,
+                None => PairBatch::new(),
+            };
+            let slot = slab.insert(frame);
+            sources.push(BatchSource::Run {
+                reader,
+                slot,
+                at: 0,
+            });
         }
+        if let Some(tail) = tail {
+            sources.push(BatchSource::Memory {
+                tail,
+                at: 0,
+                group: 0,
+            });
+        }
+        Ok(BatchMerge {
+            outputs,
+            sources,
+            slab,
+            holders: Vec::new(),
+        })
+    }
+
+    fn batches(&self) -> Batches<'_> {
+        Batches {
+            outputs: self.outputs,
+            frames: &self.slab.frames,
+        }
+    }
+
+    /// Source `i`'s current row, or `None` when it is drained (or its
+    /// frame is, until [`refill`](Self::refill)).
+    fn head(&self, i: usize) -> Option<RowRef> {
+        match &self.sources[i] {
+            BatchSource::Run { slot, at, .. } => {
+                ((*at as usize) < self.slab.frames[*slot as usize].len()).then_some(RowRef {
+                    batch: FRAME + slot,
+                    row: *at,
+                })
+            }
+            BatchSource::Memory { tail, at, .. } => tail.refs.get(*at).copied(),
+        }
+    }
+
+    /// Decode run source `i`'s next frame into a free slot, retiring the
+    /// old one; `false` when it has no frame left.
+    fn refill(&mut self, i: usize) -> Result<bool> {
+        let BatchSource::Run { reader, slot, at } = &mut self.sources[i] else {
+            unreachable!("only runs refill");
+        };
+        let Some(frame) = reader.next_frame()? else {
+            return Ok(false);
+        };
+        let frame = PairBatch::decode(&frame)?;
+        self.slab.retired.push(*slot);
+        *slot = self.slab.insert(frame);
+        *at = 0;
+        Ok(true)
     }
 
     /// Visit every row of the smallest key group in value order, advancing
@@ -1085,63 +1313,167 @@ impl BatchMerge {
     /// group finds every source holding the key — `u64` hashes first,
     /// [`TupleView`] order only on equal hashes — and each holder's whole
     /// run of the key is then drained in one go, earliest source first.
+    /// Frames the previous group spanned are released first.
     fn next_group(
         &mut self,
-        mut visit: impl FnMut(&PairBatch, usize) -> Result<()>,
+        mut visit: impl FnMut(&PairBatch, RowRef) -> Result<()>,
     ) -> Result<bool> {
-        self.holders.clear();
-        let mut best: Option<(u64, TupleView<'_>)> = None;
-        for (i, source) in self.sources.iter().enumerate() {
-            let Some(head) = source.head() else { continue };
+        self.slab.free.append(&mut self.slab.retired);
+        let mut holders = std::mem::take(&mut self.holders);
+        holders.clear();
+        let batches = self.batches();
+        let mut best: Option<RowRef> = None;
+        for i in 0..self.sources.len() {
+            let Some(head) = self.head(i) else { continue };
             let order = match best {
                 None => Ordering::Less,
-                Some(b) => head.0.cmp(&b.0).then_with(|| head.1.cmp(&b.1)),
+                Some(b) => batches.cmp(head, b),
             };
             match order {
                 Ordering::Less => {
-                    self.holders.clear();
-                    self.holders.push(i);
+                    holders.clear();
+                    holders.push(i);
                     best = Some(head);
                 }
-                Ordering::Equal => self.holders.push(i),
+                Ordering::Equal => holders.push(i),
                 Ordering::Greater => {}
             }
         }
-        for &i in &self.holders {
-            self.sources[i].drain_group(&mut visit)?;
+        for &i in &holders {
+            self.drain_group(i, &mut visit)?;
         }
-        Ok(!self.holders.is_empty())
+        let found = !holders.is_empty();
+        self.holders = holders;
+        Ok(found)
+    }
+
+    /// Visit source `i`'s head row and every following row with the same
+    /// key, advancing past them. The tail knows its group boundaries from
+    /// its sort; a run tests each row against the previous one — hash and
+    /// raw cells within a frame ([`PairBatch::same_key`]), hash and
+    /// content across the last row of one frame and the first of the
+    /// next ([`Batches::same_key`]).
+    fn drain_group(
+        &mut self,
+        i: usize,
+        visit: &mut impl FnMut(&PairBatch, RowRef) -> Result<()>,
+    ) -> Result<()> {
+        if let BatchSource::Memory { tail, at, group } = &mut self.sources[i] {
+            let batches = Batches {
+                outputs: self.outputs,
+                frames: &self.slab.frames,
+            };
+            let end = tail
+                .starts
+                .get(*group + 1)
+                .map_or(tail.refs.len(), |&s| s as usize);
+            for &r in &tail.refs[*at..end] {
+                visit(batches.get(r), r)?;
+            }
+            *at = end;
+            *group += 1;
+            return Ok(());
+        }
+        loop {
+            let BatchSource::Run { slot, at, .. } = &mut self.sources[i] else {
+                unreachable!("the tail returned above");
+            };
+            let frame = &self.slab.frames[*slot as usize];
+            let (start, batch) = (*at as usize, FRAME + *slot);
+            if start == frame.len() {
+                return Ok(());
+            }
+            let mut end = start + 1;
+            while end < frame.len() && frame.same_key(end - 1, end) {
+                end += 1;
+            }
+            for row in start..end {
+                let row = row as u32;
+                visit(frame, RowRef { batch, row })?;
+            }
+            *at = end as u32;
+            if end < frame.len() || !self.refill(i)? {
+                return Ok(());
+            }
+            let last = RowRef {
+                batch,
+                row: end as u32 - 1,
+            };
+            match self.head(i) {
+                Some(next) if self.batches().same_key(last, next) => {}
+                _ => return Ok(()),
+            }
+        }
     }
 }
 
 /// The grouped stream the reducer consumes: keys ascend by
-/// `(hash, Tuple)`, values stay in global emission order, and exactly one
-/// owned key `Tuple` is materialized per group.
+/// `(hash, Tuple)` and values stay in global emission order, each group
+/// handed out as a borrowed [`Group`].
 pub struct BatchGroupStream<'a> {
-    merge: BatchMerge,
+    merge: BatchMerge<'a>,
+    /// The current group's row handles, reused from group to group.
+    rows: Vec<RowRef>,
     budget: &'a MemoryBudget,
     charged: u64,
     _runs: Vec<Run>,
 }
 
 impl BatchGroupStream<'_> {
-    /// The next key group (`None` when the partition is exhausted), its
-    /// values appended into a caller-owned scratch vector (cleared first).
-    pub fn next_group_into(&mut self, values: &mut Vec<Message>) -> Result<Option<Tuple>> {
-        values.clear();
-        let mut key = None;
-        self.merge.next_group(|batch, row| {
-            key.get_or_insert_with(|| batch.key_tuple(row));
-            values.push(batch.message(row));
+    /// The next key group, or `None` when the partition is exhausted. The
+    /// group borrows the stream: its rows stay readable — run frames it
+    /// spans included — until the next call.
+    pub fn next_group(&mut self) -> Result<Option<Group<'_>>> {
+        self.rows.clear();
+        let rows = &mut self.rows;
+        let found = self.merge.next_group(|_, r| {
+            rows.push(r);
             Ok(())
         })?;
-        Ok(key)
+        Ok(found.then(|| Group {
+            batches: self.merge.batches(),
+            rows: &self.rows,
+        }))
     }
 }
 
 impl Drop for BatchGroupStream<'_> {
     fn drop(&mut self) {
         self.budget.release(self.charged);
+    }
+}
+
+/// One key group as a reducer reads it: the key and its values in global
+/// emission order, each row read in place in the map output or run frame
+/// that holds it. Nothing is copied or materialized until the reducer
+/// emits.
+pub struct Group<'g> {
+    batches: Batches<'g>,
+    /// Never empty.
+    rows: &'g [RowRef],
+}
+
+impl<'g> Group<'g> {
+    /// The group's key.
+    #[inline]
+    pub fn key(&self) -> TupleView<'g> {
+        self.batches.key(self.rows[0])
+    }
+
+    /// The group's values in emission order; call again to iterate again.
+    #[inline]
+    pub fn values(&self) -> impl ExactSizeIterator<Item = MsgView<'g>> + Clone + 'g {
+        let batches = self.batches;
+        self.rows
+            .iter()
+            .map(move |&r| batches.get(r).msg_view(r.row as usize))
+    }
+
+    /// The owned key and values (tests).
+    #[cfg(test)]
+    pub(crate) fn materialize(&self) -> (Tuple, Vec<Message>) {
+        let values = self.values().map(|m| m.to_message()).collect();
+        (self.key().to_tuple(), values)
     }
 }
 
@@ -1170,9 +1502,8 @@ pub(crate) fn group_reference(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Mes
 #[cfg(test)]
 pub(crate) fn drain(mut stream: BatchGroupStream<'_>) -> Vec<(Tuple, Vec<Message>)> {
     let mut groups = Vec::new();
-    let mut values = Vec::new();
-    while let Some(key) = stream.next_group_into(&mut values).unwrap() {
-        groups.push((key, values.clone()));
+    while let Some(group) = stream.next_group().unwrap() {
+        groups.push(group.materialize());
     }
     groups
 }
@@ -1386,20 +1717,177 @@ mod tests {
         spec: MemBudget,
         pairs: &[(Tuple, Message)],
     ) -> (Vec<(Tuple, Vec<Message>)>, SpillStats, u64) {
+        group_tasks(spec, &[pairs.len()], pairs)
+    }
+
+    /// Group a pair sequence emitted by several map tasks — task `t`
+    /// emits the next `task_pairs[t]` pairs into its own batch, with its
+    /// own dictionaries — through a `BatchPartition` under `spec`,
+    /// settling the budget after every pair.
+    fn group_tasks(
+        spec: MemBudget,
+        task_pairs: &[usize],
+        pairs: &[(Tuple, Message)],
+    ) -> (Vec<(Tuple, Vec<Message>)>, SpillStats, u64) {
+        assert_eq!(task_pairs.iter().sum::<usize>(), pairs.len());
+        let mut outputs = Vec::new();
+        let mut rest = pairs;
+        for &n in task_pairs {
+            let (task, later) = rest.split_at(n);
+            let mut batch = PairBatch::new();
+            for (k, v) in task {
+                batch.push_pair(k, v);
+            }
+            outputs.push(batch);
+            rest = later;
+        }
         let budget = MemoryBudget::new(spec);
         let spill = ShuffleSpill::new("batch-test");
-        let mut part = BatchPartition::new(0, &budget, &spill, 1);
-        let mut batch = PairBatch::new();
-        for (k, v) in pairs {
-            batch.push_pair(k, v);
+        let mut part = BatchPartition::new(0, &budget, &spill, &outputs, 1);
+        for (task, batch) in outputs.iter().enumerate() {
+            for row in 0..batch.len() as u32 {
+                part.push_rows(task, &[row]).unwrap();
+            }
         }
-        for row in 0..batch.len() as u32 {
-            part.push_rows(&batch, &[row]).unwrap();
-        }
+        assert_eq!(
+            part.total_bytes(),
+            pairs
+                .iter()
+                .map(|(k, m)| k.estimated_bytes() + m.estimated_bytes())
+                .sum::<u64>()
+        );
         let (stream, stats) = part.into_groups().unwrap();
         let groups = drain(stream);
         assert_eq!(budget.used(), 0, "all charges released");
         (groups, stats, budget.peak())
+    }
+
+    #[test]
+    fn rows_of_several_map_batches_group_by_content_not_by_code() {
+        let strings = ["a", "bb", "c"];
+        // Task t emits its keys starting from string t, so the three
+        // batches' dictionaries give every string a different code; the
+        // payload tuples rotate the other way.
+        let task_pairs = [700, 500, 900];
+        let mut pairs = Vec::new();
+        for (t, &n) in task_pairs.iter().enumerate() {
+            for i in 0..n {
+                let s = strings[(t + i) % 3];
+                let key = match i % 4 {
+                    0 => Tuple::new(vec![Value::str(s)]),
+                    1 => Tuple::new(vec![Value::str(s), Value::Int(1)]),
+                    2 => Tuple::from_ints(&[(i % 5) as i64]),
+                    _ => Tuple::from_ints(&[]),
+                };
+                let payload = Tuple::new(vec![Value::str(strings[(3 + t - i % 3) % 3])]);
+                let msg = match i % 3 {
+                    0 => Message::Tag { rel: i as u32 },
+                    1 => Message::Req {
+                        cond: i as u32,
+                        payload: Payload::Tuple(payload),
+                    },
+                    _ => Message::GuardTuple {
+                        guard: t as u32,
+                        tuple: payload,
+                    },
+                };
+                pairs.push((key, msg));
+            }
+        }
+        // The premise: the batches code the strings differently.
+        let first_code = |start: usize| {
+            let mut batch = PairBatch::new();
+            let (k, m) = &pairs[start];
+            batch.push_pair(k, m);
+            batch.keys.by_arity[1].dict().get(0).clone()
+        };
+        assert_ne!(first_code(0), first_code(700));
+        assert_ne!(first_code(700), first_code(1200));
+        let check = || {
+            let reference = group_reference(&pairs);
+            let (groups, stats, _) = group_tasks(MemBudget::UNLIMITED, &task_pairs, &pairs);
+            assert_eq!(groups, reference, "in memory");
+            assert_eq!(stats, SpillStats::default());
+            let (groups, stats, _) = group_tasks(MemBudget::bytes(6_000), &task_pairs, &pairs);
+            assert_eq!(groups, reference, "spilled ({stats:?})");
+            assert!(stats.spilled_bytes > 0, "{stats:?}");
+        };
+        check();
+        with_forced_key_hash(0, check);
+    }
+
+    #[test]
+    fn key_prefixes_tell_apart_keys_that_share_low_bits() {
+        // Pairs that agree in their low 32 bits, ints that equal a
+        // string's digits, and every arity a prefix covers or refuses.
+        // Each key, and whether a prefix alone decides it.
+        let keys = [
+            (Tuple::from_ints(&[-1, 5]), true),
+            (Tuple::from_ints(&[u32::MAX as i64, 5]), false),
+            (Tuple::from_ints(&[i32::MIN as i64, i32::MAX as i64]), true),
+            (Tuple::from_ints(&[1 << 31, -1]), false),
+            (Tuple::from_ints(&[1 << 32, 5]), false),
+            (Tuple::from_ints(&[5]), true),
+            (Tuple::from_ints(&[-1]), true),
+            (Tuple::from_ints(&[]), true),
+            (Tuple::from_ints(&[-1, 5, 0]), false),
+            (Tuple::new(vec![Value::str("5")]), false),
+            (Tuple::new(vec![Value::Int(-1), Value::str("5")]), false),
+        ];
+        for (key, exact) in &keys {
+            let mut batch = TupleBatch::new(key.arity());
+            batch.push_tuple(key);
+            let prefix = KeyPrefix::of(batch.view(0));
+            assert_eq!(prefix != KeyPrefix::OTHER, *exact, "{key:?}");
+        }
+        // The first eight keys are integer keys of arity ≤ 2, whose map
+        // outputs take the prefix path; with the other three, every
+        // equality test compares content.
+        let store = |keys: &[(Tuple, bool)]| {
+            let mut store = TupleStore::default();
+            for (key, _) in keys {
+                store.push_tuple(key);
+            }
+            store
+        };
+        assert!(store(&keys[..8]).ints_up_to(2));
+        assert!(!store(&keys[8..9]).ints_up_to(2));
+        assert!(!store(&keys[9..10]).ints_up_to(2));
+        for keys in [&keys[..8], &keys[..]] {
+            let pairs: Vec<(Tuple, Message)> = (0..keys.len() * 5)
+                .map(|i| {
+                    let key = keys[i * 7 % keys.len()].0.clone();
+                    (key, Message::Tag { rel: i as u32 })
+                })
+                .collect();
+            let check = || {
+                let reference = group_reference(&pairs);
+                assert_eq!(reference.len(), keys.len());
+                let tasks = [20, pairs.len() - 20];
+                let (groups, _, _) = group_tasks(MemBudget::UNLIMITED, &tasks, &pairs);
+                assert_eq!(groups, reference);
+            };
+            check();
+            with_forced_key_hash(3, check);
+        }
+    }
+
+    #[test]
+    fn message_views_read_every_shape_in_place() {
+        let pairs = mixed_pairs();
+        let mut batch = PairBatch::new();
+        for (k, m) in &pairs {
+            batch.push_pair(k, m);
+        }
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        let decoded = PairBatch::decode(&frame).unwrap();
+        for (row, (k, m)) in pairs.iter().enumerate() {
+            for b in [&batch, &decoded] {
+                assert_eq!(b.msg_view(row).to_message(), *m);
+                assert_eq!(b.key_view(row).to_tuple(), *k);
+            }
+        }
     }
 
     fn seq_pairs(keys: &[i64]) -> Vec<(Tuple, Message)> {

@@ -23,11 +23,12 @@
 //! 2. **shuffle** — workers counting-sort each task's rows into
 //!    per-(task, reducer) row lists by the same hashes;
 //! 3. **reduce** — fused with the per-reducer drain: each reducer appends
-//!    its rows in task order, hashes included, to a budget-charged
-//!    spilling buffer ([`crate::batch_shuffle`]) that sorts its runs on
-//!    those hashes, then streams the merge of its spill runs plus the
-//!    in-memory tail — keys in `(hash, Tuple)` order, values in global
-//!    emission order — straight into the reduce function, appending what
+//!    handles to its rows, in task order, to a budget-charged spilling
+//!    buffer ([`crate::batch_shuffle`]) that sorts its runs on the map
+//!    tasks' hashes — the rows stay where the map tasks wrote them — then
+//!    streams the merge of its spill runs plus the in-memory tail — keys
+//!    in `(hash, Tuple)` order, values in global emission order — as
+//!    borrowed groups straight into the reduce function, appending what
 //!    it emits to one vector per output;
 //! 4. **commit** — on the caller's thread, each output's vectors are
 //!    concatenated in partition order and sorted and deduplicated once
@@ -58,7 +59,6 @@ use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::hash::partition_of;
 use crate::job::{Emitter, Job};
-use crate::message::Message;
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
@@ -320,13 +320,14 @@ impl Executor {
         drop(shuffle_span);
 
         // ---- drain + reduce, fused per reducer ---------------------------
-        // Each reducer appends its rows in task order (so values within a
-        // key group end up in global emission order) to a budget-charged
-        // spilling buffer, then streams the merged groups straight into
-        // the reduce function. Reducer workers run concurrently and all
-        // charge the executor's shared memory budget; per-reducer byte
-        // loads feed the simulated reduce-task durations, so data skew
-        // shows up in net time.
+        // Each reducer appends handles to its rows in task order (so
+        // values within a key group end up in global emission order) to a
+        // budget-charged spilling buffer — the map outputs stay resident
+        // until every reducer has finished, so no row is copied — then
+        // streams the merged groups straight into the reduce function.
+        // Reducer workers run concurrently and all charge the executor's
+        // shared memory budget; per-reducer byte loads feed the simulated
+        // reduce-task durations, so data skew shows up in net time.
         let reduce_span = gumbo_obs::span_with("reduce", |f| {
             f.str("job", &job.name);
             f.u64("reducers", reducers as u64);
@@ -335,12 +336,25 @@ impl Executor {
         let budget = &*self.budget;
         type ReducedPartition = Result<(Vec<Vec<Tuple>>, u64, SpillStats)>;
         let reduced: Vec<ReducedPartition> = parallel_for(reducers, workers, |p| {
-            let mut part = BatchPartition::new(p, budget, &spill, reducers);
-            for (batch, task_routes) in batches.iter().zip(&routes) {
-                part.push_rows(batch, task_routes.rows_for(p))?;
+            let mut span = gumbo_obs::span_with("reduce:partition", |f| {
+                f.str("job", &job.name);
+                f.u64("partition", p as u64);
+            });
+            let mut part = BatchPartition::new(p, budget, &spill, &batches, reducers);
+            let mut rows = 0;
+            for (task, task_routes) in routes.iter().enumerate() {
+                let task_rows = task_routes.rows_for(p);
+                rows += task_rows.len() as u64;
+                part.push_rows(task, task_rows)?;
             }
             let bytes = part.total_bytes();
             let (groups, stats) = part.into_groups()?;
+            span.record(|f| {
+                f.u64("rows", rows);
+                f.u64("bytes", bytes);
+                f.u64("runs", stats.spill_files);
+            });
+            drop(span);
             Ok((run_reduce_stream(job, groups)?, bytes, stats))
         });
         // First error in partition order, whatever the worker count.
@@ -689,8 +703,9 @@ fn declared_outputs(job: &Job) -> BTreeMap<&RelationName, usize> {
 /// one vector per declared output ([`declared_outputs`] order), duplicates
 /// included: [`commit_job`] sorts and deduplicates once per relation. An
 /// emission of the wrong arity or to an undeclared output is rejected
-/// here, where it happens. One scratch value vector is reused across
-/// groups.
+/// here, where it happens. Groups are read in place
+/// ([`Group`](crate::Group)); the tuples the reducer emits are the only
+/// ones built.
 pub(crate) fn run_reduce_stream(
     job: &Job,
     mut groups: BatchGroupStream<'_>,
@@ -700,10 +715,9 @@ pub(crate) fn run_reduce_stream(
         .into_iter()
         .map(|(name, arity)| (name, (arity, Vec::new())))
         .collect();
-    let mut values: Vec<Message> = Vec::new();
-    while let Some(key) = groups.next_group_into(&mut values)? {
+    while let Some(group) = groups.next_group()? {
         let mut err: Option<GumboError> = None;
-        job.reducer.reduce(&key, &values, &mut |rel_name, tuple| {
+        job.reducer.reduce(&group, &mut |rel_name, tuple| {
             if err.is_some() {
                 return;
             }
@@ -866,8 +880,9 @@ fn commit_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch_shuffle::Group;
     use crate::job::{JobConfig, Mapper, Reducer, ReducerPolicy};
-    use crate::message::Payload;
+    use crate::message::{Message, MsgView, Payload, PayloadView};
     use gumbo_common::Tuple;
     use gumbo_storage::SimDfs;
 
@@ -903,23 +918,18 @@ mod tests {
         output: &'static str,
     }
     impl Reducer for SemiJoinReducer {
-        fn reduce(
-            &self,
-            _key: &Tuple,
-            values: &[Message],
-            emit: &mut dyn FnMut(&RelationName, Tuple),
-        ) {
-            let asserted = values
-                .iter()
-                .any(|m| matches!(m, Message::Assert { cond: 0 }));
+        fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+            let asserted = group
+                .values()
+                .any(|m| matches!(m, MsgView::Assert { cond: 0 }));
             if asserted {
-                for m in values {
-                    if let Message::Req {
+                for m in group.values() {
+                    if let MsgView::Req {
                         cond: 0,
-                        payload: Payload::Tuple(t),
+                        payload: PayloadView::Tuple(t),
                     } = m
                     {
-                        emit(&self.output.into(), t.clone());
+                        emit(&self.output.into(), t.to_tuple());
                     }
                 }
             }
@@ -945,7 +955,7 @@ mod tests {
     /// A reducer that emits to a relation its job never declared.
     struct BadReducer;
     impl Reducer for BadReducer {
-        fn reduce(&self, _: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
             emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
         }
     }
@@ -1127,7 +1137,7 @@ mod tests {
         width: usize,
     }
     impl Reducer for ConstantReducer {
-        fn reduce(&self, _: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
             let tuple = Tuple::from_ints(&vec![42; self.width]);
             emit(&"Z".into(), tuple.clone());
             emit(&"Z".into(), tuple);
@@ -1311,7 +1321,7 @@ mod tests {
     fn a_panicking_reducer_is_an_error_naming_the_job() {
         struct Bomb;
         impl Reducer for Bomb {
-            fn reduce(&self, _: &Tuple, _: &[Message], _: &mut dyn FnMut(&RelationName, Tuple)) {
+            fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {
                 panic!("reducer bomb");
             }
         }

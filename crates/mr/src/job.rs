@@ -4,7 +4,7 @@ use std::fmt;
 
 use gumbo_common::{ByteSize, RelationName, Tuple, Value};
 
-use crate::batch_shuffle::PairBatch;
+use crate::batch_shuffle::{Group, PairBatch};
 use crate::estimate::JobEstimate;
 use crate::message::Message;
 
@@ -55,10 +55,13 @@ impl<'a> Emitter<'a> {
 
 /// A reduce function `ρ`.
 ///
-/// Called once per key group with all values for that key.
+/// Called once per key group with the group borrowed in place from the
+/// shuffle ([`Group`]): its key as a [`TupleView`](gumbo_common::TupleView)
+/// and its values as [`MsgView`](crate::MsgView)s in emission order.
+/// Only what the reducer emits becomes an owned [`Tuple`].
 pub trait Reducer: Send + Sync {
     /// Process one group, emitting `(output relation, tuple)` pairs.
-    fn reduce(&self, key: &Tuple, values: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple));
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple));
 }
 
 /// How a job chooses its reducer count.
@@ -215,7 +218,6 @@ impl fmt::Debug for Job {
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use crate::message::Message;
 
     /// Emits nothing, on either side of the shuffle.
     pub(crate) struct Noop;
@@ -225,7 +227,7 @@ pub(crate) mod test_support {
     }
 
     impl Reducer for Noop {
-        fn reduce(&self, _: &Tuple, _: &[Message], _: &mut dyn FnMut(&RelationName, Tuple)) {}
+        fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {}
     }
 
     /// A no-op job reading `inputs` and declaring unary `outputs`.

@@ -74,14 +74,14 @@ pub mod profile;
 pub mod program;
 pub mod shuffle;
 
-pub use batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch, TupleStore};
+pub use batch_shuffle::{BatchGroupStream, BatchPartition, Group, PairBatch, TupleStore};
 pub use cluster::Cluster;
 pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
 pub use estimate::{list_schedule_makespan, JobEstimate};
 pub use executor::{EngineConfig, Executor, ExecutorKind};
 pub use job::{Emitter, Job, JobConfig, Mapper, Reducer, ReducerPolicy};
-pub use message::{Message, Payload};
+pub use message::{IdSet, Message, MsgView, Payload, PayloadView};
 pub use metrics::{JobStats, ProgramStats};
 pub use profile::{InputPartition, JobProfile};
 pub use program::MrProgram;

@@ -12,8 +12,12 @@
 //!
 //! Byte sizes follow the paper's data layout (10 B per value) with a 4-byte
 //! tag per message; a `Ref` payload is a single id value.
+//!
+//! Mappers emit owned [`Message`]s; reducers read [`MsgView`]s — the same
+//! vocabulary borrowed in place from the shuffle's columnar batches, so
+//! no payload tuple is built unless the reducer emits it.
 
-use gumbo_common::Tuple;
+use gumbo_common::{Tuple, TupleView};
 
 /// Payload of a request message: what to output when the assert matches.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -86,9 +90,146 @@ impl Message {
     }
 }
 
+/// A borrowed [`Payload`]: the payload tuple is a view into the batch
+/// that carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadView<'a> {
+    /// The projected output tuple.
+    Tuple(TupleView<'a>),
+    /// A `(guard index, tuple id)` reference.
+    Ref {
+        /// Which guard relation.
+        guard: u32,
+        /// Position of the tuple in the guard relation's canonical order.
+        id: u64,
+    },
+}
+
+impl PayloadView<'_> {
+    /// The tuple this payload stores in `Xᵢ`: the payload tuple itself, or
+    /// the reference as the pair `(guard, id)`.
+    pub fn to_tuple(&self) -> Tuple {
+        match self {
+            PayloadView::Tuple(t) => t.to_tuple(),
+            PayloadView::Ref { guard, id } => Tuple::from_ints(&[i64::from(*guard), *id as i64]),
+        }
+    }
+}
+
+/// A borrowed [`Message`], as a reducer reads it from the shuffle: `Copy`,
+/// with tuples as views into the batch that carries the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgView<'a> {
+    /// [`Message::Assert`].
+    Assert {
+        /// Index of the conditional atom (semi-join) within the job.
+        cond: u32,
+    },
+    /// [`Message::Req`].
+    Req {
+        /// Index of the conditional atom (semi-join) within the job.
+        cond: u32,
+        /// What to emit on success.
+        payload: PayloadView<'a>,
+    },
+    /// [`Message::Tag`].
+    Tag {
+        /// Index of the `X` relation within the EVAL job.
+        rel: u32,
+    },
+    /// [`Message::GuardTuple`].
+    GuardTuple {
+        /// Which guard relation.
+        guard: u32,
+        /// The tuple itself.
+        tuple: TupleView<'a>,
+    },
+}
+
+impl MsgView<'_> {
+    /// Materialize the owned message (tests and edge conversions).
+    pub fn to_message(&self) -> Message {
+        match *self {
+            MsgView::Assert { cond } => Message::Assert { cond },
+            MsgView::Req { cond, payload } => Message::Req {
+                cond,
+                payload: match payload {
+                    PayloadView::Tuple(t) => Payload::Tuple(t.to_tuple()),
+                    PayloadView::Ref { guard, id } => Payload::Ref { guard, id },
+                },
+            },
+            MsgView::Tag { rel } => Message::Tag { rel },
+            MsgView::GuardTuple { guard, tuple } => Message::GuardTuple {
+                guard,
+                tuple: tuple.to_tuple(),
+            },
+        }
+    }
+}
+
+/// A set of the small message indices — assert groups, `X` relation tags —
+/// present in one reduce group: a 64-bit mask, and a list only for
+/// indices from 64 up, so the usual group allocates nothing.
+#[derive(Debug, Default)]
+pub struct IdSet {
+    /// Bit `i` is set when index `i < 64` is present.
+    low: u64,
+    /// The present indices from 64 up.
+    high: Vec<u32>,
+}
+
+impl IdSet {
+    /// Add index `id`.
+    #[inline]
+    pub fn insert(&mut self, id: u32) {
+        match 1u64.checked_shl(id) {
+            Some(bit) => self.low |= bit,
+            None if !self.high.contains(&id) => self.high.push(id),
+            None => {}
+        }
+    }
+
+    /// Whether no index is present.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+
+    /// Whether index `id` is present.
+    #[inline]
+    pub fn contains(&self, id: u32) -> bool {
+        match 1u64.checked_shl(id) {
+            Some(bit) => self.low & bit != 0,
+            None => self.high.contains(&id),
+        }
+    }
+}
+
+impl FromIterator<u32> for IdSet {
+    #[inline]
+    fn from_iter<I: IntoIterator<Item = u32>>(ids: I) -> Self {
+        let mut set = IdSet::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_sets_hold_indices_on_both_sides_of_64() {
+        let set: IdSet = [3, 63, 64, 200, 64].into_iter().collect();
+        for id in 0..300 {
+            assert_eq!(set.contains(id), [3, 63, 64, 200].contains(&id), "{id}");
+        }
+        assert!(!set.is_empty());
+        assert!(IdSet::default().is_empty());
+        assert!(!IdSet::default().contains(0));
+    }
 
     #[test]
     fn assert_is_small() {

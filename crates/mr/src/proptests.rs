@@ -59,6 +59,21 @@ fn packed_counts_by_sorting(batch: &PairBatch) -> (u64, u64) {
     (bytes, records)
 }
 
+/// Decode `frame` and, if it decodes, read every row's key and message
+/// view, hash and bytes; whether it decoded.
+fn read_every_view(frame: &[u8]) -> bool {
+    let Ok(batch) = PairBatch::decode(frame) else {
+        return false;
+    };
+    for row in 0..batch.len() {
+        let _ = batch.key_view(row).to_tuple();
+        let _ = batch.hashes()[row];
+        let _ = batch.row_bytes(row);
+        let _ = batch.msg_view(row).to_message();
+    }
+    true
+}
+
 proptest! {
     /// Hash-counted packing equals the sort-based count on any batch —
     /// int and string keys of mixed arity drawn from a small domain (heavy
@@ -161,7 +176,101 @@ proptest! {
         prop_assert_eq!(emitted.to_pairs(), pushed.to_pairs());
     }
 
-    /// Costs are non-negative, finite, and at least the job overhead.
+    /// A reducer's borrowed view of a message is the message: for all five
+    /// shapes — payload tuples of any arity from 0, ints and strings
+    /// mixed — `MsgView::to_message` equals the message pushed and
+    /// `PairBatch::message`, in the map task's batch and in the frame it
+    /// spills to.
+    #[test]
+    fn message_views_equal_materialized_messages(
+        rows in proptest::collection::vec(
+            (
+                0u8..5,
+                proptest::collection::vec((0i64..4, any::<bool>()), 0usize..4),
+                any::<u32>(),
+                any::<u64>(),
+            ),
+            0usize..40,
+        ),
+    ) {
+        let mut batch = PairBatch::new();
+        let mut pushed = Vec::new();
+        for (seq, (shape, cells, small, wide)) in rows.iter().enumerate() {
+            let tuple: Tuple = cells
+                .iter()
+                .map(|&(v, string)| {
+                    if string {
+                        gumbo_common::Value::str(format!("p{v}"))
+                    } else {
+                        gumbo_common::Value::Int(v)
+                    }
+                })
+                .collect();
+            let msg = match shape {
+                0 => Message::Assert { cond: *small },
+                1 => Message::Req { cond: *small, payload: Payload::Tuple(tuple) },
+                2 => Message::Req {
+                    cond: *small,
+                    payload: Payload::Ref { guard: small.rotate_left(7), id: *wide },
+                },
+                3 => Message::Tag { rel: *small },
+                _ => Message::GuardTuple { guard: *small, tuple },
+            };
+            batch.push_pair(&Tuple::from_ints(&[seq as i64 % 3]), &msg);
+            pushed.push(msg);
+        }
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        let decoded = PairBatch::decode(&frame).unwrap();
+        for b in [&batch, &decoded] {
+            for (row, msg) in pushed.iter().enumerate() {
+                prop_assert_eq!(&b.msg_view(row).to_message(), msg);
+                prop_assert_eq!(&b.message(row), msg);
+            }
+        }
+    }
+
+    /// `PairBatch::decode` never panics: arbitrary bytes, and every
+    /// single-byte mutation drawn of a valid frame, decode to `Ok` or
+    /// `Err`; and every key and message view of a frame that decodes
+    /// reads without panicking.
+    #[test]
+    fn frame_decode_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0usize..200),
+        keys in proptest::collection::vec((0i64..4, 0usize..3, any::<bool>()), 1usize..12),
+        mutations in proptest::collection::vec((any::<u64>(), any::<u8>()), 1usize..32),
+    ) {
+        read_every_view(&noise);
+        let mut batch = PairBatch::new();
+        for (seq, &(k, arity, string)) in keys.iter().enumerate() {
+            let value = |i: usize| {
+                if string && i == 0 {
+                    gumbo_common::Value::str(format!("k{k}"))
+                } else {
+                    gumbo_common::Value::Int(k + i as i64)
+                }
+            };
+            let key: Tuple = (0..arity).map(value).collect();
+            let msg = match seq % 5 {
+                0 => Message::Assert { cond: seq as u32 },
+                1 => Message::Req { cond: 1, payload: Payload::Tuple(key.clone()) },
+                2 => Message::Req { cond: 2, payload: Payload::Ref { guard: 3, id: k as u64 } },
+                3 => Message::Tag { rel: seq as u32 },
+                _ => Message::GuardTuple { guard: 0, tuple: key.clone() },
+            };
+            batch.push_pair(&key, &msg);
+        }
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        prop_assert!(read_every_view(&frame), "the valid frame decodes");
+        for &(at, byte) in &mutations {
+            let mut mutated = frame.clone();
+            let at = (at % mutated.len() as u64) as usize;
+            mutated[at] = byte;
+            read_every_view(&mutated);
+        }
+    }
+
     #[test]
     fn cost_is_sane(
         n in 0u64..100_000, m in 0u64..100_000, r in 1usize..500,
@@ -320,13 +429,14 @@ proptest! {
             let expected = group_reference(&pairs);
             let tracker = MemoryBudget::new(MemBudget::bytes(budget));
             let spill = ShuffleSpill::new("proptest");
-            let mut part = BatchPartition::new(0, &tracker, &spill, 1);
             let mut batch = PairBatch::new();
             for (k, v) in &pairs {
                 batch.push_pair(k, v);
             }
-            for row in 0..batch.len() as u32 {
-                part.push_rows(&batch, &[row]).unwrap();
+            let outputs = [batch];
+            let mut part = BatchPartition::new(0, &tracker, &spill, &outputs, 1);
+            for row in 0..outputs[0].len() as u32 {
+                part.push_rows(0, &[row]).unwrap();
             }
             prop_assert_eq!(part.total_bytes(), expected_bytes, "total byte accounting");
             let (stream, stats) = part.into_groups().unwrap();

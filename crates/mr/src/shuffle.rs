@@ -295,7 +295,7 @@ impl ShuffleSpill {
 
 /// One run on disk: a contiguous slice of the partition's emission-order
 /// pair sequence, sorted by `(key hash, key)` with equal keys in emission
-/// order ([`crate::PairBatch::sort_indices`]).
+/// order.
 pub(crate) struct Run {
     pub(crate) path: std::path::PathBuf,
 }

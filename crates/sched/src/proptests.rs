@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use gumbo_common::{ByteSize, Relation, RelationName, Tuple};
 use gumbo_mr::{
-    list_schedule_makespan, CostConstants, CostModelKind, Emitter, EngineConfig, Executor,
+    list_schedule_makespan, CostConstants, CostModelKind, Emitter, EngineConfig, Executor, Group,
     InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
 };
 use gumbo_storage::SimDfs;
@@ -35,8 +35,8 @@ impl Mapper for Copy {
 }
 struct CopyTo(RelationName);
 impl Reducer for CopyTo {
-    fn reduce(&self, key: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        emit(&self.0, key.clone());
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        emit(&self.0, group.key().to_tuple());
     }
 }
 

@@ -298,7 +298,7 @@ impl DagScheduler {
 mod tests {
     use super::*;
     use gumbo_common::{Relation, RelationName, Tuple};
-    use gumbo_mr::{Emitter, EngineConfig, Job, JobConfig, Mapper, Message, Reducer};
+    use gumbo_mr::{Emitter, EngineConfig, Group, Job, JobConfig, Mapper, Message, Reducer};
     use gumbo_storage::SimDfs;
 
     /// Copies every input tuple to the job's single output relation.
@@ -310,8 +310,8 @@ mod tests {
     }
     struct CopyTo(RelationName);
     impl Reducer for CopyTo {
-        fn reduce(&self, key: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
-            emit(&self.0, key.clone());
+        fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+            emit(&self.0, group.key().to_tuple());
         }
     }
 
@@ -385,7 +385,7 @@ mod tests {
     fn errors_propagate_and_dfs_survives() {
         struct Bad;
         impl Reducer for Bad {
-            fn reduce(&self, _: &Tuple, _: &[Message], emit: &mut dyn FnMut(&RelationName, Tuple)) {
+            fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
                 emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
             }
         }
@@ -419,7 +419,7 @@ mod tests {
     fn panicking_reducer_fails_the_run_instead_of_hanging_it() {
         struct Bomb;
         impl Reducer for Bomb {
-            fn reduce(&self, _: &Tuple, _: &[Message], _: &mut dyn FnMut(&RelationName, Tuple)) {
+            fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {
                 panic!("reducer bomb");
             }
         }

@@ -28,8 +28,12 @@
 //! paper's four metrics and a `shuffle memory:` summary line, and, on a
 //! `file:` store, a `dfs cache:` line. A tracked shuffle peak above
 //! `--mem-budget` is an internal error: the summary prints first, then
-//! the process exits nonzero. `--out` writes every output relation as
-//! TSV, and `--stats-json` writes the full [`ProgramStats`].
+//! the process exits nonzero. The budget bounds the reducer buffers,
+//! which hold handles into the resident map output: a flush it forces
+//! writes rows to disk and frees only handles, so it trades spill I/O
+//! for bookkeeping and saves no memory (README, *Budget semantics*).
+//! `--out` writes every output relation as TSV, and `--stats-json`
+//! writes the full [`ProgramStats`].
 //!
 //! `serve` binds `--listen` and answers line-delimited JSON query
 //! requests with fair-share admission between tenants, each charged the

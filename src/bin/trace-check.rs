@@ -79,6 +79,7 @@ const KNOWN_SPANS: &[&str] = &[
     "map:task",
     "shuffle:flush",
     "reduce",
+    "reduce:partition",
     "reduce:task",
     "commit",
     "spill:run",

@@ -1,5 +1,6 @@
 //! Allocation-count smoke tests for the shuffle, the tracing-off path,
-//! tuple projection, a map task, and whole `MSJ`/`EVAL` jobs.
+//! tuple projection, a map task, a reduce task, and whole `MSJ`/`EVAL`
+//! jobs.
 //!
 //! The point of the shuffle's batch layer is few, large allocations:
 //! tuples live in shared arenas (one `Vec` per column plus one
@@ -107,36 +108,38 @@ fn a3_pairs() -> Vec<(Tuple, Message)> {
 
 /// Shuffle the stream through one partition end to end — batch it, route
 /// every row, sort/spill/merge, drain every reducer group — returning the
-/// group count.
+/// group count. The map batch stays alive until the last group is read:
+/// the partition holds handles into it, not copies.
 fn shuffle(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
     let spill = ShuffleSpill::new("alloc-smoke");
-    let mut part = BatchPartition::new(0, budget, &spill, 1);
     let mut batch = PairBatch::new();
     for (k, v) in pairs {
         batch.push_pair(k, v);
     }
-    let rows: Vec<u32> = (0..batch.len() as u32).collect();
-    part.push_rows(&batch, &rows).unwrap();
-    drop(batch);
+    let outputs = [batch];
+    let mut part = BatchPartition::new(0, budget, &spill, &outputs, 1);
+    let rows: Vec<u32> = (0..outputs[0].len() as u32).collect();
+    part.push_rows(0, &rows).unwrap();
     let (mut stream, _) = part.into_groups().unwrap();
     let mut groups = 0;
-    let mut values = Vec::new();
-    while let Some(_key) = stream.next_group_into(&mut values).unwrap() {
+    while let Some(_group) = stream.next_group().unwrap() {
         groups += 1;
     }
     groups
 }
 
-/// The shuffle allocates a fraction of a time per pair: at most 0.25
-/// calls in memory and 0.56 under a spill-forcing 4 KiB budget.
+/// The shuffle allocates a fraction of a time per pair: at most 0.03
+/// calls in memory and 0.26 under a spill-forcing 4 KiB budget.
 #[test]
 fn shuffle_allocations_per_pair_stay_under_the_ceiling() {
     let pairs = a3_pairs();
     let mut groups = Vec::new();
-    // Measured at 6000 pairs: 0.126 calls per pair in memory, 0.278 under
-    // the 4 KiB budget; the ceilings leave ~2x headroom against allocator
-    // jitter.
-    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 25), (MemBudget::bytes(4096), 56)] {
+    // Measured at 6000 pairs: 0.012 calls per pair in memory, 0.129 under
+    // the 4 KiB budget, since the partition holds handles to the map
+    // batch's rows instead of copies and groups are read in place (0.126
+    // and 0.278 with copies and a `Message` per value); the ceilings
+    // leave ~2x headroom against allocator jitter.
+    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 3), (MemBudget::bytes(4096), 26)] {
         let budget = MemoryBudget::new(limit);
         let (allocations, seen) = count_allocations(|| shuffle(&pairs, &budget));
         groups.push(seen);
@@ -211,13 +214,14 @@ fn job_allocations_per_input_fact_stay_under_the_ceiling() {
     let mode = PayloadMode::Reference;
     let msj = build_msj_job(&ctx, &[0, 1, 2, 3], mode, JobConfig::default());
     let eval = build_eval_job(&ctx, mode, JobConfig::default());
-    // Measured: 0.788 allocations per input fact for MSJ and 1.101 for
-    // EVAL since map tasks read their split in place and write keys
-    // straight into the batch (2.39 and 1.44 when every fact was cloned
-    // out of the scan and every key built as an owned tuple; 4.47 and
-    // 1.81 when mappers also resolved variables per fact and reducers
-    // inserted into per-partition sets); the ceilings are 1.25x.
-    for (round, (job, ceiling_per_mille)) in [(&msj, 985), (&eval, 1376)].into_iter().enumerate() {
+    // Measured: 0.467 allocations per input fact for MSJ and 0.091 for
+    // EVAL since reducers read their groups in place (0.788 and 1.101
+    // with a key `Tuple` per group and a `Message` per value; 2.39 and
+    // 1.44 when every fact was also cloned out of the scan and every key
+    // built as an owned tuple; 4.47 and 1.81 when mappers also resolved
+    // variables per fact and reducers inserted into per-partition sets);
+    // the ceilings are 1.25x.
+    for (round, (job, ceiling_per_mille)) in [(&msj, 584), (&eval, 114)].into_iter().enumerate() {
         let facts: u64 = input_facts(&dfs, job);
         let (allocations, stats) =
             count_allocations(|| executor.execute_job(&dfs, job, round).unwrap());
@@ -265,10 +269,10 @@ fn a_map_task_allocates_only_to_grow_its_columns() {
     let (small, small_pairs) = map_task(250);
     let (full, pairs) = map_task(2000);
     assert!(small_pairs > 0 && pairs >= 8 * small_pairs);
-    // Measured: 55 allocations for 1 000 pairs, 73 for 8 000 — the 18
-    // more are three doublings of each of the batch's six growing
-    // columns (key cells, hashes, and the four message columns); the
-    // bound allows three doublings of eight.
+    // Measured: 29 allocations for 1 000 pairs, 38 for 8 000 — the 9
+    // more are three doublings of each of the batch's three growing
+    // columns (key cells, hashes, and the message slots); the bound
+    // allows three doublings of eight.
     assert!(
         full <= small + 3 * 8,
         "{full} allocations for {pairs} pairs vs {small} for {small_pairs}: \
@@ -278,6 +282,77 @@ fn a_map_task_allocates_only_to_grow_its_columns() {
         full * 100 <= 2 * pairs as u64,
         "{full} allocations for {pairs} pairs exceeds 2 per 100 pairs"
     );
+}
+
+/// The reduce side allocates only for what it emits: an A1 MSJ reduce —
+/// handles to the map outputs appended to one partition, sorted and
+/// grouped, every group read in place by the reducer — allocates once per
+/// emitted tuple plus a constant that does not grow with the group
+/// count. A key `Tuple` per group or a `Message` per value would add
+/// thousands.
+#[test]
+fn a_reduce_task_allocates_only_for_what_it_emits() {
+    let reduce = |tuples: usize| {
+        let workload = queries::a1().with_tuples(tuples);
+        let dfs = SimDfs::from_database(&workload.spec.database(7));
+        let ctx = QueryContext::new(workload.query.queries().to_vec()).unwrap();
+        let msj = build_msj_job(
+            &ctx,
+            &[0, 1, 2, 3],
+            PayloadMode::Reference,
+            JobConfig::default(),
+        );
+        // One map task per input relation, mapped before the count.
+        let outputs: Vec<PairBatch> = (msj.inputs.iter())
+            .map(|name| {
+                let scan = dfs.scan(name).unwrap();
+                let mut batch = PairBatch::new();
+                let mut out = Emitter::new(&mut batch);
+                let mut index = 0;
+                scan.for_each(0..scan.len(), &mut |tuple| {
+                    msj.mapper.map(scan.name(), tuple, index, &mut out);
+                    index += 1;
+                })
+                .unwrap();
+                batch
+            })
+            .collect();
+        let rows: Vec<Vec<u32>> = (outputs.iter())
+            .map(|batch| (0..batch.len() as u32).collect())
+            .collect();
+        let pairs: usize = outputs.iter().map(PairBatch::len).sum();
+        let mut emitted = Vec::with_capacity(pairs);
+        let budget = MemoryBudget::new(MemBudget::UNLIMITED);
+        let spill = ShuffleSpill::new("alloc-smoke");
+        let (allocations, groups) = count_allocations(|| {
+            let mut part = BatchPartition::new(0, &budget, &spill, &outputs, 1);
+            for (task, task_rows) in rows.iter().enumerate() {
+                part.push_rows(task, task_rows).unwrap();
+            }
+            let (mut stream, _) = part.into_groups().unwrap();
+            let mut groups = 0;
+            while let Some(group) = stream.next_group().unwrap() {
+                msj.reducer
+                    .reduce(&group, &mut |_, tuple| emitted.push(tuple));
+                groups += 1;
+            }
+            groups
+        });
+        (allocations, emitted.len() as u64, groups)
+    };
+    // Measured: 1 027 allocations for 1 000 emitted tuples over 750
+    // groups, 4 031 for 4 000 over 3 000 — 27 and 31 more than emitted:
+    // the handle buffer's doublings, the sort's vectors and the stream's
+    // scratch. The bound allows 48, at either size.
+    const CONSTANT: u64 = 48;
+    for (tuples, (allocations, emitted, groups)) in [500, 2000].map(|n| (n, reduce(n))) {
+        assert!(emitted > 0 && groups > 500, "A1 at {tuples} tuples");
+        assert!(
+            allocations <= emitted + CONSTANT,
+            "{tuples} tuples: {allocations} allocations for {emitted} emitted tuples \
+             over {groups} groups: the reduce side allocates per group or value"
+        );
+    }
 }
 
 fn input_facts(dfs: &SimDfs, job: &Job) -> u64 {

@@ -8,7 +8,9 @@
 
 use gumbo::common::RelationName;
 use gumbo::datagen::queries;
-use gumbo::mr::{Emitter, Job, JobConfig, Mapper, Message, Payload, Reducer};
+use gumbo::mr::{
+    Emitter, Group, Job, JobConfig, Mapper, Message, MsgView, Payload, PayloadView, Reducer,
+};
 use gumbo::prelude::*;
 
 fn run_with(
@@ -86,22 +88,17 @@ impl Mapper for HotKeyMapper {
 /// the adversarial case for shuffle determinism.
 struct OrderSensitiveReducer;
 impl Reducer for OrderSensitiveReducer {
-    fn reduce(
-        &self,
-        key: &Tuple,
-        values: &[Message],
-        emit: &mut dyn FnMut(&gumbo::common::RelationName, Tuple),
-    ) {
+    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&gumbo::common::RelationName, Tuple)) {
         // Emit the first value only: if value order within a group were
         // nondeterministic, different threads counts would emit different
         // tuples.
-        if let Some(Message::Req {
-            payload: Payload::Tuple(t),
+        if let Some(MsgView::Req {
+            payload: PayloadView::Tuple(t),
             ..
-        }) = values.first()
+        }) = group.values().next()
         {
-            let mut vals: Vec<_> = key.values().to_vec();
-            vals.extend(t.values().iter().cloned());
+            let mut vals: Vec<_> = group.key().to_tuple().values().to_vec();
+            vals.extend(t.to_tuple().values().iter().cloned());
             emit(&"First".into(), Tuple::new(vals));
         }
     }

@@ -169,6 +169,30 @@ fn spans_balance_across_the_execution_matrix() {
                         "{label}: expected one {phase:?} span per job"
                     );
                 }
+                // Every reducer builds and sorts its partition under its
+                // own span, which closes before its reduce function runs
+                // and names the rows, bytes and runs it holds.
+                let partitions = begins("reduce:partition");
+                assert!(
+                    partitions >= jobs,
+                    "{label}: a reduce:partition span per reducer"
+                );
+                assert_eq!(
+                    partitions,
+                    begins("reduce:task"),
+                    "{label}: one reduce:partition span per reduce:task span"
+                );
+                for end in events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::End && e.name == "reduce:partition")
+                {
+                    for field in ["rows", "bytes", "runs"] {
+                        assert!(
+                            field_u64(end, field).is_some(),
+                            "{label}: reduce:partition lacks {field:?}"
+                        );
+                    }
+                }
                 let claims = events
                     .iter()
                     .filter(|e| e.kind == EventKind::Instant && e.name == "sched:claim")
@@ -322,8 +346,7 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     impl gumbo::mr::Reducer for Bomb {
         fn reduce(
             &self,
-            _key: &Tuple,
-            _values: &[gumbo::mr::Message],
+            _group: &gumbo::mr::Group<'_>,
             _emit: &mut dyn FnMut(&RelationName, Tuple),
         ) {
             panic!("reducer bomb");
