@@ -14,7 +14,7 @@
 //! plans" (§5.2, footnote 4).
 
 use gumbo_common::{GumboError, RelationName, Result, Tuple};
-use gumbo_core::oneround::build_one_round_job;
+use gumbo_core::msj::build_one_round_job;
 use gumbo_core::semijoin::{identity_vars, QueryContext};
 use gumbo_core::{BsgfSetPlan, PayloadMode};
 use gumbo_mr::{

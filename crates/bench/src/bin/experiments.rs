@@ -4,7 +4,7 @@
 //! experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|structures|scaling>
 //!             [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify]
 //!             [--executor sim|parallel|parallel:N]
-//!             [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]
+//!             [--trace PATH] [--metrics-dump]
 //! ```
 //!
 //! `all` runs every §5 experiment; their figures are deterministic model
@@ -13,7 +13,7 @@
 //! identical to the serial reference, written to `BENCH_scaling.json`.
 //!
 //! `--trace` records one trace covering the whole experiment run
-//! (Chrome trace-event JSON by default — load it into Perfetto);
+//! (Chrome trace-event JSON — load it into Perfetto);
 //! `--metrics-dump` prints the process-wide counter registry afterward.
 //! A missing or malformed flag value exits with status 2 and a message.
 
@@ -24,7 +24,7 @@ const USAGE: &str = "usage: experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fi
                      costmodel|optimality|ablation|structures|scaling> \
                      [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify] \
                      [--executor sim|parallel|parallel:N] \
-                     [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
+                     [--trace PATH] [--metrics-dump]";
 
 type Experiment = fn(&RunConfig) -> gumbo_common::Result<()>;
 
@@ -82,21 +82,10 @@ fn parse_args(args: &[String]) -> Result<(Experiment, RunConfig), String> {
                     .ok_or_else(|| format!("--executor: sim|parallel|parallel:N, got {spec}"))?;
             }
             "--trace" => cfg.trace = Some(value(args, &mut i)?),
-            "--trace-format" => {
-                let spec: String = value(args, &mut i)?;
-                cfg.trace_format = Some(
-                    gumbo_obs::TraceFormat::parse(&spec)
-                        .map_err(|e| format!("--trace-format: {e}"))?,
-                );
-            }
             "--metrics-dump" => cfg.metrics_dump = true,
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
         i += 1;
-    }
-    if cfg.trace_format.is_some() && cfg.trace.is_none() {
-        // A format without a destination would be a silent no-op.
-        return Err("--trace-format requires --trace PATH".into());
     }
     Ok((run, cfg))
 }
@@ -108,7 +97,7 @@ fn main() {
         std::process::exit(2);
     });
     if let Some(path) = &cfg.trace {
-        if let Err(e) = gumbo_obs::install_trace_file(path, cfg.trace_format) {
+        if let Err(e) = gumbo_obs::install_trace_file(path) {
             eprintln!("--trace {path:?}: {e}");
             std::process::exit(2);
         }
@@ -165,25 +154,5 @@ mod tests {
         let cfg = parse(&["fig3", "--tuples", "400", "--no-verify"]).unwrap();
         assert_eq!((cfg.tuples, cfg.verify), (400, false));
         assert_eq!(parse(&[]).unwrap().tuples, RunConfig::default().tuples);
-    }
-
-    /// A trace format without a trace path is rejected, as `gumbo-cli`
-    /// rejects it, rather than silently ignored.
-    #[test]
-    fn trace_format_requires_trace() {
-        let err = parse(&["structures", "--trace-format", "jsonl"]).unwrap_err();
-        assert!(
-            err.contains("--trace-format requires --trace PATH"),
-            "{err}"
-        );
-        let cfg = parse(&[
-            "structures",
-            "--trace",
-            "t.jsonl",
-            "--trace-format",
-            "jsonl",
-        ])
-        .unwrap();
-        assert_eq!(cfg.trace_format, Some(gumbo_obs::TraceFormat::Jsonl));
     }
 }

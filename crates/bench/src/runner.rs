@@ -74,8 +74,6 @@ pub struct RunConfig {
     pub executor: ExecutorKind,
     /// Record a trace of the whole experiment to this path (`--trace`).
     pub trace: Option<std::path::PathBuf>,
-    /// Trace encoding (`--trace-format`; Chrome when unset).
-    pub trace_format: Option<gumbo_obs::TraceFormat>,
     /// Print the counter/gauge registry after the run (`--metrics-dump`).
     pub metrics_dump: bool,
 }
@@ -92,7 +90,6 @@ impl Default for RunConfig {
             verify: true,
             executor: ExecutorKind::Simulated,
             trace: None,
-            trace_format: None,
             metrics_dump: false,
         }
     }

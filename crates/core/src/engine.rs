@@ -405,11 +405,6 @@ impl<'a> EvalRequest<'a> {
         self.run(dfs, &combined)
     }
 
-    /// Evaluate a single BSGF query.
-    pub fn run_bsgf(&self, dfs: &dyn Dfs, query: &BsgfQuery) -> Result<ProgramStats> {
-        self.run(dfs, &SgfQuery::single(query.clone()))
-    }
-
     /// Evaluate and return the final output relation alongside statistics.
     pub fn run_with_output(
         &self,
@@ -552,7 +547,10 @@ mod tests {
         let db = random_db(3);
         let engine = GumboEngine::new(EngineConfig::unscaled(), EvalOptions::default());
         let dfs = gumbo_storage::SimDfs::from_database(&db);
-        let stats = engine.eval().run_bsgf(&dfs, &q).unwrap();
+        let stats = engine
+            .eval()
+            .run(&dfs, &SgfQuery::single(q.clone()))
+            .unwrap();
         // Fused: exactly one job, one round.
         assert_eq!(stats.num_jobs(), 1);
         assert_eq!(stats.num_rounds(), 1);

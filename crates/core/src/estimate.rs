@@ -39,8 +39,10 @@ use gumbo_sgf::Atom;
 pub use gumbo_storage::RelStats;
 use gumbo_storage::{reservoir_sample, Dfs};
 
-use crate::plan::{BsgfSetPlan, PayloadMode};
-use crate::semijoin::{cond_groups, identity_vars, FusedRequest, QueryContext, SemiJoin};
+use crate::eval::{eval_inputs, EvalInput};
+use crate::msj::{x_arity, RequestJob, RequestPayload};
+use crate::plan::{BsgfSetPlan, PayloadMode, PlanJob};
+use crate::semijoin::{identity_vars, QueryContext};
 
 /// Per-value byte weight (the paper's data layout).
 const VALUE_BYTES: f64 = 10.0;
@@ -207,39 +209,11 @@ impl<'a> Estimator<'a> {
 
     // ----------------------------------------------------------- sizes --
 
-    fn payload_bytes(sj: &SemiJoin, mode: PayloadMode) -> f64 {
-        match mode {
-            PayloadMode::Full => VALUE_BYTES * sj.identity_vars.len() as f64,
-            PayloadMode::Reference => VALUE_BYTES,
-        }
-    }
-
-    fn x_tuple_bytes(sj: &SemiJoin, mode: PayloadMode) -> f64 {
-        match mode {
-            PayloadMode::Full => VALUE_BYTES * sj.identity_vars.len() as f64,
-            PayloadMode::Reference => 2.0 * VALUE_BYTES,
-        }
-    }
-
-    /// Upper bound on the `Xᵢ` relation of a semi-join (`|Xᵢ| ≤ |α|`).
-    fn x_upper_bound(&self, sj: &SemiJoin, mode: PayloadMode) -> Result<RelStats> {
-        let guard = self.catalog.get(sj.guard.relation())?;
-        let tuples = (guard.tuples as f64 * self.conform_rate(&sj.guard)).round() as u64;
-        Ok(RelStats {
-            bytes: ByteSize::bytes((tuples as f64 * Self::x_tuple_bytes(sj, mode)).round() as u64),
-            tuples,
-            arity: match mode {
-                PayloadMode::Full => sj.identity_vars.len(),
-                PayloadMode::Reference => 2,
-            },
-        })
-    }
-
-    /// Upper bound on a query's output (`|Z| ≤ |guard|`), for SGF chaining.
-    pub fn output_upper_bound(&self, query: &gumbo_sgf::BsgfQuery) -> Result<RelStats> {
-        let guard = self.catalog.get(query.guard().relation())?;
-        let tuples = (guard.tuples as f64 * self.conform_rate(query.guard())).round() as u64;
-        let arity = query.output_vars().len();
+    /// Upper bound on a relation written from the facts conforming to
+    /// `guard`, `arity` values each (`|Xᵢ| ≤ |α|`, `|Z| ≤ |guard|`).
+    fn guarded_upper_bound(&self, guard: &Atom, arity: usize) -> Result<RelStats> {
+        let stats = self.catalog.get(guard.relation())?;
+        let tuples = (stats.tuples as f64 * self.conform_rate(guard)).round() as u64;
         Ok(RelStats {
             bytes: ByteSize::bytes((tuples as f64 * VALUE_BYTES * arity as f64).round() as u64),
             tuples,
@@ -247,91 +221,56 @@ impl<'a> Estimator<'a> {
         })
     }
 
-    // -------------------------------------------------------- profiles --
-
-    /// Estimated profile of `MSJ(group)` — the generalization of Eq. 5.
-    pub fn msj_profile(
-        &self,
-        ctx: &QueryContext,
-        group: &[usize],
-        mode: PayloadMode,
-        cfg: &JobConfig,
-    ) -> Result<JobProfile> {
-        let sjs: Vec<&SemiJoin> = group.iter().map(|&i| ctx.semijoin(i)).collect();
-        let (assert_groups, _) = cond_groups(&sjs);
-
-        // Same input ordering as `build_msj_job`: guards first, then conds.
-        let mut inputs: Vec<RelationName> = Vec::new();
-        for sj in &sjs {
-            if !inputs.contains(sj.guard.relation()) {
-                inputs.push(sj.guard.relation().clone());
-            }
-        }
-        for (atom, _) in &assert_groups {
-            if !inputs.contains(atom.relation()) {
-                inputs.push(atom.relation().clone());
-            }
-        }
-
-        let mut partitions = Vec::with_capacity(inputs.len());
-        for rel in &inputs {
-            let stats = self.catalog.get(rel)?;
-            let mut out_bytes = 0.0f64;
-            let mut records = 0.0f64;
-            for sj in &sjs {
-                if sj.guard.relation() == rel {
-                    let n = stats.tuples as f64 * self.conform_rate(&sj.guard);
-                    out_bytes += n
-                        * (VALUE_BYTES * sj.join_key.len() as f64
-                            + HEADER_BYTES
-                            + Self::payload_bytes(sj, mode));
-                    records += n;
-                }
-            }
-            for (atom, key) in &assert_groups {
-                if atom.relation() == rel {
-                    let n = stats.tuples as f64 * self.conform_rate(atom);
-                    out_bytes += n * (VALUE_BYTES * key.len() as f64 + HEADER_BYTES);
-                    records += n;
-                }
-            }
-            partitions.push(InputPartition {
-                label: rel.to_string(),
-                input: stats.bytes,
-                map_output: ByteSize::bytes(out_bytes.round() as u64),
-                records_out: records.round() as u64,
-                mappers: cfg.mappers_for(stats.bytes),
-            });
-        }
-
-        let total_in: ByteSize = partitions.iter().map(|p| p.input).sum();
-        let total_m: ByteSize = partitions.iter().map(|p| p.map_output).sum();
-        let mut output = ByteSize::ZERO;
-        for sj in &sjs {
-            output += self.x_upper_bound(sj, mode)?.bytes;
-        }
-        Ok(JobProfile {
-            partitions,
-            reducers: cfg.reducer_policy.reducers(total_in, total_m),
-            output,
-        })
+    /// Upper bound on a query's output (`|Z| ≤ |guard|`), for SGF chaining.
+    pub fn output_upper_bound(&self, query: &gumbo_sgf::BsgfQuery) -> Result<RelStats> {
+        self.guarded_upper_bound(query.guard(), query.output_vars().len())
     }
 
-    /// Full [`JobEstimate`] of `MSJ(group)` for the shared estimation
-    /// layer: the same profile [`Estimator::msj_cost`] prices, packaged
-    /// with its cost decomposition, shuffle/output sizes and suggested
-    /// parallelism so the DAG scheduler can place and size the job.
-    pub fn msj_estimate(
+    // -------------------------------------------------------- profiles --
+
+    /// Estimated profile of one job of a plan — Eq. 5 generalized for MSJ
+    /// and 1-ROUND, Eq. 7 for EVAL: one partition per input, in the job's
+    /// input order.
+    pub fn profile(
         &self,
         ctx: &QueryContext,
-        group: &[usize],
-        mode: PayloadMode,
+        job: PlanJob<'_>,
+        cfg: &JobConfig,
+    ) -> Result<JobProfile> {
+        match job {
+            PlanJob::Msj(group, mode) => {
+                self.request_profile(&RequestJob::msj(ctx, group, mode), cfg)
+            }
+            PlanJob::OneRound(fused) => {
+                self.request_profile(&RequestJob::one_round(ctx, fused), cfg)
+            }
+            PlanJob::Eval(mode) => self.eval_profile(ctx, mode, cfg),
+        }
+    }
+
+    /// Full [`JobEstimate`] of one job of a plan for the shared estimation
+    /// layer: the profile the planner prices, packaged with its cost
+    /// decomposition, shuffle/output sizes and suggested parallelism so
+    /// the DAG scheduler can place and size the job.
+    pub fn estimate(
+        &self,
+        ctx: &QueryContext,
+        job: PlanJob<'_>,
         cfg: &JobConfig,
     ) -> Result<JobEstimate> {
+        let profile = self.profile(ctx, job, cfg)?;
         Ok(JobEstimate::from_profile(
             self.model,
             &self.constants,
-            &self.msj_profile(ctx, group, mode, cfg)?,
+            &profile,
+        ))
+    }
+
+    fn cost(&self, ctx: &QueryContext, job: PlanJob<'_>, cfg: &JobConfig) -> Result<f64> {
+        Ok(job_cost(
+            self.model,
+            &self.constants,
+            &self.profile(ctx, job, cfg)?,
         ))
     }
 
@@ -343,199 +282,160 @@ impl<'a> Estimator<'a> {
         mode: PayloadMode,
         cfg: &JobConfig,
     ) -> Result<f64> {
-        Ok(job_cost(
-            self.model,
-            &self.constants,
-            &self.msj_profile(ctx, group, mode, cfg)?,
-        ))
+        self.cost(ctx, PlanJob::Msj(group, mode), cfg)
     }
 
-    /// Estimated profile of the set's EVAL job — Eq. 7 generalized.
-    pub fn eval_profile(
+    /// Profile of a request/assert job, read off the description the job
+    /// is built from. Per input, one stream per target relation guarded
+    /// there — `n · Σ` over the target's requests: one term per semi-join
+    /// in MSJ, one per query in 1-ROUND — and one per assert group.
+    fn request_profile(&self, job: &RequestJob, cfg: &JobConfig) -> Result<JobProfile> {
+        let mut inputs = Vec::new();
+        for rel in job.inputs() {
+            let stats = self.catalog.get(&rel)?;
+            let mut streams = Vec::new();
+            for run in job.targets().filter(|run| run[0].guard.relation() == &rel) {
+                let bytes = (run.iter())
+                    .map(|r| {
+                        let payload = match &r.payload {
+                            RequestPayload::Project(coords) => VALUE_BYTES * coords.len() as f64,
+                            RequestPayload::Reference(_) => VALUE_BYTES,
+                        };
+                        VALUE_BYTES * r.key.len() as f64 + HEADER_BYTES + payload
+                    })
+                    .sum();
+                streams.push(Stream {
+                    rate: self.conform_rate(&run[0].guard),
+                    bytes,
+                    records: run.len() as f64,
+                });
+            }
+            for (atom, key) in job.asserts.iter().filter(|(a, _)| a.relation() == &rel) {
+                streams.push(Stream {
+                    rate: self.conform_rate(atom),
+                    bytes: VALUE_BYTES * key.len() as f64 + HEADER_BYTES,
+                    records: 1.0,
+                });
+            }
+            inputs.push((rel, stats, streams));
+        }
+        let mut output = ByteSize::ZERO;
+        for run in job.targets() {
+            output += self
+                .guarded_upper_bound(&run[0].guard, run[0].payload.arity())?
+                .bytes;
+        }
+        Ok(assemble(inputs, output, cfg))
+    }
+
+    /// Profile of the set's EVAL job: every `Xᵢ` at its upper bound, tagged
+    /// once per tuple, then the guard re-reads.
+    fn eval_profile(
         &self,
         ctx: &QueryContext,
         mode: PayloadMode,
         cfg: &JobConfig,
     ) -> Result<JobProfile> {
-        let mut partitions = Vec::new();
-        // X inputs.
-        for sj in ctx.semijoins() {
-            let x = self.x_upper_bound(sj, mode)?;
-            let per_tuple = Self::x_tuple_bytes(sj, mode) + HEADER_BYTES;
-            partitions.push(InputPartition {
-                label: sj.x_name.to_string(),
-                input: x.bytes,
-                map_output: ByteSize::bytes((x.tuples as f64 * per_tuple).round() as u64),
-                records_out: x.tuples,
-                mappers: cfg.mappers_for(x.bytes),
-            });
-        }
-        // Guard re-reads (deduplicated).
-        let mut guard_rels: Vec<RelationName> = Vec::new();
-        for q in ctx.queries() {
-            if !guard_rels.contains(q.guard().relation()) {
-                guard_rels.push(q.guard().relation().clone());
-            }
-        }
-        for rel in &guard_rels {
-            let stats = self.catalog.get(rel)?;
-            let mut out_bytes = 0.0;
-            let mut records = 0.0;
-            for q in ctx.queries() {
-                if q.guard().relation() == rel {
-                    let n = stats.tuples as f64 * self.conform_rate(q.guard());
-                    let ident = identity_vars(q.guard()).len() as f64;
-                    let per = match mode {
-                        // key = identity tuple, value = 4 B tag
-                        PayloadMode::Full => VALUE_BYTES * ident + HEADER_BYTES,
-                        // key = (guard, id), value = header + full tuple
-                        PayloadMode::Reference => {
-                            2.0 * VALUE_BYTES
-                                + HEADER_BYTES
-                                + VALUE_BYTES * q.guard().arity() as f64
-                        }
+        let mut inputs = Vec::new();
+        for input in eval_inputs(ctx) {
+            inputs.push(match input {
+                EvalInput::X(sj) => {
+                    let arity = x_arity(sj, mode);
+                    let x = self.guarded_upper_bound(&sj.guard, arity)?;
+                    let tag = Stream {
+                        rate: 1.0,
+                        bytes: VALUE_BYTES * arity as f64 + HEADER_BYTES,
+                        records: 1.0,
                     };
-                    out_bytes += n * per;
-                    records += n;
+                    (sj.x_name.clone(), x, vec![tag])
                 }
-            }
-            partitions.push(InputPartition {
-                label: rel.to_string(),
-                input: stats.bytes,
-                map_output: ByteSize::bytes(out_bytes.round() as u64),
-                records_out: records.round() as u64,
-                mappers: cfg.mappers_for(stats.bytes),
+                EvalInput::Guard(rel) => {
+                    let guarded = ctx.queries().iter().filter(|q| q.guard().relation() == rel);
+                    let streams = guarded
+                        .map(|q| Stream {
+                            rate: self.conform_rate(q.guard()),
+                            bytes: match mode {
+                                // key = identity tuple, value = 4 B tag
+                                PayloadMode::Full => {
+                                    VALUE_BYTES * identity_vars(q.guard()).len() as f64
+                                        + HEADER_BYTES
+                                }
+                                // key = (guard, id), value = header + full tuple
+                                PayloadMode::Reference => {
+                                    2.0 * VALUE_BYTES
+                                        + HEADER_BYTES
+                                        + VALUE_BYTES * q.guard().arity() as f64
+                                }
+                            },
+                            records: 1.0,
+                        })
+                        .collect();
+                    (rel.clone(), self.catalog.get(rel)?, streams)
+                }
             });
         }
-
-        let total_in: ByteSize = partitions.iter().map(|p| p.input).sum();
-        let total_m: ByteSize = partitions.iter().map(|p| p.map_output).sum();
         let mut output = ByteSize::ZERO;
         for q in ctx.queries() {
             output += self.output_upper_bound(q)?.bytes;
         }
-        Ok(JobProfile {
-            partitions,
-            reducers: cfg.reducer_policy.reducers(total_in, total_m),
-            output,
-        })
-    }
-
-    /// Full [`JobEstimate`] of the set's EVAL job.
-    pub fn eval_estimate(
-        &self,
-        ctx: &QueryContext,
-        mode: PayloadMode,
-        cfg: &JobConfig,
-    ) -> Result<JobEstimate> {
-        Ok(JobEstimate::from_profile(
-            self.model,
-            &self.constants,
-            &self.eval_profile(ctx, mode, cfg)?,
-        ))
-    }
-
-    /// Estimated cost of the EVAL job.
-    pub fn eval_cost(&self, ctx: &QueryContext, mode: PayloadMode, cfg: &JobConfig) -> Result<f64> {
-        Ok(job_cost(
-            self.model,
-            &self.constants,
-            &self.eval_profile(ctx, mode, cfg)?,
-        ))
-    }
-
-    /// Estimated profile of the fused 1-ROUND job sending `requests` (the
-    /// set's [`QueryContext::fused_requests`]): per conforming guard tuple
-    /// one request for each of its query's, keyed on that request's join
-    /// key.
-    pub fn one_round_profile(
-        &self,
-        ctx: &QueryContext,
-        requests: &[Vec<FusedRequest>],
-        cfg: &JobConfig,
-    ) -> Result<JobProfile> {
-        let sjs: Vec<&SemiJoin> = ctx.semijoins().iter().collect();
-        let (assert_groups, _) = cond_groups(&sjs);
-        let mut inputs: Vec<RelationName> = Vec::new();
-        for q in ctx.queries() {
-            if !inputs.contains(q.guard().relation()) {
-                inputs.push(q.guard().relation().clone());
-            }
-        }
-        for (atom, _) in &assert_groups {
-            if !inputs.contains(atom.relation()) {
-                inputs.push(atom.relation().clone());
-            }
-        }
-        let mut partitions = Vec::new();
-        for rel in &inputs {
-            let stats = self.catalog.get(rel)?;
-            let mut out_bytes = 0.0;
-            let mut records = 0.0;
-            for (q, query_requests) in ctx.queries().iter().zip(requests) {
-                if q.guard().relation() == rel {
-                    let n = stats.tuples as f64 * self.conform_rate(q.guard());
-                    let out_w = VALUE_BYTES * q.output_vars().len() as f64;
-                    let per_tuple: f64 = (query_requests.iter())
-                        .map(|r| VALUE_BYTES * r.key.len() as f64 + HEADER_BYTES + out_w)
-                        .sum();
-                    out_bytes += n * per_tuple;
-                    records += n * query_requests.len() as f64;
-                }
-            }
-            for (atom, key) in &assert_groups {
-                if atom.relation() == rel {
-                    let n = stats.tuples as f64 * self.conform_rate(atom);
-                    out_bytes += n * (VALUE_BYTES * key.len() as f64 + HEADER_BYTES);
-                    records += n;
-                }
-            }
-            partitions.push(InputPartition {
-                label: rel.to_string(),
-                input: stats.bytes,
-                map_output: ByteSize::bytes(out_bytes.round() as u64),
-                records_out: records.round() as u64,
-                mappers: cfg.mappers_for(stats.bytes),
-            });
-        }
-        let total_in: ByteSize = partitions.iter().map(|p| p.input).sum();
-        let total_m: ByteSize = partitions.iter().map(|p| p.map_output).sum();
-        let mut output = ByteSize::ZERO;
-        for q in ctx.queries() {
-            output += self.output_upper_bound(q)?.bytes;
-        }
-        Ok(JobProfile {
-            partitions,
-            reducers: cfg.reducer_policy.reducers(total_in, total_m),
-            output,
-        })
-    }
-
-    /// Full [`JobEstimate`] of the fused 1-ROUND job.
-    pub fn one_round_estimate(
-        &self,
-        ctx: &QueryContext,
-        requests: &[Vec<FusedRequest>],
-        cfg: &JobConfig,
-    ) -> Result<JobEstimate> {
-        Ok(JobEstimate::from_profile(
-            self.model,
-            &self.constants,
-            &self.one_round_profile(ctx, requests, cfg)?,
-        ))
+        Ok(assemble(inputs, output, cfg))
     }
 
     /// Estimated total cost of a full plan for the query set (Eq. 9).
     pub fn plan_cost(&self, ctx: &QueryContext, plan: &BsgfSetPlan) -> Result<f64> {
-        if let Some(requests) = &plan.one_round {
-            let profile = self.one_round_profile(ctx, requests, &plan.job_config)?;
-            return Ok(job_cost(self.model, &self.constants, &profile));
+        let cfg = &plan.job_config;
+        if let Some(fused) = &plan.one_round {
+            return self.cost(ctx, PlanJob::OneRound(fused), cfg);
         }
-        let mut total = self.eval_cost(ctx, plan.mode, &plan.job_config)?;
+        let mut total = self.cost(ctx, PlanJob::Eval(plan.mode), cfg)?;
         for group in &plan.groups {
-            total += self.msj_cost(ctx, group, plan.mode, &plan.job_config)?;
+            total += self.msj_cost(ctx, group, plan.mode, cfg)?;
         }
         Ok(total)
+    }
+}
+
+/// One map-output stream of a job input, per input fact: the share of the
+/// input's facts that send it, and the bytes and records each of them
+/// emits.
+struct Stream {
+    rate: f64,
+    bytes: f64,
+    records: f64,
+}
+
+/// The one per-input profile assembly: a partition per input, in the
+/// job's input order, whose map output sums `n · bytes` over the input's
+/// streams (`n` = the input's facts that send the stream), with the
+/// config's mapper and reducer counts.
+fn assemble(
+    inputs: Vec<(RelationName, RelStats, Vec<Stream>)>,
+    output: ByteSize,
+    cfg: &JobConfig,
+) -> JobProfile {
+    let partitions: Vec<InputPartition> = (inputs.into_iter())
+        .map(|(rel, stats, streams)| {
+            let (mut bytes, mut records) = (0.0f64, 0.0f64);
+            for s in streams {
+                let n = stats.tuples as f64 * s.rate;
+                bytes += n * s.bytes;
+                records += n * s.records;
+            }
+            InputPartition {
+                label: rel.to_string(),
+                input: stats.bytes,
+                map_output: ByteSize::bytes(bytes.round() as u64),
+                records_out: records.round() as u64,
+                mappers: cfg.mappers_for(stats.bytes),
+            }
+        })
+        .collect();
+    let total_in: ByteSize = partitions.iter().map(|p| p.input).sum();
+    let total_m: ByteSize = partitions.iter().map(|p| p.map_output).sum();
+    JobProfile {
+        partitions,
+        reducers: cfg.reducer_policy.reducers(total_in, total_m),
+        output,
     }
 }
 
@@ -592,15 +492,12 @@ mod tests {
         let ctx = a1_ctx();
         let est = estimator(&dfs);
         let cfg = JobConfig::default();
-        let grouped = est
-            .msj_profile(&ctx, &[0, 1, 2, 3], PayloadMode::Reference, &cfg)
-            .unwrap();
-        let singles: Vec<JobProfile> = (0..4)
-            .map(|i| {
-                est.msj_profile(&ctx, &[i], PayloadMode::Reference, &cfg)
-                    .unwrap()
-            })
-            .collect();
+        let msj = |group: &[usize]| {
+            let job = PlanJob::Msj(group, PayloadMode::Reference);
+            est.profile(&ctx, job, &cfg).unwrap()
+        };
+        let grouped = msj(&[0, 1, 2, 3]);
+        let singles: Vec<JobProfile> = (0..4).map(|i| msj(&[i])).collect();
         let singles_input: ByteSize = singles.iter().map(|p| p.total_input()).sum();
         assert!(grouped.total_input() < singles_input);
         // Intermediate data is the same work either way (no packing model
@@ -634,12 +531,9 @@ mod tests {
         let ctx = a1_ctx();
         let est = estimator(&dfs);
         let cfg = JobConfig::default();
-        let full = est
-            .msj_profile(&ctx, &[0, 1, 2, 3], PayloadMode::Full, &cfg)
-            .unwrap();
-        let reference = est
-            .msj_profile(&ctx, &[0, 1, 2, 3], PayloadMode::Reference, &cfg)
-            .unwrap();
+        let all = [0, 1, 2, 3];
+        let profile = |mode| est.profile(&ctx, PlanJob::Msj(&all, mode), &cfg).unwrap();
+        let (full, reference) = (profile(PayloadMode::Full), profile(PayloadMode::Reference));
         assert!(reference.total_map_output() < full.total_map_output());
     }
 
@@ -696,7 +590,7 @@ mod tests {
         let c_par = est.plan_cost(&ctx, &plan_par).unwrap();
         let c_one = est.plan_cost(&ctx, &plan_one).unwrap();
         assert!(c_one < c_par);
-        let eval = est.eval_cost(&ctx, PayloadMode::Reference, &cfg).unwrap();
+        let eval = (est.cost(&ctx, PlanJob::Eval(PayloadMode::Reference), &cfg)).unwrap();
         let msj_all = est
             .msj_cost(&ctx, &[0, 1, 2, 3], PayloadMode::Reference, &cfg)
             .unwrap();

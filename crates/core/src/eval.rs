@@ -18,7 +18,7 @@ use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, 
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
-use crate::semijoin::QueryContext;
+use crate::semijoin::{QueryContext, SemiJoin};
 
 /// Per-query mapper/reducer state. Variable sequences are resolved to
 /// coordinates when the job is built.
@@ -134,6 +134,29 @@ impl Reducer for EvalReducer {
     }
 }
 
+/// An input of the EVAL job.
+pub(crate) enum EvalInput<'c> {
+    /// A semi-join's `Xᵢ`.
+    X(&'c SemiJoin),
+    /// A guard relation, re-read.
+    Guard(&'c RelationName),
+}
+
+/// The EVAL job's inputs, in order: every `Xᵢ`, then the distinct guard
+/// relations — the guard re-read of optimization (2) / the X₀ read of
+/// Eq. 7.
+pub(crate) fn eval_inputs(ctx: &QueryContext) -> Vec<EvalInput<'_>> {
+    let mut inputs: Vec<EvalInput<'_>> = ctx.semijoins().iter().map(EvalInput::X).collect();
+    let mut guards: Vec<&RelationName> = Vec::new();
+    for q in ctx.queries() {
+        if !guards.contains(&q.guard().relation()) {
+            guards.push(q.guard().relation());
+            inputs.push(EvalInput::Guard(q.guard().relation()));
+        }
+    }
+    inputs
+}
+
 /// Build the `EVAL` job for all queries of a [`QueryContext`].
 pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) -> Job {
     let num_queries = ctx.queries().len() as u32;
@@ -176,18 +199,15 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
             Route::X(_) => unreachable!("guards are routed before X relations"),
         }
     }
-    // Inputs: all X relations, then the (deduplicated) guard relations —
-    // the guard re-read of optimization (2) / the X₀ read of Eq. 7.
-    let mut inputs: Vec<RelationName> = Vec::new();
     for sj in ctx.semijoins() {
-        inputs.push(sj.x_name.clone());
         routes.insert(sj.x_name.clone(), Route::X(num_queries + sj.id as u32));
     }
-    for q in &queries {
-        if !inputs.contains(q.guard.relation()) {
-            inputs.push(q.guard.relation().clone());
-        }
-    }
+    let inputs = (eval_inputs(ctx).into_iter())
+        .map(|input| match input {
+            EvalInput::X(sj) => sj.x_name.clone(),
+            EvalInput::Guard(rel) => rel.clone(),
+        })
+        .collect();
 
     let outputs: Vec<(RelationName, usize)> = queries
         .iter()

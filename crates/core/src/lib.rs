@@ -18,12 +18,11 @@ pub mod engine;
 pub mod estimate;
 pub mod eval;
 pub mod msj;
-pub mod oneround;
 pub mod plan;
 pub mod planner;
 pub mod semijoin;
 
 pub use engine::{EvalOptions, EvalRequest, Grouping, GumboEngine, SortStrategy};
 pub use estimate::Estimator;
-pub use plan::{BsgfSetPlan, PayloadMode};
+pub use plan::{BsgfSetPlan, PayloadMode, PlanJob};
 pub use semijoin::{QueryContext, SemiJoin};

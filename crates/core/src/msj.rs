@@ -1,134 +1,250 @@
-//! The `MSJ(S)` job: Algorithm 1 of the paper.
+//! The request/assert operator: the `MSJ(S)` job of Algorithm 1 (§4.1)
+//! and the fused 1-ROUND job of §5.1 (4), one map/reduce pattern.
 //!
-//! One MapReduce job evaluating a *set* of semi-joins:
+//! A job is a list of requests plus the assert groups their formulas
+//! read:
 //!
-//! * the mapper emits, for every fact conforming to some guard `αᵢ`, a
-//!   request `⟨π_{αᵢ;z̄ᵢ}(f) : [Req (κᵢ, i); Out …]⟩`, and for every fact
-//!   conforming to some conditional `κᵢ` an assert
-//!   `⟨π_{κᵢ;z̄ᵢ}(f) : [Assert κᵢ]⟩`;
-//! * the reducer outputs a request's payload into `Xᵢ` iff the group also
-//!   contains an assert for `κᵢ`.
+//! * the mapper emits, for every fact conforming to the guard of request
+//!   `r`, a request `⟨π_key(f) : [Req r; Out payload]⟩`, and for every
+//!   fact conforming to the atom of assert group `g` an assert
+//!   `⟨π_key(f) : [Assert g]⟩`;
+//! * the reducer writes a request's payload into the request's target iff
+//!   the request's formula holds over the assert groups present at its key.
 //!
-//! Two Gumbo refinements are wired in:
-//! * **assert sharing**: semi-joins whose `(κ, z̄)` coincide (e.g. the two
-//!   queries of A5) share a single assert stream (`cond_groups`);
-//! * **payload mode**: requests carry either the full guard identity tuple
-//!   or a `(guard, id)` reference (§5.1 (2)).
+//! The two jobs are two ways of filling the request list:
+//!
+//! * **MSJ** ([`build_msj_job`]): one request per semi-join
+//!   `Xᵢ := α ⋉ κᵢ`, keyed on its join key, with formula `Var(g)` for
+//!   `κᵢ`'s assert group and target `Xᵢ`. The payload is the guard identity
+//!   tuple or a `(guard, id)` reference (§5.1 (2)), per [`PayloadMode`].
+//! * **1-ROUND** ([`build_one_round_job`]): the set's
+//!   [`QueryContext::fused_requests`]. A query fuses when the atoms of every
+//!   top-level disjunct of its condition share one non-empty join key; each
+//!   distinct key is one request deciding the OR of that key's disjuncts,
+//!   with the guard's output projection as payload and the query's output
+//!   as target. The paper's two triggers are the ends of this rule: every
+//!   atom on one key is one request, an OR of literals on distinct keys is
+//!   one request per literal. The answer is the union of what a query's
+//!   requests emit (set semantics deduplicate), so no second round and no
+//!   `Xᵢ` intermediates are needed.
+//!
+//! Semi-joins whose `(κ, z̄)` coincide (e.g. the two queries of A5) share a
+//! single assert stream (`cond_groups`). When every formula is false with
+//! no assert present — always so for MSJ — the reducer skips a group
+//! without asserts before reading its requests.
 
-use gumbo_common::{RelationName, Tuple, Value};
+use gumbo_common::{RelationName, Tuple};
 use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Payload, Reducer};
-use gumbo_sgf::Atom;
+use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
-use crate::semijoin::{assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin};
+use crate::semijoin::{
+    assert_projections, cond_groups, AssertProjection, FusedRequest, QueryContext, SemiJoin,
+};
 
-/// Per-semi-join mapper state: the guard plus the coordinates of its join
-/// key and identity variables, resolved when the job is built.
+/// What a request carries to its target.
 #[derive(Debug, Clone)]
-struct SjSpec {
-    guard: Atom,
-    join_key: Vec<usize>,
-    identity: Vec<usize>,
-    guard_idx: u32,
+pub(crate) enum RequestPayload {
+    /// The guard fact projected on these coordinates.
+    Project(Vec<usize>),
+    /// A `(guard, id)` reference to the guard fact (§5.1 (2)).
+    Reference(u32),
 }
 
-/// The MSJ map function.
-///
-/// With `salts > 1` the mapper applies the skew adaptation the paper
-/// sketches in §6: request keys are extended with a deterministic salt in
-/// `0..salts` (spreading a heavy join key over `salts` reduce groups) and
-/// every assert is replicated to all salts.
-struct MsjMapper {
-    mode: PayloadMode,
-    sjs: Vec<SjSpec>,
-    asserts: Vec<AssertProjection>,
-    salts: u32,
-}
-
-impl MsjMapper {
-    /// Emit `msg` on `π_key(tuple)`, extended with `salt` when salting
-    /// (an owned key; the projection is written in place otherwise).
-    fn emit(&self, out: &mut Emitter<'_>, tuple: &Tuple, key: &[usize], salt: u32, msg: Message) {
-        if self.salts <= 1 {
-            return out.project(tuple, key, msg);
+impl RequestPayload {
+    /// Arity of the tuple the payload stores in the target.
+    pub(crate) fn arity(&self) -> usize {
+        match self {
+            RequestPayload::Project(coords) => coords.len(),
+            RequestPayload::Reference(_) => 2,
         }
-        let mut values: Vec<Value> = key.iter().map(|&i| tuple.values()[i].clone()).collect();
-        values.push(Value::Int(i64::from(salt)));
-        out.key(&values, msg);
     }
 }
 
-impl Mapper for MsjMapper {
+/// One request stream: facts conforming to `guard` send `payload` to `key`
+/// (coordinates within the guard), where the reducer writes it to `target`
+/// when `formula` holds over the job's assert groups.
+#[derive(Debug, Clone)]
+pub(crate) struct Request {
+    pub(crate) guard: Atom,
+    pub(crate) key: Vec<usize>,
+    pub(crate) payload: RequestPayload,
+    pub(crate) target: RelationName,
+    pub(crate) formula: BoolExpr,
+}
+
+/// A request/assert job before it is lowered: the one description the job
+/// builders and the estimator read.
+#[derive(Debug)]
+pub(crate) struct RequestJob {
+    /// The job name's prefix: `MSJ` or `1ROUND`.
+    kind: &'static str,
+    /// In `cond` order; the requests of one target are adjacent.
+    pub(crate) requests: Vec<Request>,
+    /// The assert groups, in `cond` order, keyed on coordinates within
+    /// their atom.
+    pub(crate) asserts: Vec<AssertProjection>,
+}
+
+impl RequestJob {
+    /// `MSJ(group)`: one single-atom request per semi-join of `group`.
+    pub(crate) fn msj(ctx: &QueryContext, group: &[usize], mode: PayloadMode) -> RequestJob {
+        let sjs: Vec<&SemiJoin> = group.iter().map(|&i| ctx.semijoin(i)).collect();
+        let (asserts, assignment) = cond_groups(&sjs);
+        let requests = (sjs.iter())
+            .map(|sj| Request {
+                guard: sj.guard.clone(),
+                key: sj.guard.projection(&sj.join_key),
+                payload: match mode {
+                    PayloadMode::Full => {
+                        RequestPayload::Project(sj.guard.projection(&sj.identity_vars))
+                    }
+                    PayloadMode::Reference => RequestPayload::Reference(sj.query_idx as u32),
+                },
+                target: sj.x_name.clone(),
+                formula: BoolExpr::Var(assignment[&sj.id]),
+            })
+            .collect();
+        RequestJob {
+            kind: "MSJ",
+            requests,
+            asserts: assert_projections(&asserts),
+        }
+    }
+
+    /// The fused 1-ROUND job of the whole set, sending `fused`.
+    pub(crate) fn one_round(ctx: &QueryContext, fused: &[Vec<FusedRequest>]) -> RequestJob {
+        let sjs: Vec<&SemiJoin> = ctx.semijoins().iter().collect();
+        let (asserts, assignment) = cond_groups(&sjs);
+        let mut requests = Vec::new();
+        for (q, query_requests) in ctx.queries().iter().zip(fused) {
+            let output = q.guard().projection(q.output_vars());
+            for req in query_requests {
+                requests.push(Request {
+                    guard: q.guard().clone(),
+                    key: q.guard().projection(&req.key),
+                    payload: RequestPayload::Project(output.clone()),
+                    target: q.output().clone(),
+                    formula: req.formula.map_vars(&|sj| assignment[&sj]),
+                });
+            }
+        }
+        RequestJob {
+            kind: "1ROUND",
+            requests,
+            asserts: assert_projections(&asserts),
+        }
+    }
+
+    /// Every relation the job reads, once: request guards first, then
+    /// assert atoms. A relation that guards several requests and/or
+    /// asserts is still read once — the point of grouping.
+    pub(crate) fn inputs(&self) -> Vec<RelationName> {
+        let mut inputs: Vec<RelationName> = Vec::new();
+        let atoms =
+            (self.requests.iter().map(|r| &r.guard)).chain(self.asserts.iter().map(|a| &a.0));
+        for atom in atoms {
+            if !inputs.contains(atom.relation()) {
+                inputs.push(atom.relation().clone());
+            }
+        }
+        inputs
+    }
+
+    /// The requests of each target relation, in target order.
+    pub(crate) fn targets(&self) -> impl Iterator<Item = &[Request]> + '_ {
+        self.requests.chunk_by(|a, b| a.target == b.target)
+    }
+
+    /// Whether every formula is false with no assert present, so a reduce
+    /// group without asserts emits nothing.
+    fn needs_assert(&self) -> bool {
+        (self.requests.iter()).all(|r| !r.formula.evaluate(&|_| false))
+    }
+
+    fn into_job(self, config: JobConfig) -> Job {
+        let inputs = self.inputs();
+        let outputs: Vec<(RelationName, usize)> = (self.targets())
+            .map(|run| (run[0].target.clone(), run[0].payload.arity()))
+            .collect();
+        let names: Vec<&str> = outputs.iter().map(|(o, _)| o.as_str()).collect();
+        let name = format!("{}({})", self.kind, names.join(","));
+        let needs_assert = self.needs_assert();
+        Job {
+            name,
+            inputs,
+            outputs,
+            mapper: Box::new(RequestMapper {
+                requests: self.requests.clone(),
+                asserts: self.asserts,
+            }),
+            reducer: Box::new(RequestReducer {
+                requests: self.requests,
+                needs_assert,
+            }),
+            config,
+            estimate: None,
+        }
+    }
+}
+
+struct RequestMapper {
+    requests: Vec<Request>,
+    asserts: Vec<AssertProjection>,
+}
+
+impl Mapper for RequestMapper {
     fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>) {
-        let salts = self.salts.max(1);
-        // Guard side: one request per semi-join this fact guards.
-        for (local, sj) in self.sjs.iter().enumerate() {
-            if sj.guard.conforms(relation, tuple) {
-                let payload = match self.mode {
-                    PayloadMode::Full => Payload::Tuple(tuple.project(&sj.identity)),
-                    PayloadMode::Reference => Payload::Ref {
-                        guard: sj.guard_idx,
+        for (r, req) in self.requests.iter().enumerate() {
+            if req.guard.conforms(relation, tuple) {
+                let payload = match &req.payload {
+                    RequestPayload::Project(coords) => Payload::Tuple(tuple.project(coords)),
+                    RequestPayload::Reference(guard) => Payload::Ref {
+                        guard: *guard,
                         id: index,
                     },
                 };
-                // Salt from the tuple identity so the same guard tuple is
-                // routed consistently.
-                let salt = (index % u64::from(salts)) as u32;
                 let msg = Message::Req {
-                    cond: local as u32,
+                    cond: r as u32,
                     payload,
                 };
-                self.emit(out, tuple, &sj.join_key, salt, msg);
+                out.project(tuple, &req.key, msg);
             }
         }
-        // Conditional side: one assert per *assert group* (shared streams),
-        // replicated to every salt so each salted request group sees it.
-        for (group_idx, (atom, key_positions)) in self.asserts.iter().enumerate() {
+        for (g, (atom, key)) in self.asserts.iter().enumerate() {
             if atom.conforms(relation, tuple) {
-                for salt in 0..salts {
-                    let msg = Message::Assert {
-                        cond: group_idx as u32,
-                    };
-                    self.emit(out, tuple, key_positions, salt, msg);
-                }
+                out.project(tuple, key, Message::Assert { cond: g as u32 });
             }
         }
     }
 }
 
-/// The MSJ reduce function.
-struct MsjReducer {
-    /// local semi-join index → (output `Xᵢ`, assert group index).
-    routes: Vec<(RelationName, u32)>,
+struct RequestReducer {
+    requests: Vec<Request>,
+    /// Every formula is false when no assert is present.
+    needs_assert: bool,
 }
 
-impl Reducer for MsjReducer {
+impl Reducer for RequestReducer {
     fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        let present = present_asserts(group);
-        if present.is_empty() {
+        let present: IdSet = (group.values())
+            .filter_map(|v| match v {
+                MsgView::Assert { cond } => Some(cond),
+                _ => None,
+            })
+            .collect();
+        if self.needs_assert && present.is_empty() {
             return;
         }
         for v in group.values() {
             if let MsgView::Req { cond, payload } = v {
-                let (x_name, assert_group) = &self.routes[cond as usize];
-                if present.contains(*assert_group) {
-                    emit(x_name, payload.to_tuple());
+                let req = &self.requests[cond as usize];
+                if req.formula.evaluate(&|g| present.contains(g as u32)) {
+                    emit(&req.target, payload.to_tuple());
                 }
             }
         }
     }
-}
-
-/// The assert groups present in one reduce group, which the MSJ and the
-/// fused 1-ROUND reducers test requests against.
-pub(crate) fn present_asserts(group: &Group<'_>) -> IdSet {
-    group
-        .values()
-        .filter_map(|v| match v {
-            MsgView::Assert { cond } => Some(cond),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Arity of the `Xᵢ` relation for a semi-join under a payload mode.
@@ -146,83 +262,32 @@ pub fn build_msj_job(
     mode: PayloadMode,
     config: JobConfig,
 ) -> Job {
-    build_msj_job_salted(ctx, group, mode, config, 1)
+    RequestJob::msj(ctx, group, mode).into_job(config)
 }
 
-/// Build an `MSJ` job with heavy-hitter key salting (§6): request keys are
-/// spread over `salts` sub-keys and asserts replicated accordingly, at the
-/// price of `salts×` assert volume. `salts = 1` disables the adaptation.
-pub fn build_msj_job_salted(
+/// Build the fused 1-ROUND job for a whole query set, sending `fused`: the
+/// set's [`QueryContext::fused_requests`].
+pub fn build_one_round_job(
     ctx: &QueryContext,
-    group: &[usize],
-    mode: PayloadMode,
+    fused: &[Vec<FusedRequest>],
     config: JobConfig,
-    salts: u32,
 ) -> Job {
-    let sjs: Vec<&SemiJoin> = group.iter().map(|&i| ctx.semijoin(i)).collect();
-    let (assert_groups, assignment) = cond_groups(&sjs);
-
-    let specs: Vec<SjSpec> = sjs
-        .iter()
-        .map(|sj| SjSpec {
-            guard: sj.guard.clone(),
-            join_key: sj.guard.projection(&sj.join_key),
-            identity: sj.guard.projection(&sj.identity_vars),
-            guard_idx: sj.query_idx as u32,
-        })
-        .collect();
-    let routes: Vec<(RelationName, u32)> = sjs
-        .iter()
-        .map(|sj| (sj.x_name.clone(), assignment[&sj.id] as u32))
-        .collect();
-
-    // Inputs: every distinct relation read by the job, guards first. Each
-    // relation is read exactly once even when it guards several semi-joins
-    // and/or appears as a conditional — the point of grouping.
-    let mut inputs: Vec<RelationName> = Vec::new();
-    for sj in &sjs {
-        if !inputs.contains(sj.guard.relation()) {
-            inputs.push(sj.guard.relation().clone());
-        }
-    }
-    for (atom, _) in &assert_groups {
-        if !inputs.contains(atom.relation()) {
-            inputs.push(atom.relation().clone());
-        }
-    }
-
-    let outputs: Vec<(RelationName, usize)> = sjs
-        .iter()
-        .map(|sj| (sj.x_name.clone(), x_arity(sj, mode)))
-        .collect();
-
-    let x_list: Vec<String> = sjs.iter().map(|sj| sj.x_name.to_string()).collect();
-    Job {
-        name: format!("MSJ({})", x_list.join(",")),
-        inputs,
-        outputs,
-        mapper: Box::new(MsjMapper {
-            mode,
-            sjs: specs,
-            asserts: assert_projections(&assert_groups),
-            salts,
-        }),
-        reducer: Box::new(MsjReducer { routes }),
-        config,
-        estimate: None,
-    }
+    RequestJob::one_round(ctx, fused).into_job(config)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use gumbo_common::{Fact, Relation};
-    use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
-    use gumbo_sgf::parse_query;
-    use gumbo_storage::SimDfs;
+    use std::collections::BTreeSet;
 
-    fn dfs_with(facts: &[(&str, &[i64])], arities: &[(&str, usize)]) -> SimDfs {
-        let mut db = gumbo_common::Database::new();
+    use super::*;
+    use gumbo_common::{Database, Fact, Relation};
+    use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
+    use gumbo_sgf::{parse_query, NaiveEvaluator};
+    use gumbo_storage::SimDfs;
+    use proptest::prelude::*;
+
+    fn db(facts: &[(&str, &[i64])], arities: &[(&str, usize)]) -> Database {
+        let mut db = Database::new();
         for (name, arity) in arities {
             db.add_relation(Relation::new(*name, *arity));
         }
@@ -230,7 +295,11 @@ mod tests {
             db.insert_fact(Fact::new(*rel, Tuple::from_ints(t)))
                 .unwrap();
         }
-        SimDfs::from_database(&db)
+        db
+    }
+
+    fn dfs_with(facts: &[(&str, &[i64])], arities: &[(&str, usize)]) -> SimDfs {
+        SimDfs::from_database(&db(facts, arities))
     }
 
     fn run_msj(ctx: &QueryContext, group: &[usize], mode: PayloadMode, dfs: &SimDfs) {
@@ -360,5 +429,254 @@ mod tests {
         let x = dfs.peek(&"Z#X0".into()).unwrap();
         assert_eq!(x.len(), 1);
         assert!(x.contains(&Tuple::from_ints(&[1])));
+    }
+
+    #[test]
+    fn only_msj_style_formulas_skip_groups_without_asserts() {
+        // MSJ's Var(g) and a monotone fused formula are false with no
+        // assert present; a negated literal is not.
+        let ctx = |text: &str| QueryContext::new(vec![parse_query(text).unwrap()]).unwrap();
+        let c = ctx("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND NOT T(y);");
+        assert!(RequestJob::msj(&c, &[0, 1], PayloadMode::Full).needs_assert());
+        let same_key = ctx("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(x);");
+        let fused = same_key.fused_requests().unwrap();
+        assert!(RequestJob::one_round(&same_key, &fused).needs_assert());
+        let negated = ctx("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) OR NOT T(y);");
+        let fused = negated.fused_requests().unwrap();
+        assert!(!RequestJob::one_round(&negated, &fused).needs_assert());
+    }
+
+    fn run_fused(job: Job, database: &Database) -> SimDfs {
+        let dfs = SimDfs::from_database(database);
+        let mut program = MrProgram::new();
+        program.push_job(job);
+        // Fused 1-ROUND jobs run on the multi-threaded runtime here, so
+        // every naive-evaluator comparison below also covers it.
+        ExecutorKind::Parallel { threads: 2 }
+            .build(EngineConfig::unscaled())
+            .execute(&dfs, &program)
+            .unwrap();
+        dfs
+    }
+
+    /// Fuse the query `text`, run it over `d` and compare with the naive
+    /// evaluator; returns the query's number of requests and its answer.
+    fn check_fused(text: &str, d: &Database) -> (usize, Relation) {
+        let q = parse_query(text).unwrap();
+        let expected = NaiveEvaluator::new().evaluate_bsgf(&q, d).unwrap();
+        let ctx = QueryContext::new(vec![q.clone()]).unwrap();
+        let requests = ctx.fused_requests().expect("fusible");
+        let job = build_one_round_job(&ctx, &requests, JobConfig::default());
+        let dfs = run_fused(job, d);
+        assert_eq!(dfs.peek(q.output()).unwrap().as_ref(), &expected, "{text}");
+        (requests[0].len(), expected)
+    }
+
+    /// Fuse the set of queries `texts` and compare every output with the
+    /// naive evaluator; returns the job's name and inputs.
+    fn check_fused_set(texts: &[&str], d: &Database) -> (String, Vec<RelationName>) {
+        let qs: Vec<_> = texts.iter().map(|t| parse_query(t).unwrap()).collect();
+        let naive = NaiveEvaluator::new();
+        let expected: Vec<Relation> = (qs.iter())
+            .map(|q| naive.evaluate_bsgf(q, d).unwrap())
+            .collect();
+        let ctx = QueryContext::new(qs.clone()).unwrap();
+        let job = build_one_round_job(&ctx, &ctx.fused_requests().unwrap(), JobConfig::default());
+        let (name, inputs) = (job.name.clone(), job.inputs.clone());
+        let dfs = run_fused(job, d);
+        for (q, e) in qs.iter().zip(&expected) {
+            assert!(!e.is_empty(), "{}", q.output());
+            assert_eq!(dfs.peek(q.output()).unwrap().as_ref(), e);
+        }
+        (name, inputs)
+    }
+
+    #[test]
+    fn same_key_fusion_matches_naive() {
+        // A3 shape with mixed AND/OR/NOT, all on key x: one request.
+        let d = db(
+            &[
+                ("R", &[1, 10]),
+                ("R", &[2, 20]),
+                ("R", &[3, 30]),
+                ("S", &[1]),
+                ("S", &[2]),
+                ("T", &[1]),
+                ("U", &[2]),
+            ],
+            &[("R", 2), ("S", 1), ("T", 1), ("U", 1)],
+        );
+        let text = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND (T(x) OR NOT U(x));";
+        let (requests, expected) = check_fused(text, &d);
+        assert_eq!(requests, 1);
+        // R(1,10) only: R(2,20) has U(2) and no T(2), R(3,30) no S(3).
+        assert_eq!(expected.len(), 1);
+        assert!(expected.contains(&Tuple::from_ints(&[1, 10])));
+    }
+
+    #[test]
+    fn same_key_rejects_mixed_keys() {
+        let q = parse_query("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(y);").unwrap();
+        let ctx = QueryContext::new(vec![q]).unwrap();
+        assert!(ctx.fused_requests().is_none());
+    }
+
+    #[test]
+    fn b2_uniqueness_query_fused() {
+        // B2: tuples connected to exactly one of S,T via x (reduced form).
+        // Both disjuncts are on x, so they share one request.
+        let d = db(
+            &[
+                ("R", &[1, 0]), // only S -> in
+                ("R", &[2, 0]), // only T -> in
+                ("R", &[3, 0]), // both -> out
+                ("R", &[4, 0]), // neither -> out
+                ("S", &[1]),
+                ("S", &[3]),
+                ("T", &[2]),
+                ("T", &[3]),
+            ],
+            &[("R", 2), ("S", 1), ("T", 1)],
+        );
+        let text = "Z := SELECT (x, y) FROM R(x, y) WHERE \
+                    (S(x) AND NOT T(x)) OR (NOT S(x) AND T(x));";
+        let (requests, expected) = check_fused(text, &d);
+        assert_eq!(requests, 1);
+        assert_eq!(expected.len(), 2);
+    }
+
+    #[test]
+    fn disjunctive_fusion_matches_naive() {
+        // C4 shape: OR over different keys, with a negated literal. The
+        // two literals on x share a request; NOT T(y) has its own.
+        let d = db(
+            &[
+                ("R", &[1, 10]), // S(1) -> in
+                ("R", &[2, 20]), // T(20) present, no S/U -> out
+                ("R", &[3, 30]), // no T(30) -> in via NOT T
+                ("S", &[1]),
+                ("T", &[10]),
+                ("T", &[20]),
+            ],
+            &[("R", 2), ("S", 1), ("T", 1), ("U", 1)],
+        );
+        let text = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) OR NOT T(y) OR U(x);";
+        let (requests, expected) = check_fused(text, &d);
+        assert_eq!(requests, 2);
+        // R(1,10): T(10) holds so NOT T fails, but S fires -> included once.
+        assert!(expected.contains(&Tuple::from_ints(&[1, 10])));
+    }
+
+    #[test]
+    fn disjunctive_rejects_conjunctions() {
+        for text in [
+            // A disjunct that joins on two keys.
+            "Z := SELECT (x, y) FROM R(x, y) WHERE (S(x) AND T(y)) OR U(x);",
+            // NOT over a disjunction is one disjunct over two keys.
+            "Z := SELECT (x, y) FROM R(x, y) WHERE NOT (S(x) OR T(y));",
+            // An atom that shares no variable with the guard.
+            "Z := SELECT x FROM R(x) WHERE S(x) OR T(q);",
+            // No condition at all.
+            "Z := SELECT x FROM R(x);",
+        ] {
+            let ctx = QueryContext::new(vec![parse_query(text).unwrap()]).unwrap();
+            assert!(ctx.fused_requests().is_none(), "{text}");
+        }
+    }
+
+    #[test]
+    fn multi_query_same_key_fusion() {
+        // Two A3-like queries fused into one job, sharing S's assert stream.
+        let d = db(
+            &[
+                ("R", &[1, 0]),
+                ("R", &[2, 0]),
+                ("G", &[1, 5]),
+                ("G", &[9, 5]),
+                ("S", &[1]),
+                ("S", &[2]),
+                ("T", &[1]),
+            ],
+            &[("R", 2), ("G", 2), ("S", 1), ("T", 1)],
+        );
+        let (_, inputs) = check_fused_set(
+            &[
+                "Z1 := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(x);",
+                "Z2 := SELECT (x, y) FROM G(x, y) WHERE S(x);",
+            ],
+            &d,
+        );
+        assert_eq!(inputs, ["R", "G", "S", "T"].map(RelationName::from));
+    }
+
+    #[test]
+    fn multi_query_fusion_mixes_both_shapes() {
+        // A same-key and a disjunctive query in one job, sharing S's
+        // assert stream.
+        let d = db(
+            &[
+                ("R", &[1, 0]),
+                ("R", &[2, 0]),
+                ("G", &[1, 5]),
+                ("G", &[9, 2]),
+                ("G", &[9, 5]),
+                ("S", &[1]),
+                ("S", &[2]),
+                ("T", &[1]),
+                ("T", &[2]),
+            ],
+            &[("R", 2), ("G", 2), ("S", 1), ("T", 1)],
+        );
+        let (name, inputs) = check_fused_set(
+            &[
+                "Z1 := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(x);",
+                "Z2 := SELECT (x, y) FROM G(x, y) WHERE S(x) OR T(y);",
+            ],
+            &d,
+        );
+        assert_eq!(name, "1ROUND(Z1,Z2)");
+        assert_eq!(inputs, ["R", "G", "S", "T"].map(RelationName::from));
+    }
+
+    /// A condition over `S`, `T` and `U` atoms on the placeholder key
+    /// `{k}`, under NOT, AND and OR.
+    fn arb_same_key_part() -> impl Strategy<Value = String> {
+        let leaf = (0usize..3).prop_map(|r| format!("{}({{k}})", ["S", "T", "U"][r]));
+        leaf.prop_recursive(2, 6, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|c| format!("(NOT {c})")),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} AND {b})")),
+                (inner.clone(), inner).prop_map(|(a, b)| format!("({a} OR {b})")),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// An OR of same-key parts on random keys — the paper's two
+        /// triggers and everything between — fuses into one request per
+        /// distinct key and agrees with the naive evaluator.
+        #[test]
+        fn or_of_same_key_parts_fuses_correctly(
+            parts in proptest::collection::vec((arb_same_key_part(), 0usize..2), 1..4),
+            rows in proptest::collection::vec((0i64..5, 0i64..5), 1..24),
+            conds in proptest::collection::vec((0usize..3, 0i64..5), 0..9),
+        ) {
+            let keys: BTreeSet<usize> = parts.iter().map(|(_, k)| *k).collect();
+            let condition: Vec<String> =
+                parts.iter().map(|(p, k)| p.replace("{k}", ["x", "y"][*k])).collect();
+            let text =
+                format!("Z := SELECT (x, y) FROM R(x, y) WHERE {};", condition.join(" OR "));
+            let mut d = db(&[], &[("R", 2), ("S", 1), ("T", 1), ("U", 1)]);
+            for &(x, y) in &rows {
+                d.insert_fact(Fact::new("R", Tuple::from_ints(&[x, y]))).unwrap();
+            }
+            for &(r, v) in &conds {
+                d.insert_fact(Fact::new(["S", "T", "U"][r], Tuple::from_ints(&[v])))
+                    .unwrap();
+            }
+            prop_assert_eq!(check_fused(&text, &d).0, keys.len(), "{}", text);
+        }
     }
 }

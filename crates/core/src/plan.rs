@@ -8,12 +8,11 @@
 use std::fmt;
 
 use gumbo_common::Result;
-use gumbo_mr::{JobConfig, MrProgram};
+use gumbo_mr::{Job, JobConfig, MrProgram};
 
 use crate::estimate::Estimator;
 use crate::eval::build_eval_job;
-use crate::msj::build_msj_job;
-use crate::oneround::build_one_round_job;
+use crate::msj::{build_msj_job, build_one_round_job};
 use crate::semijoin::{FusedRequest, QueryContext};
 
 /// How requests identify their guard tuple (§5.1 (2)).
@@ -26,6 +25,29 @@ pub enum PayloadMode {
     /// bytes that are shuffled".
     #[default]
     Reference,
+}
+
+/// One job of a plan: what [`BsgfSetPlan::build_program`] lowers and
+/// [`Estimator::estimate`] prices.
+#[derive(Debug, Clone, Copy)]
+pub enum PlanJob<'p> {
+    /// `MSJ(group)` under a payload mode.
+    Msj(&'p [usize], PayloadMode),
+    /// The fused 1-ROUND job sending these requests.
+    OneRound(&'p [Vec<FusedRequest>]),
+    /// The set's EVAL job under a payload mode.
+    Eval(PayloadMode),
+}
+
+impl PlanJob<'_> {
+    /// Lower to an executable job.
+    pub fn build(self, ctx: &QueryContext, config: JobConfig) -> Job {
+        match self {
+            PlanJob::Msj(group, mode) => build_msj_job(ctx, group, mode, config),
+            PlanJob::OneRound(fused) => build_one_round_job(ctx, fused, config),
+            PlanJob::Eval(mode) => build_eval_job(ctx, mode, config),
+        }
+    }
 }
 
 /// A plan for one set of BSGF queries.
@@ -68,7 +90,7 @@ impl BsgfSetPlan {
     }
 
     /// The fused 1-ROUND plan sending `requests`, the set's
-    /// [`QueryContext::fused_requests`] (see [`crate::oneround`]).
+    /// [`QueryContext::fused_requests`] (see [`crate::msj`]).
     pub fn one_round(requests: Vec<Vec<FusedRequest>>, job_config: JobConfig) -> Self {
         BsgfSetPlan {
             groups: Vec::new(),
@@ -86,10 +108,23 @@ impl BsgfSetPlan {
         }
     }
 
-    /// Lower the plan to an executable MapReduce program.
-    ///
-    /// 2-round plans produce: round 1 = all MSJ jobs (concurrent),
-    /// round 2 = the EVAL job. 1-ROUND plans produce a single job.
+    /// The plan's jobs, round by round: the 1-ROUND job alone, or the MSJ
+    /// jobs (concurrent) and then the EVAL job.
+    pub fn rounds(&self) -> Vec<Vec<PlanJob<'_>>> {
+        match &self.one_round {
+            Some(fused) => vec![vec![PlanJob::OneRound(fused)]],
+            None => vec![
+                (self.groups.iter())
+                    .filter(|g| !g.is_empty())
+                    .map(|g| PlanJob::Msj(g, self.mode))
+                    .collect(),
+                vec![PlanJob::Eval(self.mode)],
+            ],
+        }
+    }
+
+    /// Lower the plan to an executable MapReduce program, one round per
+    /// entry of [`BsgfSetPlan::rounds`].
     pub fn build_program(&self, ctx: &QueryContext) -> Result<MrProgram> {
         self.build(ctx, None)
     }
@@ -110,18 +145,9 @@ impl BsgfSetPlan {
     }
 
     fn build(&self, ctx: &QueryContext, est: Option<&Estimator<'_>>) -> Result<MrProgram> {
-        let mut program = MrProgram::new();
-        if let Some(requests) = &self.one_round {
-            let mut job = build_one_round_job(ctx, requests, self.job_config);
-            job.estimate =
-                est.and_then(|e| e.one_round_estimate(ctx, requests, &self.job_config).ok());
-            program.push_job(job);
-            return Ok(program);
-        }
-        let mut covered = vec![false; ctx.semijoins().len()];
-        let mut msj_jobs = Vec::with_capacity(self.groups.len());
-        for group in &self.groups {
-            for &i in group {
+        if self.one_round.is_none() {
+            let mut covered = vec![false; ctx.semijoins().len()];
+            for &i in self.groups.iter().flatten() {
                 if covered[i] {
                     return Err(gumbo_common::GumboError::Plan(format!(
                         "semi-join {i} appears in two groups"
@@ -129,22 +155,24 @@ impl BsgfSetPlan {
                 }
                 covered[i] = true;
             }
-            if !group.is_empty() {
-                let mut job = build_msj_job(ctx, group, self.mode, self.job_config);
-                job.estimate =
-                    est.and_then(|e| e.msj_estimate(ctx, group, self.mode, &self.job_config).ok());
-                msj_jobs.push(job);
+            if let Some(missing) = covered.iter().position(|&c| !c) {
+                return Err(gumbo_common::GumboError::Plan(format!(
+                    "semi-join {missing} not covered by any group"
+                )));
             }
         }
-        if let Some(missing) = covered.iter().position(|&c| !c) {
-            return Err(gumbo_common::GumboError::Plan(format!(
-                "semi-join {missing} not covered by any group"
-            )));
+        let cfg = self.job_config;
+        let mut program = MrProgram::new();
+        for round in self.rounds() {
+            let jobs = (round.into_iter())
+                .map(|planned| {
+                    let mut job = planned.build(ctx, cfg);
+                    job.estimate = est.and_then(|e| e.estimate(ctx, planned, &cfg).ok());
+                    job
+                })
+                .collect();
+            program.push_round(jobs);
         }
-        program.push_round(msj_jobs);
-        let mut eval = build_eval_job(ctx, self.mode, self.job_config);
-        eval.estimate = est.and_then(|e| e.eval_estimate(ctx, self.mode, &self.job_config).ok());
-        program.push_job(eval);
         Ok(program)
     }
 }

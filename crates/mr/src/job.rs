@@ -46,8 +46,8 @@ impl<'a> Emitter<'a> {
     }
 
     /// Emit `⟨key : msg⟩` for a key that is not a projection: an owned
-    /// tuple's [`Tuple::values`], or a stack array of integers (a salted
-    /// key, EVAL's `(j, id)`).
+    /// tuple's [`Tuple::values`], or a stack array of integers (EVAL's
+    /// `(j, id)`).
     pub fn key(&mut self, key: &[Value], msg: Message) {
         self.batch.push_values(key, &msg);
     }

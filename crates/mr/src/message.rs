@@ -1,11 +1,13 @@
 //! Intermediate key-value messages.
 //!
-//! The MSJ and EVAL jobs of the paper exchange a small vocabulary of
-//! messages (§4.1–§4.3):
+//! The MSJ/1-ROUND and EVAL jobs of the paper exchange a small vocabulary
+//! of messages (§4.1–§4.3):
 //!
-//! * `[Req (κᵢ, i); Out ā]` — a guard fact asks whether a conditional fact
-//!   with its join key exists, and says what to output if so;
-//! * `[Assert κᵢ]` — a conditional fact asserts its existence;
+//! * `[Req r; Out ā]` — a guard fact sends request `r` of its job, which
+//!   asks whether conditional facts with its join key exist, and says what
+//!   to output if its formula holds;
+//! * `[Assert g]` — a conditional fact of assert group `g` asserts its
+//!   existence;
 //! * EVAL's tag messages `⟨ā : i⟩` — "tuple ā belongs to relation Xᵢ";
 //! * guard-tuple messages used when the *reference* optimization (§5.1 (2))
 //!   makes EVAL re-read the guard relation.
@@ -48,15 +50,17 @@ impl Payload {
 /// A map-output value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Message {
-    /// `[Assert κᵢ]`: a conditional fact for atom `i` exists with this key.
+    /// `[Assert g]`: a conditional fact of assert group `g` exists with
+    /// this key.
     Assert {
-        /// Index of the conditional atom (semi-join) within the job.
+        /// Index of the assert group within the job.
         cond: u32,
     },
-    /// `[Req (κᵢ, i); Out payload]`: output `payload` into `Xᵢ` if an assert
-    /// for atom `i` arrives at the same key.
+    /// `[Req r; Out payload]`: output `payload` into request `r`'s target
+    /// if its formula holds over the asserts at the same key.
     Req {
-        /// Index of the conditional atom (semi-join) within the job.
+        /// Index of the request within the job (for MSJ, the semi-join's
+        /// position in the job's group).
         cond: u32,
         /// What to emit on success.
         payload: Payload,
@@ -122,12 +126,12 @@ impl PayloadView<'_> {
 pub enum MsgView<'a> {
     /// [`Message::Assert`].
     Assert {
-        /// Index of the conditional atom (semi-join) within the job.
+        /// Index of the assert group within the job.
         cond: u32,
     },
     /// [`Message::Req`].
     Req {
-        /// Index of the conditional atom (semi-join) within the job.
+        /// Index of the request within the job.
         cond: u32,
         /// What to emit on success.
         payload: PayloadView<'a>,

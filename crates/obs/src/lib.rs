@@ -26,9 +26,9 @@
 //! assert_eq!(ring.events().len(), 3); // begin, instant, end
 //! ```
 //!
-//! Three sinks are provided ([`sink`]): an in-memory ring buffer for
-//! tests, a JSONL writer, and a Chrome trace-event exporter
-//! (`chrome://tracing` / Perfetto) keyed by worker-thread lanes.
+//! Two sinks are provided ([`sink`]): an in-memory ring buffer for
+//! tests and a Chrome trace-event exporter (`chrome://tracing` /
+//! Perfetto) keyed by worker-thread lanes.
 //! Timestamps are monotonic nanoseconds since the first install;
 //! each OS thread gets a small dense lane id on first emission, so
 //! spans opened and closed on one thread nest correctly in a timeline.
@@ -41,7 +41,7 @@ pub use metrics::{
     metrics_enabled, metrics_reset, metrics_snapshot, print_metrics, set_metrics_enabled, Counter,
     Gauge, MetricKind,
 };
-pub use sink::{install_trace_file, ChromeTraceSink, JsonlSink, RingSink, TraceFormat, TraceSink};
+pub use sink::{install_trace_file, ChromeTraceSink, RingSink, TraceSink};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,7 +1,6 @@
 //! Trace sinks: where emitted [`Event`]s go.
 //!
 //! * [`RingSink`] — bounded in-memory buffer; the test workhorse.
-//! * [`JsonlSink`] — one JSON object per line; greppable, streamable.
 //! * [`ChromeTraceSink`] — the Chrome trace-event array format, loadable
 //!   in `chrome://tracing` or <https://ui.perfetto.dev>; thread lanes
 //!   map to trace `tid`s so per-lane Begin/End pairs render as nested
@@ -25,38 +24,11 @@ pub trait TraceSink: Send + Sync {
     fn finish(&self) {}
 }
 
-/// File trace format selected by `--trace-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Chrome trace-event JSON array (default; Perfetto-loadable).
-    Chrome,
-    /// One JSON object per line.
-    Jsonl,
-}
-
-impl TraceFormat {
-    /// Parse a `--trace-format` value.
-    pub fn parse(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "chrome" => Ok(TraceFormat::Chrome),
-            "jsonl" => Ok(TraceFormat::Jsonl),
-            other => Err(format!(
-                "unknown trace format '{other}' (expected chrome|jsonl)"
-            )),
-        }
-    }
-}
-
-/// Install the process-global file sink a `--trace PATH
-/// [--trace-format F]` pair asks for (Chrome when no format is given).
-/// The caller owns the matching [`crate::uninstall`], which finalizes
-/// the file.
-pub fn install_trace_file(path: &Path, format: Option<TraceFormat>) -> std::io::Result<()> {
-    let sink: std::sync::Arc<dyn TraceSink> = match format.unwrap_or(TraceFormat::Chrome) {
-        TraceFormat::Chrome => std::sync::Arc::new(ChromeTraceSink::create(path)?),
-        TraceFormat::Jsonl => std::sync::Arc::new(JsonlSink::create(path)?),
-    };
-    crate::install(sink);
+/// Install the process-global Chrome trace sink a `--trace PATH` asks
+/// for. The caller owns the matching [`crate::uninstall`], which
+/// finalizes the file.
+pub fn install_trace_file(path: &Path) -> std::io::Result<()> {
+    crate::install(std::sync::Arc::new(ChromeTraceSink::create(path)?));
     Ok(())
 }
 
@@ -138,23 +110,8 @@ fn args_json(fields: &[Field]) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL
+// Chrome trace events
 // ---------------------------------------------------------------------------
-
-/// Streaming sink writing one JSON object per event per line:
-/// `{"ts_ns":..,"lane":..,"ph":"B|E|i","name":..,"args":{..}}`.
-pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Create (truncating) the file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-}
 
 fn phase_code(kind: EventKind) -> &'static str {
     match kind {
@@ -163,28 +120,6 @@ fn phase_code(kind: EventKind) -> &'static str {
         EventKind::Instant => "i",
     }
 }
-
-impl TraceSink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let line = Json::obj([
-            ("ts_ns", Json::Int(event.ts_ns)),
-            ("lane", Json::Int(event.lane)),
-            ("ph", Json::Str(phase_code(event.kind).to_string())),
-            ("name", Json::Str(event.name.to_string())),
-            ("args", args_json(&event.fields)),
-        ]);
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(out, "{line}");
-    }
-
-    fn finish(&self) {
-        let _ = self.out.lock().unwrap_or_else(|e| e.into_inner()).flush();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace events
-// ---------------------------------------------------------------------------
 
 struct ChromeState {
     out: BufWriter<File>,
@@ -283,33 +218,6 @@ mod tests {
         ring.clear();
         assert!(ring.events().is_empty());
         assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn jsonl_writes_one_parseable_object_per_line() {
-        let path = tmp("jsonl");
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.record(&ev(
-            EventKind::Begin,
-            "map",
-            vec![Field {
-                key: "tasks",
-                value: FieldValue::U64(4),
-            }],
-        ));
-        sink.record(&ev(EventKind::End, "map", Vec::new()));
-        sink.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first = Json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("ph").unwrap().as_str(), Some("B"));
-        assert_eq!(first.get("name").unwrap().as_str(), Some("map"));
-        assert_eq!(
-            first.get("args").unwrap().get("tasks").unwrap().as_u64(),
-            Some(4)
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

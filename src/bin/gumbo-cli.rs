@@ -10,11 +10,11 @@
 //! gumbo-cli shutdown [--addr ADDR]
 //! ```
 //!
-//! One-shot and `serve` share one parser for the eleven flags they have
-//! in common — input (`--preset`, `--tuples`, `--data`), engine sizing
+//! One-shot and `serve` share one parser for the ten flags they have in
+//! common — input (`--preset`, `--tuples`, `--data`), engine sizing
 //! (`--executor`, `--max-jobs`, `--mem-budget`), storage (`--dfs`,
-//! `--dfs-cache`) and recording (`--trace`, `--trace-format`,
-//! `--metrics-dump`) — one checker for the rules between them, one loader
+//! `--dfs-cache`) and recording (`--trace`, `--metrics-dump`) — one
+//! checker for the rules between them, one loader
 //! and one engine builder. The same flags therefore give both modes the
 //! same engine, so a served query is planned, priced and answered exactly
 //! like a one-shot run. The only difference is the documented `--max-jobs`
@@ -48,7 +48,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use gumbo::mr::{ExecutorKind, MemBudget};
-use gumbo::obs::TraceFormat;
 use gumbo::prelude::*;
 // The stats vocabulary is shared with the query service so `--stats-json`
 // documents and streamed `stats` frames speak identical JSON.
@@ -79,7 +78,6 @@ struct Common {
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
     trace: Option<PathBuf>,
-    trace_format: Option<TraceFormat>,
     metrics_dump: bool,
 }
 
@@ -96,7 +94,6 @@ impl Common {
             dfs: DfsSpec::Sim,
             dfs_cache: None,
             trace: None,
-            trace_format: None,
             metrics_dump: false,
         }
     }
@@ -144,11 +141,6 @@ impl Common {
                 );
             }
             "--trace" => self.trace = Some(PathBuf::from(need(i, argv)?)),
-            "--trace-format" => {
-                let spec = need(i, argv)?;
-                self.trace_format =
-                    Some(TraceFormat::parse(&spec).map_err(|e| format!("--trace-format: {e}"))?);
-            }
             "--metrics-dump" => self.metrics_dump = true,
             _ => return Ok(false),
         }
@@ -170,9 +162,6 @@ impl Common {
             }
             _ => {}
         }
-        if self.trace_format.is_some() && self.trace.is_none() {
-            return Err("--trace-format requires --trace PATH".into());
-        }
         if self.dfs_cache.is_some() && matches!(self.dfs, DfsSpec::Sim) {
             // The in-memory DFS has no block cache.
             return Err("--dfs-cache requires --dfs file:PATH".into());
@@ -184,8 +173,7 @@ impl Common {
     /// `gumbo::obs::uninstall` finalizes the trace file.
     fn start_recording(&self) -> Result<(), String> {
         if let Some(path) = &self.trace {
-            gumbo::obs::install_trace_file(path, self.trace_format)
-                .map_err(|e| format!("--trace {path:?}: {e}"))?;
+            gumbo::obs::install_trace_file(path).map_err(|e| format!("--trace {path:?}: {e}"))?;
         }
         if self.metrics_dump {
             gumbo::obs::set_metrics_enabled(true);
@@ -371,8 +359,7 @@ const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per
                      [--max-jobs N] \
                      [--mem-budget BYTES|unlimited] \
                      [--dfs sim|file:PATH] [--dfs-cache BYTES] \
-                     [--trace PATH] [--trace-format chrome|jsonl] \
-                     [--metrics-dump] [--stats-json PATH] \
+                     [--trace PATH] [--metrics-dump] [--stats-json PATH] \
                      [--scale N] [--nodes N] [--out DIR] [--explain]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -561,7 +548,7 @@ const SERVE_USAGE: &str = "usage: gumbo-cli serve [--listen ADDR] \
                            [--executor sim|parallel|parallel:N] [--max-jobs N] \
                            [--mem-budget BYTES|unlimited] \
                            [--queue-cap N] [--inflight N] \
-                           [--trace PATH] [--trace-format chrome|jsonl] [--metrics-dump]";
+                           [--trace PATH] [--metrics-dump]";
 
 fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
     let mut args = ServeArgs {
@@ -877,10 +864,6 @@ mod tests {
             (
                 &["--preset", "a1", "--dfs-cache", "1m"][..],
                 "--dfs-cache requires --dfs file:PATH",
-            ),
-            (
-                &["--preset", "a1", "--trace-format", "jsonl"],
-                "--trace-format requires --trace PATH",
             ),
             (
                 &["--data", "d", "--tuples", "5"],

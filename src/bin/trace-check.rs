@@ -1,15 +1,13 @@
 //! `trace-check` — validate a trace file emitted by `gumbo-cli --trace`.
 //!
-//! Usage: `trace-check PATH [--format chrome|jsonl]`
+//! Usage: `trace-check PATH`
 //!
-//! For Chrome traces the whole file must parse as a JSON array of
-//! trace events, within every `tid` lane the `B`/`E` phase events must
-//! balance like brackets (each `E` closes the most recent open `B` with
-//! the same name), and every event name must come from the known span/
-//! instant vocabulary below — a renamed or typo'd emitter fails here
-//! instead of silently producing an unrecognizable trace. For JSONL
-//! traces every line must parse as a JSON object carrying `ts_ns`,
-//! `lane`, `ph`, and `name`, with the same name validation.
+//! The whole file must parse as a JSON array of Chrome trace events,
+//! within every `tid` lane the `B`/`E` phase events must balance like
+//! brackets (each `E` closes the most recent open `B` with the same
+//! name), and every event name must come from the known span/instant
+//! vocabulary below — a renamed or typo'd emitter fails here instead of
+//! silently producing an unrecognizable trace.
 //!
 //! Exits 0 and prints a one-line summary on success; prints the first
 //! problem to stderr and exits 1 otherwise. CI runs this against the
@@ -19,7 +17,6 @@
 use std::process::ExitCode;
 
 use gumbo::obs::json::Json;
-use gumbo::obs::TraceFormat;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,35 +34,20 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<String, String> {
     let mut path: Option<&str> = None;
-    let mut format = TraceFormat::Chrome;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--format requires a value".to_string())?;
-                format = TraceFormat::parse(value)?;
-                i += 2;
-            }
-            "--help" | "-h" => {
-                return Ok("usage: trace-check PATH [--format chrome|jsonl]".to_string());
-            }
+    for arg in args {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok("usage: trace-check PATH".to_string()),
             arg if arg.starts_with("--") => return Err(format!("unknown flag {arg:?}")),
             arg => {
                 if path.replace(arg).is_some() {
                     return Err("expected exactly one PATH argument".to_string());
                 }
-                i += 1;
             }
         }
     }
-    let path = path.ok_or_else(|| "usage: trace-check PATH [--format chrome|jsonl]".to_string())?;
+    let path = path.ok_or_else(|| "usage: trace-check PATH".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    match format {
-        TraceFormat::Chrome => check_chrome(&text),
-        TraceFormat::Jsonl => check_jsonl(&text),
-    }
+    check_chrome(&text)
 }
 
 /// Every span name the engine emits (`B`/`E` pairs). Grown alongside the
@@ -182,29 +164,6 @@ fn check_chrome(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Validate a JSONL trace: every line is a JSON object with the fields
-/// the sink promises.
-fn check_jsonl(text: &str) -> Result<String, String> {
-    let mut lines = 0u64;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event =
-            Json::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", idx + 1))?;
-        for key in ["ts_ns", "lane", "ph", "name"] {
-            if event.get(key).is_none() {
-                return Err(format!("line {}: missing {key:?}", idx + 1));
-            }
-        }
-        let ph = event.get("ph").and_then(Json::as_str).unwrap_or("");
-        let name = event.get("name").and_then(Json::as_str).unwrap_or("");
-        check_name(idx + 1, ph, name)?;
-        lines += 1;
-    }
-    Ok(format!("ok: {lines} events"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,14 +199,5 @@ mod tests {
     fn chrome_rejects_span_name_as_instant() {
         let err = check_chrome(&format!("[{}]", ev("i", "spill:merge"))).unwrap_err();
         assert!(err.contains("unknown instant name"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_validates_names_too() {
-        let good = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"spill:merge"}
-{"ts_ns":2,"lane":1,"ph":"E","name":"spill:merge"}"#;
-        assert!(check_jsonl(good).is_ok());
-        let bad = r#"{"ts_ns":1,"lane":1,"ph":"B","name":"mystery"}"#;
-        assert!(check_jsonl(bad).unwrap_err().contains("unknown span name"));
     }
 }

@@ -48,10 +48,10 @@
 //! | [`gumbo_common`] | values, tuples, facts, relations, databases |
 //! | [`gumbo_sgf`] | SGF/BSGF ASTs, parser, dependency graphs, naive evaluator |
 //! | [`gumbo_storage`] | `Dfs` trait with simulated and durable file-segment backends, byte accounting, LRU block cache, sampling |
-//! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/JSONL/Chrome-trace sinks |
+//! | [`gumbo_obs`] | zero-dependency tracing and metrics: spans, events, counters, ring/Chrome-trace sinks |
 //! | [`gumbo_mr`] | the `Executor` (one metered map→shuffle→reduce pipeline on a worker pool), job DAGs, cluster model, cost models |
 //! | [`gumbo_sched`] | dependency-driven DAG scheduler, fair-share admission queue charged measured service time |
-//! | [`gumbo_core`] | MSJ, EVAL, 1-ROUND fusion, plans, greedy + optimal planners |
+//! | [`gumbo_core`] | the request/assert operator (MSJ and 1-ROUND fusion), EVAL, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
 //! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
 //! | [`gumbo_datagen`] | the paper's workloads (A1–A5, B1/B2, C1–C4, sweeps) |
@@ -104,9 +104,7 @@ pub mod prelude {
         Cluster, CostConstants, CostModelKind, EngineConfig, Executor, ExecutorKind, JobConfig,
         JobDag, JobEstimate, MrProgram, ProgramStats,
     };
-    pub use gumbo_obs::{
-        ChromeTraceSink, Counter, Gauge, JsonlSink, RingSink, TraceFormat, TraceSink,
-    };
+    pub use gumbo_obs::{ChromeTraceSink, Counter, Gauge, RingSink, TraceSink};
     pub use gumbo_sched::{
         AdmissionQueue, DagScheduler, FairShareLedger, SchedulerConfig, SubmissionReport,
     };

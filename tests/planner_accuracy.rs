@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use gumbo::common::RelationName;
 use gumbo::core::estimate::RelStats;
 use gumbo::core::msj::build_msj_job;
-use gumbo::core::{Estimator, PayloadMode, QueryContext};
+use gumbo::core::{Estimator, PayloadMode, PlanJob, QueryContext};
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
@@ -406,4 +406,72 @@ fn planning_reads_statistics_not_relations() {
             let _ = std::fs::remove_dir_all(&root);
         }
     }
+}
+
+/// Every job of every preset's plan — greedy MSJ groups and EVAL, and the
+/// 1-ROUND job wherever a group fuses — is priced over the inputs it
+/// reads: its estimate's partitions are labelled with `job.inputs`, in
+/// order, and each partition's mapper count is `JobConfig::mappers_for`
+/// of that input's bytes (the store's scaled size when the relation is
+/// materialized at plan time).
+#[test]
+fn estimates_describe_the_jobs_they_annotate() {
+    let mut presets = vec![
+        queries::a1(),
+        queries::a2(),
+        queries::a3(),
+        queries::a4(),
+        queries::a5(),
+        queries::b1(),
+        queries::b2(),
+    ];
+    presets.extend(queries::figure6());
+    let scale = 5_000;
+    let mut fused_jobs = 0;
+    for w in &presets {
+        for enable_one_round in [false, true] {
+            let engine = GumboEngine::new(
+                EngineConfig {
+                    scale,
+                    ..EngineConfig::default()
+                },
+                EvalOptions {
+                    enable_one_round,
+                    ..EvalOptions::default()
+                },
+            );
+            let dfs = SimDfs::from_database(&w.spec.clone().with_tuples(300).database(3));
+            for group in &engine.sort_for(&dfs, &w.query).unwrap() {
+                let ctx = group_context(&w.query, group);
+                let est = engine.estimator(&dfs);
+                let plan = engine.plan_group(&est, &ctx).unwrap();
+                let program = plan.build_program(&ctx).unwrap();
+                let planned = plan.rounds().concat();
+                let jobs: Vec<_> = program.rounds().iter().flatten().collect();
+                assert_eq!(planned.len(), jobs.len(), "{}", w.name);
+                for (&job, built) in planned.iter().zip(jobs) {
+                    fused_jobs += usize::from(matches!(job, PlanJob::OneRound(_)));
+                    let profile = est.profile(&ctx, job, &plan.job_config).unwrap();
+                    let labels: Vec<&str> = profile
+                        .partitions
+                        .iter()
+                        .map(|p| p.label.as_str())
+                        .collect();
+                    let inputs: Vec<&str> = built.inputs.iter().map(|r| r.as_str()).collect();
+                    assert_eq!(labels, inputs, "{}: {}", w.name, built.name);
+                    for (part, input) in profile.partitions.iter().zip(&built.inputs) {
+                        if let Ok(stats) = dfs.stat(input) {
+                            assert_eq!(part.input, stats.bytes.scaled(scale), "{input}");
+                        }
+                        let mappers = plan.job_config.mappers_for(part.input);
+                        assert_eq!(part.mappers, mappers, "{}: {input}", built.name);
+                    }
+                }
+                // Materialize the group: the next one plans over its output.
+                engine.runtime().execute(&dfs, &program).unwrap();
+            }
+        }
+    }
+    // A3, B2, C1 and C4 fuse.
+    assert!(fused_jobs >= 4, "{fused_jobs} 1-ROUND jobs");
 }
