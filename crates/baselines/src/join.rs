@@ -7,12 +7,13 @@
 //! byte behaviour while still computing correct semi-join results, so the
 //! simulated baselines remain verifiable against the naive evaluator.
 
-use gumbo_common::{RelationName, Tuple};
+use gumbo_common::{RelationName, TupleView};
 use gumbo_core::semijoin::{
-    assert_projections, cond_groups, AssertProjection, QueryContext, SemiJoin,
+    assert_projections, atoms_by_input, cond_groups, AssertProjection, QueryContext, SemiJoin,
 };
 use gumbo_mr::{
-    Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Payload, PayloadView, Reducer,
+    Emitter, Group, IdSet, Job, JobConfig, Mapper, MsgRef, MsgView, OutputSink, PayloadView,
+    Reducer,
 };
 use gumbo_sgf::Atom;
 
@@ -29,48 +30,45 @@ struct JoinMapper {
     sjs: Vec<JoinSj>,
     /// Conditional streams: full tuples are shuffled (COGROUP behaviour).
     asserts: Vec<AssertProjection>,
+    /// Per job input: the semi-joins it guards and the conditional
+    /// streams it feeds, by index.
+    by_input: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl Mapper for JoinMapper {
-    fn map(&self, relation: &RelationName, tuple: &Tuple, _i: u64, out: &mut Emitter<'_>) {
-        for (local, sj) in self.sjs.iter().enumerate() {
-            if sj.guard.conforms(relation, tuple) {
+    fn map(&self, input: usize, tuple: TupleView<'_>, _i: u64, out: &mut Emitter<'_>) {
+        let (guarded, streams) = &self.by_input[input];
+        for &local in guarded {
+            let sj = &self.sjs[local as usize];
+            if sj.guard.conforms_view(tuple) {
                 // Full guard tuple on the wire (no reference optimization).
-                let payload = Payload::Tuple(tuple.project(&sj.identity));
-                out.project(
+                let msg = MsgRef::Req {
+                    cond: local,
                     tuple,
-                    &sj.join_key,
-                    Message::Req {
-                        cond: local as u32,
-                        payload,
-                    },
-                );
+                    positions: &sj.identity,
+                };
+                out.project(tuple, &sj.join_key, msg);
             }
         }
-        for (g, (atom, key_positions)) in self.asserts.iter().enumerate() {
-            if atom.conforms(relation, tuple) {
+        for &g in streams {
+            let (atom, key_positions) = &self.asserts[g as usize];
+            if atom.conforms_view(tuple) {
                 // Full conditional tuple on the wire (outer-join semantics
                 // keep the right side's columns until the final projection).
-                out.project(
-                    tuple,
-                    key_positions,
-                    Message::GuardTuple {
-                        guard: g as u32,
-                        tuple: tuple.clone(),
-                    },
-                );
+                out.project(tuple, key_positions, MsgRef::GuardTuple { guard: g, tuple });
             }
         }
     }
 }
 
 struct JoinReducer {
-    /// local semi-join index → (X output, conditional stream index).
-    routes: Vec<(RelationName, u32)>,
+    /// local semi-join index (= its output slot) → conditional stream
+    /// index.
+    streams: Vec<u32>,
 }
 
 impl Reducer for JoinReducer {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
         let present: IdSet = group
             .values()
             .filter_map(|m| match m {
@@ -84,9 +82,8 @@ impl Reducer for JoinReducer {
                 payload: PayloadView::Tuple(t),
             } = m
             {
-                let (x_name, stream) = &self.routes[cond as usize];
-                if present.contains(*stream) {
-                    emit(x_name, t.to_tuple());
+                if present.contains(self.streams[cond as usize]) {
+                    out.view(cond as usize, t);
                 }
             }
         }
@@ -118,10 +115,7 @@ pub fn build_join_job(
             identity: sj.guard.projection(&sj.identity_vars),
         })
         .collect();
-    let routes: Vec<(RelationName, u32)> = sjs
-        .iter()
-        .map(|sj| (sj.x_name.clone(), assignment[&sj.id] as u32))
-        .collect();
+    let streams: Vec<u32> = sjs.iter().map(|sj| assignment[&sj.id] as u32).collect();
 
     let mut guards: Vec<RelationName> = Vec::new();
     for sj in &sjs {
@@ -144,15 +138,19 @@ pub fn build_join_job(
         .map(|sj| (sj.x_name.clone(), sj.identity_vars.len()))
         .collect();
     let x_list: Vec<String> = sjs.iter().map(|sj| sj.x_name.to_string()).collect();
+    let guarded = atoms_by_input(&inputs, specs.iter().map(|sj| &sj.guard));
+    let fed = atoms_by_input(&inputs, assert_groups.iter().map(|(atom, _)| atom));
+    let by_input = guarded.into_iter().zip(fed).collect();
     Job {
         name: format!("{tag}({})", x_list.join(",")),
         inputs,
         outputs,
         mapper: Box::new(JoinMapper {
+            by_input,
             sjs: specs,
             asserts: assert_projections(&assert_groups),
         }),
-        reducer: Box::new(JoinReducer { routes }),
+        reducer: Box::new(JoinReducer { streams }),
         config,
         estimate: None,
     }
@@ -161,7 +159,7 @@ pub fn build_join_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gumbo_common::{Database, Fact, Relation};
+    use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::{EngineConfig, Executor, MrProgram};
     use gumbo_sgf::parse_query;
     use gumbo_storage::SimDfs;

@@ -13,12 +13,13 @@
 //! queries "were chosen to simplify the comparison with sequential query
 //! plans" (§5.2, footnote 4).
 
-use gumbo_common::{GumboError, RelationName, Result, Tuple};
+use gumbo_common::{GumboError, RelationName, Result, TupleView};
 use gumbo_core::msj::build_one_round_job;
 use gumbo_core::semijoin::{identity_vars, QueryContext};
 use gumbo_core::{BsgfSetPlan, PayloadMode};
 use gumbo_mr::{
-    Emitter, Executor, Group, Job, JobConfig, Mapper, Message, MrProgram, ProgramStats, Reducer,
+    Emitter, Executor, Group, Job, JobConfig, Mapper, MrProgram, MsgRef, OutputSink, ProgramStats,
+    Reducer,
 };
 use gumbo_sched::{DagScheduler, SchedulerConfig};
 use gumbo_sgf::{Atom, BsgfQuery, Condition, Term, Var};
@@ -210,9 +211,7 @@ impl SeqStrategy {
             inputs,
             outputs: vec![(q.output().clone(), q.output_vars().len())],
             mapper: Box::new(UnionMapper { positions }),
-            reducer: Box::new(UnionReducer {
-                output: q.output().clone(),
-            }),
+            reducer: Box::new(UnionReducer),
             config: self.job_config,
             estimate: None,
         }))
@@ -224,25 +223,24 @@ struct UnionMapper {
 }
 
 impl Mapper for UnionMapper {
-    fn map(&self, _: &RelationName, tuple: &Tuple, _i: u64, out: &mut Emitter<'_>) {
-        out.project(tuple, &self.positions, Message::Tag { rel: 0 });
+    fn map(&self, _: usize, tuple: TupleView<'_>, _i: u64, out: &mut Emitter<'_>) {
+        out.project(tuple, &self.positions, MsgRef::Tag { rel: 0 });
     }
 }
 
-struct UnionReducer {
-    output: RelationName,
-}
+/// Writes every distinct key to the job's one output.
+struct UnionReducer;
 
 impl Reducer for UnionReducer {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        emit(&self.output, group.key().to_tuple());
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
+        out.view(0, group.key());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gumbo_common::{Database, Fact, Relation};
+    use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::EngineConfig;
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;

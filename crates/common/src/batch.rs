@@ -29,8 +29,8 @@
 //! estimated bytes all preserved), which the property tests in this crate
 //! verify over random int/str mixes and dictionary collisions.
 
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,7 +56,24 @@ pub enum ValueRef<'a> {
     Str(&'a str),
 }
 
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> ValueRef<'a> {
+        match v {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
 impl ValueRef<'_> {
+    /// The integer payload, if this is [`ValueRef::Int`].
+    pub fn as_int(&self) -> Option<i64> {
+        match self {
+            ValueRef::Int(i) => Some(*i),
+            ValueRef::Str(_) => None,
+        }
+    }
+
     /// Materialize an owned [`Value`]. Allocates a fresh `Arc<str>` for
     /// strings; prefer [`TupleBatch::tuple`], which clones the dictionary's
     /// existing `Arc` instead.
@@ -214,10 +231,11 @@ impl StringDict {
 ///
 /// See the [module docs](self) for the layout. Batches grow by
 /// [`push_tuple`](Self::push_tuple) (decomposing an owned tuple at the
-/// edge), [`push_projected`](Self::push_projected) (a projection of a
-/// borrowed tuple, never built) or [`push_row`](Self::push_row) (copying
-/// a row from another batch without materializing a `Tuple`); rows are
-/// read through zero-copy [`TupleView`]s.
+/// edge), [`push_view_projected`](Self::push_view_projected) (a
+/// projection of another batch's row, never built) or
+/// [`push_row`](Self::push_row)/[`push_view`](Self::push_view) (copying a
+/// row from another batch without materializing a `Tuple`); rows are read
+/// through zero-copy [`TupleView`]s.
 #[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
     arity: usize,
@@ -286,21 +304,6 @@ impl TupleBatch {
         self.rows += 1;
     }
 
-    /// Append the projection of `values` onto `positions` — the row
-    /// `Tuple::project(positions)` would build, written cell by cell
-    /// without building it.
-    ///
-    /// # Panics
-    /// If `positions.len()` differs from the batch's arity or a position
-    /// is out of range.
-    pub fn push_projected(&mut self, values: &[Value], positions: &[usize]) {
-        assert_eq!(positions.len(), self.arity, "batch arity mismatch");
-        for (c, &i) in positions.iter().enumerate() {
-            self.push_cell(c, &values[i]);
-        }
-        self.rows += 1;
-    }
-
     fn push_cell(&mut self, c: usize, v: &Value) {
         match v {
             Value::Int(i) => self.cols[c].push_int(*i),
@@ -322,18 +325,229 @@ impl TupleBatch {
         assert_eq!(src.arity, self.arity, "batch arity mismatch");
         assert!(row < src.rows, "row out of bounds");
         for c in 0..self.arity {
-            let cell = src.cols[c].cells[row];
-            if src.cols[c].tag(row) == TAG_INT {
-                self.cols[c].push_int(cell);
-                self.bytes += INT_VALUE_BYTES;
-            } else {
-                let s = src.dict.get(cell as u32);
-                self.bytes += (s.len() as u64).max(INT_VALUE_BYTES);
-                let code = self.dict.intern(s);
-                self.cols[c].push_str_code(code);
-            }
+            self.push_cell_from(c, src, c, row);
         }
         self.rows += 1;
+    }
+
+    /// Append the row a view reads ([`push_row`](Self::push_row) of the
+    /// view's batch and row).
+    ///
+    /// # Panics
+    /// If the arities differ.
+    pub fn push_view(&mut self, view: TupleView<'_>) {
+        self.push_row(view.batch, view.row);
+    }
+
+    /// Append the projection of a view onto `positions` — the row
+    /// `view.project(positions)` would build, copied cell by cell.
+    ///
+    /// # Panics
+    /// If `positions.len()` differs from the batch's arity or a position
+    /// is out of range.
+    pub fn push_view_projected(&mut self, view: TupleView<'_>, positions: &[usize]) {
+        assert_eq!(positions.len(), self.arity, "batch arity mismatch");
+        for (c, &i) in positions.iter().enumerate() {
+            self.push_cell_from(c, view.batch, i, view.row);
+        }
+        self.rows += 1;
+    }
+
+    /// Append cell `(src_col, row)` of `src` to column `c`.
+    #[inline]
+    fn push_cell_from(&mut self, c: usize, src: &TupleBatch, src_col: usize, row: usize) {
+        let col = &src.cols[src_col];
+        let cell = col.cells[row];
+        if col.tag(row) == TAG_INT {
+            self.cols[c].push_int(cell);
+            self.bytes += INT_VALUE_BYTES;
+        } else {
+            let s = src.dict.get(cell as u32);
+            self.bytes += (s.len() as u64).max(INT_VALUE_BYTES);
+            let code = self.dict.intern(s);
+            self.cols[c].push_str_code(code);
+        }
+    }
+
+    /// Append every row of `other`, in order. An all-integer `other`
+    /// extends the cell arenas wholesale.
+    ///
+    /// # Panics
+    /// If the arities differ.
+    pub fn append(&mut self, other: &TupleBatch) {
+        assert_eq!(other.arity, self.arity, "batch arity mismatch");
+        if !other.dict.is_empty() {
+            for row in 0..other.rows {
+                self.push_row(other, row);
+            }
+            return;
+        }
+        for (col, src) in self.cols.iter_mut().zip(&other.cols) {
+            col.cells.extend_from_slice(&src.cells);
+            if let Some(tags) = &mut col.tags {
+                tags.resize(col.cells.len(), TAG_INT);
+            }
+        }
+        self.rows += other.rows;
+        self.bytes += other.bytes;
+    }
+
+    /// Insert one owned tuple at row `at`, shifting later rows down: an
+    /// O(rows) splice, for sorted relations that grow a tuple at a time.
+    ///
+    /// # Panics
+    /// If the arity differs or `at > len()`.
+    pub(crate) fn insert_values(&mut self, at: usize, values: &[Value]) {
+        assert!(at <= self.rows, "row out of bounds");
+        self.push_values(values);
+        for col in &mut self.cols {
+            col.cells[at..].rotate_right(1);
+            if let Some(tags) = &mut col.tags {
+                tags[at..].rotate_right(1);
+            }
+        }
+    }
+
+    /// Whether the rows are in strictly ascending [`Tuple`] order — sorted
+    /// and duplicate-free. One comparison per adjacent pair.
+    fn is_sorted_set(&self) -> bool {
+        (1..self.rows).all(|r| self.view(r - 1) < self.view(r))
+    }
+
+    /// Sort the rows into [`Tuple`] order and drop duplicates: the
+    /// canonical form of a relation. A batch that already is one is left
+    /// as it is after one pass. Otherwise the sort compares cells, never
+    /// a [`Tuple`]: integer columns compare as `i64`, and string cells by
+    /// the rank of their string among the dictionary's strings in content
+    /// order, so no comparison reads string bytes; a one- or two-column
+    /// all-integer batch sorts its cells directly.
+    pub fn sort_dedup(&mut self) {
+        if self.is_sorted_set() {
+            return;
+        }
+        if self.dict.is_empty() && self.arity <= 2 {
+            self.sort_dedup_small_ints();
+            return;
+        }
+        let ranks = self.dict_ranks();
+        let mut perm: Vec<u32> = (0..self.rows as u32).collect();
+        perm.sort_unstable_by(|&a, &b| self.cmp_rows(&ranks, a as usize, b as usize));
+        perm.dedup_by(|b, a| self.same_row(*a as usize, *b as usize));
+        self.gather(&perm);
+    }
+
+    /// [`sort_dedup`](Self::sort_dedup) of an all-integer batch of arity
+    /// ≤ 2: sort and dedup the cells themselves.
+    fn sort_dedup_small_ints(&mut self) {
+        match self.arity {
+            0 => self.rows = self.rows.min(1),
+            1 => {
+                let cells = &mut self.cols[0].cells;
+                cells.sort_unstable();
+                cells.dedup();
+                self.rows = cells.len();
+            }
+            _ => {
+                let mut pairs: Vec<(i64, i64)> = (self.cols[0].cells.iter().copied())
+                    .zip(self.cols[1].cells.iter().copied())
+                    .collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                self.cols[0].cells = pairs.iter().map(|p| p.0).collect();
+                self.cols[1].cells = pairs.iter().map(|p| p.1).collect();
+                self.rows = pairs.len();
+            }
+        }
+        for col in &mut self.cols {
+            col.tags = None;
+        }
+        self.bytes = (self.rows * self.arity) as u64 * INT_VALUE_BYTES;
+    }
+
+    /// Each dictionary code's rank among the dictionary's strings in
+    /// content order, so that comparing ranks compares strings.
+    fn dict_ranks(&self) -> Vec<u32> {
+        let mut codes: Vec<u32> = (0..self.dict.len() as u32).collect();
+        codes.sort_unstable_by(|&a, &b| self.dict.get(a).cmp(self.dict.get(b)));
+        let mut ranks = vec![0u32; codes.len()];
+        for (rank, &code) in codes.iter().enumerate() {
+            ranks[code as usize] = rank as u32;
+        }
+        ranks
+    }
+
+    /// Rows `a` and `b` in [`Tuple`] order, cell by cell: an integer
+    /// sorts before a string, integers by value, strings by `ranks`
+    /// ([`dict_ranks`](Self::dict_ranks)).
+    fn cmp_rows(&self, ranks: &[u32], a: usize, b: usize) -> Ordering {
+        for col in &self.cols {
+            let key = |row: usize| {
+                let cell = col.cells[row];
+                match col.tag(row) {
+                    TAG_INT => (TAG_INT, cell),
+                    tag => (tag, i64::from(ranks[cell as usize])),
+                }
+            };
+            match key(a).cmp(&key(b)) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Keep rows `perm`, in that order.
+    fn gather(&mut self, perm: &[u32]) {
+        for col in &mut self.cols {
+            col.cells = perm.iter().map(|&r| col.cells[r as usize]).collect();
+            if let Some(tags) = &mut col.tags {
+                *tags = perm.iter().map(|&r| tags[r as usize]).collect();
+            }
+        }
+        self.rows = perm.len();
+        self.bytes = (0..self.rows).map(|r| self.row_bytes(r)).sum();
+    }
+
+    /// Merge sorted, duplicate-free runs of one arity into one sorted,
+    /// duplicate-free batch: a k-way merge over a heap of the runs' head
+    /// rows, O(rows × log runs), that drops a row equal to the last one
+    /// kept, so a tuple present in several runs is kept once. A single run
+    /// is returned as it is.
+    ///
+    /// # Panics
+    /// If a run's arity differs from `arity`.
+    pub fn merge_sorted(arity: usize, mut runs: Vec<TupleBatch>) -> TupleBatch {
+        runs.retain(|run| !run.is_empty());
+        if runs.len() <= 1 {
+            return runs.pop().unwrap_or_else(|| TupleBatch::new(arity));
+        }
+        let mut out = TupleBatch::new(arity);
+        let mut heads: BinaryHeap<Reverse<TupleView<'_>>> =
+            runs.iter().map(|run| Reverse(run.view(0))).collect();
+        while let Some(Reverse(head)) = heads.pop() {
+            if out.rows == 0 || out.view(out.rows - 1) != head {
+                out.push_view(head);
+            }
+            if head.row + 1 < head.batch.rows {
+                heads.push(Reverse(head.batch.view(head.row + 1)));
+            }
+        }
+        out
+    }
+
+    /// Index of the row equal to `values` (`Ok`), or where it would be
+    /// inserted (`Err`), in a batch sorted by [`Tuple`] order.
+    pub(crate) fn binary_search(&self, values: &[Value]) -> std::result::Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.rows);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.view(mid).cmp_values(values) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
     }
 
     /// Zero-copy view of one row.
@@ -442,7 +656,35 @@ impl TupleBatch {
     /// arity × ( [has_tags u8] rows × [cell i64] { rows × [tag u8] if has_tags } )
     /// ```
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        let rows = u32::try_from(self.rows)
+        self.encode_range_into(0..self.rows, out)
+    }
+
+    /// Append the wire encoding of rows `range` alone — what
+    /// [`encode_into`](Self::encode_into) writes for a batch of just those
+    /// rows. An all-integer batch writes the cell slices directly; one with
+    /// strings re-interns the range's rows into a dictionary of their own
+    /// first, so a frame carries only the strings it uses.
+    ///
+    /// # Panics
+    /// If `range` is out of bounds.
+    pub fn encode_range_into(
+        &self,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        assert!(
+            range.start <= range.end && range.end <= self.rows,
+            "range out of bounds"
+        );
+        let whole = range.start == 0 && range.end == self.rows;
+        if !self.dict.is_empty() && !whole {
+            let mut slice = TupleBatch::new(self.arity);
+            for row in range {
+                slice.push_row(self, row);
+            }
+            return slice.encode_into(out);
+        }
+        let rows = u32::try_from(range.len())
             .map_err(|_| GumboError::Storage("columnar frame exceeds 2^32 rows".into()))?;
         out.extend_from_slice(&(self.arity as u32).to_le_bytes());
         out.extend_from_slice(&rows.to_le_bytes());
@@ -452,11 +694,14 @@ impl TupleBatch {
             out.extend_from_slice(s.as_bytes());
         }
         for col in &self.cols {
-            out.push(u8::from(col.tags.is_some()));
-            for cell in &col.cells {
+            // A range of an all-integer batch writes no tags, whatever a
+            // cleared batch may still hold.
+            let tags = col.tags.as_ref().filter(|_| whole);
+            out.push(u8::from(tags.is_some()));
+            for cell in &col.cells[range.clone()] {
                 out.extend_from_slice(&cell.to_le_bytes());
             }
-            if let Some(tags) = &col.tags {
+            if let Some(tags) = tags {
                 out.extend_from_slice(tags);
             }
         }
@@ -547,6 +792,18 @@ impl TupleBatch {
     }
 }
 
+/// Batches are equal when they hold equal rows in the same order; string
+/// cells compare by content, whatever their dictionary codes.
+impl PartialEq for TupleBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity
+            && self.rows == other.rows
+            && (0..self.rows).all(|r| self.view(r) == other.view(r))
+    }
+}
+
+impl Eq for TupleBatch {}
+
 fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
     let b = *buf
         .get(*pos)
@@ -609,9 +866,21 @@ impl<'a> TupleView<'a> {
         }
     }
 
+    /// The value at position `i`, or `None` past the arity.
+    pub fn get(&self, i: usize) -> Option<ValueRef<'a>> {
+        (i < self.arity()).then(|| self.value(i))
+    }
+
+    /// Compare the row with an owned row given as values, in [`Tuple`]
+    /// order (element-wise, then shorter first).
+    pub(crate) fn cmp_values(&self, values: &[Value]) -> Ordering {
+        self.values().cmp(values.iter().map(ValueRef::from))
+    }
+
     /// Iterate the row's values left to right.
-    pub fn values(&self) -> impl Iterator<Item = ValueRef<'a>> + '_ {
-        (0..self.batch.arity).map(|i| self.value(i))
+    pub fn values(&self) -> impl Iterator<Item = ValueRef<'a>> + 'a {
+        let view = *self;
+        (0..view.batch.arity).map(move |i| view.value(i))
     }
 
     /// Materialize the row as an owned [`Tuple`] (one allocation; string
@@ -656,8 +925,43 @@ impl PartialOrd for TupleView<'_> {
 impl Ord for TupleView<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Lexicographic with length tiebreak: identical to the derived
-        // `Ord` on `Tuple`'s `Arc<[Value]>`.
+        // `Ord` on `Tuple`'s `Arc<[Value]>`. Two all-integer batches
+        // compare raw cells (an empty dictionary means no string cell).
+        let (a, b) = (self.batch, other.batch);
+        if a.dict.is_empty() && b.dict.is_empty() {
+            for (ca, cb) in a.cols.iter().zip(&b.cols) {
+                match ca.cells[self.row].cmp(&cb.cells[other.row]) {
+                    Ordering::Equal => {}
+                    unequal => return unequal,
+                }
+            }
+            return a.arity.cmp(&b.arity);
+        }
         self.values().cmp(other.values())
+    }
+}
+
+/// The same text as [`Tuple`]'s `Display`: `(1, "a")`.
+impl fmt::Display for TupleView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        for (i, v) in self.values().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{v}")?;
+        }
+        write!(f, ")")
+    }
+}
+
+/// The same text as [`Value`]'s `Display`.
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Str(s) => write!(f, "{s:?}"),
+        }
     }
 }
 

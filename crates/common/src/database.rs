@@ -28,7 +28,10 @@ impl Database {
         self.relations.insert(relation.name().clone(), relation);
     }
 
-    /// Insert a single fact, creating its relation on first sight.
+    /// Insert a single fact, creating its relation on first sight. Like
+    /// [`Relation::insert`], this costs O(n) unless the tuple sorts last:
+    /// load many facts by building each relation with
+    /// [`Relation::from_tuples`] and [`Database::add_relation`].
     pub fn insert_fact(&mut self, fact: Fact) -> Result<bool> {
         let arity = fact.tuple.arity();
         let rel = self

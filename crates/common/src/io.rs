@@ -9,6 +9,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use crate::batch::ValueRef;
 use crate::error::{GumboError, Result};
 use crate::relation::{Relation, RelationName};
 use crate::tuple::Tuple;
@@ -23,10 +24,10 @@ fn parse_field(field: &str) -> Value {
 }
 
 /// Render one value in TSV form (strings unquoted; tabs are not allowed).
-fn render_field(value: &Value) -> Result<String> {
+fn render_field(value: ValueRef<'_>) -> Result<String> {
     Ok(match value {
-        Value::Int(i) => i.to_string(),
-        Value::Str(s) => {
+        ValueRef::Int(i) => i.to_string(),
+        ValueRef::Str(s) => {
             if s.contains('\t') || s.contains('\n') {
                 return Err(GumboError::Storage(
                     "string values with tabs/newlines cannot be written as TSV".into(),
@@ -49,19 +50,15 @@ pub fn parse_tsv(name: impl Into<RelationName>, text: &str) -> Result<Relation> 
             )))
         }
     };
-    let mut rel = Relation::new(name, arity);
-    for line in lines {
-        let values: Vec<Value> = line.split('\t').map(parse_field).collect();
-        rel.insert(Tuple::new(values))?;
-    }
-    Ok(rel)
+    let tuples = lines.map(|line| line.split('\t').map(parse_field).collect::<Tuple>());
+    Relation::from_tuples(name, arity, tuples)
 }
 
 /// Render a relation as TSV text (deterministic, sorted tuple order).
 pub fn to_tsv(relation: &Relation) -> Result<String> {
     let mut out = String::new();
     for tuple in relation.iter() {
-        let fields: Result<Vec<String>> = tuple.values().iter().map(render_field).collect();
+        let fields: Result<Vec<String>> = tuple.values().map(render_field).collect();
         out.push_str(&fields?.join("\t"));
         out.push('\n');
     }

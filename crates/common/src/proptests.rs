@@ -2,6 +2,8 @@
 
 #![cfg(test)]
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use crate::{ByteSize, Database, Fact, Relation, Tuple, TupleBatch, Value};
@@ -42,6 +44,24 @@ fn arb_batch_rows() -> impl Strategy<Value = (usize, Vec<Tuple>)> {
             .collect();
         (arity, rows)
     })
+}
+
+/// Rows for a relation of arity 0, 1, 2 or 4 over a tiny alphabet:
+/// duplicates are common, and strings arrive in any order.
+fn arb_relation_rows() -> impl Strategy<Value = (usize, Vec<Tuple>)> {
+    let wide_rows =
+        proptest::collection::vec(proptest::collection::vec(arb_colliding_value(), 4), 0..40);
+    (
+        prop_oneof![Just(0usize), Just(1), Just(2), Just(4)],
+        wide_rows,
+    )
+        .prop_map(|(arity, rows)| {
+            let rows = rows
+                .into_iter()
+                .map(|values| Tuple::new(values[..arity].to_vec()))
+                .collect();
+            (arity, rows)
+        })
 }
 
 proptest! {
@@ -89,7 +109,7 @@ proptest! {
             backward.insert(Tuple::from_ints(t)).unwrap();
         }
         prop_assert_eq!(&forward, &backward);
-        let order: Vec<Tuple> = forward.iter().cloned().collect();
+        let order: Vec<Tuple> = forward.iter().map(|t| t.to_tuple()).collect();
         let mut sorted = order.clone();
         sorted.sort();
         prop_assert_eq!(order, sorted);
@@ -216,6 +236,75 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(dst.dict().len(), distinct.len());
+    }
+
+    /// The columnar relation is the set its tuples form: against a
+    /// `BTreeSet<Tuple>` oracle it has the same iteration order, length,
+    /// membership and byte count — built in bulk, a tuple at a time, or
+    /// from a batch — at arity 0, 1, 2 and 4, with duplicates, and with
+    /// strings first seen out of content order.
+    #[test]
+    fn relation_matches_a_btreeset_oracle(
+        input in arb_relation_rows(),
+        probes in proptest::collection::vec(proptest::collection::vec(arb_colliding_value(), 4), 0..10),
+    ) {
+        let (arity, rows) = input;
+        let oracle: BTreeSet<Tuple> = rows.iter().cloned().collect();
+        let bulk = Relation::from_tuples("R", arity, rows.clone()).unwrap();
+        let mut one_by_one = Relation::new("R", arity);
+        for t in &rows {
+            let fresh = !one_by_one.contains(t);
+            prop_assert_eq!(one_by_one.insert(t.clone()).unwrap(), fresh);
+        }
+        let mut batch = TupleBatch::new(arity);
+        for t in rows.iter().rev() {
+            batch.push_tuple(t);
+        }
+        let from_batch = Relation::from_batch("R", batch);
+        let expected: Vec<Tuple> = oracle.iter().cloned().collect();
+        let oracle_bytes: u64 = oracle.iter().map(Tuple::estimated_bytes).sum();
+        for rel in [&bulk, &one_by_one, &from_batch] {
+            prop_assert_eq!(rel.len(), oracle.len());
+            prop_assert_eq!(rel.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(rel.estimated_bytes(), oracle_bytes);
+            for t in &rows {
+                prop_assert!(rel.contains(t));
+            }
+            for probe in &probes {
+                let probe = Tuple::new(probe[..arity].to_vec());
+                prop_assert_eq!(rel.contains(&probe), oracle.contains(&probe));
+            }
+        }
+        // Equal by content, though each saw its strings in another order.
+        prop_assert_eq!(&bulk, &one_by_one);
+        prop_assert_eq!(&bulk, &from_batch);
+    }
+
+    /// Merging sorted runs is the union of the sets, and any slice of a
+    /// relation's rows encodes to a frame that decodes to that slice.
+    #[test]
+    fn sorted_runs_merge_and_slices_encode(input in arb_relation_rows(), cuts in 1usize..5) {
+        let (arity, rows) = input;
+        let oracle: BTreeSet<Tuple> = rows.iter().cloned().collect();
+        let runs: Vec<TupleBatch> = (0..cuts)
+            .map(|c| {
+                let mut run = TupleBatch::new(arity);
+                for t in rows.iter().skip(c).step_by(cuts) {
+                    run.push_tuple(t);
+                }
+                run.sort_dedup();
+                run
+            })
+            .collect();
+        let merged = TupleBatch::merge_sorted(arity, runs);
+        prop_assert_eq!(merged.to_tuples(), oracle.iter().cloned().collect::<Vec<_>>());
+        for start in 0..merged.len() {
+            let end = (start + 3).min(merged.len());
+            let mut frame = Vec::new();
+            merged.encode_range_into(start..end, &mut frame).unwrap();
+            let decoded = TupleBatch::decode_from(&frame, &mut 0).unwrap();
+            prop_assert_eq!(decoded.to_tuples(), merged.to_tuples()[start..end].to_vec());
+        }
     }
 
     /// ByteSize arithmetic is associative/commutative where it should be

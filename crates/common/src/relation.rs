@@ -1,9 +1,21 @@
 //! Relations: named, fixed-arity sets of tuples.
+//!
+//! A [`Relation`] is stored the way the engine moves data: as one columnar
+//! [`TupleBatch`] whose rows are sorted in [`Tuple`] order and
+//! de-duplicated. That is the form a DFS scan visits in place, a segment
+//! frame encodes a slice of, and a job's commit merges its reducers' sorted
+//! outputs into — no stage between storage and the reducers holds a
+//! relation as owned tuples. [`Tuple`] stays the currency at the edges
+//! (construction, membership tests, the reference evaluator).
+//!
+//! Two relations are equal when they have the same name, arity and rows;
+//! rows compare by content, so relations whose dictionaries code the same
+//! strings differently are equal.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::batch::{TupleBatch, TupleView};
 use crate::error::{GumboError, Result};
 use crate::tuple::Tuple;
 
@@ -45,16 +57,22 @@ impl fmt::Display for RelationName {
     }
 }
 
-/// A relation instance: a set of tuples of uniform arity.
+/// A relation instance: a set of tuples of uniform arity, held as one
+/// sorted, duplicate-free [`TupleBatch`].
 ///
-/// Tuples are kept in a sorted set so that iteration order — and therefore
-/// every byte count, sample and simulated schedule derived from it — is
-/// deterministic across runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Rows are kept in [`Tuple`]'s order (strings compared by content, never
+/// by dictionary code), so iteration order — and therefore every byte
+/// count, sample, tuple id and simulated schedule derived from it — is
+/// deterministic across runs. Bulk construction
+/// ([`from_tuples`](Self::from_tuples), [`from_batch`](Self::from_batch))
+/// sorts once; [`insert`](Self::insert) splices one row into place, which
+/// is O(n), so code that builds a relation a row at a time collects the
+/// rows and builds it in bulk instead. [`iter`](Self::iter) reads the
+/// rows in place as [`TupleView`]s.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Relation {
     name: RelationName,
-    arity: usize,
-    tuples: BTreeSet<Tuple>,
+    rows: TupleBatch,
 }
 
 impl Relation {
@@ -62,33 +80,43 @@ impl Relation {
     pub fn new(name: impl Into<RelationName>, arity: usize) -> Self {
         Relation {
             name: name.into(),
-            arity,
-            tuples: BTreeSet::new(),
+            rows: TupleBatch::new(arity),
         }
     }
 
     /// Create a relation from tuples in bulk: one arity pass (the first
-    /// mismatch in iteration order is the error), then one sort, dedup and
-    /// bottom-up tree build — linear when the tuples arrive sorted.
+    /// mismatch in iteration order is the error), then one sort and dedup
+    /// ([`TupleBatch::sort_dedup`]) — a single pass when the tuples arrive
+    /// sorted.
     pub fn from_tuples(
         name: impl Into<RelationName>,
         arity: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self> {
         let name = name.into();
-        let tuples: Vec<Tuple> = tuples.into_iter().collect();
-        if let Some(bad) = tuples.iter().find(|t| t.arity() != arity) {
-            return Err(GumboError::ArityMismatch {
-                relation: name.to_string(),
-                expected: arity,
-                got: bad.arity(),
-            });
+        let mut rows = TupleBatch::new(arity);
+        for t in tuples {
+            if t.arity() != arity {
+                return Err(GumboError::ArityMismatch {
+                    relation: name.to_string(),
+                    expected: arity,
+                    got: t.arity(),
+                });
+            }
+            rows.push_tuple(&t);
         }
-        Ok(Relation {
-            name,
-            arity,
-            tuples: BTreeSet::from_iter(tuples),
-        })
+        Ok(Relation::from_batch(name, rows))
+    }
+
+    /// Create a relation from a batch of rows in any order, duplicates
+    /// allowed ([`TupleBatch::sort_dedup`]; a batch that is already a
+    /// sorted set costs one pass).
+    pub fn from_batch(name: impl Into<RelationName>, mut rows: TupleBatch) -> Self {
+        rows.sort_dedup();
+        Relation {
+            name: name.into(),
+            rows,
+        }
     }
 
     /// The relation symbol.
@@ -98,66 +126,104 @@ impl Relation {
 
     /// The arity of the relation.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.rows.arity()
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
     /// Insert a tuple; rejects arity mismatches. Returns whether the tuple
-    /// was newly inserted (relations are sets).
+    /// was newly inserted (relations are sets). A binary search finds its
+    /// place; a tuple that sorts last is appended, any other is spliced in
+    /// at O(n).
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
-        if tuple.arity() != self.arity {
+        if tuple.arity() != self.arity() {
             return Err(GumboError::ArityMismatch {
                 relation: self.name.to_string(),
-                expected: self.arity,
+                expected: self.arity(),
                 got: tuple.arity(),
             });
         }
-        Ok(self.tuples.insert(tuple))
+        match self.rows.binary_search(tuple.values()) {
+            Ok(_) => Ok(false),
+            Err(at) if at == self.rows.len() => {
+                self.rows.push_tuple(&tuple);
+                Ok(true)
+            }
+            Err(at) => {
+                self.rows.insert_values(at, tuple.values());
+                Ok(true)
+            }
+        }
     }
 
-    /// Membership test.
+    /// Membership test: a binary search.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.contains(tuple)
+        self.rows.binary_search(tuple.values()).is_ok()
     }
 
-    /// Iterate over the tuples in deterministic (sorted) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.tuples.iter()
+    /// Iterate over the tuples in deterministic (sorted) order, read in
+    /// place.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TupleView<'_>> + '_ {
+        (0..self.rows.len()).map(|r| self.rows.view(r))
+    }
+
+    /// The tuple at position `i` of the sorted order.
+    ///
+    /// # Panics
+    /// If `i >= len()`.
+    pub fn row(&self, i: usize) -> TupleView<'_> {
+        self.rows.view(i)
+    }
+
+    /// The rows as one sorted, duplicate-free batch.
+    pub fn rows(&self) -> &TupleBatch {
+        &self.rows
     }
 
     /// Estimated storage footprint in bytes.
     pub fn estimated_bytes(&self) -> u64 {
-        self.tuples.iter().map(Tuple::estimated_bytes).sum()
+        self.rows.estimated_bytes()
     }
 
     /// Rename the relation (used when storing semi-join outputs `Xᵢ`).
     pub fn renamed(&self, name: impl Into<RelationName>) -> Relation {
         Relation {
             name: name.into(),
-            arity: self.arity,
-            tuples: self.tuples.clone(),
+            rows: self.rows.clone(),
         }
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("name", &self.name)
+            .field("arity", &self.arity())
+            .field("tuples", &TupleList(self))
+            .finish()
+    }
+}
+
+/// Debug-formats a relation's rows as a list.
+struct TupleList<'a>(&'a Relation);
+
+impl fmt::Debug for TupleList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} [{} tuples]",
-            self.name,
-            self.arity,
-            self.tuples.len()
-        )
+        write!(f, "{}/{} [{} tuples]", self.name, self.arity(), self.len())
     }
 }
 
@@ -191,10 +257,7 @@ mod tests {
     fn iteration_is_sorted() {
         let r = Relation::from_tuples("R", 1, [3, 1, 2].iter().map(|&i| Tuple::from_ints(&[i])))
             .unwrap();
-        let order: Vec<i64> = r
-            .iter()
-            .map(|t| t.get(0).unwrap().as_int().unwrap())
-            .collect();
+        let order: Vec<i64> = r.iter().map(|t| t.value(0).as_int().unwrap()).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 

@@ -11,14 +11,14 @@
 //! the paper calls out explicitly ("the guard relation needs to be re-read
 //! in the EVAL job").
 
-use std::collections::BTreeMap;
-
-use gumbo_common::{RelationName, Tuple, Value};
-use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Reducer};
+use gumbo_common::{RelationName, TupleView, Value};
+use gumbo_mr::{
+    Emitter, Group, IdSet, Job, JobConfig, Mapper, MsgRef, MsgView, OutputSink, Reducer,
+};
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
-use crate::semijoin::{QueryContext, SemiJoin};
+use crate::semijoin::{atoms_by_input, QueryContext, SemiJoin};
 
 /// Per-query mapper/reducer state. Variable sequences are resolved to
 /// coordinates when the job is built.
@@ -36,7 +36,8 @@ struct EvalQuery {
     formula: BoolExpr,
 }
 
-/// What the mapper does with the facts of one input relation.
+/// What the mapper does with the facts of one input relation. Outputs are
+/// declared in query order, so query `j` writes output slot `j`.
 #[derive(Debug, Clone)]
 enum Route {
     /// An `Xᵢ` relation: tag the identity.
@@ -48,34 +49,30 @@ enum Route {
 struct EvalMapper {
     mode: PayloadMode,
     queries: Vec<EvalQuery>,
-    /// One lookup per fact, however many semi-joins the job reads.
-    routes: BTreeMap<RelationName, Route>,
+    /// What to do with each job input's facts, indexed by input.
+    routes: Vec<Route>,
 }
 
 impl Mapper for EvalMapper {
-    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>) {
-        match self.routes.get(relation) {
-            None => {}
-            Some(Route::X(tag)) => out.key(tuple.values(), Message::Tag { rel: *tag }),
+    fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>) {
+        match &self.routes[input] {
+            Route::X(tag) => out.tuple(tuple, MsgRef::Tag { rel: *tag }),
             // One tag (full mode) or guard-tuple message (ref mode) per
             // query guarded by this relation.
-            Some(Route::Guard(guarded)) => {
+            Route::Guard(guarded) => {
                 for &j in guarded {
                     let q = &self.queries[j as usize];
-                    if !q.guard.conforms_tuple(tuple) {
+                    if !q.guard.conforms_view(tuple) {
                         continue;
                     }
                     match self.mode {
                         PayloadMode::Full => {
-                            out.project(tuple, &q.identity, Message::Tag { rel: j });
+                            out.project(tuple, &q.identity, MsgRef::Tag { rel: j });
                         }
                         PayloadMode::Reference => {
                             out.key(
                                 &[Value::Int(i64::from(j)), Value::Int(index as i64)],
-                                Message::GuardTuple {
-                                    guard: j,
-                                    tuple: tuple.clone(),
-                                },
+                                MsgRef::GuardTuple { guard: j, tuple },
                             );
                         }
                     }
@@ -99,7 +96,7 @@ impl EvalReducer {
 }
 
 impl Reducer for EvalReducer {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
         let tags: IdSet = group
             .values()
             .filter_map(|m| match m {
@@ -116,7 +113,7 @@ impl Reducer for EvalReducer {
                         && tags.contains(j as u32)
                         && self.formula_holds(q, &tags)
                     {
-                        emit(&q.output, key.project(&q.out_of_identity));
+                        out.project(j, key, &q.out_of_identity);
                     }
                 }
             }
@@ -125,7 +122,7 @@ impl Reducer for EvalReducer {
                     if let MsgView::GuardTuple { guard, tuple } = m {
                         let q = &self.queries[guard as usize];
                         if self.formula_holds(q, &tags) {
-                            emit(&q.output, tuple.project(&q.out_of_guard));
+                            out.project(guard as usize, tuple, &q.out_of_guard);
                         }
                     }
                 }
@@ -187,25 +184,18 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         })
         .collect();
 
-    // Guards first, so that an X relation wins a (never expected) name
-    // clash, as it did when the mapper tried the X names first.
-    let mut routes: BTreeMap<RelationName, Route> = BTreeMap::new();
-    for (j, q) in queries.iter().enumerate() {
-        match routes
-            .entry(q.guard.relation().clone())
-            .or_insert_with(|| Route::Guard(Vec::new()))
-        {
-            Route::Guard(guarded) => guarded.push(j as u32),
-            Route::X(_) => unreachable!("guards are routed before X relations"),
-        }
-    }
-    for sj in ctx.semijoins() {
-        routes.insert(sj.x_name.clone(), Route::X(num_queries + sj.id as u32));
-    }
-    let inputs = (eval_inputs(ctx).into_iter())
+    let eval_inputs = eval_inputs(ctx);
+    let inputs: Vec<RelationName> = (eval_inputs.iter())
         .map(|input| match input {
             EvalInput::X(sj) => sj.x_name.clone(),
-            EvalInput::Guard(rel) => rel.clone(),
+            EvalInput::Guard(rel) => (*rel).clone(),
+        })
+        .collect();
+    let guarded = atoms_by_input(&inputs, queries.iter().map(|q| &q.guard));
+    let routes = (eval_inputs.iter().zip(guarded))
+        .map(|(input, guarded)| match input {
+            EvalInput::X(sj) => Route::X(num_queries + sj.id as u32),
+            EvalInput::Guard(_) => Route::Guard(guarded),
         })
         .collect();
 
@@ -238,7 +228,7 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
 mod tests {
     use super::*;
     use crate::msj::build_msj_job;
-    use gumbo_common::{Database, Fact, Relation, Result};
+    use gumbo_common::{Database, Fact, Relation, Result, Tuple};
     use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;

@@ -33,13 +33,16 @@
 //! no assert present — always so for MSJ — the reducer skips a group
 //! without asserts before reading its requests.
 
-use gumbo_common::{RelationName, Tuple};
-use gumbo_mr::{Emitter, Group, IdSet, Job, JobConfig, Mapper, Message, MsgView, Payload, Reducer};
+use gumbo_common::{RelationName, TupleView};
+use gumbo_mr::{
+    Emitter, Group, IdSet, Job, JobConfig, Mapper, MsgRef, MsgView, OutputSink, Reducer,
+};
 use gumbo_sgf::{Atom, BoolExpr};
 
 use crate::plan::PayloadMode;
 use crate::semijoin::{
-    assert_projections, cond_groups, AssertProjection, FusedRequest, QueryContext, SemiJoin,
+    assert_projections, atoms_by_input, cond_groups, AssertProjection, FusedRequest, QueryContext,
+    SemiJoin,
 };
 
 /// What a request carries to its target.
@@ -170,6 +173,18 @@ impl RequestJob {
         let names: Vec<&str> = outputs.iter().map(|(o, _)| o.as_str()).collect();
         let name = format!("{}({})", self.kind, names.join(","));
         let needs_assert = self.needs_assert();
+        // Per input, the requests and assert groups whose atom names it.
+        let requests = atoms_by_input(&inputs, self.requests.iter().map(|r| &r.guard));
+        let asserts = atoms_by_input(&inputs, self.asserts.iter().map(|(atom, _)| atom));
+        let by_input = requests.into_iter().zip(asserts).collect();
+        let slots = (self.requests.iter())
+            .map(|r| {
+                outputs
+                    .iter()
+                    .position(|(o, _)| *o == r.target)
+                    .expect("declared target")
+            })
+            .collect();
         Job {
             name,
             inputs,
@@ -177,9 +192,11 @@ impl RequestJob {
             mapper: Box::new(RequestMapper {
                 requests: self.requests.clone(),
                 asserts: self.asserts,
+                by_input,
             }),
             reducer: Box::new(RequestReducer {
                 requests: self.requests,
+                slots,
                 needs_assert,
             }),
             config,
@@ -191,29 +208,36 @@ impl RequestJob {
 struct RequestMapper {
     requests: Vec<Request>,
     asserts: Vec<AssertProjection>,
+    /// Per job input: the requests it guards and the assert groups it
+    /// feeds, by index.
+    by_input: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl Mapper for RequestMapper {
-    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>) {
-        for (r, req) in self.requests.iter().enumerate() {
-            if req.guard.conforms(relation, tuple) {
-                let payload = match &req.payload {
-                    RequestPayload::Project(coords) => Payload::Tuple(tuple.project(coords)),
-                    RequestPayload::Reference(guard) => Payload::Ref {
+    fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>) {
+        let (requests, asserts) = &self.by_input[input];
+        for &r in requests {
+            let req = &self.requests[r as usize];
+            if req.guard.conforms_view(tuple) {
+                let msg = match &req.payload {
+                    RequestPayload::Project(coords) => MsgRef::Req {
+                        cond: r,
+                        tuple,
+                        positions: coords,
+                    },
+                    RequestPayload::Reference(guard) => MsgRef::ReqRef {
+                        cond: r,
                         guard: *guard,
                         id: index,
                     },
                 };
-                let msg = Message::Req {
-                    cond: r as u32,
-                    payload,
-                };
                 out.project(tuple, &req.key, msg);
             }
         }
-        for (g, (atom, key)) in self.asserts.iter().enumerate() {
-            if atom.conforms(relation, tuple) {
-                out.project(tuple, key, Message::Assert { cond: g as u32 });
+        for &g in asserts {
+            let (atom, key) = &self.asserts[g as usize];
+            if atom.conforms_view(tuple) {
+                out.project(tuple, key, MsgRef::Assert { cond: g });
             }
         }
     }
@@ -221,12 +245,14 @@ impl Mapper for RequestMapper {
 
 struct RequestReducer {
     requests: Vec<Request>,
+    /// Each request's target, as its output slot.
+    slots: Vec<usize>,
     /// Every formula is false when no assert is present.
     needs_assert: bool,
 }
 
 impl Reducer for RequestReducer {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
         let present: IdSet = (group.values())
             .filter_map(|v| match v {
                 MsgView::Assert { cond } => Some(cond),
@@ -240,7 +266,7 @@ impl Reducer for RequestReducer {
             if let MsgView::Req { cond, payload } = v {
                 let req = &self.requests[cond as usize];
                 if req.formula.evaluate(&|g| present.contains(g as u32)) {
-                    emit(&req.target, payload.to_tuple());
+                    out.payload(self.slots[cond as usize], payload);
                 }
             }
         }
@@ -280,7 +306,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use gumbo_common::{Database, Fact, Relation};
+    use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
     use gumbo_storage::SimDfs;

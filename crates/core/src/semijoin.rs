@@ -78,6 +78,23 @@ pub fn assert_projections(groups: &[AssertGroup]) -> Vec<AssertProjection> {
         .collect()
 }
 
+/// For each job input, the positions in `atoms` of the atoms over it: the
+/// table a mapper indexes with its input to find what a fact can take
+/// part in, built once per job.
+pub fn atoms_by_input<'a>(
+    inputs: &[RelationName],
+    atoms: impl Iterator<Item = &'a Atom> + Clone,
+) -> Vec<Vec<u32>> {
+    (inputs.iter())
+        .map(|rel| {
+            (atoms.clone().enumerate())
+                .filter(|(_, atom)| atom.relation() == rel)
+                .map(|(i, _)| i as u32)
+                .collect()
+        })
+        .collect()
+}
+
 /// A set of BSGF queries prepared for planning: the paper's `F` (§4.5),
 /// with all semi-joins extracted and formulas rewritten over them.
 #[derive(Debug, Clone)]

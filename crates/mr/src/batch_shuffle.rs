@@ -39,11 +39,11 @@
 //! grouping a `BTreeMap<(u64, Tuple), Vec<Message>>` fold of the pair
 //! sequence produces, which is the oracle the tests compare against. No
 //! reducer depends on the key order: every job output is sorted and
-//! deduplicated at commit. The contract holds whatever the budget and
-//! whenever the flushes happen: each run is a contiguous slice of the
-//! partition's emission-order sequence sorted with equal keys in row
-//! order, and the merge drains earlier runs before later ones on equal
-//! keys. A row's bytes are `key.estimated_bytes() +
+//! deduplicated by its reduce task and merged at commit. The contract
+//! holds whatever the budget and whenever the flushes happen: each run is
+//! a contiguous slice of the partition's emission-order sequence sorted
+//! with equal keys in row order, and the merge drains earlier runs before
+//! later ones on equal keys. A row's bytes are `key.estimated_bytes() +
 //! message.estimated_bytes()` computed from the columnar form, so
 //! `reducer_bytes` and spill volumes use the paper's accounting.
 
@@ -54,7 +54,7 @@ use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView, Value, Valu
 use gumbo_storage::{RunReader, RunWriter};
 
 use crate::hash::hash_view;
-use crate::message::{Message, MsgView, Payload, PayloadView};
+use crate::message::{Message, MsgRef, MsgView, Payload, PayloadView};
 use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, UNLIMITED_GRANULE};
 
 /// Maximum rows per spilled columnar frame: large enough to amortize the
@@ -181,6 +181,19 @@ impl TupleStore {
     /// Append an owned tuple; returns its slot.
     pub fn push_tuple(&mut self, t: &Tuple) -> u32 {
         self.push_with(t.arity(), |batch| batch.push_tuple(t))
+    }
+
+    /// Append the projection of a view onto `positions`, copied cell by
+    /// cell; returns its slot.
+    pub(crate) fn push_view_projected(&mut self, t: TupleView<'_>, positions: &[usize]) -> u32 {
+        self.push_with(positions.len(), |batch| {
+            batch.push_view_projected(t, positions)
+        })
+    }
+
+    /// Append the row a view reads; returns its slot.
+    pub(crate) fn push_view(&mut self, t: TupleView<'_>) -> u32 {
+        self.push_with(t.arity(), |batch| batch.push_view(t))
     }
 
     /// Copy slot `slot` of `src` into this store (columnar row copy, no
@@ -380,6 +393,33 @@ impl MsgStore {
         });
     }
 
+    fn push_ref(&mut self, m: MsgRef<'_>) {
+        let (kind, small, aux, wide) = match m {
+            MsgRef::Assert { cond } => (KIND_ASSERT, cond, 0, 0),
+            MsgRef::Req {
+                cond,
+                tuple,
+                positions,
+            } => (
+                KIND_REQ_TUPLE,
+                cond,
+                self.tuples.push_view_projected(tuple, positions),
+                0,
+            ),
+            MsgRef::ReqRef { cond, guard, id } => (KIND_REQ_REF, cond, guard, id),
+            MsgRef::Tag { rel } => (KIND_TAG, rel, 0, 0),
+            MsgRef::GuardTuple { guard, tuple } => {
+                (KIND_GUARD_TUPLE, guard, self.tuples.push_view(tuple), 0)
+            }
+        };
+        self.slots.push(MsgSlot {
+            wide,
+            small,
+            aux,
+            kind,
+        });
+    }
+
     fn push_from(&mut self, src: &MsgStore, row: usize) {
         let mut slot = src.slots[row];
         if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
@@ -569,33 +609,39 @@ impl PairBatch {
     /// Append one pair, decomposing it into the columnar arenas and
     /// hashing its key.
     pub fn push_pair(&mut self, key: &Tuple, msg: &Message) {
-        self.push_values(key.values(), msg);
+        let slot = self.keys.push_tuple(key);
+        self.push_msg(slot, |msgs| msgs.push(msg));
     }
 
     /// Append the pair `(key, msg)` for a key given as borrowed values
     /// (an owned tuple's values, or a stack array of integers).
-    pub fn push_values(&mut self, key: &[Value], msg: &Message) {
-        self.push_keyed(key.len(), |batch| batch.push_values(key), msg);
+    pub fn push_values(&mut self, key: &[Value], msg: MsgRef<'_>) {
+        let slot = self
+            .keys
+            .push_with(key.len(), |batch| batch.push_values(key));
+        self.push_msg(slot, |msgs| msgs.push_ref(msg));
     }
 
     /// Append the pair `(tuple.project(positions), msg)` without building
-    /// the key: its cells go straight from `tuple` into the key arena and
-    /// are hashed there — identical row, hash and bytes to
+    /// the key: its cells go straight from the scanned row into the key
+    /// arena and are hashed there — identical row, hash and bytes to
     /// [`push_pair`](Self::push_pair) of the projection.
-    pub fn push_projected(&mut self, tuple: &Tuple, positions: &[usize], msg: &Message) {
-        self.push_keyed(
-            positions.len(),
-            |batch| batch.push_projected(tuple.values(), positions),
-            msg,
-        );
+    pub fn push_projected(&mut self, tuple: TupleView<'_>, positions: &[usize], msg: MsgRef<'_>) {
+        let slot = self.keys.push_view_projected(tuple, positions);
+        self.push_msg(slot, |msgs| msgs.push_ref(msg));
     }
 
-    /// Append a key of arity `arity` (`push_key` writes its row), hash it
-    /// in place, then append `msg`.
-    fn push_keyed(&mut self, arity: usize, push_key: impl FnOnce(&mut TupleBatch), msg: &Message) {
-        let slot = self.keys.push_with(arity, push_key);
+    /// Append the pair `(tuple, msg)`: the whole row as the key.
+    pub(crate) fn push_view(&mut self, tuple: TupleView<'_>, msg: MsgRef<'_>) {
+        let slot = self.keys.push_view(tuple);
+        self.push_msg(slot, |msgs| msgs.push_ref(msg));
+    }
+
+    /// Hash the key just stored at `slot` in place, then append its
+    /// message (`push` writes it).
+    fn push_msg(&mut self, slot: u32, push: impl FnOnce(&mut MsgStore)) {
         self.hashes.push(key_hash(self.keys.view(slot)));
-        self.msgs.push(msg);
+        push(&mut self.msgs);
         self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);
     }
 

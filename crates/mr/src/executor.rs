@@ -28,11 +28,17 @@
 //!    tasks' hashes — the rows stay where the map tasks wrote them — then
 //!    streams the merge of its spill runs plus the in-memory tail — keys
 //!    in `(hash, Tuple)` order, values in global emission order — as
-//!    borrowed groups straight into the reduce function, appending what
-//!    it emits to one vector per output;
-//! 4. **commit** — on the caller's thread, each output's vectors are
-//!    concatenated in partition order and sorted and deduplicated once
+//!    borrowed groups straight into the reduce function, which writes
+//!    what it emits into one columnar batch per output slot
+//!    ([`OutputSink`]); the reduce task then sorts and de-duplicates each
+//!    batch on its worker;
+//! 4. **commit** — on the caller's thread, each output's sorted partition
+//!    runs are k-way merged, dropping facts several partitions emitted,
 //!    into the stored relation.
+//!
+//! Map tasks read their input as [`TupleView`](gumbo_common::TupleView)s
+//! in place, and no stage builds a `Tuple` per scanned, emitted or
+//! committed fact.
 //!
 //! Determinism: map results are re-assembled **in task order**, each
 //! reducer's stream is grouped with keys in `(hash, Tuple)` order and
@@ -45,20 +51,19 @@
 //! `tests/executor_equivalence.rs` and the 1/4/16-thread smoke test at
 //! the workspace root enforce the guarantee.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use gumbo_common::{ByteSize, GumboError, Relation, RelationName, Result, Tuple};
+use gumbo_common::{ByteSize, GumboError, Relation, Result, TupleBatch};
 use gumbo_storage::{Dfs, RelationScan};
 
 use crate::batch_shuffle::{BatchGroupStream, BatchPartition, PairBatch};
 use crate::cluster::Cluster;
 use crate::cost::{job_cost, CostConstants, CostModelKind};
 use crate::hash::partition_of;
-use crate::job::{Emitter, Job};
+use crate::job::{Emitter, Job, OutputSink};
 use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
@@ -296,7 +301,12 @@ impl Executor {
         });
         let mapped: Vec<MapTaskOutput> = parallel_for(plan.tasks.len(), workers, |i| {
             let task = &plan.tasks[i];
-            run_map_task(job, &plan.input_scans[task.input_idx], task.split.clone())
+            run_map_task(
+                job,
+                task.input_idx,
+                &plan.input_scans[task.input_idx],
+                task.split.clone(),
+            )
         })
         .into_iter()
         .collect::<Result<_>>()?;
@@ -334,7 +344,7 @@ impl Executor {
         });
         let spill = ShuffleSpill::new(&job.name);
         let budget = &*self.budget;
-        type ReducedPartition = Result<(Vec<Vec<Tuple>>, u64, SpillStats)>;
+        type ReducedPartition = Result<(Vec<TupleBatch>, u64, SpillStats)>;
         let reduced: Vec<ReducedPartition> = parallel_for(reducers, workers, |p| {
             let mut span = gumbo_obs::span_with("reduce:partition", |f| {
                 f.str("job", &job.name);
@@ -606,6 +616,7 @@ pub(crate) struct MapTaskOutput {
 /// ([`packed_counts`]), no sort.
 pub(crate) fn run_map_task(
     job: &Job,
+    input: usize,
     scan: &RelationScan,
     split: Range<usize>,
 ) -> Result<MapTaskOutput> {
@@ -617,7 +628,7 @@ pub(crate) fn run_map_task(
     let mut out = Emitter::new(&mut batch);
     let mut index = split.start as u64;
     scan.for_each(split, &mut |tuple| {
-        job.mapper.map(scan.name(), tuple, index, &mut out);
+        job.mapper.map(input, tuple, index, &mut out);
         index += 1;
     })?;
     let (output_bytes, records_out) = if job.config.packing {
@@ -687,87 +698,57 @@ impl MapPlan {
     }
 }
 
-/// The job's declared outputs in name order: the order in which a
-/// partition's output vectors are returned and the commit stores relations.
-fn declared_outputs(job: &Job) -> BTreeMap<&RelationName, usize> {
-    job.outputs
-        .iter()
-        .map(|(name, arity)| (name, *arity))
-        .collect()
-}
-
 /// Reduce one shuffle partition by streaming its key groups (keys in
 /// `(hash, Tuple)` order, values in global emission order — the order the
 /// bounded and unlimited shuffles both guarantee; no reducer depends on
-/// the key order) and append what the reducer emits to
-/// one vector per declared output ([`declared_outputs`] order), duplicates
-/// included: [`commit_job`] sorts and deduplicates once per relation. An
-/// emission of the wrong arity or to an undeclared output is rejected
-/// here, where it happens. Groups are read in place
-/// ([`Group`](crate::Group)); the tuples the reducer emits are the only
-/// ones built.
+/// the key order) into an [`OutputSink`], then sort and de-duplicate each
+/// declared output's rows ([`TupleBatch::sort_dedup`]) here, on the
+/// reduce worker: [`commit_job`] only merges the sorted runs. An emission
+/// of the wrong arity or to an undeclared output is rejected here, where
+/// it happens. Groups are read in place ([`Group`](crate::Group)) and
+/// emitted rows are copied cell by cell; no tuple is built.
 pub(crate) fn run_reduce_stream(
     job: &Job,
     mut groups: BatchGroupStream<'_>,
-) -> Result<Vec<Vec<Tuple>>> {
+) -> Result<Vec<TupleBatch>> {
     let mut span = gumbo_obs::span_with("reduce:task", |f| f.str("job", &job.name));
-    let mut outputs: BTreeMap<&RelationName, (usize, Vec<Tuple>)> = declared_outputs(job)
-        .into_iter()
-        .map(|(name, arity)| (name, (arity, Vec::new())))
-        .collect();
+    let mut out = OutputSink::new(job);
     while let Some(group) = groups.next_group()? {
-        let mut err: Option<GumboError> = None;
-        job.reducer.reduce(&group, &mut |rel_name, tuple| {
-            if err.is_some() {
-                return;
-            }
-            match outputs.get_mut(rel_name) {
-                Some((arity, tuples)) if tuple.arity() == *arity => tuples.push(tuple),
-                Some((arity, _)) => {
-                    err = Some(GumboError::ArityMismatch {
-                        relation: rel_name.to_string(),
-                        expected: *arity,
-                        got: tuple.arity(),
-                    });
-                }
-                None => {
-                    err = Some(GumboError::Plan(format!(
-                        "job {} emitted to undeclared output {rel_name}",
-                        job.name
-                    )));
-                }
-            }
-        });
-        if let Some(e) = err {
+        job.reducer.reduce(&group, &mut out);
+        if let Some(e) = out.take_error() {
             return Err(e);
         }
     }
+    let mut outputs = out.into_batches();
     // Emitted tuples, duplicates included; the `commit` span carries the
     // distinct count.
     span.record(|f| {
         f.u64(
             "output_tuples",
-            outputs.values().map(|(_, t)| t.len() as u64).sum(),
+            outputs.iter().map(|b| b.len() as u64).sum(),
         );
     });
-    Ok(outputs.into_values().map(|(_, tuples)| tuples).collect())
+    for batch in &mut outputs {
+        batch.sort_dedup();
+    }
+    Ok(outputs)
 }
 
 /// The outcome of a job's map/shuffle/reduce phases, not yet committed to
-/// the DFS: per-input metering, reducer accounting, and the per-partition
-/// output vectors ([`run_reduce_stream`]) awaiting the merge in
-/// [`commit_job`].
+/// the DFS: per-input metering, reducer accounting, and each partition's
+/// sorted output batches ([`run_reduce_stream`], in slot order) awaiting
+/// the merge in [`commit_job`].
 pub(crate) struct ComputedJob {
     pub(crate) partitions: Vec<InputPartition>,
     pub(crate) reducers: usize,
     pub(crate) reducer_bytes: Vec<u64>,
-    pub(crate) partition_outputs: Vec<Vec<Vec<Tuple>>>,
+    pub(crate) partition_outputs: Vec<Vec<TupleBatch>>,
     pub(crate) spill: SpillStats,
 }
 
-/// Build every declared output once from its per-partition vectors
-/// (concatenated in partition order, then one sort + dedup in
-/// [`Relation::from_tuples`]), store it to the DFS in name order, and
+/// Build every declared output once by k-way merging its partitions'
+/// sorted runs ([`TupleBatch::merge_sorted`], which drops a tuple that
+/// several partitions emitted), store it to the DFS in name order, and
 /// assemble the job's metered statistics. This is the only phase that
 /// mutates the DFS.
 fn commit_job(
@@ -790,12 +771,14 @@ fn commit_job(
 
     let mut output_tuples = 0u64;
     let mut output_bytes = ByteSize::ZERO;
-    for (i, (name, arity)) in declared_outputs(job).into_iter().enumerate() {
-        let mut emitted = Vec::with_capacity(partition_outputs.iter().map(|p| p[i].len()).sum());
-        for partition in &mut partition_outputs {
-            emitted.extend(std::mem::take(&mut partition[i]));
-        }
-        let rel = Relation::from_tuples(name, arity, emitted)?;
+    let mut slots: Vec<usize> = (0..job.outputs.len()).collect();
+    slots.sort_by_key(|&slot| &job.outputs[slot].0);
+    for slot in slots {
+        let (name, arity) = &job.outputs[slot];
+        let runs = (partition_outputs.iter_mut())
+            .map(|partition| std::mem::take(&mut partition[slot]))
+            .collect();
+        let rel = Relation::from_batch(name, TupleBatch::merge_sorted(*arity, runs));
         output_tuples += rel.len() as u64;
         output_bytes += ByteSize::bytes(rel.estimated_bytes()).scaled(scale);
         dfs.store(rel)?;
@@ -882,43 +865,36 @@ mod tests {
     use super::*;
     use crate::batch_shuffle::Group;
     use crate::job::{JobConfig, Mapper, Reducer, ReducerPolicy};
-    use crate::message::{Message, MsgView, Payload, PayloadView};
-    use gumbo_common::Tuple;
+    use crate::message::{MsgRef, MsgView, PayloadView};
+    use gumbo_common::{Tuple, TupleView};
     use gumbo_storage::SimDfs;
 
     /// Worker counts every pipeline test runs at: the inline reference
     /// configuration and a real pool.
     const WORKERS: [usize; 2] = [1, 4];
 
-    /// A miniature single-semi-join job (§4.1's repartition join): guard
-    /// `guard(x, z)` requests on key z; any other input asserts on its
-    /// first attribute.
-    struct SemiJoinMapper {
-        guard: &'static str,
-    }
+    /// A miniature single-semi-join job (§4.1's repartition join): the
+    /// guard `guard(x, z)`, input 0, requests on key z; any other input
+    /// asserts on its first attribute.
+    struct SemiJoinMapper;
     impl Mapper for SemiJoinMapper {
-        fn map(&self, relation: &RelationName, tuple: &Tuple, _index: u64, out: &mut Emitter<'_>) {
-            if relation.as_str() == self.guard {
-                let out_tuple = tuple.project(&[0]);
-                out.project(
+        fn map(&self, input: usize, tuple: TupleView<'_>, _index: u64, out: &mut Emitter<'_>) {
+            if input == 0 {
+                let msg = MsgRef::Req {
+                    cond: 0,
                     tuple,
-                    &[1],
-                    Message::Req {
-                        cond: 0,
-                        payload: Payload::Tuple(out_tuple),
-                    },
-                );
+                    positions: &[0],
+                };
+                out.project(tuple, &[1], msg);
             } else {
-                out.project(tuple, &[0], Message::Assert { cond: 0 });
+                out.project(tuple, &[0], MsgRef::Assert { cond: 0 });
             }
         }
     }
 
-    struct SemiJoinReducer {
-        output: &'static str,
-    }
+    struct SemiJoinReducer;
     impl Reducer for SemiJoinReducer {
-        fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
+        fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
             let asserted = group
                 .values()
                 .any(|m| matches!(m, MsgView::Assert { cond: 0 }));
@@ -929,7 +905,7 @@ mod tests {
                         payload: PayloadView::Tuple(t),
                     } = m
                     {
-                        emit(&self.output.into(), t.to_tuple());
+                        out.view(0, t);
                     }
                 }
             }
@@ -941,8 +917,8 @@ mod tests {
             name: format!("MSJ({output})"),
             inputs: vec![guard.into(), cond.into()],
             outputs: vec![(output.into(), 1)],
-            mapper: Box::new(SemiJoinMapper { guard }),
-            reducer: Box::new(SemiJoinReducer { output }),
+            mapper: Box::new(SemiJoinMapper),
+            reducer: Box::new(SemiJoinReducer),
             config: JobConfig::default(),
             estimate: None,
         }
@@ -952,11 +928,13 @@ mod tests {
         semi_join("R", "S", "Z")
     }
 
-    /// A reducer that emits to a relation its job never declared.
+    /// A reducer that emits to an output its job never declared.
     struct BadReducer;
     impl Reducer for BadReducer {
-        fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-            emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
+        fn reduce(&self, _: &Group<'_>, out: &mut OutputSink<'_>) {
+            let mut row = TupleBatch::new(1);
+            row.push_tuple(&Tuple::from_ints(&[1]));
+            out.view(0, row.view(0));
         }
     }
 
@@ -965,7 +943,7 @@ mod tests {
             name: "bad".into(),
             inputs: vec!["R".into()],
             outputs: vec![],
-            mapper: Box::new(SemiJoinMapper { guard: "R" }),
+            mapper: Box::new(SemiJoinMapper),
             reducer: Box::new(BadReducer),
             config: JobConfig::default(),
             estimate: None,
@@ -1127,7 +1105,7 @@ mod tests {
                     .to_string()
             })
             .collect();
-        assert!(errors[0].contains("Undeclared"), "{}", errors[0]);
+        assert!(errors[0].contains("undeclared output"), "{}", errors[0]);
         assert_eq!(errors[0], errors[1]);
     }
 
@@ -1137,10 +1115,11 @@ mod tests {
         width: usize,
     }
     impl Reducer for ConstantReducer {
-        fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-            let tuple = Tuple::from_ints(&vec![42; self.width]);
-            emit(&"Z".into(), tuple.clone());
-            emit(&"Z".into(), tuple);
+        fn reduce(&self, _: &Group<'_>, out: &mut OutputSink<'_>) {
+            let mut row = TupleBatch::new(self.width);
+            row.push_tuple(&Tuple::from_ints(&vec![42; self.width]));
+            out.view(0, row.view(0));
+            out.view(0, row.view(0));
         }
     }
 
@@ -1321,7 +1300,7 @@ mod tests {
     fn a_panicking_reducer_is_an_error_naming_the_job() {
         struct Bomb;
         impl Reducer for Bomb {
-            fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {
+            fn reduce(&self, _: &Group<'_>, _: &mut OutputSink<'_>) {
                 panic!("reducer bomb");
             }
         }

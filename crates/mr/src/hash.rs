@@ -4,7 +4,7 @@
 //! simulated schedules (and therefore reported times) non-reproducible.
 //! We use FNV-1a over a canonical byte rendering of the key instead.
 
-use gumbo_common::{Tuple, TupleView, Value, ValueRef};
+use gumbo_common::{Tuple, TupleView, ValueRef};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -21,33 +21,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Deterministic hash of a key tuple.
 pub fn hash_tuple(tuple: &Tuple) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for v in tuple.values() {
-        match v {
-            Value::Int(i) => {
-                mix(&[0u8]);
-                mix(&i.to_le_bytes());
-            }
-            Value::Str(s) => {
-                mix(&[1u8]);
-                mix(s.as_bytes());
-                mix(&[0xff]);
-            }
-        }
-    }
-    h
+    hash_values(tuple.values().iter().map(ValueRef::from))
 }
 
-/// Deterministic hash of a columnar key view — byte-for-byte the same
-/// mixing as [`hash_tuple`], so `hash_view(batch.view(r))` always equals
+/// Deterministic hash of a columnar key view — the same mixing as
+/// [`hash_tuple`], so `hash_view(batch.view(r))` always equals
 /// `hash_tuple(&batch.tuple(r))`.
 pub fn hash_view(view: TupleView<'_>) -> u64 {
+    hash_values(view.values())
+}
+
+/// FNV-1a over a canonical byte rendering of the values: a type byte,
+/// then an integer's little-endian bytes or a string's bytes and a `0xff`
+/// terminator.
+fn hash_values<'a>(values: impl Iterator<Item = ValueRef<'a>>) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |bytes: &[u8]| {
         for &b in bytes {
@@ -55,7 +42,7 @@ pub fn hash_view(view: TupleView<'_>) -> u64 {
             h = h.wrapping_mul(FNV_PRIME);
         }
     };
-    for v in view.values() {
+    for v in values {
         match v {
             ValueRef::Int(i) => {
                 mix(&[0u8]);
@@ -86,6 +73,7 @@ pub fn partition_of(hash: u64, reducers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gumbo_common::Value;
 
     #[test]
     fn hashing_is_deterministic() {

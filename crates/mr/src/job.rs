@@ -2,19 +2,21 @@
 
 use std::fmt;
 
-use gumbo_common::{ByteSize, RelationName, Tuple, Value};
+use gumbo_common::{ByteSize, GumboError, RelationName, TupleBatch, TupleView, Value};
 
 use crate::batch_shuffle::{Group, PairBatch};
 use crate::estimate::JobEstimate;
-use crate::message::Message;
+use crate::message::{MsgRef, PayloadView};
 
 /// A map function `µ`.
 ///
 /// Called once per input tuple, in the deterministic order of the job's
-/// input relations, with the tuple borrowed in place from the task's
-/// scan (a DFS snapshot or a cached segment frame): nothing is cloned
-/// to call it. `relation` names the input the tuple belongs to — the
-/// tuple and its relation are the paper's fact `R(ā)`. `index` is the
+/// input relations, with the tuple read in place from the task's scan (a
+/// DFS snapshot or a cached segment frame) as a [`TupleView`]: nothing is
+/// built to call it. `input` is the tuple's relation as its position in
+/// [`Job::inputs`] — the tuple and its relation are the paper's fact
+/// `R(ā)`, and a mapper resolves what it does with each input once, when
+/// the job is built, into a table it indexes here. `index` is the
 /// tuple's position within its relation's canonical (sorted) order — the
 /// tuple id used by the guard-reference optimization (§5.1 (2)).
 ///
@@ -22,12 +24,13 @@ use crate::message::Message;
 /// columnar [`PairBatch`] (see [`Emitter`]).
 pub trait Mapper: Send + Sync {
     /// Process one input tuple, emitting key-value pairs into `out`.
-    fn map(&self, relation: &RelationName, tuple: &Tuple, index: u64, out: &mut Emitter<'_>);
+    fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>);
 }
 
 /// Where a mapper's pairs land: the map task's [`PairBatch`]. Every key
-/// is written into the batch's key arena and hashed there; no key
-/// `Tuple` is handed over. Pairs keep their emission order.
+/// and message tuple is copied cell by cell from the scanned row into the
+/// batch's arenas, and every key is hashed there; no `Tuple` is handed
+/// over. Pairs keep their emission order.
 pub struct Emitter<'a> {
     batch: &'a mut PairBatch,
 }
@@ -39,29 +42,125 @@ impl<'a> Emitter<'a> {
     }
 
     /// Emit `⟨π_positions(tuple) : msg⟩` — the paper's projected key
-    /// (Algorithm 1) — copying the key's cells from `tuple` straight into
-    /// the key arena, with no projected `Tuple` in between.
-    pub fn project(&mut self, tuple: &Tuple, positions: &[usize], msg: Message) {
-        self.batch.push_projected(tuple, positions, &msg);
+    /// (Algorithm 1).
+    pub fn project(&mut self, tuple: TupleView<'_>, positions: &[usize], msg: MsgRef<'_>) {
+        self.batch.push_projected(tuple, positions, msg);
     }
 
-    /// Emit `⟨key : msg⟩` for a key that is not a projection: an owned
-    /// tuple's [`Tuple::values`], or a stack array of integers (EVAL's
-    /// `(j, id)`).
-    pub fn key(&mut self, key: &[Value], msg: Message) {
-        self.batch.push_values(key, &msg);
+    /// Emit `⟨tuple : msg⟩`: the whole row as the key.
+    pub fn tuple(&mut self, tuple: TupleView<'_>, msg: MsgRef<'_>) {
+        self.batch.push_view(tuple, msg);
+    }
+
+    /// Emit `⟨key : msg⟩` for a key that is not a projection of the row:
+    /// a stack array of integers (EVAL's `(j, id)`).
+    pub fn key(&mut self, key: &[Value], msg: MsgRef<'_>) {
+        self.batch.push_values(key, msg);
     }
 }
 
 /// A reduce function `ρ`.
 ///
 /// Called once per key group with the group borrowed in place from the
-/// shuffle ([`Group`]): its key as a [`TupleView`](gumbo_common::TupleView)
-/// and its values as [`MsgView`](crate::MsgView)s in emission order.
-/// Only what the reducer emits becomes an owned [`Tuple`].
+/// shuffle ([`Group`]): its key as a [`TupleView`] and its values as
+/// [`MsgView`](crate::MsgView)s in emission order. What the reducer emits
+/// is copied cell by cell into `out` ([`OutputSink`]); no `Tuple` is
+/// built on either side.
 pub trait Reducer: Send + Sync {
-    /// Process one group, emitting `(output relation, tuple)` pairs.
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple));
+    /// Process one group, writing output facts into `out`.
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>);
+}
+
+/// Where a reduce task's output facts land: one [`TupleBatch`] per
+/// declared output of the job, addressed by its *slot* — its position in
+/// [`Job::outputs`], fixed when the job is built — so an emit is an index,
+/// not a name lookup. Rows are appended in emission order, duplicates
+/// included; the reduce task sorts and de-duplicates each batch, and the
+/// commit merges the tasks' batches.
+///
+/// An emit to a slot the job does not declare, or of the wrong arity, is
+/// not written: the sink keeps the first such error, which fails the job.
+pub struct OutputSink<'a> {
+    job: &'a Job,
+    batches: Vec<TupleBatch>,
+    error: Option<GumboError>,
+}
+
+impl<'a> OutputSink<'a> {
+    /// An empty sink for `job`'s declared outputs.
+    pub fn new(job: &'a Job) -> OutputSink<'a> {
+        OutputSink {
+            job,
+            batches: (job.outputs.iter())
+                .map(|(_, arity)| TupleBatch::new(*arity))
+                .collect(),
+            error: None,
+        }
+    }
+
+    /// The batch of `slot`, if a row of `arity` may go there; otherwise
+    /// record the error (the first one wins).
+    fn batch(&mut self, slot: usize, arity: usize) -> Option<&mut TupleBatch> {
+        if self.error.is_some() {
+            return None;
+        }
+        match self.job.outputs.get(slot) {
+            Some((_, expected)) if *expected == arity => Some(&mut self.batches[slot]),
+            Some((name, expected)) => {
+                self.error = Some(GumboError::ArityMismatch {
+                    relation: name.to_string(),
+                    expected: *expected,
+                    got: arity,
+                });
+                None
+            }
+            None => {
+                self.error = Some(GumboError::Plan(format!(
+                    "job {} emitted to undeclared output slot {slot}",
+                    self.job.name
+                )));
+                None
+            }
+        }
+    }
+
+    /// Emit the row `tuple` reads into output `slot`.
+    pub fn view(&mut self, slot: usize, tuple: TupleView<'_>) {
+        if let Some(batch) = self.batch(slot, tuple.arity()) {
+            batch.push_view(tuple);
+        }
+    }
+
+    /// Emit `π_positions(tuple)` into output `slot`.
+    pub fn project(&mut self, slot: usize, tuple: TupleView<'_>, positions: &[usize]) {
+        if let Some(batch) = self.batch(slot, positions.len()) {
+            batch.push_view_projected(tuple, positions);
+        }
+    }
+
+    /// Emit the tuple a request payload stores into output `slot`: the
+    /// payload row itself, or a reference as the integer pair
+    /// `(guard, id)`.
+    pub fn payload(&mut self, slot: usize, payload: PayloadView<'_>) {
+        match payload {
+            PayloadView::Tuple(t) => self.view(slot, t),
+            PayloadView::Ref { guard, id } => {
+                if let Some(batch) = self.batch(slot, 2) {
+                    batch.push_values(&[Value::Int(i64::from(guard)), Value::Int(id as i64)]);
+                }
+            }
+        }
+    }
+
+    /// The first emit error, if any, ending the sink's use.
+    pub(crate) fn take_error(&mut self) -> Option<GumboError> {
+        self.error.take()
+    }
+
+    /// The emitted rows, one batch per declared output in slot order.
+    pub fn into_batches(self) -> Vec<TupleBatch> {
+        self.batches
+    }
 }
 
 /// How a job chooses its reducer count.
@@ -223,11 +322,11 @@ pub(crate) mod test_support {
     pub(crate) struct Noop;
 
     impl Mapper for Noop {
-        fn map(&self, _: &RelationName, _: &Tuple, _: u64, _: &mut Emitter<'_>) {}
+        fn map(&self, _: usize, _: TupleView<'_>, _: u64, _: &mut Emitter<'_>) {}
     }
 
     impl Reducer for Noop {
-        fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {}
+        fn reduce(&self, _: &Group<'_>, _: &mut OutputSink<'_>) {}
     }
 
     /// A no-op job reading `inputs` and declaring unary `outputs`.

@@ -80,8 +80,8 @@ pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
 pub use estimate::{list_schedule_makespan, JobEstimate};
 pub use executor::{EngineConfig, Executor, ExecutorKind};
-pub use job::{Emitter, Job, JobConfig, Mapper, Reducer, ReducerPolicy};
-pub use message::{IdSet, Message, MsgView, Payload, PayloadView};
+pub use job::{Emitter, Job, JobConfig, Mapper, OutputSink, Reducer, ReducerPolicy};
+pub use message::{IdSet, Message, MsgRef, MsgView, Payload, PayloadView};
 pub use metrics::{JobStats, ProgramStats};
 pub use profile::{InputPartition, JobProfile};
 pub use program::MrProgram;

@@ -15,9 +15,10 @@
 //! Byte sizes follow the paper's data layout (10 B per value) with a 4-byte
 //! tag per message; a `Ref` payload is a single id value.
 //!
-//! Mappers emit owned [`Message`]s; reducers read [`MsgView`]s — the same
-//! vocabulary borrowed in place from the shuffle's columnar batches, so
-//! no payload tuple is built unless the reducer emits it.
+//! Mappers emit [`MsgRef`]s, whose tuples are borrowed from the scanned
+//! row; reducers read [`MsgView`]s — the same vocabulary borrowed in place
+//! from the shuffle's columnar batches. No payload tuple is built on
+//! either side; the owned [`Message`] is for tests and edge conversions.
 
 use gumbo_common::{Tuple, TupleView};
 
@@ -94,6 +95,49 @@ impl Message {
     }
 }
 
+/// A message as a mapper emits it ([`Emitter`](crate::Emitter)):
+/// [`Message`] with its tuple borrowed from the scanned row, so emitting
+/// builds no `Tuple` — the shuffle copies the cells straight into its
+/// columnar batch.
+#[derive(Debug, Clone, Copy)]
+pub enum MsgRef<'a> {
+    /// [`Message::Assert`].
+    Assert {
+        /// Index of the assert group within the job.
+        cond: u32,
+    },
+    /// [`Message::Req`] with [`Payload::Tuple`]`(π_positions(tuple))`.
+    Req {
+        /// Index of the request within the job.
+        cond: u32,
+        /// The row the payload is projected from.
+        tuple: TupleView<'a>,
+        /// The payload's coordinates within `tuple`.
+        positions: &'a [usize],
+    },
+    /// [`Message::Req`] with a [`Payload::Ref`].
+    ReqRef {
+        /// Index of the request within the job.
+        cond: u32,
+        /// Which guard relation.
+        guard: u32,
+        /// Position of the tuple in the guard relation's canonical order.
+        id: u64,
+    },
+    /// [`Message::Tag`].
+    Tag {
+        /// Index of the `X` relation within the EVAL job.
+        rel: u32,
+    },
+    /// [`Message::GuardTuple`] of the whole row.
+    GuardTuple {
+        /// Which guard relation.
+        guard: u32,
+        /// The tuple itself.
+        tuple: TupleView<'a>,
+    },
+}
+
 /// A borrowed [`Payload`]: the payload tuple is a view into the batch
 /// that carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,17 +151,6 @@ pub enum PayloadView<'a> {
         /// Position of the tuple in the guard relation's canonical order.
         id: u64,
     },
-}
-
-impl PayloadView<'_> {
-    /// The tuple this payload stores in `Xᵢ`: the payload tuple itself, or
-    /// the reference as the pair `(guard, id)`.
-    pub fn to_tuple(&self) -> Tuple {
-        match self {
-            PayloadView::Tuple(t) => t.to_tuple(),
-            PayloadView::Ref { guard, id } => Tuple::from_ints(&[i64::from(*guard), *id as i64]),
-        }
-    }
 }
 
 /// A borrowed [`Message`], as a reducer reads it from the shuffle: `Copy`,

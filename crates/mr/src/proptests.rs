@@ -16,7 +16,7 @@ use crate::dag::jobs_conflict;
 use crate::executor::packed_counts;
 use crate::job::test_support::noop_job;
 use crate::job::{Emitter, Job};
-use crate::message::{Message, Payload};
+use crate::message::{Message, MsgRef, Payload};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
 use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill};
@@ -110,10 +110,11 @@ proptest! {
         prop_assert_eq!(packed_counts(&PairBatch::new(), &[]), (0, 0), "empty batch");
     }
 
-    /// The emitter's in-place keys are the keys the mapper used to build:
-    /// a projected push equals `push_pair(&t.project(pos), m)`, and an
-    /// owned key pushed by its values equals `push_pair(&t, m)` — key
-    /// view, hash, row bytes, message and `to_pairs`. Tuples mix ints and
+    /// The emitter's in-place keys and messages are the ones the mapper
+    /// used to build: a projected push equals `push_pair(&t.project(pos),
+    /// m)`, a whole-row or by-values key equals `push_pair(&t, m)`, and
+    /// every borrowed message shape equals its owned `Message` — key view,
+    /// hash, row bytes, message and `to_pairs`. Tuples mix ints and
     /// strings (one dictionary shared across rows); positions repeat and
     /// may be empty (the nullary key).
     #[test]
@@ -147,21 +148,38 @@ proptest! {
             } else {
                 positions.iter().map(|&i| i % tuple.arity()).collect()
             };
-            let msg = if seq % 3 == 0 {
-                Message::Assert { cond: seq as u32 }
-            } else {
-                Message::Req {
-                    cond: seq as u32,
-                    payload: Payload::Tuple(tuple.clone()),
-                }
+            // The scanned row the mapper reads, and every message shape
+            // next to the owned message it stands for.
+            let mut row = gumbo_common::TupleBatch::new(tuple.arity());
+            row.push_tuple(&tuple);
+            let view = row.view(0);
+            let cond = seq as u32;
+            let (msg, owned) = match seq % 5 {
+                0 => (MsgRef::Assert { cond }, Message::Assert { cond }),
+                1 => (
+                    MsgRef::Req { cond, tuple: view, positions: &positions },
+                    Message::Req { cond, payload: Payload::Tuple(tuple.project(&positions)) },
+                ),
+                2 => (
+                    MsgRef::ReqRef { cond, guard: 3, id: seq as u64 },
+                    Message::Req { cond, payload: Payload::Ref { guard: 3, id: seq as u64 } },
+                ),
+                3 => (MsgRef::Tag { rel: cond }, Message::Tag { rel: cond }),
+                _ => (
+                    MsgRef::GuardTuple { guard: cond, tuple: view },
+                    Message::GuardTuple { guard: cond, tuple: tuple.clone() },
+                ),
             };
             let mut out = Emitter::new(&mut emitted);
             if *projected {
-                out.project(&tuple, &positions, msg.clone());
-                pushed.push_pair(&tuple.project(&positions), &msg);
+                out.project(view, &positions, msg);
+                pushed.push_pair(&tuple.project(&positions), &owned);
+            } else if seq % 2 == 0 {
+                out.key(tuple.values(), msg);
+                pushed.push_pair(&tuple, &owned);
             } else {
-                out.key(tuple.values(), msg.clone());
-                pushed.push_pair(&tuple, &msg);
+                out.tuple(view, msg);
+                pushed.push_pair(&tuple, &owned);
             }
         }
         prop_assert_eq!(emitted.len(), pushed.len());

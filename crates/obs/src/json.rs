@@ -97,20 +97,23 @@ impl Json {
     }
 }
 
-fn escape(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
+/// Write `s` as a JSON string literal — quoted and escaped exactly as
+/// [`Json::Str`] displays — for writers that build JSON text without a
+/// [`Json`] tree.
+pub fn write_str(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    f.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
             c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            c => f.write_char(c)?,
         }
     }
-    write!(f, "\"")
+    f.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -126,7 +129,7 @@ impl fmt::Display for Json {
                 }
             }
             Json::Int(n) => write!(f, "{n}"),
-            Json::Str(s) => escape(f, s),
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -143,7 +146,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    escape(f, k)?;
+                    write_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")

@@ -16,10 +16,11 @@
 
 use proptest::prelude::*;
 
-use gumbo_common::{ByteSize, Relation, RelationName, Tuple};
+use gumbo_common::{ByteSize, Relation, Tuple, TupleView};
 use gumbo_mr::{
     list_schedule_makespan, CostConstants, CostModelKind, Emitter, EngineConfig, Executor, Group,
-    InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, Message, MrProgram, Reducer,
+    InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, MrProgram, MsgRef, OutputSink,
+    Reducer,
 };
 use gumbo_storage::SimDfs;
 
@@ -29,14 +30,14 @@ use crate::scheduler::{DagScheduler, SchedulerConfig};
 /// deterministic, and write-conflicting when outputs collide.
 struct Copy;
 impl Mapper for Copy {
-    fn map(&self, _: &RelationName, tuple: &Tuple, _: u64, out: &mut Emitter<'_>) {
-        out.key(tuple.values(), Message::Assert { cond: 0 });
+    fn map(&self, _: usize, tuple: TupleView<'_>, _: u64, out: &mut Emitter<'_>) {
+        out.tuple(tuple, MsgRef::Assert { cond: 0 });
     }
 }
-struct CopyTo(RelationName);
+struct CopyTo;
 impl Reducer for CopyTo {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-        emit(&self.0, group.key().to_tuple());
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
+        out.view(0, group.key());
     }
 }
 
@@ -69,7 +70,7 @@ fn copy_job(name: &str, input: &str, output: &str, cost: f64) -> Job {
         inputs: vec![input.into()],
         outputs: vec![(output.into(), 2)],
         mapper: Box::new(Copy),
-        reducer: Box::new(CopyTo(output.into())),
+        reducer: Box::new(CopyTo),
         config: JobConfig::default(),
         estimate: None,
     }

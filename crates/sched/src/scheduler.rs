@@ -297,21 +297,23 @@ impl DagScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gumbo_common::{Relation, RelationName, Tuple};
-    use gumbo_mr::{Emitter, EngineConfig, Group, Job, JobConfig, Mapper, Message, Reducer};
+    use gumbo_common::{Relation, Tuple, TupleBatch, TupleView};
+    use gumbo_mr::{
+        Emitter, EngineConfig, Group, Job, JobConfig, Mapper, MsgRef, OutputSink, Reducer,
+    };
     use gumbo_storage::SimDfs;
 
     /// Copies every input tuple to the job's single output relation.
     struct Copy;
     impl Mapper for Copy {
-        fn map(&self, _: &RelationName, tuple: &Tuple, _: u64, out: &mut Emitter<'_>) {
-            out.key(tuple.values(), Message::Assert { cond: 0 });
+        fn map(&self, _: usize, tuple: TupleView<'_>, _: u64, out: &mut Emitter<'_>) {
+            out.tuple(tuple, MsgRef::Assert { cond: 0 });
         }
     }
-    struct CopyTo(RelationName);
+    struct CopyTo;
     impl Reducer for CopyTo {
-        fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-            emit(&self.0, group.key().to_tuple());
+        fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
+            out.view(0, group.key());
         }
     }
 
@@ -321,7 +323,7 @@ mod tests {
             inputs: vec![input.into()],
             outputs: vec![(output.into(), 2)],
             mapper: Box::new(Copy),
-            reducer: Box::new(CopyTo(output.into())),
+            reducer: Box::new(CopyTo),
             config: JobConfig::default(),
             estimate: None,
         }
@@ -385,8 +387,10 @@ mod tests {
     fn errors_propagate_and_dfs_survives() {
         struct Bad;
         impl Reducer for Bad {
-            fn reduce(&self, _: &Group<'_>, emit: &mut dyn FnMut(&RelationName, Tuple)) {
-                emit(&"Undeclared".into(), Tuple::from_ints(&[1]));
+            fn reduce(&self, _: &Group<'_>, out: &mut OutputSink<'_>) {
+                let mut row = TupleBatch::new(1);
+                row.push_tuple(&Tuple::from_ints(&[1]));
+                out.view(7, row.view(0));
             }
         }
         for n in FAILURE_SLOTS {
@@ -403,7 +407,7 @@ mod tests {
             });
             let dfs = dfs_with(&["R"]);
             let err = slots(n).execute_program(&executor(), &dfs, p).unwrap_err();
-            assert!(err.to_string().contains("Undeclared"), "x{n}: {err}");
+            assert!(err.to_string().contains("undeclared output"), "x{n}: {err}");
             // The DFS is shared in place, so even though the run failed the
             // completed job's output is visible.
             assert!(dfs.exists(&"X".into()));
@@ -419,7 +423,7 @@ mod tests {
     fn panicking_reducer_fails_the_run_instead_of_hanging_it() {
         struct Bomb;
         impl Reducer for Bomb {
-            fn reduce(&self, _: &Group<'_>, _: &mut dyn FnMut(&RelationName, Tuple)) {
+            fn reduce(&self, _: &Group<'_>, _: &mut OutputSink<'_>) {
                 panic!("reducer bomb");
             }
         }

@@ -5,7 +5,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use gumbo_common::Relation;
+use gumbo_common::{Relation, Tuple};
 use gumbo_obs::json::Json;
 
 use crate::protocol::{Frame, Request};
@@ -153,26 +153,28 @@ impl ServiceClient {
             weight,
             sgf: sgf.to_string(),
         })?;
-        let mut relations: Vec<Relation> = Vec::new();
+        // Each declared relation's rows, built in bulk once the reply ends.
+        let mut streamed: Vec<(String, usize, Vec<Tuple>)> = Vec::new();
         loop {
             match self.read_frame()? {
                 Frame::Rel { name, arity, .. } => {
-                    relations.push(Relation::new(name, arity));
+                    streamed.push((name, arity, Vec::new()));
                 }
                 Frame::Rows { name, rows } => {
-                    let rel = relations
+                    let (_, _, tuples) = streamed
                         .iter_mut()
                         .rev()
-                        .find(|r| r.name().as_str() == name)
+                        .find(|(declared, _, _)| *declared == name)
                         .ok_or_else(|| {
                             ServiceError::Protocol(format!("rows for undeclared relation {name}"))
                         })?;
-                    for tuple in rows {
-                        rel.insert(tuple)
-                            .map_err(|e| ServiceError::Protocol(e.to_string()))?;
-                    }
+                    tuples.extend(rows);
                 }
                 Frame::Stats { report } => {
+                    let relations = (streamed.into_iter())
+                        .map(|(name, arity, tuples)| Relation::from_tuples(name, arity, tuples))
+                        .collect::<gumbo_common::Result<_>>()
+                        .map_err(|e| ServiceError::Protocol(e.to_string()))?;
                     return Ok(QueryReply { relations, report });
                 }
                 Frame::Error { message } => return Err(ServiceError::Remote(message)),

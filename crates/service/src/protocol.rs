@@ -34,8 +34,8 @@
 //! them), and as JSON strings for strings. Relations stream in the
 //! [`Relation`]'s sorted tuple order, so a reply is byte-reproducible.
 
-use gumbo_common::{Relation, Tuple, Value};
-use gumbo_obs::json::Json;
+use gumbo_common::{Relation, Tuple, Value, ValueRef};
+use gumbo_obs::json::{write_str, Json};
 use gumbo_sched::SubmissionReport;
 
 /// Rows per `frame` line: small enough to keep lines readable and
@@ -178,11 +178,12 @@ impl Frame {
                 ("arity", Json::Int(*arity as u64)),
                 ("rows", Json::Int(*rows)),
             ]),
-            Frame::Rows { name, rows } => Json::obj([
-                ("type", Json::Str("frame".into())),
-                ("name", Json::Str(name.clone())),
-                ("rows", Json::Arr(rows.iter().map(tuple_to_json).collect())),
-            ]),
+            Frame::Rows { name, rows } => {
+                let mut line = String::new();
+                let rows = rows.iter().map(|t| t.values().iter().map(ValueRef::from));
+                push_rows_line(&mut line, name, rows);
+                return line;
+            }
             Frame::Stats { report } => Json::obj([
                 ("type", Json::Str("stats".into())),
                 ("report", report.clone()),
@@ -311,10 +312,6 @@ pub fn value_from_json(json: &Json) -> Result<Value, String> {
     }
 }
 
-fn tuple_to_json(tuple: &Tuple) -> Json {
-    Json::Arr(tuple.values().iter().map(value_to_json).collect())
-}
-
 fn tuple_from_json(json: &Json) -> Result<Tuple, String> {
     let values = json
         .as_arr()
@@ -325,32 +322,93 @@ fn tuple_from_json(json: &Json) -> Result<Tuple, String> {
     Ok(Tuple::new(values))
 }
 
+/// Append one value's wire text to `out`: what
+/// `value_to_json(value).to_string()` writes, with no [`Json`] built.
+fn push_value(out: &mut String, value: ValueRef<'_>) {
+    use std::fmt::Write as _;
+    // Writing to a `String` cannot fail.
+    let _ = match value {
+        ValueRef::Int(i) if (0..=EXACT_INT).contains(&i) => write!(out, "{i}"),
+        ValueRef::Int(i) if (-EXACT_INT..0).contains(&i) => write!(out, "{}", i as f64),
+        ValueRef::Int(i) => write!(out, "{{\"i\":\"{i}\"}}"),
+        ValueRef::Str(s) => write_str(out, s),
+    };
+}
+
+/// Append the `frame` line of relation `name` holding `rows` to `out`
+/// (no trailing newline): the text [`Frame::to_line`] writes for
+/// [`Frame::Rows`], written value by value.
+fn push_rows_line<'v, R>(out: &mut String, name: &str, rows: impl Iterator<Item = R>)
+where
+    R: Iterator<Item = ValueRef<'v>>,
+{
+    out.push_str("{\"type\":\"frame\",\"name\":");
+    let _ = write_str(out, name);
+    out.push_str(",\"rows\":[");
+    for (i, row) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, value) in row.enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_value(out, value);
+        }
+        out.push(']');
+    }
+    out.push_str("]}");
+}
+
 /// Split a relation into the frames that stream it: one [`Frame::Rel`]
 /// header, then [`Frame::Rows`] chunks of at most [`FRAME_ROWS`] rows in
-/// the relation's sorted order.
+/// the relation's sorted order. Their [`Frame::to_line`] texts are the
+/// lines `relation_lines` writes for the server.
 pub fn relation_frames(relation: &Relation) -> Vec<Frame> {
-    let mut frames = vec![Frame::Rel {
-        name: relation.name().to_string(),
-        arity: relation.arity(),
-        rows: relation.len() as u64,
-    }];
-    let mut chunk = Vec::with_capacity(FRAME_ROWS.min(relation.len()));
-    for tuple in relation.iter() {
-        chunk.push(tuple.clone());
-        if chunk.len() == FRAME_ROWS {
-            frames.push(Frame::Rows {
-                name: relation.name().to_string(),
-                rows: std::mem::take(&mut chunk),
-            });
-        }
-    }
-    if !chunk.is_empty() {
+    let mut frames = vec![rel_header(relation)];
+    for start in (0..relation.len()).step_by(FRAME_ROWS) {
+        let end = (start + FRAME_ROWS).min(relation.len());
         frames.push(Frame::Rows {
             name: relation.name().to_string(),
-            rows: chunk,
+            rows: (start..end).map(|r| relation.row(r).to_tuple()).collect(),
         });
     }
     frames
+}
+
+fn rel_header(relation: &Relation) -> Frame {
+    Frame::Rel {
+        name: relation.name().to_string(),
+        arity: relation.arity(),
+        rows: relation.len() as u64,
+    }
+}
+
+/// The wire lines that stream a relation, written straight from its rows
+/// with no [`Frame`] and no per-row tuple: the `rel` header line, then one
+/// `frame` line per [`FRAME_ROWS`] rows — byte for byte the
+/// [`Frame::to_line`] texts of [`relation_frames`]. `line` receives each
+/// line (no trailing newline) and whether it is a rows frame; the first
+/// error it returns ends the stream.
+pub(crate) fn relation_lines<E>(
+    relation: &Relation,
+    mut line: impl FnMut(&str, bool) -> Result<(), E>,
+) -> Result<(), E> {
+    line(&rel_header(relation).to_line(), false)?;
+    let mut text = String::new();
+    let name = relation.name().as_str();
+    for start in (0..relation.len()).step_by(FRAME_ROWS) {
+        let end = (start + FRAME_ROWS).min(relation.len());
+        text.clear();
+        push_rows_line(
+            &mut text,
+            name,
+            (start..end).map(|r| relation.row(r).values()),
+        );
+        line(&text, true)?;
+    }
+    Ok(())
 }
 
 /// Lower a [`gumbo_mr::ProgramStats`] to one JSON document: the paper's
@@ -559,6 +617,66 @@ mod tests {
         // and the rebuild is the identical relation.
         assert!(streamed.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(rebuilt, rel);
+    }
+
+    /// The lines the server writes straight from a relation's rows are
+    /// byte for byte the `Frame::to_line` texts of `relation_frames`, and
+    /// those equal the `Json` tree's own rendering: mixed int and string
+    /// rows (negative, beyond 2⁵³, escaped and non-ASCII strings) across a
+    /// `FRAME_ROWS` boundary.
+    #[test]
+    fn relation_lines_are_the_frame_lines_byte_for_byte() {
+        let strings = [
+            "plain",
+            "quote\"d",
+            "back\\slash",
+            "new\nline",
+            "tab\t\u{1}",
+            "ünï",
+        ];
+        let n = FRAME_ROWS as i64 + 3;
+        let tuples = (0..n).map(|i| {
+            let int = match i % 4 {
+                0 => i,
+                1 => -i,
+                2 => EXACT_INT + i,
+                _ => -EXACT_INT - i,
+            };
+            Tuple::new(vec![
+                Value::Int(int),
+                Value::str(strings[i as usize % strings.len()]),
+            ])
+        });
+        let rel = Relation::from_tuples("Out\"s", 2, tuples).unwrap();
+        let mut lines = Vec::new();
+        relation_lines(&rel, |line, rows| {
+            lines.push((line.to_string(), rows));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        let frames = relation_frames(&rel);
+        assert_eq!(frames.len(), 3, "a header and two rows frames");
+        assert_eq!(lines.len(), frames.len());
+        for ((line, rows), frame) in lines.iter().zip(&frames) {
+            assert_eq!(*line, frame.to_line());
+            assert_eq!(*rows, matches!(frame, Frame::Rows { .. }));
+            if let Frame::Rows { name, rows } = frame {
+                let tree = Json::obj([
+                    ("type", Json::Str("frame".into())),
+                    ("name", Json::Str(name.clone())),
+                    (
+                        "rows",
+                        Json::Arr(
+                            (rows.iter())
+                                .map(|t| Json::Arr(t.values().iter().map(value_to_json).collect()))
+                                .collect(),
+                        ),
+                    ),
+                ]);
+                assert_eq!(*line, tree.to_string());
+                assert_eq!(Frame::parse(line).unwrap(), *frame);
+            }
+        }
     }
 
     /// `benchmark/src/verify.rs` reads `filter_bytes`, `filter_probes`

@@ -43,7 +43,7 @@ use gumbo_sched::{AdmissionQueue, SubmissionReport};
 use gumbo_sgf::{parse_program, SgfQuery};
 use gumbo_storage::Dfs;
 
-use crate::protocol::{relation_frames, report_to_json, Frame, Request};
+use crate::protocol::{relation_lines, report_to_json, Frame, Request};
 use crate::{
     drain_requested, SVC_ADMITTED, SVC_COMPLETED, SVC_CONNECTIONS, SVC_FRAMES, SVC_QUEUE_DEPTH,
     SVC_SUBMITTED,
@@ -482,17 +482,18 @@ fn serve_query(
     match reply_rx.recv() {
         Ok(Ok(outcome)) => {
             for relation in &outcome.relations {
-                for frame in relation_frames(relation) {
-                    if matches!(frame, Frame::Rows { .. }) {
+                let streamed = relation_lines(relation, |line, rows| {
+                    if rows {
                         SVC_FRAMES.incr();
                         gumbo_obs::event("svc:stream", |f| {
                             f.str("tenant", tenant);
                             f.str("relation", relation.name().as_str());
                         });
                     }
-                    if write_frame(writer, &frame).is_err() {
-                        return false;
-                    }
+                    write_line(writer, line)
+                });
+                if streamed.is_err() {
+                    return false;
                 }
             }
             let report = report_to_json(&outcome.report);
@@ -531,7 +532,13 @@ fn serve_shutdown(writer: &mut TcpStream, shared: &Shared) {
 }
 
 fn write_frame(writer: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    let mut text = frame.to_line();
-    text.push('\n');
-    writer.write_all(text.as_bytes())
+    write_line(writer, &frame.to_line())
+}
+
+/// Write one wire line and its newline in a single write.
+fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let mut text = Vec::with_capacity(line.len() + 1);
+    text.extend_from_slice(line.as_bytes());
+    text.push(b'\n');
+    writer.write_all(&text)
 }

@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use gumbo_common::{RelationName, Tuple, Value};
+use gumbo_common::{RelationName, Tuple, TupleView, Value, ValueRef};
 
 use crate::term::{Term, Var};
 
@@ -119,8 +119,8 @@ impl Atom {
             .collect()
     }
 
-    /// Conformance test `f ⊨ α` for a bare tuple: relation symbols are
-    /// checked by [`Atom::conforms`]; this checks the tuple side only.
+    /// Conformance test `f ⊨ α` for a bare tuple: the tuple side only —
+    /// callers pair the relation symbol with the atom's themselves.
     ///
     /// A tuple `ā` conforms to `t̄` iff (1) equal terms carry equal values and
     /// (2) constant terms carry exactly their constants (§4).
@@ -131,19 +131,20 @@ impl Atom {
             && self.equalities.iter().all(|&(i, j)| values[i] == values[j])
     }
 
+    /// [`Atom::conforms_tuple`] for a row read in place: the same test on
+    /// a [`TupleView`], with no tuple built.
+    pub fn conforms_view(&self, tuple: TupleView<'_>) -> bool {
+        tuple.arity() == self.terms.len()
+            && (self.constants.iter()).all(|(i, c)| tuple.value(*i) == ValueRef::from(c))
+            && (self.equalities.iter()).all(|&(i, j)| tuple.value(i) == tuple.value(j))
+    }
+
     /// Whether *every* tuple of the right arity conforms: the terms are
     /// pairwise distinct variables, so neither condition of
     /// [`Atom::conforms_tuple`] can fail. The planner uses this to know a
     /// conformance rate exactly (1.0) without looking at a single value.
     pub fn is_unconstrained(&self) -> bool {
         self.constants.is_empty() && self.equalities.is_empty()
-    }
-
-    /// Full conformance test `T(ā) ⊨ U(t̄)` of the fact `relation(tuple)`
-    /// (relation and tuple passed apart, so a mapper tests a tuple borrowed
-    /// from its scan without building a `Fact`).
-    pub fn conforms(&self, relation: &RelationName, tuple: &Tuple) -> bool {
-        *relation == self.relation && self.conforms_tuple(tuple)
     }
 
     /// Projection `π_{α;x̄}(f)` of a conforming tuple onto variables `x̄`.
@@ -243,10 +244,26 @@ mod tests {
     }
 
     #[test]
-    fn conformance_checks_relation_symbol() {
-        let a = Atom::vars("R", &["x"]);
-        assert!(a.conforms(&"R".into(), &Tuple::from_ints(&[1])));
-        assert!(!a.conforms(&"S".into(), &Tuple::from_ints(&[1])));
+    fn view_conformance_is_tuple_conformance() {
+        let atom = Atom::new(
+            "R",
+            vec![Term::var("x"), Term::int(2), Term::var("x"), Term::var("y")],
+        );
+        let mut rows = gumbo_common::TupleBatch::new(4);
+        let tuples = [[1, 2, 1, 3], [1, 2, 9, 3], [1, 5, 1, 3], [7, 2, 7, 7]];
+        for t in &tuples {
+            rows.push_tuple(&Tuple::from_ints(t));
+        }
+        for (r, t) in tuples.iter().enumerate() {
+            let tuple = Tuple::from_ints(t);
+            assert_eq!(
+                atom.conforms_view(rows.view(r)),
+                atom.conforms_tuple(&tuple)
+            );
+        }
+        let mut short = gumbo_common::TupleBatch::new(3);
+        short.push_tuple(&Tuple::from_ints(&[1, 2, 1]));
+        assert!(!atom.conforms_view(short.view(0)));
     }
 
     #[test]

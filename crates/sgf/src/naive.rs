@@ -46,9 +46,10 @@ impl NaiveEvaluator {
                 let mut set = HashSet::new();
                 if let Some(rel) = db.relation(atom.relation()) {
                     if rel.arity() == atom.arity() {
+                        let positions = atom.projection(&key);
                         for t in rel.iter() {
-                            if atom.conforms_tuple(t) {
-                                set.insert(atom.project(t, &key));
+                            if atom.conforms_view(t) {
+                                set.insert(t.project(&positions));
                             }
                         }
                     }
@@ -57,11 +58,12 @@ impl NaiveEvaluator {
             })
             .collect();
 
-        let mut out = Relation::new(query.output().clone(), query.output_arity());
+        let mut out = Vec::new();
         for tuple in guard_rel.iter() {
-            if !guard.conforms_tuple(tuple) {
+            if !guard.conforms_view(tuple) {
                 continue;
             }
+            let tuple = &tuple.to_tuple();
             let holds = match query.condition() {
                 None => true,
                 Some(cond) => cond.evaluate(&|atom: &Atom| {
@@ -74,10 +76,10 @@ impl NaiveEvaluator {
                 }),
             };
             if holds {
-                out.insert(guard.project(tuple, query.output_vars()))?;
+                out.push(guard.project(tuple, query.output_vars()));
             }
         }
-        Ok(out)
+        Relation::from_tuples(query.output().clone(), query.output_arity(), out)
     }
 
     /// Evaluate a full SGF query bottom-up, returning the database extended

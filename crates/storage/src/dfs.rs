@@ -57,7 +57,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use gumbo_common::{ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple};
+use gumbo_common::{
+    ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple, TupleView,
+};
 
 /// What [`Dfs::stat`] knows about one stored relation without touching a
 /// tuple — the three numbers the planner prices plans from.
@@ -102,14 +104,15 @@ impl CacheStats {
 /// relation's canonical (sorted) tuple order in place, independently of
 /// the DFS instance's locks, so map tasks on worker threads can walk
 /// their splits concurrently. Backends decide what a visit costs: the
-/// in-memory DFS walks its `Arc` snapshot of the relation; the file
-/// backend walks the decoded segment frames covering the range (through
-/// the block cache). Neither clones a tuple to visit it.
+/// in-memory DFS indexes the rows of its `Arc` snapshot of the relation;
+/// the file backend walks the decoded segment frames covering the range
+/// (through the block cache). Both hand out [`TupleView`]s into columnar
+/// rows; neither builds a tuple to visit it.
 pub trait TupleSource: Send + Sync {
     /// Call `visit` on every tuple at `range` of the relation's canonical
-    /// order, in that order, borrowed from the source. Out-of-bounds
-    /// ranges are clamped to the relation.
-    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()>;
+    /// order, in that order, read in place. Out-of-bounds ranges are
+    /// clamped to the relation.
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(TupleView<'_>)) -> Result<()>;
 }
 
 /// A metered streaming scan over one stored relation.
@@ -172,16 +175,20 @@ impl RelationScan {
     /// Visit the tuples of `range` in canonical order, borrowed in place
     /// ([`TupleSource::for_each`]): how map tasks read their splits.
     /// Out-of-bounds ranges are clamped.
-    pub fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
+    pub fn for_each(
+        &self,
+        range: Range<usize>,
+        visit: &mut dyn FnMut(TupleView<'_>),
+    ) -> Result<()> {
         self.source.for_each(range, visit)
     }
 
-    /// The tuples of `range` (canonical order) as owned clones — a
-    /// collect over [`RelationScan::for_each`]. Out-of-bounds ranges are
-    /// clamped.
+    /// The tuples of `range` (canonical order) as owned tuples — a
+    /// collect over [`RelationScan::for_each`] for tests and tools; jobs
+    /// visit. Out-of-bounds ranges are clamped.
     pub fn fetch(&self, range: Range<usize>) -> Result<Vec<Tuple>> {
         let mut out = Vec::with_capacity(range.end.min(self.len).saturating_sub(range.start));
-        self.for_each(range, &mut |t| out.push(t.clone()))?;
+        self.for_each(range, &mut |t| out.push(t.to_tuple()))?;
         Ok(out)
     }
 }
@@ -305,14 +312,12 @@ struct SimScanSource {
 }
 
 impl TupleSource for SimScanSource {
-    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(TupleView<'_>)) -> Result<()> {
         let end = range.end.min(self.relation.len());
         let start = range.start.min(end);
-        self.relation
-            .iter()
-            .skip(start)
-            .take(end - start)
-            .for_each(visit);
+        for row in start..end {
+            visit(self.relation.row(row));
+        }
         Ok(())
     }
 }

@@ -18,11 +18,14 @@
 //! (`TupleBatch::encode_into`) of up to [`TUPLES_PER_FRAME`] tuples in
 //! the relation's canonical (sorted) order, stored raw. The fixed
 //! tuples-per-frame makes `tuple index → frame index` arithmetic, so a
-//! range visit touches only the frames covering it, and walks their
-//! cached tuples in place. A cache miss verifies the frame's checksum,
-//! decodes it and checks its arity and row count against the manifest
-//! before a tuple is served: a corrupt frame is a
-//! [`GumboError::Storage`] naming the file and the frame.
+//! range visit touches only the frames covering it, and reads their
+//! cached rows in place. A store encodes each 512-row slice of the
+//! relation's sorted batch directly, and [`Dfs::peek`] concatenates the
+//! frames — consecutive slices of one sorted set — with no re-sort. A
+//! cache miss verifies the frame's checksum, decodes it and checks its
+//! arity and row count against the manifest before a tuple is served: a
+//! corrupt frame is a [`GumboError::Storage`] naming the file and the
+//! frame.
 //!
 //! Segments are never mutated: overwriting relation `R` writes a *new*
 //! segment under the next generation number and retargets the manifest,
@@ -41,8 +44,10 @@
 //!
 //! # Block cache
 //!
-//! All frame decodes go through a byte-bounded LRU `BlockCache`
-//! charging each cached frame its decoded *logical* size. Hits, misses
+//! All frame decodes go through a byte-bounded LRU `BlockCache`, which
+//! holds each decoded frame as the columnar `TupleBatch` itself — scans
+//! read its rows as views, no tuple is built — charging it its decoded
+//! *logical* size. Hits, misses
 //! and evictions are counted per instance (surfaced via
 //! [`Dfs::cache_stats`]) and mirrored into the
 //! process-wide `obs` metrics `dfs.cache_hits` / `dfs.cache_misses` /
@@ -61,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use gumbo_common::{
-    ByteSize, Database, GumboError, Relation, RelationName, Result, Tuple, TupleBatch,
+    ByteSize, Database, GumboError, Relation, RelationName, Result, TupleBatch, TupleView,
 };
 use gumbo_obs::metrics::Counter;
 
@@ -88,9 +93,10 @@ fn corrupt(msg: impl Into<String>) -> GumboError {
 // ---------------------------------------------------------------------
 // Block cache
 
-/// One decoded frame, as cached and as served to scans.
+/// One decoded frame, as cached and as served to scans: the columnar
+/// batch itself, read in place.
 struct CachedFrame {
-    tuples: Vec<Tuple>,
+    rows: TupleBatch,
     /// Logical bytes of the decoded tuples — what the frame is charged
     /// against the cache budget.
     bytes: u64,
@@ -325,8 +331,8 @@ impl Segment {
             )));
         }
         Ok(CachedFrame {
-            tuples: batch.to_tuples(),
             bytes: batch.estimated_bytes(),
+            rows: batch,
         })
     }
 }
@@ -351,8 +357,14 @@ impl FileScanSource {
     }
 }
 
-impl TupleSource for FileScanSource {
-    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(&Tuple)) -> Result<()> {
+impl FileScanSource {
+    /// Call `visit` on the frames covering `range` of the relation's
+    /// canonical order, each with the row range of it that `range` covers.
+    fn for_each_frame(
+        &self,
+        range: Range<usize>,
+        visit: &mut dyn FnMut(&TupleBatch, Range<usize>),
+    ) -> Result<()> {
         let end = range.end.min(self.segment.tuples);
         let start = range.start.min(end);
         if start == end {
@@ -364,10 +376,20 @@ impl TupleSource for FileScanSource {
             let frame = self.frame(f as u32)?;
             let base = f * TUPLES_PER_FRAME;
             let lo = start.saturating_sub(base);
-            let hi = (end - base).min(frame.tuples.len());
-            frame.tuples[lo..hi].iter().for_each(&mut *visit);
+            let hi = (end - base).min(frame.rows.len());
+            visit(&frame.rows, lo..hi);
         }
         Ok(())
+    }
+}
+
+impl TupleSource for FileScanSource {
+    fn for_each(&self, range: Range<usize>, visit: &mut dyn FnMut(TupleView<'_>)) -> Result<()> {
+        self.for_each_frame(range, &mut |rows, range| {
+            for row in range {
+                visit(rows.view(row));
+            }
+        })
     }
 }
 
@@ -596,19 +618,16 @@ impl FileDfs {
     }
 }
 
-/// Write `relation` to `path` as frames of [`TUPLES_PER_FRAME`] tuples.
+/// Write `relation` to `path` as frames of [`TUPLES_PER_FRAME`] tuples,
+/// each the encoding of one slice of the relation's rows
+/// ([`TupleBatch::encode_range_into`]).
 fn write_frames(path: &Path, relation: &Relation) -> Result<()> {
     let mut writer = RunWriter::create(path)?;
-    let mut batch = TupleBatch::new(relation.arity());
     let mut block = Vec::new();
-    let mut tuples = relation.iter().peekable();
-    while tuples.peek().is_some() {
-        batch.clear();
-        for t in tuples.by_ref().take(TUPLES_PER_FRAME) {
-            batch.push_tuple(t);
-        }
+    for start in (0..relation.len()).step_by(TUPLES_PER_FRAME) {
+        let end = (start + TUPLES_PER_FRAME).min(relation.len());
         block.clear();
-        batch.encode_into(&mut block)?;
+        relation.rows().encode_range_into(start..end, &mut block)?;
         writer.push(&block)?;
     }
     writer.finish().map(|_| ())
@@ -665,9 +684,11 @@ impl Dfs for FileDfs {
             segment,
             cache: Arc::clone(&self.cache),
         };
-        let mut tuples = Vec::with_capacity(len);
-        source.for_each(0..len, &mut |t| tuples.push(t.clone()))?;
-        Relation::from_tuples(name.clone(), arity, tuples).map(Arc::new)
+        // The frames are consecutive slices of one sorted set:
+        // concatenated, they are the relation, with no re-sort.
+        let mut rows = TupleBatch::new(arity);
+        source.for_each_frame(0..len, &mut |frame, _| rows.append(frame))?;
+        Ok(Arc::new(Relation::from_batch(name.clone(), rows)))
     }
 
     fn scan(&self, name: &RelationName) -> Result<RelationScan> {
@@ -758,7 +779,7 @@ impl Dfs for FileDfs {
 mod tests {
     use super::*;
     use crate::SimDfs;
-    use gumbo_common::Value;
+    use gumbo_common::{Tuple, Value};
 
     fn temp_root(label: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -788,7 +809,7 @@ mod tests {
     }
 
     fn tuples_of(r: &Relation) -> Vec<Tuple> {
-        r.iter().cloned().collect()
+        r.iter().map(|t| t.to_tuple()).collect()
     }
 
     fn mixed_rel(name: &str) -> Relation {
@@ -921,7 +942,7 @@ mod tests {
         assert_eq!(touched.misses, 2, "two frames cover tuples 500..530");
         // Full reassembly equals the stored relation, in order.
         let all = scan.fetch(0..r.len()).unwrap();
-        assert_eq!(all, r.iter().cloned().collect::<Vec<_>>());
+        assert_eq!(all, r.iter().map(|t| t.to_tuple()).collect::<Vec<_>>());
         assert_eq!(
             Dfs::bytes_read(&file),
             written,
@@ -939,7 +960,7 @@ mod tests {
         Dfs::store(&file, rel("R", 2)).unwrap(); // unlinks the old segment
         assert_eq!(
             scan.fetch(0..5).unwrap(),
-            r5.iter().cloned().collect::<Vec<_>>(),
+            r5.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
             "open scan keeps its snapshot after overwrite"
         );
         assert_eq!(Dfs::peek(&file, &"R".into()).unwrap().len(), 2);
@@ -1145,7 +1166,7 @@ mod tests {
         let file = FileDfs::create(&root.0, DEFAULT_CACHE_BYTES).unwrap();
         let r = rel("R", 2048);
         Dfs::store(&file, r.clone()).unwrap();
-        let expected: Vec<Tuple> = r.iter().cloned().collect();
+        let expected: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
         let file = &file;
         let expected = &expected;
         std::thread::scope(|scope| {

@@ -21,11 +21,11 @@ pub fn reservoir_sample(relation: &Relation, k: usize, seed: u64) -> Vec<Tuple> 
     let mut reservoir: Vec<Tuple> = Vec::with_capacity(k);
     for (i, tuple) in relation.iter().enumerate() {
         if i < k {
-            reservoir.push(tuple.clone());
+            reservoir.push(tuple.to_tuple());
         } else {
             let j = rng.gen_range(0..=i);
             if j < k {
-                reservoir[j] = tuple.clone();
+                reservoir[j] = tuple.to_tuple();
             }
         }
     }

@@ -6,10 +6,10 @@
 //! contention level); any nondeterminism in the shuffle ordering or the
 //! reduce merge would show up as diverging relations or statistics.
 
-use gumbo::common::RelationName;
+use gumbo::common::{TupleBatch, TupleView};
 use gumbo::datagen::queries;
 use gumbo::mr::{
-    Emitter, Group, Job, JobConfig, Mapper, Message, MsgView, Payload, PayloadView, Reducer,
+    Emitter, Group, Job, JobConfig, Mapper, MsgRef, MsgView, OutputSink, PayloadView, Reducer,
 };
 use gumbo::prelude::*;
 
@@ -73,12 +73,13 @@ fn repeated_high_contention_runs_are_stable() {
 /// contention, many values per group.
 struct HotKeyMapper;
 impl Mapper for HotKeyMapper {
-    fn map(&self, _: &RelationName, tuple: &Tuple, i: u64, out: &mut Emitter<'_>) {
+    fn map(&self, _: usize, tuple: TupleView<'_>, i: u64, out: &mut Emitter<'_>) {
         out.key(
             &[Value::Int((i % 3) as i64)],
-            Message::Req {
+            MsgRef::Req {
                 cond: 0,
-                payload: Payload::Tuple(tuple.clone()),
+                tuple,
+                positions: &[0, 1],
             },
         );
     }
@@ -88,7 +89,7 @@ impl Mapper for HotKeyMapper {
 /// the adversarial case for shuffle determinism.
 struct OrderSensitiveReducer;
 impl Reducer for OrderSensitiveReducer {
-    fn reduce(&self, group: &Group<'_>, emit: &mut dyn FnMut(&gumbo::common::RelationName, Tuple)) {
+    fn reduce(&self, group: &Group<'_>, out: &mut OutputSink<'_>) {
         // Emit the first value only: if value order within a group were
         // nondeterministic, different threads counts would emit different
         // tuples.
@@ -99,7 +100,9 @@ impl Reducer for OrderSensitiveReducer {
         {
             let mut vals: Vec<_> = group.key().to_tuple().values().to_vec();
             vals.extend(t.to_tuple().values().iter().cloned());
-            emit(&"First".into(), Tuple::new(vals));
+            let mut row = TupleBatch::new(vals.len());
+            row.push_tuple(&Tuple::new(vals));
+            out.view(0, row.view(0));
         }
     }
 }
@@ -116,11 +119,10 @@ fn value_order_within_groups_is_deterministic_across_thread_counts() {
         estimate: None,
     };
     let mk_dfs = || {
-        let mut db = Database::new();
-        for i in 0..2_000i64 {
-            db.insert_fact(Fact::new("R", Tuple::from_ints(&[i, i * 7 % 1000])))
-                .unwrap();
-        }
+        let tuples = (0..2_000i64).map(|i| Tuple::from_ints(&[i, i * 7 % 1000]));
+        let db: Database = [Relation::from_tuples("R", 2, tuples).unwrap()]
+            .into_iter()
+            .collect();
         SimDfs::from_database(&db)
     };
     let mut first: Option<Relation> = None;

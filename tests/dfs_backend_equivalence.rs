@@ -219,7 +219,7 @@ fn fetch_is_the_visit_collected_on_both_backends() {
     let tuples =
         (0..n as i64).map(|i| Tuple::new(vec![Value::Int(i), Value::str(format!("v{}", i % 7))]));
     let relation = Relation::from_tuples("R", 2, tuples).unwrap();
-    let canonical: Vec<Tuple> = relation.iter().cloned().collect();
+    let canonical: Vec<Tuple> = relation.iter().map(|t| t.to_tuple()).collect();
 
     let sim = SimDfs::new();
     sim.store(relation.clone());
@@ -243,7 +243,7 @@ fn fetch_is_the_visit_collected_on_both_backends() {
         let scan = dfs.scan(&"R".into()).unwrap();
         for range in &ranges {
             let mut visited = Vec::new();
-            scan.for_each(range.clone(), &mut |t| visited.push(t.clone()))
+            scan.for_each(range.clone(), &mut |t| visited.push(t.to_tuple()))
                 .unwrap();
             let expected = &canonical[range.start.min(n)..range.end.min(n)];
             assert_eq!(visited, expected, "{} visit of {range:?}", dfs.backend());
@@ -257,4 +257,42 @@ fn fetch_is_the_visit_collected_on_both_backends() {
     }
     drop(file);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `FileDfs::peek` of a relation spanning several frames, with strings
+/// whose first-seen order differs from content order and differs between
+/// frames, equals `SimDfs`'s peek: the concatenated frames are the
+/// relation, in its canonical order, byte counts included. It holds with a
+/// cache that keeps every frame and with one smaller than a frame.
+#[test]
+fn file_peek_of_a_multi_frame_string_relation_equals_sim_peek() {
+    let frame = gumbo::storage::file_dfs::TUPLES_PER_FRAME;
+    let n = 3 * frame + 11;
+    let words = ["zeta", "alpha", "mu", "beta-longer-than-ten", "a"];
+    let tuples = (0..n as i64).map(|i| {
+        Tuple::new(vec![
+            Value::str(words[(i as usize * 7) % words.len()]),
+            Value::Int(n as i64 - i),
+            Value::str(format!("w{}", (i * 13) % 97)),
+        ])
+    });
+    let relation = Relation::from_tuples("R", 3, tuples).unwrap();
+    let sim = SimDfs::new();
+    sim.store(relation.clone());
+    let expected = sim.peek(&"R".into()).unwrap();
+    for cache in [1 << 20, 256] {
+        let root = temp_root(&format!("peek-{cache}"));
+        let file = FileDfs::create(&root, cache).unwrap();
+        Dfs::store(&file, relation.clone()).unwrap();
+        let peeked = file.peek(&"R".into()).unwrap();
+        assert_eq!(peeked, expected, "cache {cache}");
+        assert_eq!(peeked.estimated_bytes(), expected.estimated_bytes());
+        assert_eq!(
+            peeked.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
+            expected.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
+            "cache {cache}: same rows in the same order"
+        );
+        drop(file);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

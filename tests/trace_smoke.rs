@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use gumbo::common::RelationName;
 use gumbo::datagen::queries;
 use gumbo::obs::json::Json;
 use gumbo::obs::{Event, EventKind, FieldValue, RingSink};
@@ -334,21 +333,17 @@ fn panicking_reducer_leaves_closed_spans_and_valid_chrome_json() {
     impl gumbo::mr::Mapper for KeyEcho {
         fn map(
             &self,
-            _: &RelationName,
-            tuple: &Tuple,
+            _: usize,
+            tuple: gumbo::common::TupleView<'_>,
             _index: u64,
             out: &mut gumbo::mr::Emitter<'_>,
         ) {
-            out.key(tuple.values(), gumbo::mr::Message::Assert { cond: 0 });
+            out.tuple(tuple, gumbo::mr::MsgRef::Assert { cond: 0 });
         }
     }
     struct Bomb;
     impl gumbo::mr::Reducer for Bomb {
-        fn reduce(
-            &self,
-            _group: &gumbo::mr::Group<'_>,
-            _emit: &mut dyn FnMut(&RelationName, Tuple),
-        ) {
+        fn reduce(&self, _group: &gumbo::mr::Group<'_>, _out: &mut gumbo::mr::OutputSink<'_>) {
             panic!("reducer bomb");
         }
     }
