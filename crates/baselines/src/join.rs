@@ -162,7 +162,7 @@ mod tests {
     use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::{EngineConfig, Executor, MrProgram};
     use gumbo_sgf::parse_query;
-    use gumbo_storage::SimDfs;
+    use gumbo_storage::{Dfs, SimDfs};
 
     fn setup() -> (QueryContext, Database) {
         let q = parse_query("Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND T(y);").unwrap();

@@ -16,7 +16,7 @@ use gumbo_datagen::queries;
 use gumbo_datagen::Workload;
 use gumbo_mr::{CostModelKind, JobConfig};
 use gumbo_sgf::DependencyGraph;
-use gumbo_storage::SimDfs;
+use gumbo_storage::{Dfs, SimDfs};
 
 use crate::runner::{applicable, run_strategy, RunConfig, RunResult, Strategy};
 

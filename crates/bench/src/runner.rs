@@ -10,7 +10,7 @@ use gumbo_core::GumboEngine;
 use gumbo_datagen::Workload;
 use gumbo_mr::{Cluster, EngineConfig, ExecutorKind, ProgramStats};
 use gumbo_sgf::NaiveEvaluator;
-use gumbo_storage::SimDfs;
+use gumbo_storage::{Dfs, SimDfs};
 
 /// The evaluation strategies of §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -675,7 +675,7 @@ mod proptests {
             let dfs = SimDfs::new();
             if materialized {
                 let tuples = rows.iter().map(|r| Tuple::from_ints(&r[..arity]));
-                dfs.store(Relation::from_tuples("R", arity, tuples).unwrap());
+                dfs.store(Relation::from_tuples("R", arity, tuples).unwrap()).unwrap();
             }
             let est = Estimator::new(
                 &dfs,

@@ -231,7 +231,7 @@ mod tests {
     use gumbo_common::{Database, Fact, Relation, Result, Tuple};
     use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
-    use gumbo_storage::SimDfs;
+    use gumbo_storage::{Dfs, SimDfs};
 
     /// Execute the canonical 2-round plan (one MSJ with all semi-joins,
     /// then EVAL) on `sim` and on a worker pool and compare against the

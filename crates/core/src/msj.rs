@@ -309,7 +309,7 @@ mod tests {
     use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::{EngineConfig, ExecutorKind, MrProgram};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
-    use gumbo_storage::SimDfs;
+    use gumbo_storage::{Dfs, SimDfs};
     use proptest::prelude::*;
 
     fn db(facts: &[(&str, &[i64])], arities: &[(&str, usize)]) -> Database {

@@ -199,7 +199,7 @@ mod tests {
     use gumbo_common::{Database, Fact, Relation, Tuple};
     use gumbo_mr::{EngineConfig, Executor};
     use gumbo_sgf::{parse_query, NaiveEvaluator};
-    use gumbo_storage::SimDfs;
+    use gumbo_storage::{Dfs, SimDfs};
 
     fn example4_ctx() -> QueryContext {
         // Query (8) from Example 4.

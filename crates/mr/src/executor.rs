@@ -960,8 +960,10 @@ mod tests {
                 vec![Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[4, 5])],
             )
             .unwrap(),
-        );
-        dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap());
+        )
+        .unwrap();
+        dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap())
+            .unwrap();
         dfs
     }
 
@@ -970,10 +972,12 @@ mod tests {
         let dfs = SimDfs::new();
         dfs.store(
             Relation::from_tuples("R", 2, (0..n).map(|i| Tuple::from_ints(&[i, i % 97]))).unwrap(),
-        );
+        )
+        .unwrap();
         dfs.store(
             Relation::from_tuples("S", 1, (0..n / 2).map(|i| Tuple::from_ints(&[i % 97]))).unwrap(),
-        );
+        )
+        .unwrap();
         dfs
     }
 
@@ -1173,8 +1177,8 @@ mod tests {
         // Empty inputs plan zero map tasks; the job still commits.
         for workers in WORKERS {
             let dfs = SimDfs::new();
-            dfs.store(Relation::new("R", 2));
-            dfs.store(Relation::new("S", 2));
+            dfs.store(Relation::new("R", 2)).unwrap();
+            dfs.store(Relation::new("S", 2)).unwrap();
             let stats = unscaled(workers)
                 .execute_job(&dfs, &semi_join_job(), 0)
                 .unwrap();
@@ -1193,8 +1197,10 @@ mod tests {
                 dfs.store(
                     Relation::from_tuples("R", 2, (0..100).map(|i| Tuple::from_ints(&[i, 7])))
                         .unwrap(),
-                );
-                dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[7, 0])]).unwrap());
+                )
+                .unwrap();
+                dfs.store(Relation::from_tuples("S", 2, vec![Tuple::from_ints(&[7, 0])]).unwrap())
+                    .unwrap();
                 let mut job = semi_join_job();
                 job.config.packing = packing;
                 let stats = unscaled(workers).execute_job(&dfs, &job, 0).unwrap();
@@ -1276,8 +1282,10 @@ mod tests {
                     vec![Tuple::from_ints(&[1, 2]), Tuple::from_ints(&[4, 5])],
                 )
                 .unwrap(),
-            );
-            dfs.store(Relation::from_tuples("S2", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap());
+            )
+            .unwrap();
+            dfs.store(Relation::from_tuples("S2", 2, vec![Tuple::from_ints(&[2, 3])]).unwrap())
+                .unwrap();
             dfs
         };
         let job2 = || semi_join("R2", "S2", "Z2");

@@ -22,7 +22,7 @@ use gumbo_mr::{
     InputPartition, Job, JobConfig, JobEstimate, JobProfile, Mapper, MrProgram, MsgRef, OutputSink,
     Reducer,
 };
-use gumbo_storage::SimDfs;
+use gumbo_storage::{Dfs, SimDfs};
 
 use crate::scheduler::{DagScheduler, SchedulerConfig};
 
@@ -87,7 +87,8 @@ fn base_dfs() -> SimDfs {
                 (0..8).map(|j| Tuple::from_ints(&[10 * i + j, j])),
             )
             .unwrap(),
-        );
+        )
+        .unwrap();
     }
     dfs
 }

@@ -336,7 +336,8 @@ mod tests {
             dfs.store(
                 Relation::from_tuples(*name, 2, (0..50).map(|j| Tuple::from_ints(&[base + j, j])))
                     .unwrap(),
-            );
+            )
+            .unwrap();
         }
         dfs
     }

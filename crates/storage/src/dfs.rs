@@ -332,28 +332,12 @@ impl SimDfs {
     pub fn from_database(db: &Database) -> Self {
         let dfs = SimDfs::new();
         for rel in db.relations() {
-            dfs.store(rel.clone());
+            dfs.store(rel.clone())
+                .expect("an in-memory store cannot fail");
         }
         // Loading the initial database is not a metered write.
         dfs.bytes_written.store(0, Ordering::Relaxed);
         dfs
-    }
-
-    /// Store a relation, overwriting any previous file of the same name and
-    /// counting the write. (Inherent twin of [`Dfs::store`]; infallible on
-    /// the in-memory backend.)
-    pub fn store(&self, relation: Relation) -> ByteSize {
-        let bytes = ByteSize::bytes(relation.estimated_bytes());
-        self.bytes_written
-            .fetch_add(bytes.as_bytes(), Ordering::Relaxed);
-        self.files.write().expect("unpoisoned DFS file map").insert(
-            relation.name().clone(),
-            DfsFile {
-                relation: Arc::new(relation),
-                bytes,
-            },
-        );
-        bytes
     }
 
     fn file(&self, name: &RelationName) -> Result<DfsFile> {
@@ -364,64 +348,6 @@ impl SimDfs {
             .cloned()
             .ok_or_else(|| GumboError::UnknownRelation(name.to_string()))
     }
-
-    /// Inspect a relation *without* counting a read (planner/sampling use).
-    pub fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        self.file(name).map(|f| f.relation)
-    }
-
-    /// Whether a file exists.
-    pub fn exists(&self, name: &RelationName) -> bool {
-        self.files
-            .read()
-            .expect("unpoisoned DFS file map")
-            .contains_key(name)
-    }
-
-    /// Delete a file, returning the relation if it was present.
-    pub fn delete(&self, name: &RelationName) -> Option<Arc<Relation>> {
-        self.files
-            .write()
-            .expect("unpoisoned DFS file map")
-            .remove(name)
-            .map(|f| f.relation)
-    }
-
-    /// Names of all stored files, sorted.
-    pub fn file_names(&self) -> Vec<RelationName> {
-        self.files
-            .read()
-            .expect("unpoisoned DFS file map")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Total bytes read so far (HDFS input-cost counter).
-    pub fn bytes_read(&self) -> ByteSize {
-        ByteSize::bytes(self.bytes_read.load(Ordering::Relaxed))
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> ByteSize {
-        ByteSize::bytes(self.bytes_written.load(Ordering::Relaxed))
-    }
-
-    /// Reset the I/O counters (between experiments).
-    pub fn reset_counters(&self) {
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-    }
-
-    /// Export the current file set as a [`Database`] (for result checking).
-    pub fn to_database(&self) -> Database {
-        self.files
-            .read()
-            .expect("unpoisoned DFS file map")
-            .values()
-            .map(|f| f.relation.as_ref().clone())
-            .collect()
-    }
 }
 
 impl Dfs for SimDfs {
@@ -430,7 +356,17 @@ impl Dfs for SimDfs {
     }
 
     fn store(&self, relation: Relation) -> Result<ByteSize> {
-        Ok(SimDfs::store(self, relation))
+        let bytes = ByteSize::bytes(relation.estimated_bytes());
+        self.bytes_written
+            .fetch_add(bytes.as_bytes(), Ordering::Relaxed);
+        self.files.write().expect("unpoisoned DFS file map").insert(
+            relation.name().clone(),
+            DfsFile {
+                relation: Arc::new(relation),
+                bytes,
+            },
+        );
+        Ok(bytes)
     }
 
     fn stat(&self, name: &RelationName) -> Result<RelStats> {
@@ -442,7 +378,7 @@ impl Dfs for SimDfs {
     }
 
     fn peek(&self, name: &RelationName) -> Result<Arc<Relation>> {
-        SimDfs::peek(self, name)
+        self.file(name).map(|f| f.relation)
     }
 
     fn scan(&self, name: &RelationName) -> Result<RelationScan> {
@@ -461,31 +397,35 @@ impl Dfs for SimDfs {
     }
 
     fn exists(&self, name: &RelationName) -> bool {
-        SimDfs::exists(self, name)
+        (self.files.read())
+            .expect("unpoisoned DFS file map")
+            .contains_key(name)
     }
 
     fn delete(&self, name: &RelationName) -> Result<bool> {
-        Ok(SimDfs::delete(self, name).is_some())
+        let mut files = self.files.write().expect("unpoisoned DFS file map");
+        Ok(files.remove(name).is_some())
     }
 
     fn file_names(&self) -> Vec<RelationName> {
-        SimDfs::file_names(self)
+        (self.files.read())
+            .expect("unpoisoned DFS file map")
+            .keys()
+            .cloned()
+            .collect()
     }
 
     fn bytes_read(&self) -> ByteSize {
-        SimDfs::bytes_read(self)
+        ByteSize::bytes(self.bytes_read.load(Ordering::Relaxed))
     }
 
     fn bytes_written(&self) -> ByteSize {
-        SimDfs::bytes_written(self)
+        ByteSize::bytes(self.bytes_written.load(Ordering::Relaxed))
     }
 
     fn reset_counters(&self) {
-        SimDfs::reset_counters(self)
-    }
-
-    fn to_database(&self) -> Result<Database> {
-        Ok(SimDfs::to_database(self))
+        self.bytes_read.store(0, Ordering::Relaxed);
+        self.bytes_written.store(0, Ordering::Relaxed);
     }
 }
 
@@ -501,7 +441,7 @@ mod tests {
     #[test]
     fn store_and_scan_count_bytes() {
         let dfs = SimDfs::new();
-        let written = dfs.store(rel("R", 5));
+        let written = dfs.store(rel("R", 5)).unwrap();
         assert_eq!(written, ByteSize::bytes(5 * 20));
         assert_eq!(dfs.bytes_written(), written);
         let scan = dfs.scan(&"R".into()).unwrap();
@@ -515,7 +455,7 @@ mod tests {
     #[test]
     fn stat_and_peek_are_free() {
         let dfs = SimDfs::new();
-        let written = dfs.store(rel("R", 3));
+        let written = dfs.store(rel("R", 3)).unwrap();
         dfs.peek(&"R".into()).unwrap();
         assert_eq!(
             dfs.stat(&"R".into()).unwrap(),
@@ -549,24 +489,24 @@ mod tests {
     #[test]
     fn delete_removes() {
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 1));
-        assert!(dfs.delete(&"R".into()).is_some());
+        dfs.store(rel("R", 1)).unwrap();
+        assert!(dfs.delete(&"R".into()).unwrap());
         assert!(!dfs.exists(&"R".into()));
-        assert!(dfs.delete(&"R".into()).is_none());
+        assert!(!dfs.delete(&"R".into()).unwrap());
     }
 
     #[test]
     fn overwrite_replaces_contents() {
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 5));
-        dfs.store(rel("R", 2));
+        dfs.store(rel("R", 5)).unwrap();
+        dfs.store(rel("R", 2)).unwrap();
         assert_eq!(dfs.peek(&"R".into()).unwrap().len(), 2);
     }
 
     #[test]
     fn scan_meters_once_and_fetches_ranges() {
         let dfs = SimDfs::new();
-        let written = dfs.store(rel("R", 10));
+        let written = dfs.store(rel("R", 10)).unwrap();
         let scan = Dfs::scan(&dfs, &"R".into()).unwrap();
         assert_eq!(dfs.bytes_read(), written, "scan meters the whole file");
         assert_eq!(scan.len(), 10);
@@ -591,9 +531,9 @@ mod tests {
     #[test]
     fn scan_snapshot_survives_concurrent_overwrite() {
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 5));
+        dfs.store(rel("R", 5)).unwrap();
         let scan = Dfs::scan(&dfs, &"R".into()).unwrap();
-        dfs.store(rel("R", 2)); // overwrite while the scan is open
+        dfs.store(rel("R", 2)).unwrap(); // overwrite while the scan is open
         assert_eq!(scan.fetch(0..5).unwrap().len(), 5, "snapshot isolation");
         assert_eq!(dfs.peek(&"R".into()).unwrap().len(), 2);
     }
@@ -604,8 +544,8 @@ mod tests {
         // the atomic counters must account every single scan, and the
         // relation contents must stay readable throughout.
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 4)); // 4 tuples × 20 B = 80 B per scan
-        dfs.store(rel("S", 2)); // 2 tuples × 20 B = 40 B per scan
+        dfs.store(rel("R", 4)).unwrap(); // 4 tuples × 20 B = 80 B per scan
+        dfs.store(rel("S", 2)).unwrap(); // 2 tuples × 20 B = 40 B per scan
         let dfs = &dfs;
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -628,13 +568,13 @@ mod tests {
         // Writers overwrite R while readers hold and use snapshots: no
         // torn reads, every snapshot is a complete relation.
         let dfs = SimDfs::new();
-        dfs.store(rel("R", 8));
+        dfs.store(rel("R", 8)).unwrap();
         let dfs = &dfs;
         std::thread::scope(|scope| {
             for w in 0..4 {
                 scope.spawn(move || {
                     for n in 1..30 {
-                        dfs.store(rel("R", (w * 30 + n) % 9 + 1));
+                        dfs.store(rel("R", (w * 30 + n) % 9 + 1)).unwrap();
                     }
                 });
             }
@@ -654,9 +594,9 @@ mod tests {
     #[test]
     fn to_database_round_trip() {
         let dfs = SimDfs::new();
-        dfs.store(rel("A", 2));
-        dfs.store(rel("B", 3));
-        let db = dfs.to_database();
+        dfs.store(rel("A", 2)).unwrap();
+        dfs.store(rel("B", 3)).unwrap();
+        let db = dfs.to_database().unwrap();
         assert_eq!(db.relation_count(), 2);
         assert_eq!(db.get("B").unwrap().len(), 3);
     }

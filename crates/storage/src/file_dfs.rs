@@ -832,7 +832,7 @@ mod tests {
         let sim = SimDfs::new();
         let r = rel("R", 1000); // spans two frames
         let wf = Dfs::store(&file, r.clone()).unwrap();
-        let ws = sim.store(r.clone());
+        let ws = sim.store(r.clone()).unwrap();
         assert_eq!(wf, ws, "write metering matches sim");
         assert_eq!(scan_all(&file, "R"), tuples_of(&r), "contents round-trip");
         assert_eq!(

@@ -12,10 +12,11 @@
 //! spill-forcing budget. The ceilings carry ~2× headroom over the
 //! measured figures, so the test stays a smoke check, not a benchmark.
 //!
-//! The counter only tracks `alloc` calls (reallocs count once; frees are
-//! ignored) and is per thread: every measured region runs on its test's
-//! own thread, so neither the other tests nor the harness thread (which
-//! allocates when it reports a finished test) can leak into a count.
+//! The counter tracks `alloc` calls (reallocs count once) and, beside
+//! them, the thread's live heap bytes and their high-water mark, and is
+//! per thread: every measured region runs on its test's own thread, so
+//! neither the other tests nor the harness thread (which allocates when
+//! it reports a finished test) can leak into a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,33 +31,46 @@ use gumbo::mr::{
 use gumbo::prelude::*;
 
 /// A pass-through allocator that counts the calling thread's
-/// `alloc`/`realloc` calls.
+/// `alloc`/`realloc` calls and tracks its live heap bytes.
 struct CountingAlloc;
 
 thread_local! {
-    // `const` + no destructor: touching it never allocates, so it is safe
-    // to use from inside the allocator.
+    // `const` + no destructor: touching them never allocates, so they are
+    // safe to use from inside the allocator.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed, and their peak.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Note one allocator call that changes this thread's live bytes by
+/// `delta`; `call` says whether it counts as an allocation (a free does
+/// not).
+fn count(call: bool, delta: i64) {
     // `try_with`: a thread being torn down may allocate after its TLS is
     // gone; those calls are nobody's measured region.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if call {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -69,6 +83,15 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.get();
     let out = f();
     (ALLOCATIONS.get() - before, out)
+}
+
+/// Run `f` and return how far this thread's live heap rose above its
+/// level at the call, at its highest.
+fn peak_heap_growth<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let baseline = LIVE.get();
+    PEAK.set(baseline);
+    let out = f();
+    ((PEAK.get() - baseline) as u64, out)
 }
 
 /// The shuffle stream the count is taken on: every tuple of the A3
@@ -360,6 +383,54 @@ fn a_reduce_task_allocates_only_for_what_it_emits() {
              over {groups} groups: the reduce side allocates per group, value or emit"
         );
     }
+}
+
+/// The target of a budget that bounds the shuffle's real memory: one MSJ
+/// job, run inline at one worker under a 64 KiB budget, should hold no
+/// more heap at its peak over a guard of 8N tuples than over N (less than
+/// twice as much). Every guard tuple requests four conditional keys and no
+/// conditional fact asserts one, so the job outputs nothing and what it
+/// holds is its shuffle.
+///
+/// Ignored: the map outputs stay resident, and uncharged, until every
+/// reducer has finished, so the peak grows with the input — measured
+/// 2 068 635 bytes at N and 12 326 618 at 8N (6.0x). A map-side sort that
+/// charged and spilled map output met the bound (365 349 and 565 786
+/// bytes) but cost `spill_budgeted` 16–21 % more CPU, so it was not kept;
+/// see the ROADMAP item *Map-side sort and spill*.
+#[test]
+#[ignore = "the budget does not charge map output yet; see ROADMAP *Map-side sort and spill*"]
+fn a_budgeted_job_holds_no_more_memory_for_more_input() {
+    let workload = queries::a1();
+    let ctx = QueryContext::new(workload.query.queries().to_vec()).unwrap();
+    let msj = build_msj_job(
+        &ctx,
+        &[0, 1, 2, 3],
+        PayloadMode::Reference,
+        JobConfig::default(),
+    );
+    let executor =
+        Executor::new(EngineConfig::default().with_mem_budget(MemBudget::bytes(64 << 10)));
+    let peak = |guard: i64| {
+        let dfs = SimDfs::new();
+        let rows = (0..guard).map(|i| Tuple::from_ints(&[i, i + 1, i + 2, i + 3]));
+        dfs.store(Relation::from_tuples("R", 4, rows).unwrap())
+            .unwrap();
+        for name in ["S", "T", "U", "V"] {
+            dfs.store(Relation::new(name, 1)).unwrap();
+        }
+        let (growth, stats) = peak_heap_growth(|| executor.execute_job(&dfs, &msj, 0).unwrap());
+        assert_eq!(stats.output_tuples, 0);
+        assert!(stats.spilled_bytes > 0, "the budget must force spilling");
+        growth
+    };
+    const N: i64 = 8_000;
+    let (small, large) = (peak(N), peak(8 * N));
+    assert!(
+        large < 2 * small,
+        "peak heap grew from {small} bytes over {N} guard tuples to {large} over {}",
+        8 * N
+    );
 }
 
 /// A scan through a `FileDfs` whose block cache is smaller than one

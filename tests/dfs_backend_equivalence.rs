@@ -222,7 +222,7 @@ fn fetch_is_the_visit_collected_on_both_backends() {
     let canonical: Vec<Tuple> = relation.iter().map(|t| t.to_tuple()).collect();
 
     let sim = SimDfs::new();
-    sim.store(relation.clone());
+    sim.store(relation.clone()).unwrap();
     let root = temp_root("visit");
     let file = FileDfs::create(&root, 2048).unwrap();
     Dfs::store(&file, relation).unwrap();
@@ -278,7 +278,7 @@ fn file_peek_of_a_multi_frame_string_relation_equals_sim_peek() {
     });
     let relation = Relation::from_tuples("R", 3, tuples).unwrap();
     let sim = SimDfs::new();
-    sim.store(relation.clone());
+    sim.store(relation.clone()).unwrap();
     let expected = sim.peek(&"R".into()).unwrap();
     for cache in [1 << 20, 256] {
         let root = temp_root(&format!("peek-{cache}"));

@@ -46,7 +46,7 @@ fn estimates_track_measured_costs() {
         let estimated = est
             .msj_cost(&ctx, &group, PayloadMode::Reference, &JobConfig::default())
             .unwrap();
-        let run_dfs = SimDfs::from_database(&dfs.to_database());
+        let run_dfs = SimDfs::from_database(&dfs.to_database().unwrap());
         let job = build_msj_job(&ctx, &group, PayloadMode::Reference, JobConfig::default());
         let measured = engine.execute_job(&run_dfs, &job, 0).unwrap().total_cost;
         let ratio = estimated / measured;
@@ -135,7 +135,7 @@ fn pairwise_ranking_accuracy_is_high() {
             let estimated = est
                 .msj_cost(&ctx, &group, PayloadMode::Reference, &JobConfig::default())
                 .unwrap();
-            let run_dfs = SimDfs::from_database(&dfs.to_database());
+            let run_dfs = SimDfs::from_database(&dfs.to_database().unwrap());
             let job = build_msj_job(&ctx, &group, PayloadMode::Reference, JobConfig::default());
             let measured = engine.execute_job(&run_dfs, &job, 0).unwrap().total_cost;
             observations.push((estimated, measured));
