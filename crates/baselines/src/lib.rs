@@ -19,16 +19,16 @@
 //! * **PPAR** — Pig simulation: COGROUP-based repartition joins with
 //!   input-based reducer allocation (1 GB of map input per reducer).
 //!
-//! All strategies run on the same `gumbo-mr` engine and produce real
-//! results, verified against the naive evaluator in the test suites.
+//! [`Strategy`] is the one table of these names: labels, applicability,
+//! and the engine each Gumbo-side strategy plans with. All strategies run
+//! on the same `gumbo-mr` engine and produce real results, verified
+//! against the naive evaluator in the test suites.
 
 pub mod join;
-pub mod presets;
 pub mod seq;
+pub mod strategy;
 pub mod systems;
 
-pub use presets::{
-    greedy_engine, greedy_sgf_engine, one_round_engine, par_engine, parunit_engine, sequnit_engine,
-};
 pub use seq::SeqStrategy;
+pub use strategy::Strategy;
 pub use systems::{HiveSim, PigSim};

@@ -11,7 +11,10 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// One megabyte, in bytes. The paper's constants are per-MB costs.
 pub const MB: u64 = 1_000_000;
 
-/// A non-negative byte count with MB conversion helpers.
+/// A non-negative byte count with MB conversion helpers. Growth saturates
+/// at `u64::MAX` — a byte scale far beyond the paper's regime must reach
+/// the executor's reduce-task limit as a typed error, not overflow on
+/// the way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
@@ -47,20 +50,20 @@ impl ByteSize {
     /// Scale by an integer factor (used by the data-scale knob that maps
     /// laptop-sized runs onto the paper's 100M-tuple regime).
     pub fn scaled(self, factor: u64) -> ByteSize {
-        ByteSize(self.0 * factor)
+        ByteSize(self.0.saturating_mul(factor))
     }
 }
 
 impl Add for ByteSize {
     type Output = ByteSize;
     fn add(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0 + rhs.0)
+        ByteSize(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for ByteSize {
     fn add_assign(&mut self, rhs: ByteSize) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -74,7 +77,7 @@ impl Sub for ByteSize {
 impl Mul<u64> for ByteSize {
     type Output = ByteSize;
     fn mul(self, rhs: u64) -> ByteSize {
-        ByteSize(self.0 * rhs)
+        self.scaled(rhs)
     }
 }
 

@@ -85,7 +85,7 @@ impl<'a> Catalog<'a> {
             let (_, scale) = self.source?;
             self.stored(name).map(|s| RelStats {
                 bytes: s.bytes.scaled(scale),
-                tuples: s.tuples * scale,
+                tuples: s.tuples.saturating_mul(scale),
                 arity: s.arity,
             })
         };

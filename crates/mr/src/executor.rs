@@ -8,7 +8,7 @@
 //!
 //! The paper's algorithms are defined against an abstract MapReduce
 //! substrate (§3.2); this module pins that substrate down so the query
-//! layers (`gumbo-core`, `gumbo-baselines`, `gumbo-bench`) never depend
+//! layers (`gumbo-core`, `gumbo-baselines`, `gumbo-cli experiments`) never depend
 //! on *how* a job runs. Map tasks, the partitioned shuffle and reduce
 //! tasks fan out over a small fixed worker pool (scoped threads, no
 //! work-stealing dependency) while every stage is metered by the paper's
@@ -68,6 +68,13 @@ use crate::metrics::{JobStats, ProgramStats, RoundStats};
 use crate::profile::{InputPartition, JobProfile};
 use crate::program::MrProgram;
 use crate::shuffle::{MemBudget, MemoryBudget, ShuffleSpill, SpillStats};
+
+/// The most reduce tasks one job may resolve: 21× the 382 that the §5
+/// experiments resolve at most (Figure 7a's largest scale). Every map
+/// task routes its rows with one counter per reduce task, so a byte
+/// scale far beyond the paper's regime would otherwise allocate in
+/// proportion to it — A1 at scale 10¹⁹ asked for 135 GB at once.
+pub const MAX_REDUCE_TASKS: usize = 1 << 13;
 
 /// Engine configuration, shared by every executor.
 #[derive(Debug, Clone, Copy)]
@@ -318,7 +325,7 @@ impl Executor {
         drop(map_span);
 
         // ---- shuffle: route every row to its reducer ---------------------
-        let reducers = plan.resolve_reducers(job);
+        let reducers = plan.resolve_reducers(job)?;
         let shuffle_span = gumbo_obs::span_with("shuffle:flush", |f| {
             f.str("job", &job.name);
             f.u64("reducers", reducers as u64);
@@ -524,13 +531,25 @@ pub(crate) struct MapPlan {
 
 impl MapPlan {
     /// Resolve the job's reduce-task count from the measured input and
-    /// intermediate sizes (call after `MapPlan::apply_counts`).
-    pub(crate) fn resolve_reducers(&self, job: &Job) -> usize {
+    /// intermediate sizes (call after `MapPlan::apply_counts`). Every
+    /// modeled reducer is a physical reduce task, and the sizes are
+    /// *scaled*, so a count above [`MAX_REDUCE_TASKS`] is a plan error
+    /// rather than an allocation the process cannot make.
+    pub(crate) fn resolve_reducers(&self, job: &Job) -> Result<usize> {
         let total_input = self.partitions.iter().map(|p| p.input).sum();
         let total_map_output = self.partitions.iter().map(|p| p.map_output).sum();
-        job.config
+        let reducers = job
+            .config
             .reducer_policy
-            .reducers(total_input, total_map_output)
+            .reducers(total_input, total_map_output);
+        if reducers > MAX_REDUCE_TASKS {
+            return Err(GumboError::Plan(format!(
+                "job {} resolves {reducers} reduce tasks, above the limit of {MAX_REDUCE_TASKS}: \
+                 lower the byte scale",
+                job.name
+            )));
+        }
+        Ok(reducers)
     }
 }
 
@@ -693,7 +712,7 @@ impl MapPlan {
         }
         for (i, p) in self.partitions.iter_mut().enumerate() {
             p.map_output = ByteSize::bytes(raw_bytes[i]).scaled(scale);
-            p.records_out = raw_records[i] * scale;
+            p.records_out = raw_records[i].saturating_mul(scale);
         }
     }
 }

@@ -79,7 +79,7 @@ pub use cluster::Cluster;
 pub use cost::{job_cost, CostConstants, CostModelKind};
 pub use dag::{DagNode, JobDag};
 pub use estimate::{list_schedule_makespan, JobEstimate};
-pub use executor::{EngineConfig, Executor, ExecutorKind};
+pub use executor::{EngineConfig, Executor, ExecutorKind, MAX_REDUCE_TASKS};
 pub use job::{Emitter, Job, JobConfig, Mapper, OutputSink, Reducer, ReducerPolicy};
 pub use message::{IdSet, Message, MsgRef, MsgView, Payload, PayloadView};
 pub use metrics::{JobStats, ProgramStats};

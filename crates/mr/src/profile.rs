@@ -29,7 +29,7 @@ pub struct InputPartition {
 impl InputPartition {
     /// `M̂ᵢ`: map-output metadata, 16 bytes per record (§3.3, footnote 2).
     pub fn meta(&self, meta_bytes_per_record: u64) -> ByteSize {
-        ByteSize::bytes(self.records_out * meta_bytes_per_record)
+        ByteSize::bytes(self.records_out.saturating_mul(meta_bytes_per_record))
     }
 }
 

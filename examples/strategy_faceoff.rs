@@ -10,7 +10,6 @@
 //! Figure 3's A3 column. Expect: parallel strategies win on *net* time,
 //! SEQ wins on *total* time among unfused plans, and 1-ROUND wins both.
 
-use gumbo::baselines::{greedy_engine, one_round_engine, par_engine, SeqStrategy};
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
@@ -56,20 +55,15 @@ fn main() -> Result<()> {
         SeqStrategy::default().evaluate(&Executor::new(config), &dfs, workload.query.queries())?;
     report("SEQ", stats, &dfs)?;
 
-    // PAR: four ungrouped MSJ jobs + EVAL.
-    let dfs = SimDfs::from_database(&db);
-    let stats = par_engine(config).evaluate(&dfs, &workload.query)?;
-    report("PAR", stats, &dfs)?;
-
-    // GREEDY: Greedy-BSGF groups the semi-joins (shared guard scan).
-    let dfs = SimDfs::from_database(&db);
-    let stats = greedy_engine(config).evaluate(&dfs, &workload.query)?;
-    report("GREEDY", stats, &dfs)?;
-
-    // 1-ROUND: the fused MSJ+EVAL job (all conditionals share key x).
-    let dfs = SimDfs::from_database(&db);
-    let stats = one_round_engine(config).evaluate(&dfs, &workload.query)?;
-    report("1-ROUND", stats, &dfs)?;
+    // PAR: four ungrouped MSJ jobs + EVAL. GREEDY: Greedy-BSGF groups the
+    // semi-joins (shared guard scan). 1-ROUND: the fused MSJ+EVAL job
+    // (all conditionals share key x).
+    for strategy in [Strategy::Par, Strategy::Greedy, Strategy::OneRound] {
+        let dfs = SimDfs::from_database(&db);
+        let engine = strategy.engine(config).expect("a Gumbo strategy");
+        let stats = engine.evaluate(&dfs, &workload.query)?;
+        report(strategy.label(), stats, &dfs)?;
+    }
 
     println!("\nall strategies verified against the naive evaluator ✓");
     Ok(())

@@ -1,5 +1,6 @@
 //! `gumbo-cli` — run SGF queries over TSV relations from the command line,
-//! or serve them to concurrent tenants over TCP.
+//! serve them to concurrent tenants over TCP, or regenerate the paper's
+//! §5 experiments.
 //!
 //! ```text
 //! gumbo-cli [FLAGS]          one-shot: evaluate one program, verify it, exit
@@ -8,7 +9,14 @@
 //!                    (--query FILE | --sgf TEXT | --preset NAME)
 //!                    [--out DIR] [--stats-json PATH]
 //! gumbo-cli shutdown [--addr ADDR]
+//! gumbo-cli experiments NAME [FLAGS]   the §5 tables and figures (experiments.rs)
+//! gumbo-cli trace-check PATH           validate a `--trace` file (trace_check.rs)
 //! ```
+//!
+//! Every mode parses its values with the same helpers: one `--executor`
+//! grammar, one rule that `--tuples`, `--scale` and `--nodes` are at
+//! least 1, one start and finish of `--trace`/`--metrics-dump`, and one
+//! builder of the cost model's scale and cluster.
 //!
 //! One-shot and `serve` share one parser for the ten flags they have in
 //! common — input (`--preset`, `--tuples`, `--data`), engine sizing
@@ -53,9 +61,18 @@ use gumbo::prelude::*;
 // documents and streamed `stats` frames speak identical JSON.
 use gumbo::service::protocol::stats_to_json;
 
+// The subcommands' own modules live beside this crate root, in
+// `src/bin/gumbo-cli/`.
+#[path = "gumbo-cli/experiments.rs"]
+mod experiments;
+#[path = "gumbo-cli/runner.rs"]
+mod runner;
+#[path = "gumbo-cli/trace_check.rs"]
+mod trace_check;
+
 // One-shot's `--strategy`, `--scale` and `--nodes` defaults. `serve` has
 // none of the three flags and plans and prices every query with these.
-const DEFAULT_STRATEGY: &str = "greedy";
+const DEFAULT_STRATEGY: Strategy = Strategy::GreedySgf;
 const DEFAULT_SCALE: u64 = 1;
 const DEFAULT_NODES: usize = 10;
 
@@ -77,8 +94,7 @@ struct Common {
     mem_budget: MemBudget,
     dfs: DfsSpec,
     dfs_cache: Option<u64>,
-    trace: Option<PathBuf>,
-    metrics_dump: bool,
+    recording: Recording,
 }
 
 impl Common {
@@ -93,8 +109,7 @@ impl Common {
             mem_budget: MemBudget::UNLIMITED,
             dfs: DfsSpec::Sim,
             dfs_cache: None,
-            trace: None,
-            metrics_dump: false,
+            recording: Recording::default(),
         }
     }
 
@@ -103,13 +118,9 @@ impl Common {
     fn parse_flag(&mut self, i: &mut usize, argv: &[String]) -> Result<bool, String> {
         match argv[*i].as_str() {
             "--preset" => self.preset = Some(need(i, argv)?),
-            "--tuples" => self.tuples = Some(parsed(i, argv)?),
+            "--tuples" => self.tuples = Some(at_least_one(i, argv)?),
             "--data" => self.data = Some(PathBuf::from(need(i, argv)?)),
-            "--executor" => {
-                let spec = need(i, argv)?;
-                self.executor = ExecutorKind::parse(&spec)
-                    .ok_or_else(|| format!("--executor: unknown runtime {spec}"))?;
-            }
+            "--executor" => self.executor = executor(i, argv)?,
             "--max-jobs" => self.max_jobs = parsed(i, argv)?,
             "--mem-budget" => {
                 let spec = need(i, argv)?;
@@ -140,9 +151,7 @@ impl Common {
                         })?,
                 );
             }
-            "--trace" => self.trace = Some(PathBuf::from(need(i, argv)?)),
-            "--metrics-dump" => self.metrics_dump = true,
-            _ => return Ok(false),
+            _ => return self.recording.parse_flag(i, argv),
         }
         Ok(true)
     }
@@ -168,10 +177,28 @@ impl Common {
         }
         Ok(())
     }
+}
 
-    /// Start recording what `--trace` and `--metrics-dump` ask for.
-    /// `gumbo::obs::uninstall` finalizes the trace file.
-    fn start_recording(&self) -> Result<(), String> {
+/// `--trace` and `--metrics-dump`: what every evaluating mode records.
+#[derive(Default)]
+struct Recording {
+    trace: Option<PathBuf>,
+    metrics_dump: bool,
+}
+
+impl Recording {
+    /// Parse `argv[*i]` if it is a recording flag.
+    fn parse_flag(&mut self, i: &mut usize, argv: &[String]) -> Result<bool, String> {
+        match argv[*i].as_str() {
+            "--trace" => self.trace = Some(PathBuf::from(need(i, argv)?)),
+            "--metrics-dump" => self.metrics_dump = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Start recording what the flags ask for.
+    fn start(&self) -> Result<(), String> {
         if let Some(path) = &self.trace {
             gumbo::obs::install_trace_file(path).map_err(|e| format!("--trace {path:?}: {e}"))?;
         }
@@ -179,6 +206,15 @@ impl Common {
             gumbo::obs::set_metrics_enabled(true);
         }
         Ok(())
+    }
+
+    /// Finalize the trace file — close the Chrome array, so a failed
+    /// run's trace still loads — and print the counter registry if asked.
+    fn finish(&self) {
+        gumbo::obs::uninstall();
+        if self.metrics_dump {
+            gumbo::obs::print_metrics();
+        }
     }
 }
 
@@ -193,46 +229,37 @@ fn scheduler_config(max_jobs: usize, budget: MemBudget) -> SchedulerConfig {
     }
 }
 
-/// The evaluation options a `--strategy` name selects.
-fn strategy_options(strategy: &str) -> Result<EvalOptions, String> {
-    let base = EvalOptions::default();
-    let singletons = |sort| EvalOptions {
-        grouping: Grouping::Singletons,
-        sort,
-        enable_one_round: false,
-        ..base
-    };
-    Ok(match strategy {
-        "greedy" => EvalOptions {
-            enable_one_round: false,
-            ..base
-        },
-        "one-round" => base,
-        "par" | "parunit" => singletons(SortStrategy::Levels),
-        "sequnit" => singletons(SortStrategy::Sequential),
+/// The §5 strategy a one-shot `--strategy` name selects.
+fn strategy(name: &str) -> Result<Strategy, String> {
+    Ok(match name {
+        "greedy" => Strategy::GreedySgf,
+        "one-round" => Strategy::OneRound,
+        "par" | "parunit" => Strategy::ParUnit,
+        "sequnit" => Strategy::SeqUnit,
         other => return Err(format!("unknown strategy {other}")),
     })
 }
 
-/// The engine both modes run: a strategy and cost-model scale, sized by
-/// the shared flags.
-fn build_engine(
-    common: &Common,
-    strategy: &str,
-    scale: u64,
-    nodes: usize,
-) -> Result<GumboEngine, String> {
-    let options = EvalOptions {
-        mem_budget: common.mem_budget,
-        scheduler: Some(scheduler_config(common.max_jobs, common.mem_budget)),
-        ..strategy_options(strategy)?
-    };
-    let config = EngineConfig {
+/// The cost model's byte scale and simulated cluster (`--scale`,
+/// `--nodes`), for every mode.
+fn engine_config(scale: u64, nodes: usize) -> EngineConfig {
+    EngineConfig {
         scale,
         cluster: Cluster::with_nodes(nodes),
         ..EngineConfig::default()
-    };
-    Ok(GumboEngine::with_executor(config, common.executor, options))
+    }
+}
+
+/// The engine both modes run: a strategy priced at a cost-model scale
+/// and cluster, sized by the shared flags.
+fn build_engine(common: &Common, strategy: Strategy, config: EngineConfig) -> GumboEngine {
+    let mut engine = strategy
+        .engine(config)
+        .expect("--strategy names a Gumbo strategy");
+    engine.executor = common.executor;
+    engine.options.mem_budget = common.mem_budget;
+    engine.options.scheduler = Some(scheduler_config(common.max_jobs, common.mem_budget));
+    engine
 }
 
 /// Resolve one of the paper's generated workloads by name.
@@ -340,11 +367,33 @@ where
     value.parse().map_err(|e| format!("{}: {e}", argv[*i - 1]))
 }
 
+/// The value after the flag at `argv[*i]`, parsed and at least 1: a zero
+/// tuple count, byte scale or node count would print NaN ratios, price
+/// every byte at nothing or run one map slot in silence.
+fn at_least_one<T>(i: &mut usize, argv: &[String]) -> Result<T, String>
+where
+    T: std::str::FromStr + From<u8> + PartialOrd,
+    T::Err: std::fmt::Display,
+{
+    let value: T = parsed(i, argv)?;
+    if value < T::from(1) {
+        return Err(format!("{}: must be at least 1", argv[*i - 1]));
+    }
+    Ok(value)
+}
+
+/// The `--executor` runtime after the flag at `argv[*i]`.
+fn executor(i: &mut usize, argv: &[String]) -> Result<ExecutorKind, String> {
+    let spec = need(i, argv)?;
+    ExecutorKind::parse(&spec)
+        .ok_or_else(|| format!("--executor: sim|parallel|parallel:N, got {spec}"))
+}
+
 /// One-shot mode: the shared flags plus the ones only a single run has.
 struct Args {
     common: Common,
     query: Option<PathBuf>,
-    strategy: String,
+    strategy: Strategy,
     scale: u64,
     nodes: usize,
     out: Option<PathBuf>,
@@ -352,7 +401,8 @@ struct Args {
     stats_json: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown] ... (see --help per subcommand) | \
+const USAGE: &str = "usage: gumbo-cli [serve|query|shutdown|experiments|trace-check] ... \
+                     (see --help per subcommand) | \
                      gumbo-cli --data DIR --query FILE | --preset NAME [--tuples N] \
                      [--strategy greedy|par|sequnit|parunit|one-round] \
                      [--executor sim|parallel|parallel:N] \
@@ -366,7 +416,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         common: Common::new(1),
         query: None,
-        strategy: DEFAULT_STRATEGY.into(),
+        strategy: DEFAULT_STRATEGY,
         scale: DEFAULT_SCALE,
         nodes: DEFAULT_NODES,
         out: None,
@@ -378,9 +428,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         if !args.common.parse_flag(&mut i, argv)? {
             match argv[i].as_str() {
                 "--query" => args.query = Some(PathBuf::from(need(&mut i, argv)?)),
-                "--strategy" => args.strategy = need(&mut i, argv)?,
-                "--scale" => args.scale = parsed(&mut i, argv)?,
-                "--nodes" => args.nodes = parsed(&mut i, argv)?,
+                "--strategy" => args.strategy = strategy(&need(&mut i, argv)?)?,
+                "--scale" => args.scale = at_least_one(&mut i, argv)?,
+                "--nodes" => args.nodes = at_least_one(&mut i, argv)?,
                 "--out" => args.out = Some(PathBuf::from(need(&mut i, argv)?)),
                 "--explain" => args.explain = true,
                 "--stats-json" => args.stats_json = Some(PathBuf::from(need(&mut i, argv)?)),
@@ -398,8 +448,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 impl Args {
-    fn engine(&self) -> Result<GumboEngine, String> {
-        build_engine(&self.common, &self.strategy, self.scale, self.nodes)
+    fn engine(&self) -> GumboEngine {
+        build_engine(
+            &self.common,
+            self.strategy,
+            engine_config(self.scale, self.nodes),
+        )
     }
 }
 
@@ -421,7 +475,7 @@ fn run(args: Args) -> Result<(), String> {
     let query = query.expect("parse_args pairs --data with --query");
     eprintln!("\nquery:\n{query}\n");
 
-    let engine = args.engine()?;
+    let engine = args.engine();
     let dfs = build_dfs(&args.common, &db)?;
     let dfs: &dyn Dfs = &*dfs;
 
@@ -441,12 +495,12 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!();
     }
 
-    args.common.start_recording()?;
+    args.common.recording.start()?;
     let runtime = engine.runtime();
     let result = engine.eval().on(&runtime).run(dfs, &query);
-    // Uninstall *before* propagating errors so the trace file is always
-    // finalized (the Chrome array closed) — a failed run's trace is
-    // exactly the one worth loading into Perfetto.
+    // Finalize the trace file *before* propagating errors: a failed run's
+    // trace is exactly the one worth loading into Perfetto. The metrics
+    // print at `finish` below, after the summary.
     gumbo::obs::uninstall();
     let stats = result.map_err(|e| e.to_string())?;
 
@@ -519,9 +573,7 @@ fn run(args: Args) -> Result<(), String> {
             .map_err(|e| format!("--stats-json {path:?}: {e}"))?;
         println!("wrote {path:?} (program stats)");
     }
-    if args.common.metrics_dump {
-        gumbo::obs::print_metrics();
-    }
+    args.common.recording.finish();
 
     if let Some(out_dir) = args.out {
         std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir:?}: {e}"))?;
@@ -574,31 +626,31 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
 }
 
 impl ServeArgs {
-    fn engine(&self) -> Result<GumboEngine, String> {
-        build_engine(&self.common, DEFAULT_STRATEGY, DEFAULT_SCALE, DEFAULT_NODES)
+    fn engine(&self) -> GumboEngine {
+        build_engine(
+            &self.common,
+            DEFAULT_STRATEGY,
+            engine_config(DEFAULT_SCALE, DEFAULT_NODES),
+        )
     }
 }
 
 fn run_serve(args: ServeArgs) -> Result<(), String> {
     let (db, _) = load_inputs(&args.common, None)?;
     let dfs: std::sync::Arc<dyn Dfs> = std::sync::Arc::from(build_dfs(&args.common, &db)?);
-    let engine = args.engine()?;
+    let engine = args.engine();
     gumbo::service::install_signal_drain();
-    args.common.start_recording()?;
+    args.common.recording.start()?;
     let listener = std::net::TcpListener::bind(&args.listen)
         .map_err(|e| format!("bind {}: {e}", args.listen))?;
     let handle = serve(listener, dfs, engine, args.config).map_err(|e| e.to_string())?;
     println!("gumbo-serve listening on {}", handle.addr());
     let summary = handle.join();
-    // Finalize the trace (close the Chrome array) before any exit path.
-    gumbo::obs::uninstall();
     println!(
         "gumbo-serve drained: connections={} accepted={} completed={}",
         summary.connections, summary.accepted, summary.completed,
     );
-    if args.common.metrics_dump {
-        gumbo::obs::print_metrics();
-    }
+    args.common.recording.finish();
     if summary.accepted != summary.completed {
         return Err(format!(
             "drain lost work: accepted {} != completed {}",
@@ -712,6 +764,8 @@ fn main() -> ExitCode {
         Some("serve") => parse_serve(&argv[1..]).and_then(run_serve),
         Some("query") => run_query(&argv[1..]),
         Some("shutdown") => run_shutdown(&argv[1..]),
+        Some("experiments") => experiments::main(&argv[1..]),
+        Some("trace-check") => trace_check::main(&argv[1..]),
         _ => parse_args(&argv).and_then(run),
     };
     match result {
@@ -759,7 +813,7 @@ mod tests {
         assert!(err.contains(&format!("unknown flag {removed}")), "{err}");
 
         let budgeted = parse(&["--mem-budget", "64k"]).unwrap();
-        let options = budgeted.engine().unwrap().options;
+        let options = budgeted.engine().options;
         let sched = options.scheduler.unwrap();
         assert_eq!(sched.max_concurrent_jobs, 1);
         assert_eq!(sched.mem_budget, options.mem_budget);
@@ -823,8 +877,8 @@ mod tests {
             "64k",
         ];
         let engines = |flags: &[&str]| {
-            let one_shot = parse_args(&argv(flags)).unwrap().engine().unwrap();
-            let served = parse_serve(&argv(flags)).unwrap().engine().unwrap();
+            let one_shot = parse_args(&argv(flags)).unwrap().engine();
+            let served = parse_serve(&argv(flags)).unwrap().engine();
             (one_shot, served)
         };
         let slots = |e: &GumboEngine| e.options.scheduler.unwrap().max_concurrent_jobs;
@@ -900,50 +954,105 @@ mod tests {
         assert!(parse_serve(&argv(&["--data", "d"])).is_ok());
     }
 
-    /// README's option table has one row per flag of the two modes, and
-    /// its one-shot and serve columns say which parser accepts it.
+    /// README's option table has one row per flag of the evaluating
+    /// modes, and its one-shot, serve and experiments columns say which
+    /// parser accepts it.
     #[test]
     fn readme_option_table_lists_every_flag() {
         let readme = include_str!("../../README.md");
-        let rows: Vec<(&str, bool, bool)> = readme
+        let rows: Vec<(&str, [bool; 3])> = readme
             .lines()
             .filter(|line| line.starts_with("| `--"))
             .map(|line| {
                 let cells: Vec<&str> = line.split('|').map(str::trim).collect();
                 let flag = cells[1].trim_matches('`').split(' ').next().unwrap();
-                (flag, cells[2] == "yes", cells[3] == "yes")
+                (flag, [2, 3, 4].map(|column| cells[column] == "yes"))
             })
             .collect();
-        let accepts = |parse: fn(&[String]) -> Result<(), String>, flag: &str| {
-            parse(&argv(&[flag]))
-                .err()
-                .is_none_or(|e| !e.contains(&format!("unknown flag {flag}")))
-        };
-        let one_shot: fn(&[String]) -> Result<(), String> = |a| parse_args(a).map(drop);
-        let served: fn(&[String]) -> Result<(), String> = |a| parse_serve(a).map(drop);
-        for &(flag, in_one_shot, in_serve) in &rows {
-            assert_eq!(
-                accepts(one_shot, flag),
-                in_one_shot,
-                "one-shot column of {flag}"
-            );
-            assert_eq!(accepts(served, flag), in_serve, "serve column of {flag}");
+        type Parser = fn(&[String]) -> Result<(), String>;
+        let parsers: [(&str, Parser); 3] = [
+            ("one-shot", |a| parse_args(a).map(drop)),
+            ("serve", |a| parse_serve(a).map(drop)),
+            ("experiments", |a| {
+                experiments::parse(&[&["all".to_string()], a].concat()).map(drop)
+            }),
+        ];
+        for &(flag, columns) in &rows {
+            for ((mode, parse), listed) in parsers.iter().zip(columns) {
+                let accepted = parse(&argv(&[flag]))
+                    .err()
+                    .is_none_or(|e| !e.contains(&format!("unknown flag {flag}")));
+                assert_eq!(accepted, listed, "{mode} column of {flag}");
+            }
         }
 
-        // Every flag a parser in this file matches on has a row, except
+        // Every flag a parser of these modes matches on has a row, except
         // the `query`/`shutdown` client's own.
         let client_only = ["--addr", "--tenant", "--weight", "--sgf", "--help"];
-        let source = include_str!("gumbo-cli.rs");
-        for (at, _) in source.match_indices("\"--") {
-            let rest = &source[at + 1..];
-            let end = rest.find('"').unwrap();
-            let (flag, after) = (&rest[..end], &rest[end + 1..]);
-            let is_match_arm = after.starts_with(" =>") || after.starts_with(" |");
-            if is_match_arm && !client_only.contains(&flag) {
-                assert!(
-                    rows.iter().any(|row| row.0 == flag),
-                    "README's option table has no row for {flag}"
-                );
+        for source in [
+            include_str!("gumbo-cli.rs"),
+            include_str!("gumbo-cli/experiments.rs"),
+        ] {
+            for (at, _) in source.match_indices("\"--") {
+                let rest = &source[at + 1..];
+                let end = rest.find('"').unwrap();
+                let (flag, after) = (&rest[..end], &rest[end + 1..]);
+                let is_match_arm = after.starts_with(" =>") || after.starts_with(" |");
+                if is_match_arm && !client_only.contains(&flag) {
+                    assert!(
+                        rows.iter().any(|row| row.0 == flag),
+                        "README's option table has no row for {flag}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A zero `--tuples`, `--scale` or `--nodes` is refused by every
+    /// subcommand: where the flag exists its value must be at least 1,
+    /// and elsewhere the flag is unknown.
+    #[test]
+    fn zero_sizes_are_refused_by_every_subcommand() {
+        type Parser = fn(&[String]) -> Result<(), String>;
+        let modes: [(&str, &[&str], Parser, &[&str]); 4] = [
+            (
+                "one-shot",
+                &["--preset", "a1"],
+                |a| parse_args(a).map(drop),
+                &["--tuples", "--scale", "--nodes"],
+            ),
+            (
+                "serve",
+                &["--preset", "a1"],
+                |a| parse_serve(a).map(drop),
+                &["--tuples"],
+            ),
+            (
+                "experiments",
+                &["fig3"],
+                |a| experiments::parse(a).map(drop),
+                &["--tuples", "--scale", "--nodes"],
+            ),
+            (
+                "trace-check",
+                &["trace.json"],
+                |a| trace_check::parse(a).map(drop),
+                &[],
+            ),
+        ];
+        for (mode, base, parse, sizes) in modes {
+            assert!(parse(&argv(base)).is_ok(), "{mode}");
+            for flag in ["--tuples", "--scale", "--nodes"] {
+                let err = parse(&argv(&[base, &[flag, "0"]].concat()))
+                    .expect_err(&format!("{mode} {flag} 0"));
+                let expected = if sizes.contains(&flag) {
+                    format!("{flag}: must be at least 1")
+                } else {
+                    format!("unknown flag {flag}")
+                };
+                assert!(err.contains(&expected), "{mode} {flag} 0: {err}");
+                let one = parse(&argv(&[base, &[flag, "1"]].concat()));
+                assert_eq!(one.is_ok(), sizes.contains(&flag), "{mode} {flag} 1");
             }
         }
     }

@@ -1,24 +1,115 @@
-//! Experiment implementations: one function per table/figure of §5, plus
-//! [`scaling`], the one wall-clock experiment.
+//! `gumbo-cli experiments` — regenerate the paper's tables and figures.
 //!
-//! Each §5 function prints the same rows/series the paper reports
-//! (absolute values plus, where the paper does, values relative to the
-//! baseline) and returns its rows for programmatic use. Their figures are
-//! the cost model's deterministic output: the same flags print the same
-//! numbers on every run, at every `--executor`.
+//! ```text
+//! gumbo-cli experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|table3|costmodel|optimality|ablation|structures|scaling>
+//!             [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify]
+//!             [--executor sim|parallel|parallel:N]
+//!             [--trace PATH] [--metrics-dump]
+//! ```
+//!
+//! One function per table/figure of §5, plus [`scaling`], the one
+//! wall-clock experiment: one program timed at 1/2/4/8 workers and then
+//! 2/4/8 job slots, every row asserted identical to the serial reference,
+//! written to `BENCH_scaling.json`. `all` runs every §5 experiment.
+//!
+//! Every run executes the *real* engine on generated data (verified
+//! against the naive evaluator unless `--no-verify`) and reports the
+//! paper's four metrics: net time, total time, input bytes and
+//! communication bytes — in simulated cost-units and GB at the
+//! configured scale. Each §5 function prints the same rows/series the
+//! paper reports (absolute values plus, where the paper does, values
+//! relative to the baseline). Their figures are the cost model's
+//! deterministic output: the same flags print the same numbers on every
+//! run, at every `--executor`. `--trace` records one trace covering the
+//! whole run.
 
 use std::collections::BTreeSet;
 
-use gumbo_baselines::greedy_engine;
-use gumbo_common::Result;
-use gumbo_core::{Estimator, PayloadMode, QueryContext};
-use gumbo_datagen::queries;
-use gumbo_datagen::Workload;
-use gumbo_mr::{CostModelKind, JobConfig};
-use gumbo_sgf::DependencyGraph;
-use gumbo_storage::{Dfs, SimDfs};
+use gumbo::baselines::Strategy;
+use gumbo::common::Result;
+use gumbo::core::{Estimator, PayloadMode, QueryContext};
+use gumbo::datagen::queries;
+use gumbo::datagen::Workload;
+use gumbo::mr::{CostModelKind, JobConfig};
+use gumbo::sgf::DependencyGraph;
+use gumbo::storage::{Dfs, SimDfs};
 
-use crate::runner::{applicable, run_strategy, RunConfig, RunResult, Strategy};
+use super::runner::{run_strategy, RunConfig, RunResult};
+use super::{at_least_one, executor, parsed, Recording};
+
+const USAGE: &str = "usage: gumbo-cli experiments <all|fig3|fig4|fig5|fig7a|fig7b|fig7c|fig8|\
+                     table3|costmodel|optimality|ablation|structures|scaling> \
+                     [--tuples N] [--scale N] [--nodes N] [--seed N] [--no-verify] \
+                     [--executor sim|parallel|parallel:N] \
+                     [--trace PATH] [--metrics-dump]";
+
+type Experiment = fn(&RunConfig) -> Result<()>;
+
+/// The experiment a command-line name selects.
+fn experiment(name: &str) -> Option<Experiment> {
+    let run: Experiment = match name {
+        "all" => all,
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig7a" => fig7a,
+        "fig7b" => fig7b,
+        "fig7c" => fig7c,
+        "fig8" => fig8,
+        "table3" => table3,
+        "costmodel" => costmodel,
+        "optimality" => optimality,
+        "ablation" => ablation,
+        "structures" => structures,
+        "scaling" => scaling,
+        _ => return None,
+    };
+    Some(run)
+}
+
+/// Parse `experiments [NAME] [FLAGS]` (default `all`).
+pub fn parse(argv: &[String]) -> Result<(Experiment, RunConfig, Recording), String> {
+    let name = argv.first().map_or("all", String::as_str);
+    let run = experiment(name).ok_or_else(|| format!("unknown experiment {name}\n{USAGE}"))?;
+    let mut cfg = RunConfig::default();
+    let mut recording = Recording::default();
+    let mut i = 1;
+    while i < argv.len() {
+        if !recording.parse_flag(&mut i, argv)? {
+            match argv[i].as_str() {
+                "--tuples" => cfg.tuples = at_least_one(&mut i, argv)?,
+                "--scale" => cfg.scale = at_least_one(&mut i, argv)?,
+                "--nodes" => cfg.nodes = at_least_one(&mut i, argv)?,
+                "--seed" => cfg.seed = parsed(&mut i, argv)?,
+                "--no-verify" => cfg.verify = false,
+                "--executor" => cfg.executor = executor(&mut i, argv)?,
+                "--help" | "-h" => return Err(USAGE.into()),
+                other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            }
+        }
+        i += 1;
+    }
+    Ok((run, cfg, recording))
+}
+
+/// Run the experiment `argv` names, recording what its flags ask for.
+pub fn main(argv: &[String]) -> Result<(), String> {
+    let (run, cfg, recording) = parse(argv)?;
+    recording.start()?;
+    println!(
+        "config: {} real tuples x scale {} = {}M-equivalent tuples, {} nodes, selectivity {}, verify={}, executor={}",
+        cfg.tuples,
+        cfg.scale,
+        cfg.equivalent_tuples() / 1_000_000,
+        cfg.nodes,
+        cfg.selectivity,
+        cfg.verify,
+        cfg.executor.label()
+    );
+    let result = run(&cfg);
+    recording.finish();
+    result.map_err(|e| format!("experiment failed: {e}"))
+}
 
 /// The BSGF strategy lineup of Figure 3/4.
 pub const BSGF_STRATEGIES: [Strategy; 7] = [
@@ -91,7 +182,7 @@ fn run_lineup(
     let mut rows = Vec::new();
     for w in workloads {
         for &s in strategies {
-            if applicable(s, w) {
+            if s.applicable(&w.query) {
                 rows.push(run_strategy(s, w, cfg)?);
             }
         }
@@ -100,7 +191,7 @@ fn run_lineup(
 }
 
 /// Figure 3: BSGF queries A1–A5 under all strategies.
-pub fn fig3(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig3(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 3 — BSGF queries A1-A5 (abs + relative to SEQ)");
     let workloads = vec![
         queries::a1(),
@@ -112,17 +203,17 @@ pub fn fig3(cfg: &RunConfig) -> Result<Vec<RunResult>> {
     let rows = run_lineup(&workloads, &BSGF_STRATEGIES, cfg)?;
     print_rows(&rows);
     print_relative(&rows, "SEQ");
-    Ok(rows)
+    Ok(())
 }
 
 /// Figure 4: large BSGF queries B1 and B2.
-pub fn fig4(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig4(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 4 — large BSGF queries B1, B2 (abs + relative to SEQ)");
     let workloads = vec![queries::b1(), queries::b2()];
     let rows = run_lineup(&workloads, &BSGF_STRATEGIES, cfg)?;
     print_rows(&rows);
     print_relative(&rows, "SEQ");
-    Ok(rows)
+    Ok(())
 }
 
 /// §5.2 "Cost Model": GREEDY under cost_gumbo vs cost_wang on the 48-atom
@@ -148,12 +239,7 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
         ("cost_wang", CostModelKind::Wang),
     ] {
         let dfs = SimDfs::from_database(&db);
-        let mut engine = greedy_engine(gumbo_mr::EngineConfig {
-            scale: cfg.scale,
-            cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-            ..gumbo_mr::EngineConfig::default()
-        });
-        engine.executor = cfg.executor;
+        let mut engine = greedy(cfg);
         engine.options.planner_model = model;
         let stats = engine.evaluate(&dfs, &w.query)?;
         println!(
@@ -199,10 +285,7 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
         let pdb = pw.spec.database(cfg.seed);
         let ctx = QueryContext::new(pw.query.queries().to_vec())?;
         let n = ctx.semijoins().len();
-        let executor = cfg.executor.build(gumbo_mr::EngineConfig {
-            scale: cfg.scale,
-            ..gumbo_mr::EngineConfig::default()
-        });
+        let executor = cfg.executor.build(cfg.engine_config());
         // Deterministic pseudo-random subsets of the semi-join set; for the
         // skewed cost-model query, graded prefix sizes so its jobs' costs
         // interleave with the proportional jobs'.
@@ -217,7 +300,7 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
             let est_g = Estimator::new(
                 &dfs,
                 cfg.scale,
-                gumbo_mr::CostConstants::default(),
+                gumbo::mr::CostConstants::default(),
                 CostModelKind::Gumbo,
                 64,
                 cfg.seed,
@@ -226,13 +309,13 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
             let est_w = Estimator::new(
                 &dfs,
                 cfg.scale,
-                gumbo_mr::CostConstants::default(),
+                gumbo::mr::CostConstants::default(),
                 CostModelKind::Wang,
                 64,
                 cfg.seed,
             );
             let cw = est_w.msj_cost(&ctx, &group, PayloadMode::Reference, &JobConfig::default())?;
-            let job = gumbo_core::msj::build_msj_job(
+            let job = gumbo::core::msj::build_msj_job(
                 &ctx,
                 &group,
                 PayloadMode::Reference,
@@ -270,13 +353,13 @@ pub fn costmodel(cfg: &RunConfig) -> Result<()> {
 }
 
 /// Figure 5: SGF queries C1–C4, relative to SEQUNIT.
-pub fn fig5(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig5(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 5 — SGF queries C1-C4 (relative to SEQUNIT)");
     let workloads = queries::figure6();
     let rows = run_lineup(&workloads, &SGF_STRATEGIES, cfg)?;
     print_rows(&rows);
     print_relative(&rows, "SEQUNIT");
-    Ok(rows)
+    Ok(())
 }
 
 const SWEEP_STRATEGIES: [Strategy; 4] = [
@@ -287,7 +370,7 @@ const SWEEP_STRATEGIES: [Strategy; 4] = [
 ];
 
 /// Figure 7a: growing data size on a fixed 10-node cluster (A3).
-pub fn fig7a(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig7a(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 7a — varying data size (10 nodes, A3)");
     let mut rows = Vec::new();
     for mult in [2u64, 4, 8, 16] {
@@ -303,11 +386,11 @@ pub fn fig7a(cfg: &RunConfig) -> Result<Vec<RunResult>> {
         }
     }
     print_rows(&rows);
-    Ok(rows)
+    Ok(())
 }
 
 /// Figure 7b: growing cluster size at fixed data size (A3).
-pub fn fig7b(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig7b(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 7b — varying cluster size (800M-equivalent tuples, A3)");
     let mut rows = Vec::new();
     for nodes in [5usize, 10, 20] {
@@ -323,11 +406,11 @@ pub fn fig7b(cfg: &RunConfig) -> Result<Vec<RunResult>> {
         }
     }
     print_rows(&rows);
-    Ok(rows)
+    Ok(())
 }
 
 /// Figure 7c: co-scaling data and cluster size (A3).
-pub fn fig7c(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig7c(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 7c — co-scaling data and cluster size (A3)");
     let mut rows = Vec::new();
     for (mult, nodes) in [(1u64, 5usize), (2, 10), (4, 20)] {
@@ -343,11 +426,11 @@ pub fn fig7c(cfg: &RunConfig) -> Result<Vec<RunResult>> {
         }
     }
     print_rows(&rows);
-    Ok(rows)
+    Ok(())
 }
 
 /// Figure 8: varying the number of conditional atoms (A3 family).
-pub fn fig8(cfg: &RunConfig) -> Result<Vec<RunResult>> {
+pub fn fig8(cfg: &RunConfig) -> Result<()> {
     print_header("Figure 8 — varying the number of conditional atoms (A3 family)");
     let mut rows = Vec::new();
     for k in [2usize, 4, 8, 12, 16] {
@@ -357,7 +440,7 @@ pub fn fig8(cfg: &RunConfig) -> Result<Vec<RunResult>> {
         }
     }
     print_rows(&rows);
-    Ok(rows)
+    Ok(())
 }
 
 /// Table 3: net/total increase when selectivity goes from 0.1 to 0.9.
@@ -412,14 +495,10 @@ pub fn optimality(cfg: &RunConfig) -> Result<()> {
             .with_tuples(cfg.tuples.min(2000))
             .database(cfg.seed);
         let dfs = SimDfs::from_database(&db);
-        let mut engine = greedy_engine(gumbo_mr::EngineConfig {
-            scale: cfg.scale,
-            ..gumbo_mr::EngineConfig::default()
-        });
-        engine.executor = cfg.executor;
-        let greedy_sort = gumbo_core::planner::greedy_sgf_sort(&w.query);
+        let engine = greedy(cfg);
+        let greedy_sort = gumbo::core::planner::greedy_sgf_sort(&w.query);
         let greedy_cost = engine.sort_cost(&dfs, &w.query, &greedy_sort)?;
-        let (opt_sort, opt_cost) = gumbo_core::planner::optimal_sgf_sort(&w.query, &mut |s| {
+        let (opt_sort, opt_cost) = gumbo::core::planner::optimal_sgf_sort(&w.query, &mut |s| {
             engine.sort_cost(&dfs, &w.query, s)
         })?;
         println!(
@@ -444,7 +523,7 @@ pub fn optimality(cfg: &RunConfig) -> Result<()> {
         let est = Estimator::new(
             &dfs,
             cfg.scale,
-            gumbo_mr::CostConstants::default(),
+            gumbo::mr::CostConstants::default(),
             CostModelKind::Gumbo,
             64,
             cfg.seed,
@@ -456,8 +535,8 @@ pub fn optimality(cfg: &RunConfig) -> Result<()> {
             est.msj_cost(&ctx, &ids, PayloadMode::Reference, &cfg_job)
                 .unwrap_or(f64::MAX)
         };
-        let (_, greedy_cost) = gumbo_core::planner::greedy_partition(n, &mut cost_fn);
-        let (_, opt_cost) = gumbo_core::planner::optimal_partition(n, &mut cost_fn);
+        let (_, greedy_cost) = gumbo::core::planner::greedy_partition(n, &mut cost_fn);
+        let (_, opt_cost) = gumbo::core::planner::optimal_partition(n, &mut cost_fn);
         println!(
             "{}: greedy partition cost {:.0}, optimal {:.0} (ratio {:.3})",
             w.name,
@@ -470,7 +549,7 @@ pub fn optimality(cfg: &RunConfig) -> Result<()> {
 }
 
 /// Sanity: dependency structures of the C-queries match the paper.
-pub fn structures() -> Result<()> {
+pub fn structures(_: &RunConfig) -> Result<()> {
     print_header("Dependency structures (Fig. 6)");
     for w in queries::figure6() {
         let g = DependencyGraph::new(&w.query);
@@ -490,21 +569,20 @@ pub fn structures() -> Result<()> {
 /// This is the one experiment about *our* wall clock rather than the
 /// paper's simulated metrics. The program merges eight clients'
 /// independent A3-shaped queries, each over its own renamed copy of the
-/// relations, into one `MrProgram` ([`gumbo_mr::MrProgram::extend`]).
+/// relations, into one `MrProgram` ([`gumbo::mr::MrProgram::extend`]).
 /// Each client's MSJ → EVAL chain is a real dependency while different
 /// clients' jobs may overlap, so workers split every job's map and
 /// reduce tasks and job slots overlap whole jobs. Every row must leave
 /// the DFS contents and per-job statistics of the serial reference loop
-/// on the same program ([`gumbo_sched::serial_reference`] on
+/// on the same program ([`gumbo::sched::serial_reference`] on
 /// `--executor`; asserted): only the wall clock may differ. Rows — wall
 /// and speed-up over the one-worker, one-slot row — are written to
 /// `BENCH_scaling.json`.
 pub fn scaling(cfg: &RunConfig) -> Result<()> {
-    use crate::report::{write_bench_json, Json};
-    use gumbo_core::{EvalOptions, GumboEngine};
-    use gumbo_datagen::DataSpec;
-    use gumbo_mr::{Executor, ReducerPolicy};
-    use gumbo_sched::{DagScheduler, SchedulerConfig};
+    use gumbo::datagen::DataSpec;
+    use gumbo::mr::{Executor, ReducerPolicy};
+    use gumbo::obs::json::Json;
+    use gumbo::sched::{DagScheduler, SchedulerConfig};
     use std::time::Instant;
 
     const CLIENTS: usize = 8;
@@ -519,34 +597,23 @@ pub fn scaling(cfg: &RunConfig) -> Result<()> {
         cfg.tuples
     );
 
-    let engine_cfg = gumbo_mr::EngineConfig {
-        scale: cfg.scale,
-        cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-        ..gumbo_mr::EngineConfig::default()
-    };
-    // MSJ → EVAL structure (no 1-ROUND fusion); fixed reducers keep every
-    // worker count on plenty of independent reduce tasks.
-    let engine = GumboEngine::new(
-        engine_cfg,
-        EvalOptions {
-            enable_one_round: false,
-            job_config: JobConfig {
-                reducer_policy: ReducerPolicy::Fixed(64),
-                ..JobConfig::default()
-            },
-            ..EvalOptions::default()
-        },
-    );
-    let queries: Vec<gumbo_sgf::SgfQuery> = (0..CLIENTS)
+    let engine_cfg = cfg.engine_config();
+    // MSJ → EVAL structure (GREEDY-SGF, no 1-ROUND fusion); fixed reducers
+    // keep every worker count on plenty of independent reduce tasks.
+    let mut engine = Strategy::GreedySgf
+        .engine(engine_cfg)
+        .expect("GREEDY-SGF has an engine");
+    engine.options.job_config.reducer_policy = ReducerPolicy::Fixed(64);
+    let queries: Vec<gumbo::sgf::SgfQuery> = (0..CLIENTS)
         .map(|i| {
-            gumbo_sgf::parse_program(&format!(
+            gumbo::sgf::parse_program(&format!(
                 "Out{i} := SELECT (x, y, z, w) FROM R{i}(x, y, z, w) \
                  WHERE S{i}(x) AND T{i}(x) AND U{i}(x) AND V{i}(x);"
             ))
             .expect("client query parses")
         })
         .collect();
-    let mut db = gumbo_common::Database::new();
+    let mut db = gumbo::common::Database::new();
     for i in 0..CLIENTS {
         let guard = format!("R{i}");
         let conds = ["S", "T", "U", "V"].map(|c| format!("{c}{i}"));
@@ -559,8 +626,8 @@ pub fn scaling(cfg: &RunConfig) -> Result<()> {
             db.add_relation(rel.clone());
         }
     }
-    let build_program = |dfs: &SimDfs| -> Result<gumbo_mr::MrProgram> {
-        let mut merged = gumbo_mr::MrProgram::new();
+    let build_program = |dfs: &SimDfs| -> Result<gumbo::mr::MrProgram> {
+        let mut merged = gumbo::mr::MrProgram::new();
         for q in &queries {
             let ctx = QueryContext::new(q.queries().to_vec())?;
             merged.extend(
@@ -573,7 +640,7 @@ pub fn scaling(cfg: &RunConfig) -> Result<()> {
     };
 
     let reference_dfs = SimDfs::from_database(&db);
-    let reference = gumbo_sched::serial_reference(
+    let reference = gumbo::sched::serial_reference(
         &cfg.executor.build(engine_cfg),
         &reference_dfs,
         &build_program(&reference_dfs)?,
@@ -594,8 +661,8 @@ pub fn scaling(cfg: &RunConfig) -> Result<()> {
         let wall = start.elapsed().as_secs_f64();
 
         let label = format!("scaling {workers} workers x {slots} slots");
-        gumbo_sched::assert_identical_dfs(&label, &reference_dfs, &dfs);
-        gumbo_sched::assert_identical_stats(&label, &reference, &stats);
+        gumbo::sched::assert_identical_dfs(&label, &reference_dfs, &dfs);
+        gumbo::sched::assert_identical_stats(&label, &reference, &stats);
         Ok((wall, stats.num_jobs()))
     };
     timed_run(1, 1)?;
@@ -633,8 +700,11 @@ pub fn scaling(cfg: &RunConfig) -> Result<()> {
         ("hardware_threads", Json::Int(hw as u64)),
         ("rows", Json::Arr(rows)),
     ]);
-    write_bench_json("scaling", &report)
-        .map_err(|e| gumbo_common::GumboError::Storage(format!("writing BENCH_scaling.json: {e}")))
+    let path = "BENCH_scaling.json";
+    std::fs::write(path, format!("{report}\n"))
+        .map_err(|e| gumbo::common::GumboError::Storage(format!("writing {path}: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 /// Run everything.
@@ -650,8 +720,17 @@ pub fn all(cfg: &RunConfig) -> Result<()> {
     table3(cfg)?;
     ablation(cfg)?;
     optimality(cfg)?;
-    structures()?;
+    structures(cfg)?;
     Ok(())
+}
+
+/// The GREEDY engine on this run's runtime, scale and cluster.
+fn greedy(cfg: &RunConfig) -> gumbo::core::GumboEngine {
+    let mut engine = Strategy::Greedy
+        .engine(cfg.engine_config())
+        .expect("GREEDY has an engine");
+    engine.executor = cfg.executor;
+    engine
 }
 
 /// Shorten long job names for tabular output.
@@ -666,9 +745,9 @@ fn truncate_name(name: &str) -> String {
 /// Ablation study: Gumbo's individual optimizations (§5.1) toggled one at
 /// a time on the A1 workload under the GREEDY strategy.
 pub fn ablation(cfg: &RunConfig) -> Result<()> {
-    use gumbo_core::{EvalOptions, Grouping, GumboEngine, SortStrategy};
-    use gumbo_mr::ReducerPolicy;
-    use gumbo_sgf::NaiveEvaluator;
+    use gumbo::core::{EvalOptions, GumboEngine};
+    use gumbo::mr::ReducerPolicy;
+    use gumbo::sgf::NaiveEvaluator;
 
     print_header("Ablation — Gumbo optimizations toggled individually (GREEDY)");
     for w in [queries::a1(), queries::a3()] {
@@ -681,62 +760,38 @@ pub fn ablation(cfg: &RunConfig) -> Result<()> {
         let db = spec.database(cfg.seed);
         let expected = NaiveEvaluator::new().evaluate_sgf_all(&w.query, &db)?;
 
-        let base_job = JobConfig::default();
+        let greedy = greedy(cfg).options;
+        let par = Strategy::Par.engine(cfg.engine_config());
         let variants: Vec<(&str, EvalOptions)> = vec![
-            (
-                "all optimizations",
-                EvalOptions {
-                    grouping: Grouping::Greedy,
-                    sort: SortStrategy::Levels,
-                    enable_one_round: false,
-                    ..EvalOptions::default()
-                },
-            ),
+            ("all optimizations", greedy),
             (
                 "no packing",
                 EvalOptions {
-                    grouping: Grouping::Greedy,
-                    sort: SortStrategy::Levels,
-                    enable_one_round: false,
                     job_config: JobConfig {
                         packing: false,
-                        ..base_job
+                        ..greedy.job_config
                     },
-                    ..EvalOptions::default()
+                    ..greedy
                 },
             ),
             (
                 "no guard references",
                 EvalOptions {
-                    grouping: Grouping::Greedy,
-                    sort: SortStrategy::Levels,
-                    enable_one_round: false,
                     mode: PayloadMode::Full,
-                    ..EvalOptions::default()
+                    ..greedy
                 },
             ),
             (
                 "input-based reducers",
                 EvalOptions {
-                    grouping: Grouping::Greedy,
-                    sort: SortStrategy::Levels,
-                    enable_one_round: false,
                     job_config: JobConfig {
                         reducer_policy: ReducerPolicy::pig_default(),
-                        ..base_job
+                        ..greedy.job_config
                     },
-                    ..EvalOptions::default()
+                    ..greedy
                 },
             ),
-            (
-                "no grouping (PAR)",
-                EvalOptions {
-                    grouping: Grouping::Singletons,
-                    sort: SortStrategy::Levels,
-                    enable_one_round: false,
-                    ..EvalOptions::default()
-                },
-            ),
+            ("no grouping (PAR)", par.expect("PAR has an engine").options),
         ];
 
         println!(
@@ -745,15 +800,7 @@ pub fn ablation(cfg: &RunConfig) -> Result<()> {
         );
         for (label, options) in variants {
             let dfs = SimDfs::from_database(&db);
-            let engine = GumboEngine::with_executor(
-                gumbo_mr::EngineConfig {
-                    scale: cfg.scale,
-                    cluster: gumbo_mr::Cluster::with_nodes(cfg.nodes),
-                    ..gumbo_mr::EngineConfig::default()
-                },
-                cfg.executor,
-                options,
-            );
+            let engine = GumboEngine::with_executor(cfg.engine_config(), cfg.executor, options);
             let stats = engine.evaluate(&dfs, &w.query)?;
             for q in w.query.queries() {
                 assert_eq!(
@@ -775,4 +822,34 @@ pub fn ablation(cfg: &RunConfig) -> Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_config(args: &[&str]) -> Result<RunConfig, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse(&args).map(|(_, cfg, _)| cfg)
+    }
+
+    /// A missing or malformed value is an error message, not an
+    /// index-out-of-bounds panic.
+    #[test]
+    fn missing_and_bad_values_are_errors() {
+        let err = parse_config(&["fig3", "--tuples"]).unwrap_err();
+        assert!(err.contains("missing value after --tuples"), "{err}");
+        let err = parse_config(&["fig3", "--scale", "lots"]).unwrap_err();
+        assert!(err.starts_with("--scale: "), "{err}");
+        let err = parse_config(&["fig3", "--executor", "gpu"]).unwrap_err();
+        assert!(err.contains("--executor"), "{err}");
+        let err = parse_config(&["spill"]).unwrap_err();
+        assert!(err.contains("unknown experiment spill"), "{err}");
+        let cfg = parse_config(&["fig3", "--tuples", "400", "--no-verify"]).unwrap();
+        assert_eq!((cfg.tuples, cfg.verify), (400, false));
+        assert_eq!(
+            parse_config(&[]).unwrap().tuples,
+            RunConfig::default().tuples
+        );
+    }
 }

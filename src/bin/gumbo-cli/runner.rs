@@ -1,59 +1,12 @@
 //! Strategy runners: one entry point executing any of the paper's
 //! evaluation strategies on a workload, with result verification.
 
-use gumbo_baselines::{
-    greedy_engine, greedy_sgf_engine, one_round_engine, par_engine, parunit_engine, sequnit_engine,
-    HiveSim, PigSim, SeqStrategy,
-};
-use gumbo_common::{GumboError, Result};
-use gumbo_core::GumboEngine;
-use gumbo_datagen::Workload;
-use gumbo_mr::{Cluster, EngineConfig, ExecutorKind, ProgramStats};
-use gumbo_sgf::NaiveEvaluator;
-use gumbo_storage::{Dfs, SimDfs};
-
-/// The evaluation strategies of §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Sequential semi-join reducers (BSGF experiments).
-    Seq,
-    /// Parallel, ungrouped MSJ jobs.
-    Par,
-    /// `Greedy-BSGF` / `Greedy-SGF` (with grouping, no fusion).
-    Greedy,
-    /// 1-ROUND fusion where applicable.
-    OneRound,
-    /// Hive with outer joins (sequential stages).
-    Hpar,
-    /// Hive with semi-join operators (parallel, no grouping).
-    Hpars,
-    /// Pig COGROUP.
-    Ppar,
-    /// SGF: one BSGF at a time, bottom-up.
-    SeqUnit,
-    /// SGF: level-by-level, per-level parallelism.
-    ParUnit,
-    /// SGF: Greedy-SGF ordering + Greedy-BSGF grouping.
-    GreedySgf,
-}
-
-impl Strategy {
-    /// Display name matching the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Strategy::Seq => "SEQ",
-            Strategy::Par => "PAR",
-            Strategy::Greedy => "GREEDY",
-            Strategy::OneRound => "1-ROUND",
-            Strategy::Hpar => "HPAR",
-            Strategy::Hpars => "HPARS",
-            Strategy::Ppar => "PPAR",
-            Strategy::SeqUnit => "SEQUNIT",
-            Strategy::ParUnit => "PARUNIT",
-            Strategy::GreedySgf => "GREEDY-SGF",
-        }
-    }
-}
+use gumbo::baselines::{HiveSim, PigSim, SeqStrategy, Strategy};
+use gumbo::common::{GumboError, Result};
+use gumbo::datagen::Workload;
+use gumbo::mr::{EngineConfig, ExecutorKind, ProgramStats};
+use gumbo::sgf::NaiveEvaluator;
+use gumbo::storage::{Dfs, SimDfs};
 
 /// Shared run configuration.
 #[derive(Debug, Clone)]
@@ -72,10 +25,6 @@ pub struct RunConfig {
     pub verify: bool,
     /// Which MapReduce runtime executes the plans (`--executor`).
     pub executor: ExecutorKind,
-    /// Record a trace of the whole experiment to this path (`--trace`).
-    pub trace: Option<std::path::PathBuf>,
-    /// Print the counter/gauge registry after the run (`--metrics-dump`).
-    pub metrics_dump: bool,
 }
 
 impl Default for RunConfig {
@@ -89,8 +38,6 @@ impl Default for RunConfig {
             seed: 1,
             verify: true,
             executor: ExecutorKind::Simulated,
-            trace: None,
-            metrics_dump: false,
         }
     }
 }
@@ -101,12 +48,9 @@ impl RunConfig {
         self.tuples as u64 * self.scale
     }
 
-    fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            scale: self.scale,
-            cluster: Cluster::with_nodes(self.nodes),
-            ..EngineConfig::default()
-        }
+    /// The cost-model scale and simulated cluster of this run.
+    pub fn engine_config(&self) -> EngineConfig {
+        super::engine_config(self.scale, self.nodes)
     }
 }
 
@@ -129,17 +73,10 @@ pub struct RunResult {
     pub rounds: usize,
     /// Number of MapReduce jobs.
     pub jobs: usize,
-    /// Output cardinality (real tuples).
-    pub output_tuples: usize,
 }
 
 impl RunResult {
-    fn from_stats(
-        strategy: Strategy,
-        workload: &Workload,
-        stats: &ProgramStats,
-        output_tuples: usize,
-    ) -> Self {
+    fn from_stats(strategy: Strategy, workload: &Workload, stats: &ProgramStats) -> Self {
         RunResult {
             strategy: strategy.label(),
             workload: workload.name.clone(),
@@ -149,37 +86,19 @@ impl RunResult {
             comm_gb: stats.communication_bytes().as_bytes() as f64 / 1e9,
             rounds: stats.num_rounds(),
             jobs: stats.num_jobs(),
-            output_tuples,
         }
-    }
-}
-
-/// Whether a strategy can run a given workload (e.g. 1-ROUND needs a
-/// fusible query; SEQ needs DNF conditions and a flat query).
-pub fn applicable(strategy: Strategy, workload: &Workload) -> bool {
-    use gumbo_core::QueryContext;
-    match strategy {
-        Strategy::OneRound => {
-            let flat = gumbo_sgf::DependencyGraph::new(&workload.query)
-                .level_sort()
-                .len()
-                == 1;
-            flat && QueryContext::new(workload.query.queries().to_vec())
-                .is_ok_and(|c| c.fused_requests().is_some())
-        }
-        Strategy::Seq | Strategy::Hpar | Strategy::Hpars | Strategy::Ppar => {
-            // Flat (single-level) query sets only.
-            gumbo_sgf::DependencyGraph::new(&workload.query)
-                .level_sort()
-                .len()
-                == 1
-        }
-        _ => true,
     }
 }
 
 /// Execute one strategy on one workload.
 pub fn run_strategy(strategy: Strategy, workload: &Workload, cfg: &RunConfig) -> Result<RunResult> {
+    if !strategy.applicable(&workload.query) {
+        return Err(GumboError::Plan(format!(
+            "{} is not applicable to workload {}",
+            strategy.label(),
+            workload.name
+        )));
+    }
     let spec = workload
         .spec
         .clone()
@@ -190,42 +109,22 @@ pub fn run_strategy(strategy: Strategy, workload: &Workload, cfg: &RunConfig) ->
     let engine_cfg = cfg.engine_config();
     let queries = workload.query.queries().to_vec();
 
-    // Every strategy executes through the configured runtime: preset
+    // Every strategy executes through the configured runtime: Gumbo
     // engines get the executor kind stamped on, the job-level baselines
     // receive the built executor directly.
-    let executor = cfg.executor.build(engine_cfg);
-    let on = |mut engine: GumboEngine| {
+    let stats = if let Some(mut engine) = strategy.engine(engine_cfg) {
         engine.executor = cfg.executor;
-        engine
-    };
-    let stats = match strategy {
-        Strategy::Seq => SeqStrategy::default().evaluate(&executor, &dfs, &queries)?,
-        Strategy::Hpar => HiveSim::hpar().evaluate(&executor, &dfs, &queries)?,
-        Strategy::Hpars => HiveSim::hpars().evaluate(&executor, &dfs, &queries)?,
-        Strategy::Ppar => PigSim::ppar().evaluate(&executor, &dfs, &queries)?,
-        Strategy::Par => on(par_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
-        Strategy::ParUnit => on(parunit_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
-        Strategy::Greedy => on(greedy_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
-        Strategy::GreedySgf => on(greedy_sgf_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
-        Strategy::OneRound => {
-            if !applicable(strategy, workload) {
-                return Err(GumboError::Plan(format!(
-                    "1-ROUND is not applicable to workload {}",
-                    workload.name
-                )));
-            }
-            on(one_round_engine(engine_cfg)).evaluate(&dfs, &workload.query)?
+        engine.evaluate(&dfs, &workload.query)?
+    } else {
+        let executor = cfg.executor.build(engine_cfg);
+        match strategy {
+            Strategy::Seq => SeqStrategy::default().evaluate(&executor, &dfs, &queries)?,
+            Strategy::Hpar => HiveSim::hpar().evaluate(&executor, &dfs, &queries)?,
+            Strategy::Hpars => HiveSim::hpars().evaluate(&executor, &dfs, &queries)?,
+            Strategy::Ppar => PigSim::ppar().evaluate(&executor, &dfs, &queries)?,
+            _ => unreachable!("{strategy:?} has an engine"),
         }
-        Strategy::SeqUnit => on(sequnit_engine(engine_cfg)).evaluate(&dfs, &workload.query)?,
     };
-
-    let mut output_tuples = 0;
-    for q in workload.query.queries() {
-        // For flat multi-query workloads (A4/A5) every output counts.
-        if let Ok(rel) = dfs.peek(q.output()) {
-            output_tuples += rel.len();
-        }
-    }
 
     if cfg.verify {
         let env = NaiveEvaluator::new().evaluate_sgf_all(&workload.query, &db)?;
@@ -247,18 +146,13 @@ pub fn run_strategy(strategy: Strategy, workload: &Workload, cfg: &RunConfig) ->
         }
     }
 
-    Ok(RunResult::from_stats(
-        strategy,
-        workload,
-        &stats,
-        output_tuples,
-    ))
+    Ok(RunResult::from_stats(strategy, workload, &stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gumbo_datagen::queries;
+    use gumbo::datagen::queries;
 
     fn tiny() -> RunConfig {
         RunConfig {
@@ -286,11 +180,13 @@ mod tests {
 
     #[test]
     fn one_round_applicability() {
-        assert!(applicable(Strategy::OneRound, &queries::a3()));
-        assert!(applicable(Strategy::OneRound, &queries::b2()));
-        assert!(!applicable(Strategy::OneRound, &queries::a1()));
-        assert!(!applicable(Strategy::Seq, &queries::c1()));
-        assert!(applicable(Strategy::GreedySgf, &queries::c1()));
+        assert!(Strategy::OneRound.applicable(&queries::a3().query));
+        assert!(Strategy::OneRound.applicable(&queries::b2().query));
+        assert!(!Strategy::OneRound.applicable(&queries::a1().query));
+        assert!(!Strategy::Seq.applicable(&queries::c1().query));
+        assert!(Strategy::GreedySgf.applicable(&queries::c1().query));
+        let err = run_strategy(Strategy::OneRound, &queries::a1(), &tiny()).unwrap_err();
+        assert!(err.to_string().contains("not applicable"), "{err}");
     }
 
     #[test]
@@ -318,8 +214,8 @@ mod tests {
                 executor: ExecutorKind::Parallel { threads: 4 },
                 ..tiny()
             };
+            // Both runs verify every output against the naive evaluator.
             let par = run_strategy(strategy, &w, &par_cfg).unwrap();
-            assert_eq!(sim.output_tuples, par.output_tuples, "{strategy:?}");
             assert_eq!(sim.rounds, par.rounds, "{strategy:?}");
             assert_eq!(sim.jobs, par.jobs, "{strategy:?}");
             assert!((sim.net - par.net).abs() < 1e-9, "{strategy:?}");

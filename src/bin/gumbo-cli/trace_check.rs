@@ -1,6 +1,5 @@
-//! `trace-check` — validate a trace file emitted by `gumbo-cli --trace`.
-//!
-//! Usage: `trace-check PATH`
+//! `gumbo-cli trace-check PATH` — validate a trace file emitted by
+//! `--trace`.
 //!
 //! The whole file must parse as a JSON array of Chrome trace events,
 //! within every `tid` lane the `B`/`E` phase events must balance like
@@ -9,45 +8,44 @@
 //! vocabulary below — a renamed or typo'd emitter fails here instead of
 //! silently producing an unrecognizable trace.
 //!
-//! Exits 0 and prints a one-line summary on success; prints the first
-//! problem to stderr and exits 1 otherwise. CI runs this against the
-//! trace artifact so a malformed exporter fails the build, not the
-//! person who later loads the file into Perfetto.
+//! Prints a one-line summary on success; prints the first problem to
+//! stderr and exits nonzero otherwise. CI runs this against the trace
+//! artifact so a malformed exporter fails the build, not the person who
+//! later loads the file into Perfetto.
 
-use std::process::ExitCode;
+use std::path::PathBuf;
 
 use gumbo::obs::json::Json;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("trace-check: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
+const USAGE: &str = "usage: gumbo-cli trace-check PATH";
 
-fn run(args: &[String]) -> Result<String, String> {
-    let mut path: Option<&str> = None;
-    for arg in args {
+/// Parse `trace-check PATH`: exactly one path and no flags.
+pub fn parse(argv: &[String]) -> Result<PathBuf, String> {
+    let mut path = None;
+    for arg in argv {
         match arg.as_str() {
-            "--help" | "-h" => return Ok("usage: trace-check PATH".to_string()),
-            arg if arg.starts_with("--") => return Err(format!("unknown flag {arg:?}")),
+            "--help" | "-h" => return Err(USAGE.into()),
+            flag if flag.starts_with("--") => {
+                return Err(format!("trace-check: unknown flag {flag} (try --help)"))
+            }
             arg => {
-                if path.replace(arg).is_some() {
-                    return Err("expected exactly one PATH argument".to_string());
+                if path.replace(PathBuf::from(arg)).is_some() {
+                    return Err(format!("trace-check: expected exactly one PATH\n{USAGE}"));
                 }
             }
         }
     }
-    let path = path.ok_or_else(|| "usage: trace-check PATH".to_string())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    check_chrome(&text)
+    path.ok_or_else(|| USAGE.into())
+}
+
+/// Check the trace file `argv` names and print its summary line.
+pub fn main(argv: &[String]) -> Result<(), String> {
+    let path = parse(argv)?;
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("trace-check: cannot read {path:?}: {e}"))?;
+    let summary = check_chrome(&text).map_err(|e| format!("trace-check: {e}"))?;
+    println!("{summary}");
+    Ok(())
 }
 
 /// Every span name the engine emits (`B`/`E` pairs). Grown alongside the

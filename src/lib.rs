@@ -53,7 +53,7 @@
 //! | [`gumbo_sched`] | dependency-driven DAG scheduler, fair-share admission queue charged measured service time |
 //! | [`gumbo_core`] | the request/assert operator (MSJ and 1-ROUND fusion), EVAL, plans, greedy + optimal planners |
 //! | [`gumbo_service`] | resident multi-tenant query service: TCP protocol, fair-share admission, streaming client |
-//! | [`gumbo_baselines`] | SEQ chains, PAR presets, Pig/Hive simulators |
+//! | [`gumbo_baselines`] | the §5 strategy table, SEQ chains, Pig/Hive simulators |
 //! | [`gumbo_datagen`] | the paper's workloads (A1–A5, B1/B2, C1–C4, sweeps) |
 //!
 //! ## One runtime, sized by a worker count
@@ -90,10 +90,7 @@ pub use gumbo_storage as storage;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use gumbo_baselines::{
-        greedy_engine, greedy_sgf_engine, one_round_engine, par_engine, parunit_engine,
-        sequnit_engine, HiveSim, PigSim, SeqStrategy,
-    };
+    pub use gumbo_baselines::{HiveSim, PigSim, SeqStrategy, Strategy};
     pub use gumbo_common::{ByteSize, Database, Fact, GumboError, Relation, Result, Tuple, Value};
     pub use gumbo_core::{
         BsgfSetPlan, EvalOptions, EvalRequest, Grouping, GumboEngine, PayloadMode, QueryContext,

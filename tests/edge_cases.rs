@@ -1,6 +1,5 @@
 //! Edge cases that stress unusual-but-legal corners of the SGF fragment.
 
-use gumbo::baselines::{greedy_engine, par_engine};
 use gumbo::prelude::*;
 
 fn db(facts: &[(&str, &[i64])]) -> Database {
@@ -16,8 +15,14 @@ fn check(query_text: &str, d: &Database) -> Relation {
     let query = parse_program(query_text).unwrap();
     let expected = NaiveEvaluator::new().evaluate_sgf(&query, d).unwrap();
     for (name, engine) in [
-        ("greedy", greedy_engine(EngineConfig::unscaled())),
-        ("par", par_engine(EngineConfig::unscaled())),
+        (
+            "greedy",
+            Strategy::Greedy.engine(EngineConfig::unscaled()).unwrap(),
+        ),
+        (
+            "par",
+            Strategy::Par.engine(EngineConfig::unscaled()).unwrap(),
+        ),
         (
             "default",
             GumboEngine::new(EngineConfig::unscaled(), EvalOptions::default()),
@@ -163,4 +168,26 @@ fn mixed_string_and_int_keys() {
         .unwrap();
     let out = check("Z := SELECT (n, a) FROM R(n, a) WHERE S(n);", &d);
     assert_eq!(out.len(), 1);
+}
+
+/// A byte scale far beyond the paper's regime models more reduce tasks
+/// than one process can hold: the run is a plan error, not an abort.
+#[test]
+fn a_byte_scale_beyond_the_reduce_task_limit_is_a_plan_error() {
+    let workload = gumbo::datagen::queries::a1().with_tuples(200);
+    let db = workload.spec.database(1);
+    for scale in [1_000_000_000_000, 10_000_000_000_000_000_000] {
+        let config = EngineConfig {
+            scale,
+            ..EngineConfig::default()
+        };
+        let dfs = SimDfs::from_database(&db);
+        let err = GumboEngine::new(config, EvalOptions::default())
+            .evaluate(&dfs, &workload.query)
+            .unwrap_err();
+        assert!(
+            matches!(&err, GumboError::Plan(m) if m.contains("reduce tasks")),
+            "scale {scale}: {err}"
+        );
+    }
 }

@@ -1,16 +1,15 @@
 //! Cross-crate integration tests for nested SGF evaluation: the paper's
 //! C-workloads and randomized nested programs, under every sort strategy.
 
-use gumbo::baselines::{greedy_sgf_engine, parunit_engine, sequnit_engine};
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
 fn engines() -> Vec<(&'static str, GumboEngine)> {
     let cfg = EngineConfig::unscaled();
     vec![
-        ("sequnit", sequnit_engine(cfg)),
-        ("parunit", parunit_engine(cfg)),
-        ("greedy-sgf", greedy_sgf_engine(cfg)),
+        ("sequnit", Strategy::SeqUnit.engine(cfg).unwrap()),
+        ("parunit", Strategy::ParUnit.engine(cfg).unwrap()),
+        ("greedy-sgf", Strategy::GreedySgf.engine(cfg).unwrap()),
         (
             "defaults+1round",
             GumboEngine::new(cfg, EvalOptions::default()),

@@ -12,14 +12,13 @@ fn db(facts: &[(&str, &[i64])]) -> Database {
 }
 
 fn eval_all_strategies(query: &SgfQuery, database: &Database) -> Relation {
-    use gumbo::baselines::{greedy_engine, one_round_engine, par_engine, sequnit_engine};
     let expected = NaiveEvaluator::new().evaluate_sgf(query, database).unwrap();
     let cfg = EngineConfig::unscaled();
     for (name, engine) in [
-        ("greedy", greedy_engine(cfg)),
-        ("one_round", one_round_engine(cfg)),
-        ("par", par_engine(cfg)),
-        ("sequnit", sequnit_engine(cfg)),
+        ("greedy", Strategy::Greedy.engine(cfg).unwrap()),
+        ("one_round", Strategy::OneRound.engine(cfg).unwrap()),
+        ("par", Strategy::Par.engine(cfg).unwrap()),
+        ("sequnit", Strategy::SeqUnit.engine(cfg).unwrap()),
     ] {
         let dfs = SimDfs::from_database(database);
         let (_, got) = engine.eval().run_with_output(&dfs, query).unwrap();

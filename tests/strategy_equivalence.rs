@@ -2,8 +2,10 @@
 //! the naive reference evaluator on randomized queries and databases.
 
 use proptest::prelude::*;
+// Both preludes export a `Strategy`: the proptest trait keeps the name.
+use proptest::prelude::Strategy;
 
-use gumbo::baselines::{greedy_engine, one_round_engine, par_engine, HiveSim, PigSim, SeqStrategy};
+use gumbo::baselines::{HiveSim, PigSim, SeqStrategy, Strategy as EvalStrategy};
 use gumbo::prelude::*;
 
 const GUARD_VARS: [&str; 4] = ["x", "y", "z", "w"];
@@ -184,19 +186,19 @@ proptest! {
         for (name, stats_and_result) in [
             ("greedy", {
                 let dfs = SimDfs::from_database(&db);
-                greedy_engine(cfg).evaluate(&dfs, &query).map(|_| {
+                EvalStrategy::Greedy.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
                     dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
                 })
             }),
             ("one_round", {
                 let dfs = SimDfs::from_database(&db);
-                one_round_engine(cfg).evaluate(&dfs, &query).map(|_| {
+                EvalStrategy::OneRound.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
                     dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
                 })
             }),
             ("par", {
                 let dfs = SimDfs::from_database(&db);
-                par_engine(cfg).evaluate(&dfs, &query).map(|_| {
+                EvalStrategy::Par.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
                     dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
                 })
             }),
