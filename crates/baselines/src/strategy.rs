@@ -1,9 +1,14 @@
 //! The evaluation strategies of §5: one table of names, applicability
-//! rules and, for the Gumbo-side strategies, engine options.
+//! rules, engine options for the Gumbo-side strategies, and the one
+//! dispatch that runs any of them.
 
+use gumbo_common::Result;
 use gumbo_core::{EvalOptions, Grouping, GumboEngine, QueryContext, SortStrategy};
-use gumbo_mr::EngineConfig;
+use gumbo_mr::{EngineConfig, Executor, ProgramStats};
 use gumbo_sgf::{DependencyGraph, SgfQuery};
+use gumbo_storage::Dfs;
+
+use crate::{HiveSim, PigSim, SeqStrategy};
 
 /// The evaluation strategies of §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +39,20 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every strategy, in declaration order.
+    pub const ALL: [Strategy; 10] = [
+        Strategy::Seq,
+        Strategy::Par,
+        Strategy::Greedy,
+        Strategy::OneRound,
+        Strategy::Hpar,
+        Strategy::Hpars,
+        Strategy::Ppar,
+        Strategy::SeqUnit,
+        Strategy::ParUnit,
+        Strategy::GreedySgf,
+    ];
+
     /// Display name matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -88,6 +107,30 @@ impl Strategy {
         };
         Some(GumboEngine::new(config, options))
     }
+
+    /// Evaluate `query` with this strategy on `executor`, leaving every
+    /// output in `dfs`. A Gumbo engine plans with the executor's
+    /// configuration and runs on it; SEQ, HPAR, HPARS and PPAR run their
+    /// job-level program on it. [`Strategy::applicable`] is not checked:
+    /// callers that refuse an inapplicable strategy check it first.
+    pub fn evaluate(
+        self,
+        executor: &Executor,
+        dfs: &dyn Dfs,
+        query: &SgfQuery,
+    ) -> Result<ProgramStats> {
+        if let Some(engine) = self.engine(*executor.config()) {
+            return engine.eval().on(executor).run(dfs, query);
+        }
+        let queries = query.queries();
+        match self {
+            Strategy::Seq => SeqStrategy::default().evaluate(executor, dfs, queries),
+            Strategy::Hpar => HiveSim::hpar().evaluate(executor, dfs, queries),
+            Strategy::Hpars => HiveSim::hpars().evaluate(executor, dfs, queries),
+            Strategy::Ppar => PigSim::ppar().evaluate(executor, dfs, queries),
+            _ => unreachable!("{self:?} has an engine"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -110,13 +153,18 @@ mod tests {
         );
         // All Gumbo engines keep the reference optimization on.
         assert_eq!(options(Strategy::Greedy).mode, PayloadMode::Reference);
-        for s in [
-            Strategy::Seq,
-            Strategy::Hpar,
-            Strategy::Hpars,
-            Strategy::Ppar,
-        ] {
-            assert!(s.engine(EngineConfig::default()).is_none(), "{s:?}");
-        }
+        let job_level: Vec<Strategy> = Strategy::ALL
+            .into_iter()
+            .filter(|s| s.engine(EngineConfig::default()).is_none())
+            .collect();
+        assert_eq!(
+            job_level,
+            [
+                Strategy::Seq,
+                Strategy::Hpar,
+                Strategy::Hpars,
+                Strategy::Ppar
+            ]
+        );
     }
 }

@@ -225,6 +225,21 @@ pub fn figure6() -> Vec<Workload> {
     vec![c1(), c2(), c3(), c4()]
 }
 
+/// Every named preset, in the order the CLI lists them: Table 2 (A1–A5,
+/// B1, B2), then Figure 6 (C1–C4).
+pub fn presets() -> Vec<Workload> {
+    let mut all = table2();
+    all.extend(figure6());
+    all
+}
+
+/// The preset whose [`Workload::name`] is `name`, ignoring ASCII case.
+pub fn preset(name: &str) -> Option<Workload> {
+    presets()
+        .into_iter()
+        .find(|w| w.name.eq_ignore_ascii_case(name))
+}
+
 /// The §5.2 cost-model stress query: 48 conditional atoms `Sᵢ(x̄ⱼ, c)` over
 /// the 12 ordered pairs `x̄ⱼ` of distinct guard variables, with a constant
 /// `c` that filters out *all* tuples of `S1…S4` — giving the guard a huge
@@ -282,6 +297,18 @@ pub fn a3_family(k: usize) -> Workload {
 mod tests {
     use super::*;
     use gumbo_sgf::DependencyGraph;
+
+    #[test]
+    fn presets_are_found_by_name_in_any_case() {
+        let names: Vec<String> = presets().into_iter().map(|w| w.name).collect();
+        assert_eq!(
+            names,
+            ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "C1", "C2", "C3", "C4"]
+        );
+        assert_eq!(preset("c2").unwrap().name, "C2");
+        assert_eq!(preset("B1").unwrap().name, "B1");
+        assert!(preset("a6").is_none() && preset("COST").is_none());
+    }
 
     #[test]
     fn table2_parses_and_generates() {

@@ -1130,8 +1130,11 @@ impl<'a> BatchPartition<'a> {
         // Intermediate passes: merge the *oldest* runs into one (ties
         // drain earlier runs first) until runs + tail fit the fan-in; the
         // merged run holds the oldest data and stays first.
-        while self.runs.len() + 1 > MERGE_FANIN {
-            let take = MERGE_FANIN.min(self.runs.len());
+        loop {
+            let take = merge_width(self.runs.len());
+            if take == 0 {
+                break;
+            }
             let _span = gumbo_obs::span_with("spill:merge", |f| {
                 f.str("job", self.spill.label());
                 f.u64("partition", self.partition as u64);
@@ -1164,6 +1167,18 @@ impl<'a> BatchPartition<'a> {
             stats,
         ))
     }
+}
+
+/// How many of the oldest of `runs` spilled runs the next intermediate
+/// merge pass rewrites: none once the runs plus the in-memory tail fit
+/// [`MERGE_FANIN`], else just enough to make them fit, at most the fan-in.
+/// Only the last pass takes fewer than the fan-in, so the number of
+/// passes is that of always taking the fan-in.
+fn merge_width(runs: usize) -> usize {
+    if runs < MERGE_FANIN {
+        return 0;
+    }
+    MERGE_FANIN.min(runs + 2 - MERGE_FANIN)
 }
 
 impl Drop for BatchPartition<'_> {
@@ -1559,6 +1574,23 @@ mod tests {
     use super::*;
     use crate::shuffle::MemBudget;
     use gumbo_common::Value;
+
+    #[test]
+    fn a_merge_pass_rewrites_just_enough_runs() {
+        for (runs, width) in [(15, 0), (16, 2), (17, 3), (31, 16), (32, 16), (100, 16)] {
+            assert_eq!(merge_width(runs), width, "{runs} runs");
+            // Collapse as `into_groups` does: the passes are as many as
+            // with a full fan-in each time, and leave runs + tail at or
+            // under the fan-in.
+            let (mut left, mut passes) = (runs, 0);
+            while merge_width(left) > 0 {
+                left -= merge_width(left) - 1;
+                passes += 1;
+            }
+            assert!(left < MERGE_FANIN, "{runs} runs");
+            assert_eq!(passes, (runs - 1) / (MERGE_FANIN - 1), "{runs} runs");
+        }
+    }
 
     fn msg_shapes() -> Vec<Message> {
         vec![

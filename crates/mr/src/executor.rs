@@ -48,7 +48,7 @@
 //! scheduling or memory budget. At one worker every phase runs inline on
 //! the calling thread: that configuration is the *reference* runtime
 //! ([`ExecutorKind::Simulated`]) the §5 experiments use.
-//! `tests/executor_equivalence.rs` and the 1/4/16-thread smoke test at
+//! `tests/engine_matrix.rs` and the 1/4/16-thread smoke test at
 //! the workspace root enforce the guarantee.
 
 use std::ops::Range;

@@ -40,9 +40,8 @@
 //! every slot count: answer relations are byte-identical and per-job
 //! [`gumbo_mr::JobStats`] (and the per-round wall-clock accounting pooled
 //! from them) match exactly — only the real wall-clock changes. The
-//! workspace-level
-//! `tests/dag_scheduler_equivalence.rs` enforces this over every datagen
-//! preset, and `proptests.rs` on random conflicting programs.
+//! workspace-level `tests/engine_matrix.rs` enforces this over every
+//! datagen preset, and `proptests.rs` on random conflicting programs.
 
 pub mod admission;
 pub mod equivalence;

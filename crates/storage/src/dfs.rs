@@ -32,7 +32,7 @@
 //! sizes, so [`Dfs::bytes_read`] / [`Dfs::bytes_written`] are
 //! backend-invariant: the same program over the same database produces
 //! identical counters on every backend (the workspace's
-//! `dfs_backend_equivalence` suite enforces this). Specifically:
+//! `tests/engine_matrix.rs` enforces this). Specifically:
 //!
 //! * [`Dfs::scan`] charges the stored relation's full logical size, once
 //!   per call, at call time;

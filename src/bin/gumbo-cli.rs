@@ -264,21 +264,8 @@ fn build_engine(common: &Common, strategy: Strategy, config: EngineConfig) -> Gu
 
 /// Resolve one of the paper's generated workloads by name.
 fn preset(name: &str) -> Result<gumbo::datagen::Workload, String> {
-    use gumbo::datagen::queries;
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "a1" => queries::a1(),
-        "a2" => queries::a2(),
-        "a3" => queries::a3(),
-        "a4" => queries::a4(),
-        "a5" => queries::a5(),
-        "b1" => queries::b1(),
-        "b2" => queries::b2(),
-        "c1" => queries::c1(),
-        "c2" => queries::c2(),
-        "c3" => queries::c3(),
-        "c4" => queries::c4(),
-        _ => return Err(format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)")),
-    })
+    gumbo::datagen::queries::preset(name)
+        .ok_or_else(|| format!("unknown preset {name} (a1-a5, b1, b2, c1-c4)"))
 }
 
 /// Load the database both modes evaluate over — a generated preset,

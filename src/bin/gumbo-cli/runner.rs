@@ -1,7 +1,7 @@
 //! Strategy runners: one entry point executing any of the paper's
 //! evaluation strategies on a workload, with result verification.
 
-use gumbo::baselines::{HiveSim, PigSim, SeqStrategy, Strategy};
+use gumbo::baselines::Strategy;
 use gumbo::common::{GumboError, Result};
 use gumbo::datagen::Workload;
 use gumbo::mr::{EngineConfig, ExecutorKind, ProgramStats};
@@ -106,25 +106,8 @@ pub fn run_strategy(strategy: Strategy, workload: &Workload, cfg: &RunConfig) ->
         .with_selectivity(cfg.selectivity);
     let db = spec.database(cfg.seed);
     let dfs = SimDfs::from_database(&db);
-    let engine_cfg = cfg.engine_config();
-    let queries = workload.query.queries().to_vec();
-
-    // Every strategy executes through the configured runtime: Gumbo
-    // engines get the executor kind stamped on, the job-level baselines
-    // receive the built executor directly.
-    let stats = if let Some(mut engine) = strategy.engine(engine_cfg) {
-        engine.executor = cfg.executor;
-        engine.evaluate(&dfs, &workload.query)?
-    } else {
-        let executor = cfg.executor.build(engine_cfg);
-        match strategy {
-            Strategy::Seq => SeqStrategy::default().evaluate(&executor, &dfs, &queries)?,
-            Strategy::Hpar => HiveSim::hpar().evaluate(&executor, &dfs, &queries)?,
-            Strategy::Hpars => HiveSim::hpars().evaluate(&executor, &dfs, &queries)?,
-            Strategy::Ppar => PigSim::ppar().evaluate(&executor, &dfs, &queries)?,
-            _ => unreachable!("{strategy:?} has an engine"),
-        }
-    };
+    let executor = cfg.executor.build(cfg.engine_config());
+    let stats = strategy.evaluate(&executor, &dfs, &workload.query)?;
 
     if cfg.verify {
         let env = NaiveEvaluator::new().evaluate_sgf_all(&workload.query, &db)?;

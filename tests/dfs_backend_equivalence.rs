@@ -1,24 +1,15 @@
-//! Cross-backend equivalence: the durable file-segment DFS must be
-//! observationally identical to the in-memory simulated DFS.
+//! File-backend properties the in-memory DFS does not have.
 //!
-//! For every `datagen` query preset (A1–A5, B1/B2 and the nested C1–C4
-//! programs of Figure 6), a single reference run — sim backend, one job
-//! slot — is compared against **both** backends across
-//!
-//! `{sim, file} × {1, 3 job slots}`
-//!
-//! requiring byte-identical answer relations (every file left in the
-//! DFS), identical logical I/O meters (`bytes_read` / `bytes_written`
-//! are charged per *logical* relation size, so they must not depend on
-//! the backend) and exact agreement on the paper's four metrics.
-//!
-//! Three more properties only the file backend has are covered here too:
-//! restart (a reopened store serves the exact relations a previous
-//! process committed), a warm cache (a second pass on one handle hits
-//! the cache with identical statistics) and cache pressure (a block
+//! Backend equivalence on every preset (`SimDfs` against `FileDfs`, at
+//! every worker count, slot count and budget) is a storage axis of
+//! `tests/engine_matrix.rs`. What stays here is what only the file
+//! backend has: restart (a reopened store serves the exact relations a
+//! previous process committed), a warm cache (a second pass on one handle
+//! hits the cache with identical statistics) and cache pressure (a block
 //! cache far smaller than the input evicts — observably — without
 //! changing any answer). Last, on both backends a scan's `fetch` is
-//! exactly its in-place visit, collected.
+//! exactly its in-place visit, collected, and a multi-frame `peek` equals
+//! the in-memory one.
 
 use std::path::PathBuf;
 
@@ -28,20 +19,6 @@ use gumbo::prelude::*;
 const TUPLES: usize = 250;
 const SEED: u64 = 7;
 
-fn presets() -> Vec<gumbo::datagen::Workload> {
-    let mut all = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    all.extend(queries::figure6());
-    all
-}
-
 /// A fresh, empty temp root for one file-backed run.
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("gumbo-dfs-eq-{}-{tag}", std::process::id()));
@@ -49,65 +26,14 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-fn engine(slots: usize) -> GumboEngine {
-    let options = EvalOptions {
-        scheduler: Some(SchedulerConfig {
-            max_concurrent_jobs: slots,
-            ..SchedulerConfig::ONE_SLOT
-        }),
-        ..EvalOptions::default()
-    };
-    GumboEngine::with_executor(
+fn engine() -> GumboEngine {
+    GumboEngine::new(
         EngineConfig {
             scale: 5_000,
             ..EngineConfig::default()
         },
-        ExecutorKind::Simulated,
-        options,
+        EvalOptions::default(),
     )
-}
-
-/// Run both backends at one slot count and compare each against the
-/// sim-backend, one-slot reference run.
-fn check_matrix(slots: usize) {
-    for workload in presets() {
-        let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
-
-        let dfs_ref = SimDfs::from_database(&db);
-        let stats_ref = engine(1)
-            .evaluate(&dfs_ref, &workload.query)
-            .unwrap_or_else(|e| panic!("{} (reference): {e}", workload.name));
-
-        for backend in ["sim", "file"] {
-            let label = format!("{} ({backend}, {slots} slots)", workload.name);
-            let root = temp_root(&format!("{}-{backend}-{slots}", workload.name));
-            let dfs: Box<dyn Dfs> = match backend {
-                "sim" => Box::new(SimDfs::from_database(&db)),
-                _ => Box::new(
-                    FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db)
-                        .unwrap_or_else(|e| panic!("{label}: {e}")),
-                ),
-            };
-            let stats = engine(slots)
-                .evaluate(&*dfs, &workload.query)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-
-            gumbo::sched::assert_identical_dfs(&label, &dfs_ref, &*dfs);
-            gumbo::sched::assert_identical_stats(&label, &stats_ref, &stats);
-            drop(dfs);
-            let _ = std::fs::remove_dir_all(&root);
-        }
-    }
-}
-
-#[test]
-fn both_backends_agree_on_every_preset_at_one_job_slot() {
-    check_matrix(1);
-}
-
-#[test]
-fn both_backends_agree_on_every_preset_at_three_job_slots() {
-    check_matrix(3);
 }
 
 /// Durability: evaluate into a file store, drop the handle, reopen the
@@ -121,7 +47,7 @@ fn file_dfs_restarts_from_durable_state() {
 
     let snapshot: Vec<(gumbo::common::RelationName, std::sync::Arc<Relation>)> = {
         let dfs = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap();
-        engine(1).evaluate(&dfs, &workload.query).unwrap();
+        engine().evaluate(&dfs, &workload.query).unwrap();
         dfs.flush().unwrap();
         dfs.file_names()
             .into_iter()
@@ -162,9 +88,9 @@ fn second_pass_on_one_handle_hits_the_cache_with_identical_stats() {
     let root = temp_root("warm");
     let dfs = FileDfs::from_database(&root, DEFAULT_CACHE_BYTES, &db).unwrap();
 
-    let cold = engine(1).evaluate(&dfs, &workload.query).unwrap();
+    let cold = engine().evaluate(&dfs, &workload.query).unwrap();
     let hits_after_cold = dfs.cache_stats().hits;
-    let warm = engine(1).evaluate(&dfs, &workload.query).unwrap();
+    let warm = engine().evaluate(&dfs, &workload.query).unwrap();
     let warm_hits = dfs.cache_stats().hits - hits_after_cold;
 
     assert!(
@@ -185,12 +111,12 @@ fn tiny_block_cache_evicts_without_changing_answers() {
     let db = workload.spec.clone().with_tuples(400).database(SEED);
 
     let dfs_sim = SimDfs::from_database(&db);
-    let stats_sim = engine(1).evaluate(&dfs_sim, &workload.query).unwrap();
+    let stats_sim = engine().evaluate(&dfs_sim, &workload.query).unwrap();
 
     let root = temp_root("evict");
     // 2 KiB holds less than one decoded frame of most relations here.
     let dfs_file = FileDfs::from_database(&root, 2048, &db).unwrap();
-    let stats_file = engine(1).evaluate(&dfs_file, &workload.query).unwrap();
+    let stats_file = engine().evaluate(&dfs_file, &workload.query).unwrap();
 
     let cache = dfs_file.cache_stats();
     assert!(

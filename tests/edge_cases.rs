@@ -2,37 +2,12 @@
 
 use gumbo::prelude::*;
 
-fn db(facts: &[(&str, &[i64])]) -> Database {
-    let mut db = Database::new();
-    for (rel, t) in facts {
-        db.insert_fact(Fact::new(*rel, Tuple::from_ints(t)))
-            .unwrap();
-    }
-    db
-}
+mod common;
+
+use common::db;
 
 fn check(query_text: &str, d: &Database) -> Relation {
-    let query = parse_program(query_text).unwrap();
-    let expected = NaiveEvaluator::new().evaluate_sgf(&query, d).unwrap();
-    for (name, engine) in [
-        (
-            "greedy",
-            Strategy::Greedy.engine(EngineConfig::unscaled()).unwrap(),
-        ),
-        (
-            "par",
-            Strategy::Par.engine(EngineConfig::unscaled()).unwrap(),
-        ),
-        (
-            "default",
-            GumboEngine::new(EngineConfig::unscaled(), EvalOptions::default()),
-        ),
-    ] {
-        let dfs = SimDfs::from_database(d);
-        let (_, got) = engine.eval().run_with_output(&dfs, &query).unwrap();
-        assert_eq!(got, expected, "{name} on {query_text}");
-    }
-    expected
+    common::assert_strategies_agree(&parse_program(query_text).unwrap(), d)
 }
 
 #[test]

@@ -4,39 +4,13 @@
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
-fn engines() -> Vec<(&'static str, GumboEngine)> {
-    let cfg = EngineConfig::unscaled();
-    vec![
-        ("sequnit", Strategy::SeqUnit.engine(cfg).unwrap()),
-        ("parunit", Strategy::ParUnit.engine(cfg).unwrap()),
-        ("greedy-sgf", Strategy::GreedySgf.engine(cfg).unwrap()),
-        (
-            "defaults+1round",
-            GumboEngine::new(cfg, EvalOptions::default()),
-        ),
-    ]
-}
+mod common;
+
+use common::assert_strategies_agree;
 
 fn check_workload(w: &gumbo::datagen::Workload, tuples: usize, seed: u64) {
     let db = w.spec.clone().with_tuples(tuples).database(seed);
-    let naive = NaiveEvaluator::new()
-        .evaluate_sgf_all(&w.query, &db)
-        .unwrap();
-    for (name, engine) in engines() {
-        let dfs = SimDfs::from_database(&db);
-        engine.evaluate(&dfs, &w.query).unwrap();
-        for q in w.query.queries() {
-            let expected = naive.relation(q.output()).unwrap();
-            let got = dfs.peek(q.output()).unwrap();
-            assert_eq!(
-                got.as_ref(),
-                expected,
-                "workload {} strategy {name} output {}",
-                w.name,
-                q.output()
-            );
-        }
-    }
+    assert_strategies_agree(&w.query, &db);
 }
 
 #[test]
@@ -131,12 +105,7 @@ fn deep_chain_program() {
         db.insert_fact(Fact::new("T", Tuple::from_ints(&[v + 2])))
             .unwrap();
     }
-    let expected = NaiveEvaluator::new().evaluate_sgf(&query, &db).unwrap();
-    for (name, engine) in engines() {
-        let dfs = SimDfs::from_database(&db);
-        let (_, got) = engine.eval().run_with_output(&dfs, &query).unwrap();
-        assert_eq!(got, expected, "strategy {name}");
-    }
+    assert_strategies_agree(&query, &db);
 }
 
 #[test]

@@ -2,30 +2,9 @@
 
 use gumbo::prelude::*;
 
-fn db(facts: &[(&str, &[i64])]) -> Database {
-    let mut db = Database::new();
-    for (rel, t) in facts {
-        db.insert_fact(Fact::new(*rel, Tuple::from_ints(t)))
-            .unwrap();
-    }
-    db
-}
+mod common;
 
-fn eval_all_strategies(query: &SgfQuery, database: &Database) -> Relation {
-    let expected = NaiveEvaluator::new().evaluate_sgf(query, database).unwrap();
-    let cfg = EngineConfig::unscaled();
-    for (name, engine) in [
-        ("greedy", Strategy::Greedy.engine(cfg).unwrap()),
-        ("one_round", Strategy::OneRound.engine(cfg).unwrap()),
-        ("par", Strategy::Par.engine(cfg).unwrap()),
-        ("sequnit", Strategy::SeqUnit.engine(cfg).unwrap()),
-    ] {
-        let dfs = SimDfs::from_database(database);
-        let (_, got) = engine.eval().run_with_output(&dfs, query).unwrap();
-        assert_eq!(got, expected, "strategy {name}");
-    }
-    expected
-}
+use common::{assert_strategies_agree, db};
 
 #[test]
 fn intro_query_section1() {
@@ -39,7 +18,7 @@ fn intro_query_section1() {
         ("T", &[1, 5]),
         ("T", &[3, 5]),
     ]);
-    let out = eval_all_strategies(&q, &d);
+    let out = assert_strategies_agree(&q, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[1, 2])));
 }
@@ -49,12 +28,12 @@ fn example1_intersection_difference_semijoin_antijoin() {
     let d = db(&[("R", &[1, 5]), ("R", &[2, 6]), ("S", &[5, 9])]);
     // Semi-join Z3 and anti-join Z4 from Example 1.
     let z3 = parse_program("Z3 := SELECT (x, y) FROM R(x, y) WHERE S(y, z);").unwrap();
-    let out = eval_all_strategies(&z3, &d);
+    let out = assert_strategies_agree(&z3, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[1, 5])));
 
     let z4 = parse_program("Z4 := SELECT (x, y) FROM R(x, y) WHERE NOT S(y, z);").unwrap();
-    let out = eval_all_strategies(&z4, &d);
+    let out = assert_strategies_agree(&z4, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[2, 6])));
 }
@@ -75,7 +54,7 @@ fn example1_xor_query_z5() {
         ("S", &[1, 5]),
         ("S", &[6, 10]),
     ]);
-    let out = eval_all_strategies(&q, &d);
+    let out = assert_strategies_agree(&q, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[7, 8])));
 }
@@ -90,7 +69,7 @@ fn example1_star_semijoin_z6() {
         ("S", &[1, 0]),
         ("S", &[2, 0]),
     ]);
-    let out = eval_all_strategies(&q, &d);
+    let out = assert_strategies_agree(&q, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[1, 2])));
 }
@@ -130,7 +109,7 @@ fn example2_bookstore() {
         Tuple::new(vec![Value::Int(99), Value::Int(9), good()]),
     ))
     .unwrap();
-    let out = eval_all_strategies(&q, &d);
+    let out = assert_strategies_agree(&q, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[101, 2])));
 }
@@ -140,7 +119,7 @@ fn example3_single_semijoin_messages() {
     // Z := π_x(R(x,z) ⋉ S(z,y)) on {R(1,2), R(4,5), S(2,3)} = {Z(1)}.
     let q = parse_program("Z := SELECT x FROM R(x, z) WHERE S(z, y);").unwrap();
     let d = db(&[("R", &[1, 2]), ("R", &[4, 5]), ("S", &[2, 3])]);
-    let out = eval_all_strategies(&q, &d);
+    let out = assert_strategies_agree(&q, &d);
     assert_eq!(out.len(), 1);
     assert!(out.contains(&Tuple::from_ints(&[1])));
 }

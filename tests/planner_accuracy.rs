@@ -310,17 +310,7 @@ fn annotated(engine: &GumboEngine, est: &Estimator<'_>, ctx: &QueryContext) -> M
 /// gives.
 #[test]
 fn planning_reads_statistics_not_relations() {
-    let mut presets = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    presets.extend(queries::figure6());
-    for w in &presets {
+    for w in &queries::presets() {
         let db = w.spec.clone().with_tuples(300).database(3);
         let mentions: BTreeSet<RelationName> = w
             .query
@@ -416,19 +406,9 @@ fn planning_reads_statistics_not_relations() {
 /// materialized at plan time).
 #[test]
 fn estimates_describe_the_jobs_they_annotate() {
-    let mut presets = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    presets.extend(queries::figure6());
     let scale = 5_000;
     let mut fused_jobs = 0;
-    for w in &presets {
+    for w in &queries::presets() {
         for enable_one_round in [false, true] {
             let engine = GumboEngine::new(
                 EngineConfig {

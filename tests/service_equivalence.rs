@@ -24,20 +24,6 @@ use gumbo::storage::RelStats;
 const TUPLES: usize = 150;
 const SEED: u64 = 7;
 
-fn presets() -> Vec<gumbo::datagen::Workload> {
-    let mut all = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    all.extend(queries::figure6());
-    all
-}
-
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("gumbo-svc-eq-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -101,7 +87,7 @@ fn assert_same_relations(label: &str, got: &[Relation], want: &[Relation]) {
 /// direct evaluation, and the reports carry a monotonic timestamp chain.
 #[test]
 fn streamed_answers_match_direct_evaluation_for_every_preset() {
-    for workload in presets() {
+    for workload in queries::presets() {
         let db = workload.spec.clone().with_tuples(TUPLES).database(SEED);
         let want = direct_answers(&db, &workload.query);
 
@@ -448,4 +434,71 @@ fn a_served_query_is_planned_once() {
     assert_eq!(client.shutdown().unwrap(), (1, 1));
     handle.join();
     assert_eq!(served.stats.load(Ordering::Relaxed), planned, "stat calls");
+}
+
+/// Two tenants send different programs that both define `Out` to one
+/// server (`parallel:2`, 2 job slots, 2 in flight), 200 rounds of one
+/// query each: every reply must be its own program's `sgf::naive` answer.
+/// Today the DFS is one flat namespace, so one query can read or
+/// overwrite the other's `Out` and its temporaries.
+#[test]
+#[ignore = "tenant isolation: ROADMAP Correct item 1"]
+fn tenants_defining_the_same_output_get_their_own_answers() {
+    const ROUNDS: usize = 200;
+    let db = queries::a1().with_tuples(3_000).spec.database(1);
+    let programs = [
+        (
+            "a",
+            "Out := SELECT (x, y) FROM R(x, y, z, w) WHERE S(x) AND T(y);",
+        ),
+        (
+            "b",
+            "Out := SELECT (x, y) FROM R(x, y, z, w) WHERE U(z) AND NOT V(w);",
+        ),
+    ];
+    let naive = |sgf: &str| {
+        let query = parse_program(sgf).unwrap();
+        NaiveEvaluator::new().evaluate_sgf(&query, &db).unwrap()
+    };
+    let want: Vec<Relation> = programs.iter().map(|(_, sgf)| naive(sgf)).collect();
+
+    let engine = GumboEngine::with_executor(
+        EngineConfig::default(),
+        ExecutorKind::Parallel { threads: 2 },
+        EvalOptions {
+            scheduler: Some(SchedulerConfig {
+                max_concurrent_jobs: 2,
+                ..SchedulerConfig::ONE_SLOT
+            }),
+            ..EvalOptions::default()
+        },
+    );
+    let dfs: Arc<dyn Dfs> = Arc::new(SimDfs::from_database(&db));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = ServeConfig {
+        max_in_flight: 2,
+        ..ServeConfig::default()
+    };
+    let handle = serve(listener, dfs, engine, config).unwrap();
+    let addr = handle.addr();
+
+    let wrong = AtomicU64::new(0);
+    for _ in 0..ROUNDS {
+        std::thread::scope(|scope| {
+            for ((tenant, sgf), want) in programs.iter().zip(&want) {
+                let wrong = &wrong;
+                scope.spawn(move || {
+                    let mut client = ServiceClient::connect(addr).unwrap();
+                    let reply = client.query(tenant, None, sgf);
+                    if !reply.is_ok_and(|r| r.relations == std::slice::from_ref(want)) {
+                        wrong.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+    }
+    handle.shutdown();
+    handle.join();
+    let wrong = wrong.into_inner();
+    assert_eq!(wrong, 0, "{wrong} of {} replies were wrong", 2 * ROUNDS);
 }

@@ -5,8 +5,10 @@ use proptest::prelude::*;
 // Both preludes export a `Strategy`: the proptest trait keeps the name.
 use proptest::prelude::Strategy;
 
-use gumbo::baselines::{HiveSim, PigSim, SeqStrategy, Strategy as EvalStrategy};
+use gumbo::baselines::Strategy as EvalStrategy;
 use gumbo::prelude::*;
+
+mod common;
 
 const GUARD_VARS: [&str; 4] = ["x", "y", "z", "w"];
 const COND_RELS: [&str; 4] = ["S", "T", "U", "V"];
@@ -180,56 +182,22 @@ proptest! {
         );
         let query = parse_program(&text).unwrap();
         let db = random_db(seed, &arities);
-        let expected = NaiveEvaluator::new().evaluate_sgf(&query, &db).unwrap();
-        let cfg = EngineConfig::unscaled();
+        let expected = common::assert_strategies_agree(&query, &db);
 
-        for (name, stats_and_result) in [
-            ("greedy", {
-                let dfs = SimDfs::from_database(&db);
-                EvalStrategy::Greedy.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
-                    dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
-                })
-            }),
-            ("one_round", {
-                let dfs = SimDfs::from_database(&db);
-                EvalStrategy::OneRound.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
-                    dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
-                })
-            }),
-            ("par", {
-                let dfs = SimDfs::from_database(&db);
-                EvalStrategy::Par.engine(cfg).unwrap().evaluate(&dfs, &query).map(|_| {
-                    dfs.peek(&"Zout".into()).unwrap().as_ref().clone()
-                })
-            }),
-        ] {
-            let got = stats_and_result.unwrap();
-            prop_assert_eq!(&got, &expected, "strategy {} on {}", name, &text);
-        }
-
-        // Baseline system simulators agree too.
-        let queries = query.queries().to_vec();
-        for name in ["hpar", "hpars", "ppar"] {
-            let dfs = SimDfs::from_database(&db);
-            let engine = Executor::new(cfg);
-            match name {
-                "hpar" => HiveSim::hpar().evaluate(&engine, &dfs, &queries).map(|_| ()),
-                "hpars" => HiveSim::hpars().evaluate(&engine, &dfs, &queries).map(|_| ()),
-                _ => PigSim::ppar().evaluate(&engine, &dfs, &queries).map(|_| ()),
+        // The job-level baselines (SEQ and the Pig/Hive simulations) agree
+        // too; SEQ only where its chain builder takes the condition (DNF).
+        let executor = Executor::new(EngineConfig::unscaled());
+        for strategy in EvalStrategy::ALL {
+            if strategy.engine(*executor.config()).is_some() {
+                continue;
             }
-            .unwrap();
+            let dfs = SimDfs::from_database(&db);
+            match strategy.evaluate(&executor, &dfs, &query) {
+                Err(_) if strategy == EvalStrategy::Seq => continue,
+                result => result.unwrap(),
+            };
             let got = dfs.peek(&"Zout".into()).unwrap();
-            prop_assert_eq!(got.as_ref(), &expected, "system {} on {}", name, &text);
-        }
-
-        // SEQ where the condition is in DNF (skip otherwise).
-        let dfs = SimDfs::from_database(&db);
-        if SeqStrategy::default()
-            .evaluate(&Executor::new(cfg), &dfs, &queries)
-            .is_ok()
-        {
-            let got = dfs.peek(&"Zout".into()).unwrap();
-            prop_assert_eq!(got.as_ref(), &expected, "SEQ on {}", &text);
+            prop_assert_eq!(got.as_ref(), &expected, "{} on {}", strategy.label(), &text);
         }
     }
 }

@@ -29,20 +29,6 @@ use gumbo::prelude::*;
 /// lock so their event streams cannot interleave.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
-fn presets() -> Vec<gumbo::datagen::Workload> {
-    let mut all = vec![
-        queries::a1(),
-        queries::a2(),
-        queries::a3(),
-        queries::a4(),
-        queries::a5(),
-        queries::b1(),
-        queries::b2(),
-    ];
-    all.extend(queries::figure6());
-    all
-}
-
 fn field_str<'a>(event: &'a Event, key: &str) -> Option<&'a str> {
     event.fields.iter().find(|f| f.key == key).and_then(|f| {
         if let FieldValue::Str(s) = &f.value {
@@ -144,7 +130,7 @@ fn traced_run(
 #[test]
 fn spans_balance_across_the_execution_matrix() {
     let _serial = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    for workload in presets() {
+    for workload in queries::presets() {
         for executor in [
             ExecutorKind::Simulated,
             ExecutorKind::Parallel { threads: 2 },
