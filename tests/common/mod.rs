@@ -5,6 +5,8 @@
 
 use gumbo::prelude::*;
 
+pub mod matrix;
+
 /// A database of integer facts.
 pub fn db(facts: &[(&str, &[i64])]) -> Database {
     let mut db = Database::new();

@@ -1,8 +1,12 @@
-//! File-backend properties the in-memory DFS does not have.
+//! Cross-backend equivalence: the durable file-segment DFS must be
+//! observationally identical to the in-memory simulated DFS.
 //!
-//! Backend equivalence on every preset (`SimDfs` against `FileDfs`, at
-//! every worker count, slot count and budget) is a storage axis of
-//! `tests/engine_matrix.rs`. What stays here is what only the file
+//! On every preset, the storage-axis slices of the engine matrix
+//! (`tests/common/matrix.rs`) run `SimDfs` and `FileDfs` at one and at
+//! three job slots against the same serial reference: byte-identical
+//! relations, identical logical I/O meters and exact agreement on the
+//! paper's four metrics. The full matrix (`tests/engine_matrix.rs`) adds
+//! every worker count and budget. What else is here is what only the file
 //! backend has: restart (a reopened store serves the exact relations a
 //! previous process committed), a warm cache (a second pass on one handle
 //! hits the cache with identical statistics) and cache pressure (a block
@@ -11,8 +15,11 @@
 //! exactly its in-place visit, collected, and a multi-frame `peek` equals
 //! the in-memory one.
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::matrix;
 use gumbo::datagen::queries;
 use gumbo::prelude::*;
 
@@ -34,6 +41,26 @@ fn engine() -> GumboEngine {
         },
         EvalOptions::default(),
     )
+}
+
+/// One worker, no budget, greedy plans: both backends at `slots` job slots.
+fn check_backends(slots: usize) {
+    matrix::check(queries::presets(), |row| {
+        row.executor == ExecutorKind::Simulated
+            && row.slots() == Some(slots)
+            && row.budget().is_none()
+            && row.grouping == Grouping::Greedy
+    });
+}
+
+#[test]
+fn both_backends_agree_on_every_preset_at_one_job_slot() {
+    check_backends(1);
+}
+
+#[test]
+fn both_backends_agree_on_every_preset_at_three_job_slots() {
+    check_backends(3);
 }
 
 /// Durability: evaluate into a file store, drop the handle, reopen the
