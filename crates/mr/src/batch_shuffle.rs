@@ -600,8 +600,10 @@ impl PairBatch {
         self.keys.is_empty()
     }
 
-    /// Estimated bytes over all rows: exactly
-    /// `Σ key.estimated_bytes() + message.estimated_bytes()`.
+    /// Estimated bytes over all rows pushed: exactly
+    /// `Σ key.estimated_bytes() + message.estimated_bytes()`. A batch
+    /// [`decode`](Self::decode)d from a spill frame pushed none and
+    /// reads 0.
     pub fn estimated_bytes(&self) -> u64 {
         self.bytes
     }
@@ -734,7 +736,11 @@ impl PairBatch {
     }
 
     /// Decode one frame body produced by [`encode_into`](Self::encode_into),
-    /// re-hashing every key.
+    /// re-hashing every key. The decoded batch's
+    /// [`estimated_bytes`](Self::estimated_bytes) is 0: a spilled row's
+    /// bytes were metered when it was buffered, and the merge reads a
+    /// frame only through row handles ([`row_bytes`](Self::row_bytes)
+    /// still answers per row).
     pub fn decode(buf: &[u8]) -> Result<PairBatch> {
         let mut pos = 0;
         let keys = TupleStore::decode_from(buf, &mut pos)?;
@@ -755,14 +761,12 @@ impl PairBatch {
         let hashes = (0..keys.len() as u32)
             .map(|slot| key_hash(keys.view(slot)))
             .collect();
-        let mut batch = PairBatch {
+        Ok(PairBatch {
             keys,
             hashes,
             msgs,
             bytes: 0,
-        };
-        batch.bytes = (0..batch.len()).map(|r| batch.row_bytes(r)).sum();
-        Ok(batch)
+        })
     }
 }
 
@@ -1668,7 +1672,11 @@ mod tests {
         batch.encode_into(&mut frame).unwrap();
         let back = PairBatch::decode(&frame).unwrap();
         assert_eq!(back.to_pairs(), pairs);
-        assert_eq!(back.estimated_bytes(), batch.estimated_bytes());
+        for row in 0..pairs.len() {
+            assert_eq!(back.row_bytes(row), batch.row_bytes(row), "row {row}");
+            assert_eq!(back.hashes()[row], batch.hashes()[row], "row {row}");
+        }
+        assert_eq!(back.estimated_bytes(), 0, "decoding meters nothing");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! substrate (§3.2); this module pins that substrate down so the query
 //! layers (`gumbo-core`, `gumbo-baselines`, `gumbo-cli experiments`) never depend
 //! on *how* a job runs. Map tasks, the partitioned shuffle and reduce
-//! tasks fan out over a small fixed worker pool (scoped threads, no
+//! tasks fan out over the calling thread plus idle workers of the one
+//! process-wide pool of persistent threads ([`crate::pool`]; no
 //! work-stealing dependency) while every stage is metered by the paper's
 //! cost model (§3.3) and scheduled onto the simulated cluster (§5.1):
 //!
@@ -20,8 +21,9 @@
 //!    ([`crate::hash::hash_view`]) into its hash column; the §5.1 (1)
 //!    packing count is one pass over a hash table of row ids keyed by
 //!    those hashes;
-//! 2. **shuffle** — workers counting-sort each task's rows into
-//!    per-(task, reducer) row lists by the same hashes;
+//! 2. **shuffle** — workers counting-sort contiguous groups of map tasks
+//!    by reducer, on the same hashes, into per-reducer lists of (task,
+//!    row) handles;
 //! 3. **reduce** — fused with the per-reducer drain: each reducer appends
 //!    handles to its rows, in task order, to a budget-charged spilling
 //!    buffer ([`crate::batch_shuffle`]) that sorts its runs on the map
@@ -128,11 +130,15 @@ impl EngineConfig {
     }
 }
 
-/// Run `n` independent tasks on up to `threads` scoped worker threads,
-/// returning results **in task order**. Tasks are claimed from a shared
-/// atomic counter, so long tasks don't stall short ones behind a static
-/// partition. With one worker (or one task) everything runs inline on the
-/// calling thread. Worker panics propagate to the caller.
+/// Run `n` independent tasks on up to `threads` workers, returning results
+/// **in task order**. Tasks are claimed from a shared atomic counter, so
+/// long tasks don't stall short ones behind a static partition: the
+/// calling thread claims tasks itself and offers the same claim loop to at
+/// most `threads - 1` idle workers of the process-wide pool
+/// ([`crate::pool`]), which join only if they are idle before the tasks
+/// run out. With one worker (or one task) everything runs inline on the
+/// calling thread and the pool is never touched. A task's panic reaches
+/// the caller once every task a worker claimed has finished.
 fn parallel_for<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -144,17 +150,19 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i);
-                *slots[i].lock().expect("unpoisoned result slot") = Some(result);
-            });
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let result = f(i);
+        *slots[i].lock().expect("unpoisoned result slot") = Some(result);
+    };
+    crate::pool::scope(workers, |scope| {
+        for _ in 1..workers {
+            scope.offer(claim);
+        }
+        claim();
     });
     slots
         .into_iter()
@@ -166,41 +174,104 @@ where
         .collect()
 }
 
-/// One map task's rows grouped by target reducer — a counting sort on
-/// the key hashes the map task already computed
-/// ([`PairBatch::hashes`]), so routing hashes nothing and a task
-/// costs four allocations however many reducers there are. Reducer `p`
-/// owns `rows[starts[p]..starts[p + 1]]`, in ascending row (= emission)
-/// order.
-struct TaskRoutes {
+/// Every map output row of a job grouped by target reducer. The map
+/// tasks are cut into contiguous groups, one per worker, and each group is
+/// counting-sorted by reducer on its own, in parallel, on the key hashes
+/// the map tasks already computed ([`PairBatch::hashes`]): routing hashes
+/// nothing, takes one modulo per row, and keeps one counter per (group,
+/// reducer) — not per (task, reducer) — so a byte scale that models
+/// thousands of reducers for a few thousand rows stays cheap. Reducer
+/// `p`'s rows are its entries in each group, group after group: in task
+/// order, and within a task in ascending row (= emission) order.
+struct Routes {
+    groups: Vec<GroupRoutes>,
+}
+
+/// One group's rows sorted by reducer: reducer `p` owns entries
+/// `starts[p]..starts[p + 1]` of `tasks` (job-wide task indices) and
+/// `rows`.
+struct GroupRoutes {
+    tasks: Vec<u32>,
     rows: Vec<u32>,
     starts: Vec<u32>,
 }
 
-impl TaskRoutes {
-    fn of(key_hashes: &[u64], reducers: usize) -> TaskRoutes {
-        let targets: Vec<u32> = key_hashes
-            .iter()
-            .map(|&hash| partition_of(hash, reducers) as u32)
-            .collect();
+impl GroupRoutes {
+    /// Sort the rows of `batches`, the map outputs of tasks `first..`.
+    fn of(batches: &[PairBatch], first: usize, reducers: usize) -> GroupRoutes {
+        let total = batches.iter().map(PairBatch::len).sum();
+        let mut targets = Vec::with_capacity(total);
         let mut starts = vec![0u32; reducers + 1];
-        for &p in &targets {
-            starts[p as usize + 1] += 1;
+        for batch in batches {
+            for &hash in batch.hashes() {
+                let p = partition_of(hash, reducers);
+                targets.push(p as u32);
+                starts[p + 1] += 1;
+            }
         }
         for p in 0..reducers {
             starts[p + 1] += starts[p];
         }
         let mut next = starts.clone();
-        let mut rows = vec![0u32; targets.len()];
-        for (row, &p) in targets.iter().enumerate() {
-            rows[next[p as usize] as usize] = row as u32;
-            next[p as usize] += 1;
+        let mut tasks = vec![0u32; total];
+        let mut rows = vec![0u32; total];
+        let mut targets = targets.into_iter();
+        for (task, batch) in batches.iter().enumerate() {
+            for row in 0..batch.len() as u32 {
+                let p = targets.next().expect("one target per row");
+                let slot = &mut next[p as usize];
+                tasks[*slot as usize] = (first + task) as u32;
+                rows[*slot as usize] = row;
+                *slot += 1;
+            }
         }
-        TaskRoutes { rows, starts }
+        GroupRoutes {
+            tasks,
+            rows,
+            starts,
+        }
     }
 
-    fn rows_for(&self, reducer: usize) -> &[u32] {
-        &self.rows[self.starts[reducer] as usize..self.starts[reducer + 1] as usize]
+    fn range(&self, p: usize) -> std::ops::Range<usize> {
+        self.starts[p] as usize..self.starts[p + 1] as usize
+    }
+
+    /// Reducer `p`'s rows in this group as one `(task, rows)` run per map
+    /// task that sent it any, in task order.
+    fn runs_for(&self, p: usize) -> impl Iterator<Item = (usize, &[u32])> {
+        let (tasks, rows) = (&self.tasks[self.range(p)], &self.rows[self.range(p)]);
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &task = tasks.get(at)?;
+            let end = at + tasks[at..].partition_point(|&t| t == task);
+            let run = (task as usize, &rows[at..end]);
+            at = end;
+            Some(run)
+        })
+    }
+}
+
+impl Routes {
+    fn of(batches: &[PairBatch], reducers: usize, workers: usize) -> Routes {
+        let per_group = batches.len().div_ceil(workers.max(1)).max(1);
+        let groups = batches.len().div_ceil(per_group);
+        let groups = parallel_for(groups, workers, |g| {
+            let first = g * per_group;
+            let end = (first + per_group).min(batches.len());
+            GroupRoutes::of(&batches[first..end], first, reducers)
+        });
+        Routes { groups }
+    }
+
+    /// Whether reducer `p` receives any row.
+    fn is_empty(&self, p: usize) -> bool {
+        self.groups.iter().all(|group| group.range(p).is_empty())
+    }
+
+    /// Reducer `p`'s rows as one `(task, rows)` run per map task that
+    /// sent it any, in task order.
+    fn runs_for(&self, p: usize) -> impl Iterator<Item = (usize, &[u32])> {
+        self.groups.iter().flat_map(move |group| group.runs_for(p))
     }
 }
 
@@ -238,8 +309,8 @@ fn catch_job_panic<T>(job: &Job, chain: impl FnOnce() -> Result<T>) -> Result<T>
 /// and the commit stores the outputs.
 ///
 /// Executors are `Send + Sync`: the scheduler shares one executor across
-/// its worker threads. Clones share the memory-budget tracker, so a
-/// cloned executor draws from the same budget.
+/// the pool workers its jobs run on. Clones share the memory-budget
+/// tracker, so a cloned executor draws from the same budget.
 #[derive(Debug, Clone)]
 pub struct Executor {
     /// The memory-budget tracker is bound to `config.mem_budget` at
@@ -258,7 +329,8 @@ impl Executor {
         Executor::with_threads(config, 1)
     }
 
-    /// A fixed-size pool of `threads` workers (`0` = auto:
+    /// `threads` workers per fan-out: the calling thread and up to
+    /// `threads - 1` idle workers of the process-wide pool (`0` = auto:
     /// min(available parallelism, cluster map slots)).
     pub fn with_threads(config: EngineConfig, threads: usize) -> Self {
         Executor {
@@ -330,10 +402,8 @@ impl Executor {
             f.str("job", &job.name);
             f.u64("reducers", reducers as u64);
         });
-        let routes: Vec<TaskRoutes> = parallel_for(mapped.len(), workers, |t| {
-            TaskRoutes::of(mapped[t].batch.hashes(), reducers)
-        });
         let batches: Vec<PairBatch> = mapped.into_iter().map(|task| task.batch).collect();
+        let routes = Routes::of(&batches, reducers, workers);
         drop(shuffle_span);
 
         // ---- drain + reduce, fused per reducer ---------------------------
@@ -344,7 +414,12 @@ impl Executor {
         // streams the merged groups straight into the reduce function.
         // Reducer workers run concurrently and all charge the executor's
         // shared memory budget; per-reducer byte loads feed the simulated
-        // reduce-task durations, so data skew shows up in net time.
+        // reduce-task durations, so data skew shows up in net time. Only
+        // partitions that received rows run: an empty one has no group to
+        // reduce, so it adds a zero byte load and no output, and a byte
+        // scale that models thousands of reducers for a few hundred keys
+        // costs no more than the keys do.
+        let filled: Vec<usize> = (0..reducers).filter(|&p| !routes.is_empty(p)).collect();
         let reduce_span = gumbo_obs::span_with("reduce", |f| {
             f.str("job", &job.name);
             f.u64("reducers", reducers as u64);
@@ -352,15 +427,15 @@ impl Executor {
         let spill = ShuffleSpill::new(&job.name);
         let budget = &*self.budget;
         type ReducedPartition = Result<(Vec<TupleBatch>, u64, SpillStats)>;
-        let reduced: Vec<ReducedPartition> = parallel_for(reducers, workers, |p| {
+        let reduced: Vec<ReducedPartition> = parallel_for(filled.len(), workers, |i| {
+            let p = filled[i];
             let mut span = gumbo_obs::span_with("reduce:partition", |f| {
                 f.str("job", &job.name);
                 f.u64("partition", p as u64);
             });
             let mut part = BatchPartition::new(p, budget, &spill, &batches, reducers);
             let mut rows = 0;
-            for (task, task_routes) in routes.iter().enumerate() {
-                let task_rows = task_routes.rows_for(p);
+            for (task, task_rows) in routes.runs_for(p) {
                 rows += task_rows.len() as u64;
                 part.push_rows(task, task_rows)?;
             }
@@ -375,13 +450,13 @@ impl Executor {
             Ok((run_reduce_stream(job, groups)?, bytes, stats))
         });
         // First error in partition order, whatever the worker count.
-        let mut partition_outputs = Vec::with_capacity(reducers);
-        let mut reducer_bytes: Vec<u64> = Vec::with_capacity(reducers);
+        let mut partition_outputs = Vec::with_capacity(filled.len());
+        let mut reducer_bytes = vec![0u64; reducers];
         let mut spill_stats = SpillStats::default();
-        for outcome in reduced {
+        for (&p, outcome) in filled.iter().zip(reduced) {
             let (outputs, bytes, stats) = outcome?;
             partition_outputs.push(outputs);
-            reducer_bytes.push(bytes);
+            reducer_bytes[p] = bytes;
             spill_stats.absorb(stats);
         }
         drop(reduce_span);
@@ -754,9 +829,10 @@ pub(crate) fn run_reduce_stream(
 }
 
 /// The outcome of a job's map/shuffle/reduce phases, not yet committed to
-/// the DFS: per-input metering, reducer accounting, and each partition's
-/// sorted output batches ([`run_reduce_stream`], in slot order) awaiting
-/// the merge in [`commit_job`].
+/// the DFS: per-input metering, reducer accounting (a byte load for every
+/// modeled reducer), and each non-empty partition's sorted output batches
+/// ([`run_reduce_stream`], in slot order) awaiting the merge in
+/// [`commit_job`].
 pub(crate) struct ComputedJob {
     pub(crate) partitions: Vec<InputPartition>,
     pub(crate) reducers: usize,

@@ -22,7 +22,8 @@
 //!
 //! One [`Executor`] ([`executor`]) runs every job through one
 //! map→shuffle→reduce pipeline that fans map tasks, the partitioned
-//! shuffle and reduce tasks out over a fixed worker pool while collecting
+//! shuffle and reduce tasks out over the calling thread and the
+//! process-wide pool of persistent workers ([`pool`]) while collecting
 //! the metering above. Answer relations and [`JobStats`] are
 //! byte-identical at every worker count, so the count is a sizing choice,
 //! made with [`ExecutorKind`]:
@@ -70,6 +71,7 @@ pub mod hash;
 pub mod job;
 pub mod message;
 pub mod metrics;
+pub mod pool;
 pub mod profile;
 pub mod program;
 pub mod shuffle;

@@ -20,7 +20,11 @@ pub struct SchedulerConfig {
     /// order — the paper's round-by-round execution.
     pub max_concurrent_jobs: usize,
     /// Worker threads *inside* each job when the executor is a
-    /// `parallel` pool (`0` = keep the executor's own sizing). The `sim`
+    /// `parallel` pool (`0` = keep the executor's own sizing): the job's
+    /// own thread plus up to this many minus one idle workers of the
+    /// process-wide pool, which holds at least one worker per core. On a
+    /// machine whose cores are all busy with other jobs, a job finds no
+    /// idle worker and computes on its own thread. The `sim`
     /// configuration computes each job on one thread regardless.
     ///
     /// The scheduler runs jobs on whatever executor it is handed; this
@@ -31,7 +35,7 @@ pub struct SchedulerConfig {
     /// Shuffle memory budget for scheduled execution. Like
     /// `threads_per_job`, this takes effect where the executor is built —
     /// resolve it with [`SchedulerConfig::engine_config`]. Because the
-    /// scheduler hands *one* executor to all its workers, the budget is
+    /// scheduler hands *one* executor to all its jobs, the budget is
     /// shared by (and collectively bounds) every concurrently running
     /// job. Unlimited by default, deferring to the engine configuration.
     pub mem_budget: gumbo_mr::MemBudget,
@@ -72,7 +76,7 @@ impl SchedulerConfig {
         }
     }
 
-    /// The worker-pool size this configuration resolves to.
+    /// The job-slot count this configuration resolves to.
     pub fn effective_workers(&self) -> usize {
         if self.max_concurrent_jobs > 0 {
             return self.max_concurrent_jobs;
@@ -101,8 +105,8 @@ struct SchedState {
     ready: VecDeque<usize>,
     /// Collected statistics, by node.
     results: Vec<Option<JobStats>>,
-    /// Jobs not yet completed.
-    remaining: usize,
+    /// Jobs claimed and not yet completed.
+    in_flight: usize,
     /// First failure; stops admission of further jobs.
     error: Option<GumboError>,
 }
@@ -111,17 +115,20 @@ struct SchedState {
 ///
 /// Jobs run the moment their inputs are materialized, in the order they
 /// became ready, on at most [`SchedulerConfig::max_concurrent_jobs`] job
-/// slots: one slot runs the claim loop inline on the calling thread,
-/// several run the same loop on that many scoped threads. The DFS is
-/// shared directly between workers: every [`Dfs`] method takes `&self`
-/// and synchronizes internally (byte metering is atomic), so planning,
-/// the lock-free compute phases, and commits all run against the same
-/// `&dyn Dfs` with no scheduler-level lock. Per-job statistics are
-/// identical to the serial reference ([`Executor::execute`]) because the
-/// metering pipeline is untouched — the scheduler only decides *when*
-/// each job runs — and backend-invariant: a durable
-/// [`gumbo_storage::FileDfs`] meters the same logical bytes as the
-/// in-memory [`gumbo_storage::SimDfs`].
+/// slots. The calling thread makes every claim; one slot runs each job
+/// inline right there, several start each claimed job on a worker of its
+/// own from the process-wide pool ([`gumbo_mr::pool`]) and wait for it.
+/// The pool keeps a worker per job in flight across every query of the
+/// process, so slots of concurrent queries never wait on each other. The
+/// DFS is shared directly between workers:
+/// every [`Dfs`] method takes `&self` and synchronizes internally (byte
+/// metering is atomic), so planning, the lock-free compute phases, and
+/// commits all run against the same `&dyn Dfs` with no scheduler-level
+/// lock. Per-job statistics are identical to the serial reference
+/// ([`Executor::execute`]) because the metering pipeline is untouched —
+/// the scheduler only decides *when* each job runs — and
+/// backend-invariant: a durable [`gumbo_storage::FileDfs`] meters the
+/// same logical bytes as the in-memory [`gumbo_storage::SimDfs`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DagScheduler {
     /// Sizing knobs.
@@ -174,28 +181,26 @@ impl DagScheduler {
             indegree: dag.nodes().iter().map(|n| n.deps().len()).collect(),
             ready,
             results: (0..total).map(|_| None).collect(),
-            remaining: total,
+            in_flight: 0,
             error: None,
         });
-        let work_available = Condvar::new();
+        let job_done = Condvar::new();
+        let lock = || state.lock().expect("unpoisoned scheduler state");
+        let slots = self.config.effective_workers();
+        let cap = slots.max(1).min(total.max(1));
 
-        // One claim loop, whichever thread runs it: claim the oldest ready
-        // job, execute it, do the completion bookkeeping, repeat until
-        // nothing remains or a job failed.
-        let worker = || loop {
-            let idx = {
-                let mut st = state.lock().expect("unpoisoned scheduler state");
-                loop {
-                    if st.error.is_some() || st.remaining == 0 {
-                        return;
-                    }
-                    if let Some(idx) = st.ready.pop_front() {
-                        break idx;
-                    }
-                    st = work_available.wait(st).expect("unpoisoned scheduler state");
-                }
-            };
-
+        // Claim the oldest ready job, if one may start: none after a
+        // failure, none beyond the slot cap.
+        let claim = |st: &mut SchedState| {
+            if st.error.is_some() || st.in_flight == cap {
+                return None;
+            }
+            let idx = st.ready.pop_front()?;
+            st.in_flight += 1;
+            Some(idx)
+        };
+        // Run one claimed job, on whichever thread it landed.
+        let execute = |idx: usize| {
             let node = dag.node(idx);
             gumbo_obs::event("sched:claim", |f| f.str("job", &node.job.name));
             // plan → compute → commit against the shared `&dyn Dfs`, under
@@ -203,12 +208,16 @@ impl DagScheduler {
             // that scheduled it). The job's stats carry its original
             // round, which is what keeps per-job accounting identical to
             // the serial reference. A panic in the job (a mapper or
-            // reducer bug) comes back as an error: unwinding this worker
-            // past the bookkeeping below would leave `remaining` stale and
-            // the other workers waiting forever.
-            let outcome = executor.execute_job(dfs, &node.job, node.round);
-
-            let mut st = state.lock().expect("unpoisoned scheduler state");
+            // reducer bug) comes back as an error: unwinding past the
+            // bookkeeping below would leave `in_flight` stale and the
+            // caller waiting forever.
+            executor.execute_job(dfs, &node.job, node.round)
+        };
+        // Its completion bookkeeping, on the same thread.
+        let complete = |idx: usize, outcome: Result<JobStats>| {
+            let node = dag.node(idx);
+            let mut st = lock();
+            st.in_flight -= 1;
             match outcome {
                 Ok(stats) => {
                     gumbo_obs::event("sched:complete", |f| {
@@ -216,7 +225,6 @@ impl DagScheduler {
                         f.f64("observed_cost", stats.total_cost);
                     });
                     st.results[idx] = Some(stats);
-                    st.remaining -= 1;
                     for &dep in node.dependents() {
                         st.indegree[dep] -= 1;
                         if st.indegree[dep] == 0 {
@@ -232,24 +240,44 @@ impl DagScheduler {
                 }
             }
             drop(st);
-            work_available.notify_all();
+            job_done.notify_one();
         };
 
-        // One worker runs the loop inline on the calling thread (nothing
-        // is spawned, every job lands on the caller's lane); a pool of
-        // several spawns them all and the caller only waits, the shape
-        // `parallel_for` has. Making the caller one of several workers
-        // was measured and rejected: same speed, but jobs then allocate on
-        // the long-lived service dispatcher threads and peak RSS rose
-        // 13 % on the `file_cold` benchmark workload.
-        let slots = self.config.effective_workers();
-        let workers = slots.max(1).min(total.max(1));
-        if workers == 1 {
-            worker();
+        // Claims are made on the calling thread either way. One slot runs
+        // each job inline right there: nothing is started, and every job
+        // lands on the caller's lane. Several start each claimed job on
+        // the process-wide worker pool (`gumbo_mr::pool`), at most `cap`
+        // in flight, and wait for completions. A started job holds a seat,
+        // so it gets a worker of its own however many other queries' jobs
+        // are running: a server runs every in-flight query's claimed jobs
+        // at once, as it did when each query spawned its own slot threads.
+        // The seat is given back before the bookkeeping, so the job the
+        // completion readies reuses it. Jobs then allocate on the pool's
+        // persistent threads, never on threads spawned per query or on the
+        // long-lived service dispatcher threads. Spawning fresh slot
+        // threads per query cost CPU under load, and glibc kept the heap
+        // arenas of those short-lived threads: peak RSS on the five
+        // benchmark workloads was 1.1-1.5x the pool's.
+        if cap == 1 {
+            loop {
+                let Some(idx) = claim(&mut lock()) else { break };
+                complete(idx, execute(idx));
+            }
         } else {
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
+            gumbo_mr::pool::scope(cap, |scope| {
+                let mut st = lock();
+                loop {
+                    while let Some(idx) = claim(&mut st) {
+                        scope.start(move |seat| {
+                            let outcome = execute(idx);
+                            drop(seat);
+                            complete(idx, outcome);
+                        });
+                    }
+                    if st.in_flight == 0 {
+                        break;
+                    }
+                    st = job_done.wait(st).expect("unpoisoned scheduler state");
                 }
             });
         }
@@ -380,8 +408,8 @@ mod tests {
         }
     }
 
-    /// Pool sizes the failure tests run at: one slot runs the claim loop
-    /// inline on the caller, two runs it on spawned workers.
+    /// Slot counts the failure tests run at: one slot runs jobs inline on
+    /// the caller, two starts each on a pool worker of its own.
     const FAILURE_SLOTS: [usize; 2] = [1, 2];
 
     #[test]
@@ -417,7 +445,7 @@ mod tests {
 
     /// A reducer panic must fail the run — with the job's name, bounded in
     /// time, leaving no spill directory behind — whether the panicking job
-    /// ran on the calling thread or on a spawned worker. Before the
+    /// ran on the calling thread or on a pool worker. Before the
     /// scheduler caught the unwind, the panicking worker died without its
     /// completion bookkeeping and the rest of the pool waited forever.
     #[test]

@@ -60,7 +60,10 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 pub struct ServeConfig {
     /// Bounded admission-queue capacity (submits block when full).
     pub queue_capacity: usize,
-    /// Dispatcher threads = submissions evaluated concurrently.
+    /// Dispatcher threads = submissions evaluated concurrently. Each runs
+    /// its query's jobs inline at one job slot; at more, each job in
+    /// flight gets a worker of its own from the process-wide pool
+    /// (`gumbo_mr::pool`), so every in-flight query's jobs run at once.
     pub max_in_flight: usize,
 }
 
