@@ -550,6 +550,16 @@ impl TupleBatch {
         Err(lo)
     }
 
+    /// Column `c`'s cells when every one of them is an integer (the
+    /// column carries no string), else `None`.
+    ///
+    /// # Panics
+    /// If `c` is not a column of the batch.
+    pub fn int_column(&self, c: usize) -> Option<&[i64]> {
+        let col = &self.cols[c];
+        (col.tags.is_none() || self.dict.is_empty()).then_some(col.cells.as_slice())
+    }
+
     /// Zero-copy view of one row.
     ///
     /// # Panics
@@ -708,15 +718,118 @@ impl TupleBatch {
         Ok(())
     }
 
+    /// Append what [`encode_into`](Self::encode_into) writes for the batch
+    /// of `arity` that [`push_view`](Self::push_view) of every view in
+    /// `rows`, in order, builds in a cleared batch — without building it:
+    /// each column's cells are gathered straight from the views' batches
+    /// into `out`.
+    ///
+    /// A column keeps its type tags through [`clear`](Self::clear) once a
+    /// string has reached it, so a batch reused frame after frame tags a
+    /// column whenever an earlier frame put a string there. `tagged[c]`
+    /// stands for that history of column `c`: it is read, and set when
+    /// `rows` bring column `c` a string. `dict` is scratch for the frame's
+    /// dictionary (codes in first-seen order, as interning gives them).
+    /// `strings: false` promises that no view's batch holds a string (its
+    /// dictionary is empty), which skips the pass that builds the
+    /// dictionary.
+    ///
+    /// # Panics
+    /// If a view's arity differs from `arity`, `tagged` has fewer than
+    /// `arity` entries, or `strings` is false and a view reads a string.
+    pub fn encode_views_into<'v>(
+        arity: usize,
+        rows: impl Iterator<Item = TupleView<'v>> + Clone,
+        strings: bool,
+        tagged: &mut [bool],
+        dict: &mut StringDict,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        dict.clear();
+        let len = match rows.size_hint() {
+            (lo, Some(hi)) if lo == hi && !strings => lo,
+            _ => {
+                let mut len = 0usize;
+                for view in rows.clone() {
+                    len += 1;
+                    if view.batch.dict.is_empty() {
+                        continue;
+                    }
+                    for (c, col) in view.batch.cols.iter().enumerate() {
+                        if col.tag(view.row) == TAG_STR {
+                            dict.intern(view.batch.dict.get(col.cells[view.row] as u32));
+                            tagged[c] = true;
+                        }
+                    }
+                }
+                len
+            }
+        };
+        let len = u32::try_from(len)
+            .map_err(|_| GumboError::Storage("columnar frame exceeds 2^32 rows".into()))?;
+        out.extend_from_slice(&(arity as u32).to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+        for s in &dict.strings {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        let len = len as usize;
+        out.reserve(arity * (len * 9 + 1));
+        for (c, &tagged) in tagged[..arity].iter().enumerate() {
+            out.push(u8::from(tagged));
+            let start = out.len();
+            out.resize(start + 8 * len, 0);
+            for (bytes, view) in out[start..].chunks_exact_mut(8).zip(rows.clone()) {
+                assert_eq!(view.batch.arity, arity, "batch arity mismatch");
+                let col = &view.batch.cols[c];
+                let cell = col.cells[view.row];
+                let cell = match col.tag(view.row) {
+                    TAG_INT => cell,
+                    _ => {
+                        assert!(strings, "a string where none was promised");
+                        i64::from(dict.intern(view.batch.dict.get(cell as u32)))
+                    }
+                };
+                bytes.copy_from_slice(&cell.to_le_bytes());
+            }
+            if tagged {
+                out.extend(rows.clone().map(|view| view.batch.cols[c].tag(view.row)));
+            }
+        }
+        Ok(())
+    }
+
     /// Decode one batch starting at `*pos` in `buf`, advancing `*pos` past
     /// it. Rejects corrupt input (truncation, bad tags, out-of-range
     /// dictionary codes, repeated dictionary entries, non-UTF-8 strings)
     /// instead of guessing.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
+        let mut batch = TupleBatch::default();
+        batch.decode_into(buf, pos)?;
+        Ok(batch)
+    }
+
+    /// [`decode_from`](Self::decode_from) into this batch, whatever it held
+    /// before, reusing its cell arenas: a batch that is decoded into frame
+    /// after frame allocates only to grow. Nothing of the old content
+    /// survives — no tag vector, dictionary entry or column beyond the new
+    /// arity. On error the batch is left empty.
+    pub fn decode_into(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        let decoded = self.decode_fields(buf, pos);
+        if decoded.is_err() {
+            *self = TupleBatch::default();
+        }
+        decoded
+    }
+
+    fn decode_fields(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        self.dict.clear();
+        self.rows = 0;
+        self.bytes = 0;
         let arity = read_u32(buf, pos)? as usize;
         let rows = read_u32(buf, pos)? as usize;
         let dict_len = read_u32(buf, pos)? as usize;
-        let mut dict = StringDict::default();
         for code in 0..dict_len {
             let len = read_u32(buf, pos)? as usize;
             let bytes = read_bytes(buf, pos, len)?;
@@ -726,18 +839,18 @@ impl TupleBatch {
             // Codes are positional: interning in frame order reproduces
             // them only while every entry is new. A repeat would shift every
             // later code onto a different string.
-            if dict.intern(&Arc::from(s)) as usize != code {
+            if self.dict.intern(&Arc::from(s)) as usize != code {
                 return Err(GumboError::Storage(
                     "corrupt columnar frame: repeated dictionary entry".into(),
                 ));
             }
         }
-        // Lengths come from the frame: reserve no more than the bytes left
-        // could possibly describe, so a corrupt count errors out below
-        // instead of aborting on an absurd allocation.
-        let mut cols = Vec::with_capacity(arity.min(buf.len() - *pos));
+        // Every column reads at least its header byte, and its cells only
+        // once the frame holds them all, so a corrupt count runs into
+        // "truncated" instead of an absurd allocation.
+        self.cols.truncate(arity);
         let mut bytes_total = 0u64;
-        for _ in 0..arity {
+        for c in 0..arity {
             let has_tags = match read_u8(buf, pos)? {
                 0 => false,
                 1 => true,
@@ -747,48 +860,48 @@ impl TupleBatch {
                     )))
                 }
             };
-            let mut cells = Vec::with_capacity(rows.min((buf.len() - *pos) / 8));
-            for _ in 0..rows {
-                cells.push(read_i64(buf, pos)?);
+            let raw = read_bytes(buf, pos, rows.saturating_mul(8))?;
+            if c == self.cols.len() {
+                self.cols.push(Column::default());
             }
-            let tags = if has_tags {
-                let raw = read_bytes(buf, pos, rows)?;
-                for (tag, cell) in raw.iter().zip(&cells) {
-                    match *tag {
-                        TAG_INT => {}
-                        TAG_STR => {
-                            if *cell < 0 || *cell as usize >= dict.len() {
-                                return Err(GumboError::Storage(
-                                    "corrupt columnar frame: string code out of range".into(),
-                                ));
-                            }
-                        }
-                        other => {
-                            return Err(GumboError::Storage(format!(
-                                "corrupt columnar frame: unknown cell tag {other}"
-                            )))
-                        }
-                    }
-                }
-                Some(raw.to_vec())
-            } else {
-                None
-            };
-            for row in 0..rows {
-                bytes_total += match tags.as_ref().map_or(TAG_INT, |t| t[row]) {
+            let col = &mut self.cols[c];
+            col.cells.clear();
+            col.cells.extend(
+                raw.chunks_exact(8)
+                    .map(|w| i64::from_le_bytes(w.try_into().expect("8 bytes"))),
+            );
+            if !has_tags {
+                col.tags = None;
+                bytes_total += rows as u64 * INT_VALUE_BYTES;
+                continue;
+            }
+            let raw = read_bytes(buf, pos, rows)?;
+            for (tag, cell) in raw.iter().zip(&col.cells) {
+                bytes_total += match *tag {
                     TAG_INT => INT_VALUE_BYTES,
-                    _ => (dict.get(cells[row] as u32).len() as u64).max(INT_VALUE_BYTES),
+                    TAG_STR => {
+                        if *cell < 0 || *cell as usize >= self.dict.len() {
+                            return Err(GumboError::Storage(
+                                "corrupt columnar frame: string code out of range".into(),
+                            ));
+                        }
+                        (self.dict.get(*cell as u32).len() as u64).max(INT_VALUE_BYTES)
+                    }
+                    other => {
+                        return Err(GumboError::Storage(format!(
+                            "corrupt columnar frame: unknown cell tag {other}"
+                        )))
+                    }
                 };
             }
-            cols.push(Column { cells, tags });
+            let tags = col.tags.get_or_insert_with(Vec::new);
+            tags.clear();
+            tags.extend_from_slice(raw);
         }
-        Ok(TupleBatch {
-            arity,
-            rows,
-            cols,
-            dict,
-            bytes: bytes_total,
-        })
+        self.arity = arity;
+        self.rows = rows;
+        self.bytes = bytes_total;
+        Ok(())
     }
 }
 
@@ -815,11 +928,6 @@ fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
 fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
     let bytes = read_bytes(buf, pos, 4)?;
     Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-}
-
-fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
-    let bytes = read_bytes(buf, pos, 8)?;
-    Ok(i64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {

@@ -23,13 +23,22 @@
 //!   comparator reads a cell) and writes the rows they reference as a run
 //!   of checksummed **columnar frames** ([`gumbo_storage::RunWriter`]) of
 //!   up to [`ROWS_PER_FRAME`] rows under the job's [`ShuffleSpill`] — so a
-//!   flush frees handles, while the map outputs stay where they are;
+//!   flush frees handles, while the map outputs stay where they are. Each
+//!   frame is gathered column by column straight from the rows where they
+//!   sit into one reused frame buffer, header room first, and goes to the
+//!   file in one write; no row is staged in a batch of its own. The
+//!   partition records each run's frame count and file bytes, and the
+//!   merge refuses a run file that no longer matches them;
 //! * [`BatchGroupStream`] — the k-way merge of the spill runs' decoded
-//!   frames plus the sorted in-memory tail of handles: sources compare
-//!   `u64` hashes and fall back to [`TupleView`] order only on equal
-//!   hashes, one min-scan per key group, each holding source's whole run
-//!   of the key drained at once. Each group goes to the reducer as a
-//!   [`Group`]: the key as a [`TupleView`] and the values as
+//!   frames plus the sorted in-memory tail of handles. Each run source
+//!   reads its frames into one reused buffer, and decodes each into the
+//!   arenas of a frame the merge has moved past
+//!   ([`PairBatch::decode_into`]), so the merge allocates per source, not
+//!   per frame. One min-scan per key group reads each source's head hash
+//!   and falls back to [`TupleView`] order only on equal hashes; each
+//!   holding source's whole run of the key is drained at once, a run
+//!   frame finding its end from the hash column. Each group goes to the
+//!   reducer as a [`Group`]: the key as a [`TupleView`] and the values as
 //!   [`MsgView`]s read in place — no key `Tuple` and no `Message` is
 //!   built.
 //!
@@ -50,10 +59,10 @@
 use std::cmp::Ordering;
 use std::path::Path;
 
-use gumbo_common::{GumboError, Result, Tuple, TupleBatch, TupleView, Value, ValueRef};
+use gumbo_common::{GumboError, Result, StringDict, Tuple, TupleBatch, TupleView, Value, ValueRef};
 use gumbo_storage::{RunReader, RunWriter};
 
-use crate::hash::hash_view;
+use crate::hash::{hash_ints, hash_view};
 use crate::message::{Message, MsgRef, MsgView, Payload, PayloadView};
 use crate::shuffle::{MemoryBudget, Run, ShuffleSpill, SpillStats, MERGE_FANIN, UNLIMITED_GRANULE};
 
@@ -72,11 +81,17 @@ thread_local! {
 /// of their thread onto one hash ([`with_forced_key_hash`]) so that any
 /// two distinct keys collide.
 fn key_hash(key: TupleView<'_>) -> u64 {
+    forced_key_hash().unwrap_or_else(|| hash_view(key))
+}
+
+/// The hash every key is forced onto, in tests that force one.
+#[inline]
+fn forced_key_hash() -> Option<u64> {
     #[cfg(test)]
     if let Some(forced) = FORCED_KEY_HASH.with(std::cell::Cell::get) {
-        return forced;
+        return Some(forced);
     }
-    hash_view(key)
+    None
 }
 
 /// Run `f` with every key hash this thread computes forced to `hash`:
@@ -198,7 +213,8 @@ impl TupleStore {
 
     /// Copy slot `slot` of `src` into this store (columnar row copy, no
     /// `Tuple` materialized); returns the new slot.
-    pub fn push_from(&mut self, src: &TupleStore, slot: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn push_from(&mut self, src: &TupleStore, slot: u32) -> u32 {
         let loc = src.loc(slot);
         let src_batch = &src.by_arity[loc.arity as usize];
         self.push_with(loc.arity as usize, |batch| {
@@ -233,6 +249,36 @@ impl TupleStore {
     /// non-empty, so this reads no row.
     fn ints_up_to(&self, max: usize) -> bool {
         (self.by_arity.iter()).all(|b| b.is_empty() || (b.arity() <= max && b.dict().is_empty()))
+    }
+
+    /// Append every stored tuple's [`key_hash`], in slot order. Integer
+    /// tuples of one arity up to 2 — every MSJ and EVAL key of integer
+    /// relations — hash straight from the cell columns ([`hash_ints`]).
+    fn hash_into(&self, hashes: &mut Vec<u64>) {
+        let len = self.len();
+        let one_arity = match &self.locs {
+            None => self.by_arity.get(self.arity as usize),
+            Some(_) => None,
+        };
+        if let (Some(batch), None) = (one_arity, forced_key_hash()) {
+            let column = |c: usize| batch.int_column(c).map(|cells| &cells[..len]);
+            match batch.arity() {
+                0 => return hashes.resize(len, hash_ints([].into_iter())),
+                1 => {
+                    if let Some(a) = column(0) {
+                        return hashes.extend(a.iter().map(|&x| hash_ints([x].into_iter())));
+                    }
+                }
+                2 => {
+                    if let (Some(a), Some(b)) = (column(0), column(1)) {
+                        let rows = a.iter().zip(b);
+                        return hashes.extend(rows.map(|(&x, &y)| hash_ints([x, y].into_iter())));
+                    }
+                }
+                _ => {}
+            }
+        }
+        hashes.extend((0..len as u32).map(|slot| key_hash(self.view(slot))));
     }
 
     /// Estimated bytes of slot `slot` (paper layout).
@@ -276,30 +322,39 @@ impl TupleStore {
         Ok(())
     }
 
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TupleStore> {
-        // Counts come from the frame: reserve no more than the bytes left
-        // could describe (a batch header is 12 bytes, a locator 8), so a
-        // corrupt count runs into "truncated" instead of an absurd
-        // allocation.
+    /// Decode a store written by [`encode_into`](Self::encode_into) into
+    /// this one, reusing its batches' arenas; nothing of the old content
+    /// survives.
+    fn decode_into(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        // Counts come from the frame: every batch reads at least its
+        // 12-byte header and a locator is 8 bytes, so a corrupt count runs
+        // into "truncated" instead of an absurd allocation.
         let n_batches = read_u32(buf, pos)? as usize;
-        let mut by_arity = Vec::with_capacity(n_batches.min((buf.len() - *pos) / 12));
-        for _ in 0..n_batches {
-            by_arity.push(TupleBatch::decode_from(buf, pos)?);
+        self.by_arity.truncate(n_batches);
+        for i in 0..n_batches {
+            if i == self.by_arity.len() {
+                self.by_arity.push(TupleBatch::default());
+            }
+            self.by_arity[i].decode_into(buf, pos)?;
         }
         let len = read_u32(buf, pos)?;
+        let by_arity = &self.by_arity;
         let rows_of = |arity: u32| by_arity.get(arity as usize).map_or(0, TupleBatch::len);
         let out_of_range =
             || GumboError::Storage("corrupt columnar frame: tuple locator out of range".into());
-        let (locs, arity) = match read_slice(buf, pos, 1)?[0] {
+        match read_slice(buf, pos, 1)?[0] {
             0 => {
                 let arity = read_u32(buf, pos)?;
                 if len as usize > rows_of(arity) {
                     return Err(out_of_range());
                 }
-                (None, arity)
+                self.locs = None;
+                self.arity = arity;
             }
             1 => {
-                let mut locs = Vec::with_capacity((len as usize).min((buf.len() - *pos) / 8));
+                let locs = self.locs.get_or_insert_with(Vec::new);
+                locs.clear();
+                locs.reserve((len as usize).min((buf.len() - *pos) / 8));
                 for _ in 0..len {
                     let arity = read_u32(buf, pos)?;
                     let row = read_u32(buf, pos)?;
@@ -308,20 +363,111 @@ impl TupleStore {
                     }
                     locs.push(Loc { arity, row });
                 }
-                (Some(locs), 0)
+                self.arity = 0;
             }
             other => {
                 return Err(GumboError::Storage(format!(
                     "corrupt columnar frame: bad locator flag {other}"
                 )))
             }
-        };
-        Ok(TupleStore {
-            by_arity,
-            locs,
-            arity,
-            len,
-        })
+        }
+        self.len = len;
+        Ok(())
+    }
+}
+
+/// What a [`TupleStore`] that is cleared between frames carries from one
+/// frame into the next — the part of its encoding that depends on the
+/// frames before, not on the rows of this one.
+#[derive(Debug, Default)]
+struct StoreShape {
+    /// One entry per per-arity batch the store holds (the batch index is
+    /// the arity): whether each column of that batch has held a string,
+    /// which keeps its tags through clears.
+    tagged: Vec<Vec<bool>>,
+    /// Whether the store has held two arities: it keeps locators then.
+    mixed: bool,
+    /// The arity of the last tuple pushed while unmixed.
+    arity: u32,
+}
+
+/// One tuple of a frame being gathered: row `row` of the arity-`arity`
+/// batch of a [`TupleStore`] — the keys or the payloads, the caller knows
+/// which — of the [`PairBatch`] that [`Batches::pair`] resolves `batch` to.
+#[derive(Debug, Clone, Copy)]
+struct Gathered {
+    batch: u32,
+    arity: u32,
+    row: u32,
+}
+
+impl StoreShape {
+    /// Append what [`TupleStore::encode_into`] writes for a store of this
+    /// shape that is cleared and then gets `rows` pushed in order
+    /// (`TupleStore::push_from`), reading each row where `view` finds it;
+    /// then take on the shape that store would have.
+    /// `strings: false` promises that no row holds a string.
+    fn encode_into<'v>(
+        &mut self,
+        rows: &[Gathered],
+        view: impl Fn(Gathered) -> TupleView<'v> + Copy,
+        strings: bool,
+        scratch: &mut Scratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        // The one arity every row has, if they share one.
+        let mut single = None;
+        if let Some(first) = rows.first() {
+            let (min, max) = (rows.iter()).fold((first.arity, first.arity), |(lo, hi), g| {
+                (lo.min(g.arity), hi.max(g.arity))
+            });
+            if min == max {
+                single = Some(min as usize);
+            }
+            self.mixed |= single.is_none();
+            if !self.mixed {
+                self.arity = first.arity;
+            }
+            while self.tagged.len() <= max as usize {
+                self.tagged.push(vec![false; self.tagged.len()]);
+            }
+        }
+        out.extend_from_slice(&(self.tagged.len() as u32).to_le_bytes());
+        let dict = &mut scratch.dict;
+        for (arity, tagged) in self.tagged.iter_mut().enumerate() {
+            match single {
+                Some(only) if only == arity => {
+                    let all = rows.iter().map(move |&g| view(g));
+                    TupleBatch::encode_views_into(arity, all, strings, tagged, dict, out)?;
+                }
+                Some(_) => {
+                    let none = [].into_iter();
+                    TupleBatch::encode_views_into(arity, none, false, tagged, dict, out)?;
+                }
+                None => {
+                    let of_arity = rows.iter().filter(move |g| g.arity as usize == arity);
+                    let of_arity = of_arity.map(move |&g| view(g));
+                    TupleBatch::encode_views_into(arity, of_arity, strings, tagged, dict, out)?;
+                }
+            }
+        }
+        out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+        if !self.mixed {
+            out.push(0);
+            out.extend_from_slice(&self.arity.to_le_bytes());
+            return Ok(());
+        }
+        out.push(1);
+        let counts = &mut scratch.counts;
+        counts.clear();
+        counts.resize(self.tagged.len(), 0);
+        for g in rows {
+            let row = &mut counts[g.arity as usize];
+            out.extend_from_slice(&g.arity.to_le_bytes());
+            out.extend_from_slice(&row.to_le_bytes());
+            *row += 1;
+        }
+        Ok(())
     }
 }
 
@@ -420,6 +566,7 @@ impl MsgStore {
         });
     }
 
+    #[cfg(test)]
     fn push_from(&mut self, src: &MsgStore, row: usize) {
         let mut slot = src.slots[row];
         if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
@@ -471,51 +618,40 @@ impl MsgStore {
         self.tuples.clear();
     }
 
-    /// Layout: `[rows u32] rows × [kind u8] rows × [small u32] rows ×
-    /// [aux u32]`, then `[0u8]` when every `wide` is zero or `[1u8] rows ×
-    /// [wide u64]`, then the payload [`TupleStore`].
+    /// Layout: the [`encode_slots`] columns, then the payload
+    /// [`TupleStore`].
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
-        out.extend(self.slots.iter().map(|slot| slot.kind));
-        for &MsgSlot { small, .. } in &self.slots {
-            out.extend_from_slice(&small.to_le_bytes());
-        }
-        for &MsgSlot { aux, .. } in &self.slots {
-            out.extend_from_slice(&aux.to_le_bytes());
-        }
-        let has_wide = self.slots.iter().any(|&MsgSlot { wide, .. }| wide != 0);
-        out.push(u8::from(has_wide));
-        if has_wide {
-            for &MsgSlot { wide, .. } in &self.slots {
-                out.extend_from_slice(&wide.to_le_bytes());
-            }
-        }
+        encode_slots(&self.slots, out);
         self.tuples.encode_into(out)
     }
 
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Result<MsgStore> {
+    /// Decode a store written by [`encode_into`](Self::encode_into) into
+    /// this one, reusing its arenas.
+    fn decode_into(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let rows = read_u32(buf, pos)? as usize;
         let kinds = read_slice(buf, pos, rows)?;
-        let mut slots: Vec<MsgSlot> = kinds
-            .iter()
-            .map(|&kind| MsgSlot {
+        let small = read_slice(buf, pos, rows.saturating_mul(4))?;
+        let aux = read_slice(buf, pos, rows.saturating_mul(4))?;
+        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
+        self.slots.clear();
+        self.slots.extend(
+            (kinds
+                .iter()
+                .zip(small.chunks_exact(4))
+                .zip(aux.chunks_exact(4)))
+            .map(|((&kind, small), aux)| MsgSlot {
                 wide: 0,
-                small: 0,
-                aux: 0,
+                small: word(small),
+                aux: word(aux),
                 kind,
-            })
-            .collect();
-        for slot in &mut slots {
-            slot.small = read_u32(buf, pos)?;
-        }
-        for slot in &mut slots {
-            slot.aux = read_u32(buf, pos)?;
-        }
+            }),
+        );
         match read_slice(buf, pos, 1)?[0] {
             0 => {}
             1 => {
-                for slot in &mut slots {
-                    slot.wide = read_u64(buf, pos)?;
+                let wide = read_slice(buf, pos, rows.saturating_mul(8))?;
+                for (slot, w) in self.slots.iter_mut().zip(wide.chunks_exact(8)) {
+                    slot.wide = u64::from_le_bytes(w.try_into().expect("8 bytes"));
                 }
             }
             other => {
@@ -524,11 +660,11 @@ impl MsgStore {
                 )))
             }
         }
-        let tuples = TupleStore::decode_from(buf, pos)?;
-        for slot in &slots {
+        self.tuples.decode_into(buf, pos)?;
+        for slot in &self.slots {
             let payload_ok = match slot.kind {
                 KIND_ASSERT | KIND_REQ_REF | KIND_TAG => true,
-                KIND_REQ_TUPLE | KIND_GUARD_TUPLE => (slot.aux as usize) < tuples.len(),
+                KIND_REQ_TUPLE | KIND_GUARD_TUPLE => (slot.aux as usize) < self.tuples.len(),
                 other => {
                     return Err(GumboError::Storage(format!(
                         "corrupt columnar frame: unknown message kind {other}"
@@ -541,19 +677,40 @@ impl MsgStore {
                 ));
             }
         }
-        Ok(MsgStore { slots, tuples })
+        Ok(())
+    }
+}
+
+/// Append the fixed-width fields of `slots`, column by column: `[rows
+/// u32] rows × [kind u8] rows × [small u32] rows × [aux u32]`, then `[0u8]`
+/// when every `wide` is zero or `[1u8] rows × [wide u64]`.
+fn encode_slots(slots: &[MsgSlot], out: &mut Vec<u8>) {
+    /// Append one `N`-byte field of every slot, the column sized first.
+    fn column<const N: usize>(
+        out: &mut Vec<u8>,
+        slots: &[MsgSlot],
+        field: impl Fn(MsgSlot) -> [u8; N],
+    ) {
+        let start = out.len();
+        out.resize(start + N * slots.len(), 0);
+        for (cell, &slot) in out[start..].chunks_exact_mut(N).zip(slots) {
+            cell.copy_from_slice(&field(slot));
+        }
+    }
+    out.extend_from_slice(&(slots.len() as u32).to_le_bytes());
+    column(out, slots, |slot| [slot.kind]);
+    column(out, slots, |slot| slot.small.to_le_bytes());
+    column(out, slots, |slot| slot.aux.to_le_bytes());
+    let has_wide = slots.iter().any(|&MsgSlot { wide, .. }| wide != 0);
+    out.push(u8::from(has_wide));
+    if has_wide {
+        column(out, slots, |slot| slot.wide.to_le_bytes());
     }
 }
 
 fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(
         read_slice(buf, pos, 4)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    Ok(u64::from_le_bytes(
-        read_slice(buf, pos, 8)?.try_into().expect("8 bytes"),
     ))
 }
 
@@ -649,7 +806,8 @@ impl PairBatch {
 
     /// Copy row `row` of `src` into this batch — a columnar cell copy, no
     /// owned `Tuple` or `Message` in between, and no re-hash.
-    pub fn push_row(&mut self, src: &PairBatch, row: usize) {
+    #[cfg(test)]
+    pub(crate) fn push_row(&mut self, src: &PairBatch, row: usize) {
         let slot = self.keys.push_from(&src.keys, row as u32);
         self.hashes.push(src.hashes[row]);
         self.msgs.push_from(&src.msgs, row);
@@ -671,12 +829,6 @@ impl PairBatch {
     /// read [`key_view`](Self::key_view)).
     pub fn key_tuple(&self, row: usize) -> Tuple {
         self.keys.tuple(row as u32)
-    }
-
-    /// Whether rows `a` and `b` have equal keys: equal hashes, then equal
-    /// raw cells — the batch's one dictionary codes each string once.
-    fn same_key(&self, a: usize, b: usize) -> bool {
-        self.hashes[a] == self.hashes[b] && self.keys.same(a as u32, b as u32)
     }
 
     /// Zero-copy view of row `row`'s message.
@@ -742,9 +894,28 @@ impl PairBatch {
     /// frame only through row handles ([`row_bytes`](Self::row_bytes)
     /// still answers per row).
     pub fn decode(buf: &[u8]) -> Result<PairBatch> {
+        let mut batch = PairBatch::new();
+        batch.decode_into(buf)?;
+        Ok(batch)
+    }
+
+    /// [`decode`](Self::decode) into this batch, whatever frame it held
+    /// before, reusing its arenas: a batch decoded into frame after frame
+    /// allocates only to grow, and keeps nothing of the old frame — no
+    /// tag vector, dictionary entry or locator. On error the batch is left
+    /// empty.
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<()> {
+        let decoded = self.decode_fields(buf);
+        if decoded.is_err() {
+            self.clear();
+        }
+        decoded
+    }
+
+    fn decode_fields(&mut self, buf: &[u8]) -> Result<()> {
         let mut pos = 0;
-        let keys = TupleStore::decode_from(buf, &mut pos)?;
-        let msgs = MsgStore::decode_from(buf, &mut pos)?;
+        self.keys.decode_into(buf, &mut pos)?;
+        self.msgs.decode_into(buf, &mut pos)?;
         if pos != buf.len() {
             return Err(GumboError::Storage(
                 "corrupt columnar frame: trailing bytes".into(),
@@ -753,20 +924,36 @@ impl PairBatch {
         // A nullary key batch claims its row count without a byte per
         // row; the message kinds take one each, so hashing only after
         // the counts agree keeps the work bounded by the frame's size.
-        if keys.len() != msgs.len() {
+        if self.keys.len() != self.msgs.len() {
             return Err(GumboError::Storage(
                 "corrupt columnar frame: key/message row mismatch".into(),
             ));
         }
-        let hashes = (0..keys.len() as u32)
-            .map(|slot| key_hash(keys.view(slot)))
-            .collect();
-        Ok(PairBatch {
-            keys,
-            hashes,
-            msgs,
-            bytes: 0,
-        })
+        self.hashes.clear();
+        self.keys.hash_into(&mut self.hashes);
+        self.bytes = 0;
+        Ok(())
+    }
+
+    /// The end of the run of rows sharing row `start`'s key, in a batch
+    /// whose rows are in shuffle order (a run frame). The hash column is
+    /// scanned first; rows of one hash are sorted by key, so when the last
+    /// of them has `start`'s key all do, and a group without a collision
+    /// costs one key comparison, not one per row.
+    fn key_run_end(&self, start: usize) -> usize {
+        let hash = self.hashes[start];
+        let hash_end = (self.hashes[start..].iter())
+            .position(|&h| h != hash)
+            .map_or(self.len(), |n| start + n);
+        let same = |row: usize| self.keys.same(start as u32, row as u32);
+        if hash_end - start == 1 || same(hash_end - 1) {
+            return hash_end;
+        }
+        let mut end = start + 1;
+        while same(end) {
+            end += 1;
+        }
+        end
     }
 }
 
@@ -809,8 +996,14 @@ impl<'s> Batches<'s> {
 
     #[inline]
     fn get(self, r: RowRef) -> &'s PairBatch {
-        match r.batch.checked_sub(FRAME) {
-            None => &self.outputs[r.batch as usize],
+        self.pair(r.batch)
+    }
+
+    /// The batch a handle's `batch` field names.
+    #[inline]
+    fn pair(self, batch: u32) -> &'s PairBatch {
+        match batch.checked_sub(FRAME) {
+            None => &self.outputs[batch as usize],
             Some(slot) => &self.frames[slot as usize],
         }
     }
@@ -984,6 +1177,8 @@ pub struct BatchPartition<'a> {
     runs: Vec<Run>,
     next_seq: u64,
     stats: SpillStats,
+    /// The buffers every run this partition writes is gathered in.
+    sink: SinkBuffers,
 }
 
 impl<'a> BatchPartition<'a> {
@@ -1018,6 +1213,7 @@ impl<'a> BatchPartition<'a> {
             runs: Vec::new(),
             next_seq: 0,
             stats: SpillStats::default(),
+            sink: SinkBuffers::default(),
         }
     }
 
@@ -1108,15 +1304,17 @@ impl<'a> BatchPartition<'a> {
         let order = sort_refs(batches, &self.refs).refs;
         let path = self.spill.run_path(self.partition, self.next_seq)?;
         self.next_seq += 1;
-        let mut sink = RunSink::create(&path)?;
-        for r in order {
-            sink.push(batches.get(r), r.row as usize)?;
-        }
-        let disk_bytes = sink.finish()?;
+        let mut sink = RunSink::create(&path, &mut self.sink)?;
+        sink.write_rows(batches, &order)?;
+        let (frames, disk_bytes) = sink.finish(batches)?;
         span.record(|f| f.u64("disk_bytes", disk_bytes));
         crate::shuffle::SPILL_RUNS.incr();
         crate::shuffle::SPILL_BYTES.add(self.bytes);
-        self.runs.push(Run { path });
+        self.runs.push(Run {
+            path,
+            frames,
+            bytes: disk_bytes,
+        });
         self.stats.spill_files += 1;
         self.stats.spilled_bytes += self.bytes;
         self.stats.spilled_disk_bytes += disk_bytes;
@@ -1147,11 +1345,23 @@ impl<'a> BatchPartition<'a> {
             let oldest: Vec<Run> = self.runs.drain(..take).collect();
             let path = self.spill.run_path(self.partition, self.next_seq)?;
             self.next_seq += 1;
-            let mut sink = RunSink::create(&path)?;
+            let mut sink = RunSink::create(&path, &mut self.sink)?;
             let mut merge = BatchMerge::open(self.outputs, &oldest, None)?;
-            while merge.next_group(|batch, r| sink.push(batch, r.row as usize))? {}
-            sink.finish()?;
-            self.runs.insert(0, Run { path });
+            while merge.next_group(|batches, r| sink.push(batches, r))? {
+                // The sink reads the rows it holds when their frame fills,
+                // so a frame the merge has moved past is reused only once
+                // the sink has written every row pushed before.
+                merge.slab.release_written(sink.frames());
+            }
+            let (frames, bytes) = sink.finish(merge.batches())?;
+            self.runs.insert(
+                0,
+                Run {
+                    path,
+                    frames,
+                    bytes,
+                },
+            );
             crate::shuffle::MERGE_PASSES.incr();
             self.stats.spill_files += 1;
             self.stats.merge_passes += 1;
@@ -1195,73 +1405,219 @@ impl Drop for BatchPartition<'_> {
 // Run files and the streaming merge over columnar sources
 // ---------------------------------------------------------------------------
 
-/// Writes rows, in the order pushed, as one run of columnar frames of up
-/// to [`ROWS_PER_FRAME`] rows: the one write path of flushes and
-/// intermediate merge passes.
-struct RunSink {
-    writer: RunWriter,
-    staging: PairBatch,
+/// The reused buffers of a partition's [`RunSink`]s: the frame being
+/// laid out, the rows waiting for it, and the gather scratch.
+#[derive(Default)]
+struct SinkBuffers {
+    /// The frame being written: [`RunWriter::HEADER`] bytes of room, then
+    /// the block.
     frame: Vec<u8>,
+    /// Rows pushed since the last frame was written, in push order.
+    pending: Vec<RowRef>,
+    /// Where each pending row's key and payload tuple live, and each
+    /// row's message slot with its payload renumbered into the frame.
+    keys: Vec<Gathered>,
+    payloads: Vec<Gathered>,
+    slots: Vec<MsgSlot>,
+    scratch: Scratch,
+    /// Whether any map output holds a string in its keys, and in its
+    /// payloads — found at the first frame; a run frame holds only rows
+    /// of the map outputs, so it holds a string only if they do.
+    strings: Option<(bool, bool)>,
 }
 
-impl RunSink {
-    fn create(path: &Path) -> Result<RunSink> {
+/// Scratch of one frame's gather: the dictionary of the batch being
+/// encoded and a row counter per arity.
+#[derive(Debug, Default)]
+struct Scratch {
+    dict: StringDict,
+    counts: Vec<u32>,
+}
+
+/// Writes rows, in the order pushed, as one run of columnar frames of up
+/// to [`ROWS_PER_FRAME`] rows: the one write path of flushes and
+/// intermediate merge passes. A frame is gathered column by column
+/// straight from the rows where they sit into the frame buffer, header
+/// room first, and goes to the file in one write. Its bytes are exactly
+/// what [`PairBatch::encode_into`] writes for a staging batch that the
+/// frame's rows were copied into (`PairBatch::push_row`) — one staging
+/// batch per run, cleared between frames, whose layout the two
+/// [`StoreShape`]s carry from frame to frame — so spill byte counts do
+/// not depend on how a frame was built (`staged_frames` in the tests is
+/// that staging path).
+struct RunSink<'b> {
+    writer: RunWriter,
+    buffers: &'b mut SinkBuffers,
+    keys: StoreShape,
+    payloads: StoreShape,
+    frames: u64,
+}
+
+impl<'b> RunSink<'b> {
+    fn create(path: &Path, buffers: &'b mut SinkBuffers) -> Result<RunSink<'b>> {
+        buffers.pending.clear();
         Ok(RunSink {
             writer: RunWriter::create(path)?,
-            staging: PairBatch::new(),
-            frame: Vec::new(),
+            buffers,
+            keys: StoreShape::default(),
+            payloads: StoreShape::default(),
+            frames: 0,
         })
     }
 
-    fn push(&mut self, src: &PairBatch, row: usize) -> Result<()> {
-        self.staging.push_row(src, row);
-        if self.staging.len() == ROWS_PER_FRAME {
-            self.write_frame()?;
+    /// Frames written so far. A row pushed before the last of them was
+    /// written is no longer read.
+    fn frames(&self) -> u64 {
+        self.frames
+    }
+
+    /// Append row `r` of `batches`. It is read when its frame fills, or at
+    /// [`finish`](Self::finish); until then it must stay readable there.
+    fn push(&mut self, batches: Batches<'_>, r: RowRef) -> Result<()> {
+        self.buffers.pending.push(r);
+        if self.buffers.pending.len() == ROWS_PER_FRAME {
+            self.write_pending(batches)?;
         }
         Ok(())
     }
 
-    fn write_frame(&mut self) -> Result<()> {
-        self.frame.clear();
-        self.staging.encode_into(&mut self.frame)?;
-        self.staging.clear();
-        self.writer.push(&self.frame)
+    /// Write the pending rows as one frame.
+    fn write_pending(&mut self, batches: Batches<'_>) -> Result<()> {
+        let mut pending = std::mem::take(&mut self.buffers.pending);
+        let written = self.write_frame(batches, &pending);
+        pending.clear();
+        self.buffers.pending = pending;
+        written
     }
 
-    /// Write the last partial frame and close the run, returning its file
-    /// bytes.
-    fn finish(mut self) -> Result<u64> {
-        if !self.staging.is_empty() {
-            self.write_frame()?;
+    /// Append `rows`, all of them readable in `batches` now, with nothing
+    /// pending.
+    fn write_rows(&mut self, batches: Batches<'_>, rows: &[RowRef]) -> Result<()> {
+        debug_assert!(self.buffers.pending.is_empty(), "rows pending");
+        for frame in rows.chunks(ROWS_PER_FRAME) {
+            self.write_frame(batches, frame)?;
         }
-        Ok(self.writer.finish()?.1)
+        Ok(())
+    }
+
+    /// Gather `rows` into one frame and write it.
+    fn write_frame(&mut self, batches: Batches<'_>, rows: &[RowRef]) -> Result<()> {
+        let b = &mut *self.buffers;
+        b.keys.clear();
+        b.payloads.clear();
+        b.slots.clear();
+        for &r in rows {
+            let pair = batches.get(r);
+            let at = |loc: Loc| Gathered {
+                batch: r.batch,
+                arity: loc.arity,
+                row: loc.row,
+            };
+            b.keys.push(at(pair.keys.loc(r.row)));
+            let mut slot = pair.msgs.slots[r.row as usize];
+            if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
+                b.payloads.push(at(pair.msgs.tuples.loc(slot.aux)));
+                slot.aux = (b.payloads.len() - 1) as u32;
+            }
+            b.slots.push(slot);
+        }
+        b.frame.clear();
+        b.frame.resize(RunWriter::HEADER, 0);
+        let key = move |g: Gathered| {
+            (batches.pair(g.batch).keys.by_arity[g.arity as usize]).view(g.row as usize)
+        };
+        let payload = move |g: Gathered| {
+            (batches.pair(g.batch).msgs.tuples.by_arity[g.arity as usize]).view(g.row as usize)
+        };
+        let (key_strings, payload_strings) = *b.strings.get_or_insert_with(|| {
+            let strings = |store: fn(&PairBatch) -> &TupleStore| {
+                (batches.outputs.iter()).any(|pair| !store(pair).ints_up_to(usize::MAX))
+            };
+            (
+                strings(|pair| &pair.keys),
+                strings(|pair| &pair.msgs.tuples),
+            )
+        });
+        let (scratch, frame) = (&mut b.scratch, &mut b.frame);
+        (self.keys).encode_into(&b.keys, key, key_strings, scratch, frame)?;
+        encode_slots(&b.slots, frame);
+        (self.payloads).encode_into(&b.payloads, payload, payload_strings, scratch, frame)?;
+        self.writer.push_framed(&mut b.frame)?;
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Write the last partial frame and close the run, returning its
+    /// `(frames, file bytes)`.
+    fn finish(mut self, batches: Batches<'_>) -> Result<(u64, u64)> {
+        if !self.buffers.pending.is_empty() {
+            self.write_pending(batches)?;
+        }
+        self.writer.finish()
     }
 }
 
 /// Decoded run frames, addressed by slot. A run source whose frame runs
-/// out decodes its next frame into a free slot and retires the old one,
-/// which stays readable until the next group starts: the group being
-/// visited may hold rows of it.
+/// out decodes its next frame into a free slot — into the arenas of the
+/// frame that slot held last, so a merge allocates per source, not per
+/// frame — and retires the old one, which stays readable until it is
+/// released: the group being visited may hold rows of it, and so may a
+/// run sink's pending frame.
 #[derive(Default)]
 struct FrameSlab {
     frames: Vec<PairBatch>,
     free: Vec<u32>,
     retired: Vec<u32>,
+    /// Retired slots a run sink may still read, each with the number of
+    /// frames the sink had written when it was seen retired.
+    held: std::collections::VecDeque<(u32, u64)>,
 }
 
 impl FrameSlab {
-    /// Store `frame` in a free slot, returning the slot.
-    fn insert(&mut self, frame: PairBatch) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.frames[slot as usize] = frame;
-                slot
+    /// A free slot, its batch holding whatever it held last.
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.frames.push(PairBatch::new());
+            (self.frames.len() - 1) as u32
+        })
+    }
+
+    /// Decode `block`, a run frame, into a free slot, returning the slot.
+    /// A run frame is never empty: the merge takes a source whose frame
+    /// holds no row for drained, so an empty one would end its run early.
+    fn decode_rows(&mut self, block: &[u8]) -> Result<u32> {
+        let slot = self.take();
+        let frame = &mut self.frames[slot as usize];
+        let decoded = frame.decode_into(block).and_then(|()| {
+            if frame.is_empty() {
+                return Err(GumboError::Storage("corrupt spill run: empty frame".into()));
             }
-            None => {
-                self.frames.push(frame);
-                (self.frames.len() - 1) as u32
-            }
+            Ok(())
+        });
+        if decoded.is_err() {
+            self.free.push(slot);
         }
+        decoded.map(|()| slot)
+    }
+
+    /// Free every retired slot: nothing reads them any more.
+    fn release(&mut self) {
+        self.free.append(&mut self.retired);
+    }
+
+    /// Free the slots a run sink that has now written `frames` frames no
+    /// longer reads. A slot is retired only after every row of its frame
+    /// was pushed, so a sink that has written a frame since the slot was
+    /// seen retired has written all of them.
+    fn release_written(&mut self, frames: u64) {
+        while let Some(&(slot, seen)) = self.held.front() {
+            if seen >= frames {
+                break;
+            }
+            self.free.push(slot);
+            self.held.pop_front();
+        }
+        (self.held).extend(self.retired.drain(..).map(|slot| (slot, frames)));
     }
 }
 
@@ -1293,8 +1649,11 @@ struct BatchMerge<'a> {
     outputs: &'a [PairBatch],
     sources: Vec<BatchSource>,
     slab: FrameSlab,
-    /// The sources whose head holds the current smallest key, in source
-    /// order; reused from group to group.
+    /// The sources not yet drained, in source order, each with the hash
+    /// of its head row: the min-scan reads no row.
+    live: Vec<(usize, u64)>,
+    /// Positions in `live` of the sources whose head holds the current
+    /// smallest key, in source order; reused from group to group.
     holders: Vec<usize>,
 }
 
@@ -1309,12 +1668,15 @@ impl<'a> BatchMerge<'a> {
         let mut slab = FrameSlab::default();
         let mut sources = Vec::with_capacity(runs.len() + 1);
         for run in runs {
-            let mut reader = RunReader::open(&run.path)?;
-            let frame = match reader.next_frame()? {
-                Some(frame) => PairBatch::decode(&frame)?,
-                None => PairBatch::new(),
+            let mut reader = RunReader::open_expecting(&run.path, run.frames, run.bytes)?;
+            let slot = match reader.next_frame()? {
+                Some(block) => slab.decode_rows(block)?,
+                None => {
+                    let slot = slab.take();
+                    slab.frames[slot as usize].clear();
+                    slot
+                }
             };
-            let slot = slab.insert(frame);
             sources.push(BatchSource::Run {
                 reader,
                 slot,
@@ -1328,12 +1690,20 @@ impl<'a> BatchMerge<'a> {
                 group: 0,
             });
         }
-        Ok(BatchMerge {
+        let mut merge = BatchMerge {
             outputs,
             sources,
             slab,
+            live: Vec::new(),
             holders: Vec::new(),
-        })
+        };
+        for i in 0..merge.sources.len() {
+            if let Some(head) = merge.head(i) {
+                let hash = merge.batches().hash(head);
+                merge.live.push((i, hash));
+            }
+        }
+        Ok(merge)
     }
 
     fn batches(&self) -> Batches<'_> {
@@ -1363,49 +1733,82 @@ impl<'a> BatchMerge<'a> {
         let BatchSource::Run { reader, slot, at } = &mut self.sources[i] else {
             unreachable!("only runs refill");
         };
-        let Some(frame) = reader.next_frame()? else {
+        let Some(block) = reader.next_frame()? else {
             return Ok(false);
         };
-        let frame = PairBatch::decode(&frame)?;
+        let fresh = self.slab.decode_rows(block)?;
         self.slab.retired.push(*slot);
-        *slot = self.slab.insert(frame);
+        *slot = fresh;
         *at = 0;
         Ok(true)
     }
 
     /// Visit every row of the smallest key group in value order, advancing
     /// past it; `false` once every source is drained. One min-scan per
-    /// group finds every source holding the key — `u64` hashes first,
-    /// [`TupleView`] order only on equal hashes — and each holder's whole
-    /// run of the key is then drained in one go, earliest source first.
-    /// Frames the previous group spanned are released first.
+    /// group over the live sources' head hashes finds every source holding
+    /// the smallest hash; only when several do are their keys compared
+    /// ([`TupleView`] order), and the holders of the smallest key kept.
+    /// Each holder's whole run of the key is then drained in one go,
+    /// earliest source first. Frames a source moves past are retired, not
+    /// freed: the caller releases them ([`FrameSlab::release`]) once it
+    /// reads them no more.
     fn next_group(
         &mut self,
-        mut visit: impl FnMut(&PairBatch, RowRef) -> Result<()>,
+        mut visit: impl FnMut(Batches<'_>, RowRef) -> Result<()>,
     ) -> Result<bool> {
-        self.slab.free.append(&mut self.slab.retired);
+        // One live source — an unspilled partition's tail, or the last
+        // source left — needs no min-scan and so no head hash.
+        if let [(i, _)] = self.live[..] {
+            self.drain_group(i, &mut visit)?;
+            if self.head(i).is_none() {
+                self.live.clear();
+            }
+            return Ok(true);
+        }
         let mut holders = std::mem::take(&mut self.holders);
         holders.clear();
-        let batches = self.batches();
-        let mut best: Option<RowRef> = None;
-        for i in 0..self.sources.len() {
-            let Some(head) = self.head(i) else { continue };
-            let order = match best {
-                None => Ordering::Less,
-                Some(b) => batches.cmp(head, b),
-            };
-            match order {
-                Ordering::Less => {
-                    holders.clear();
-                    holders.push(i);
-                    best = Some(head);
-                }
-                Ordering::Equal => holders.push(i),
-                Ordering::Greater => {}
+        let mut min = u64::MAX;
+        for (k, &(_, hash)) in self.live.iter().enumerate() {
+            if hash < min {
+                min = hash;
+                holders.clear();
+            }
+            if hash == min {
+                holders.push(k);
             }
         }
-        for &i in &holders {
+        if holders.len() > 1 {
+            let batches = self.batches();
+            let key = |k: usize| batches.key(self.head(self.live[k].0).expect("a live source"));
+            let mut kept = 1;
+            for j in 1..holders.len() {
+                match key(holders[j]).cmp(&key(holders[0])) {
+                    Ordering::Less => {
+                        holders[0] = holders[j];
+                        kept = 1;
+                    }
+                    Ordering::Equal => {
+                        holders[kept] = holders[j];
+                        kept += 1;
+                    }
+                    Ordering::Greater => {}
+                }
+            }
+            holders.truncate(kept);
+        }
+        let mut drained = false;
+        for &k in &holders {
+            let i = self.live[k].0;
             self.drain_group(i, &mut visit)?;
+            match self.head(i) {
+                Some(head) => self.live[k].1 = self.batches().hash(head),
+                None => drained = true,
+            }
+        }
+        if drained {
+            let mut live = std::mem::take(&mut self.live);
+            live.retain(|&(i, _)| self.head(i).is_some());
+            self.live = live;
         }
         let found = !holders.is_empty();
         self.holders = holders;
@@ -1414,47 +1817,43 @@ impl<'a> BatchMerge<'a> {
 
     /// Visit source `i`'s head row and every following row with the same
     /// key, advancing past them. The tail knows its group boundaries from
-    /// its sort; a run tests each row against the previous one — hash and
-    /// raw cells within a frame ([`PairBatch::same_key`]), hash and
-    /// content across the last row of one frame and the first of the
-    /// next ([`Batches::same_key`]).
+    /// its sort; a run finds the end of the key in its frame from the
+    /// hash column ([`PairBatch::key_run_end`]), and compares hash and
+    /// content across the last row of one frame and the first of the next
+    /// ([`Batches::same_key`]).
     fn drain_group(
         &mut self,
         i: usize,
-        visit: &mut impl FnMut(&PairBatch, RowRef) -> Result<()>,
+        visit: &mut impl FnMut(Batches<'_>, RowRef) -> Result<()>,
     ) -> Result<()> {
-        if let BatchSource::Memory { tail, at, group } = &mut self.sources[i] {
+        loop {
             let batches = Batches {
                 outputs: self.outputs,
                 frames: &self.slab.frames,
             };
-            let end = tail
-                .starts
-                .get(*group + 1)
-                .map_or(tail.refs.len(), |&s| s as usize);
-            for &r in &tail.refs[*at..end] {
-                visit(batches.get(r), r)?;
-            }
-            *at = end;
-            *group += 1;
-            return Ok(());
-        }
-        loop {
-            let BatchSource::Run { slot, at, .. } = &mut self.sources[i] else {
-                unreachable!("the tail returned above");
+            let (slot, at) = match &mut self.sources[i] {
+                BatchSource::Memory { tail, at, group } => {
+                    let end = tail
+                        .starts
+                        .get(*group + 1)
+                        .map_or(tail.refs.len(), |&s| s as usize);
+                    for &r in &tail.refs[*at..end] {
+                        visit(batches, r)?;
+                    }
+                    *at = end;
+                    *group += 1;
+                    return Ok(());
+                }
+                BatchSource::Run { slot, at, .. } => (*slot, at),
             };
-            let frame = &self.slab.frames[*slot as usize];
-            let (start, batch) = (*at as usize, FRAME + *slot);
+            let frame = &batches.frames[slot as usize];
+            let (start, batch) = (*at as usize, FRAME + slot);
             if start == frame.len() {
                 return Ok(());
             }
-            let mut end = start + 1;
-            while end < frame.len() && frame.same_key(end - 1, end) {
-                end += 1;
-            }
-            for row in start..end {
-                let row = row as u32;
-                visit(frame, RowRef { batch, row })?;
+            let end = frame.key_run_end(start);
+            for row in start as u32..end as u32 {
+                visit(batches, RowRef { batch, row })?;
             }
             *at = end as u32;
             if end < frame.len() || !self.refill(i)? {
@@ -1489,6 +1888,9 @@ impl BatchGroupStream<'_> {
     /// group borrows the stream: its rows stay readable — run frames it
     /// spans included — until the next call.
     pub fn next_group(&mut self) -> Result<Option<Group<'_>>> {
+        // The previous group, the one reader of the frames the merge has
+        // moved past, is gone.
+        self.merge.slab.release();
         self.rows.clear();
         let rows = &mut self.rows;
         let found = self.merge.next_group(|_, r| {
@@ -1562,6 +1964,26 @@ pub(crate) fn group_reference(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Mes
         .collect()
 }
 
+/// The write path the gather encoder replaced, as its oracle: the frames
+/// of a run of `rows`, each row copied into one staging batch per run
+/// (`PairBatch::push_row`), cleared between frames and encoded
+/// ([`PairBatch::encode_into`]) when [`ROWS_PER_FRAME`] rows have arrived.
+#[cfg(test)]
+fn staged_frames(batches: Batches<'_>, rows: &[RowRef]) -> Vec<Vec<u8>> {
+    let mut staging = PairBatch::new();
+    (rows.chunks(ROWS_PER_FRAME))
+        .map(|chunk| {
+            staging.clear();
+            for &r in chunk {
+                staging.push_row(batches.get(r), r.row as usize);
+            }
+            let mut frame = Vec::new();
+            staging.encode_into(&mut frame).unwrap();
+            frame
+        })
+        .collect()
+}
+
 /// Collect every group of a stream (dropping it, which releases its
 /// budget charge).
 #[cfg(test)]
@@ -1578,6 +2000,7 @@ mod tests {
     use super::*;
     use crate::shuffle::MemBudget;
     use gumbo_common::Value;
+    use proptest::prelude::*;
 
     #[test]
     fn a_merge_pass_rewrites_just_enough_runs() {
@@ -1770,6 +2193,23 @@ mod tests {
         };
         check();
         with_forced_key_hash(0, check);
+    }
+
+    #[test]
+    fn a_merge_pass_reuses_no_frame_whose_rows_it_has_not_written() {
+        // Runs of 601 rows — a full frame and one of 89 rows — over 5 000
+        // keys: the 16 sources of the first merge pass move to their
+        // second frame within a few hundred rows of each other, while the
+        // pass's own sink still holds rows of the frames they leave.
+        let pairs: Vec<(Tuple, Message)> = (0..20_000u32)
+            .map(|i| {
+                let key = Tuple::from_ints(&[i64::from(i * 7919 % 5000)]);
+                (key, Message::Tag { rel: i })
+            })
+            .collect();
+        let (groups, stats, _) = group_batched(MemBudget::bytes(8_400), &pairs);
+        assert!(stats.merge_passes >= 2, "{stats:?}");
+        assert_eq!(groups, group_reference(&pairs));
     }
 
     #[test]
@@ -2057,6 +2497,265 @@ mod tests {
         let (groups, stats, _) = group_batched(MemBudget::bytes(200), &pairs);
         assert_eq!(groups, reference);
         assert!(stats.spilled_bytes > 0);
+    }
+
+    /// A value of a small domain — so dictionaries repeat entries and
+    /// keys repeat — a string for some draws when `strings`.
+    fn value(draw: i8, strings: bool) -> Value {
+        match draw {
+            ..=-1 if strings => Value::str(["", "ab", "b"][(draw + 3) as usize % 3]),
+            _ => Value::Int(i64::from(draw)),
+        }
+    }
+
+    /// One row of a generated stream: a key arity (an index into the
+    /// stream's arities), key cells, a message kind, a payload arity and
+    /// payload cells.
+    type RowSpec = (usize, (i8, i8, i8), u8, usize, (i8, i8, i8));
+
+    fn row_spec() -> impl Strategy<Value = RowSpec> {
+        let cells = || (-3i8..4, -3i8..4, -3i8..4);
+        (0usize..2, cells(), 0u8..5, 0usize..4, cells())
+    }
+
+    /// Pair `i` of a stream over `specs` (cycled, and varied by `i` so
+    /// that a long stream is not one short one repeated).
+    fn stream_pair(
+        specs: &[RowSpec],
+        i: usize,
+        arities: &[usize],
+        strings: bool,
+    ) -> (Tuple, Message) {
+        let (which, (a, b, c), kind, payload_arity, (d, e, f)) = specs[i % specs.len()];
+        let shift = (i / specs.len() % 3) as i8;
+        let tuple = |cells: [i8; 3], arity: usize| -> Tuple {
+            cells[..arity]
+                .iter()
+                .map(|&v| value(v + shift, strings))
+                .collect()
+        };
+        let key = tuple([a, b, c], arities[which % arities.len()]);
+        let payload = tuple([d, e, f], payload_arity);
+        let msg = match kind {
+            0 => Message::Assert { cond: i as u32 },
+            1 => Message::Req {
+                cond: 2,
+                payload: Payload::Tuple(payload),
+            },
+            2 => Message::Req {
+                cond: 1,
+                payload: Payload::Ref {
+                    guard: d as u32,
+                    id: if e > 0 { i as u64 } else { 0 },
+                },
+            },
+            3 => Message::Tag { rel: i as u32 },
+            _ => Message::GuardTuple {
+                guard: 7,
+                tuple: payload,
+            },
+        };
+        (key, msg)
+    }
+
+    /// Write `rows` of `batches` as one run through a [`RunSink`] on
+    /// `buffers`, returning `(frames, bytes)` and the file.
+    fn sink_run(
+        dir: &gumbo_storage::SpillDir,
+        seq: u64,
+        buffers: &mut SinkBuffers,
+        batches: Batches<'_>,
+        rows: &[RowRef],
+        pending: bool,
+    ) -> ((u64, u64), Vec<u8>) {
+        let path = dir.run_path(0, seq);
+        let mut sink = RunSink::create(&path, buffers).unwrap();
+        if pending {
+            for &r in rows {
+                sink.push(batches, r).unwrap();
+            }
+        } else {
+            sink.write_rows(batches, rows).unwrap();
+        }
+        let written = sink.finish(batches).unwrap();
+        (written, std::fs::read(&path).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A run gathered straight from the map outputs is, byte for
+        /// byte, the run of frames encoded from a staged copy — over keys
+        /// of arity 0–3, ints and strings, every message kind, and runs
+        /// of 1, 511, 512, 513 and 1 100 rows in any order, written
+        /// whole (a flush) or a row at a time (a merge pass). Decoding
+        /// each frame into a batch that last held another frame gives the
+        /// fresh decode.
+        #[test]
+        fn gathered_runs_are_the_staged_frames_byte_for_byte(
+            size in 0usize..5,
+            tasks in 1usize..4,
+            arity_pick in (0usize..4, 0usize..4),
+            strings in any::<bool>(),
+            specs in prop::collection::vec(row_spec(), 1usize..48),
+            seed in any::<u64>(),
+        ) {
+            let len = [1, 511, 512, 513, 1100][size];
+            let arities = [arity_pick.0, arity_pick.1];
+            let mut outputs: Vec<PairBatch> = (0..tasks).map(|_| PairBatch::new()).collect();
+            for i in 0..len {
+                let (key, msg) = stream_pair(&specs, i, &arities, strings);
+                outputs[i % tasks].push_pair(&key, &msg);
+            }
+            let batches = Batches::of(&outputs);
+            let mut rows: Vec<RowRef> = (0..outputs.len() as u32)
+                .flat_map(|batch| {
+                    (0..outputs[batch as usize].len() as u32).map(move |row| RowRef { batch, row })
+                })
+                .collect();
+            // A seeded shuffle: rows reach a run in any order.
+            let mut state = seed | 1;
+            for i in (1..rows.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                rows.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let dir = gumbo_storage::SpillDir::create("gather-oracle").unwrap();
+            let oracle = staged_frames(batches, &rows);
+            let path = dir.run_path(1, 0);
+            let mut writer = RunWriter::create(&path).unwrap();
+            for frame in &oracle {
+                writer.push(frame).unwrap();
+            }
+            let expected = (writer.finish().unwrap(), std::fs::read(&path).unwrap());
+            // One set of buffers for both runs: a run's layout history
+            // starts afresh.
+            let mut buffers = SinkBuffers::default();
+            let whole = sink_run(&dir, 0, &mut buffers, batches, &rows, false);
+            prop_assert_eq!(&whole, &expected);
+            let one_by_one = sink_run(&dir, 1, &mut buffers, batches, &rows, true);
+            prop_assert_eq!(&one_by_one, &expected);
+
+            let mut reused = PairBatch::new();
+            for warm in [&oracle[oracle.len() - 1], &mixed_frame()] {
+                for frame in &oracle {
+                    reused.decode_into(warm).unwrap();
+                    reused.decode_into(frame).unwrap();
+                    assert_same_batch(&reused, &PairBatch::decode(frame).unwrap(), frame);
+                }
+            }
+        }
+    }
+
+    /// A frame with string keys of arity 3, mixed key and payload
+    /// arities, and wide message fields.
+    fn mixed_frame() -> Vec<u8> {
+        let mut batch = PairBatch::new();
+        for (k, m) in mixed_pairs() {
+            batch.push_pair(&k, &m);
+        }
+        let mut frame = Vec::new();
+        batch.encode_into(&mut frame).unwrap();
+        frame
+    }
+
+    /// `decoded` holds exactly what the fresh decode `fresh` of `frame`
+    /// holds: the same pairs and hashes, and — re-encoded — the frame
+    /// itself, so no stale tag vector, dictionary entry or locator.
+    fn assert_same_batch(decoded: &PairBatch, fresh: &PairBatch, frame: &[u8]) {
+        assert_eq!(decoded.to_pairs(), fresh.to_pairs());
+        assert_eq!(decoded.hashes(), fresh.hashes());
+        for batch in [decoded, fresh] {
+            let mut again = Vec::new();
+            batch.encode_into(&mut again).unwrap();
+            assert_eq!(again, frame);
+        }
+    }
+
+    #[test]
+    fn decoding_into_a_used_batch_leaves_nothing_of_its_last_frame() {
+        let frame_of = |pairs: &[(Tuple, Message)]| {
+            let mut batch = PairBatch::new();
+            for (k, m) in pairs {
+                batch.push_pair(k, m);
+            }
+            let mut frame = Vec::new();
+            batch.encode_into(&mut frame).unwrap();
+            frame
+        };
+        let strings3: Vec<(Tuple, Message)> = (0..40)
+            .map(|i| {
+                let key = Tuple::new(vec![Value::str("x"), Value::Int(i), Value::str("yz")]);
+                let payload = Tuple::new(vec![Value::str("p"), Value::Int(-i)]);
+                let msg = Message::GuardTuple {
+                    guard: 1,
+                    tuple: payload,
+                };
+                (key, msg)
+            })
+            .collect();
+        let ints1: Vec<(Tuple, Message)> = (0..30)
+            .map(|i| {
+                let msg = Message::Req {
+                    cond: 0,
+                    payload: Payload::Ref { guard: 0, id: 0 },
+                };
+                (Tuple::from_ints(&[i % 4]), msg)
+            })
+            .collect();
+        let frames = [
+            frame_of(&strings3),
+            frame_of(&ints1),
+            mixed_frame(),
+            frame_of(&ints1[..3]),
+            frame_of(&strings3[..1]),
+        ];
+        let mut reused = PairBatch::new();
+        for frame in frames.iter().chain(frames.iter().rev()) {
+            reused.decode_into(frame).unwrap();
+            assert_same_batch(&reused, &PairBatch::decode(frame).unwrap(), frame);
+        }
+        // A frame that fails to decode leaves the batch empty.
+        assert!(reused.decode_into(&frames[0][..20]).is_err());
+        assert!(reused.is_empty() && reused.hashes().is_empty());
+    }
+
+    #[test]
+    fn a_run_cut_at_a_frame_boundary_is_an_error_not_a_shorter_run() {
+        let keys: Vec<i64> = (0..4000).map(|i| i % 97).collect();
+        let pairs = seq_pairs(&keys);
+        let mut batch = PairBatch::new();
+        for (k, m) in &pairs {
+            batch.push_pair(k, m);
+        }
+        let outputs = [batch];
+        let budget = MemoryBudget::new(MemBudget::bytes(16 << 10));
+        let spill = ShuffleSpill::new("cut-run");
+        let mut part = BatchPartition::new(0, &budget, &spill, &outputs, 1);
+        let rows: Vec<u32> = (0..pairs.len() as u32).collect();
+        part.push_rows(0, &rows).unwrap();
+        // Keep only the first frame of the first run: what is left is a
+        // well-formed run of one frame.
+        let path = part.runs[0].path.clone();
+        let bytes = std::fs::read(&path).unwrap();
+        let first = 12 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        assert!(first < bytes.len(), "the run holds more than one frame");
+        std::fs::write(&path, &bytes[..first]).unwrap();
+        let merged = part.into_groups().and_then(|(mut stream, _)| {
+            let mut values = 0;
+            while let Some(group) = stream.next_group()? {
+                values += group.values().len();
+            }
+            Ok(values)
+        });
+        match merged {
+            Err(GumboError::Storage(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+            other => panic!(
+                "a cut run must be refused, got {other:?} of {} values",
+                pairs.len()
+            ),
+        }
     }
 
     #[test]

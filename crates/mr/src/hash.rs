@@ -31,6 +31,20 @@ pub fn hash_view(view: TupleView<'_>) -> u64 {
     hash_values(view.values())
 }
 
+/// [`hash_view`] of a row of integers given as its cells: the same bytes
+/// mixed, without a value's type to branch on.
+pub fn hash_ints(cells: impl Iterator<Item = i64>) -> u64 {
+    let mut h = FNV_OFFSET;
+    for cell in cells {
+        // The type byte of an integer is 0, and `h ^ 0` is `h`.
+        h = h.wrapping_mul(FNV_PRIME);
+        for b in cell.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    h
+}
+
 /// FNV-1a over a canonical byte rendering of the values: a type byte,
 /// then an integer's little-endian bytes or a string's bytes and a `0xff`
 /// terminator.
@@ -74,6 +88,18 @@ pub fn partition_of(hash: u64, reducers: usize) -> usize {
 mod tests {
     use super::*;
     use gumbo_common::Value;
+
+    #[test]
+    fn integer_rows_hash_from_their_cells_as_their_views_do() {
+        for cells in [&[][..], &[0], &[-1, i64::MAX], &[7, i64::MIN, 3]] {
+            let t = Tuple::from_ints(cells);
+            assert_eq!(
+                hash_ints(cells.iter().copied()),
+                hash_tuple(&t),
+                "{cells:?}"
+            );
+        }
+    }
 
     #[test]
     fn hashing_is_deterministic() {

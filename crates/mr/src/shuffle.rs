@@ -298,6 +298,11 @@ impl ShuffleSpill {
 /// order.
 pub(crate) struct Run {
     pub(crate) path: std::path::PathBuf,
+    /// The frames and file bytes its writer reported: the merge refuses a
+    /// file that no longer matches them (a run cut at a frame boundary
+    /// would otherwise read as a shorter, well-formed run).
+    pub(crate) frames: u64,
+    pub(crate) bytes: u64,
 }
 
 impl Drop for Run {

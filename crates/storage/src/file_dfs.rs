@@ -305,19 +305,22 @@ impl Segment {
         // prefix that changed since is corruption, and must not size an
         // allocation.
         let mut left = end - offset;
-        let block = read_frame(
+        let mut block = Vec::new();
+        let found = read_frame(
             &mut *file,
             &mut left,
             Path::new(&self.file_name),
             idx as u64,
+            &mut block,
+            &mut None,
         )?;
         drop(file);
-        let block = block.filter(|_| left == 0).ok_or_else(|| {
-            corrupt(format!(
+        if !found || left != 0 {
+            return Err(corrupt(format!(
                 "DFS frame {idx} of {} is shorter than its indexed extent",
                 self.file_name
-            ))
-        })?;
+            )));
+        }
         let mut pos = 0;
         let batch = TupleBatch::decode_from(&block, &mut pos)?;
         let rows = (self.tuples - idx * TUPLES_PER_FRAME).min(TUPLES_PER_FRAME);

@@ -152,17 +152,20 @@ fn shuffle(pairs: &[(Tuple, Message)], budget: &MemoryBudget) -> usize {
 }
 
 /// The shuffle allocates a fraction of a time per pair: at most 0.03
-/// calls in memory and 0.26 under a spill-forcing 4 KiB budget.
+/// calls in memory and 0.12 under a spill-forcing 4 KiB budget.
 #[test]
 fn shuffle_allocations_per_pair_stay_under_the_ceiling() {
     let pairs = a3_pairs();
     let mut groups = Vec::new();
-    // Measured at 6000 pairs: 0.012 calls per pair in memory, 0.129 under
-    // the 4 KiB budget, since the partition holds handles to the map
-    // batch's rows instead of copies and groups are read in place (0.126
-    // and 0.278 with copies and a `Message` per value); the ceilings
-    // leave ~2x headroom against allocator jitter.
-    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 3), (MemBudget::bytes(4096), 26)] {
+    // Measured at 6000 pairs: 0.012 calls per pair in memory, 0.060 under
+    // the 4 KiB budget, since spill frames are gathered into a reused
+    // buffer, read into one buffer per run and decoded into reused arenas
+    // (0.129 when every frame read allocated its block and a fresh
+    // batch), and since the partition holds handles to the map batch's
+    // rows instead of copies and groups are read in place (0.126 and
+    // 0.278 with copies and a `Message` per value); the ceilings leave
+    // ~2x headroom against allocator jitter.
+    for (limit, ceiling_percent) in [(MemBudget::UNLIMITED, 3), (MemBudget::bytes(4096), 12)] {
         let budget = MemoryBudget::new(limit);
         let (allocations, seen) = count_allocations(|| shuffle(&pairs, &budget));
         groups.push(seen);
@@ -174,6 +177,62 @@ fn shuffle_allocations_per_pair_stay_under_the_ceiling() {
         );
     }
     assert_eq!(groups[0], groups[1], "the budget never changes the groups");
+}
+
+/// A spilled run costs allocations — its file, its sort, its reader, the
+/// frames the merge holds at once — but a spilled frame costs none: a
+/// frame is gathered into the partition's reused frame buffer, read into
+/// its source's reused buffer and decoded into the arenas of a frame the
+/// merge has moved past. Eight runs allocate about as often at 6, 21 or
+/// 81 frames a run.
+#[test]
+fn spill_allocations_grow_with_runs_not_with_frames() {
+    // One integer key and a 14-byte reference message: 24 bytes a row.
+    // A budget of `kib` KiB flushes every `frames` frames of 512 rows.
+    let spill_shuffle = |frames: u32, kib: u64| {
+        let rows = 8 * frames * 512;
+        let mut batch = PairBatch::new();
+        for i in 0..rows {
+            let msg = Message::Req {
+                cond: i % 4,
+                payload: Payload::Ref {
+                    guard: 0,
+                    id: u64::from(i),
+                },
+            };
+            batch.push_pair(&Tuple::from_ints(&[i64::from(i * 7919 % 1000)]), &msg);
+        }
+        let outputs = [batch];
+        let row_ids: Vec<u32> = (0..rows).collect();
+        let budget = MemoryBudget::new(MemBudget::bytes(kib << 10));
+        let spill = ShuffleSpill::new("alloc-smoke-frames");
+        let (allocations, (runs, values)) = count_allocations(|| {
+            let mut part = BatchPartition::new(0, &budget, &spill, &outputs, 1);
+            part.push_rows(0, &row_ids).unwrap();
+            let (mut stream, stats) = part.into_groups().unwrap();
+            let mut values = 0;
+            while let Some(group) = stream.next_group().unwrap() {
+                values += group.values().len();
+            }
+            (stats.spill_files, values)
+        });
+        assert_eq!(values, rows as usize);
+        assert_eq!(runs, 8, "{frames} frames a run");
+        allocations
+    };
+    let counts = [(6, 60), (21, 240), (81, 960)].map(|(frames, kib)| spill_shuffle(frames, kib));
+    // Measured: 267, 297 and 301 allocations. The merge creates a frame's
+    // arenas (about five allocations) only when no frame it has moved past
+    // is free, which settles at two frames a source — 11, 16 and 16 for
+    // the eight sources here — and the group buffer doubles as groups grow
+    // (1 000 keys); an allocation per frame read would add 600 between the
+    // first count and the last. The bound allows 6 a run.
+    let (least, most) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+    assert!(
+        most - least <= 6 * 8,
+        "allocations {counts:?} for eight runs of 6, 21 and 81 frames: \
+         the spill path allocates per frame"
+    );
 }
 
 /// With no trace sink installed, the observability hot path performs

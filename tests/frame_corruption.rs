@@ -134,7 +134,7 @@ fn read_run(path: &std::path::Path) -> Result<Vec<PairBatch>> {
     let mut reader = RunReader::open(path)?;
     let mut frames = Vec::new();
     while let Some(frame) = reader.next_frame()? {
-        frames.push(PairBatch::decode(&frame)?);
+        frames.push(PairBatch::decode(frame)?);
     }
     Ok(frames)
 }
