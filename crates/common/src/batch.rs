@@ -105,6 +105,7 @@ struct Column {
 }
 
 impl Column {
+    #[inline]
     fn push_int(&mut self, v: i64) {
         self.cells.push(v);
         if let Some(tags) = &mut self.tags {
@@ -324,8 +325,15 @@ impl TupleBatch {
     pub fn push_row(&mut self, src: &TupleBatch, row: usize) {
         assert_eq!(src.arity, self.arity, "batch arity mismatch");
         assert!(row < src.rows, "row out of bounds");
-        for c in 0..self.arity {
-            self.push_cell_from(c, src, c, row);
+        if src.dict.is_empty() {
+            for (col, src) in self.cols.iter_mut().zip(&src.cols) {
+                col.push_int(src.cells[row]);
+            }
+            self.bytes += INT_VALUE_BYTES * self.arity as u64;
+        } else {
+            for c in 0..self.arity {
+                self.push_cell_from(c, src, c, row);
+            }
         }
         self.rows += 1;
     }
@@ -347,10 +355,44 @@ impl TupleBatch {
     /// is out of range.
     pub fn push_view_projected(&mut self, view: TupleView<'_>, positions: &[usize]) {
         assert_eq!(positions.len(), self.arity, "batch arity mismatch");
-        for (c, &i) in positions.iter().enumerate() {
-            self.push_cell_from(c, view.batch, i, view.row);
+        let src = view.batch;
+        if src.dict.is_empty() {
+            for (col, &i) in self.cols.iter_mut().zip(positions) {
+                col.push_int(src.cols[i].cells[view.row]);
+            }
+            self.bytes += INT_VALUE_BYTES * self.arity as u64;
+        } else {
+            for (c, &i) in positions.iter().enumerate() {
+                self.push_cell_from(c, src, i, view.row);
+            }
         }
         self.rows += 1;
+    }
+
+    /// Append one row of integers given as its cells: what
+    /// [`push_values`](Self::push_values) of the same integers appends.
+    ///
+    /// # Panics
+    /// If the row's arity differs from the batch's.
+    #[inline]
+    pub fn push_ints(&mut self, cells: &[i64]) {
+        assert_eq!(cells.len(), self.arity, "batch arity mismatch");
+        for (col, &cell) in self.cols.iter_mut().zip(cells) {
+            col.push_int(cell);
+        }
+        self.bytes += INT_VALUE_BYTES * self.arity as u64;
+        self.rows += 1;
+    }
+
+    /// Make room for `rows` more rows in every column, so that pushing
+    /// them allocates nothing.
+    pub fn reserve(&mut self, rows: usize) {
+        for col in &mut self.cols {
+            col.cells.reserve(rows);
+            if let Some(tags) = &mut col.tags {
+                tags.reserve(rows);
+            }
+        }
     }
 
     /// Append cell `(src_col, row)` of `src` to column `c`.
@@ -604,7 +646,13 @@ impl TupleBatch {
 
     /// Estimated bytes of one row (paper layout), equal to
     /// `self.tuple(row).estimated_bytes()` without materializing.
+    #[inline]
     pub fn row_bytes(&self, row: usize) -> u64 {
+        if self.dict.is_empty() {
+            // No string: every cell is an integer.
+            debug_assert!(row < self.rows, "row out of bounds");
+            return INT_VALUE_BYTES * self.arity as u64;
+        }
         (0..self.arity)
             .map(|c| {
                 let cell = self.cols[c].cells[row];
@@ -985,6 +1033,18 @@ impl<'a> TupleView<'a> {
         self.values().cmp(values.iter().map(ValueRef::from))
     }
 
+    /// The row's cells as integers by position, when its batch holds no
+    /// string — an empty dictionary means every cell is an integer, so
+    /// reading one takes no tag; `None` otherwise.
+    #[inline]
+    pub fn int_cells(&self) -> Option<impl Fn(usize) -> i64 + 'a> {
+        let (batch, row) = (self.batch, self.row);
+        batch
+            .dict
+            .is_empty()
+            .then_some(move |c: usize| batch.cols[c].cells[row])
+    }
+
     /// Iterate the row's values left to right.
     pub fn values(&self) -> impl Iterator<Item = ValueRef<'a>> + 'a {
         let view = *self;
@@ -1216,6 +1276,40 @@ mod tests {
                 .map(|&i| tuples[i].estimated_bytes())
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn integer_rows_copy_cell_by_cell_whatever_the_tags() {
+        // A source that held strings keeps its tags through `clear()`,
+        // with an empty dictionary: its rows are integers only.
+        let mut src = TupleBatch::new(3);
+        src.push_tuple(&Tuple::new(vec![
+            Value::str("a"),
+            Value::Int(1),
+            Value::str("b"),
+        ]));
+        assert!(src.view(0).int_cells().is_none(), "a row beside a string");
+        src.clear();
+        let ints = Tuple::from_ints(&[7, -1, i64::MAX]);
+        src.push_tuple(&ints);
+        let cell = src.view(0).int_cells().expect("no string left");
+        assert_eq!([cell(0), cell(1), cell(2)], [7, -1, i64::MAX]);
+        assert_eq!(src.row_bytes(0), ints.estimated_bytes());
+        // Targets that hold a string: each copy is the row it reads.
+        let mut dst = TupleBatch::new(3);
+        dst.push_tuple(&mixed_tuples()[0]);
+        dst.push_row(&src, 0);
+        dst.push_ints(&[7, -1, i64::MAX]);
+        let mut projected = TupleBatch::new(2);
+        projected.push_values(&[Value::str("z"), Value::Int(0)]);
+        projected.push_view_projected(src.view(0), &[2, 0]);
+        assert_eq!(dst.to_tuples()[1..], [ints.clone(), ints.clone()]);
+        assert_eq!(projected.tuple(1), ints.project(&[2, 0]));
+        assert_eq!(
+            dst.estimated_bytes(),
+            mixed_tuples()[0].estimated_bytes() + 2 * ints.estimated_bytes()
+        );
+        assert_eq!(dst.row_bytes(2), ints.estimated_bytes());
     }
 
     #[test]

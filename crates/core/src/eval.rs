@@ -51,9 +51,15 @@ struct EvalMapper {
     queries: Vec<EvalQuery>,
     /// What to do with each job input's facts, indexed by input.
     routes: Vec<Route>,
+    /// Per job input: the key arity of each pair every fact of it emits.
+    certain: Vec<Vec<usize>>,
 }
 
 impl Mapper for EvalMapper {
+    fn certain_pairs(&self, input: usize) -> &[usize] {
+        &self.certain[input]
+    }
+
     fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>) {
         match &self.routes[input] {
             Route::X(tag) => out.tuple(tuple, MsgRef::Tag { rel: *tag }),
@@ -192,12 +198,28 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
         })
         .collect();
     let guarded = atoms_by_input(&inputs, queries.iter().map(|q| &q.guard));
-    let routes = (eval_inputs.iter().zip(guarded))
+    // Per input, beside its route, the key arity of each pair every fact
+    // of it emits: an `Xᵢ` fact is tagged whole; a guard fact is keyed
+    // once per query it guards without a constant or a repeated variable.
+    let (routes, certain) = (eval_inputs.iter().zip(guarded))
         .map(|(input, guarded)| match input {
-            EvalInput::X(sj) => Route::X(num_queries + sj.id as u32),
-            EvalInput::Guard(_) => Route::Guard(guarded),
+            EvalInput::X(sj) => (
+                Route::X(num_queries + sj.id as u32),
+                vec![crate::msj::x_arity(sj, mode)],
+            ),
+            EvalInput::Guard(_) => {
+                let certain = (guarded.iter())
+                    .map(|&j| &queries[j as usize])
+                    .filter(|q| q.guard.is_unconstrained())
+                    .map(|q| match mode {
+                        PayloadMode::Full => q.identity.len(),
+                        PayloadMode::Reference => 2,
+                    })
+                    .collect();
+                (Route::Guard(guarded), certain)
+            }
         })
-        .collect();
+        .unzip();
 
     let outputs: Vec<(RelationName, usize)> = queries
         .iter()
@@ -213,6 +235,7 @@ pub fn build_eval_job(ctx: &QueryContext, mode: PayloadMode, config: JobConfig) 
             mode,
             queries: queries.clone(),
             routes,
+            certain,
         }),
         reducer: Box::new(EvalReducer {
             mode,

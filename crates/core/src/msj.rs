@@ -176,7 +176,20 @@ impl RequestJob {
         // Per input, the requests and assert groups whose atom names it.
         let requests = atoms_by_input(&inputs, self.requests.iter().map(|r| &r.guard));
         let asserts = atoms_by_input(&inputs, self.asserts.iter().map(|(atom, _)| atom));
-        let by_input = requests.into_iter().zip(asserts).collect();
+        let by_input: Vec<(Vec<u32>, Vec<u32>)> = requests.into_iter().zip(asserts).collect();
+        // Per input, the key arity of each request and assert whose atom
+        // every fact of the input conforms to.
+        let certain = (by_input.iter())
+            .map(|(requests, asserts)| {
+                let requests = (requests.iter()).map(|&r| &self.requests[r as usize]);
+                let asserts = (asserts.iter()).map(|&g| &self.asserts[g as usize]);
+                (requests.map(|r| (&r.guard, r.key.len())))
+                    .chain(asserts.map(|(atom, key)| (atom, key.len())))
+                    .filter(|(atom, _)| atom.is_unconstrained())
+                    .map(|(_, arity)| arity)
+                    .collect()
+            })
+            .collect();
         let slots = (self.requests.iter())
             .map(|r| {
                 outputs
@@ -193,6 +206,7 @@ impl RequestJob {
                 requests: self.requests.clone(),
                 asserts: self.asserts,
                 by_input,
+                certain,
             }),
             reducer: Box::new(RequestReducer {
                 requests: self.requests,
@@ -211,9 +225,17 @@ struct RequestMapper {
     /// Per job input: the requests it guards and the assert groups it
     /// feeds, by index.
     by_input: Vec<(Vec<u32>, Vec<u32>)>,
+    /// Per job input: the key arity of each pair every fact of it emits —
+    /// its requests and asserts whose atom has no constant and no repeated
+    /// variable.
+    certain: Vec<Vec<usize>>,
 }
 
 impl Mapper for RequestMapper {
+    fn certain_pairs(&self, input: usize) -> &[usize] {
+        &self.certain[input]
+    }
+
     fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>) {
         let (requests, asserts) = &self.by_input[input];
         for &r in requests {

@@ -12,7 +12,15 @@
 //!   do not store it: a decoded frame re-hashes its keys, which measured
 //!   as fast as reading stored hashes and keeps the frames 8 bytes a row
 //!   smaller. Pushing a pair appends plain integers — no per-pair heap
-//!   blocks;
+//!   blocks. A key of at most two integer cells read from a row with no
+//!   string (every MSJ key and every EVAL key of integer relations) is
+//!   copied from the row's cells and hashed from them ([`hash_ints`],
+//!   equal to [`hash_view`]), with no view of the stored key and no
+//!   per-cell tag; every other key takes the generic path, and both
+//!   store identical cells, hashes and bytes. A map task's batch is
+//!   created with room for the pairs every tuple of its input is certain
+//!   to emit ([`PairBatch::with_capacity`]), so its columns need not grow
+//!   while the task runs;
 //! * [`BatchPartition`] — one reducer partition's buffer: 8-byte
 //!   `(task, row)` handles into the job's map outputs, which stay resident
 //!   until every reducer of the job has finished. It charges the shared
@@ -57,8 +65,10 @@
 //! `reducer_bytes` and spill volumes use the paper's accounting.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::path::Path;
 
+use gumbo_common::value::INT_VALUE_BYTES;
 use gumbo_common::{GumboError, Result, StringDict, Tuple, TupleBatch, TupleView, Value, ValueRef};
 use gumbo_storage::{RunReader, RunWriter};
 
@@ -165,9 +175,10 @@ impl TupleStore {
 
     /// Append one tuple of arity `arity` — `push` adds its row to that
     /// arity's batch — and return its slot.
+    #[inline(always)]
     fn push_with(&mut self, arity: usize, push: impl FnOnce(&mut TupleBatch)) -> u32 {
-        while self.by_arity.len() <= arity {
-            self.by_arity.push(TupleBatch::new(self.by_arity.len()));
+        if self.by_arity.len() <= arity {
+            self.add_arities(arity);
         }
         let batch = &mut self.by_arity[arity];
         let loc = Loc {
@@ -176,21 +187,34 @@ impl TupleStore {
         };
         push(batch);
         let slot = self.len;
-        match &mut self.locs {
-            Some(locs) => locs.push(loc),
+        match &self.locs {
             None if slot == 0 || loc.arity == self.arity => {
                 debug_assert_eq!(loc.row, slot, "one arity: slot = row");
                 self.arity = loc.arity;
             }
-            None => {
-                let arity = self.arity;
-                let mut locs: Vec<Loc> = (0..slot).map(|row| Loc { arity, row }).collect();
-                locs.push(loc);
-                self.locs = Some(locs);
-            }
+            _ => self.push_loc(loc),
         }
         self.len = slot.checked_add(1).expect("store under 2^32 tuples");
         slot
+    }
+
+    /// Add empty batches up to arity `arity`.
+    #[cold]
+    fn add_arities(&mut self, arity: usize) {
+        while self.by_arity.len() <= arity {
+            self.by_arity.push(TupleBatch::new(self.by_arity.len()));
+        }
+    }
+
+    /// Record the locator of the tuple being pushed. The first tuple of a
+    /// second arity first writes the locators of every tuple before it.
+    #[inline(never)]
+    fn push_loc(&mut self, loc: Loc) {
+        let (arity, slot) = (self.arity, self.len);
+        (self
+            .locs
+            .get_or_insert_with(|| (0..slot).map(|row| Loc { arity, row }).collect()))
+        .push(loc);
     }
 
     /// Append an owned tuple; returns its slot.
@@ -209,6 +233,20 @@ impl TupleStore {
     /// Append the row a view reads; returns its slot.
     pub(crate) fn push_view(&mut self, t: TupleView<'_>) -> u32 {
         self.push_with(t.arity(), |batch| batch.push_view(t))
+    }
+
+    /// Append a row of integers given as its cells.
+    #[inline]
+    fn push_ints(&mut self, cells: &[i64]) {
+        self.push_with(cells.len(), |batch| batch.push_ints(cells));
+    }
+
+    /// Make room for `rows` more tuples of arity `arity`.
+    fn reserve(&mut self, arity: usize, rows: usize) {
+        if self.by_arity.len() <= arity {
+            self.add_arities(arity);
+        }
+        self.by_arity[arity].reserve(rows);
     }
 
     /// Copy slot `slot` of `src` into this store (columnar row copy, no
@@ -515,7 +553,8 @@ impl MsgStore {
         self.slots.len()
     }
 
-    fn push(&mut self, m: &Message) {
+    /// Append a message; returns its bytes.
+    fn push(&mut self, m: &Message) -> u64 {
         let (kind, small, aux, wide) = match m {
             Message::Assert { cond } => (KIND_ASSERT, *cond, 0, 0),
             Message::Req {
@@ -531,15 +570,17 @@ impl MsgStore {
                 (KIND_GUARD_TUPLE, *guard, self.tuples.push_tuple(tuple), 0)
             }
         };
-        self.slots.push(MsgSlot {
+        self.push_slot(MsgSlot {
             wide,
             small,
             aux,
             kind,
-        });
+        })
     }
 
-    fn push_ref(&mut self, m: MsgRef<'_>) {
+    /// Append a message read in place; returns its bytes.
+    #[inline]
+    fn push_ref(&mut self, m: MsgRef<'_>) -> u64 {
         let (kind, small, aux, wide) = match m {
             MsgRef::Assert { cond } => (KIND_ASSERT, cond, 0, 0),
             MsgRef::Req {
@@ -558,12 +599,20 @@ impl MsgStore {
                 (KIND_GUARD_TUPLE, guard, self.tuples.push_view(tuple), 0)
             }
         };
-        self.slots.push(MsgSlot {
+        self.push_slot(MsgSlot {
             wide,
             small,
             aux,
             kind,
-        });
+        })
+    }
+
+    /// Append `slot`, whose payload is stored; returns the message's
+    /// bytes.
+    #[inline]
+    fn push_slot(&mut self, slot: MsgSlot) -> u64 {
+        self.slots.push(slot);
+        self.slot_bytes(slot)
     }
 
     #[cfg(test)]
@@ -603,8 +652,13 @@ impl MsgStore {
     }
 
     /// `Message::estimated_bytes` of row `row`, computed columnar.
+    #[inline]
     fn bytes(&self, row: usize) -> u64 {
-        let slot = self.slots[row];
+        self.slot_bytes(self.slots[row])
+    }
+
+    #[inline]
+    fn slot_bytes(&self, slot: MsgSlot) -> u64 {
         match slot.kind {
             KIND_ASSERT | KIND_TAG => 4,
             KIND_REQ_REF => 4 + 10,
@@ -728,6 +782,34 @@ fn read_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]
 // Pair batch
 // ---------------------------------------------------------------------------
 
+/// A key of at most two integer cells, copied out of its source row:
+/// every MSJ key and every EVAL key of integer relations. [`PairBatch`]
+/// stores it and hashes it ([`hash_ints`]) from the cells, with no view of
+/// the stored row and no per-cell tag.
+#[derive(Clone, Copy)]
+struct IntKey {
+    cells: [i64; 2],
+    len: usize,
+}
+
+impl IntKey {
+    /// `tuple.project(positions)` as an integer key, when it has at most
+    /// two cells and `tuple`'s batch holds no string.
+    #[inline]
+    fn project(tuple: TupleView<'_>, positions: &[usize]) -> Option<IntKey> {
+        if positions.len() > 2 {
+            return None;
+        }
+        let cell = tuple.int_cells()?;
+        let mut cells = [0; 2];
+        for (out, &p) in cells.iter_mut().zip(positions) {
+            *out = cell(p);
+        }
+        let len = positions.len();
+        Some(IntKey { cells, len })
+    }
+}
+
 /// A columnar batch of `(key, message)` pairs in emission order.
 #[derive(Debug, Default)]
 pub struct PairBatch {
@@ -772,36 +854,110 @@ impl PairBatch {
         self.push_msg(slot, |msgs| msgs.push(msg));
     }
 
+    /// An empty batch with room for the pairs a map task over `tuples`
+    /// input tuples is certain to emit: `key_arities` holds the key arity
+    /// of each pair every tuple emits ([`Mapper::certain_pairs`]). The
+    /// batch is the one [`new`](Self::new) returns; pushing those pairs
+    /// allocates no key cell, hash or message slot.
+    ///
+    /// [`Mapper::certain_pairs`]: crate::Mapper::certain_pairs
+    pub fn with_capacity(tuples: usize, key_arities: &[usize]) -> PairBatch {
+        let mut batch = PairBatch::new();
+        if tuples == 0 || key_arities.is_empty() {
+            return batch;
+        }
+        let pairs = tuples * key_arities.len();
+        batch.hashes.reserve(pairs);
+        batch.msgs.slots.reserve(pairs);
+        for (i, &arity) in key_arities.iter().enumerate() {
+            if !key_arities[..i].contains(&arity) {
+                let per_tuple = key_arities.iter().filter(|&&a| a == arity).count();
+                batch.keys.reserve(arity, tuples * per_tuple);
+            }
+        }
+        batch
+    }
+
     /// Append the pair `(key, msg)` for a key given as borrowed values
     /// (an owned tuple's values, or a stack array of integers).
+    #[inline]
     pub fn push_values(&mut self, key: &[Value], msg: MsgRef<'_>) {
-        let slot = self
-            .keys
-            .push_with(key.len(), |batch| batch.push_values(key));
-        self.push_msg(slot, |msgs| msgs.push_ref(msg));
+        match *key {
+            [] => self.push_int_key(
+                IntKey {
+                    cells: [0, 0],
+                    len: 0,
+                },
+                msg,
+            ),
+            [Value::Int(a)] => self.push_int_key(
+                IntKey {
+                    cells: [a, 0],
+                    len: 1,
+                },
+                msg,
+            ),
+            [Value::Int(a), Value::Int(b)] => self.push_int_key(
+                IntKey {
+                    cells: [a, b],
+                    len: 2,
+                },
+                msg,
+            ),
+            _ => self.push_generic(
+                |keys| keys.push_with(key.len(), |b| b.push_values(key)),
+                msg,
+            ),
+        }
     }
 
     /// Append the pair `(tuple.project(positions), msg)` without building
     /// the key: its cells go straight from the scanned row into the key
     /// arena and are hashed there — identical row, hash and bytes to
     /// [`push_pair`](Self::push_pair) of the projection.
+    #[inline]
     pub fn push_projected(&mut self, tuple: TupleView<'_>, positions: &[usize], msg: MsgRef<'_>) {
-        let slot = self.keys.push_view_projected(tuple, positions);
-        self.push_msg(slot, |msgs| msgs.push_ref(msg));
+        match IntKey::project(tuple, positions) {
+            Some(key) => self.push_int_key(key, msg),
+            None => self.push_generic(|keys| keys.push_view_projected(tuple, positions), msg),
+        }
     }
 
     /// Append the pair `(tuple, msg)`: the whole row as the key.
+    #[inline]
     pub(crate) fn push_view(&mut self, tuple: TupleView<'_>, msg: MsgRef<'_>) {
-        let slot = self.keys.push_view(tuple);
+        let whole = [0, 1].get(..tuple.arity());
+        match whole.and_then(|positions| IntKey::project(tuple, positions)) {
+            Some(key) => self.push_int_key(key, msg),
+            None => self.push_generic(|keys| keys.push_view(tuple), msg),
+        }
+    }
+
+    /// Append a key that is not an [`IntKey`] — `push_key` stores it and
+    /// returns its slot — hashed in place, then its message.
+    #[inline(never)]
+    fn push_generic(&mut self, push_key: impl FnOnce(&mut TupleStore) -> u32, msg: MsgRef<'_>) {
+        let slot = push_key(&mut self.keys);
         self.push_msg(slot, |msgs| msgs.push_ref(msg));
     }
 
+    /// Append an integer key copied from its cells, hashed from them
+    /// ([`hash_ints`], equal to [`key_hash`] of the stored row), then its
+    /// message.
+    #[inline(always)]
+    fn push_int_key(&mut self, key: IntKey, msg: MsgRef<'_>) {
+        let cells = &key.cells[..key.len];
+        self.keys.push_ints(cells);
+        let hash = forced_key_hash().unwrap_or_else(|| hash_ints(cells.iter().copied()));
+        self.hashes.push(hash);
+        self.bytes += INT_VALUE_BYTES * key.len as u64 + self.msgs.push_ref(msg);
+    }
+
     /// Hash the key just stored at `slot` in place, then append its
-    /// message (`push` writes it).
-    fn push_msg(&mut self, slot: u32, push: impl FnOnce(&mut MsgStore)) {
+    /// message (`push` writes it and returns its bytes).
+    fn push_msg(&mut self, slot: u32, push: impl FnOnce(&mut MsgStore) -> u64) {
         self.hashes.push(key_hash(self.keys.view(slot)));
-        push(&mut self.msgs);
-        self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);
+        self.bytes += self.keys.bytes(slot) + push(&mut self.msgs);
     }
 
     /// Copy row `row` of `src` into this batch — a columnar cell copy, no
@@ -811,7 +967,7 @@ impl PairBatch {
         let slot = self.keys.push_from(&src.keys, row as u32);
         self.hashes.push(src.hashes[row]);
         self.msgs.push_from(&src.msgs, row);
-        self.bytes += self.keys.bytes(slot) + self.msgs.bytes(slot as usize);
+        self.bytes += self.row_bytes(slot as usize);
     }
 
     /// Every row's key hash ([`hash_view`]), in row order.
@@ -841,6 +997,12 @@ impl PairBatch {
     /// reducers read [`msg_view`](Self::msg_view)).
     pub fn message(&self, row: usize) -> Message {
         self.msgs.view(row).to_message()
+    }
+
+    /// Whether rows `a` and `b` hold equal keys, decided on raw cells
+    /// under the batch's one dictionary ([`TupleStore::same`]).
+    pub(crate) fn same_key(&self, a: usize, b: usize) -> bool {
+        self.keys.same(a as u32, b as u32)
     }
 
     /// Estimated bytes of row `row`'s key (paper layout).
@@ -1329,24 +1491,21 @@ impl<'a> BatchPartition<'a> {
     /// index-sort the in-memory tail, and hand back the grouped stream
     /// plus this partition's spill statistics.
     pub fn into_groups(mut self) -> Result<(BatchGroupStream<'a>, SpillStats)> {
-        // Intermediate passes: merge the *oldest* runs into one (ties
-        // drain earlier runs first) until runs + tail fit the fan-in; the
-        // merged run holds the oldest data and stays first.
-        loop {
-            let take = merge_width(self.runs.len());
-            if take == 0 {
-                break;
-            }
+        // Intermediate passes: merge the cheapest window of adjacent runs
+        // into one, in its place (ties drain earlier runs first, so the
+        // runs stay slices of the emission order), until runs + tail fit
+        // the fan-in.
+        while let Some(window) = merge_window(&self.runs) {
             let _span = gumbo_obs::span_with("spill:merge", |f| {
                 f.str("job", self.spill.label());
                 f.u64("partition", self.partition as u64);
-                f.u64("fan_in", take as u64);
+                f.u64("fan_in", window.len() as u64);
             });
-            let oldest: Vec<Run> = self.runs.drain(..take).collect();
+            let merged: Vec<Run> = self.runs.drain(window.clone()).collect();
             let path = self.spill.run_path(self.partition, self.next_seq)?;
             self.next_seq += 1;
             let mut sink = RunSink::create(&path, &mut self.sink)?;
-            let mut merge = BatchMerge::open(self.outputs, &oldest, None)?;
+            let mut merge = BatchMerge::open(self.outputs, &merged, None)?;
             while merge.next_group(|batches, r| sink.push(batches, r))? {
                 // The sink reads the rows it holds when their frame fills,
                 // so a frame the merge has moved past is reused only once
@@ -1355,7 +1514,7 @@ impl<'a> BatchPartition<'a> {
             }
             let (frames, bytes) = sink.finish(merge.batches())?;
             self.runs.insert(
-                0,
+                window.start,
                 Run {
                     path,
                     frames,
@@ -1383,8 +1542,29 @@ impl<'a> BatchPartition<'a> {
     }
 }
 
-/// How many of the oldest of `runs` spilled runs the next intermediate
-/// merge pass rewrites: none once the runs plus the in-memory tail fit
+/// The adjacent runs the next intermediate merge pass rewrites:
+/// [`merge_width`] of them, the window with the fewest file bytes (the
+/// earliest of equal ones), so that a pass rewrites a run an earlier pass
+/// wrote only when no cheaper window is left. `None` once the runs plus
+/// the in-memory tail fit [`MERGE_FANIN`].
+fn merge_window(runs: &[Run]) -> Option<Range<usize>> {
+    let take = merge_width(runs.len());
+    if take == 0 {
+        return None;
+    }
+    let mut bytes: u64 = runs[..take].iter().map(|r| r.bytes).sum();
+    let (mut best, mut best_bytes) = (0, bytes);
+    for start in 1..=runs.len() - take {
+        bytes = bytes - runs[start - 1].bytes + runs[start + take - 1].bytes;
+        if bytes < best_bytes {
+            (best, best_bytes) = (start, bytes);
+        }
+    }
+    Some(best..best + take)
+}
+
+/// How many spilled runs of `runs` the next intermediate merge pass
+/// rewrites: none once the runs plus the in-memory tail fit
 /// [`MERGE_FANIN`], else just enough to make them fit, at most the fan-in.
 /// Only the last pass takes fewer than the fan-in, so the number of
 /// passes is that of always taking the fan-in.
@@ -2017,6 +2197,46 @@ mod tests {
             assert!(left < MERGE_FANIN, "{runs} runs");
             assert_eq!(passes, (runs - 1) / (MERGE_FANIN - 1), "{runs} runs");
         }
+    }
+
+    #[test]
+    fn merge_passes_rewrite_the_cheapest_adjacent_runs_once() {
+        // 31 flushed runs of one full frame each, plus a tail: two passes
+        // must shed 16 sources. Merging the oldest runs each time rewrites
+        // the first pass's output in the second (16 + 17 runs' rows); the
+        // cheapest adjacent window rewrites 18 runs' rows, none twice.
+        let pairs: Vec<(Tuple, Message)> = (0..31 * ROWS_PER_FRAME + 100)
+            .map(|i| {
+                let key = Tuple::from_ints(&[(i * 7919 % 5000) as i64]);
+                (key, Message::Tag { rel: i as u32 })
+            })
+            .collect();
+        let mut batch = PairBatch::new();
+        for (k, v) in &pairs {
+            batch.push_pair(k, v);
+        }
+        let outputs = [batch];
+        let budget = MemoryBudget::new(MemBudget::UNLIMITED);
+        let spill = ShuffleSpill::new("merge-window-test");
+        let mut part = BatchPartition::new(0, &budget, &spill, &outputs, 1);
+        let rows: Vec<u32> = (0..pairs.len() as u32).collect();
+        for run in rows.chunks(ROWS_PER_FRAME) {
+            part.push_rows(0, run).unwrap();
+            if run.len() == ROWS_PER_FRAME {
+                part.flush().unwrap();
+            }
+        }
+        assert_eq!(part.runs.len(), 31);
+        assert!(part.runs.iter().all(|r| r.bytes == part.runs[0].bytes));
+        let (stream, stats) = part.into_groups().unwrap();
+        assert_eq!((stats.merge_passes, stats.spill_files), (2, 33));
+        // The first pass's 16-frame run survives the second pass, which
+        // merges the next two flushed runs.
+        let frames: Vec<u64> = stream._runs.iter().map(|r| r.frames).collect();
+        let mut expected = vec![16, 2];
+        expected.resize(15, 1);
+        assert_eq!(frames, expected);
+        assert_eq!(drain(stream), group_reference(&pairs));
     }
 
     fn msg_shapes() -> Vec<Message> {

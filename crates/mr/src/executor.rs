@@ -18,9 +18,14 @@
 //! 1. **map** — the job's map tasks (splits fixed at plan time) are
 //!    pulled off a shared counter by the workers, each filling one
 //!    columnar [`PairBatch`] that hashes every emitted key exactly once
-//!    ([`crate::hash::hash_view`]) into its hash column; the §5.1 (1)
-//!    packing count is one pass over a hash table of row ids keyed by
-//!    those hashes;
+//!    ([`crate::hash::hash_view`]) into its hash column. The batch is
+//!    sized before the first pair for the pairs each tuple of the input is
+//!    certain to emit ([`Mapper::certain_pairs`](crate::Mapper::certain_pairs)),
+//!    and an integer key of at most two cells is copied and hashed
+//!    straight from the scanned row's cells
+//!    ([`crate::hash::hash_ints`]); the §5.1 (1) packing count is one
+//!    pass over a hash table of row ids keyed by those hashes, each hit
+//!    confirmed on raw cells;
 //! 2. **shuffle** — workers counting-sort contiguous groups of map tasks
 //!    by reducer, on the same hashes, into per-reducer lists of (task,
 //!    row) handles;
@@ -704,7 +709,8 @@ pub(crate) struct MapTaskOutput {
 /// relation's canonical order (the guard-reference ids of §5.1 (2)),
 /// pinned by the split's offset whichever frames back the visit. The
 /// mapper writes its pairs straight into one [`PairBatch`] (which hashes
-/// every emitted key once); then bytes/records are accounted, charging
+/// every emitted key once), sized first for the pairs every tuple of the
+/// input is certain to emit; then bytes/records are accounted, charging
 /// key bytes once per distinct key within the task when packing is
 /// enabled (§5.1 (1)) — one pass over a hash table of row ids
 /// ([`packed_counts`]), no sort.
@@ -718,7 +724,7 @@ pub(crate) fn run_map_task(
         f.str("job", &job.name);
         f.u64("facts", split.len() as u64);
     });
-    let mut batch = PairBatch::new();
+    let mut batch = PairBatch::with_capacity(split.len(), job.mapper.certain_pairs(input));
     let mut out = Emitter::new(&mut batch);
     let mut index = split.start as u64;
     scan.for_each(split, &mut |tuple| {
@@ -742,8 +748,9 @@ pub(crate) fn run_map_task(
 /// (§5.1 (1)): every message's bytes, plus each *distinct* key's bytes
 /// once; one record per distinct key. `key_hashes[row]` is any hash of row
 /// `row`'s key — it only steers the probe sequence of an open-addressing
-/// table of row ids; a hit is confirmed by comparing the keys themselves,
-/// so colliding hashes cost probes, never a miscount.
+/// table of row ids; a hit is confirmed by comparing the keys themselves
+/// on raw cells (the batch's key store codes each string once), so
+/// colliding hashes cost probes, never a miscount.
 pub(crate) fn packed_counts(batch: &PairBatch, key_hashes: &[u64]) -> (u64, u64) {
     const EMPTY: u32 = u32::MAX;
     debug_assert_eq!(key_hashes.len(), batch.len());
@@ -763,7 +770,7 @@ pub(crate) fn packed_counts(batch: &PairBatch, key_hashes: &[u64]) -> (u64, u64)
                 break;
             }
             let seen = seen as usize;
-            if key_hashes[seen] == hash && batch.key_view(seen) == batch.key_view(row) {
+            if key_hashes[seen] == hash && batch.same_key(seen, row) {
                 repeated_key_bytes += batch.key_bytes(row);
                 break;
             }

@@ -25,6 +25,19 @@ use crate::message::{MsgRef, PayloadView};
 pub trait Mapper: Send + Sync {
     /// Process one input tuple, emitting key-value pairs into `out`.
     fn map(&self, input: usize, tuple: TupleView<'_>, index: u64, out: &mut Emitter<'_>);
+
+    /// The pairs [`map`](Self::map) emits for *every* tuple of input
+    /// `input`, whatever its values, given as one key arity per pair. It
+    /// is a lower bound: a pair emitted only for some tuples (a guard with
+    /// a constant or a repeated variable) is left out. A map task reserves
+    /// its columns for this many pairs per tuple of its split
+    /// ([`PairBatch::with_capacity`]), so the bound never reserves room
+    /// that goes unused; a mapper that emits more grows its columns as it
+    /// goes. The default, no pair, reserves nothing.
+    fn certain_pairs(&self, input: usize) -> &[usize] {
+        let _ = input;
+        &[]
+    }
 }
 
 /// Where a mapper's pairs land: the map task's [`PairBatch`]. Every key
@@ -43,17 +56,20 @@ impl<'a> Emitter<'a> {
 
     /// Emit `⟨π_positions(tuple) : msg⟩` — the paper's projected key
     /// (Algorithm 1).
+    #[inline]
     pub fn project(&mut self, tuple: TupleView<'_>, positions: &[usize], msg: MsgRef<'_>) {
         self.batch.push_projected(tuple, positions, msg);
     }
 
     /// Emit `⟨tuple : msg⟩`: the whole row as the key.
+    #[inline]
     pub fn tuple(&mut self, tuple: TupleView<'_>, msg: MsgRef<'_>) {
         self.batch.push_view(tuple, msg);
     }
 
     /// Emit `⟨key : msg⟩` for a key that is not a projection of the row:
     /// a stack array of integers (EVAL's `(j, id)`).
+    #[inline]
     pub fn key(&mut self, key: &[Value], msg: MsgRef<'_>) {
         self.batch.push_values(key, msg);
     }

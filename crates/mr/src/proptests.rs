@@ -108,6 +108,18 @@ proptest! {
         prop_assert_eq!(packed_counts(&batch, batch.hashes()), expected);
         prop_assert_eq!(packed_counts(&batch, &vec![7; batch.len()]), expected, "all probes collide");
         prop_assert_eq!(packed_counts(&PairBatch::new(), &[]), (0, 0), "empty batch");
+        // The same draws as integer keys of up to two cells, emitted as a
+        // mapper emits them: copied from their cells and hashed there.
+        let mut ints = PairBatch::new();
+        let mut out = Emitter::new(&mut ints);
+        for (seq, &(k, arity, _)) in keys.iter().enumerate() {
+            let key: Vec<gumbo_common::Value> =
+                (0..arity).map(|i| gumbo_common::Value::Int(k + i as i64)).collect();
+            out.key(&key, MsgRef::Assert { cond: seq as u32 });
+        }
+        let expected = packed_counts_by_sorting(&ints);
+        prop_assert_eq!(packed_counts(&ints, ints.hashes()), expected);
+        prop_assert_eq!(packed_counts(&ints, &vec![7; ints.len()]), expected, "integer keys, all probes collide");
     }
 
     /// The emitter's in-place keys and messages are the ones the mapper
@@ -115,8 +127,14 @@ proptest! {
     /// m)`, a whole-row or by-values key equals `push_pair(&t, m)`, and
     /// every borrowed message shape equals its owned `Message` — key view,
     /// hash, row bytes, message and `to_pairs`. Tuples mix ints and
-    /// strings (one dictionary shared across rows); positions repeat and
-    /// may be empty (the nullary key).
+    /// strings (one dictionary shared across rows), or hold integers only;
+    /// positions repeat and may be empty (the nullary key) or name three
+    /// cells. Integer keys of up to two cells are copied and hashed from
+    /// their cells, every other key takes the generic path, so both sides
+    /// of that boundary are compared here: integer rows read from a source
+    /// batch that held strings before a `clear()` (its columns keep their
+    /// tags, its dictionary is empty), keys that mix string and integer
+    /// positions, 3-cell integer keys, and payload rows of either kind.
     #[test]
     fn emitted_keys_equal_pushed_owned_keys(
         rows in proptest::collection::vec(
@@ -124,17 +142,18 @@ proptest! {
                 proptest::collection::vec((0i64..5, any::<bool>()), 0usize..5),
                 proptest::collection::vec(0usize..5, 0usize..4),
                 any::<bool>(),
+                (any::<bool>(), any::<bool>()),
             ),
             0usize..60,
         ),
     ) {
         let mut emitted = PairBatch::new();
         let mut pushed = PairBatch::new();
-        for (seq, (cells, positions, projected)) in rows.iter().enumerate() {
+        for (seq, (cells, positions, projected, (ints_only, reused))) in rows.iter().enumerate() {
             let tuple: Tuple = cells
                 .iter()
                 .map(|&(v, string)| {
-                    if string {
+                    if string && !ints_only {
                         gumbo_common::Value::str(format!("s{v}"))
                     } else {
                         gumbo_common::Value::Int(v)
@@ -151,6 +170,11 @@ proptest! {
             // The scanned row the mapper reads, and every message shape
             // next to the owned message it stands for.
             let mut row = gumbo_common::TupleBatch::new(tuple.arity());
+            if *reused {
+                // A string in every column, then cleared: tags stay.
+                row.push_tuple(&(0..tuple.arity()).map(|_| gumbo_common::Value::str("old")).collect());
+                row.clear();
+            }
             row.push_tuple(&tuple);
             let view = row.view(0);
             let cond = seq as u32;

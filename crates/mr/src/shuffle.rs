@@ -31,7 +31,7 @@ use gumbo_storage::SpillDir;
 
 /// How many sources (runs + the in-memory tail) a single streaming merge
 /// may read at once. With more runs than this, intermediate merge passes
-/// first collapse the oldest runs into one.
+/// first collapse windows of adjacent runs, the cheapest first, into one.
 pub const MERGE_FANIN: usize = 16;
 
 /// Charging granule for *unlimited* budgets: with no cap to enforce, the

@@ -132,10 +132,18 @@ impl Atom {
     }
 
     /// [`Atom::conforms_tuple`] for a row read in place: the same test on
-    /// a [`TupleView`], with no tuple built.
+    /// a [`TupleView`], with no tuple built. An unconstrained atom reads
+    /// no value.
+    #[inline]
     pub fn conforms_view(&self, tuple: TupleView<'_>) -> bool {
         tuple.arity() == self.terms.len()
-            && (self.constants.iter()).all(|(i, c)| tuple.value(*i) == ValueRef::from(c))
+            && (self.is_unconstrained() || self.constraints_hold(tuple))
+    }
+
+    /// Conditions (1) and (2) of [`Atom::conforms_tuple`] on a row of the
+    /// atom's arity.
+    fn constraints_hold(&self, tuple: TupleView<'_>) -> bool {
+        (self.constants.iter()).all(|(i, c)| tuple.value(*i) == ValueRef::from(c))
             && (self.equalities.iter()).all(|&(i, j)| tuple.value(i) == tuple.value(j))
     }
 
@@ -143,6 +151,7 @@ impl Atom {
     /// pairwise distinct variables, so neither condition of
     /// [`Atom::conforms_tuple`] can fail. The planner uses this to know a
     /// conformance rate exactly (1.0) without looking at a single value.
+    #[inline]
     pub fn is_unconstrained(&self) -> bool {
         self.constants.is_empty() && self.equalities.is_empty()
     }

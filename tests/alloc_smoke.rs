@@ -324,8 +324,10 @@ fn job_allocations_per_input_fact_stay_under_the_ceiling() {
 /// The map side alone allocates only to grow its batch's columns: one
 /// MSJ map task over A1's guard relation — four requests per guard fact,
 /// keys projected in place, reference payloads — allocates the same
-/// handful of times whether it emits 1 000 pairs or 8 000. An owned key
-/// `Tuple` per pair would add 7 000.
+/// handful of times whether it emits 1 000 pairs or 8 000: its batch is
+/// presized for the pairs every guard fact emits, as a map task presizes
+/// it, so its columns never grow. An owned key `Tuple` per pair would add
+/// 7 000, and growing columns one doubling each.
 #[test]
 fn a_map_task_allocates_only_to_grow_its_columns() {
     let workload = queries::a1().with_tuples(2000);
@@ -339,9 +341,15 @@ fn a_map_task_allocates_only_to_grow_its_columns() {
     );
     let scan = dfs.scan(&msj.inputs[0]).unwrap();
     assert_eq!(scan.len(), 2000, "A1's guard relation");
+    assert_eq!(
+        msj.mapper.certain_pairs(0),
+        [1, 1, 1, 1],
+        "four 1-cell keys"
+    );
     let map_task = |facts: usize| {
         let mut batch = PairBatch::new();
         let (allocations, ()) = count_allocations(|| {
+            batch = PairBatch::with_capacity(facts, msj.mapper.certain_pairs(0));
             let mut out = Emitter::new(&mut batch);
             let mut index = 0;
             scan.for_each(0..facts, &mut |tuple| {
@@ -355,12 +363,11 @@ fn a_map_task_allocates_only_to_grow_its_columns() {
     let (small, small_pairs) = map_task(250);
     let (full, pairs) = map_task(2000);
     assert!(small_pairs > 0 && pairs >= 8 * small_pairs);
-    // Measured: 29 allocations for 1 000 pairs, 38 for 8 000 — the 9
-    // more are three doublings of each of the batch's three growing
-    // columns (key cells, hashes, and the message slots); the bound
-    // allows three doublings of eight.
+    // Measured: 5 allocations for 1 000 pairs and for 8 000 — the key
+    // store's batch list and columns, the key cells, the hashes and the
+    // message slots, each sized once.
     assert!(
-        full <= small + 3 * 8,
+        full <= small + 2,
         "{full} allocations for {pairs} pairs vs {small} for {small_pairs}: \
          the map task allocates per pair"
     );
