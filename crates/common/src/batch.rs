@@ -704,7 +704,8 @@ impl TupleBatch {
         self.bytes = 0;
     }
 
-    /// Append the batch's wire encoding to `out`.
+    /// Append the batch's wire encoding to `out`: its bytes are a function
+    /// of its rows alone.
     ///
     /// Layout (all integers little-endian):
     ///
@@ -713,15 +714,17 @@ impl TupleBatch {
     /// [dict_len u32] dict_len × ( [len u32] [utf-8 bytes] )
     /// arity × ( [has_tags u8] rows × [cell i64] { rows × [tag u8] if has_tags } )
     /// ```
+    ///
+    /// The dictionary holds the strings the rows use, in first-seen order
+    /// (row by row, left to right); a column carries tags only if it holds
+    /// a string.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         self.encode_range_into(0..self.rows, out)
     }
 
     /// Append the wire encoding of rows `range` alone — what
     /// [`encode_into`](Self::encode_into) writes for a batch of just those
-    /// rows. An all-integer batch writes the cell slices directly; one with
-    /// strings re-interns the range's rows into a dictionary of their own
-    /// first, so a frame carries only the strings it uses.
+    /// rows ([`encode_views_into`](Self::encode_views_into) of their views).
     ///
     /// # Panics
     /// If `range` is out of bounds.
@@ -734,62 +737,28 @@ impl TupleBatch {
             range.start <= range.end && range.end <= self.rows,
             "range out of bounds"
         );
-        let whole = range.start == 0 && range.end == self.rows;
-        if !self.dict.is_empty() && !whole {
-            let mut slice = TupleBatch::new(self.arity);
-            for row in range {
-                slice.push_row(self, row);
-            }
-            return slice.encode_into(out);
-        }
-        let rows = u32::try_from(range.len())
-            .map_err(|_| GumboError::Storage("columnar frame exceeds 2^32 rows".into()))?;
-        out.extend_from_slice(&(self.arity as u32).to_le_bytes());
-        out.extend_from_slice(&rows.to_le_bytes());
-        out.extend_from_slice(&(self.dict.len() as u32).to_le_bytes());
-        for s in &self.dict.strings {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        for col in &self.cols {
-            // A range of an all-integer batch writes no tags, whatever a
-            // cleared batch may still hold.
-            let tags = col.tags.as_ref().filter(|_| whole);
-            out.push(u8::from(tags.is_some()));
-            for cell in &col.cells[range.clone()] {
-                out.extend_from_slice(&cell.to_le_bytes());
-            }
-            if let Some(tags) = tags {
-                out.extend_from_slice(tags);
-            }
-        }
-        Ok(())
+        let rows = range.map(|row| self.view(row));
+        let strings = !self.dict.is_empty();
+        Self::encode_views_into(self.arity, rows, strings, &mut StringDict::default(), out)
     }
 
-    /// Append what [`encode_into`](Self::encode_into) writes for the batch
-    /// of `arity` that [`push_view`](Self::push_view) of every view in
-    /// `rows`, in order, builds in a cleared batch — without building it:
-    /// each column's cells are gathered straight from the views' batches
-    /// into `out`.
+    /// Append what [`encode_into`](Self::encode_into) writes for a batch of
+    /// `arity` holding the rows the views read, in order — without building
+    /// it: each column's cells are gathered straight from the views'
+    /// batches into `out`, and a column that met a string gets its header
+    /// patched and its tags appended. This is the one writer of the layout.
     ///
-    /// A column keeps its type tags through [`clear`](Self::clear) once a
-    /// string has reached it, so a batch reused frame after frame tags a
-    /// column whenever an earlier frame put a string there. `tagged[c]`
-    /// stands for that history of column `c`: it is read, and set when
-    /// `rows` bring column `c` a string. `dict` is scratch for the frame's
-    /// dictionary (codes in first-seen order, as interning gives them).
-    /// `strings: false` promises that no view's batch holds a string (its
-    /// dictionary is empty), which skips the pass that builds the
-    /// dictionary.
+    /// `dict` is scratch for the frame's dictionary. `strings: false`
+    /// promises that no view's batch holds a string (its dictionary is
+    /// empty), which skips the pass that builds the dictionary.
     ///
     /// # Panics
-    /// If a view's arity differs from `arity`, `tagged` has fewer than
-    /// `arity` entries, or `strings` is false and a view reads a string.
+    /// If a view's arity differs from `arity`, or `strings` is false and a
+    /// view reads a string.
     pub fn encode_views_into<'v>(
         arity: usize,
         rows: impl Iterator<Item = TupleView<'v>> + Clone,
         strings: bool,
-        tagged: &mut [bool],
         dict: &mut StringDict,
         out: &mut Vec<u8>,
     ) -> Result<()> {
@@ -803,10 +772,9 @@ impl TupleBatch {
                     if view.batch.dict.is_empty() {
                         continue;
                     }
-                    for (c, col) in view.batch.cols.iter().enumerate() {
+                    for col in &view.batch.cols {
                         if col.tag(view.row) == TAG_STR {
                             dict.intern(view.batch.dict.get(col.cells[view.row] as u32));
-                            tagged[c] = true;
                         }
                     }
                 }
@@ -824,10 +792,12 @@ impl TupleBatch {
         }
         let len = len as usize;
         out.reserve(arity * (len * 9 + 1));
-        for (c, &tagged) in tagged[..arity].iter().enumerate() {
-            out.push(u8::from(tagged));
+        for c in 0..arity {
+            let header = out.len();
+            out.push(0);
             let start = out.len();
             out.resize(start + 8 * len, 0);
+            let mut tagged = false;
             for (bytes, view) in out[start..].chunks_exact_mut(8).zip(rows.clone()) {
                 assert_eq!(view.batch.arity, arity, "batch arity mismatch");
                 let col = &view.batch.cols[c];
@@ -836,12 +806,14 @@ impl TupleBatch {
                     TAG_INT => cell,
                     _ => {
                         assert!(strings, "a string where none was promised");
+                        tagged = true;
                         i64::from(dict.intern(view.batch.dict.get(cell as u32)))
                     }
                 };
                 bytes.copy_from_slice(&cell.to_le_bytes());
             }
             if tagged {
+                out[header] = 1;
                 out.extend(rows.clone().map(|view| view.batch.cols[c].tag(view.row)));
             }
         }
@@ -973,12 +945,16 @@ fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(b)
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
+/// Read a little-endian `u32` of a columnar frame at `*pos`, advancing
+/// past it; a frame that ends first is "truncated".
+pub fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
     let bytes = read_bytes(buf, pos, 4)?;
     Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
 }
 
-fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
+/// Read `len` bytes of a columnar frame at `*pos`, advancing past them; a
+/// frame that ends first is "truncated".
+pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
     let end = pos
         .checked_add(len)
         .filter(|&e| e <= buf.len())

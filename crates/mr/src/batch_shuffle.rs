@@ -34,8 +34,12 @@
 //!   flush frees handles, while the map outputs stay where they are. Each
 //!   frame is gathered column by column straight from the rows where they
 //!   sit into one reused frame buffer, header room first, and goes to the
-//!   file in one write; no row is staged in a batch of its own. The
-//!   partition records each run's frame count and file bytes, and the
+//!   file in one write; no row is copied into a batch of its own. A
+//!   frame's bytes are a function of its rows alone
+//!   ([`PairBatch::encode_into`] of a batch holding them writes the same
+//!   bytes): a column carries type tags only if the frame puts a string
+//!   in it, and key locators appear only if the frame mixes key arities.
+//!   The partition records each run's frame count and file bytes, and the
 //!   merge refuses a run file that no longer matches them;
 //! * [`BatchGroupStream`] — the k-way merge of the spill runs' decoded
 //!   frames plus the sorted in-memory tail of handles. Each run source
@@ -68,6 +72,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::Path;
 
+use gumbo_common::batch::{read_bytes, read_u32};
 use gumbo_common::value::INT_VALUE_BYTES;
 use gumbo_common::{GumboError, Result, StringDict, Tuple, TupleBatch, TupleView, Value, ValueRef};
 use gumbo_storage::{RunReader, RunWriter};
@@ -249,17 +254,6 @@ impl TupleStore {
         self.by_arity[arity].reserve(rows);
     }
 
-    /// Copy slot `slot` of `src` into this store (columnar row copy, no
-    /// `Tuple` materialized); returns the new slot.
-    #[cfg(test)]
-    pub(crate) fn push_from(&mut self, src: &TupleStore, slot: u32) -> u32 {
-        let loc = src.loc(slot);
-        let src_batch = &src.by_arity[loc.arity as usize];
-        self.push_with(loc.arity as usize, |batch| {
-            batch.push_row(src_batch, loc.row as usize)
-        })
-    }
-
     /// Zero-copy view of slot `slot`.
     #[inline]
     pub fn view(&self, slot: u32) -> TupleView<'_> {
@@ -335,34 +329,10 @@ impl TupleStore {
         self.len = 0;
     }
 
-    /// Layout: `[batches u32] batches × TupleBatch [len u32]` then either
-    /// `[0u8] [arity u32]` (one arity) or `[1u8] len × ([arity u32] [row
-    /// u32])`.
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        out.extend_from_slice(&(self.by_arity.len() as u32).to_le_bytes());
-        for batch in &self.by_arity {
-            batch.encode_into(out)?;
-        }
-        out.extend_from_slice(&self.len.to_le_bytes());
-        match &self.locs {
-            None => {
-                out.push(0);
-                out.extend_from_slice(&self.arity.to_le_bytes());
-            }
-            Some(locs) => {
-                out.push(1);
-                for loc in locs {
-                    out.extend_from_slice(&loc.arity.to_le_bytes());
-                    out.extend_from_slice(&loc.row.to_le_bytes());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode a store written by [`encode_into`](Self::encode_into) into
-    /// this one, reusing its batches' arenas; nothing of the old content
-    /// survives.
+    /// Decode a store written by [`encode_store`] into this one, reusing
+    /// its batches' arenas; nothing of the old content survives. Frames
+    /// of older builds, which could list an empty batch past the largest
+    /// arity or locators for one arity, decode too.
     fn decode_into(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         // Counts come from the frame: every batch reads at least its
         // 12-byte header and a locator is 8 bytes, so a corrupt count runs
@@ -380,7 +350,7 @@ impl TupleStore {
         let rows_of = |arity: u32| by_arity.get(arity as usize).map_or(0, TupleBatch::len);
         let out_of_range =
             || GumboError::Storage("corrupt columnar frame: tuple locator out of range".into());
-        match read_slice(buf, pos, 1)?[0] {
+        match read_bytes(buf, pos, 1)?[0] {
             0 => {
                 let arity = read_u32(buf, pos)?;
                 if len as usize > rows_of(arity) {
@@ -414,21 +384,6 @@ impl TupleStore {
     }
 }
 
-/// What a [`TupleStore`] that is cleared between frames carries from one
-/// frame into the next — the part of its encoding that depends on the
-/// frames before, not on the rows of this one.
-#[derive(Debug, Default)]
-struct StoreShape {
-    /// One entry per per-arity batch the store holds (the batch index is
-    /// the arity): whether each column of that batch has held a string,
-    /// which keeps its tags through clears.
-    tagged: Vec<Vec<bool>>,
-    /// Whether the store has held two arities: it keeps locators then.
-    mixed: bool,
-    /// The arity of the last tuple pushed while unmixed.
-    arity: u32,
-}
-
 /// One tuple of a frame being gathered: row `row` of the arity-`arity`
 /// batch of a [`TupleStore`] — the keys or the payloads, the caller knows
 /// which — of the [`PairBatch`] that [`Batches::pair`] resolves `batch` to.
@@ -439,74 +394,71 @@ struct Gathered {
     row: u32,
 }
 
-impl StoreShape {
-    /// Append what [`TupleStore::encode_into`] writes for a store of this
-    /// shape that is cleared and then gets `rows` pushed in order
-    /// (`TupleStore::push_from`), reading each row where `view` finds it;
-    /// then take on the shape that store would have.
-    /// `strings: false` promises that no row holds a string.
-    fn encode_into<'v>(
-        &mut self,
-        rows: &[Gathered],
-        view: impl Fn(Gathered) -> TupleView<'v> + Copy,
-        strings: bool,
-        scratch: &mut Scratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        // The one arity every row has, if they share one.
-        let mut single = None;
-        if let Some(first) = rows.first() {
-            let (min, max) = (rows.iter()).fold((first.arity, first.arity), |(lo, hi), g| {
-                (lo.min(g.arity), hi.max(g.arity))
-            });
-            if min == max {
-                single = Some(min as usize);
+/// Append the encoding of a [`TupleStore`] holding `rows`, in order, each
+/// read where `view` finds it; [`TupleStore::decode_into`] reads it back.
+/// `strings: false` promises that no row holds a string. The bytes are a
+/// function of the rows alone:
+///
+/// ```text
+/// [batches u32] batches × TupleBatch [len u32]
+/// then [0u8] [arity u32]                    if every tuple has that arity
+///   or [1u8] len × ([arity u32] [row u32])  if the tuples mix arities
+/// ```
+///
+/// with one batch per arity up to the largest among `rows` — the batch
+/// index is the arity — holding that arity's tuples in order, and a
+/// locator per tuple only when the arities mix. No rows: `[0u32] [0u32]
+/// [0u8] [0u32]`.
+fn encode_store<'v>(
+    rows: &[Gathered],
+    view: impl Fn(Gathered) -> TupleView<'v> + Copy,
+    strings: bool,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let bounds = (rows.iter()).fold(None, |bounds, g| {
+        let (lo, hi) = bounds.unwrap_or((g.arity, g.arity));
+        Some((g.arity.min(lo), g.arity.max(hi)))
+    });
+    // The batch count, and the one arity every row has if they share one.
+    let (batches, single) = match bounds {
+        None => (0, Some(0)),
+        Some((lo, hi)) => (hi + 1, (lo == hi).then_some(lo)),
+    };
+    out.extend_from_slice(&batches.to_le_bytes());
+    let dict = &mut scratch.dict;
+    for arity in 0..batches {
+        let a = arity as usize;
+        match single {
+            Some(only) if only == arity => {
+                let all = rows.iter().map(move |&g| view(g));
+                TupleBatch::encode_views_into(a, all, strings, dict, out)?;
             }
-            self.mixed |= single.is_none();
-            if !self.mixed {
-                self.arity = first.arity;
-            }
-            while self.tagged.len() <= max as usize {
-                self.tagged.push(vec![false; self.tagged.len()]);
-            }
-        }
-        out.extend_from_slice(&(self.tagged.len() as u32).to_le_bytes());
-        let dict = &mut scratch.dict;
-        for (arity, tagged) in self.tagged.iter_mut().enumerate() {
-            match single {
-                Some(only) if only == arity => {
-                    let all = rows.iter().map(move |&g| view(g));
-                    TupleBatch::encode_views_into(arity, all, strings, tagged, dict, out)?;
-                }
-                Some(_) => {
-                    let none = [].into_iter();
-                    TupleBatch::encode_views_into(arity, none, false, tagged, dict, out)?;
-                }
-                None => {
-                    let of_arity = rows.iter().filter(move |g| g.arity as usize == arity);
-                    let of_arity = of_arity.map(move |&g| view(g));
-                    TupleBatch::encode_views_into(arity, of_arity, strings, tagged, dict, out)?;
-                }
+            Some(_) => TupleBatch::encode_views_into(a, [].into_iter(), false, dict, out)?,
+            None => {
+                let of_arity = rows.iter().filter(move |g| g.arity == arity);
+                let of_arity = of_arity.map(move |&g| view(g));
+                TupleBatch::encode_views_into(a, of_arity, strings, dict, out)?;
             }
         }
-        out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-        if !self.mixed {
-            out.push(0);
-            out.extend_from_slice(&self.arity.to_le_bytes());
-            return Ok(());
-        }
-        out.push(1);
-        let counts = &mut scratch.counts;
-        counts.clear();
-        counts.resize(self.tagged.len(), 0);
-        for g in rows {
-            let row = &mut counts[g.arity as usize];
-            out.extend_from_slice(&g.arity.to_le_bytes());
-            out.extend_from_slice(&row.to_le_bytes());
-            *row += 1;
-        }
-        Ok(())
     }
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    if let Some(arity) = single {
+        out.push(0);
+        out.extend_from_slice(&arity.to_le_bytes());
+        return Ok(());
+    }
+    out.push(1);
+    let counts = &mut scratch.counts;
+    counts.clear();
+    counts.resize(batches as usize, 0);
+    for g in rows {
+        let row = &mut counts[g.arity as usize];
+        out.extend_from_slice(&g.arity.to_le_bytes());
+        out.extend_from_slice(&row.to_le_bytes());
+        *row += 1;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -615,15 +567,6 @@ impl MsgStore {
         self.slot_bytes(slot)
     }
 
-    #[cfg(test)]
-    fn push_from(&mut self, src: &MsgStore, row: usize) {
-        let mut slot = src.slots[row];
-        if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
-            slot.aux = self.tuples.push_from(&src.tuples, slot.aux);
-        }
-        self.slots.push(slot);
-    }
-
     /// Zero-copy view of message `row`: payload tuples are views into
     /// the payload arena.
     #[inline]
@@ -672,20 +615,14 @@ impl MsgStore {
         self.tuples.clear();
     }
 
-    /// Layout: the [`encode_slots`] columns, then the payload
-    /// [`TupleStore`].
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        encode_slots(&self.slots, out);
-        self.tuples.encode_into(out)
-    }
-
-    /// Decode a store written by [`encode_into`](Self::encode_into) into
-    /// this one, reusing its arenas.
+    /// Decode a message store into this one, reusing its arenas. Layout:
+    /// the [`encode_slots`] columns, then the payload [`TupleStore`]
+    /// ([`encode_store`]).
     fn decode_into(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let rows = read_u32(buf, pos)? as usize;
-        let kinds = read_slice(buf, pos, rows)?;
-        let small = read_slice(buf, pos, rows.saturating_mul(4))?;
-        let aux = read_slice(buf, pos, rows.saturating_mul(4))?;
+        let kinds = read_bytes(buf, pos, rows)?;
+        let small = read_bytes(buf, pos, rows.saturating_mul(4))?;
+        let aux = read_bytes(buf, pos, rows.saturating_mul(4))?;
         let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
         self.slots.clear();
         self.slots.extend(
@@ -700,10 +637,10 @@ impl MsgStore {
                 kind,
             }),
         );
-        match read_slice(buf, pos, 1)?[0] {
+        match read_bytes(buf, pos, 1)?[0] {
             0 => {}
             1 => {
-                let wide = read_slice(buf, pos, rows.saturating_mul(8))?;
+                let wide = read_bytes(buf, pos, rows.saturating_mul(8))?;
                 for (slot, w) in self.slots.iter_mut().zip(wide.chunks_exact(8)) {
                     slot.wide = u64::from_le_bytes(w.try_into().expect("8 bytes"));
                 }
@@ -760,22 +697,6 @@ fn encode_slots(slots: &[MsgSlot], out: &mut Vec<u8>) {
     if has_wide {
         column(out, slots, |slot| slot.wide.to_le_bytes());
     }
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(
-        read_slice(buf, pos, 4)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn read_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| GumboError::Storage("truncated columnar frame".into()))?;
-    let out = &buf[*pos..end];
-    *pos = end;
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -960,16 +881,6 @@ impl PairBatch {
         self.bytes += self.keys.bytes(slot) + push(&mut self.msgs);
     }
 
-    /// Copy row `row` of `src` into this batch — a columnar cell copy, no
-    /// owned `Tuple` or `Message` in between, and no re-hash.
-    #[cfg(test)]
-    pub(crate) fn push_row(&mut self, src: &PairBatch, row: usize) {
-        let slot = self.keys.push_from(&src.keys, row as u32);
-        self.hashes.push(src.hashes[row]);
-        self.msgs.push_from(&src.msgs, row);
-        self.bytes += self.row_bytes(slot as usize);
-    }
-
     /// Every row's key hash ([`hash_view`]), in row order.
     pub fn hashes(&self) -> &[u64] {
         &self.hashes
@@ -1043,10 +954,15 @@ impl PairBatch {
     }
 
     /// Append the batch's wire encoding (a columnar spill frame body):
-    /// keys, then messages; the key hashes are not stored.
+    /// keys, then messages; the key hashes are not stored. The bytes are a
+    /// function of the rows alone, those of a run frame holding the same
+    /// pairs.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        self.keys.encode_into(out)?;
-        self.msgs.encode_into(out)
+        let rows: Vec<RowRef> = (0..self.len() as u32)
+            .map(|row| RowRef { batch: 0, row })
+            .collect();
+        let batches = Batches::of(std::slice::from_ref(self));
+        SinkBuffers::default().encode(batches, &rows, out)
     }
 
     /// Decode one frame body produced by [`encode_into`](Self::encode_into),
@@ -1594,16 +1510,56 @@ struct SinkBuffers {
     frame: Vec<u8>,
     /// Rows pushed since the last frame was written, in push order.
     pending: Vec<RowRef>,
-    /// Where each pending row's key and payload tuple live, and each
-    /// row's message slot with its payload renumbered into the frame.
+    /// Where each frame row's key and payload tuple live, and each row's
+    /// message slot with its payload renumbered into the frame.
     keys: Vec<Gathered>,
     payloads: Vec<Gathered>,
     slots: Vec<MsgSlot>,
     scratch: Scratch,
-    /// Whether any map output holds a string in its keys, and in its
-    /// payloads — found at the first frame; a run frame holds only rows
-    /// of the map outputs, so it holds a string only if they do.
-    strings: Option<(bool, bool)>,
+}
+
+impl SinkBuffers {
+    /// Append the frame body of `rows`, in order: the keys' [`TupleStore`]
+    /// ([`encode_store`]), the message slots ([`encode_slots`]) and the
+    /// payloads' store, each gathered column by column straight from the
+    /// rows where they sit. The bytes are a function of the rows alone.
+    fn encode(&mut self, batches: Batches<'_>, rows: &[RowRef], out: &mut Vec<u8>) -> Result<()> {
+        self.keys.clear();
+        self.payloads.clear();
+        self.slots.clear();
+        for &r in rows {
+            let pair = batches.get(r);
+            let at = |loc: Loc| Gathered {
+                batch: r.batch,
+                arity: loc.arity,
+                row: loc.row,
+            };
+            self.keys.push(at(pair.keys.loc(r.row)));
+            let mut slot = pair.msgs.slots[r.row as usize];
+            if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
+                self.payloads.push(at(pair.msgs.tuples.loc(slot.aux)));
+                slot.aux = (self.payloads.len() - 1) as u32;
+            }
+            self.slots.push(slot);
+        }
+        let key = move |g: Gathered| {
+            (batches.pair(g.batch).keys.by_arity[g.arity as usize]).view(g.row as usize)
+        };
+        let payload = move |g: Gathered| {
+            (batches.pair(g.batch).msgs.tuples.by_arity[g.arity as usize]).view(g.row as usize)
+        };
+        // Whether any map output holds a string in the store: a run frame
+        // holds only rows of the map outputs, so it holds a string only if
+        // they do.
+        let strings = |store: fn(&PairBatch) -> &TupleStore| {
+            (batches.outputs.iter()).any(|pair| !store(pair).ints_up_to(usize::MAX))
+        };
+        let (key_strings, payload_strings) = (strings(|p| &p.keys), strings(|p| &p.msgs.tuples));
+        let scratch = &mut self.scratch;
+        encode_store(&self.keys, key, key_strings, scratch, out)?;
+        encode_slots(&self.slots, out);
+        encode_store(&self.payloads, payload, payload_strings, scratch, out)
+    }
 }
 
 /// Scratch of one frame's gather: the dictionary of the batch being
@@ -1618,18 +1574,14 @@ struct Scratch {
 /// to [`ROWS_PER_FRAME`] rows: the one write path of flushes and
 /// intermediate merge passes. A frame is gathered column by column
 /// straight from the rows where they sit into the frame buffer, header
-/// room first, and goes to the file in one write. Its bytes are exactly
-/// what [`PairBatch::encode_into`] writes for a staging batch that the
-/// frame's rows were copied into (`PairBatch::push_row`) — one staging
-/// batch per run, cleared between frames, whose layout the two
-/// [`StoreShape`]s carry from frame to frame — so spill byte counts do
-/// not depend on how a frame was built (`staged_frames` in the tests is
-/// that staging path).
+/// room first ([`SinkBuffers::encode`]), and goes to the file in one
+/// write. Its bytes are a function of its rows alone — what
+/// [`PairBatch::encode_into`] writes for a batch holding the same pairs —
+/// so spill byte counts depend neither on how a frame was built nor on
+/// the frames before it.
 struct RunSink<'b> {
     writer: RunWriter,
     buffers: &'b mut SinkBuffers,
-    keys: StoreShape,
-    payloads: StoreShape,
     frames: u64,
 }
 
@@ -1639,8 +1591,6 @@ impl<'b> RunSink<'b> {
         Ok(RunSink {
             writer: RunWriter::create(path)?,
             buffers,
-            keys: StoreShape::default(),
-            payloads: StoreShape::default(),
             frames: 0,
         })
     }
@@ -1682,47 +1632,13 @@ impl<'b> RunSink<'b> {
 
     /// Gather `rows` into one frame and write it.
     fn write_frame(&mut self, batches: Batches<'_>, rows: &[RowRef]) -> Result<()> {
-        let b = &mut *self.buffers;
-        b.keys.clear();
-        b.payloads.clear();
-        b.slots.clear();
-        for &r in rows {
-            let pair = batches.get(r);
-            let at = |loc: Loc| Gathered {
-                batch: r.batch,
-                arity: loc.arity,
-                row: loc.row,
-            };
-            b.keys.push(at(pair.keys.loc(r.row)));
-            let mut slot = pair.msgs.slots[r.row as usize];
-            if let KIND_REQ_TUPLE | KIND_GUARD_TUPLE = slot.kind {
-                b.payloads.push(at(pair.msgs.tuples.loc(slot.aux)));
-                slot.aux = (b.payloads.len() - 1) as u32;
-            }
-            b.slots.push(slot);
-        }
-        b.frame.clear();
-        b.frame.resize(RunWriter::HEADER, 0);
-        let key = move |g: Gathered| {
-            (batches.pair(g.batch).keys.by_arity[g.arity as usize]).view(g.row as usize)
-        };
-        let payload = move |g: Gathered| {
-            (batches.pair(g.batch).msgs.tuples.by_arity[g.arity as usize]).view(g.row as usize)
-        };
-        let (key_strings, payload_strings) = *b.strings.get_or_insert_with(|| {
-            let strings = |store: fn(&PairBatch) -> &TupleStore| {
-                (batches.outputs.iter()).any(|pair| !store(pair).ints_up_to(usize::MAX))
-            };
-            (
-                strings(|pair| &pair.keys),
-                strings(|pair| &pair.msgs.tuples),
-            )
-        });
-        let (scratch, frame) = (&mut b.scratch, &mut b.frame);
-        (self.keys).encode_into(&b.keys, key, key_strings, scratch, frame)?;
-        encode_slots(&b.slots, frame);
-        (self.payloads).encode_into(&b.payloads, payload, payload_strings, scratch, frame)?;
-        self.writer.push_framed(&mut b.frame)?;
+        let mut frame = std::mem::take(&mut self.buffers.frame);
+        frame.clear();
+        frame.resize(RunWriter::HEADER, 0);
+        let written = (self.buffers.encode(batches, rows, &mut frame))
+            .and_then(|()| self.writer.push_framed(&mut frame));
+        self.buffers.frame = frame;
+        written?;
         self.frames += 1;
         Ok(())
     }
@@ -2144,26 +2060,6 @@ pub(crate) fn group_reference(pairs: &[(Tuple, Message)]) -> Vec<(Tuple, Vec<Mes
         .collect()
 }
 
-/// The write path the gather encoder replaced, as its oracle: the frames
-/// of a run of `rows`, each row copied into one staging batch per run
-/// (`PairBatch::push_row`), cleared between frames and encoded
-/// ([`PairBatch::encode_into`]) when [`ROWS_PER_FRAME`] rows have arrived.
-#[cfg(test)]
-fn staged_frames(batches: Batches<'_>, rows: &[RowRef]) -> Vec<Vec<u8>> {
-    let mut staging = PairBatch::new();
-    (rows.chunks(ROWS_PER_FRAME))
-        .map(|chunk| {
-            staging.clear();
-            for &r in chunk {
-                staging.push_row(batches.get(r), r.row as usize);
-            }
-            let mut frame = Vec::new();
-            staging.encode_into(&mut frame).unwrap();
-            frame
-        })
-        .collect()
-}
-
 /// Collect every group of a stream (dropping it, which releases its
 /// budget charge).
 #[cfg(test)]
@@ -2339,22 +2235,6 @@ mod tests {
         // Arbitrary bytes are an error too, never a misparse or a panic.
         assert!(PairBatch::decode(&[9, 9, 9, 9, 9]).is_err());
         assert!(PairBatch::decode(&[0xff; 64]).is_err());
-    }
-
-    #[test]
-    fn cross_batch_row_copy_preserves_pairs_and_bytes() {
-        let pairs = mixed_pairs();
-        let mut src = PairBatch::new();
-        for (k, m) in &pairs {
-            src.push_pair(k, m);
-        }
-        let mut dst = PairBatch::new();
-        for row in (0..src.len()).rev() {
-            dst.push_row(&src, row);
-        }
-        let expected: Vec<_> = pairs.iter().rev().cloned().collect();
-        assert_eq!(dst.to_pairs(), expected);
-        assert_eq!(dst.estimated_bytes(), src.estimated_bytes());
     }
 
     #[test]
@@ -2804,15 +2684,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// A run gathered straight from the map outputs is, byte for
-        /// byte, the run of frames encoded from a staged copy — over keys
-        /// of arity 0–3, ints and strings, every message kind, and runs
-        /// of 1, 511, 512, 513 and 1 100 rows in any order, written
-        /// whole (a flush) or a row at a time (a merge pass). Decoding
-        /// each frame into a batch that last held another frame gives the
-        /// fresh decode.
+        /// Every frame of a run gathered straight from the map outputs is
+        /// the encoding of a fresh batch of its rows, whatever the
+        /// buffers wrote before — over keys of arity 0–3, ints and
+        /// strings, every message kind, and runs of 1, 511, 512, 513 and
+        /// 1 100 rows in any order, written whole (a flush) or a row at a
+        /// time (a merge pass), each through buffers that last wrote a
+        /// run of string keys of mixed arity. Each frame decodes to its
+        /// rows, and decoding it into a batch that last held another
+        /// frame gives the fresh decode.
         #[test]
-        fn gathered_runs_are_the_staged_frames_byte_for_byte(
+        fn run_frames_are_the_encoding_of_their_rows(
             size in 0usize..5,
             tasks in 1usize..4,
             arity_pick in (0usize..4, 0usize..4),
@@ -2841,25 +2723,46 @@ mod tests {
                 state ^= state << 17;
                 rows.swap(i, (state % (i as u64 + 1)) as usize);
             }
-            let dir = gumbo_storage::SpillDir::create("gather-oracle").unwrap();
-            let oracle = staged_frames(batches, &rows);
+            let pairs: Vec<(Tuple, Message)> = (rows.iter())
+                .map(|&r| {
+                    let pair = batches.get(r);
+                    (pair.key_tuple(r.row as usize), pair.message(r.row as usize))
+                })
+                .collect();
+            let dir = gumbo_storage::SpillDir::create("run-frames").unwrap();
+            let frames: Vec<Vec<u8>> = (pairs.chunks(ROWS_PER_FRAME))
+                .map(|chunk| {
+                    let mut fresh = PairBatch::new();
+                    for (k, m) in chunk {
+                        fresh.push_pair(k, m);
+                    }
+                    let mut frame = Vec::new();
+                    fresh.encode_into(&mut frame).unwrap();
+                    frame
+                })
+                .collect();
             let path = dir.run_path(1, 0);
             let mut writer = RunWriter::create(&path).unwrap();
-            for frame in &oracle {
+            for frame in &frames {
                 writer.push(frame).unwrap();
             }
             let expected = (writer.finish().unwrap(), std::fs::read(&path).unwrap());
-            // One set of buffers for both runs: a run's layout history
-            // starts afresh.
+            let warm_outputs = [mixed_batch()];
+            let warm_batches = Batches::of(&warm_outputs);
+            let warm_rows: Vec<RowRef> = (0..warm_outputs[0].len() as u32)
+                .map(|row| RowRef { batch: 0, row })
+                .collect();
             let mut buffers = SinkBuffers::default();
-            let whole = sink_run(&dir, 0, &mut buffers, batches, &rows, false);
-            prop_assert_eq!(&whole, &expected);
-            let one_by_one = sink_run(&dir, 1, &mut buffers, batches, &rows, true);
-            prop_assert_eq!(&one_by_one, &expected);
+            for (seq, pending) in [(0, false), (1, true)] {
+                sink_run(&dir, 2 + seq, &mut buffers, warm_batches, &warm_rows, pending);
+                let written = sink_run(&dir, seq, &mut buffers, batches, &rows, pending);
+                prop_assert_eq!(&written, &expected);
+            }
 
             let mut reused = PairBatch::new();
-            for warm in [&oracle[oracle.len() - 1], &mixed_frame()] {
-                for frame in &oracle {
+            for (frame, chunk) in frames.iter().zip(pairs.chunks(ROWS_PER_FRAME)) {
+                prop_assert_eq!(&PairBatch::decode(frame).unwrap().to_pairs()[..], chunk);
+                for warm in [&frames[frames.len() - 1], &mixed_frame()] {
                     reused.decode_into(warm).unwrap();
                     reused.decode_into(frame).unwrap();
                     assert_same_batch(&reused, &PairBatch::decode(frame).unwrap(), frame);
@@ -2868,15 +2771,20 @@ mod tests {
         }
     }
 
-    /// A frame with string keys of arity 3, mixed key and payload
-    /// arities, and wide message fields.
-    fn mixed_frame() -> Vec<u8> {
+    /// A batch of string keys of arity 0, 1 and 3, mixed payload arities
+    /// and wide message fields.
+    fn mixed_batch() -> PairBatch {
         let mut batch = PairBatch::new();
         for (k, m) in mixed_pairs() {
             batch.push_pair(&k, &m);
         }
+        batch
+    }
+
+    /// The frame of [`mixed_batch`].
+    fn mixed_frame() -> Vec<u8> {
         let mut frame = Vec::new();
-        batch.encode_into(&mut frame).unwrap();
+        mixed_batch().encode_into(&mut frame).unwrap();
         frame
     }
 

@@ -15,8 +15,13 @@
 //! A segment is a run file of the spill layer: frames of
 //! `[len u32][checksum u64][block]` written by [`RunWriter`] (see
 //! [`crate::spill`]). Each block is one columnar `TupleBatch` encoding
-//! (`TupleBatch::encode_into`) of up to [`TUPLES_PER_FRAME`] tuples in
-//! the relation's canonical (sorted) order, stored raw. The fixed
+//! (`TupleBatch::encode_range_into`) of up to [`TUPLES_PER_FRAME`] tuples
+//! in the relation's canonical (sorted) order, stored raw. A block's bytes
+//! are a function of its tuples alone: its dictionary holds just the
+//! strings they use, and a column carries type tags only if it holds a
+//! string, whatever the batch they were sliced from held. Blocks of
+//! older builds, whose layout could carry more (an unused dictionary
+//! entry, tags on a column of integers), decode unchanged. The fixed
 //! tuples-per-frame makes `tuple index → frame index` arithmetic, so a
 //! range visit touches only the frames covering it, and reads their
 //! cached rows in place. A store encodes each 512-row slice of the
@@ -623,7 +628,7 @@ impl FileDfs {
 
 /// Write `relation` to `path` as frames of [`TUPLES_PER_FRAME`] tuples,
 /// each the encoding of one slice of the relation's rows
-/// ([`TupleBatch::encode_range_into`]).
+/// ([`TupleBatch::encode_range_into`]), which depends on those rows alone.
 fn write_frames(path: &Path, relation: &Relation) -> Result<()> {
     let mut writer = RunWriter::create(path)?;
     let mut block = Vec::new();
@@ -1041,6 +1046,76 @@ mod tests {
         assert!(matches!(err, GumboError::Storage(_)), "{err:?}");
         let msg = err.to_string();
         assert!(msg.contains("format v1") && msg.contains("v2"), "{msg}");
+    }
+
+    #[test]
+    fn a_segment_depends_only_on_its_rows() {
+        // A projection keeps the whole batch's dictionary, the dropped
+        // column's strings included; its segment must not carry them.
+        let mut wide = TupleBatch::new(2);
+        for i in 0..5 {
+            let (kept, dropped) = (format!("k{i}"), format!("dropped-{i}"));
+            wide.push_tuple(&Tuple::new(vec![Value::str(&kept), Value::str(&dropped)]));
+        }
+        let projected = Relation::from_batch("P", wide.project(&[0]));
+        let mut fresh = TupleBatch::new(1);
+        for t in projected.iter() {
+            fresh.push_tuple(&t.to_tuple());
+        }
+        let fresh = Relation::from_batch("F", fresh);
+        let root = Root(temp_root("pure-segments"));
+        let file = FileDfs::create(&root.0, 0).unwrap();
+        Dfs::store(&file, projected.clone()).unwrap();
+        Dfs::store(&file, fresh).unwrap();
+        let segment = |name: &str| {
+            let segment = file.segment(&name.into()).unwrap();
+            fs::read(root.0.join(&segment.file_name)).unwrap()
+        };
+        assert_eq!(segment("P"), segment("F"));
+        assert_eq!(Dfs::peek(&file, &"P".into()).unwrap().as_ref(), &projected);
+    }
+
+    #[test]
+    fn a_v2_root_in_older_frame_shapes_still_opens() {
+        // One frame as builds that carried layout state from frame to
+        // frame wrote it: a tag vector on a column with no string, and a
+        // dictionary entry no row uses.
+        let mut block = Vec::new();
+        for word in [2u32, 3, 3] {
+            block.extend_from_slice(&word.to_le_bytes());
+        }
+        for s in ["unused", "a", "b"] {
+            block.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            block.extend_from_slice(s.as_bytes());
+        }
+        let column = |block: &mut Vec<u8>, cells: [i64; 3], tags: [u8; 3]| {
+            block.push(1);
+            for cell in cells {
+                block.extend_from_slice(&cell.to_le_bytes());
+            }
+            block.extend_from_slice(&tags);
+        };
+        column(&mut block, [1, 2, 3], [0, 0, 0]);
+        column(&mut block, [1, 2, 30], [1, 1, 0]);
+        let root = Root(temp_root("older-frames"));
+        fs::create_dir_all(&root.0).unwrap();
+        let mut writer = RunWriter::create(&root.0.join("seg-00000000.seg")).unwrap();
+        writer.push(&block).unwrap();
+        writer.finish().unwrap();
+        fs::write(
+            root.0.join(MANIFEST),
+            "gumbo-dfs\tv2\nR\tseg-00000000.seg\t2\t3\t60\n",
+        )
+        .unwrap();
+        let file = FileDfs::open(&root.0, DEFAULT_CACHE_BYTES).unwrap();
+        let expected = vec![
+            Tuple::new(vec![Value::Int(1), Value::str("a")]),
+            Tuple::new(vec![Value::Int(2), Value::str("b")]),
+            Tuple::from_ints(&[3, 30]),
+        ];
+        assert_eq!(scan_all(&file, "R"), expected);
+        let peeked = Dfs::peek(&file, &"R".into()).unwrap();
+        assert_eq!(tuples_of(&peeked), expected);
     }
 
     #[test]
